@@ -180,6 +180,14 @@ class LatencyPipe
 
     /** Nothing in flight? */
     bool empty() const { return inflight_.empty(); }
+    /** Cycle the oldest entry emerges (kNoEvent when the pipe is
+     *  empty); entries emerge in enqueue order, so no later one is
+     *  sooner. */
+    Cycle
+    nextReadyAt() const
+    {
+        return inflight_.empty() ? kNoEvent : inflight_.front().readyAt;
+    }
     /** Entries still traversing the pipe. */
     size_t size() const { return inflight_.size(); }
     /** The fixed traversal latency in cycles. */

@@ -26,6 +26,9 @@ using Addr = uint32_t;
 /** Simulation time expressed in core clock cycles. */
 using Cycle = uint64_t;
 
+/** The cycle of an event that is not scheduled (no timer pending). */
+constexpr Cycle kNoEvent = ~Cycle{0};
+
 //
 // Dense identifier types (kept distinct for readability, not safety).
 //

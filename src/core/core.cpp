@@ -31,6 +31,14 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
     icache_ = std::make_unique<mem::Cache>(config.icacheConfig());
     dcache_ = std::make_unique<mem::Cache>(config.dcacheConfig());
     smem_ = std::make_unique<mem::SharedMem>(config.smemConfig());
+    icache_->setWakeLatch(&wake_);
+    dcache_->setWakeLatch(&wake_);
+    stallCounters_ = {&ctrFetchIcacheStalls_, &ctrIssueScoreboardStalls_,
+                      &ctrIssueStructuralStalls_};
+    size_t slot = 3;
+    for (mem::Cache* l1 : {icache_.get(), dcache_.get()})
+        for (CounterRef* ctr : l1->stallCounters())
+            stallCounters_[slot++] = ctr;
 
     if (config.texEnabled) {
         tex::TexUnitConfig tc;
@@ -112,6 +120,7 @@ Core::reset()
     texDone_.clear();
     softCsrs_.clear();
     issueRR_ = 0;
+    wake_.wake();
 }
 
 void
@@ -130,12 +139,14 @@ Core::activateWarp(WarpId wid, Addr pc)
     warps_[wid].reset(pc, 1);
     scheduler_.setActive(wid, true);
     ++stats_.counter("wspawned");
+    wake_.wake();
 }
 
 void
 Core::releaseBarrierWarp(WarpId wid)
 {
     scheduler_.setBarrier(wid, false);
+    wake_.wake();
 }
 
 Word
@@ -191,11 +202,26 @@ Core::tick(Cycle now)
     curCycle_ = now;
     ++cycles_;
 
+    if (now < wake_.sleepUntil) {
+        // Dormant: the last real tick changed nothing, no timer has come
+        // due and no input has arrived since, so this tick would repeat
+        // it exactly — only its stall-counter bumps.
+        ++dormantCycles_;
+        for (size_t i = 0; i < numStallCredits_; ++i)
+            *stallCredits_[i].counter += stallCredits_[i].delta;
+        return;
+    }
+
+    uint64_t stalls_before[kStallCounters] = {};
+    for (size_t i = 0; i < kStallCounters; ++i)
+        stalls_before[i] = stallCounters_[i]->get();
+    progress_ = false;
+
     if (texUnit_)
         texUnit_->tick(now);
-    dcache_->tick(now);
-    icache_->tick(now);
-    smem_->tick(now);
+    progress_ |= dcache_->tick(now);
+    progress_ |= icache_->tick(now);
+    progress_ |= smem_->tick(now);
 
     commitStage(now);
     executeTick(now);
@@ -203,6 +229,44 @@ Core::tick(Cycle now)
     issueStage(now);
     decodeStage(now);
     fetchStage(now);
+
+    if (!progress_ && (!texUnit_ || texUnit_->idle()))
+        sleep(now, stalls_before);
+}
+
+Cycle
+Core::nextEventAt() const
+{
+    Cycle next = std::min({icache_->nextEventAt(), dcache_->nextEventAt(),
+                           smem_->nextEventAt()});
+    if (!decodeQueue_.empty())
+        next = std::min(next, decodeQueue_.front().readyAt);
+    for (const FuPipe* fu : {&alu_, &muldiv_, &fpu_, &sfu_}) {
+        for (const FuPipe::Inflight& f : fu->inflight)
+            next = std::min(next, f.readyAt);
+        // An iterative op waiting for the unit to free up.
+        if (!fu->input.empty() && fu->busyUntil > curCycle_)
+            next = std::min(next, fu->busyUntil);
+    }
+    return next;
+}
+
+void
+Core::sleep(Cycle now, const uint64_t* stalls_before)
+{
+    const Cycle wake_at = nextEventAt();
+    if (wake_at <= now + 1)
+        return;
+    // A counter with a nonzero delta was bumped this tick, so it is
+    // already registered and value() does not change the key order.
+    numStallCredits_ = 0;
+    for (size_t i = 0; i < kStallCounters; ++i) {
+        const uint64_t delta = stallCounters_[i]->get() - stalls_before[i];
+        if (delta != 0)
+            stallCredits_[numStallCredits_++] =
+                StallCredit{&stallCounters_[i]->value(), delta};
+    }
+    wake_.sleepUntil = wake_at;
 }
 
 void
@@ -257,6 +321,7 @@ Core::fetchStage(Cycle now)
     fetchOutstanding_[wid] = true;
     icache_->lanePush(0, req);
     ++ctrFetches_;
+    progress_ = true;
 }
 
 void
@@ -271,6 +336,7 @@ Core::decodeStage(Cycle now)
         trace(uop, TraceStage::Decode);
         ibuffers_[wid].push(std::move(uop));
         fetchOutstanding_[wid] = false;
+        progress_ = true;
     }
 }
 
@@ -305,6 +371,7 @@ Core::issueStage(Cycle now)
             continue;
         }
         Uop uop = ibuffers_[wid].pop();
+        progress_ = true;
         if (dispatch(std::move(uop), now)) {
             issueRR_ = (wid + 1) % config_.numWarps;
             return; // single-issue core
@@ -456,6 +523,7 @@ Core::fuAdvance(FuPipe& fu, Cycle now)
                 Uop uop = fu.input.pop();
                 fu.inflight.push_back(FuPipe::Inflight{std::move(uop),
                                                        now + lat});
+                progress_ = true;
             }
         }
     }
@@ -464,6 +532,7 @@ Core::fuAdvance(FuPipe& fu, Cycle now)
         if (it->readyAt <= now) {
             fu.output.push_back(std::move(it->uop));
             it = fu.inflight.erase(it);
+            progress_ = true;
         } else {
             ++it;
         }
@@ -504,6 +573,7 @@ Core::lsuTick(Cycle now)
             req.tag = Tag{op.uop.pc, op.uop.wid, op.uop.uid};
             ++op.pendingRsps;
             op.lanesToIssue &= ~(1ull << t);
+            progress_ = true;
             if (shared)
                 smem_->lanePush(t, req);
             else
@@ -528,6 +598,7 @@ Core::commitStage(Cycle now)
             port_used = true;
         }
         writeback(uop);
+        progress_ = true;
         return true;
     };
 

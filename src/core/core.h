@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <array>
 #include <deque>
 #include <list>
 #include <memory>
@@ -63,7 +64,13 @@ class Core
     /** Activate wavefront 0 (thread 0) at the configured start PC. */
     void start();
 
-    /** Advance one cycle (caches and texture unit tick inside). */
+    /**
+     * Advance one cycle (caches and texture unit tick inside). A core
+     * whose last tick changed nothing sleeps until its next timed event
+     * or an explicit wake, re-crediting that tick's stall counters each
+     * cycle (ARCHITECTURE.md "Dormant cores"), so every counter and
+     * cycle count is exactly what ticking it would have produced.
+     */
     void tick(Cycle now);
 
     /** Any wavefront active or any operation still in flight? */
@@ -77,6 +84,9 @@ class Core
     mem::SharedMem& sharedMem() { return *smem_; } ///< the scratchpad
     /** The texture unit (nullptr when ArchConfig::texEnabled is off). */
     tex::TexUnit* texUnit() { return texUnit_.get(); }
+    /** The latch that ends a sleep: hierarchy glue hands it to every
+     *  producer that can change one of this core's inputs. */
+    mem::WakeLatch* wakeLatch() { return &wake_; }
 
     //
     // Emulator interface (functional execution).
@@ -118,6 +128,10 @@ class Core
     uint64_t warpInstrs() const { return warpInstrs_; }
     /** Cycles this core has ticked. */
     uint64_t cycles() const { return cycles_; }
+    /** Of cycles(), those spent dormant. A host-side diagnostic, not a
+     *  simulated counter: it stays out of stats(), CSV, series and
+     *  content hashes. */
+    uint64_t dormantCycles() const { return dormantCycles_; }
 
   private:
     //
@@ -129,6 +143,13 @@ class Core
     void executeTick(Cycle now);
     void lsuTick(Cycle now);
     void commitStage(Cycle now);
+
+    /** Earliest cycle an internal timer fires (decode queue, FU
+     *  latencies, iterative-unit busy, cache and scratchpad pipes). */
+    Cycle nextEventAt() const;
+    /** After a tick that changed nothing: sleep until nextEventAt(),
+     *  recording the stall-counter deltas since @p stalls_before. */
+    void sleep(Cycle now, const uint64_t* stalls_before);
 
     /** Dispatch one uop to its functional unit; false if structural stall. */
     bool dispatch(Uop&& uop, Cycle now);
@@ -284,6 +305,25 @@ class Core
     uint64_t threadInstrs_ = 0;
     uint64_t warpInstrs_ = 0;
     StatGroup stats_;
+
+    //
+    // Dormancy (ARCHITECTURE.md "Dormant cores").
+    //
+    mem::WakeLatch wake_;
+    bool progress_ = false;      ///< this tick changed pipeline state
+    uint64_t dormantCycles_ = 0; ///< dormantCycles()
+    /** Every counter a tick that changes nothing can still bump: the
+     *  core's three stall counters, then each L1's stallCounters(). */
+    static constexpr size_t kStallCounters = 11;
+    std::array<CounterRef*, kStallCounters> stallCounters_{};
+    /** A per-cycle increment re-credited while asleep. */
+    struct StallCredit
+    {
+        uint64_t* counter;
+        uint64_t delta;
+    };
+    std::array<StallCredit, kStallCounters> stallCredits_{};
+    size_t numStallCredits_ = 0;
 
     // Hot-path counter handles (lazy CounterRef: byte-identical output).
     CounterRef ctrFetchIcacheStalls_{stats_, "fetch_icache_stalls"};

@@ -48,18 +48,21 @@ linkCacheToCache(mem::Cache& upstream, mem::Cache& downstream, uint32_t lane,
 } // namespace
 
 mem::MemSink*
-Processor::staged(mem::MemSink* down, size_t depth)
+Processor::staged(mem::MemSink* down, size_t depth, mem::WakeLatch* owner)
 {
-    stagedPorts_.push_back(std::make_unique<mem::StagedMemPort>(down, depth));
+    stagedPorts_.push_back(
+        std::make_unique<mem::StagedMemPort>(down, depth, owner));
     return stagedPorts_.back().get();
 }
 
 void
-Processor::linkStagedL1(mem::Cache& l1, mem::Cache& downstream, uint32_t lane)
+Processor::linkStagedL1(Core& core, mem::Cache& l1, mem::Cache& downstream,
+                        uint32_t lane)
 {
     adapters_.push_back(std::make_unique<mem::CacheMemPort>(downstream, lane));
-    l1.connectMem(
-        staged(adapters_.back().get(), l1.config().memQueueDepth));
+    l1.connectMem(staged(adapters_.back().get(), l1.config().memQueueDepth,
+                         core.wakeLatch()));
+    downstream.setLaneWake(lane, core.wakeLatch());
 }
 
 void
@@ -106,8 +109,8 @@ Processor::wire()
                 Core& core = *cores_[first_core + i];
                 owners[2 * i] = &core.icache();
                 owners[2 * i + 1] = &core.dcache();
-                linkStagedL1(core.icache(), l2, 2 * i);
-                linkStagedL1(core.dcache(), l2, 2 * i + 1);
+                linkStagedL1(core, core.icache(), l2, 2 * i);
+                linkStagedL1(core, core.dcache(), l2, 2 * i + 1);
             }
             l2.setRspCallback([owners](const mem::CoreRsp& rsp) {
                 if (rsp.write)
@@ -143,8 +146,8 @@ Processor::wire()
             Core& core = *cores_[i];
             owners[2 * i] = &core.icache();
             owners[2 * i + 1] = &core.dcache();
-            linkStagedL1(core.icache(), *l3_, 2 * i);
-            linkStagedL1(core.dcache(), *l3_, 2 * i + 1);
+            linkStagedL1(core, core.icache(), *l3_, 2 * i);
+            linkStagedL1(core, core.dcache(), *l3_, 2 * i + 1);
         }
         l3_->setRspCallback([owners](const mem::CoreRsp& rsp) {
             if (rsp.write)
@@ -156,14 +159,16 @@ Processor::wire()
     for (auto& core : cores_) {
         mem::Cache* ic = &core->icache();
         mem::Cache* dc = &core->dcache();
+        mem::WakeLatch* owner = core->wakeLatch();
         ic->connectMem(staged(
             memRouter_->makePort(
                 [ic](const mem::MemRsp& rsp) { ic->memRsp(rsp); }),
-            ic->config().memQueueDepth));
+            ic->config().memQueueDepth, owner));
         dc->connectMem(staged(
             memRouter_->makePort(
                 [dc](const mem::MemRsp& rsp) { dc->memRsp(rsp); }),
-            dc->config().memQueueDepth));
+            dc->config().memQueueDepth, owner));
+        memSim_->addCreditWake(owner);
     }
 }
 

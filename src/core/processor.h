@@ -134,12 +134,15 @@ class Processor : public BarrierHub
   private:
     void wire();
 
-    /** Wrap @p down in a staging port drained serially in core order. */
-    mem::MemSink* staged(mem::MemSink* down, size_t depth);
+    /** Wrap @p down in a staging port drained serially in core order;
+     *  draining a full port wakes @p owner. */
+    mem::MemSink* staged(mem::MemSink* down, size_t depth,
+                         mem::WakeLatch* owner);
 
-    /** Connect an L1's memory side to lane @p lane of a shared downstream
-     *  cache through a staging port. */
-    void linkStagedL1(mem::Cache& l1, mem::Cache& downstream, uint32_t lane);
+    /** Connect @p core's L1 @p l1 to lane @p lane of a shared downstream
+     *  cache through a staging port; credit returns wake the core. */
+    void linkStagedL1(Core& core, mem::Cache& l1, mem::Cache& downstream,
+                      uint32_t lane);
 
     /** Commit phase: staged L1 requests, then global barrier arrivals. */
     void commitCrossCore();

@@ -77,30 +77,19 @@ Cache::Cache(const CacheConfig& config)
         fatal("cache '", config.name,
               "': size/lineSize/banks/ways must give a power-of-two number "
               "of sets >= 1, got ", numSets_);
+    lineShift_ = log2Floor(config.lineSize);
+    setShift_ = lineShift_ + log2Floor(config.numBanks);
+    tagShift_ = setShift_ + log2Floor(numSets_);
+    bankMask_ = config.numBanks - 1;
+    setMask_ = numSets_ - 1;
     banks_.reserve(config.numBanks);
     for (uint32_t b = 0; b < config.numBanks; ++b)
         banks_.emplace_back(config, b);
     lanes_.reserve(config.numLanes);
     for (uint32_t l = 0; l < config.numLanes; ++l)
         lanes_.emplace_back(config.laneQueueDepth, "cache.lane");
-}
-
-uint32_t
-Cache::bankOf(Addr addr) const
-{
-    return (addr / config_.lineSize) & (config_.numBanks - 1);
-}
-
-uint32_t
-Cache::setOf(Addr addr) const
-{
-    return (addr / config_.lineSize / config_.numBanks) & (numSets_ - 1);
-}
-
-uint32_t
-Cache::tagOf(Addr addr) const
-{
-    return addr / config_.lineSize / config_.numBanks / numSets_;
+    laneHeadBank_.assign(config.numLanes, kNoBank);
+    laneWakes_.assign(config.numLanes, nullptr);
 }
 
 bool
@@ -121,6 +110,8 @@ void
 Cache::memRsp(const MemRsp& rsp)
 {
     memRspQueue_.push_back(rsp);
+    if (wakeLatch_)
+        wakeLatch_->wake();
 }
 
 std::optional<uint32_t>
@@ -186,11 +177,12 @@ Cache::mshrFind(Bank& bank, Addr lineAddr)
     return nullptr;
 }
 
-void
+bool
 Cache::drainPipes(Cycle now)
 {
     if (pipeWork_ == 0)
-        return;
+        return false;
+    const size_t before = pipeWork_;
     for (Bank& bank : banks_) {
         while (auto op = bank.pipe.dequeueReady(now)) {
             --pipeWork_;
@@ -205,23 +197,28 @@ Cache::drainPipes(Cycle now)
             }
         }
     }
+    return pipeWork_ != before;
 }
 
-void
+bool
 Cache::drainMemQueue()
 {
+    bool moved = false;
     while (!memQueue_.empty() && memSink_ && memSink_->reqReady()) {
         memSink_->reqPush(memQueue_.front());
         memQueue_.pop();
         ++ctrMemReqs_;
+        moved = true;
     }
+    return moved;
 }
 
-void
+bool
 Cache::schedule(Cycle now)
 {
     if (bankWork_ == 0)
-        return;
+        return false;
+    bool moved = false;
     // Count memory-queue credits consumed this cycle across banks so two
     // banks cannot both claim the last slot.
     size_t memq_free = memQueue_.capacity() - memQueue_.size();
@@ -240,6 +237,7 @@ Cache::schedule(Cycle now)
             bank.pipe.enqueue(std::move(op), now);
             ++pipeWork_;
             ++ctrMshrReplays_;
+            moved = true;
             continue;
         }
         // Priority 2: install an arrived fill and stage its replays.
@@ -260,6 +258,7 @@ Cache::schedule(Cycle now)
                 }
             }
             ++ctrFills_;
+            moved = true;
             continue;
         }
         // Priority 3: a core request from the bank input FIFO.
@@ -293,6 +292,7 @@ Cache::schedule(Cycle now)
             ++pipeWork_;
             bank.input.pop();
             --bankWork_;
+            moved = true;
             continue;
         }
         // Read.
@@ -305,6 +305,7 @@ Cache::schedule(Cycle now)
             ++pipeWork_;
             bank.input.pop();
             --bankWork_;
+            moved = true;
             continue;
         }
         // Read miss: merge into a pending MSHR entry if one exists.
@@ -314,6 +315,7 @@ Cache::schedule(Cycle now)
             ++ctrReadMisses_;
             bank.input.pop();
             --bankWork_;
+            moved = true;
             continue;
         }
         // New miss: needs an MSHR entry and a memory-queue slot.
@@ -345,26 +347,31 @@ Cache::schedule(Cycle now)
         ++pipeWork_;
         bank.input.pop();
         --bankWork_;
+        moved = true;
     }
+    return moved;
 }
 
-void
+bool
 Cache::selectBanks(Cycle now)
 {
     (void)now;
     // Skip the bank x lane scan on the (common) cycles with no queued
     // lane requests at all.
     if (pendingLaneReqs_ == 0)
-        return;
+        return false;
+    const uint32_t num_lanes = config_.numLanes;
+    for (uint32_t l = 0; l < num_lanes; ++l)
+        laneHeadBank_[l] =
+            lanes_[l].empty() ? kNoBank : bankOf(lanes_[l].front().addr);
+    bool moved = false;
     // Gather head-of-queue candidates per bank.
     for (uint32_t b = 0; b < config_.numBanks; ++b) {
         Bank& bank = banks_[b];
         // Find candidate lanes.
         uint32_t candidates = 0;
-        for (auto& lane : lanes_) {
-            if (!lane.empty() && bankOf(lane.front().addr) == b)
-                ++candidates;
-        }
+        for (uint32_t l = 0; l < num_lanes; ++l)
+            candidates += laneHeadBank_[l] == b;
         if (candidates == 0)
             continue;
         ctrSelCandidates_ += candidates;
@@ -376,12 +383,11 @@ Cache::selectBanks(Cycle now)
         // requests into the virtual ports.
         BankReq breq;
         uint32_t taken = 0;
-        for (auto& lane : lanes_) {
-            if (lane.empty())
+        for (uint32_t l = 0; l < num_lanes; ++l) {
+            if (laneHeadBank_[l] != b)
                 continue;
+            auto& lane = lanes_[l];
             const CoreReq& creq = lane.front();
-            if (bankOf(creq.addr) != b)
-                continue;
             Addr line_addr = lineAddrOf(creq.addr);
             if (taken == 0) {
                 breq.lineAddr = line_addr;
@@ -392,28 +398,38 @@ Cache::selectBanks(Cycle now)
                 continue; // bank conflict: stays for a later cycle
             }
             breq.ports.push_back(PortReq{creq.reqId, creq.lane, creq.tag});
+            // A full lane regaining a slot is the credit its (possibly
+            // dormant) producer waits on.
+            if (laneWakes_[l] && lane.full())
+                laneWakes_[l]->wake();
             lane.pop();
             --pendingLaneReqs_;
             ++taken;
+            // The next request (if any) competes for the later banks
+            // this cycle, exactly as a fresh head would.
+            laneHeadBank_[l] =
+                lane.empty() ? kNoBank : bankOf(lane.front().addr);
         }
         bank.input.push(std::move(breq));
         ++bankWork_;
         ctrSelAccepted_ += taken;
         ctrSelConflicts_ += candidates - taken;
+        moved = true;
     }
+    return moved;
 }
 
-void
+bool
 Cache::tick(Cycle now)
 {
     // 1. Matured pipeline ops emit responses / memory requests.
     size_t memq_before = memQueue_.size();
-    drainPipes(now);
+    bool moved = drainPipes(now);
     size_t emitted = memQueue_.size() - memq_before;
     pipePromisedMemReqs_ -= std::min(pipePromisedMemReqs_, emitted);
 
     // 2. Forward memory requests downstream.
-    drainMemQueue();
+    moved |= drainMemQueue();
 
     // 3. Absorb memory responses into per-bank fill queues. A response
     // whose id the pool does not hold panics there ("unmatched request
@@ -424,13 +440,26 @@ Cache::tick(Cycle now)
         banks_[fill.bank].fillQueue.push_back(fill.lineAddr);
         ++bankWork_;
         memRspQueue_.pop_front();
+        moved = true;
     }
 
     // 4. Bank schedulers issue one operation each.
-    schedule(now);
+    moved |= schedule(now);
 
     // 5. Front-end bank selector moves lane heads into bank FIFOs.
-    selectBanks(now);
+    moved |= selectBanks(now);
+    return moved;
+}
+
+Cycle
+Cache::nextEventAt() const
+{
+    Cycle next = kNoEvent;
+    if (pipeWork_ == 0)
+        return next;
+    for (const Bank& bank : banks_)
+        next = std::min(next, bank.pipe.nextReadyAt());
+    return next;
 }
 
 bool

@@ -28,6 +28,7 @@
 
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -81,11 +82,41 @@ class Cache
     // Memory side.
     //
     void connectMem(MemSink* sink) { memSink_ = sink; }
-    /** Deliver a response from the downstream memory (always accepted). */
+    /** Deliver a response from the downstream memory (always accepted);
+     *  wakes the owner set by setWakeLatch(). */
     void memRsp(const MemRsp& rsp);
 
-    /** Advance one cycle. */
-    void tick(Cycle now);
+    /**
+     * Advance one cycle. @return true when the tick changed any state
+     * besides the stallCounters(); after a false return the next tick
+     * repeats it exactly, unless a memRsp() or lanePush() arrives, the
+     * memory sink regains credit, or nextEventAt() is reached.
+     */
+    bool tick(Cycle now);
+
+    /** Earliest cycle a bank pipeline emits (kNoEvent when none). */
+    Cycle nextEventAt() const;
+
+    /** The per-cycle stall counters (sel_candidates, sel_input_full,
+     *  memq_stalls, mshr_stalls): all a tick returning false bumps. */
+    std::array<CounterRef*, 4>
+    stallCounters()
+    {
+        return {&ctrSelCandidates_, &ctrSelInputFull_, &ctrMemqStalls_,
+                &ctrMshrStalls_};
+    }
+
+    //
+    // Dormant-owner wakes (ARCHITECTURE.md "Dormant cores").
+    //
+    /** Wake @p latch on every memRsp() (the owning core of an L1). */
+    void setWakeLatch(WakeLatch* latch) { wakeLatch_ = latch; }
+    /** Wake @p latch when lane @p lane goes from full to not full (the
+     *  credit return an upstream L1 may be sleeping on). */
+    void setLaneWake(uint32_t lane, WakeLatch* latch)
+    {
+        laneWakes_.at(lane) = latch;
+    }
 
     /** True when no request is buffered, pending, or in flight. */
     bool idle() const;
@@ -105,10 +136,16 @@ class Cache
     //
     // Geometry helpers.
     //
+    // lineSize, numBanks and the set count are powers of two, so the
+    // address fields are shifts and masks precomputed at construction.
     Addr lineAddrOf(Addr addr) const { return addr & ~(config_.lineSize - 1); }
-    uint32_t bankOf(Addr addr) const;
-    uint32_t setOf(Addr addr) const;
-    uint32_t tagOf(Addr addr) const;
+    uint32_t
+    bankOf(Addr addr) const
+    {
+        return (addr >> lineShift_) & bankMask_;
+    }
+    uint32_t setOf(Addr addr) const { return (addr >> setShift_) & setMask_; }
+    uint32_t tagOf(Addr addr) const { return addr >> tagShift_; }
 
     /** One virtual-port slot inside a bank request. */
     struct PortReq
@@ -171,18 +208,30 @@ class Cache
     /** Install a line, evicting LRU; updates stats. */
     void install(Bank& bank, Addr addr, Cycle now);
 
-    void drainPipes(Cycle now);
-    void drainMemQueue();
-    void schedule(Cycle now);
-    void selectBanks(Cycle now);
+    // Each returns true when it changed state besides the stall counters.
+    bool drainPipes(Cycle now);
+    bool drainMemQueue();
+    bool schedule(Cycle now);
+    bool selectBanks(Cycle now);
 
     bool mshrHasSpace(const Bank& bank) const;
     MshrEntry* mshrFind(Bank& bank, Addr lineAddr);
 
     CacheConfig config_;
     uint32_t numSets_;
+    uint32_t lineShift_; ///< log2(lineSize)
+    uint32_t setShift_;  ///< lineShift_ + log2(numBanks)
+    uint32_t tagShift_;  ///< setShift_ + log2(numSets_)
+    uint32_t bankMask_;  ///< numBanks - 1
+    uint32_t setMask_;   ///< numSets_ - 1
     std::vector<Bank> banks_;
     std::vector<ElasticQueue<CoreReq>> lanes_;
+    /** Bank of each lane's head request (kNoBank when empty): selector
+     *  scratch, so the bank x lane scan reads one array. */
+    std::vector<uint32_t> laneHeadBank_;
+    static constexpr uint32_t kNoBank = ~0u;
+    WakeLatch* wakeLatch_ = nullptr;     ///< setWakeLatch()
+    std::vector<WakeLatch*> laneWakes_;  ///< setLaneWake(), per lane
     //
     // Tick-phase early-out bookkeeping: counts of work queued for the
     // three per-cycle bank scans, so an idle (or stalled-elsewhere)

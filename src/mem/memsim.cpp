@@ -39,6 +39,7 @@ MemSim::tick(Cycle now)
     // Accept new transfers onto free channels. Head-of-line blocking per the
     // single input queue is intentional: the board controller has one
     // request port (CCI-P style).
+    const bool was_full = input_.full();
     while (!input_.empty()) {
         const MemReq& req = input_.front();
         uint32_t ch = channelOf(req.lineAddr);
@@ -52,6 +53,10 @@ MemSim::tick(Cycle now)
                                  now + config_.latency + lineCycles_});
         }
         input_.pop();
+    }
+    if (was_full && !input_.full()) {
+        for (WakeLatch* latch : creditWakes_)
+            latch->wake();
     }
 
     // Deliver matured responses (kept sorted by construction: latency is

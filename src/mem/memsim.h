@@ -47,6 +47,10 @@ class MemSim : public MemSink
         rspCallback_ = std::move(cb);
     }
 
+    /** Wake @p latch whenever the full input queue accepts a transfer
+     *  (the credit an L1 wired straight to memory may sleep on). */
+    void addCreditWake(WakeLatch* latch) { creditWakes_.push_back(latch); }
+
     /** Advance one cycle. */
     void tick(Cycle now);
 
@@ -73,6 +77,7 @@ class MemSim : public MemSink
     std::vector<Inflight> inflight_;
 
     std::function<void(const MemRsp&)> rspCallback_;
+    std::vector<WakeLatch*> creditWakes_; ///< addCreditWake()
     StatGroup stats_{"memsim"};
 
     // Hot-path counter handles (lazy CounterRef: byte-identical output).

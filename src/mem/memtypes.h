@@ -54,6 +54,20 @@ struct MemRsp
 };
 
 /**
+ * Wake latch of a component that sleeps through quiescent cycles (the
+ * dormant-core tick, ARCHITECTURE.md "Dormant cores"). The sleeper stores
+ * the first cycle it must tick for real; every producer that can change
+ * one of the sleeper's inputs calls wake() so it ticks on its next cycle.
+ * Wakes happen only in the serial phases of Processor::tick, so both tick
+ * backends see them at the same cycle.
+ */
+struct WakeLatch
+{
+    Cycle sleepUntil = 0; ///< first cycle the owner must tick for real
+    void wake() { sleepUntil = 0; } ///< tick the owner on its next cycle
+};
+
+/**
  * Downstream interface exposed by anything that accepts line requests
  * (MemSim, or the mem-side of a larger cache). Responses are delivered via a
  * callback registered by the single upstream client.

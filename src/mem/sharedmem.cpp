@@ -30,19 +30,22 @@ SharedMem::lanePush(uint32_t lane, const CoreReq& req)
     ++(req.write ? ctrWrites_ : ctrReads_);
 }
 
-void
+bool
 SharedMem::tick(Cycle now)
 {
     // Emit matured responses.
+    bool moved = false;
     while (auto rsp = pipe_.dequeueReady(now)) {
         if (rspCallback_)
             rspCallback_(*rsp);
+        moved = true;
     }
 
-    // Arbitrate: each bank services at most one lane per cycle. Skip
-    // the lane scan entirely on the (common) cycles with nothing queued.
+    // Arbitrate: each bank services at most one lane per cycle, so any
+    // queued request means the first one is accepted. Skip the lane scan
+    // entirely on the (common) cycles with nothing queued.
     if (pendingLaneReqs_ == 0)
-        return;
+        return moved;
     std::fill(bankBusy_.begin(), bankBusy_.end(), 0);
     for (auto& lane : lanes_) {
         if (lane.empty())
@@ -60,6 +63,7 @@ SharedMem::tick(Cycle now)
         lane.pop();
         --pendingLaneReqs_;
     }
+    return true;
 }
 
 bool

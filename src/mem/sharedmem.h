@@ -41,7 +41,11 @@ class SharedMem
         rspCallback_ = std::move(cb);
     }
 
-    void tick(Cycle now);
+    /** Advance one cycle. @return true when the tick changed any state
+     *  (a tick with nothing queued or maturing changes none). */
+    bool tick(Cycle now);
+    /** Earliest cycle a response emerges (kNoEvent when none). */
+    Cycle nextEventAt() const { return pipe_.nextReadyAt(); }
     bool idle() const;
 
     StatGroup& stats() { return stats_; }

@@ -38,7 +38,10 @@ class StagedMemPort final : public MemSink
      *              memory-queue depth so staging never throttles below the
      *              downstream's own acceptance rate
      */
-    StagedMemPort(MemSink* down, size_t depth) : down_(down), depth_(depth) {}
+    StagedMemPort(MemSink* down, size_t depth, WakeLatch* owner = nullptr)
+        : down_(down), depth_(depth), owner_(owner)
+    {
+    }
 
     // MemSink (called from the producer, possibly on a worker thread).
     // Consulting down_->reqReady() here is safe and deterministic: shared
@@ -55,14 +58,18 @@ class StagedMemPort final : public MemSink
     void reqPush(const MemReq& req) override { staged_.push_back(req); }
 
     /** Commit phase: forward staged requests while the sink accepts.
-     *  Leftovers keep back-pressuring the producer via reqReady(). */
+     *  Leftovers keep back-pressuring the producer via reqReady(); a full
+     *  buffer that drains returns credit, which wakes the owner. */
     void
     drain()
     {
+        const size_t before = staged_.size();
         while (!staged_.empty() && down_->reqReady()) {
             down_->reqPush(staged_.front());
             staged_.pop_front();
         }
+        if (owner_ && before >= depth_ && staged_.size() < before)
+            owner_->wake();
     }
 
     bool empty() const { return staged_.empty(); }
@@ -70,6 +77,7 @@ class StagedMemPort final : public MemSink
   private:
     MemSink* down_;
     size_t depth_;
+    WakeLatch* owner_; ///< the producer's core (nullptr: never sleeps)
     std::deque<MemReq> staged_;
 };
 

@@ -11,16 +11,29 @@
  * — these numbers may only change when the *timing model* deliberately
  * changes, and such a PR must update BENCH_PR.json and this table
  * together, saying so.
+ *
+ * A second table pins the *entire* flattened collectStats row (every
+ * counter, in key order) of stall-heavy runs that exercise every wake
+ * path of the dormant-core tick (ARCHITECTURE.md "Dormant cores"):
+ * L2-clustered cores (also with a multi-cycle scratchpad), a
+ * global-barrier guest, an L3 without L2s, plus a sampled series whose
+ * prime interval lands samples mid-sleep. Stall counters that a dormant
+ * core re-credits each sleeping cycle are in those rows, so a missed
+ * credit, a missed timer or a missed wake shows up here.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "runtime/device.h"
+#include "runtime/workloads.h"
 #include "sweep/presets.h"
 #include "sweep/spec.h"
 
@@ -95,7 +108,359 @@ checkBackend(bool parallel_tick)
     }
 }
 
+/** Machines of the full-row pins. */
+enum class Machine
+{
+    Clustered8,         ///< 8 cores in two 4-core L2 clusters
+    Clustered8SlowSmem, ///< the same with an 8-cycle scratchpad
+    Flat4,              ///< 4 cores straight to board memory
+    L3Only4,            ///< 4 cores sharing an L3, no L2
+};
+
+/** One run pinned by its whole flattened counter row. */
+struct GoldenRow
+{
+    const char* id;
+    Machine machine;
+    const char* kernel; ///< Rodinia kernel, or a self-checking .s guest
+    uint64_t cycles;
+    std::vector<std::pair<std::string, uint64_t>> row;
+};
+
+const GoldenRow kGoldenRows[] = {
+    {"bfs/8c-l2x4", Machine::Clustered8, "bfs", 70622,
+     {
+        {"core.thread_instrs", 288137}, {"core.warp_instrs", 108525},
+        {"core.fetches", 108525}, {"core.writebacks", 65960},
+        {"core.retired", 108525}, {"core.issue_scoreboard_stalls", 67389},
+        {"core.barriers", 672}, {"core.wspawned", 288},
+        {"core.issue_structural_stalls", 508339},
+        {"icache.core_reads", 108525}, {"icache.sel_candidates", 108525},
+        {"icache.sel_accepted", 108525}, {"icache.sel_conflicts", 0},
+        {"icache.read_misses", 131}, {"icache.mem_reqs", 96},
+        {"icache.fills", 96}, {"icache.mshr_replays", 96},
+        {"icache.core_rsps", 108525}, {"icache.read_hits", 108394},
+        {"icache.mshr_merges", 35}, {"dcache.core_writes", 10382},
+        {"dcache.sel_candidates", 641981}, {"dcache.sel_accepted", 44462},
+        {"dcache.sel_conflicts", 54554}, {"dcache.write_misses", 7146},
+        {"dcache.core_rsps", 44462}, {"dcache.mem_reqs", 13117},
+        {"dcache.core_reads", 34080}, {"dcache.read_misses", 7138},
+        {"dcache.fills", 2735}, {"dcache.mshr_replays", 2735},
+        {"dcache.read_hits", 26942}, {"dcache.memq_stalls", 149290},
+        {"dcache.sel_input_full", 542965}, {"dcache.mshr_merges", 4403},
+        {"dcache.write_hits", 3236}, {"dcache.evictions", 2282},
+        {"dcache.mshr_stalls", 508}, {"smem.writes", 288},
+        {"smem.candidates", 10368}, {"smem.accesses", 4896},
+        {"smem.reads", 4608}, {"smem.bank_conflicts", 5472},
+        {"l2.core_reads", 2831}, {"l2.sel_candidates", 170976},
+        {"l2.sel_accepted", 13213}, {"l2.sel_conflicts", 14843},
+        {"l2.read_misses", 1672}, {"l2.mshr_merges", 63},
+        {"l2.mem_reqs", 11991}, {"l2.fills", 1609},
+        {"l2.mshr_replays", 1609}, {"l2.core_rsps", 13213},
+        {"l2.core_writes", 10382}, {"l2.write_misses", 5748},
+        {"l2.read_hits", 1159}, {"l2.memq_stalls", 47842},
+        {"l2.sel_input_full", 142920}, {"l2.write_hits", 4634},
+        {"l2.mshr_stalls", 197}, {"l2.evictions", 1332}, {"mem.reads", 1609},
+        {"mem.bytes", 767424}, {"mem.responses", 1609},
+        {"mem.writes", 10382},
+     }},
+    {"saxpy/8c-l2x4", Machine::Clustered8, "saxpy", 13521,
+     {
+        {"core.thread_instrs", 51680}, {"core.warp_instrs", 13296},
+        {"core.fetches", 13296}, {"core.writebacks", 9176},
+        {"core.retired", 13296}, {"core.issue_scoreboard_stalls", 51000},
+        {"core.wspawned", 24}, {"core.issue_structural_stalls", 88337},
+        {"core.barriers", 32}, {"icache.core_reads", 13296},
+        {"icache.sel_candidates", 13296}, {"icache.sel_accepted", 13296},
+        {"icache.sel_conflicts", 0}, {"icache.read_misses", 90},
+        {"icache.mem_reqs", 72}, {"icache.fills", 72},
+        {"icache.mshr_replays", 72}, {"icache.core_rsps", 13296},
+        {"icache.read_hits", 13206}, {"icache.mshr_merges", 18},
+        {"dcache.core_writes", 2824}, {"dcache.sel_candidates", 88819},
+        {"dcache.sel_accepted", 13848}, {"dcache.sel_conflicts", 19476},
+        {"dcache.write_misses", 776}, {"dcache.core_rsps", 13848},
+        {"dcache.mem_reqs", 3302}, {"dcache.core_reads", 11024},
+        {"dcache.read_misses", 2325}, {"dcache.fills", 478},
+        {"dcache.mshr_replays", 478}, {"dcache.memq_stalls", 24025},
+        {"dcache.sel_input_full", 55495}, {"dcache.read_hits", 8699},
+        {"dcache.mshr_merges", 1847}, {"dcache.evictions", 187},
+        {"dcache.write_hits", 2048}, {"smem.writes", 24},
+        {"smem.candidates", 864}, {"smem.accesses", 408},
+        {"smem.reads", 384}, {"smem.bank_conflicts", 456},
+        {"l2.core_reads", 550}, {"l2.sel_candidates", 31759},
+        {"l2.sel_accepted", 3374}, {"l2.sel_conflicts", 1262},
+        {"l2.read_misses", 448}, {"l2.mshr_merges", 43},
+        {"l2.mem_reqs", 3229}, {"l2.fills", 405}, {"l2.mshr_replays", 405},
+        {"l2.core_rsps", 3374}, {"l2.core_writes", 2824},
+        {"l2.write_misses", 776}, {"l2.memq_stalls", 13830},
+        {"l2.sel_input_full", 27123}, {"l2.read_hits", 102},
+        {"l2.write_hits", 2048}, {"l2.evictions", 69}, {"mem.reads", 405},
+        {"mem.bytes", 206656}, {"mem.responses", 405}, {"mem.writes", 2824},
+     }},
+    {"bfs/8c-l2x4-smem8", Machine::Clustered8SlowSmem, "bfs", 70421,
+     {
+        {"core.thread_instrs", 288149}, {"core.warp_instrs", 108537},
+        {"core.fetches", 108537}, {"core.writebacks", 65968},
+        {"core.retired", 108537}, {"core.issue_scoreboard_stalls", 67321},
+        {"core.barriers", 672}, {"core.wspawned", 288},
+        {"core.issue_structural_stalls", 561808},
+        {"icache.core_reads", 108537}, {"icache.sel_candidates", 108537},
+        {"icache.sel_accepted", 108537}, {"icache.sel_conflicts", 0},
+        {"icache.read_misses", 133}, {"icache.mem_reqs", 96},
+        {"icache.fills", 96}, {"icache.mshr_replays", 96},
+        {"icache.core_rsps", 108537}, {"icache.read_hits", 108404},
+        {"icache.mshr_merges", 37}, {"dcache.core_writes", 10386},
+        {"dcache.sel_candidates", 640695}, {"dcache.sel_accepted", 44470},
+        {"dcache.sel_conflicts", 54394}, {"dcache.write_misses", 7146},
+        {"dcache.core_rsps", 44470}, {"dcache.mem_reqs", 12974},
+        {"dcache.core_reads", 34084}, {"dcache.read_misses", 6889},
+        {"dcache.fills", 2588}, {"dcache.mshr_replays", 2588},
+        {"dcache.read_hits", 27195}, {"dcache.memq_stalls", 149479},
+        {"dcache.sel_input_full", 541831}, {"dcache.mshr_merges", 4301},
+        {"dcache.write_hits", 3240}, {"dcache.evictions", 2135},
+        {"dcache.mshr_stalls", 517}, {"smem.writes", 288},
+        {"smem.candidates", 11120}, {"smem.accesses", 4896},
+        {"smem.reads", 4608}, {"smem.bank_conflicts", 6224},
+        {"l2.core_reads", 2684}, {"l2.sel_candidates", 171296},
+        {"l2.sel_accepted", 13070}, {"l2.sel_conflicts", 14787},
+        {"l2.read_misses", 1670}, {"l2.mshr_merges", 62},
+        {"l2.mem_reqs", 11994}, {"l2.fills", 1608},
+        {"l2.mshr_replays", 1608}, {"l2.core_rsps", 13070},
+        {"l2.core_writes", 10386}, {"l2.write_misses", 5646},
+        {"l2.read_hits", 1014}, {"l2.memq_stalls", 47932},
+        {"l2.sel_input_full", 143439}, {"l2.write_hits", 4740},
+        {"l2.mshr_stalls", 113}, {"l2.evictions", 1331}, {"mem.reads", 1608},
+        {"mem.bytes", 767616}, {"mem.responses", 1608},
+        {"mem.writes", 10386},
+     }},
+    {"stress_barrier/4c", Machine::Flat4, "stress_barrier", 82706,
+     {
+        {"core.thread_instrs", 152299}, {"core.warp_instrs", 43699},
+        {"core.fetches", 43699}, {"core.writebacks", 33629},
+        {"core.retired", 43699}, {"core.wspawned", 396},
+        {"core.issue_scoreboard_stalls", 1994},
+        {"core.issue_structural_stalls", 462843}, {"core.barriers", 784},
+        {"icache.core_reads", 43699}, {"icache.sel_candidates", 43699},
+        {"icache.sel_accepted", 43699}, {"icache.sel_conflicts", 0},
+        {"icache.read_misses", 51}, {"icache.mem_reqs", 42},
+        {"icache.fills", 42}, {"icache.mshr_replays", 42},
+        {"icache.core_rsps", 43699}, {"icache.read_hits", 43648},
+        {"icache.mshr_merges", 9}, {"dcache.core_writes", 13341},
+        {"dcache.sel_candidates", 433386}, {"dcache.sel_accepted", 27065},
+        {"dcache.sel_conflicts", 40055}, {"dcache.write_misses", 9734},
+        {"dcache.core_rsps", 27065}, {"dcache.mem_reqs", 16551},
+        {"dcache.memq_stalls", 104414}, {"dcache.sel_input_full", 366266},
+        {"dcache.core_reads", 13724}, {"dcache.read_misses", 8093},
+        {"dcache.mshr_merges", 4883}, {"dcache.fills", 3210},
+        {"dcache.mshr_replays", 3210}, {"dcache.evictions", 3192},
+        {"dcache.read_hits", 5631}, {"dcache.write_hits", 3607},
+        {"dcache.mshr_stalls", 279}, {"smem.writes", 396},
+        {"smem.candidates", 14256}, {"smem.accesses", 6732},
+        {"smem.reads", 6336}, {"smem.bank_conflicts", 7524},
+        {"l2.core_reads", 3252}, {"l2.sel_candidates", 134682},
+        {"l2.sel_accepted", 16593}, {"l2.sel_conflicts", 23343},
+        {"l2.read_misses", 2078}, {"l2.mshr_merges", 20},
+        {"l2.mem_reqs", 15399}, {"l2.fills", 2058},
+        {"l2.mshr_replays", 2058}, {"l2.core_rsps", 16593},
+        {"l2.core_writes", 13341}, {"l2.write_misses", 12297},
+        {"l2.memq_stalls", 38144}, {"l2.sel_input_full", 94746},
+        {"l2.read_hits", 1174}, {"l2.evictions", 2012},
+        {"l2.write_hits", 1044}, {"l2.mshr_stalls", 30}, {"mem.reads", 2058},
+        {"mem.bytes", 985536}, {"mem.responses", 2058},
+        {"mem.writes", 13341},
+     }},
+    {"saxpy/4c-l3", Machine::L3Only4, "saxpy", 13186,
+     {
+        {"core.thread_instrs", 47344}, {"core.warp_instrs", 12024},
+        {"core.fetches", 12024}, {"core.writebacks", 8172},
+        {"core.retired", 12024}, {"core.issue_scoreboard_stalls", 48987},
+        {"core.wspawned", 12}, {"core.issue_structural_stalls", 26956},
+        {"core.barriers", 16}, {"icache.core_reads", 12024},
+        {"icache.sel_candidates", 12024}, {"icache.sel_accepted", 12024},
+        {"icache.sel_conflicts", 0}, {"icache.read_misses", 44},
+        {"icache.mem_reqs", 36}, {"icache.fills", 36},
+        {"icache.mshr_replays", 36}, {"icache.core_rsps", 12024},
+        {"icache.read_hits", 11980}, {"icache.mshr_merges", 8},
+        {"dcache.core_writes", 2436}, {"dcache.sel_candidates", 36574},
+        {"dcache.sel_accepted", 13068}, {"dcache.sel_conflicts", 18582},
+        {"dcache.write_misses", 388}, {"dcache.core_rsps", 13068},
+        {"dcache.mem_reqs", 2822}, {"dcache.core_reads", 10632},
+        {"dcache.read_misses", 2162}, {"dcache.fills", 386},
+        {"dcache.mshr_replays", 386}, {"dcache.memq_stalls", 2136},
+        {"dcache.read_hits", 8470}, {"dcache.mshr_merges", 1776},
+        {"dcache.evictions", 115}, {"dcache.write_hits", 2048},
+        {"dcache.sel_input_full", 4924}, {"smem.writes", 12},
+        {"smem.candidates", 432}, {"smem.accesses", 204},
+        {"smem.reads", 192}, {"smem.bank_conflicts", 228},
+        {"l2.core_reads", 422}, {"l2.sel_candidates", 5857},
+        {"l2.sel_accepted", 2858}, {"l2.sel_conflicts", 666},
+        {"l2.read_misses", 355}, {"l2.mshr_merges", 25},
+        {"l2.mem_reqs", 2766}, {"l2.fills", 330}, {"l2.mshr_replays", 330},
+        {"l2.core_rsps", 2858}, {"l2.core_writes", 2436},
+        {"l2.write_misses", 388}, {"l2.memq_stalls", 969},
+        {"l2.sel_input_full", 2333}, {"l2.read_hits", 67},
+        {"l2.write_hits", 2048}, {"l2.mshr_stalls", 200},
+        {"l2.evictions", 36}, {"l3.core_reads", 330},
+        {"l3.sel_candidates", 3757}, {"l3.sel_accepted", 2766},
+        {"l3.sel_conflicts", 0}, {"l3.read_misses", 330},
+        {"l3.mem_reqs", 2766}, {"l3.fills", 330}, {"l3.mshr_replays", 330},
+        {"l3.core_rsps", 2766}, {"l3.core_writes", 2436},
+        {"l3.write_misses", 388}, {"l3.memq_stalls", 1053},
+        {"l3.sel_input_full", 991}, {"l3.write_hits", 2048},
+        {"l3.evictions", 4}, {"mem.reads", 330}, {"mem.bytes", 177024},
+        {"mem.responses", 330}, {"mem.writes", 2436},
+     }},
+};
+
+core::ArchConfig
+machineConfig(Machine m, bool parallel_tick)
+{
+    core::ArchConfig c;
+    switch (m) {
+      case Machine::Clustered8:
+      case Machine::Clustered8SlowSmem:
+        c = sweep::baselineConfig(8);
+        c.coresPerCluster = 4;
+        c.l2Enabled = true;
+        if (m == Machine::Clustered8SlowSmem)
+            c.smemLatency = 8; // scratchpad responses mature mid-sleep
+        break;
+      case Machine::Flat4:
+        c = sweep::baselineConfig(4);
+        break;
+      case Machine::L3Only4:
+        c = sweep::baselineConfig(4);
+        c.l3Enabled = true;
+        break;
+    }
+    c.parallelTick = parallel_tick;
+    c.tickThreads = parallel_tick ? 2 : 0;
+    return c;
+}
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Run @p kernel at scale 1 on @p dev: a Rodinia kernel through its
+ *  host harness, or a zoo guest through the self-check mailbox. */
+runtime::RunResult
+runKernel(runtime::Device& dev, const std::string& kernel)
+{
+    if (kernel != "stress_barrier")
+        return runtime::runRodinia(dev, kernel, 1);
+    sweep::WorkloadSpec w;
+    w.kernel = kernel;
+    w.program = std::string(VORTEX_KERNELS_DIR) + "/" + kernel + ".s";
+    w.programSource = readFile(w.program);
+    w.check = "selfcheck";
+    return w.run(dev);
+}
+
+void
+checkRows(bool parallel_tick)
+{
+    const char* backend = parallel_tick ? " [parallel]" : " [serial]";
+    for (const GoldenRow& want : kGoldenRows) {
+        runtime::Device dev(machineConfig(want.machine, parallel_tick));
+        runtime::RunResult r = runKernel(dev, want.kernel);
+        ASSERT_TRUE(r.ok) << want.id << backend << ": " << r.error;
+        EXPECT_EQ(r.cycles, want.cycles) << want.id << backend;
+
+        StatGroup flat;
+        dev.processor().collectStats(flat);
+        std::vector<std::pair<std::string, uint64_t>> got(flat.all().begin(),
+                                                          flat.all().end());
+        ASSERT_EQ(got.size(), want.row.size()) << want.id << backend;
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i], want.row[i])
+                << want.id << backend << " counter #" << i;
+        }
+    }
+}
+
+/** FNV-1a 64 over every field of @p ts (interval, stamps, keys, deltas). */
+uint64_t
+seriesDigest(const TimeSeries& ts)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto byte = [&h](uint8_t b) {
+        h ^= b;
+        h *= 1099511628211ull;
+    };
+    auto word = [&byte](uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    word(ts.interval);
+    for (uint64_t c : ts.sampleCycles)
+        word(c);
+    for (const std::string& k : ts.keys) {
+        for (char ch : k)
+            byte(static_cast<uint8_t>(ch));
+        word(0);
+    }
+    for (const auto& row : ts.deltas)
+        for (uint64_t d : row)
+            word(d);
+    return h;
+}
+
 } // namespace
+
+TEST(Golden, FullCounterRowsSerialTick)
+{
+    checkRows(/*parallel_tick=*/false);
+}
+
+TEST(Golden, FullCounterRowsParallelTick)
+{
+    checkRows(/*parallel_tick=*/true);
+}
+
+TEST(Golden, PrimeIntervalSeriesBothBackends)
+{
+    // 997 is prime and shares no factor with any pipeline latency, so
+    // sample boundaries fall inside dormant stretches of every core.
+    for (bool parallel : {false, true}) {
+        core::ArchConfig cfg = machineConfig(Machine::Clustered8, parallel);
+        cfg.sampleInterval = 997;
+        runtime::Device dev(cfg);
+        runtime::RunResult r = runtime::runRodinia(dev, "bfs", 1);
+        ASSERT_TRUE(r.ok) << r.error;
+        const TimeSeries& ts = dev.processor().timeSeries();
+        EXPECT_EQ(ts.numSamples(), 71u) << "parallel=" << parallel;
+        EXPECT_EQ(ts.keys.size(), 65u) << "parallel=" << parallel;
+        EXPECT_EQ(ts.sampleCycles.back(), 70622u) << "parallel=" << parallel;
+        EXPECT_EQ(seriesDigest(ts), 0x1363de7639578947ull)
+            << "parallel=" << parallel;
+    }
+}
+
+TEST(Golden, StallHeavyClusteredRunIsMostlyDormant)
+{
+    // Keeps the dormant-core tick from silently switching itself off:
+    // on the L2-clustered runs above most core-cycles are spent asleep.
+    for (const char* kernel : {"bfs", "saxpy"}) {
+        runtime::Device dev(machineConfig(Machine::Clustered8, false));
+        runtime::RunResult r = runtime::runRodinia(dev, kernel, 1);
+        ASSERT_TRUE(r.ok) << r.error;
+        uint64_t dormant = 0, cycles = 0;
+        for (size_t c = 0; c < dev.processor().numCores(); ++c) {
+            dormant += dev.processor().core(c).dormantCycles();
+            cycles += dev.processor().core(c).cycles();
+        }
+        EXPECT_GE(2 * dormant, cycles)
+            << kernel << ": " << dormant << " of " << cycles
+            << " core-cycles dormant";
+    }
+}
 
 TEST(Golden, PerfSmokeSerialTickMatchesBenchBaseline)
 {

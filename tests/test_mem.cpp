@@ -5,6 +5,9 @@
  * merging, virtual-port coalescing, bank conflicts, write-through traffic,
  * flush), the scratchpad, and a randomized completeness property: every
  * request receives exactly one response, under any mix, with no deadlock.
+ * Also the wake sources a dormant core relies on: memory responses and
+ * credit returns from staging ports, shared-cache lanes and the board
+ * memory.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "mem/ram.h"
 #include "mem/router.h"
 #include "mem/sharedmem.h"
+#include "mem/staging.h"
 
 using namespace vortex;
 using namespace vortex::mem;
@@ -444,4 +448,108 @@ TEST(MemRouter, RoutesToIssuingPort)
     EXPECT_EQ(got_a[0], 101u);
     EXPECT_EQ(got_b[0], 202u);
     EXPECT_TRUE(router.idle());
+}
+
+//
+// Dormant-owner wakes (ARCHITECTURE.md "Dormant cores").
+//
+
+namespace {
+
+/** A downstream sink that accepts requests only while open. */
+struct GateSink : MemSink
+{
+    bool open = true;
+    std::vector<MemReq> got;
+    bool reqReady() const override { return open; }
+    void reqPush(const MemReq& req) override { got.push_back(req); }
+};
+
+/** A latch whose owner sleeps until woken. */
+WakeLatch
+asleep()
+{
+    WakeLatch latch;
+    latch.sleepUntil = kNoEvent;
+    return latch;
+}
+
+} // namespace
+
+TEST(Wake, DrainingAFullStagingPortWakesItsOwner)
+{
+    GateSink sink;
+    WakeLatch latch = asleep();
+    StagedMemPort port(&sink, 2, &latch);
+    port.reqPush(MemReq{0x0, false, 1, {}});
+    port.reqPush(MemReq{0x40, false, 2, {}});
+    EXPECT_FALSE(port.reqReady());
+
+    sink.open = false;
+    port.drain(); // nothing moves: no credit, no wake
+    EXPECT_EQ(latch.sleepUntil, kNoEvent);
+
+    sink.open = true;
+    port.drain();
+    EXPECT_EQ(latch.sleepUntil, 0u);
+    EXPECT_EQ(sink.got.size(), 2u);
+
+    // A port that was never full returns no credit anyone waits on.
+    latch = asleep();
+    port.reqPush(MemReq{0x80, false, 3, {}});
+    port.drain();
+    EXPECT_EQ(latch.sleepUntil, kNoEvent);
+}
+
+TEST(Wake, PoppingAFullCacheLaneWakesTheLaneOwner)
+{
+    CacheHarness h;
+    WakeLatch owner = asleep(), other = asleep();
+    h.cache.setLaneWake(0, &owner);
+    h.cache.setLaneWake(1, &other);
+    CoreReq req;
+    req.lane = 0;
+    for (uint64_t id = 1; h.cache.laneReady(0); ++id) {
+        req.addr = 0x1000 + 4 * static_cast<Addr>(id);
+        req.reqId = id;
+        h.cache.lanePush(0, req);
+    }
+    h.tick();
+    EXPECT_EQ(owner.sleepUntil, 0u);
+    EXPECT_EQ(other.sleepUntil, kNoEvent);
+    EXPECT_TRUE(h.cache.laneReady(0));
+    h.drain();
+}
+
+TEST(Wake, MemoryResponseWakesTheCacheOwner)
+{
+    CacheHarness h;
+    h.push(0, 0x1000, false, 1);
+    WakeLatch latch = asleep();
+    h.cache.setWakeLatch(&latch);
+    h.drain(); // the miss's fill is the only wake source here
+    EXPECT_EQ(latch.sleepUntil, 0u);
+    EXPECT_EQ(h.rsps.size(), 1u);
+}
+
+TEST(Wake, BoardMemoryAcceptingFromAFullQueueWakesCreditWaiters)
+{
+    MemSimConfig cfg;
+    cfg.queueDepth = 2;
+    MemSim mem(cfg);
+    WakeLatch latch = asleep();
+    mem.addCreditWake(&latch);
+
+    mem.reqPush(MemReq{0x0, true, 1, {}});
+    mem.tick(1); // accepted from a non-full queue: nobody was blocked
+    EXPECT_EQ(latch.sleepUntil, kNoEvent);
+
+    for (Cycle now = 2; !mem.idle(); ++now)
+        mem.tick(now);
+    mem.reqPush(MemReq{0x0, true, 2, {}});
+    mem.reqPush(MemReq{0x40, true, 3, {}});
+    EXPECT_FALSE(mem.reqReady());
+    mem.tick(100);
+    EXPECT_EQ(latch.sleepUntil, 0u);
+    EXPECT_TRUE(mem.reqReady());
 }
