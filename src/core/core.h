@@ -14,7 +14,9 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/elastic.h"
@@ -314,7 +316,9 @@ class Core
     uint64_t dormantCycles_ = 0; ///< dormantCycles()
     /** Every counter a tick that changes nothing can still bump: the
      *  core's three stall counters, then each L1's stallCounters(). */
-    static constexpr size_t kStallCounters = 11;
+    static constexpr size_t kStallCounters =
+        3 + 2 * std::tuple_size_v<decltype(std::declval<mem::Cache&>()
+                                               .stallCounters())>;
     std::array<CounterRef*, kStallCounters> stallCounters_{};
     /** A per-cycle increment re-credited while asleep. */
     struct StallCredit

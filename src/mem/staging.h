@@ -37,8 +37,9 @@ class StagedMemPort final : public MemSink
      * @param depth staging capacity cap; sized to the producer's
      *              memory-queue depth so staging never throttles below the
      *              downstream's own acceptance rate
+     * @param owner the producer's core, woken when drain() returns credit
      */
-    StagedMemPort(MemSink* down, size_t depth, WakeLatch* owner = nullptr)
+    StagedMemPort(MemSink* down, size_t depth, WakeLatch* owner)
         : down_(down), depth_(depth), owner_(owner)
     {
     }
@@ -68,7 +69,7 @@ class StagedMemPort final : public MemSink
             down_->reqPush(staged_.front());
             staged_.pop_front();
         }
-        if (owner_ && before >= depth_ && staged_.size() < before)
+        if (before >= depth_ && staged_.size() < before)
             owner_->wake();
     }
 
@@ -77,7 +78,7 @@ class StagedMemPort final : public MemSink
   private:
     MemSink* down_;
     size_t depth_;
-    WakeLatch* owner_; ///< the producer's core (nullptr: never sleeps)
+    WakeLatch* owner_; ///< the producer's core
     std::deque<MemReq> staged_;
 };
 

@@ -233,82 +233,65 @@ const GoldenRow kGoldenRows[] = {
         {"mem.bytes", 767616}, {"mem.responses", 1608},
         {"mem.writes", 10386},
      }},
-    {"stress_barrier/4c", Machine::Flat4, "stress_barrier", 82706,
+    {"stress_barrier/4c", Machine::Flat4, "stress_barrier", 92215,
      {
         {"core.thread_instrs", 152299}, {"core.warp_instrs", 43699},
         {"core.fetches", 43699}, {"core.writebacks", 33629},
         {"core.retired", 43699}, {"core.wspawned", 396},
-        {"core.issue_scoreboard_stalls", 1994},
-        {"core.issue_structural_stalls", 462843}, {"core.barriers", 784},
+        {"core.issue_scoreboard_stalls", 1894},
+        {"core.issue_structural_stalls", 611340}, {"core.barriers", 784},
         {"icache.core_reads", 43699}, {"icache.sel_candidates", 43699},
         {"icache.sel_accepted", 43699}, {"icache.sel_conflicts", 0},
-        {"icache.read_misses", 51}, {"icache.mem_reqs", 42},
+        {"icache.read_misses", 53}, {"icache.mem_reqs", 42},
         {"icache.fills", 42}, {"icache.mshr_replays", 42},
-        {"icache.core_rsps", 43699}, {"icache.read_hits", 43648},
-        {"icache.mshr_merges", 9}, {"dcache.core_writes", 13341},
-        {"dcache.sel_candidates", 433386}, {"dcache.sel_accepted", 27065},
-        {"dcache.sel_conflicts", 40055}, {"dcache.write_misses", 9734},
-        {"dcache.core_rsps", 27065}, {"dcache.mem_reqs", 16551},
-        {"dcache.memq_stalls", 104414}, {"dcache.sel_input_full", 366266},
-        {"dcache.core_reads", 13724}, {"dcache.read_misses", 8093},
-        {"dcache.mshr_merges", 4883}, {"dcache.fills", 3210},
-        {"dcache.mshr_replays", 3210}, {"dcache.evictions", 3192},
-        {"dcache.read_hits", 5631}, {"dcache.write_hits", 3607},
-        {"dcache.mshr_stalls", 279}, {"smem.writes", 396},
+        {"icache.core_rsps", 43699}, {"icache.read_hits", 43646},
+        {"icache.mshr_merges", 11}, {"dcache.core_writes", 13341},
+        {"dcache.sel_candidates", 494963}, {"dcache.sel_accepted", 27065},
+        {"dcache.sel_conflicts", 40210}, {"dcache.write_misses", 9726},
+        {"dcache.core_rsps", 27065}, {"dcache.mem_reqs", 17008},
+        {"dcache.memq_stalls", 124112}, {"dcache.sel_input_full", 427688},
+        {"dcache.core_reads", 13724}, {"dcache.read_misses", 8753},
+        {"dcache.mshr_merges", 5086}, {"dcache.fills", 3667},
+        {"dcache.mshr_replays", 3667}, {"dcache.evictions", 3649},
+        {"dcache.read_hits", 4971}, {"dcache.mshr_stalls", 144},
+        {"dcache.write_hits", 3615}, {"smem.writes", 396},
         {"smem.candidates", 14256}, {"smem.accesses", 6732},
         {"smem.reads", 6336}, {"smem.bank_conflicts", 7524},
-        {"l2.core_reads", 3252}, {"l2.sel_candidates", 134682},
-        {"l2.sel_accepted", 16593}, {"l2.sel_conflicts", 23343},
-        {"l2.read_misses", 2078}, {"l2.mshr_merges", 20},
-        {"l2.mem_reqs", 15399}, {"l2.fills", 2058},
-        {"l2.mshr_replays", 2058}, {"l2.core_rsps", 16593},
-        {"l2.core_writes", 13341}, {"l2.write_misses", 12297},
-        {"l2.memq_stalls", 38144}, {"l2.sel_input_full", 94746},
-        {"l2.read_hits", 1174}, {"l2.evictions", 2012},
-        {"l2.write_hits", 1044}, {"l2.mshr_stalls", 30}, {"mem.reads", 2058},
-        {"mem.bytes", 985536}, {"mem.responses", 2058},
+        {"mem.reads", 3709}, {"mem.bytes", 1091200}, {"mem.responses", 3709},
         {"mem.writes", 13341},
      }},
-    {"saxpy/4c-l3", Machine::L3Only4, "saxpy", 13186,
+    {"saxpy/4c-l3", Machine::L3Only4, "saxpy", 12541,
      {
         {"core.thread_instrs", 47344}, {"core.warp_instrs", 12024},
         {"core.fetches", 12024}, {"core.writebacks", 8172},
-        {"core.retired", 12024}, {"core.issue_scoreboard_stalls", 48987},
-        {"core.wspawned", 12}, {"core.issue_structural_stalls", 26956},
+        {"core.retired", 12024}, {"core.issue_scoreboard_stalls", 41092},
+        {"core.wspawned", 12}, {"core.issue_structural_stalls", 21051},
         {"core.barriers", 16}, {"icache.core_reads", 12024},
         {"icache.sel_candidates", 12024}, {"icache.sel_accepted", 12024},
-        {"icache.sel_conflicts", 0}, {"icache.read_misses", 44},
+        {"icache.sel_conflicts", 0}, {"icache.read_misses", 48},
         {"icache.mem_reqs", 36}, {"icache.fills", 36},
         {"icache.mshr_replays", 36}, {"icache.core_rsps", 12024},
-        {"icache.read_hits", 11980}, {"icache.mshr_merges", 8},
-        {"dcache.core_writes", 2436}, {"dcache.sel_candidates", 36574},
-        {"dcache.sel_accepted", 13068}, {"dcache.sel_conflicts", 18582},
-        {"dcache.write_misses", 388}, {"dcache.core_rsps", 13068},
-        {"dcache.mem_reqs", 2822}, {"dcache.core_reads", 10632},
-        {"dcache.read_misses", 2162}, {"dcache.fills", 386},
-        {"dcache.mshr_replays", 386}, {"dcache.memq_stalls", 2136},
-        {"dcache.read_hits", 8470}, {"dcache.mshr_merges", 1776},
-        {"dcache.evictions", 115}, {"dcache.write_hits", 2048},
-        {"dcache.sel_input_full", 4924}, {"smem.writes", 12},
-        {"smem.candidates", 432}, {"smem.accesses", 204},
-        {"smem.reads", 192}, {"smem.bank_conflicts", 228},
-        {"l2.core_reads", 422}, {"l2.sel_candidates", 5857},
-        {"l2.sel_accepted", 2858}, {"l2.sel_conflicts", 666},
-        {"l2.read_misses", 355}, {"l2.mshr_merges", 25},
-        {"l2.mem_reqs", 2766}, {"l2.fills", 330}, {"l2.mshr_replays", 330},
-        {"l2.core_rsps", 2858}, {"l2.core_writes", 2436},
-        {"l2.write_misses", 388}, {"l2.memq_stalls", 969},
-        {"l2.sel_input_full", 2333}, {"l2.read_hits", 67},
-        {"l2.write_hits", 2048}, {"l2.mshr_stalls", 200},
-        {"l2.evictions", 36}, {"l3.core_reads", 330},
-        {"l3.sel_candidates", 3757}, {"l3.sel_accepted", 2766},
-        {"l3.sel_conflicts", 0}, {"l3.read_misses", 330},
-        {"l3.mem_reqs", 2766}, {"l3.fills", 330}, {"l3.mshr_replays", 330},
-        {"l3.core_rsps", 2766}, {"l3.core_writes", 2436},
-        {"l3.write_misses", 388}, {"l3.memq_stalls", 1053},
-        {"l3.sel_input_full", 991}, {"l3.write_hits", 2048},
-        {"l3.evictions", 4}, {"mem.reads", 330}, {"mem.bytes", 177024},
-        {"mem.responses", 330}, {"mem.writes", 2436},
+        {"icache.read_hits", 11976}, {"icache.mshr_merges", 12},
+        {"dcache.core_writes", 2436}, {"dcache.sel_candidates", 36889},
+        {"dcache.sel_accepted", 13068}, {"dcache.sel_conflicts", 18663},
+        {"dcache.write_misses", 396}, {"dcache.core_rsps", 13068},
+        {"dcache.mem_reqs", 2796}, {"dcache.core_reads", 10632},
+        {"dcache.read_misses", 1994}, {"dcache.fills", 360},
+        {"dcache.mshr_replays", 360}, {"dcache.memq_stalls", 2427},
+        {"dcache.read_hits", 8638}, {"dcache.mshr_merges", 1634},
+        {"dcache.evictions", 89}, {"dcache.write_hits", 2040},
+        {"dcache.sel_input_full", 5158}, {"smem.writes", 12},
+        {"smem.candidates", 432}, {"smem.accesses", 204}, {"smem.reads", 192},
+        {"smem.bank_conflicts", 228}, {"l3.core_reads", 396},
+        {"l3.sel_candidates", 6085}, {"l3.sel_accepted", 2832},
+        {"l3.sel_conflicts", 636}, {"l3.read_misses", 355},
+        {"l3.mshr_merges", 25}, {"l3.mem_reqs", 2766}, {"l3.fills", 330},
+        {"l3.mshr_replays", 330}, {"l3.core_rsps", 2832},
+        {"l3.core_writes", 2436}, {"l3.write_misses", 388},
+        {"l3.memq_stalls", 1736}, {"l3.sel_input_full", 2617},
+        {"l3.read_hits", 41}, {"l3.write_hits", 2048}, {"l3.evictions", 4},
+        {"mem.reads", 330}, {"mem.bytes", 177024}, {"mem.responses", 330},
+        {"mem.writes", 2436},
      }},
 };
 
@@ -327,9 +310,11 @@ machineConfig(Machine m, bool parallel_tick)
         break;
       case Machine::Flat4:
         c = sweep::baselineConfig(4);
+        c.l2Enabled = false;
         break;
       case Machine::L3Only4:
         c = sweep::baselineConfig(4);
+        c.l2Enabled = false;
         c.l3Enabled = true;
         break;
     }

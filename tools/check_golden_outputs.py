@@ -14,8 +14,6 @@ repo-relative)::
 
     python3 tools/check_golden_outputs.py --sweep build/tools/vortex_sweep
     python3 tools/check_golden_outputs.py --sweep build/tools/vortex_sweep \\
-        --only fig18 --only perf_smoke
-    python3 tools/check_golden_outputs.py --sweep build/tools/vortex_sweep \\
         --update
 
 Stdlib only. Exit status: 0 = every digest matches, 1 = mismatch or a
@@ -64,8 +62,6 @@ def main():
                     help="path to the vortex_sweep binary")
     ap.add_argument("--golden", default=GOLDEN,
                     help="pinned digest file (default: %(default)s)")
-    ap.add_argument("--only", action="append", default=[],
-                    help="check only this spec name (repeatable)")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the pinned file from this run")
     args = ap.parse_args()
@@ -75,20 +71,6 @@ def main():
         return 2
     specs = sorted(os.path.join(SPECS_DIR, f)
                    for f in os.listdir(SPECS_DIR) if f.endswith(".toml"))
-    if args.only:
-        wanted = set(args.only)
-        specs = [s for s in specs
-                 if os.path.splitext(os.path.basename(s))[0] in wanted]
-        missing = wanted - {os.path.splitext(os.path.basename(s))[0]
-                            for s in specs}
-        if missing:
-            print("error: no such spec: " + ", ".join(sorted(missing)),
-                  file=sys.stderr)
-            return 2
-    if args.update and args.only:
-        print("error: --update rewrites the whole set; drop --only",
-              file=sys.stderr)
-        return 2
 
     pinned = {}
     if not args.update:
@@ -128,10 +110,9 @@ def main():
             f.write("\n")
         print("wrote %d digests to %s" % (len(got), args.golden))
         return 0
-    if not args.only:
-        for name in sorted(set(pinned) - set(got)):
-            failures += 1
-            print("%-18s MISSING (pinned but no spec file)" % name)
+    for name in sorted(set(pinned) - set(got)):
+        failures += 1
+        print("%-18s MISSING (pinned but no spec file)" % name)
     if failures:
         print("%d spec(s) differ from %s" % (failures, args.golden))
         return 1
