@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared helpers for the bench harnesses that drive single runs directly
- * (parallel_speedup, microbench). The figure/table harnesses are thin
- * wrappers over the campaign presets instead — see src/sweep/presets.h,
- * where the kernel lists, geometry axis, and baseline machine builder
- * now live.
+ * Helpers for the bench harnesses that drive single runs directly. The
+ * paper's figures and tables are campaign presets instead
+ * (`vortex_sweep run --preset NAME`, src/sweep/presets.h).
  */
 
 #pragma once

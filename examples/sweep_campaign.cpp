@@ -1,14 +1,16 @@
 /**
  * @file
- * Programmatic use of the simulation-campaign subsystem: build a custom
- * two-axis sweep (wavefront count x kernel) with the declarative API,
- * run it on a job pool with result caching, and read metrics back —
- * both through the typed records and as CSV. The CLI equivalent is:
+ * Programmatic use of the simulation-campaign subsystem: load a built-in
+ * preset by name, reshape it with the declarative API (keep its kernel
+ * axis, sweep wavefront count instead of core count), run it on a job
+ * pool with result caching, and read metrics back — both through the
+ * typed records and as CSV. The preset is the checked-in spec file
+ * examples/specs/perf_smoke.toml; the CLI equivalent of this sweep is:
  *
- *   vortex_sweep --axis kernel=vecadd,sgemm --axis numWarps=2,4,8 \
+ *   vortex_sweep --axis kernel=vecadd,saxpy,sgemm --axis numWarps=2,4,8 \
  *                --jobs 0 --cache .sweep-cache
  *
- * The same spec round-trips through the versionable file form
+ * The reshaped spec round-trips through the versionable file form
  * (docs/SWEEP_SPECS.md): serialize it with specToToml / writeSpecToml,
  * check the file in, and later rerun it with `vortex_sweep --spec` or
  * parseSpecFile — the expanded runs hash identically, so both forms
@@ -27,11 +29,10 @@ using namespace vortex;
 int
 main()
 {
-    sweep::SweepSpec spec;
+    sweep::SweepSpec spec = sweep::findPreset("perf_smoke")->spec();
     spec.name = "warp_scaling";
-    spec.base = sweep::baselineConfig(1);
-    spec.axes = {sweep::Axis::sweep("kernel", {"vecadd", "sgemm"}),
-                 sweep::Axis::sweepU32("numWarps", {2, 4, 8})};
+    spec.description = "perf_smoke kernels x wavefront count";
+    spec.axes[1] = sweep::Axis::sweepU32("numWarps", {2, 4, 8});
 
     // The campaign as a document: what `--dump-spec` would write, and
     // what `--spec` (or parseSpecText/parseSpecFile) reads back.

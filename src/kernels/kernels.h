@@ -11,6 +11,11 @@
  * runtime::Device::uploadKernel, producing the flat binary the simulator
  * fetches and decodes — the ISA-level equivalent of the POCL pipeline
  * output (DESIGN.md substitution #3).
+ *
+ * The Rodinia kernels are the checked-in examples/kernels/NAME.s files,
+ * embedded at build time (common/embedded.h); editing a file changes the
+ * built-in kernel. The runtime and the texture kernels have no `.s`
+ * files and stay C++ string literals (runtime.cpp, texture.cpp).
  */
 
 #pragma once
@@ -24,7 +29,8 @@ namespace vortex::kernels {
 const char* runtimeSource();
 
 //
-// Rodinia subset (§6.1). Argument layouts in runtime/kargs.h.
+// Rodinia subset (§6.1), examples/kernels/NAME.s. Argument layouts in
+// runtime/kargs.h.
 //
 const char* vecadd();   ///< c[i] = a[i] + b[i] (int)       — compute group
 const char* saxpy();    ///< y[i] = a*x[i] + y[i] (float)   — memory group

@@ -1,11 +1,33 @@
 /**
  * @file
- * Name-indexed registry of every shipped kernel (see kernels.h).
+ * Name-indexed registry of every shipped kernel (see kernels.h). The
+ * Rodinia kernels are the checked-in examples/kernels/NAME.s files,
+ * embedded at build time (common/embedded.h).
  */
 
 #include "kernels/kernels.h"
 
+#include "common/embedded.h"
+
 namespace vortex::kernels {
+
+namespace {
+
+const char*
+rodinia(std::string_view name)
+{
+    return embedded::find(embedded::kernelFiles(), name);
+}
+
+} // namespace
+
+const char* vecadd() { return rodinia("vecadd"); }
+const char* saxpy() { return rodinia("saxpy"); }
+const char* sgemm() { return rodinia("sgemm"); }
+const char* sfilter() { return rodinia("sfilter"); }
+const char* nearn() { return rodinia("nearn"); }
+const char* gaussian() { return rodinia("gaussian"); }
+const char* bfs() { return rodinia("bfs"); }
 
 const std::vector<NamedKernel>&
 allKernels()

@@ -54,8 +54,6 @@ usage(int code)
         "                       running it\n"
         "  --set F=V            fix field F to V in the base machine\n"
         "                       (repeatable, applied before the axes)\n"
-        "  --arg K=V            preset parameter (fig20: size=N;\n"
-        "                       fig21: paper=1)\n"
         "  --jobs N             concurrent runs (default 1; 0 = host CPUs)\n"
         "  --cache DIR          result-cache directory (skip unchanged "
         "runs)\n"
@@ -206,7 +204,7 @@ struct RunArgs
     std::string timeseriesPath, benchJsonPath, olderThan;
     std::string specPath, dumpSpecPath, shardArg;
     std::vector<Axis> axes;
-    std::vector<std::pair<std::string, std::string>> sets, presetArgs;
+    std::vector<std::pair<std::string, std::string>> sets;
     CampaignOptions opts;
     uint32_t sampleInterval = 0;
     bool list = false, fields = false, noCsv = false, cachePrune = false;
@@ -256,8 +254,6 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
         else if (a == "--faults")
             for (auto& kv : parseFaultsArg(next()))
                 o.sets.push_back(std::move(kv));
-        else if (a == "--arg")
-            o.presetArgs.push_back(parseKeyValue("--arg", next()));
         else if (a == "--jobs")
             o.opts.jobs = parseU32Value("--jobs", next());
         else if (a == "--cache")
@@ -581,9 +577,6 @@ execRun(RunArgs& o)
                 fatal("preset '", o.presetName,
                       "' is an area table; it has no sweep spec to "
                       "dump");
-            if (!o.presetArgs.empty())
-                fatal("preset '", o.presetName, "' takes no --arg '",
-                      o.presetArgs[0].first, "'");
             if (!o.shardArg.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; there is no run matrix to "
@@ -602,30 +595,23 @@ execRun(RunArgs& o)
             t.print(std::cout);
             return 0;
         }
-        spec = p->sweep(o.presetArgs);
+        spec = p->spec();
         report = p->report;
     } else if (!o.specPath.empty()) {
-        if (!o.presetArgs.empty())
-            fatal("--arg only applies to presets (spec files carry "
-                  "their parameters in [base]/[workload])");
         spec = parseSpecFile(o.specPath);
         if (!o.campaignName.empty())
             spec.name = o.campaignName;
         // CLI axes append after the file's own (they vary fastest).
         for (Axis& a : o.axes)
             spec.axes.push_back(std::move(a));
-        // A spec named after a sweep preset is that preset (the specs
-        // CI job pins the round trip), so it gets the preset's report —
+        // A spec named after a sweep preset gets the preset's report —
         // unless CLI axes reshaped the matrix the report indexes by.
         const Preset* twin = findPreset(spec.name);
-        if (twin && twin->sweep && o.axes.empty())
+        if (twin && !twin->table && o.axes.empty())
             report = twin->report;
         else if (spec.axes.size() == 2)
             report = pivotIpc;
     } else {
-        if (!o.presetArgs.empty())
-            fatal("--arg only applies to presets (use --set for "
-                  "base-machine fields)");
         spec.name = o.campaignName.empty() ? "custom" : o.campaignName;
         spec.description = "ad-hoc CLI sweep";
         spec.axes = std::move(o.axes);

@@ -1,20 +1,20 @@
 /**
  * @file
- * The built-in preset registry: spec builders and report renderers for
- * every paper figure/table and the ablation studies.
+ * The built-in preset registry: report renderers for the paper figures,
+ * the area tables, and the name-ordered list that pairs each renderer
+ * with its embedded spec file.
  */
 
 #include "sweep/presets.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
-#include <stdexcept>
 
 #include "area/area.h"
+#include "common/embedded.h"
 #include "common/log.h"
 #include "common/outcome.h"
+#include "sweep/specfile.h"
 
 namespace vortex::sweep {
 
@@ -25,6 +25,27 @@ std::string
 mvp(double model, double paper, int prec = 0)
 {
     return fmtF(model, prec) + " / " + fmtF(paper, prec);
+}
+
+/** The source-tree path of preset @p name's spec file, for diagnostics. */
+std::string
+specPath(const std::string& name)
+{
+    return "examples/specs/" + name + ".toml";
+}
+
+/** The distinct first-axis labels of @p r in matrix order: the rows of
+ *  a figure-shaped report (the kernels, for the Rodinia figures). */
+std::vector<std::string>
+rowLabels(const CampaignResult& r)
+{
+    std::vector<std::string> rows;
+    for (const RunRecord& rec : r.records) {
+        const std::string& row = rec.spec.coords[0].second;
+        if (std::find(rows.begin(), rows.end(), row) == rows.end())
+            rows.push_back(row);
+    }
+    return rows;
 }
 
 //
@@ -65,7 +86,7 @@ fig18Report(const CampaignResult& r)
     for (const std::string& c : counts)
         t.columns.push_back(c + "c");
     t.columns.push_back("speedup(16c/1c)");
-    for (const std::string& kernel : fig18Kernels()) {
+    for (const std::string& kernel : rowLabels(r)) {
         std::vector<std::string> row = {
             kernel,
             runtime::isComputeBound(kernel) ? "compute" : "memory"};
@@ -99,7 +120,7 @@ fig19Report(const CampaignResult& r)
         t.columns.push_back("util@" + p + "p");
     for (const std::string& p : ports)
         t.columns.push_back("IPC@" + p + "p");
-    for (const std::string& kernel : fig14Kernels()) {
+    for (const std::string& kernel : rowLabels(r)) {
         std::vector<std::string> row = {kernel};
         for (const std::string& p : ports)
             row.push_back(
@@ -162,12 +183,11 @@ fig21Report(const CampaignResult& r)
     t.columns = {"kernel", "latency"};
     for (const char* bw : {"x1", "x2", "x4"})
         t.columns.push_back(std::string("bw ") + bw);
-    for (const char* kernel : {"saxpy", "sgemm"}) {
+    for (const std::string& kernel : rowLabels(r)) {
         for (const char* lat : {"25", "50", "100", "200", "400"}) {
             std::vector<std::string> row = {
-                std::string(kernel) + (runtime::isComputeBound(kernel)
-                                           ? " (compute)"
-                                           : " (memory)"),
+                kernel + (runtime::isComputeBound(kernel) ? " (compute)"
+                                                          : " (memory)"),
                 lat};
             for (const char* bw : {"x1", "x2", "x4"})
                 row.push_back(fmtF(r.at({kernel, lat, bw}).result.ipc, 3));
@@ -301,220 +321,8 @@ fig15Report()
     return t;
 }
 
-/** Shared shape of the ablation presets: kernels x one swept field. */
-SweepSpec
-ablationSpec(const std::string& name, const std::string& description,
-             const std::vector<std::string>& kernels, Axis axis)
-{
-    SweepSpec s;
-    s.name = name;
-    s.description = description;
-    s.base = baselineConfig(1);
-    s.axes = {Axis::sweep("kernel", kernels), std::move(axis)};
-    return s;
-}
-
-} // namespace
-
-core::ArchConfig
-baselineConfig(uint32_t cores, core::ArchConfig base)
-{
-    base.numCores = cores;
-    if (cores >= 4) {
-        base.l2Enabled = true; // clusters attach an optional L2 (§4.1)
-        base.coresPerCluster = 4;
-    }
-    if (cores > 16)
-        base.mem.numChannels = 8; // Stratix 10 board (8 banks, §6.5)
-    return base;
-}
-
-Axis
-geometryAxis()
-{
-    Axis a;
-    a.name = "geometry";
-    for (const auto& [w, t] : std::initializer_list<std::pair<int, int>>{
-             {4, 4}, {2, 8}, {8, 2}, {4, 8}, {8, 4}}) {
-        std::string label =
-            std::to_string(w) + "W-" + std::to_string(t) + "T";
-        a.points.push_back(AxisPoint{
-            label,
-            {{"numWarps", std::to_string(w)},
-             {"numThreads", std::to_string(t)}}});
-    }
-    return a;
-}
-
-const std::vector<std::string>&
-fig14Kernels()
-{
-    static const std::vector<std::string> k = {"sgemm", "vecadd", "sfilter",
-                                               "saxpy", "nearn"};
-    return k;
-}
-
-const std::vector<std::string>&
-fig18Kernels()
-{
-    static const std::vector<std::string> k = {
-        "sgemm", "vecadd", "sfilter", "saxpy", "nearn", "gaussian", "bfs"};
-    return k;
-}
-
-SweepSpec
-fig14Spec()
-{
-    SweepSpec s;
-    s.name = "fig14";
-    s.description = "IPC of the five core geometries on five kernels";
-    s.base = baselineConfig(1);
-    s.axes = {Axis::sweep("kernel", fig14Kernels()), geometryAxis()};
-    return s;
-}
-
-SweepSpec
-fig18Spec()
-{
-    SweepSpec s;
-    s.name = "fig18";
-    s.description = "IPC scaling with core count (1-16), seven kernels";
-    s.axes.push_back(Axis::sweep("kernel", fig18Kernels()));
-    Axis cores;
-    cores.name = "cores";
-    for (uint32_t c : {1u, 2u, 4u, 8u, 16u}) {
-        // Scale the problem with the machine so every core has work.
-        cores.points.push_back(AxisPoint{
-            std::to_string(c),
-            {{"cores", std::to_string(c)},
-             {"scale", c >= 4 ? "2" : "1"}}});
-    }
-    s.axes.push_back(std::move(cores));
-    return s;
-}
-
-SweepSpec
-fig19Spec()
-{
-    SweepSpec s;
-    s.name = "fig19";
-    s.description = "D$ bank utilization and IPC at 1/2/4 virtual ports";
-    s.base = baselineConfig(1);
-    s.axes = {Axis::sweep("kernel", fig14Kernels()),
-              Axis::sweepU32("dcachePorts", {1, 2, 4})};
-    return s;
-}
-
-SweepSpec
-fig20Spec(uint32_t size)
-{
-    SweepSpec s;
-    s.name = "fig20";
-    s.description = "HW vs SW texture filtering at 1/2/4/8 cores";
-    s.baseWorkload.kind = WorkloadSpec::Kind::Texture;
-    s.baseWorkload.texSize = size;
-    s.axes = {Axis::sweepU32("cores", {1, 2, 4, 8}),
-              Axis::sweep("texFilter", {"point", "bilinear", "trilinear"}),
-              Axis{"path",
-                   {AxisPoint{"sw", {{"texHw", "0"}}},
-                    AxisPoint{"hw", {{"texHw", "1"}}}}}};
-    return s;
-}
-
-SweepSpec
-perfSmokeSpec()
-{
-    SweepSpec s;
-    s.name = "perf_smoke";
-    s.description =
-        "CI perf-trajectory smoke: 3 kernels x {1, 2} cores, test-sized";
-    s.base = baselineConfig(1);
-    s.axes = {Axis::sweep("kernel", {"vecadd", "saxpy", "sgemm"}),
-              Axis::sweep("cores", {"1", "2"})};
-    return s;
-}
-
-SweepSpec
-asmSmokeSpec()
-{
-    SweepSpec s;
-    s.name = "asm_smoke";
-    s.description =
-        "assembly-toolchain smoke: the seven .s kernel twins through "
-        "the object pipeline at {1, 2} cores";
-    s.base = baselineConfig(1);
-    Axis k;
-    k.name = "kernel";
-    for (const char* name : {"vecadd", "saxpy", "sgemm", "sfilter",
-                             "nearn", "gaussian", "bfs"})
-        k.points.push_back(AxisPoint{
-            name,
-            {{"kernel", name},
-             {"program", std::string("examples/kernels/") + name + ".s"}}});
-    s.axes = {std::move(k), Axis::sweep("cores", {"1", "2"})};
-    return s;
-}
-
-SweepSpec
-workloadZooSpec()
-{
-    SweepSpec s;
-    s.name = "workload_zoo";
-    s.description =
-        "harness-free .s workload zoo: every self-checking guest "
-        "program at {1, 2} cores";
-    s.base = baselineConfig(1);
-    Axis w;
-    w.name = "kernel";
-    for (const char* name : {"bitonic", "reduce_tree", "histogram",
-                             "stress_barrier", "stress_diverge",
-                             "stress_bank"})
-        w.points.push_back(AxisPoint{
-            name,
-            {{"kernel", name},
-             {"program", std::string("examples/kernels/") + name + ".s"},
-             {"check", "selfcheck"}}});
-    s.axes = {std::move(w), Axis::sweep("cores", {"1", "2"})};
-    return s;
-}
-
-SweepSpec
-faultSmokeSpec()
-{
-    SweepSpec s;
-    s.name = "fault_smoke";
-    s.description =
-        "fault-injection smoke: seeded bit flips into self-checking "
-        "guests (plus the non-terminating hang guest), eight seeds, "
-        "classified as masked / sdc / detected / hang";
-    s.base = baselineConfig(1);
-    // Four flips per run, fired inside the first 4000 cycles so every
-    // event lands while the guest is still running (a single flip in
-    // the default 64K window almost always misses the run or a dead
-    // register — all-masked smoke tells CI nothing). The watchdog
-    // turns the wedged hang guest into a `timeout` row in well under a
-    // second instead of the runtime's 400M-cycle budget.
-    s.baseWorkload.faults.count = 4;
-    s.baseWorkload.faults.window = 4000;
-    s.baseWorkload.faults.watchdog = 100000;
-    Axis w;
-    w.name = "kernel";
-    for (const char* name : {"bitonic", "reduce_tree", "hang"})
-        w.points.push_back(AxisPoint{
-            name,
-            {{"kernel", name},
-             {"program", std::string("examples/kernels/") + name + ".s"},
-             {"check", "selfcheck"}}});
-    Axis seeds;
-    seeds.name = "seed";
-    for (uint32_t seed = 1; seed <= 8; ++seed)
-        seeds.points.push_back(
-            AxisPoint{"s" + std::to_string(seed),
-                      {{"faults.seed", std::to_string(seed)}}});
-    s.axes = {std::move(w), std::move(seeds)};
-    return s;
-}
-
+/** The fault_smoke report: per-kernel counts of masked / sdc /
+ *  detected / hang runs (docs/ROBUSTNESS.md). */
 ReportTable
 faultClassificationReport(const CampaignResult& r)
 {
@@ -529,13 +337,7 @@ faultClassificationReport(const CampaignResult& r)
     t.title = r.name + ": fault classification";
     t.columns = {"kernel", "masked", "sdc",  "detected",
                  "hang",   "other",  "runs"};
-    std::vector<std::string> rows;
-    for (const RunRecord& rec : r.records) {
-        const std::string& row = rec.spec.coords[0].second;
-        if (std::find(rows.begin(), rows.end(), row) == rows.end())
-            rows.push_back(row);
-    }
-    for (const std::string& row : rows) {
+    for (const std::string& row : rowLabels(r)) {
         uint64_t masked = 0, sdc = 0, detected = 0, hang = 0, other = 0,
                  total = 0;
         for (const RunRecord& rec : r.records) {
@@ -562,27 +364,19 @@ faultClassificationReport(const CampaignResult& r)
     return t;
 }
 
-SweepSpec
-fig21Spec(bool paperSize)
+} // namespace
+
+core::ArchConfig
+baselineConfig(uint32_t cores, core::ArchConfig base)
 {
-    const uint32_t geo = paperSize ? 16 : 8;
-    SweepSpec s;
-    s.name = "fig21";
-    s.description = "IPC vs board-memory latency and bandwidth";
-    s.base = baselineConfig(geo);
-    s.base.numWarps = geo;
-    s.base.numThreads = geo;
-    s.baseWorkload.scale = 2;
-    Axis bw;
-    bw.name = "bandwidth";
-    for (uint32_t m : {1u, 2u, 4u})
-        bw.points.push_back(
-            AxisPoint{"x" + std::to_string(m),
-                      {{"mem.numChannels", std::to_string(2 * m)}}});
-    s.axes = {Axis::sweep("kernel", {"saxpy", "sgemm"}),
-              Axis::sweepU32("mem.latency", {25, 50, 100, 200, 400}),
-              std::move(bw)};
-    return s;
+    base.numCores = cores;
+    if (cores >= 4) {
+        base.l2Enabled = true; // clusters attach an optional L2 (§4.1)
+        base.coresPerCluster = 4;
+    }
+    if (cores > 16)
+        base.mem.numChannels = 8; // Stratix 10 board (8 banks, §6.5)
+    return base;
 }
 
 ReportTable
@@ -594,18 +388,10 @@ pivotIpc(const CampaignResult& r)
     ReportTable t;
     t.title = r.name + ": IPC";
     t.columns = {r.axisNames[0] + " \\ " + r.axisNames[1]};
-    std::vector<std::string> rowLabels;
-    for (const RunRecord& rec : r.records) {
-        const std::string& row = rec.spec.coords[0].second;
-        const std::string& col = rec.spec.coords[1].second;
-        if (rowLabels.empty() || rowLabels.back() != row)
-            if (std::find(rowLabels.begin(), rowLabels.end(), row) ==
-                rowLabels.end())
-                rowLabels.push_back(row);
-        if (rowLabels.size() == 1)
-            t.columns.push_back(col);
-    }
-    for (const std::string& row : rowLabels) {
+    for (const RunRecord& rec : r.records)
+        if (rec.spec.coords[0] == r.records.front().spec.coords[0])
+            t.columns.push_back(rec.spec.coords[1].second);
+    for (const std::string& row : rowLabels(r)) {
         std::vector<std::string> cells = {row};
         for (size_t c = 1; c < t.columns.size(); ++c)
             cells.push_back(
@@ -615,168 +401,51 @@ pivotIpc(const CampaignResult& r)
     return t;
 }
 
-namespace {
-
-/** Fatal when a preset that takes no parameters receives one. */
-void
-requireNoArgs(const std::string& preset, const PresetArgs& args)
+SweepSpec
+Preset::spec() const
 {
-    if (!args.empty())
-        fatal("preset '", preset, "' takes no --arg '", args[0].first,
-              "'");
+    return parseSpecText(specText, specPath(name));
 }
-
-
-} // namespace
 
 const std::vector<Preset>&
 presets()
 {
     static const std::vector<Preset> all = [] {
         std::vector<Preset> p;
-
-        // Wrap an argument-less builder with the no-args check.
-        auto sweepPreset =
-            [&](std::function<SweepSpec()> build,
-                std::function<ReportTable(const CampaignResult&)> report) {
-                SweepSpec probe = build();
-                std::string name = probe.name;
-                p.push_back(Preset{
-                    name, probe.description,
-                    [name, build = std::move(build)](
-                        const PresetArgs& args) {
-                        requireNoArgs(name, args);
-                        return build();
-                    },
-                    nullptr, std::move(report)});
-            };
-        auto paramPreset =
-            [&](std::function<SweepSpec(const PresetArgs&)> build,
-                std::function<ReportTable(const CampaignResult&)> report) {
-                SweepSpec probe = build({});
-                p.push_back(Preset{probe.name, probe.description,
-                                   std::move(build), nullptr,
-                                   std::move(report)});
-            };
-        auto tablePreset = [&](const std::string& name,
-                               const std::string& description,
-                               std::function<ReportTable()> build) {
-            p.push_back(Preset{name, description, nullptr,
-                               std::move(build), nullptr});
+        auto sweep = [&](const std::string& name, ReportFn report) {
+            const char* text = embedded::find(embedded::specFiles(), name);
+            if (!text)
+                fatal("preset '", name, "' has no ", specPath(name));
+            p.push_back(Preset{name,
+                               parseSpecDescription(text, specPath(name)),
+                               text, nullptr, std::move(report)});
+        };
+        auto table = [&](const std::string& name,
+                         const std::string& description,
+                         std::function<ReportTable()> build) {
+            p.push_back(Preset{name, description, nullptr, std::move(build),
+                               nullptr});
         };
 
-        sweepPreset([] { return fig14Spec(); }, fig14Report);
-        tablePreset("fig15",
-                    "per-component area distribution of the 8-core build",
-                    fig15Report);
-        sweepPreset([] { return fig18Spec(); }, fig18Report);
-        sweepPreset([] { return fig19Spec(); }, fig19Report);
-        paramPreset(
-            [](const PresetArgs& args) {
-                uint32_t size = 64;
-                for (const auto& [k, v] : args) {
-                    if (k == "size")
-                        size = parseU32Value("fig20 --arg size", v);
-                    else
-                        fatal("preset 'fig20' takes no --arg '", k, "'");
-                }
-                return fig20Spec(size);
-            },
-            fig20Report);
-        paramPreset(
-            [](const PresetArgs& args) {
-                bool paper = false;
-                for (const auto& [k, v] : args) {
-                    if (k == "paper")
-                        paper = parseBoolValue("fig21 --arg paper", v);
-                    else
-                        fatal("preset 'fig21' takes no --arg '", k, "'");
-                }
-                return fig21Spec(paper);
-            },
-            fig21Report);
-        tablePreset("table3", "core synthesis, five geometries (area model)",
-                    table3Report);
-        tablePreset("table4", "whole-device synthesis, 1-32 cores (area "
-                              "model)",
-                    table4Report);
-        tablePreset("table5", "virtually multi-ported D$ synthesis (area "
-                              "model)",
-                    table5Report);
-
-        sweepPreset(
-            [] {
-                return ablationSpec(
-                    "ablation_mshr",
-                    "non-blocking depth: MSHR entries per bank",
-                    {"saxpy", "sgemm"},
-                    Axis::sweepU32("mshrEntries", {1, 2, 4, 8, 16}));
-            },
-            pivotIpc);
-        sweepPreset(
-            [] {
-                return ablationSpec("ablation_banks",
-                                    "D$ bank count at 1 virtual port",
-                                    {"saxpy", "sgemm"},
-                                    Axis::sweepU32("dcacheBanks",
-                                                   {1, 2, 4, 8}));
-            },
-            pivotIpc);
-        sweepPreset(
-            [] {
-                return ablationSpec(
-                    "ablation_linesize", "cache/memory line size",
-                    {"saxpy", "vecadd"},
-                    Axis::sweepU32("lineSize", {16, 32, 64, 128}));
-            },
-            pivotIpc);
-        sweepPreset(
-            [] {
-                return ablationSpec("ablation_ibuffer",
-                                    "instruction-buffer depth",
-                                    {"sgemm", "saxpy"},
-                                    Axis::sweepU32("ibufferDepth",
-                                                   {1, 2, 4, 8}));
-            },
-            pivotIpc);
-        sweepPreset(
-            [] {
-                return ablationSpec(
-                    "ablation_lsu",
-                    "LSU depth (in-flight warp memory ops)",
-                    {"saxpy", "vecadd"},
-                    Axis::sweepU32("lsuDepth", {1, 2, 4, 8}));
-            },
-            pivotIpc);
-        sweepPreset(
-            [] {
-                SweepSpec s = ablationSpec(
-                    "ablation_sched",
-                    "wavefront scheduling policy at 8 wavefronts",
-                    {"sgemm", "saxpy", "nearn", "bfs"},
-                    Axis::sweep("schedPolicy",
-                                {"hierarchical", "roundrobin"}));
-                s.base.numWarps = 8; // policy differences show with
-                                     // more wavefronts
-                return s;
-            },
-            pivotIpc);
-        sweepPreset(
-            [] {
-                return ablationSpec(
-                    "ablation_fsqrt",
-                    "fsqrt latency sensitivity (nearn, §6.2.3)",
-                    {"nearn", "saxpy"},
-                    Axis::sweepU32("lat.fsqrt", {4, 12, 24, 48}));
-            },
-            pivotIpc);
-
-        sweepPreset([] { return perfSmokeSpec(); }, pivotIpc);
-        sweepPreset([] { return asmSmokeSpec(); }, pivotIpc);
-        sweepPreset([] { return workloadZooSpec(); }, pivotIpc);
-        sweepPreset([] { return faultSmokeSpec(); },
-                    faultClassificationReport);
-
+        sweep("fig14", fig14Report);
+        table("fig15", "per-component area distribution of the 8-core build",
+              fig15Report);
+        sweep("fig18", fig18Report);
+        sweep("fig19", fig19Report);
+        sweep("fig20", fig20Report);
+        sweep("fig21", fig21Report);
+        table("table3", "core synthesis, five geometries (area model)",
+              table3Report);
+        table("table4", "whole-device synthesis, 1-32 cores (area model)",
+              table4Report);
+        table("table5", "virtually multi-ported D$ synthesis (area model)",
+              table5Report);
+        for (const char* name :
+             {"ablation_mshr", "ablation_banks", "ablation_linesize",
+              "ablation_ibuffer", "ablation_lsu", "ablation_sched",
+              "ablation_fsqrt", "perf_smoke", "asm_smoke", "workload_zoo"})
+            sweep(name, pivotIpc);
+        sweep("fault_smoke", faultClassificationReport);
         return p;
     }();
     return all;
@@ -788,56 +457,7 @@ findPreset(const std::string& name)
     for (const Preset& p : presets())
         if (p.name == name)
             return &p;
-    // Accept the long bench-harness names as aliases: "fig18_scaling" is
-    // the fig18 preset, "table3_core_area" is table3, and so on. Only
-    // figN_*/tableN_* are shortened — ablation_* presets keep their
-    // underscore names.
-    if (name.rfind("fig", 0) == 0 || name.rfind("table", 0) == 0) {
-        size_t us = name.find('_');
-        if (us != std::string::npos)
-            return findPreset(name.substr(0, us));
-    }
     return nullptr;
-}
-
-int
-runSpecMain(const SweepSpec& spec,
-            const std::function<ReportTable(const CampaignResult&)>& report)
-{
-    try {
-        CampaignOptions opts;
-        opts.jobs = 0; // host hardware threads
-        if (const char* env = std::getenv("VORTEX_SWEEP_JOBS"))
-            opts.jobs = parseU32Value("VORTEX_SWEEP_JOBS", env);
-        CampaignResult result = Campaign(opts).run(spec);
-        if (report)
-            report(result).print(std::cout);
-        return 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
-}
-
-int
-runPresetMain(const std::string& name, const PresetArgs& args)
-{
-    const Preset* p = findPreset(name);
-    if (!p) {
-        std::fprintf(stderr, "unknown preset '%s'\n", name.c_str());
-        return 2;
-    }
-    try {
-        if (p->table) {
-            requireNoArgs(name, args);
-            p->table().print(std::cout);
-            return 0;
-        }
-        return runSpecMain(p->sweep(args), p->report);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 1;
-    }
 }
 
 } // namespace vortex::sweep

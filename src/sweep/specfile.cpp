@@ -864,6 +864,20 @@ buildSpec(const std::string& file, const Node& root)
     return spec;
 }
 
+/** The document tree of spec text: JSON when the first non-whitespace
+ *  character is `{`, the TOML subset otherwise. */
+Node
+parseDocument(const std::string& text, const std::string& filename)
+{
+    size_t i = 0;
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i])))
+        ++i;
+    return (i < text.size() && text[i] == '{')
+               ? JsonParser(text, filename).parse()
+               : TomlParser(text, filename).parse();
+}
+
 //
 // Serialization helpers.
 //
@@ -999,14 +1013,19 @@ SpecParseError::SpecParseError(std::string file, size_t line,
 SweepSpec
 parseSpecText(const std::string& text, const std::string& filename)
 {
-    size_t i = 0;
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i])))
-        ++i;
-    Node root = (i < text.size() && text[i] == '{')
-                    ? JsonParser(text, filename).parse()
-                    : TomlParser(text, filename).parse();
-    return buildSpec(filename, root);
+    return buildSpec(filename, parseDocument(text, filename));
+}
+
+std::string
+parseSpecDescription(const std::string& text, const std::string& filename)
+{
+    Node root = parseDocument(text, filename);
+    for (const Member& m : root.members)
+        if (m.key == "description")
+            return expectKind(filename, root.children[m.valueIndex],
+                              Node::Kind::String, "a string description")
+                .str;
+    return {};
 }
 
 SweepSpec

@@ -23,10 +23,10 @@
  * base machine and workload field is written explicitly (not just the
  * fields that differ from today's defaults), so a spec file pins the
  * machine even if ArchConfig defaults drift later. `vortex_sweep
- * --dump-spec` uses it to export any preset; the shipped TOML files
- * under examples/specs/ are exactly these dumps, and CI re-dumps and
- * diffs them so the registry and the documents cannot drift apart
- * (tests/test_specfile.cpp pins content-hash equality of the round trip).
+ * --dump-spec` uses it to export any sweep; each shipped TOML file under
+ * examples/specs/ — the built-in presets — is exactly its own dump
+ * (tests/test_specfile.cpp pins the bytes and the content-hash
+ * equality of the round trip).
  */
 
 #pragma once
@@ -77,6 +77,15 @@ class SpecParseError : public std::runtime_error
  */
 SweepSpec parseSpecText(const std::string& text,
                         const std::string& filename = "<string>");
+
+/**
+ * The top-level `description` of spec text in either syntax, read
+ * without applying any field — so no `program` file is opened and the
+ * result does not depend on the working directory. Empty when absent.
+ * @throws SpecParseError on malformed syntax or a non-string value.
+ */
+std::string parseSpecDescription(const std::string& text,
+                                 const std::string& filename = "<string>");
 
 /** parseSpecText over the content of @p path; fatal when the file cannot
  *  be read. */

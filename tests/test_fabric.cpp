@@ -189,7 +189,7 @@ TEST(Shard, AssignmentIsDisjointExhaustiveAndBalanced)
 
 TEST(Shard, AssignmentIsDeterministic)
 {
-    std::vector<RunSpec> runs = findPreset("perf_smoke")->sweep({}).expand();
+    std::vector<RunSpec> runs = findPreset("perf_smoke")->spec().expand();
     EXPECT_EQ(shardAssignment(runs, 3), shardAssignment(runs, 3));
 }
 

@@ -291,7 +291,7 @@ TEST(Faults, CampaignWithAHangingGuestCompletesTheMatrix)
 
 TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsBackendsAndCache)
 {
-    SweepSpec spec = faultSmokeSpec();
+    SweepSpec spec = findPreset("fault_smoke")->spec();
 
     CampaignOptions serial1;
     serial1.jobs = 1;

@@ -70,7 +70,7 @@ const Golden kGolden[] = {
 void
 checkBackend(bool parallel_tick)
 {
-    sweep::SweepSpec spec = sweep::perfSmokeSpec();
+    sweep::SweepSpec spec = sweep::findPreset("perf_smoke")->spec();
     std::vector<sweep::RunSpec> runs = spec.expand();
     ASSERT_EQ(runs.size(), std::size(kGolden));
 

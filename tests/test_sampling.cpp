@@ -299,22 +299,13 @@ TEST(CacheHygiene, ManifestListsEntriesAndPruneRemovesThem)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Presets, PerfSmokePresetAndBenchHarnessAliases)
+TEST(Presets, PerfSmokePresetIsSixRuns)
 {
     const sweep::Preset* smoke = sweep::findPreset("perf_smoke");
     ASSERT_NE(smoke, nullptr);
-    sweep::SweepSpec spec = smoke->sweep({});
+    sweep::SweepSpec spec = smoke->spec();
     EXPECT_EQ(spec.runCount(), 6u);
     EXPECT_EQ(spec.expand().size(), 6u);
-
-    // The long bench-harness names resolve to the short presets.
-    EXPECT_EQ(sweep::findPreset("fig18_scaling"),
-              sweep::findPreset("fig18"));
-    EXPECT_EQ(sweep::findPreset("fig19_cache_ports"),
-              sweep::findPreset("fig19"));
-    EXPECT_EQ(sweep::findPreset("table3_core_area"),
-              sweep::findPreset("table3"));
-    EXPECT_NE(sweep::findPreset("fig18_scaling"), nullptr);
     EXPECT_EQ(sweep::findPreset("fig99_bogus"), nullptr);
     EXPECT_EQ(sweep::findPreset("ablation_bogus"), nullptr);
 }

@@ -3,13 +3,10 @@
  * Tests for the sweep-spec file subsystem (src/sweep/specfile.h) and the
  * campaign's LPT scheduling:
  *
- *  - round trip: every built-in sweep preset serializes to TOML and
- *    parses back to a spec whose expanded run matrix is content-hash
- *    identical — the property that lets checked-in spec files stand in
- *    for registry presets;
- *  - the shipped examples/specs/ files ARE those dumps, byte for byte,
- *    and parse back hash-identical (the same drift gate CI's `specs`
- *    job enforces);
+ *  - the shipped examples/specs/ files: each is its own canonical dump
+ *    byte for byte, round-trips to a content-hash-identical run
+ *    matrix, and the sweep presets are exactly these files, embedded
+ *    unchanged;
  *  - malformed input fails with file:line:col diagnostics;
  *  - JSON specs parse to the same matrix as their TOML equivalent;
  *  - LPT claim ordering never changes emitted CSV bytes, for any job
@@ -19,10 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
+#include "common/embedded.h"
 #include "common/log.h"
 #include "sweep/cache.h"
 #include "sweep/campaign.h"
@@ -34,15 +34,29 @@ using namespace vortex::sweep;
 
 namespace {
 
-/** Names of every registry preset that is a sweep (not an area table). */
-std::vector<std::string>
-sweepPresetNames()
+/** Content of @p path; empty when unreadable (the caller's EXPECT
+ *  then reports the mismatch). */
+std::string
+readFile(const std::string& path)
 {
-    std::vector<std::string> names;
-    for (const Preset& p : presets())
-        if (p.sweep)
-            names.push_back(p.name);
-    return names;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** (name, path) of every shipped examples/specs/ file, by name. */
+std::vector<std::pair<std::string, std::string>>
+shippedSpecs()
+{
+    std::vector<std::pair<std::string, std::string>> specs;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(VORTEX_SPECS_DIR))
+        if (entry.path().extension() == ".toml")
+            specs.emplace_back(entry.path().stem().string(),
+                               entry.path().string());
+    std::sort(specs.begin(), specs.end());
+    return specs;
 }
 
 /** Content hashes of the expanded matrix, in matrix order. */
@@ -105,13 +119,27 @@ expectParseError(const std::string& text, size_t line, size_t col,
 
 } // namespace
 
-TEST(SpecFile, RoundTripsEveryPresetHashIdentical)
+TEST(SpecFile, ShippedSpecsAreCanonicalDumps)
 {
-    for (const std::string& name : sweepPresetNames()) {
-        SweepSpec original = findPreset(name)->sweep({});
+    // Each file is exactly what writeSpecToml emits for it, so
+    // `--dump-spec` of an edited preset diffs cleanly against the file.
+    for (const auto& [name, path] : shippedSpecs()) {
+        std::string text = readFile(path);
+        EXPECT_EQ(text, specToToml(parseSpecText(text, path)))
+            << path << " is not in canonical form; rewrite it with "
+            << "vortex_sweep run --spec " << path << " --dump-spec "
+            << path;
+    }
+}
+
+TEST(SpecFile, ShippedSpecsRoundTripHashIdentical)
+{
+    for (const auto& [name, path] : shippedSpecs()) {
+        SweepSpec original = parseSpecFile(path);
         SweepSpec reparsed =
             parseSpecText(specToToml(original), name + ".toml");
 
+        EXPECT_EQ(original.name, name) << path;
         EXPECT_EQ(reparsed.name, original.name);
         EXPECT_EQ(reparsed.description, original.description);
         ASSERT_EQ(reparsed.runCount(), original.runCount()) << name;
@@ -124,42 +152,21 @@ TEST(SpecFile, RoundTripsEveryPresetHashIdentical)
     }
 }
 
-TEST(SpecFile, SerializationIsAFixpoint)
+TEST(SpecFile, SweepPresetsAreExactlyTheShippedFiles)
 {
-    for (const std::string& name : sweepPresetNames()) {
-        std::string once = specToToml(findPreset(name)->sweep({}));
-        std::string twice =
-            specToToml(parseSpecText(once, name + ".toml"));
-        EXPECT_EQ(once, twice) << name;
+    std::set<std::string> presetNames, fileNames;
+    for (const Preset& p : presets())
+        if (!p.table)
+            presetNames.insert(p.name);
+    for (const auto& [name, path] : shippedSpecs()) {
+        fileNames.insert(name);
+        // The built-in copy is the file as it is now, not a stale embed.
+        const char* embeddedText =
+            embedded::find(embedded::specFiles(), name);
+        ASSERT_NE(embeddedText, nullptr) << path;
+        EXPECT_EQ(std::string(embeddedText), readFile(path)) << path;
     }
-}
-
-TEST(SpecFile, ShippedSpecsMatchTheRegistryByteForByte)
-{
-#ifndef VORTEX_SPECS_DIR
-    GTEST_SKIP() << "VORTEX_SPECS_DIR not configured";
-#else
-    for (const std::string& name : sweepPresetNames()) {
-        std::string path =
-            std::string(VORTEX_SPECS_DIR) + "/" + name + ".toml";
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in) << "missing shipped spec " << path
-                        << " (regenerate: vortex_sweep --preset " << name
-                        << " --dump-spec " << path << ")";
-        std::ostringstream buf;
-        buf << in.rdbuf();
-
-        SweepSpec preset = findPreset(name)->sweep({});
-        // The shipped file is exactly the canonical dump...
-        EXPECT_EQ(buf.str(), specToToml(preset))
-            << path << " drifted from the registry preset; regenerate "
-            << "it with --dump-spec";
-        // ...and parses back to the same campaign.
-        SweepSpec parsed = parseSpecFile(path);
-        EXPECT_EQ(parsed.name, name);
-        EXPECT_EQ(matrixHashes(parsed), matrixHashes(preset)) << path;
-    }
-#endif
+    EXPECT_EQ(presetNames, fileNames);
 }
 
 TEST(SpecFile, JsonAndTomlSpecsExpandIdentically)
@@ -238,7 +245,7 @@ TEST(SpecFile, CrlfLineEndingsParseLikeLf)
 {
     // A spec checked out with Windows line endings (git autocrlf) must
     // parse identically to the LF original.
-    std::string lf = specToToml(findPreset("fig19")->sweep({}));
+    std::string lf = specToToml(findPreset("fig19")->spec());
     std::string crlf;
     for (char c : lf) {
         if (c == '\n')

@@ -10,15 +10,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/log.h"
 #include "sweep/campaign.h"
+#include "sweep/cli.h"
 #include "sweep/presets.h"
 #include "sweep/report.h"
 #include "sweep/spec.h"
+#include "sweep/specfile.h"
 
 using namespace vortex;
 using namespace vortex::sweep;
@@ -86,8 +89,9 @@ TEST(SweepSpec, ExpansionWithNoAxesIsOneRun)
 
 TEST(SweepSpec, MultiFieldAxisPointsApplyTogether)
 {
+    // fig14's geometry axis: each point sets numWarps and numThreads.
     SweepSpec s;
-    s.axes.push_back(geometryAxis());
+    s.axes.push_back(findPreset("fig14")->spec().axes[1]);
     std::vector<RunSpec> runs = s.expand();
     ASSERT_EQ(runs.size(), 5u);
     EXPECT_EQ(runs[0].id(), "4W-4T");
@@ -397,35 +401,93 @@ TEST(Presets, RegistryCoversEveryPaperExperiment)
           "ablation_sched", "ablation_fsqrt"}) {
         const Preset* p = findPreset(name);
         ASSERT_NE(p, nullptr) << name;
-        EXPECT_TRUE(p->sweep || p->table) << name;
-        if (p->sweep) {
-            SweepSpec spec = p->sweep({});
+        if (p->table) {
+            ReportTable t = p->table();
+            EXPECT_FALSE(t.rows.empty()) << name;
+        } else {
+            SweepSpec spec = p->spec();
             EXPECT_EQ(spec.name, name);
+            EXPECT_EQ(spec.description, p->description);
             EXPECT_GT(spec.runCount(), 1u) << name;
             // Expansion must succeed (all field names resolve).
             EXPECT_EQ(spec.expand().size(), spec.runCount()) << name;
-        } else {
-            ReportTable t = p->table();
-            EXPECT_FALSE(t.rows.empty()) << name;
         }
     }
     EXPECT_EQ(findPreset("no_such_preset"), nullptr);
-
-    // Parameterized presets accept their --arg keys and reject others.
-    SweepSpec big = findPreset("fig20")->sweep({{"size", "128"}});
-    EXPECT_EQ(big.baseWorkload.texSize, 128u);
-    EXPECT_THROW(findPreset("fig20")->sweep({{"bogus", "1"}}),
-                 FatalError);
-    SweepSpec paper = findPreset("fig21")->sweep({{"paper", "1"}});
-    EXPECT_EQ(paper.base.numCores, 16u);
-    EXPECT_THROW(findPreset("fig18")->sweep({{"size", "1"}}), FatalError);
 }
 
-TEST(Presets, Fig18MatrixMatchesTheBenchHarnessConfigs)
+TEST(Presets, RegistryNeedsNoSourceTree)
 {
-    // The fig18 preset must reproduce bench/fig18_scaling's machines:
-    // baselineConfig(c) with the problem scaled x2 from 4 cores.
-    std::vector<RunSpec> runs = fig18Spec().expand();
+    // Listing presets and running one without `program` files must work
+    // from any directory: the registry reads only embedded text. Only a
+    // preset whose spec points at `.s` files needs them on the path.
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    const char* env = std::getenv("VORTEX_PROGRAM_PATH");
+    const std::string savedEnv = env ? env : "";
+    const std::string dir = freshTempDir("no_tree");
+    std::filesystem::create_directories(dir);
+    std::filesystem::current_path(dir);
+    ::unsetenv("VORTEX_PROGRAM_PATH");
+
+    const Preset* asmSmoke = findPreset("asm_smoke");
+    ASSERT_NE(asmSmoke, nullptr);
+    EXPECT_FALSE(asmSmoke->description.empty());
+    EXPECT_EQ(findPreset("fig18")->spec().runCount(), 7u * 5u);
+    EXPECT_THROW(asmSmoke->spec(), SpecParseError);
+
+    std::filesystem::current_path(cwd);
+    if (env)
+        ::setenv("VORTEX_PROGRAM_PATH", savedEnv.c_str(), 1);
+    std::filesystem::remove_all(dir);
+}
+
+namespace {
+
+/** The runs of `vortex_sweep run --preset NAME SETS...`, read back from
+ *  the spec the CLI dumps. */
+std::vector<RunSpec>
+presetRunsWith(const std::string& name, std::vector<std::string> sets)
+{
+    std::string path = freshTempDir("preset_set") + ".toml";
+    std::vector<std::string> args = {"run", "--preset", name};
+    for (std::string& s : sets) {
+        args.push_back("--set");
+        args.push_back(std::move(s));
+    }
+    args.push_back("--dump-spec");
+    args.push_back(path);
+    EXPECT_EQ(cliMain(args), 0);
+    std::vector<RunSpec> runs = parseSpecFile(path).expand();
+    std::filesystem::remove(path);
+    return runs;
+}
+
+} // namespace
+
+TEST(Presets, SetReparameterizesPresets)
+{
+    // fig20 at a larger render target.
+    std::vector<RunSpec> big = presetRunsWith("fig20", {"texSize=128"});
+    ASSERT_EQ(big.size(), 4u * 3u * 2u);
+    for (const RunSpec& r : big)
+        EXPECT_EQ(r.workload.texSize, 128u) << r.id();
+
+    // fig21 on the paper-size 16-core, 16W x 16T machine.
+    std::vector<RunSpec> paper = presetRunsWith(
+        "fig21", {"cores=16", "numWarps=16", "numThreads=16"});
+    ASSERT_EQ(paper.size(), 2u * 5u * 3u);
+    for (const RunSpec& r : paper) {
+        EXPECT_EQ(r.config.numCores, 16u) << r.id();
+        EXPECT_EQ(r.config.numWarps, 16u) << r.id();
+        EXPECT_EQ(r.config.numThreads, 16u) << r.id();
+    }
+}
+
+TEST(Presets, Fig18MatrixAppliesThePaperScalingRules)
+{
+    // Each fig18 point is baselineConfig(c) with the problem scaled x2
+    // from 4 cores.
+    std::vector<RunSpec> runs = findPreset("fig18")->spec().expand();
     ASSERT_EQ(runs.size(), 7u * 5u);
     const RunSpec& r16 = runs[4]; // sgemm x 16 cores
     EXPECT_EQ(r16.id(), "sgemm/16");

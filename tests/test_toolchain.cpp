@@ -5,10 +5,11 @@
  * rejection), relocation/rebase correctness against the flat assembler
  * as ground truth, the Device loader (entry check, decode-cache
  * code-page pre-marking), and the golden equivalence contract — each
- * checked-in `.s` kernel twin in examples/kernels/ must be bit-identical
- * in cycles, retired thread instructions, and verified output to the
- * built-in kernel it mirrors, on both tick backends and more than one
- * machine geometry.
+ * built-in Rodinia kernel is its checked-in examples/kernels/ `.s`
+ * file, and that source run through the assemble -> object -> load
+ * pipeline must be bit-identical in cycles, retired thread
+ * instructions, and verified output to its direct upload, on both tick
+ * backends and more than one machine geometry.
  */
 
 #include <cstdio>
@@ -235,12 +236,26 @@ TEST(Loader, PreMarksCodePagesForDecodeCacheInvalidation)
     EXPECT_EQ(ram.codeWriteEpoch(), before + 1);
 }
 
+TEST(Golden, BuiltinRodiniaKernelsAreTheCheckedInFiles)
+{
+    for (const char* name : {"vecadd", "saxpy", "sgemm", "sfilter", "nearn",
+                             "gaussian", "bfs"}) {
+        const char* builtin = kernels::kernelSource(name);
+        ASSERT_NE(builtin, nullptr) << name;
+        EXPECT_EQ(std::string(builtin),
+                  readFile(kernelsDir() + "/" + name + ".s"))
+            << name << ": the embedded copy is stale";
+    }
+}
+
 TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
 {
-    // The contract that makes the .s files trustworthy documentation:
-    // same cycles, same retired thread instructions, verified output —
-    // through the full object pipeline, on two geometries and both tick
-    // backends.
+    // The built-in kernels are these same files (test above), so this
+    // pins the two load paths against each other: a direct upload of
+    // the source (runtime::Device::uploadKernel) and the full assemble
+    // -> object -> load pipeline must give the same cycles, retired
+    // thread instructions and verified output, on two geometries and
+    // both tick backends.
     struct Twin
     {
         const char* kernel;
