@@ -7,12 +7,12 @@
  * typed records and as CSV. The preset is the checked-in spec file
  * examples/specs/perf_smoke.toml; the CLI equivalent of this sweep is:
  *
- *   vortex_sweep --axis kernel=vecadd,saxpy,sgemm --axis numWarps=2,4,8 \
- *                --jobs 0 --cache .sweep-cache
+ *   vortex_sweep run --axis kernel=vecadd,saxpy,sgemm \
+ *                    --axis numWarps=2,4,8 --jobs 0 --cache .sweep-cache
  *
  * The reshaped spec round-trips through the versionable file form
  * (docs/SWEEP_SPECS.md): serialize it with specToToml / writeSpecToml,
- * check the file in, and later rerun it with `vortex_sweep --spec` or
+ * check the file in, and later rerun it with `vortex_sweep run --spec` or
  * parseSpecFile — the expanded runs hash identically, so both forms
  * share cache entries.
  */

@@ -319,42 +319,6 @@ CampaignResult::writeTimeSeriesJson(std::ostream& os) const
     os << "  ]\n}\n";
 }
 
-void
-CampaignResult::writeBenchJson(std::ostream& os) const
-{
-    // The trajectory headline: enough to spot a simulator perf or model
-    // regression at a glance, small enough to diff across CI runs.
-    static const char* kHeadlineCounters[] = {
-        "core.thread_instrs", "core.retired",      "icache.core_reads",
-        "dcache.core_reads",  "dcache.read_hits",  "dcache.read_misses",
-        "mem.bytes",
-    };
-    double total = 0.0;
-    for (const RunRecord& r : records)
-        total += r.hostSeconds;
-    os << "{\n  \"campaign\": \"" << jsonEscape(name) << "\",\n";
-    os << "  \"total_host_seconds\": " << fmtDouble(total) << ",\n";
-    os << "  \"runs\": [\n";
-    for (size_t i = 0; i < records.size(); ++i) {
-        const RunRecord& r = records[i];
-        os << "    {\"id\": \"" << jsonEscape(r.spec.id())
-           << "\", \"hash\": \"" << r.spec.contentHash()
-           << "\", \"from_cache\": " << (r.fromCache ? "true" : "false")
-           << ", \"host_seconds\": " << fmtDouble(r.hostSeconds)
-           << ",\n     \"cycles\": " << r.result.cycles
-           << ", \"thread_instrs\": " << r.result.threadInstrs
-           << ", \"ipc\": " << fmtDouble(r.result.ipc) << ", \"stats\": {";
-        bool first = true;
-        for (const char* k : kHeadlineCounters) {
-            os << (first ? "" : ", ") << "\"" << k
-               << "\": " << r.stats.get(k);
-            first = false;
-        }
-        os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-}
-
 Campaign::Campaign(CampaignOptions opts) : opts_(std::move(opts))
 {
     if (opts_.jobs == 0) {

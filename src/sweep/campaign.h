@@ -143,15 +143,6 @@ struct CampaignResult
      * arrays.
      */
     void writeTimeSeriesJson(std::ostream& os) const;
-
-    /**
-     * Bench-trajectory JSON (the CI perf-smoke artifact): per-run
-     * hostSeconds, cache provenance, and headline counters, plus the
-     * campaign's total simulation wall-clock. Unlike every other
-     * emitter this one DOES carry execution metadata — it measures the
-     * simulator, not the simulation — so it is NOT byte-stable.
-     */
-    void writeBenchJson(std::ostream& os) const;
 };
 
 /**

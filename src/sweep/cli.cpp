@@ -1,9 +1,9 @@
 /**
  * @file
  * vortex_sweep CLI implementation: subcommand dispatch (run / cache /
- * serve / submit / specs) plus the legacy flat-flag grammar, both
- * funneling into the same campaign executor. See cli.h for the grammar
- * and docs/FABRIC.md for the fabric workflows.
+ * serve / submit / specs), with `run` and `specs dump` sharing one
+ * campaign executor. See cli.h for the grammar and docs/FABRIC.md for
+ * the fabric workflows.
  */
 
 #include "sweep/cli.h"
@@ -33,7 +33,6 @@ usage(int code)
 {
     std::printf(
         "usage: vortex_sweep <command> [options]\n"
-        "       vortex_sweep [legacy options]   (same flags as `run`)\n"
         "\n"
         "commands:\n"
         "  run     execute a sweep campaign (preset, spec file, or --axis)\n"
@@ -79,8 +78,6 @@ usage(int code)
         "                       (shorthand for --set sampleInterval=N)\n"
         "  --timeseries PATH    emit the per-interval counter time series\n"
         "                       as JSON ('-' = stdout); needs --sample\n"
-        "  --bench-json PATH    emit host wall-clock + headline counters\n"
-        "                       (the CI bench-trajectory artifact)\n"
         "  --csv PATH           CSV output ('-' = stdout; default "
         "<name>.csv)\n"
         "  --json PATH          also emit JSON ('-' = stdout)\n"
@@ -104,11 +101,12 @@ usage(int code)
         "                            without streaming an event\n"
         "  submit --socket PATH --shutdown\n"
         "\n"
-        "legacy aliases (pre-subcommand spellings, still supported):\n"
-        "  --list               = specs list\n"
-        "  --fields             = specs fields\n"
-        "  --cache-prune        = cache prune (with --cache DIR\n"
-        "                         [--older-than DAYS])\n"
+        "specs commands:\n"
+        "  specs list | fields          built-in presets / sweepable fields\n"
+        "  specs dump [run options] [PATH]\n"
+        "                               = run ... --dump-spec PATH\n"
+        "                               (default '-' = stdout)\n"
+        "\n"
         "  -h, --help           this text\n");
     return code;
 }
@@ -197,17 +195,16 @@ writeTo(const std::string& path, const std::string& what,
     std::fprintf(stderr, "wrote %s -> %s\n", what.c_str(), path.c_str());
 }
 
-/** Everything the run/legacy flag grammar can say. */
+/** Everything the `run` flag grammar can say. */
 struct RunArgs
 {
     std::string presetName, csvPath, jsonPath, campaignName;
-    std::string timeseriesPath, benchJsonPath, olderThan;
-    std::string specPath, dumpSpecPath, shardArg;
+    std::string timeseriesPath, specPath, dumpSpecPath, shardArg;
     std::vector<Axis> axes;
     std::vector<std::pair<std::string, std::string>> sets;
+    std::vector<std::string> words; ///< bare (non-flag) arguments
     CampaignOptions opts;
-    uint32_t sampleInterval = 0;
-    bool list = false, fields = false, noCsv = false, cachePrune = false;
+    bool noCsv = false, help = false;
 
     RunArgs()
     {
@@ -217,16 +214,14 @@ struct RunArgs
 };
 
 /**
- * Parse run/legacy flags starting at args[i]. Advances @p i past
- * consumed arguments; returns false (with @p i at the offender) on an
- * unknown argument, throws FatalError("-h") sentinel never — help is
- * signaled via @p help.
+ * Parse `run` flags. Bare words ('-' included) are collected in
+ * RunArgs::words for the caller to accept or reject. Returns the first
+ * unknown flag, or nullptr when every flag was recognised.
  */
-bool
-parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
-             bool& help, size_t& badIndex)
+const std::string*
+parseRunArgs(RunArgs& o, const std::vector<std::string>& args)
 {
-    for (size_t i = start; i < args.size(); ++i) {
+    for (size_t i = 0; i < args.size(); ++i) {
         const std::string& a = args[i];
         auto next = [&]() -> const std::string& {
             if (i + 1 >= args.size())
@@ -261,15 +256,9 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
         else if (a == "--shard")
             o.shardArg = next();
         else if (a == "--sample")
-            o.sampleInterval = parseU32Value("--sample", next());
+            o.sets.emplace_back("sampleInterval", next());
         else if (a == "--timeseries")
             o.timeseriesPath = next();
-        else if (a == "--bench-json")
-            o.benchJsonPath = next();
-        else if (a == "--cache-prune")
-            o.cachePrune = true;
-        else if (a == "--older-than")
-            o.olderThan = next();
         else if (a == "--csv")
             o.csvPath = next();
         else if (a == "--json")
@@ -280,18 +269,21 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args, size_t start,
             o.campaignName = next();
         else if (a == "--quiet")
             o.opts.verbose = false;
-        else if (a == "--list")
-            o.list = true;
-        else if (a == "--fields")
-            o.fields = true;
         else if (a == "-h" || a == "--help")
-            help = true;
-        else {
-            badIndex = i;
-            return false;
-        }
+            o.help = true;
+        else if (a.empty() || a[0] != '-' || a == "-")
+            o.words.push_back(a);
+        else
+            return &a;
     }
-    return true;
+    return nullptr;
+}
+
+int
+unknownArgument(const std::string& arg)
+{
+    std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+    return usage(2);
 }
 
 int
@@ -522,25 +514,14 @@ submitCmd(const std::vector<std::string>& args)
     return 0;
 }
 
-/** The campaign executor shared by `run`, `specs dump`, and the legacy
- *  grammar: resolve the spec, then run it (or dump/prune/list). */
+/** The campaign executor shared by `run` and `specs dump`: resolve the
+ *  spec, then run it (or dump it). */
 int
 execRun(RunArgs& o)
 {
-    if (o.list)
-        return listPresets();
-    if (o.fields)
-        return listFields();
-    if (o.cachePrune) {
-        if (o.opts.cacheDir.empty())
-            fatal("--cache-prune needs --cache DIR");
-        return cachePruneCmd(o.opts.cacheDir, o.olderThan);
-    }
-    if (!o.olderThan.empty())
-        fatal("--older-than only applies to --cache-prune");
     if (o.presetName.empty() && o.axes.empty() && o.specPath.empty()) {
         std::fprintf(stderr, "nothing to do: give --preset, --spec, "
-                             "or --axis (see --list)\n");
+                             "or --axis (see `specs list`)\n");
         return usage(2);
     }
     if (!o.presetName.empty() && !o.specPath.empty())
@@ -563,16 +544,15 @@ execRun(RunArgs& o)
         const Preset* p = findPreset(o.presetName);
         if (!p)
             fatal("unknown preset '", o.presetName,
-                  "' (vortex_sweep --list)");
+                  "' (vortex_sweep specs list)");
         if (p->table) {
             if (!o.sets.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; --set has no effect on it");
-            if (o.sampleInterval != 0 || !o.timeseriesPath.empty() ||
-                !o.benchJsonPath.empty())
+            if (!o.timeseriesPath.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; it runs no simulation to "
-                      "sample or time");
+                      "sample");
             if (!o.dumpSpecPath.empty())
                 fatal("preset '", o.presetName,
                       "' is an area table; it has no sweep spec to "
@@ -620,9 +600,8 @@ execRun(RunArgs& o)
     }
     for (const auto& [k, v] : o.sets)
         if (!applyField(spec.base, spec.baseWorkload, k, v))
-            fatal("--set: unknown field '", k, "' (vortex_sweep --fields)");
-    if (o.sampleInterval != 0)
-        spec.base.sampleInterval = o.sampleInterval;
+            fatal("--set: unknown field '", k,
+                  "' (vortex_sweep specs fields)");
     // CLI --shard overrides the spec's own [fabric] shard annotation.
     if (!o.shardArg.empty())
         parseShardValue("--shard", o.shardArg, spec.shardIndex,
@@ -680,9 +659,6 @@ execRun(RunArgs& o)
     if (!o.timeseriesPath.empty())
         writeTo(o.timeseriesPath, "time-series JSON",
                 [&](std::ostream& os) { result.writeTimeSeriesJson(os); });
-    if (!o.benchJsonPath.empty())
-        writeTo(o.benchJsonPath, "bench JSON",
-                [&](std::ostream& os) { result.writeBenchJson(os); });
 
     // Figure-shaped reports need the full matrix; a shard holds only
     // its slice, so reports come from the post-merge full rerun.
@@ -707,18 +683,15 @@ execRun(RunArgs& o)
 }
 
 int
-runCmd(const std::vector<std::string>& args, size_t start)
+runCmd(const std::vector<std::string>& args)
 {
     RunArgs o;
-    bool help = false;
-    size_t bad = 0;
-    if (!parseRunArgs(o, args, start, help, bad)) {
-        std::fprintf(stderr, "unknown argument '%s'\n", args[bad].c_str());
-        return usage(2);
-    }
-    if (help)
-        return usage(0);
-    return execRun(o);
+    const std::string* bad = parseRunArgs(o, args);
+    if (!bad && !o.words.empty())
+        bad = &o.words[0];
+    if (bad)
+        return unknownArgument(*bad);
+    return o.help ? usage(0) : execRun(o);
 }
 
 int
@@ -742,31 +715,15 @@ specsCmd(const std::vector<std::string>& args)
         // serialized instead of executed. PATH defaults to stdout.
         RunArgs o;
         std::vector<std::string> rest(args.begin() + 1, args.end());
-        std::string out = "-";
-        if (!rest.empty() && !rest.back().empty() && rest.back()[0] != '-' &&
-            rest.back().find('=') == std::string::npos) {
-            // A trailing bare word that is not a flag value: only take
-            // it as PATH when the preceding token is not a flag that
-            // wants an argument.
-            bool prevTakesArg =
-                rest.size() >= 2 && rest[rest.size() - 2].size() > 2 &&
-                rest[rest.size() - 2].compare(0, 2, "--") == 0;
-            if (!prevTakesArg) {
-                out = rest.back();
-                rest.pop_back();
-            }
-        }
-        bool help = false;
-        size_t bad = 0;
-        if (!parseRunArgs(o, rest, 0, help, bad)) {
-            std::fprintf(stderr, "unknown argument '%s'\n",
-                         rest[bad].c_str());
-            return usage(2);
-        }
-        if (help)
+        const std::string* bad = parseRunArgs(o, rest);
+        if (!bad && o.words.size() > 1)
+            bad = &o.words[1];
+        if (bad)
+            return unknownArgument(*bad);
+        if (o.help)
             return usage(0);
         if (o.dumpSpecPath.empty())
-            o.dumpSpecPath = out;
+            o.dumpSpecPath = o.words.empty() ? "-" : o.words[0];
         return execRun(o);
     }
     fatal("specs: unknown verb '", verb, "' (list, fields, dump)");
@@ -778,23 +735,24 @@ int
 cliMain(const std::vector<std::string>& args)
 {
     try {
-        if (!args.empty()) {
-            const std::string& cmd = args[0];
-            std::vector<std::string> rest(args.begin() + 1, args.end());
-            if (cmd == "run")
-                return runCmd(args, 1);
-            if (cmd == "cache")
-                return cacheCmd(rest);
-            if (cmd == "serve")
-                return serveCmd(rest);
-            if (cmd == "submit")
-                return submitCmd(rest);
-            if (cmd == "specs")
-                return specsCmd(rest);
-        }
-        // No subcommand word: the legacy flat-flag grammar (identical
-        // to `run`).
-        return runCmd(args, 0);
+        if (args.empty())
+            return usage(2);
+        const std::string& cmd = args[0];
+        std::vector<std::string> rest(args.begin() + 1, args.end());
+        if (cmd == "run")
+            return runCmd(rest);
+        if (cmd == "cache")
+            return cacheCmd(rest);
+        if (cmd == "serve")
+            return serveCmd(rest);
+        if (cmd == "submit")
+            return submitCmd(rest);
+        if (cmd == "specs")
+            return specsCmd(rest);
+        if (cmd == "-h" || cmd == "--help")
+            return usage(0);
+        std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+        return usage(2);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;

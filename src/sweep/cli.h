@@ -1,7 +1,7 @@
 /**
  * @file
  * The `vortex_sweep` command-line interface, as a library entry point so
- * the CLI-compat tests can drive it in-process.
+ * the CLI tests can drive it in-process.
  *
  * Grammar (docs/FABRIC.md has the fabric workflows):
  *
@@ -11,11 +11,8 @@
  *   vortex_sweep submit --socket PATH      submit a spec to a service
  *   vortex_sweep specs list|fields|dump    spec/preset introspection
  *
- * Every pre-subcommand flag spelling (`vortex_sweep --preset fig18`,
- * `--cache-prune`, `--list`, `--fields`, `--dump-spec`, ...) still works
- * as a legacy alias: an argv whose first element is not a subcommand
- * word is parsed exactly as the flat flag grammar, pinned by
- * tests/test_fabric.cpp.
+ * An argv whose first element is not one of these words (or -h/--help)
+ * is a usage error (exit 2).
  */
 
 #pragma once

@@ -3,7 +3,7 @@
  * Plain tabular reports: the common output shape of the area/synthesis
  * presets (Tables 3-5, Fig. 15) and of campaign summaries. A ReportTable
  * renders either as an aligned human-readable text table or as CSV, so
- * every preset has exactly one data path for both the bench binaries and
+ * every preset has exactly one data path for both the printed report and
  * `vortex_sweep` file emission.
  */
 

@@ -152,7 +152,7 @@ struct RunSpec
 struct SweepSpec
 {
     std::string name;        ///< campaign name (default output basename)
-    std::string description; ///< one-line summary shown by --list
+    std::string description; ///< one-line summary shown by `specs list`
     core::ArchConfig base;   ///< configuration before axis assignments
     WorkloadSpec baseWorkload; ///< workload before axis assignments
     std::vector<Axis> axes;  ///< first axis slowest, last axis fastest
@@ -199,7 +199,7 @@ bool applyField(core::ArchConfig& cfg, WorkloadSpec& wl,
 struct FieldInfo
 {
     const char* name; ///< the name applyField() matches
-    const char* help; ///< one-line description for `vortex_sweep --fields`
+    const char* help; ///< one-line description for `vortex_sweep specs fields`
 };
 
 /** Every field name applyField() accepts, with a one-line description. */

@@ -702,7 +702,7 @@ applyFieldChecked(const std::string& file, core::ArchConfig& cfg,
         if (!applyField(cfg, wl, name, v))
             fail(file, value.line, value.col,
                  "unknown sweep field '" + name +
-                     "' (vortex_sweep --fields lists them)");
+                     "' (vortex_sweep specs fields lists them)");
     } catch (const FatalError& e) {
         fail(file, value.line, value.col, e.what());
     }

@@ -23,7 +23,7 @@
  * base machine and workload field is written explicitly (not just the
  * fields that differ from today's defaults), so a spec file pins the
  * machine even if ArchConfig defaults drift later. `vortex_sweep
- * --dump-spec` uses it to export any sweep; each shipped TOML file under
+ * specs dump` uses it to export any sweep; each shipped TOML file under
  * examples/specs/ — the built-in presets — is exactly its own dump
  * (tests/test_specfile.cpp pins the bytes and the content-hash
  * equality of the round trip).

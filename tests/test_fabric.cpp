@@ -3,8 +3,8 @@
  * Campaign-fabric tests: shard partitioning (disjoint, exhaustive,
  * balanced), cache merge/import, byte-identical sharded reconstruction,
  * the CostModel calibration path, the [fabric] spec key, the submission
- * service's dedup contract, and the CLI compat guarantees (legacy flag
- * spellings vs subcommands).
+ * service's dedup contract, and the CLI grammar (usage errors, `specs
+ * dump` against `run --dump-spec`, `--sample` as a `--set`).
  */
 
 #include <gtest/gtest.h>
@@ -99,6 +99,16 @@ jsonOf(const CampaignResult& r)
     std::ostringstream os;
     r.writeJson(os);
     return os.str();
+}
+
+/** Whole file contents ("" when missing). */
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 /** A non-terminating guest: runs until its 2M-cycle watchdog, so it
@@ -732,75 +742,30 @@ TEST(Service, ClientShutdownRequestIsAcknowledged)
 }
 
 //
-// CLI compatibility: legacy flat flags vs subcommands.
+// CLI grammar: every invocation names a command.
 //
 
-TEST(Cli, LegacyFlagSpellingsKeepWorking)
+TEST(Cli, UsageErrorsAndHelp)
 {
-    EXPECT_EQ(cliMain({"--list"}), 0);
-    EXPECT_EQ(cliMain({"--fields"}), 0);
-    EXPECT_EQ(cliMain({"-h"}), 0);
-    EXPECT_EQ(cliMain({"--definitely-not-a-flag"}), 2);
-    EXPECT_EQ(cliMain({}), 2); // "nothing to do" is a usage error
-
-    // The pre-subcommand cache maintenance spelling.
-    std::string dir = freshTempDir("clicache");
-    SweepSpec spec = tinySpec();
-    CampaignOptions opts;
-    opts.cacheDir = dir;
-    Campaign(opts).run(spec);
-    EXPECT_EQ(CacheStore(dir).entries().size(), 4u);
-    EXPECT_EQ(cliMain({"--cache-prune", "--cache", dir}), 0);
-    EXPECT_TRUE(CacheStore(dir).entries().empty());
-    std::filesystem::remove_all(dir);
+    EXPECT_EQ(cliMain({"run", "-h"}), 0);
+    EXPECT_EQ(cliMain({"run", "--definitely-not-a-flag"}), 2);
+    EXPECT_EQ(cliMain({"run"}), 2); // "nothing to do" is a usage error
+    EXPECT_EQ(cliMain({"run", "--preset", "perf_smoke", "stray"}), 2);
+    EXPECT_EQ(cliMain({}), 2);
+    // The pre-subcommand flat-flag spelling is not a command.
+    EXPECT_EQ(cliMain({"--preset", "perf_smoke"}), 2);
 }
 
-TEST(Cli, RunSubcommandAndLegacyGrammarProduceIdenticalBytes)
+TEST(Cli, SpecsDumpMatchesRunDumpSpecAndCarriesTheShard)
 {
-    std::string outLegacy = freshTempDir("cli1") + ".csv";
-    std::string outSub = freshTempDir("cli2") + ".csv";
-    std::vector<std::string> common = {
-        "--axis", "kernel=vecadd,saxpy", "--set",  "numWarps=2",
-        "--name", "clicompat",           "--quiet"};
-
-    std::vector<std::string> legacy = common;
-    legacy.insert(legacy.end(), {"--csv", outLegacy});
-    std::vector<std::string> sub = {"run"};
-    sub.insert(sub.end(), common.begin(), common.end());
-    sub.insert(sub.end(), {"--csv", outSub});
-
-    ASSERT_EQ(cliMain(legacy), 0);
-    ASSERT_EQ(cliMain(sub), 0);
-
-    auto slurp = [](const std::string& p) {
-        std::ifstream in(p, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        return buf.str();
-    };
-    std::string a = slurp(outLegacy), b = slurp(outSub);
-    EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
-    std::filesystem::remove(outLegacy);
-    std::filesystem::remove(outSub);
-}
-
-TEST(Cli, SpecsDumpMatchesLegacyDumpSpecAndCarriesTheShard)
-{
-    std::string outLegacy = freshTempDir("dump1") + ".toml";
+    std::string outRun = freshTempDir("dump1") + ".toml";
     std::string outSub = freshTempDir("dump2") + ".toml";
-    ASSERT_EQ(cliMain({"--preset", "perf_smoke", "--dump-spec", outLegacy}),
-              0);
+    ASSERT_EQ(
+        cliMain({"run", "--preset", "perf_smoke", "--dump-spec", outRun}), 0);
     ASSERT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", outSub}),
               0);
-    auto slurp = [](const std::string& p) {
-        std::ifstream in(p, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        return buf.str();
-    };
-    EXPECT_EQ(slurp(outLegacy), slurp(outSub));
-    EXPECT_EQ(slurp(outLegacy).find("[fabric]"), std::string::npos);
+    EXPECT_EQ(slurp(outRun), slurp(outSub));
+    EXPECT_EQ(slurp(outRun).find("[fabric]"), std::string::npos);
 
     // --shard folds into the dump, and the dump parses back sharded.
     std::string outShard = freshTempDir("dump3") + ".toml";
@@ -816,9 +781,49 @@ TEST(Cli, SpecsDumpMatchesLegacyDumpSpecAndCarriesTheShard)
                        "--no-csv", "--quiet"}),
               1);
 
-    std::filesystem::remove(outLegacy);
+    std::filesystem::remove(outRun);
     std::filesystem::remove(outSub);
     std::filesystem::remove(outShard);
+}
+
+TEST(Cli, SpecsDumpTakesItsPathAfterABooleanFlag)
+{
+    std::string plain = freshTempDir("dumpq1") + ".toml";
+    std::string quiet = freshTempDir("dumpq2") + ".toml";
+    ASSERT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", plain}), 0);
+    ASSERT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", "--quiet",
+                       quiet}),
+              0);
+    EXPECT_FALSE(slurp(plain).empty());
+    EXPECT_EQ(slurp(plain), slurp(quiet));
+    // At most one PATH.
+    EXPECT_EQ(cliMain({"specs", "dump", "--preset", "perf_smoke", plain,
+                       quiet}),
+              2);
+    std::filesystem::remove(plain);
+    std::filesystem::remove(quiet);
+}
+
+TEST(Cli, SampleIsExactlySetSampleInterval)
+{
+    // A 64-bit interval, in order with the other --set assignments.
+    auto dump = [](std::vector<std::string> flags) {
+        std::string out = freshTempDir("sample") + ".toml";
+        std::vector<std::string> args = {"specs", "dump", "--preset",
+                                         "perf_smoke"};
+        args.insert(args.end(), flags.begin(), flags.end());
+        args.push_back(out);
+        EXPECT_EQ(cliMain(args), 0);
+        std::string text = slurp(out);
+        std::filesystem::remove(out);
+        return text;
+    };
+    std::string viaSample = dump({"--sample", "5000000000"});
+    EXPECT_NE(viaSample.find("sampleInterval = 5000000000"),
+              std::string::npos);
+    EXPECT_EQ(viaSample, dump({"--set", "sampleInterval=5000000000"}));
+    EXPECT_EQ(dump({"--sample", "7", "--set", "sampleInterval=9"}),
+              dump({"--set", "sampleInterval=7", "--sample", "9"}));
 }
 
 TEST(Cli, CacheSubcommandsListMergePrune)

@@ -2,15 +2,15 @@
  * @file
  * Golden simulated-timing gate for host-performance work: the exact
  * cycle counts, thread-instruction counts, and headline device counters
- * of all six `perf_smoke` runs, pinned to the values recorded in the
- * committed BENCH_PR.json (the CI bench-trajectory baseline), for BOTH
- * tick backends.
+ * of all six `perf_smoke` runs, for BOTH tick backends. This table is
+ * the single pin of those rows; ci/golden_outputs.json additionally
+ * hashes the campaign's whole CSV/JSON output.
  *
  * Purpose: any host-perf refactor (decode caches, pooled uops, slot
  * pools, counter handles, ...) must leave simulated timing bit-identical
  * — these numbers may only change when the *timing model* deliberately
- * changes, and such a PR must update BENCH_PR.json and this table
- * together, saying so.
+ * changes, and such a change must update this table and regenerate
+ * ci/golden_outputs.json together, saying so.
  *
  * A second table pins the *entire* flattened collectStats row (every
  * counter, in key order) of stall-heavy runs that exercise every wake
@@ -41,7 +41,7 @@ using namespace vortex;
 
 namespace {
 
-/** One pinned run: matrix-order id + the BENCH_PR.json headline row. */
+/** One pinned run: matrix-order id + its headline counters. */
 struct Golden
 {
     const char* id; ///< RunSpec::id(), e.g. "vecadd/1"
@@ -55,7 +55,7 @@ struct Golden
     uint64_t memBytes;
 };
 
-/** The committed BENCH_PR.json baseline (trajectory point 1, PR 3). */
+/** The six perf_smoke runs, in matrix order. */
 const Golden kGolden[] = {
     {"vecadd/1", 29368, 46140, 11582, 11582, 10338, 9152, 1186, 155840},
     {"vecadd/2", 16416, 47224, 11900, 11900, 10436, 8675, 1761, 164544},

@@ -309,17 +309,3 @@ TEST(Presets, PerfSmokePresetIsSixRuns)
     EXPECT_EQ(sweep::findPreset("fig99_bogus"), nullptr);
     EXPECT_EQ(sweep::findPreset("ablation_bogus"), nullptr);
 }
-
-TEST(SamplingSweep, BenchJsonCarriesHostSecondsAndHeadlines)
-{
-    sweep::SweepSpec spec = sampledSpec(0);
-    sweep::CampaignResult r = sweep::Campaign().run(spec);
-    std::ostringstream os;
-    r.writeBenchJson(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("\"total_host_seconds\": "), std::string::npos);
-    EXPECT_NE(s.find("\"from_cache\": false"), std::string::npos);
-    EXPECT_NE(s.find("\"core.thread_instrs\": "), std::string::npos);
-    EXPECT_EQ(std::count(s.begin(), s.end(), '{'),
-              std::count(s.begin(), s.end(), '}'));
-}

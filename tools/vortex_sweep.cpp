@@ -15,8 +15,8 @@
  *   vortex_sweep submit --socket /tmp/fabric.sock --spec sweep.toml
  *   vortex_sweep specs dump --preset fig18 fig18.toml
  *
- * Legacy flat-flag spellings (`vortex_sweep --preset fig18`,
- * `--cache-prune`, `--list`, ...) keep working; see `vortex_sweep -h`.
+ * Every invocation starts with one of these commands; see
+ * `vortex_sweep -h`.
  */
 
 #include <string>

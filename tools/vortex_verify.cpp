@@ -137,7 +137,7 @@ run(int argc, char** argv)
             if (!sweep::applyField(config, unusedWl, kv.substr(0, eq),
                                    kv.substr(eq + 1)))
                 fatal("unknown field '", kv.substr(0, eq),
-                      "' (see vortex_sweep --fields)");
+                      "' (see vortex_sweep specs fields)");
         } else if (arg == "--freestanding") {
             freestanding = true;
         } else if (arg == "--json") {
