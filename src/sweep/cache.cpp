@@ -40,15 +40,6 @@ ipcOf(uint64_t threadInstrs, uint64_t cycles)
                              static_cast<double>(cycles);
 }
 
-/** Shortest round-trippable formatting for stored doubles. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 /** A per-thread-unique temp-file suffix (rename is the commit point). */
 std::string
 tmpSuffix()

@@ -27,19 +27,6 @@
 
 namespace vortex::sweep {
 
-namespace {
-
-/** Shortest round-trippable formatting for the JSON doubles. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
-
 double
 estimateRunCost(const RunSpec& spec)
 {
@@ -168,6 +155,48 @@ shardAssignment(const std::vector<RunSpec>& runs, uint32_t shardCount)
         load[best] += costs[i];
     }
     return shardOf;
+}
+
+std::vector<RunSpec>
+shardSlice(const SweepSpec& spec, std::vector<RunSpec> runs)
+{
+    if (spec.shardCount <= 1) {
+        if (spec.shardCount == 1 && spec.shardIndex != 0)
+            fatal("campaign '", spec.name, "': shard index ",
+                  spec.shardIndex, " out of range for 1 shard");
+        return runs;
+    }
+    if (spec.shardIndex >= spec.shardCount)
+        fatal("campaign '", spec.name, "': shard index ", spec.shardIndex,
+              " out of range for ", spec.shardCount, " shards");
+    std::vector<uint32_t> shardOf = shardAssignment(runs, spec.shardCount);
+    std::vector<RunSpec> mine;
+    for (size_t i = 0; i < runs.size(); ++i)
+        if (shardOf[i] == spec.shardIndex)
+            mine.push_back(std::move(runs[i]));
+    return mine;
+}
+
+std::vector<size_t>
+claimOrder(const std::vector<RunSpec>& runs, const CacheStore& cache,
+           std::vector<double>* costs)
+{
+    CostModel model =
+        cache.enabled() ? CostModel::fromCache(cache) : CostModel();
+    std::vector<double> cost(runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+        bool cached =
+            cache.recordedHostSeconds(runs[i].contentHash()) >= 0.0;
+        cost[i] = cached ? 0.0 : model.cost(runs[i]);
+    }
+    std::vector<size_t> order(runs.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return cost[a] > cost[b]; });
+    if (costs)
+        *costs = std::move(cost);
+    return order;
 }
 
 double
@@ -401,27 +430,7 @@ Campaign::run(const SweepSpec& spec)
     std::vector<RunSpec> runs = spec.expand();
     if (opts_.verify)
         verifyRuns(spec.name, runs);
-
-    // Fabric sharding: keep only this shard's slice of the matrix. The
-    // assignment is a pure function of the expanded runs (static cost
-    // heuristic), so N hosts given i/N for i = 0..N-1 execute disjoint
-    // slices whose union is the full matrix.
-    if (opts_.shardCount > 1) {
-        if (opts_.shardIndex >= opts_.shardCount)
-            fatal("campaign '", spec.name, "': shard index ",
-                  opts_.shardIndex, " out of range for ",
-                  opts_.shardCount, " shards");
-        std::vector<uint32_t> shardOf =
-            shardAssignment(runs, opts_.shardCount);
-        std::vector<RunSpec> mine;
-        for (size_t i = 0; i < runs.size(); ++i)
-            if (shardOf[i] == opts_.shardIndex)
-                mine.push_back(std::move(runs[i]));
-        runs = std::move(mine);
-    } else if (opts_.shardCount == 1 && opts_.shardIndex != 0) {
-        fatal("campaign '", spec.name, "': shard index ",
-              opts_.shardIndex, " out of range for 1 shard");
-    }
+    runs = shardSlice(spec, std::move(runs));
 
     CampaignResult result;
     result.name = spec.name;
@@ -429,33 +438,12 @@ Campaign::run(const SweepSpec& spec)
         result.axisNames.push_back(a.name);
     result.records.resize(runs.size());
 
-    // Claim order. LPT (longest processing time first) shortens the
-    // critical path at high job counts: the most expensive simulations
-    // start immediately instead of landing on a nearly-drained pool.
-    // Scheduling only — records are stored at their matrix index and
-    // emitted in matrix order, so output bytes cannot depend on it.
-    // Costs: a run already in the result cache restores in microseconds
-    // (price ~0, claimed last); everything else is priced by the cost
-    // model — calibrated from the cache's recorded host_seconds
-    // provenance when data exists, the static estimateRunCost heuristic
-    // otherwise. Sort is stable with an index tiebreak.
+    // LPT (longest processing time first) shortens the critical path at
+    // high job counts: the most expensive simulations start immediately
+    // instead of landing on a nearly-drained pool.
     CacheStore cache(opts_.cacheDir);
-    CostModel model =
-        cache.enabled() ? CostModel::fromCache(cache) : CostModel();
-    std::vector<double> costs(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-        bool cached =
-            cache.recordedHostSeconds(runs[i].contentHash()) >= 0.0;
-        costs[i] = cached ? 0.0 : model.cost(runs[i]);
-    }
-    std::vector<size_t> order(runs.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    if (opts_.lpt)
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return costs[a] > costs[b];
-                         });
+    std::vector<double> costs;
+    std::vector<size_t> order = claimOrder(runs, cache, &costs);
     double totalCost = 0.0;
     for (double c : costs)
         totalCost += c;

@@ -10,12 +10,11 @@
  * records in matrix order. Campaign output is therefore byte-identical
  * for any job count — `--jobs 4` only changes wall-clock time.
  *
- * Scheduling (CampaignOptions::lpt, default on) reorders only the claim
- * sequence: runs are claimed longest-estimated-first (LPT) so the most
- * expensive simulations cannot strand the pool at the tail. The cost of
- * a run is the result cache's recorded wall-clock when the run will be
- * a hit (~0: it restores instead of simulating) and the deterministic
- * estimateRunCost heuristic otherwise; the same costs drive the
+ * Scheduling (claimOrder) reorders only the claim sequence: runs are
+ * claimed longest-estimated-first (LPT) so the most expensive
+ * simulations cannot strand the pool at the tail. A run the result cache
+ * will hit is priced 0 (it restores instead of simulating), every other
+ * run by the cost model; the same costs drive the
  * CampaignOptions::progress ETA. Because storage and emission stay in
  * matrix order, LPT is invisible in every output byte.
  *
@@ -28,9 +27,9 @@
  * CampaignOptions::cacheDir. Writes are atomic (temp file + rename) so
  * concurrent campaigns may share a cache directory.
  *
- * Sharding (CampaignOptions::shardIndex/shardCount) and the service
- * mode built on top of this engine are the campaign fabric — see
- * sweep/fabric.h and docs/FABRIC.md.
+ * Sharding (SweepSpec::shardIndex/shardCount, applied by shardSlice) and
+ * the service mode built on top of this engine are the campaign fabric —
+ * see sweep/fabric.h and docs/FABRIC.md.
  */
 
 #pragma once
@@ -52,19 +51,6 @@ struct CampaignOptions
     uint32_t jobs = 1;    ///< concurrent runs; 0 = host hardware threads
     std::string cacheDir; ///< result-cache directory ("" disables caching)
     bool verbose = false; ///< per-run progress lines on stderr
-    /** Fabric shard selector: with shardCount > 1 the campaign executes
-     *  only the runs shardAssignment() maps to shardIndex — a disjoint,
-     *  LPT-balanced slice of the matrix; the union of all shards is the
-     *  full matrix. 0/0 (the default) runs everything. Records are
-     *  still stored and emitted in matrix order, so a shard's outputs
-     *  are the matching subset of the unsharded bytes. */
-    uint32_t shardIndex = 0;
-    uint32_t shardCount = 0; ///< total shards (0 or 1 = unsharded)
-    /** Claim runs longest-estimated-first (LPT) instead of in matrix
-     *  order. Scheduling only — records are still stored and emitted in
-     *  matrix order, so output bytes are unchanged (the determinism
-     *  contract). Costs come from estimateRunCost(). */
-    bool lpt = true;
     /** Append an elapsed/ETA estimate to each per-run stderr line, from
      *  the same cost estimates LPT schedules with. */
     bool progress = false;
@@ -218,6 +204,28 @@ std::vector<uint32_t> shardAssignment(const std::vector<RunSpec>& runs,
                                       uint32_t shardCount);
 
 /**
+ * The runs of @p runs (spec.expand()) that shard spec.shardIndex of
+ * spec.shardCount executes, in matrix order: a disjoint,
+ * shardAssignment()-balanced slice, all of @p runs when unsharded (0 or
+ * 1 shards). N hosts given i/N for i = 0..N-1 execute slices whose
+ * union is the full matrix. Fatal when the index is out of range.
+ */
+std::vector<RunSpec> shardSlice(const SweepSpec& spec,
+                                std::vector<RunSpec> runs);
+
+/**
+ * LPT claim order of @p runs: indices, costliest first (stable, so
+ * ties keep matrix order). A run @p cache will hit costs 0 and is
+ * claimed last; every other run is priced by the cost model fitted to
+ * @p cache (CostModel::fromCache; the static heuristic when the cache is
+ * disabled or empty). Fills @p costs, one per run, when non-null.
+ * Scheduling only: callers store results at matrix indices.
+ */
+std::vector<size_t> claimOrder(const std::vector<RunSpec>& runs,
+                               const CacheStore& cache,
+                               std::vector<double>* costs = nullptr);
+
+/**
  * Simulate @p spec on a fresh Device and return the finished record
  * (counters flattened, time series attached, hostSeconds measured).
  * The execution primitive shared by Campaign workers and the fabric
@@ -256,8 +264,8 @@ class Campaign
     explicit Campaign(CampaignOptions opts = {});
 
     /** Expand @p spec and execute every run (or restore it from cache).
-     *  With CampaignOptions::shardCount > 1, executes only this shard's
-     *  slice of the matrix. A failed run (timeout, guest trap,
+     *  With SweepSpec::shardCount > 1, executes only that shard's
+     *  slice of the matrix (shardSlice). A failed run (timeout, guest trap,
      *  self-check failure, host error, verification mismatch) is
      *  recorded as a result row with its RunStatus and the campaign
      *  completes the rest of the matrix — failed runs are never cached,

@@ -71,9 +71,6 @@ usage(int code)
         "  --verify             statically verify every kernel/machine\n"
         "                       pair before running (vortex_verify's\n"
         "                       checks); fatal on analysis errors\n"
-        "  --no-lpt             claim runs in matrix order instead of\n"
-        "                       longest-first (output is identical either\n"
-        "                       way; LPT only shortens wall-clock)\n"
         "  --sample N           snapshot device counters every N cycles\n"
         "                       (shorthand for --set sampleInterval=N)\n"
         "  --timeseries PATH    emit the per-interval counter time series\n"
@@ -131,7 +128,7 @@ parseAxisArg(const std::string& arg)
 }
 
 /** Split "seed=N,count=K[,window=W,watchdog=C]" into ("faults.KEY",
- *  VALUE) assignments for the field registry. */
+ *  VALUE) field assignments. */
 std::vector<std::pair<std::string, std::string>>
 parseFaultsArg(const std::string& arg)
 {
@@ -145,24 +142,14 @@ parseFaultsArg(const std::string& arg)
         if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size())
             fatal("--faults expects KEY=VALUE pairs (got '", item, "')");
         std::string key = item.substr(0, eq);
-        if (key != "seed" && key != "count" && key != "window" &&
-            key != "watchdog")
-            fatal("--faults: unknown key '", key,
-                  "' (keys: seed, count, window, watchdog)");
+        if (!isFaultsKey(key))
+            fatal("--faults: unknown key '", key, "' (keys: ",
+                  faultsKeyList(), ")");
         sets.emplace_back("faults." + key, item.substr(eq + 1));
     }
     if (sets.empty())
         fatal("--faults expects seed=N,count=K[,window=W,watchdog=C]");
     return sets;
-}
-
-std::pair<std::string, std::string>
-parseKeyValue(const char* flag, const std::string& arg)
-{
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos || eq == 0)
-        fatal(flag, " expects KEY=VALUE (got '", arg, "')");
-    return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
 double
@@ -236,14 +223,12 @@ parseRunArgs(RunArgs& o, const std::vector<std::string>& args)
             o.dumpSpecPath = next();
         else if (a == "--progress")
             o.opts.progress = true;
-        else if (a == "--no-lpt")
-            o.opts.lpt = false;
         else if (a == "--verify")
             o.opts.verify = true;
         else if (a == "--axis")
             o.axes.push_back(parseAxisArg(next()));
         else if (a == "--set")
-            o.sets.push_back(parseKeyValue("--set", next()));
+            o.sets.push_back(splitSetArg(next()));
         else if (a == "--fail-fast")
             o.opts.failFast = true;
         else if (a == "--faults")
@@ -598,16 +583,12 @@ execRun(RunArgs& o)
         if (spec.axes.size() == 2)
             report = pivotIpc;
     }
-    for (const auto& [k, v] : o.sets)
-        if (!applyField(spec.base, spec.baseWorkload, k, v))
-            fatal("--set: unknown field '", k,
-                  "' (vortex_sweep specs fields)");
+    for (const auto& kv : o.sets)
+        applySetArg(spec.base, spec.baseWorkload, kv);
     // CLI --shard overrides the spec's own [fabric] shard annotation.
     if (!o.shardArg.empty())
         parseShardValue("--shard", o.shardArg, spec.shardIndex,
                         spec.shardCount);
-    o.opts.shardIndex = spec.shardIndex;
-    o.opts.shardCount = spec.shardCount;
     if (!o.dumpSpecPath.empty()) {
         // Export instead of run: the resolved sweep (preset, spec
         // file, or ad-hoc axes, with --set/--sample/--shard folded in)
@@ -635,9 +616,9 @@ execRun(RunArgs& o)
 
     Campaign campaign(o.opts);
     std::string shardNote;
-    if (o.opts.shardCount > 1)
-        shardNote = " [shard " + std::to_string(o.opts.shardIndex) + "/" +
-                    std::to_string(o.opts.shardCount) + "]";
+    if (spec.shardCount > 1)
+        shardNote = " [shard " + std::to_string(spec.shardIndex) + "/" +
+                    std::to_string(spec.shardCount) + "]";
     std::fprintf(stderr, "campaign '%s': %zu runs, %u jobs%s%s\n",
                  spec.name.c_str(), spec.runCount(),
                  campaign.options().jobs,
@@ -662,7 +643,7 @@ execRun(RunArgs& o)
 
     // Figure-shaped reports need the full matrix; a shard holds only
     // its slice, so reports come from the post-merge full rerun.
-    if (report && o.opts.shardCount <= 1)
+    if (report && spec.shardCount <= 1)
         report(result).print(std::cout);
     if (!o.opts.cacheDir.empty())
         std::fprintf(stderr, "cache: %u hit%s, %u miss%s\n",

@@ -40,16 +40,6 @@ namespace vortex::sweep {
 
 namespace {
 
-/** %.17g (shortest round-trip-safe) double text, matching the cache
- *  entry format. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 //
 // Socket plumbing.
 //
@@ -519,16 +509,7 @@ struct Service::Impl
 
         std::vector<RunSpec> runs;
         try {
-            runs = spec.expand();
-            if (spec.shardCount > 1) {
-                std::vector<uint32_t> shardOf =
-                    shardAssignment(runs, spec.shardCount);
-                std::vector<RunSpec> mine;
-                for (size_t i = 0; i < runs.size(); ++i)
-                    if (shardOf[i] == spec.shardIndex)
-                        mine.push_back(std::move(runs[i]));
-                runs = std::move(mine);
-            }
+            runs = shardSlice(spec, spec.expand());
         } catch (const FatalError& e) {
             emitError(e.what());
             return;
@@ -544,18 +525,8 @@ struct Service::Impl
              jsonEscape(spec.name) + "\", \"runs\": " +
              std::to_string(runs.size()) + "}");
 
-        // LPT claim order over the calibrated cost model (scheduling
-        // only: events still carry matrix indices).
-        CostModel model =
-            cache.enabled() ? CostModel::fromCache(cache) : CostModel();
-        std::vector<size_t> order(runs.size());
-        for (size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::vector<double> costs(runs.size());
-        for (size_t i = 0; i < runs.size(); ++i)
-            costs[i] = model.cost(runs[i]);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) { return costs[a] > costs[b]; });
+        // Scheduling only: events still carry matrix indices.
+        std::vector<size_t> order = claimOrder(runs, cache);
 
         uint64_t nSimulated = 0;
         uint64_t nCacheHits = 0;

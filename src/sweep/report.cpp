@@ -136,6 +136,14 @@ jsonEscape(const std::string& s)
 }
 
 std::string
+fmtDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
 fmtF(double v, int prec)
 {
     char buf[64];

@@ -43,6 +43,10 @@ std::string csvCell(const std::string& s);
  *  characters). Shared by every JSON emitter in the sweep layer. */
 std::string jsonEscape(const std::string& s);
 
+/** Shortest round-trippable ("%.17g") text of @p v: the doubles of the
+ *  campaign JSON, fabric events and cache entries. */
+std::string fmtDouble(double v);
+
 /** Fixed-point formatting helpers used by preset reports. */
 std::string fmtF(double v, int prec);   ///< "%.<prec>f"
 std::string fmtPct(double frac, int prec); ///< fraction -> "12.3%"

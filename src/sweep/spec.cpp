@@ -1,14 +1,17 @@
 /**
  * @file
- * Sweep-spec expansion, the named-field registry, and canonical
+ * Sweep-spec expansion, the field table, and canonical
  * serialization/hashing of resolved runs.
  */
 
 #include "sweep/spec.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/log.h"
 #include "runtime/device.h"
@@ -62,32 +65,40 @@ parseShardValue(const std::string& what, const std::string& value,
 
 namespace {
 
-uint32_t
-parseU32(const std::string& name, const std::string& value)
+/** Strict parse of a T-typed (uint32_t, uint64_t or bool) field value;
+ *  fatal, naming the field, on failure. */
+template <typename T>
+T
+parseAs(const char* name, const std::string& value)
 {
-    return parseU32Value("sweep field '" + name + "'", value);
-}
-
-bool
-parseBool(const std::string& name, const std::string& value)
-{
-    return parseBoolValue("sweep field '" + name + "'", value);
-}
-
-/** Strict uint64 parse for the 64-bit fields (sampleInterval-style). */
-uint64_t
-parseU64(const std::string& name, const std::string& value)
-{
-    try {
-        size_t pos = 0;
-        uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        fatal("sweep field '", name, "': cannot parse '", value,
-              "' as an unsigned integer");
+    const std::string what = std::string("sweep field '") + name + "'";
+    if constexpr (std::is_same_v<T, bool>) {
+        return parseBoolValue(what, value);
+    } else if constexpr (std::is_same_v<T, uint32_t>) {
+        return parseU32Value(what, value);
+    } else {
+        try {
+            size_t pos = 0;
+            uint64_t v = std::stoull(value, &pos);
+            if (pos != value.size())
+                throw std::invalid_argument(value);
+            return v;
+        } catch (const std::exception&) {
+            fatal(what, ": cannot parse '", value,
+                  "' as an unsigned integer");
+        }
     }
+}
+
+/** Value text of a T-typed field (bools as 0/1). */
+template <typename T>
+std::string
+textOf(T v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return v ? "1" : "0";
+    else
+        return std::to_string(v);
 }
 
 core::SchedPolicy
@@ -114,43 +125,135 @@ parseTexFilter(const std::string& value)
           "' (point | bilinear | trilinear)");
 }
 
-/** One entry of the field registry: name -> assignment function. */
+/** The spelling parseSchedPolicy() reads back. */
+const char*
+schedPolicyName(core::SchedPolicy p)
+{
+    return p == core::SchedPolicy::RoundRobin ? "roundrobin"
+                                              : "hierarchical";
+}
+
+/** The spelling parseTexFilter() reads back. */
+const char*
+texFilterName(runtime::TexFilterMode m)
+{
+    switch (m) {
+    case runtime::TexFilterMode::Point:
+        return "point";
+    case runtime::TexFilterMode::Bilinear:
+        return "bilinear";
+    case runtime::TexFilterMode::Trilinear:
+        return "trilinear";
+    }
+    return "?";
+}
+
+/** FNV-1a 64-bit. */
+uint64_t
+fnv1a(const std::string& s)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** FNV-1a 64 of @p s as 16 hex digits. */
+std::string
+fnvHex(const std::string& s)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(fnv1a(s)));
+    return buf;
+}
+
+/** When an output writes a field (FieldDef::only). */
+enum class Only : uint8_t
+{
+    Always,
+    Rodinia,  ///< the rodinia family's own fields
+    Texture,  ///< the texture family's own fields
+    NonEmpty, ///< optional text, written only when set
+    Faulted,  ///< all four faults.* fields, when any of them is set
+};
+
+/** Which serializations write a field (FieldDef::outputs bits). */
+enum : uint8_t
+{
+    kHash = 1,        ///< RunSpec::canonical(), the content-hash preimage
+    kDump = 2,        ///< the spec-file dump (writeSpecToml)
+    kDumpNonZero = 4, ///< the dump, only when the value is not 0
+};
+
+/**
+ * One row of the field table. The row order is the order of every
+ * output: `specs fields`, canonical() and the dump.
+ */
 struct FieldDef
 {
     const char* name;
-    const char* help;
-    void (*apply)(core::ArchConfig&, WorkloadSpec&, const std::string&);
+    const char* help;    ///< `specs fields` text (settable rows)
+    const char* section; ///< spec-file section the dump writes it in
+    uint8_t outputs;     ///< kHash / kDump / kDumpNonZero bits
+    Only only;
+    bool boolean; ///< the hash writes 0/1, the dump true/false
+    /** Parse a value into the field; nullptr = cannot be set. */
+    void (*set)(core::ArchConfig&, WorkloadSpec&, const std::string&);
+    /** The field's value text; nullptr = never written out. */
+    std::string (*get)(const core::ArchConfig&, const WorkloadSpec&);
 };
 
-#define VORTEX_U32_FIELD(field, help)                                       \
-    {#field, help,                                                          \
-     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {         \
-         c.field = parseU32(#field, v);                                     \
+/** Row for the T-typed field at `obj.path` (obj: c = the machine, w =
+ *  the workload). */
+#define VORTEX_FIELD(T, obj, path, section, outputs, only, help)            \
+    {#path, help, section, outputs, Only::only, std::is_same_v<T, bool>,    \
+     []([[maybe_unused]] core::ArchConfig& c,                               \
+        [[maybe_unused]] WorkloadSpec& w, const std::string& v) {           \
+         obj.path = parseAs<T>(#path, v);                                   \
+     },                                                                     \
+     []([[maybe_unused]] const core::ArchConfig& c,                         \
+        [[maybe_unused]] const WorkloadSpec& w) {                           \
+         return textOf<T>(obj.path);                                        \
      }}
+#define VORTEX_U32_FIELD(field, help)                                       \
+    VORTEX_FIELD(uint32_t, c, field, "base", kHash | kDump, Always, help)
 #define VORTEX_BOOL_FIELD(field, help)                                      \
-    {#field, help,                                                          \
-     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {         \
-         c.field = parseBool(#field, v);                                    \
+    VORTEX_FIELD(bool, c, field, "base", kHash | kDump, Always, help)
+/** A hashed u32 config field with no sweep knob. */
+#define VORTEX_HASHED_FIELD(field)                                          \
+    {#field, nullptr, "base", kHash, Only::Always, false, nullptr,          \
+     [](const core::ArchConfig& c, const WorkloadSpec&) {                   \
+         return textOf<uint32_t>(c.field);                                  \
      }}
 
-const FieldDef kFields[] = {
+constexpr FieldDef kFields[] = {
     // SIMT geometry.
     VORTEX_U32_FIELD(numThreads, "threads per wavefront"),
     VORTEX_U32_FIELD(numWarps, "wavefronts per core"),
     VORTEX_U32_FIELD(numCores, "core count (raw; see also 'cores')"),
     VORTEX_U32_FIELD(coresPerCluster, "cores sharing one L2 cluster"),
+    // Derived: the dump writes the concrete fields it expands to.
     {"cores", "core count with the paper's scaling rules (L2 from 4 "
               "cores, 8-channel board above 16)",
+     "base", 0, Only::Always, false,
      [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
-         c = baselineConfig(parseU32("cores", v), c);
-     }},
+         c = baselineConfig(parseAs<uint32_t>("cores", v), c);
+     },
+     nullptr},
 
     // Pipeline.
     VORTEX_U32_FIELD(ibufferDepth, "instruction-buffer depth"),
     VORTEX_U32_FIELD(lsuDepth, "in-flight warp memory ops per core"),
     {"schedPolicy", "wavefront scheduling (hierarchical | roundrobin)",
+     "base", kHash | kDump, Only::Always, false,
      [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
          c.schedPolicy = parseSchedPolicy(v);
+     },
+     [](const core::ArchConfig& c, const WorkloadSpec&) {
+         return std::string(schedPolicyName(c.schedPolicy));
      }},
     VORTEX_U32_FIELD(lat.alu, "ALU latency (cycles)"),
     VORTEX_U32_FIELD(lat.mul, "integer-multiply latency"),
@@ -163,9 +266,13 @@ const FieldDef kFields[] = {
 
     // L1 caches.
     {"lineSize", "cache AND board-memory line size (bytes)",
+     "base", kHash | kDump, Only::Always, false,
      [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
-         c.lineSize = parseU32("lineSize", v);
+         c.lineSize = parseAs<uint32_t>("lineSize", v);
          c.mem.lineSize = c.lineSize;
+     },
+     [](const core::ArchConfig& c, const WorkloadSpec&) {
+         return textOf(c.lineSize);
      }},
     VORTEX_U32_FIELD(icacheSize, "L1I size (bytes)"),
     VORTEX_U32_FIELD(icacheWays, "L1I associativity"),
@@ -191,31 +298,32 @@ const FieldDef kFields[] = {
 
     // Board memory.
     VORTEX_U32_FIELD(mem.latency, "board-memory latency (cycles)"),
+    VORTEX_HASHED_FIELD(mem.lineSize), // set through lineSize
     VORTEX_U32_FIELD(mem.busWidth, "bytes per channel per cycle"),
     VORTEX_U32_FIELD(mem.numChannels, "independent memory channels"),
     VORTEX_U32_FIELD(mem.queueDepth, "memory input-queue depth"),
 
     // Texture + host backend.
     VORTEX_BOOL_FIELD(texEnabled, "build the per-core texture units"),
-    VORTEX_BOOL_FIELD(parallelTick, "tick cores on a host thread pool"),
-    VORTEX_U32_FIELD(tickThreads, "pool size (0 = host CPUs)"),
+    VORTEX_HASHED_FIELD(startPC),
+    VORTEX_HASHED_FIELD(smemBase),
+    // Not hashed: the backends are bit-identical (core/tick_engine.h), so
+    // a cached serial result is valid for a parallel run and vice versa.
+    VORTEX_FIELD(bool, c, parallelTick, "base", kDump, Always,
+                 "tick cores on a host thread pool"),
+    VORTEX_FIELD(uint32_t, c, tickThreads, "base", kDump, Always,
+                 "pool size (0 = host CPUs)"),
 
-    // Observability. The config field is 64-bit; parse it as such.
-    {"sampleInterval", "cycles between counter snapshots (0 = off)",
-     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
-         try {
-             size_t pos = 0;
-             c.sampleInterval = std::stoull(v, &pos);
-             if (pos != v.size())
-                 throw std::invalid_argument(v);
-         } catch (const std::exception&) {
-             fatal("sweep field 'sampleInterval': cannot parse '", v,
-                   "' as an unsigned integer");
-         }
-     }},
+    // Observability. Hashed even though it cannot change simulation
+    // results: a cached record must carry the time series the request
+    // asks for, and the series shape depends on the interval.
+    VORTEX_FIELD(uint64_t, c, sampleInterval, "base", kHash | kDump, Always,
+                 "cycles between counter snapshots (0 = off)"),
 
-    // Workload selection.
+    // Workload selection. The family comes first: kernel and texFilter
+    // imply one, so a dump must set the family before them.
     {"workload", "workload family (rodinia | texture)",
+     "workload", kHash | kDump, Only::Always, false,
      [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
          if (v == "rodinia")
              w.kind = WorkloadSpec::Kind::Rodinia;
@@ -224,80 +332,86 @@ const FieldDef kFields[] = {
          else
              fatal("sweep field 'workload': unknown family '", v,
                    "' (rodinia | texture)");
+     },
+     [](const core::ArchConfig&, const WorkloadSpec& w) {
+         return std::string(w.kind == WorkloadSpec::Kind::Rodinia
+                                ? "rodinia"
+                                : "texture");
      }},
     {"kernel", "Rodinia kernel name (implies workload=rodinia)",
+     "workload", kHash | kDump, Only::Rodinia, false,
      [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
          w.kind = WorkloadSpec::Kind::Rodinia;
          w.kernel = v;
-     }},
-    {"scale", "Rodinia problem-size multiplier",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.scale = parseU32("scale", v);
-     }},
+     },
+     [](const core::ArchConfig&, const WorkloadSpec& w) { return w.kernel; }},
+    VORTEX_FIELD(uint32_t, w, scale, "workload", kHash | kDump, Rodinia,
+                 "Rodinia problem-size multiplier"),
     {"texFilter", "texture filtering (point | bilinear | trilinear; "
                   "implies workload=texture)",
+     "workload", kHash | kDump, Only::Texture, false,
      [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
          w.kind = WorkloadSpec::Kind::Texture;
          w.texFilter = parseTexFilter(v);
+     },
+     [](const core::ArchConfig&, const WorkloadSpec& w) {
+         return std::string(texFilterName(w.texFilter));
      }},
-    {"texHw", "1 = hardware `tex` instruction, 0 = software sampler",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.texHw = parseBool("texHw", v);
-     }},
-    {"texSize", "square texture/render-target size (power of two)",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.texSize = parseU32("texSize", v);
-     }},
+    VORTEX_FIELD(bool, w, texHw, "workload", kHash | kDump, Texture,
+                 "1 = hardware `tex` instruction, 0 = software sampler"),
+    VORTEX_FIELD(uint32_t, w, texSize, "workload", kHash | kDump, Texture,
+                 "square texture/render-target size (power of two)"),
     {"program", "assembly file run through the object pipeline instead "
                 "of the kernel's built-in source (kernel still selects "
                 "the argument/verification harness)",
+     "workload", kHash | kDump, Only::NonEmpty, false,
      [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
          w.program = v;
          w.programSource = loadProgramSource(v);
+     },
+     [](const core::ArchConfig&, const WorkloadSpec& w) {
+         return w.program;
+     }},
+    // The cache key must change when the FILE CONTENT changes, not just
+    // the path: the loaded source's hash enters the preimage.
+    {"program.fnv", nullptr, "workload", kHash, Only::NonEmpty, false,
+     nullptr,
+     [](const core::ArchConfig&, const WorkloadSpec& w) {
+         return w.program.empty() ? std::string() : fnvHex(w.programSource);
      }},
     {"check", "harness-free result check for program workloads "
               "(selfcheck | memcmp:ADDR:LEN:FNV)",
+     "workload", kHash | kDump, Only::NonEmpty, false,
      [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
          // Validate eagerly so spec files report malformed values with
          // file:line:col; the raw text is what gets hashed/serialized.
          parseCheckValue("sweep field 'check'", v);
          w.check = v;
-     }},
+     },
+     [](const core::ArchConfig&, const WorkloadSpec& w) { return w.check; }},
 
-    // Fault injection (docs/ROBUSTNESS.md; [faults] in spec files).
-    {"faults.seed", "fault-injection PRNG seed selecting the upsets",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.faults.seed = parseU64("faults.seed", v);
-     }},
-    {"faults.count", "single-bit upsets to inject (0 = off)",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.faults.count = parseU32("faults.count", v);
-     }},
-    {"faults.window", "trigger-cycle window for injections (0 = default)",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.faults.window = parseU64("faults.window", v);
-     }},
-    {"faults.watchdog", "cycle watchdog override for hang detection "
-                        "(0 = runner default)",
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
-         w.faults.watchdog = parseU64("faults.watchdog", v);
-     }},
+    // Fault injection (docs/ROBUSTNESS.md; [faults] in spec files). Only
+    // when set: a clean run's preimage (and so its cache key) is the same
+    // as before faults existed, while every distinct injection gets its
+    // own key. The watchdog is hashed because it changes what a long run
+    // *returns* (timeout), even though it cannot change a completing one.
+    VORTEX_FIELD(uint64_t, w, faults.seed, "faults", kHash | kDump, Faulted,
+                 "fault-injection PRNG seed selecting the upsets"),
+    VORTEX_FIELD(uint32_t, w, faults.count, "faults", kHash | kDump,
+                 Faulted, "single-bit upsets to inject (0 = off)"),
+    VORTEX_FIELD(uint64_t, w, faults.window, "faults", kHash | kDumpNonZero,
+                 Faulted,
+                 "trigger-cycle window for injections (0 = default)"),
+    VORTEX_FIELD(uint64_t, w, faults.watchdog, "faults",
+                 kHash | kDumpNonZero, Faulted,
+                 "cycle watchdog override for hang detection "
+                 "(0 = runner default)"),
 };
 
+#undef VORTEX_FIELD
 #undef VORTEX_U32_FIELD
 #undef VORTEX_BOOL_FIELD
-
-/** FNV-1a 64-bit. */
-uint64_t
-fnv1a(const std::string& s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+#undef VORTEX_HASHED_FIELD
 
 } // namespace
 
@@ -409,27 +523,6 @@ loadProgramSource(const std::string& path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
-}
-
-const char*
-schedPolicyName(core::SchedPolicy p)
-{
-    return p == core::SchedPolicy::RoundRobin ? "roundrobin"
-                                              : "hierarchical";
-}
-
-const char*
-texFilterName(runtime::TexFilterMode m)
-{
-    switch (m) {
-    case runtime::TexFilterMode::Point:
-        return "point";
-    case runtime::TexFilterMode::Bilinear:
-        return "bilinear";
-    case runtime::TexFilterMode::Trilinear:
-        return "trilinear";
-    }
-    return "?";
 }
 
 std::string
@@ -555,104 +648,16 @@ RunSpec::id() const
 std::string
 RunSpec::canonical() const
 {
-    // Serialize EVERY field. When ArchConfig or WorkloadSpec grows a knob,
-    // add it here (and bump the version tag if an old serialization would
-    // be ambiguous) — tests/test_sweep.cpp guards the differentiation
-    // property for the swept fields.
-    const core::ArchConfig& c = config;
-    const WorkloadSpec& w = workload;
-    std::ostringstream os;
-    os << "vortex-run v2\n"; // v2: added sampleInterval
-    os << "numThreads = " << c.numThreads << "\n"
-       << "numWarps = " << c.numWarps << "\n"
-       << "numCores = " << c.numCores << "\n"
-       << "coresPerCluster = " << c.coresPerCluster << "\n"
-       << "ibufferDepth = " << c.ibufferDepth << "\n"
-       << "lsuDepth = " << c.lsuDepth << "\n"
-       << "schedPolicy = " << schedPolicyName(c.schedPolicy) << "\n"
-       << "lat.alu = " << c.lat.alu << "\n"
-       << "lat.mul = " << c.lat.mul << "\n"
-       << "lat.div = " << c.lat.div << "\n"
-       << "lat.fpu = " << c.lat.fpu << "\n"
-       << "lat.fcvt = " << c.lat.fcvt << "\n"
-       << "lat.fdiv = " << c.lat.fdiv << "\n"
-       << "lat.fsqrt = " << c.lat.fsqrt << "\n"
-       << "lat.sfu = " << c.lat.sfu << "\n"
-       << "lineSize = " << c.lineSize << "\n"
-       << "icacheSize = " << c.icacheSize << "\n"
-       << "icacheWays = " << c.icacheWays << "\n"
-       << "dcacheSize = " << c.dcacheSize << "\n"
-       << "dcacheWays = " << c.dcacheWays << "\n"
-       << "dcacheBanks = " << c.dcacheBanks << "\n"
-       << "dcachePorts = " << c.dcachePorts << "\n"
-       << "mshrEntries = " << c.mshrEntries << "\n"
-       << "smemSize = " << c.smemSize << "\n"
-       << "smemLatency = " << c.smemLatency << "\n"
-       << "l2Enabled = " << c.l2Enabled << "\n"
-       << "l2Size = " << c.l2Size << "\n"
-       << "l2Banks = " << c.l2Banks << "\n"
-       << "l2Ways = " << c.l2Ways << "\n"
-       << "l3Enabled = " << c.l3Enabled << "\n"
-       << "l3Size = " << c.l3Size << "\n"
-       << "l3Banks = " << c.l3Banks << "\n"
-       << "l3Ways = " << c.l3Ways << "\n"
-       << "mem.latency = " << c.mem.latency << "\n"
-       << "mem.lineSize = " << c.mem.lineSize << "\n"
-       << "mem.busWidth = " << c.mem.busWidth << "\n"
-       << "mem.numChannels = " << c.mem.numChannels << "\n"
-       << "mem.queueDepth = " << c.mem.queueDepth << "\n"
-       << "texEnabled = " << c.texEnabled << "\n"
-       << "startPC = " << c.startPC << "\n"
-       << "smemBase = " << c.smemBase << "\n"
-       << "sampleInterval = " << c.sampleInterval << "\n";
-    // parallelTick / tickThreads are deliberately EXCLUDED: the backends
-    // are bit-identical (core/tick_engine.h), so a cached serial result is
-    // valid for a parallel-backend run of the same machine and vice versa.
-    // sampleInterval IS included even though it cannot change simulation
-    // results: a cached record must carry the time series the request
-    // asks for, and the series shape depends on the interval.
-    os << "workload = "
-       << (w.kind == WorkloadSpec::Kind::Rodinia ? "rodinia" : "texture")
-       << "\n";
-    if (w.kind == WorkloadSpec::Kind::Rodinia)
-        os << "kernel = " << w.kernel << "\n"
-           << "scale = " << w.scale << "\n";
-    else
-        os << "texFilter = " << texFilterName(w.texFilter) << "\n"
-           << "texHw = " << w.texHw << "\n"
-           << "texSize = " << w.texSize << "\n";
-    if (!w.program.empty()) {
-        // The cache key must change when the FILE CONTENT changes, not
-        // just the path — hash the loaded source into the preimage.
-        char fnv[17];
-        std::snprintf(fnv, sizeof(fnv), "%016llx",
-                      static_cast<unsigned long long>(
-                          fnv1a(w.programSource)));
-        os << "program = " << w.program << "\n"
-           << "program.fnv = " << fnv << "\n";
-    }
-    if (!w.check.empty())
-        os << "check = " << w.check << "\n";
-    // Fault-injection fields, only when set: a clean run's preimage (and
-    // so its cache key) is byte-identical to pre-faults versions, while
-    // every distinct injection gets its own key. The watchdog is
-    // included because it changes what a long run *returns* (timeout),
-    // even though it cannot change a completing run's results.
-    if (w.faults.any())
-        os << "faults.seed = " << w.faults.seed << "\n"
-           << "faults.count = " << w.faults.count << "\n"
-           << "faults.window = " << w.faults.window << "\n"
-           << "faults.watchdog = " << w.faults.watchdog << "\n";
-    return os.str();
+    std::string s = "vortex-run v2\n"; // v2: added sampleInterval
+    for (const FieldText& f : fieldTexts(FieldOutput::Hash, config, workload))
+        s.append(f.name).append(" = ").append(f.value).append("\n");
+    return s;
 }
 
 std::string
 RunSpec::contentHash() const
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(canonical())));
-    return buf;
+    return fnvHex(canonical());
 }
 
 size_t
@@ -709,8 +714,8 @@ applyField(core::ArchConfig& cfg, WorkloadSpec& wl, const std::string& name,
            const std::string& value)
 {
     for (const FieldDef& f : kFields) {
-        if (name == f.name) {
-            f.apply(cfg, wl, value);
+        if (f.set && name == f.name) {
+            f.set(cfg, wl, value);
             return true;
         }
     }
@@ -723,10 +728,80 @@ sweepableFields()
     static const std::vector<FieldInfo> infos = [] {
         std::vector<FieldInfo> v;
         for (const FieldDef& f : kFields)
-            v.push_back(FieldInfo{f.name, f.help});
+            if (f.set)
+                v.push_back(FieldInfo{f.name, f.help});
         return v;
     }();
     return infos;
+}
+
+std::vector<FieldText>
+fieldTexts(FieldOutput out, const core::ArchConfig& cfg,
+           const WorkloadSpec& wl)
+{
+    const uint8_t mask = out == FieldOutput::Hash ? kHash
+                                                  : kDump | kDumpNonZero;
+    std::vector<FieldText> texts;
+    for (const FieldDef& f : kFields) {
+        if (!(f.outputs & mask))
+            continue;
+        std::string v = f.get(cfg, wl);
+        bool written = false;
+        switch (f.only) {
+        case Only::Always: written = true; break;
+        case Only::Rodinia:
+            written = wl.kind == WorkloadSpec::Kind::Rodinia;
+            break;
+        case Only::Texture:
+            written = wl.kind == WorkloadSpec::Kind::Texture;
+            break;
+        case Only::NonEmpty: written = !v.empty(); break;
+        case Only::Faulted: written = wl.faults.any(); break;
+        }
+        if (!written || ((f.outputs & mask) == kDumpNonZero && v == "0"))
+            continue;
+        if (f.boolean && out == FieldOutput::Dump)
+            v = v == "1" ? "true" : "false";
+        texts.push_back(FieldText{f.name, f.section, std::move(v)});
+    }
+    return texts;
+}
+
+bool
+isFaultsKey(const std::string& key)
+{
+    for (const FieldDef& f : kFields)
+        if (f.set && "faults." + key == f.name)
+            return true;
+    return false;
+}
+
+std::string
+faultsKeyList()
+{
+    std::string keys;
+    for (const FieldDef& f : kFields)
+        if (std::string_view(f.name).starts_with("faults."))
+            keys.append(keys.empty() ? "" : ", ").append(f.name + 7);
+    return keys;
+}
+
+std::pair<std::string, std::string>
+splitSetArg(const std::string& arg)
+{
+    size_t eq = arg.find('=');
+    if (eq == std::string::npos || eq == 0)
+        fatal("--set expects KEY=VALUE (got '", arg, "')");
+    return {arg.substr(0, eq), arg.substr(eq + 1)};
+}
+
+void
+applySetArg(core::ArchConfig& cfg, WorkloadSpec& wl,
+            const std::pair<std::string, std::string>& kv)
+{
+    if (!applyField(cfg, wl, kv.first, kv.second))
+        fatal("--set: unknown field '", kv.first,
+              "' (vortex_sweep specs fields)");
 }
 
 } // namespace vortex::sweep

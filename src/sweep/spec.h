@@ -5,13 +5,17 @@
  * A SweepSpec names a set of axes — each axis a list of labeled points
  * that assign values to ArchConfig fields and/or workload choices — and
  * expands their cartesian product into a flat run matrix of RunSpec
- * entries. Fields are addressed by name through a registry (applyField /
- * sweepableFields) so sweeps can be written declaratively in presets or
- * assembled from CLI arguments, with no per-figure loop code.
+ * entries. Fields are addressed by name so sweeps can be written
+ * declaratively in presets, spec files or CLI arguments, with no
+ * per-figure loop code.
  *
- * Every RunSpec has a canonical text serialization covering *every*
- * architectural and workload field; its FNV-1a hash is the content key of
- * the campaign result cache (see campaign.h).
+ * Every field is declared once, as one row of the field table in
+ * spec.cpp: its name, help text, typed accessor, and which outputs
+ * carry it. applyField / sweepableFields (`--set`, spec files, `specs
+ * fields`), RunSpec::canonical() (the content hash) and the spec-file
+ * dump are all loops over that table, so adding a field is adding a row.
+ * The FNV-1a hash of canonical() is the content key of the campaign
+ * result cache (see campaign.h).
  */
 
 #pragma once
@@ -82,7 +86,7 @@ struct WorkloadSpec
 
     /**
      * Fault-injection parameters (`[faults]` spec section, the
-     * "faults.*" registry fields, `--faults` on the CLI). All-zero (the
+     * "faults.*" fields, `--faults` on the CLI). All-zero (the
      * default) means no injection and no watchdog override; when set,
      * the fields enter RunSpec::canonical() so faulted runs get their
      * own content-hash cache keys (docs/ROBUSTNESS.md).
@@ -139,8 +143,8 @@ struct RunSpec
     /** Coordinate labels joined by '/', e.g. "sgemm/8c". */
     std::string id() const;
 
-    /** Canonical `field = value` serialization of every config and
-     *  workload field (the cache key preimage). */
+    /** Canonical `field = value` serialization of every hashed config
+     *  and workload field, in table order (the cache key preimage). */
     std::string canonical() const;
 
     /** 16-hex-digit FNV-1a 64 hash of canonical(). */
@@ -195,31 +199,62 @@ struct SweepSpec
 bool applyField(core::ArchConfig& cfg, WorkloadSpec& wl,
                 const std::string& name, const std::string& value);
 
-/** One registry entry of sweepableFields(). */
+/** One entry of sweepableFields(). */
 struct FieldInfo
 {
     const char* name; ///< the name applyField() matches
     const char* help; ///< one-line description for `vortex_sweep specs fields`
 };
 
-/** Every field name applyField() accepts, with a one-line description. */
+/** Every field name applyField() accepts, with a one-line description,
+ *  in table order. */
 const std::vector<FieldInfo>& sweepableFields();
 
-/** Canonical text of a scheduling policy ("hierarchical" /
- *  "roundrobin") — the spelling the field registry parses back. Shared
- *  by RunSpec::canonical() and the spec-file serializer. */
-const char* schedPolicyName(core::SchedPolicy p);
+/** A serialization built from the field table. */
+enum class FieldOutput : uint8_t
+{
+    Hash, ///< RunSpec::canonical(): bools as 0/1
+    Dump, ///< the spec-file dump (writeSpecToml): bools as true/false
+};
 
-/** Canonical text of a texture filter mode ("point" / "bilinear" /
- *  "trilinear") — the spelling the field registry parses back. */
-const char* texFilterName(runtime::TexFilterMode m);
+/** One field as an output writes it. */
+struct FieldText
+{
+    const char* name;    ///< table name ("numThreads", "faults.seed", ...)
+    const char* section; ///< spec-file section ("base", "workload", "faults")
+    std::string value;   ///< value text
+};
+
+/**
+ * The fields @p out writes for (@p cfg, @p wl), in table order. A
+ * workload family's own fields appear only for that family; `program`,
+ * `program.fnv`, `check` and the `faults.*` fields only when set.
+ */
+std::vector<FieldText> fieldTexts(FieldOutput out, const core::ArchConfig& cfg,
+                                  const WorkloadSpec& wl);
+
+/** Whether "faults.@p key" is a field: the keys a spec file's `[faults]`
+ *  section and `--faults` accept. */
+bool isFaultsKey(const std::string& key);
+
+/** The isFaultsKey() keys, ", "-joined in table order, for diagnostics. */
+std::string faultsKeyList();
+
+/** Split one `--set FIELD=VALUE` argument at its first '='; fatal when
+ *  there is no '=' or FIELD is empty. */
+std::pair<std::string, std::string> splitSetArg(const std::string& arg);
+
+/** applyField() for a splitSetArg() pair; fatal when the field is not a
+ *  sweep field. The one `--set` handler of every command-line tool. */
+void applySetArg(core::ArchConfig& cfg, WorkloadSpec& wl,
+                 const std::pair<std::string, std::string>& kv);
 
 /** Registry name (kernels::kernelSource) of the kernel @p w executes:
  *  the Rodinia kernel name, or "tex_<filter>_<hw|sw>". */
 std::string workloadKernelName(const WorkloadSpec& w);
 
 /** Strict uint32 parse (whole string must consume); fatal on failure,
- *  naming @p what. Shared by the field registry, preset arguments, and
+ *  naming @p what. Shared by the field table, preset arguments, and
  *  the CLI so every numeric surface rejects the same typos. */
 uint32_t parseU32Value(const std::string& what, const std::string& value);
 
@@ -264,7 +299,7 @@ struct CheckSpec
 /**
  * Parse a `check` field value into its CheckSpec; fatal, naming
  * @p what, on anything other than "", "selfcheck", or a well-formed
- * "memcmp:ADDR:LEN:FNV". Shared by the field registry (so spec files
+ * "memcmp:ADDR:LEN:FNV". Shared by the field table (so spec files
  * report malformed values with file:line:col) and the run dispatch.
  */
 CheckSpec parseCheckValue(const std::string& what,

@@ -5,7 +5,7 @@
  *
  * Both syntaxes parse into one ordered document tree (Node); a shared
  * builder walks the tree, validates every key and field value through
- * the same registry the CLI uses (applyField), and assembles the
+ * the same field table the CLI uses (applyField), and assembles the
  * SweepSpec. Every diagnostic carries file:line:col.
  */
 
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -673,7 +674,7 @@ expectKind(const std::string& file, const Node& n, Node::Kind kind,
 /**
  * Flatten a (possibly nested) table of field assignments into ordered
  * (dotted-name, value, position) triples: `lat.alu = 1` and
- * `set.mem.latency = 80` both resolve to the registry's dotted names.
+ * `set.mem.latency = 80` both resolve to the field table's dotted names.
  */
 void
 flattenFields(const std::string& file, const Node& table,
@@ -690,7 +691,7 @@ flattenFields(const std::string& file, const Node& table,
     }
 }
 
-/** Apply one field assignment, converting registry fatals into
+/** Apply one field assignment, converting field-table fatals into
  *  positioned diagnostics. */
 void
 applyFieldChecked(const std::string& file, core::ArchConfig& cfg,
@@ -802,7 +803,7 @@ buildSpec(const std::string& file, const Node& root)
                            "a string description")
                     .str;
         } else if (m.key == "base" || m.key == "workload") {
-            // Both sections assign through the field registry; the split
+            // Both sections assign through the field table; the split
             // is documentation (machine vs what it executes).
             expectKind(file, v, Node::Kind::Table,
                        "a table of field assignments");
@@ -833,22 +834,17 @@ buildSpec(const std::string& file, const Node& root)
                 }
             }
         } else if (m.key == "faults") {
-            // Fault-injection parameters (docs/ROBUSTNESS.md). The keys
-            // route through the "faults.*" registry fields so spec files
-            // and axis points share one parser and one validation.
+            // Fault-injection parameters (docs/ROBUSTNESS.md): the
+            // "faults.*" fields, spelled without their prefix.
             expectKind(file, v, Node::Kind::Table, "a faults table");
             for (const Member& fm : v.members) {
-                const Node& fv = v.children[fm.valueIndex];
-                if (fm.key == "seed" || fm.key == "count" ||
-                    fm.key == "window" || fm.key == "watchdog") {
-                    applyFieldChecked(file, spec.base, spec.baseWorkload,
-                                      "faults." + fm.key, fv);
-                } else {
+                if (!isFaultsKey(fm.key))
                     fail(file, fm.line, fm.col,
                          "unknown faults key '" + fm.key +
-                             "' (faults keys: seed, count, window, "
-                             "watchdog)");
-                }
+                             "' (faults keys: " + faultsKeyList() + ")");
+                applyFieldChecked(file, spec.base, spec.baseWorkload,
+                                  "faults." + fm.key,
+                                  v.children[fm.valueIndex]);
             }
         } else if (m.key == "axes") {
             expectKind(file, v, Node::Kind::Array, "an array of axes");
@@ -918,86 +914,6 @@ tomlValue(const std::string& v)
     return quoted(v);
 }
 
-/**
- * Every concrete config field of @p c as (registry name, value text), in
- * registry order. This is the [base] block of a dump: complete, so the
- * file pins the machine even if ArchConfig defaults change later.
- * Derived fields ("cores") are intentionally absent.
- * tests/test_specfile.cpp (DumpCoversEveryRegistryField) fails if a
- * field added to the registry is forgotten here.
- */
-std::vector<std::pair<std::string, std::string>>
-configAssignments(const core::ArchConfig& c)
-{
-    auto b = [](bool v) { return std::string(v ? "true" : "false"); };
-    auto u = [](uint64_t v) { return std::to_string(v); };
-    return {
-        {"numThreads", u(c.numThreads)},
-        {"numWarps", u(c.numWarps)},
-        {"numCores", u(c.numCores)},
-        {"coresPerCluster", u(c.coresPerCluster)},
-        {"ibufferDepth", u(c.ibufferDepth)},
-        {"lsuDepth", u(c.lsuDepth)},
-        {"schedPolicy", schedPolicyName(c.schedPolicy)},
-        {"lat.alu", u(c.lat.alu)},
-        {"lat.mul", u(c.lat.mul)},
-        {"lat.div", u(c.lat.div)},
-        {"lat.fpu", u(c.lat.fpu)},
-        {"lat.fcvt", u(c.lat.fcvt)},
-        {"lat.fdiv", u(c.lat.fdiv)},
-        {"lat.fsqrt", u(c.lat.fsqrt)},
-        {"lat.sfu", u(c.lat.sfu)},
-        {"lineSize", u(c.lineSize)},
-        {"icacheSize", u(c.icacheSize)},
-        {"icacheWays", u(c.icacheWays)},
-        {"dcacheSize", u(c.dcacheSize)},
-        {"dcacheWays", u(c.dcacheWays)},
-        {"dcacheBanks", u(c.dcacheBanks)},
-        {"dcachePorts", u(c.dcachePorts)},
-        {"mshrEntries", u(c.mshrEntries)},
-        {"smemSize", u(c.smemSize)},
-        {"smemLatency", u(c.smemLatency)},
-        {"l2Enabled", b(c.l2Enabled)},
-        {"l2Size", u(c.l2Size)},
-        {"l2Banks", u(c.l2Banks)},
-        {"l2Ways", u(c.l2Ways)},
-        {"l3Enabled", b(c.l3Enabled)},
-        {"l3Size", u(c.l3Size)},
-        {"l3Banks", u(c.l3Banks)},
-        {"l3Ways", u(c.l3Ways)},
-        {"mem.latency", u(c.mem.latency)},
-        {"mem.busWidth", u(c.mem.busWidth)},
-        {"mem.numChannels", u(c.mem.numChannels)},
-        {"mem.queueDepth", u(c.mem.queueDepth)},
-        {"texEnabled", b(c.texEnabled)},
-        {"parallelTick", b(c.parallelTick)},
-        {"tickThreads", u(c.tickThreads)},
-        {"sampleInterval", u(c.sampleInterval)},
-    };
-}
-
-/** The [workload] block: family first (kernel/texFilter imply a family,
- *  so order matters), then the family's own fields. */
-std::vector<std::pair<std::string, std::string>>
-workloadAssignments(const WorkloadSpec& w)
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    if (w.kind == WorkloadSpec::Kind::Rodinia)
-        out = {{"workload", "rodinia"},
-               {"kernel", w.kernel},
-               {"scale", std::to_string(w.scale)}};
-    else
-        out = {{"workload", "texture"},
-               {"texFilter", texFilterName(w.texFilter)},
-               {"texHw", w.texHw ? "true" : "false"},
-               {"texSize", std::to_string(w.texSize)}};
-    if (!w.program.empty())
-        out.emplace_back("program", w.program);
-    if (!w.check.empty())
-        out.emplace_back("check", w.check);
-    return out;
-}
-
 } // namespace
 
 SpecParseError::SpecParseError(std::string file, size_t line,
@@ -1063,25 +979,20 @@ writeSpecToml(const SweepSpec& spec, std::ostream& os)
     if (!spec.description.empty())
         os << "description = " << quoted(spec.description) << "\n";
 
-    os << "\n[base]\n";
-    for (const auto& [k, v] : configAssignments(spec.base))
-        os << k << " = " << tomlValue(v) << "\n";
-
-    os << "\n[workload]\n";
-    for (const auto& [k, v] : workloadAssignments(spec.baseWorkload))
-        os << k << " = " << tomlValue(v) << "\n";
-
-    // Fault injection, only when set: clean specs serialize exactly as
-    // they did before the faults layer existed (docs/ROBUSTNESS.md).
-    if (spec.baseWorkload.faults.any()) {
-        const faults::FaultSpec& f = spec.baseWorkload.faults;
-        os << "\n[faults]\n";
-        os << "seed = " << f.seed << "\n";
-        os << "count = " << f.count << "\n";
-        if (f.window)
-            os << "window = " << f.window << "\n";
-        if (f.watchdog)
-            os << "watchdog = " << f.watchdog << "\n";
+    // One section per run of rows; a section implies its own key prefix
+    // ([faults] seed = ...).
+    std::string_view section;
+    for (const FieldText& f :
+         fieldTexts(FieldOutput::Dump, spec.base, spec.baseWorkload)) {
+        std::string_view key = f.name;
+        if (section != f.section) {
+            section = f.section;
+            os << "\n[" << section << "]\n";
+        }
+        if (key.starts_with(section) && key.size() > section.size() &&
+            key[section.size()] == '.')
+            key.remove_prefix(section.size() + 1);
+        os << key << " = " << tomlValue(f.value) << "\n";
     }
 
     // Execution metadata, only when set: a shard-annotated spec is the

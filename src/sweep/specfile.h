@@ -67,7 +67,7 @@ class SpecParseError : public std::runtime_error
  * Parse spec text in either supported syntax (JSON when the first
  * non-whitespace character is `{`, the TOML subset otherwise) into a
  * SweepSpec. Field names and values are validated through the same
- * registry as `--set`/`--axis` (applyField), so a spec file can express
+ * field table as `--set`/`--axis` (applyField), so a spec file can express
  * exactly what the CLI can.
  *
  * @param text     the document content
@@ -93,16 +93,17 @@ SweepSpec parseSpecFile(const std::string& path);
 
 /**
  * Serialize @p spec as a canonical, self-contained TOML document:
- * header (`spec`/`name`/`description`), the full `[base]` machine (every
- * registry config field, in registry order), the `[workload]` block, and
- * one `[[axes]]` / `[[axes.points]]` pair per axis point. The output
+ * header (`spec`/`name`/`description`), then the field table's dump
+ * rows (fieldTexts) as the full `[base]` machine, the `[workload]` block
+ * and, when set, `[faults]`; then `[fabric]` when sharded, and one
+ * `[[axes]]` / `[[axes.points]]` pair per axis point. The output
  * parses back (parseSpecText) to a spec whose expanded run matrix is
  * content-hash-identical to @p spec's — the round trip CI and the tests
  * rely on.
  *
  * Derived fields ("cores") are never emitted: the concrete fields they
  * assign are. Note lineSize is written once and re-applies to both the
- * cache and board-memory line size, matching the field registry.
+ * cache and board-memory line size, matching the field table.
  */
 void writeSpecToml(const SweepSpec& spec, std::ostream& os);
 

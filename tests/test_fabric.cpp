@@ -210,10 +210,9 @@ TEST(Shard, CampaignShardsArePairwiseDisjointAndCoverTheMatrix)
     std::set<std::string> seen;
     size_t total = 0;
     for (uint32_t i = 0; i < N; ++i) {
-        CampaignOptions opts;
-        opts.shardIndex = i;
-        opts.shardCount = N;
-        CampaignResult part = Campaign(opts).run(spec);
+        spec.shardIndex = i;
+        spec.shardCount = N;
+        CampaignResult part = Campaign().run(spec);
         for (const RunRecord& rec : part.records) {
             // Disjoint: no run id appears in two shards.
             EXPECT_TRUE(seen.insert(rec.spec.id()).second) << rec.spec.id();
@@ -222,10 +221,8 @@ TEST(Shard, CampaignShardsArePairwiseDisjointAndCoverTheMatrix)
     }
     EXPECT_EQ(total, spec.runCount());
 
-    CampaignOptions bad;
-    bad.shardIndex = N;
-    bad.shardCount = N;
-    EXPECT_THROW(Campaign(bad).run(spec), FatalError);
+    spec.shardIndex = N;
+    EXPECT_THROW(Campaign().run(spec), FatalError);
 }
 
 //
@@ -246,9 +243,10 @@ TEST(CacheMerge, ShardedCachesReconstructTheUnshardedBytes)
     for (uint32_t i = 0; i < 2; ++i) {
         CampaignOptions opts;
         opts.cacheDir = freshTempDir(("shard" + std::to_string(i)).c_str());
-        opts.shardIndex = i;
-        opts.shardCount = 2;
-        CampaignResult part = Campaign(opts).run(spec);
+        SweepSpec shard = spec;
+        shard.shardIndex = i;
+        shard.shardCount = 2;
+        CampaignResult part = Campaign(opts).run(shard);
         EXPECT_EQ(part.cacheHits, 0u);
         EXPECT_EQ(part.cacheMisses, part.records.size());
         shardDirs.push_back(opts.cacheDir);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the simulation-campaign subsystem (src/sweep/): spec
- * expansion, the named-field registry, content hashing, the result
+ * expansion, the field table, content hashing, the result
  * cache, and the determinism contract — a multi-job campaign's CSV must
  * be bit-identical to a single-job run.
  */
@@ -223,6 +223,281 @@ TEST(SweepSpec, ContentHashDifferentiatesConfigAndWorkload)
     parallel.config.parallelTick = true;
     parallel.config.tickThreads = 4;
     EXPECT_EQ(parallel.contentHash(), runs[0].contentHash());
+}
+
+TEST(SweepSpec, PreimageBytesAndFieldListArePinned)
+{
+    // The content hash is in every CSV/JSON row and is the cache key, so
+    // canonical() must not drift: these are the preimages (and hashes)
+    // the field table must keep producing, byte for byte.
+    RunSpec all; // every config field off its default
+    core::ArchConfig& c = all.config;
+    c.numThreads = 8;
+    c.numWarps = 16;
+    c.numCores = 3;
+    c.coresPerCluster = 5;
+    c.ibufferDepth = 6;
+    c.lsuDepth = 7;
+    c.schedPolicy = core::SchedPolicy::RoundRobin;
+    c.lat = {9, 10, 11, 12, 13, 14, 15, 17};
+    c.lineSize = 128;
+    c.icacheSize = 4096;
+    c.icacheWays = 4;
+    c.dcacheSize = 32768;
+    c.dcacheWays = 8;
+    c.dcacheBanks = 2;
+    c.dcachePorts = 2;
+    c.mshrEntries = 18;
+    c.smemSize = 8192;
+    c.smemLatency = 19;
+    c.l2Enabled = true;
+    c.l2Size = 65536;
+    c.l2Banks = 20;
+    c.l2Ways = 21;
+    c.l3Enabled = true;
+    c.l3Size = 524288;
+    c.l3Banks = 22;
+    c.l3Ways = 23;
+    c.mem = {24, 256, 25, 26, 27};
+    c.texEnabled = false;
+    c.parallelTick = true; // not hashed
+    c.tickThreads = 28;    // not hashed
+    c.sampleInterval = 5000000000ull;
+    c.startPC = 0x10000;
+    c.smemBase = 0x20000;
+    all.workload.kernel = "sgemm";
+    all.workload.scale = 3;
+    EXPECT_EQ(all.canonical(), R"(vortex-run v2
+numThreads = 8
+numWarps = 16
+numCores = 3
+coresPerCluster = 5
+ibufferDepth = 6
+lsuDepth = 7
+schedPolicy = roundrobin
+lat.alu = 9
+lat.mul = 10
+lat.div = 11
+lat.fpu = 12
+lat.fcvt = 13
+lat.fdiv = 14
+lat.fsqrt = 15
+lat.sfu = 17
+lineSize = 128
+icacheSize = 4096
+icacheWays = 4
+dcacheSize = 32768
+dcacheWays = 8
+dcacheBanks = 2
+dcachePorts = 2
+mshrEntries = 18
+smemSize = 8192
+smemLatency = 19
+l2Enabled = 1
+l2Size = 65536
+l2Banks = 20
+l2Ways = 21
+l3Enabled = 1
+l3Size = 524288
+l3Banks = 22
+l3Ways = 23
+mem.latency = 24
+mem.lineSize = 256
+mem.busWidth = 25
+mem.numChannels = 26
+mem.queueDepth = 27
+texEnabled = 0
+startPC = 65536
+smemBase = 131072
+sampleInterval = 5000000000
+workload = rodinia
+kernel = sgemm
+scale = 3
+)");
+    EXPECT_EQ(all.contentHash(), "e27861736174500b");
+
+    const std::string head = std::string("vortex-run v2\n") +
+                             R"(numThreads = 4
+numWarps = 4
+numCores = 1
+coresPerCluster = 4
+ibufferDepth = 2
+lsuDepth = 4
+schedPolicy = hierarchical
+lat.alu = 1
+lat.mul = 3
+lat.div = 32
+lat.fpu = 4
+lat.fcvt = 2
+lat.fdiv = 16
+lat.fsqrt = 24
+lat.sfu = 1
+lineSize = 64
+icacheSize = 8192
+icacheWays = 2
+dcacheSize = 16384
+dcacheWays = 2
+dcacheBanks = 4
+dcachePorts = 1
+mshrEntries = 8
+smemSize = 16384
+smemLatency = 1
+l2Enabled = 0
+l2Size = 131072
+l2Banks = 8
+l2Ways = 4
+l3Enabled = 0
+l3Size = 262144
+l3Banks = 8
+l3Ways = 8
+mem.latency = 80
+mem.lineSize = 64
+mem.busWidth = 16
+mem.numChannels = 2
+mem.queueDepth = 16
+texEnabled = 1
+startPC = 2147483648
+smemBase = 4278190080
+sampleInterval = 0
+)";
+    RunSpec tex;
+    tex.workload.kind = WorkloadSpec::Kind::Texture;
+    tex.workload.texFilter = runtime::TexFilterMode::Trilinear;
+    tex.workload.texHw = false;
+    tex.workload.texSize = 128;
+    EXPECT_EQ(tex.canonical(), head + R"(workload = texture
+texFilter = trilinear
+texHw = 0
+texSize = 128
+)");
+    EXPECT_EQ(tex.contentHash(), "2c13f75fc0c3d87d");
+
+    RunSpec prog; // set directly: applyField would read the file
+    prog.workload.program = "examples/kernels/vecadd.s";
+    prog.workload.programSource = "li a0, 1\n";
+    prog.workload.check = "selfcheck";
+    EXPECT_EQ(prog.canonical(), head + R"(workload = rodinia
+kernel = vecadd
+scale = 1
+program = examples/kernels/vecadd.s
+program.fnv = 331e3c38cdc5baf0
+check = selfcheck
+)");
+    EXPECT_EQ(prog.contentHash(), "b2202c8fdf493129");
+
+    RunSpec faulted; // a zero window is still hashed once any key is set
+    faulted.workload.kernel = "bfs";
+    faulted.workload.faults.seed = 7;
+    faulted.workload.faults.count = 3;
+    faulted.workload.faults.watchdog = 5000;
+    EXPECT_EQ(faulted.canonical(), head + R"(workload = rodinia
+kernel = bfs
+scale = 1
+faults.seed = 7
+faults.count = 3
+faults.window = 0
+faults.watchdog = 5000
+)");
+    EXPECT_EQ(faulted.contentHash(), "c8701507d2d54688");
+
+    // `specs fields`, spec files and --set name the same fields.
+    std::string fields;
+    for (const FieldInfo& f : sweepableFields())
+        fields += std::string(f.name) + "\t" + f.help + "\n";
+    EXPECT_EQ(fields, R"(numThreads	threads per wavefront
+numWarps	wavefronts per core
+numCores	core count (raw; see also 'cores')
+coresPerCluster	cores sharing one L2 cluster
+cores	core count with the paper's scaling rules (L2 from 4 cores, 8-channel board above 16)
+ibufferDepth	instruction-buffer depth
+lsuDepth	in-flight warp memory ops per core
+schedPolicy	wavefront scheduling (hierarchical | roundrobin)
+lat.alu	ALU latency (cycles)
+lat.mul	integer-multiply latency
+lat.div	integer-divide latency
+lat.fpu	FP add/mul/fma latency
+lat.fcvt	FP convert/move/compare latency
+lat.fdiv	FP divide latency
+lat.fsqrt	FP square-root latency
+lat.sfu	SFU latency
+lineSize	cache AND board-memory line size (bytes)
+icacheSize	L1I size (bytes)
+icacheWays	L1I associativity
+dcacheSize	L1D size (bytes)
+dcacheWays	L1D associativity
+dcacheBanks	L1D bank count
+dcachePorts	L1D virtual ports per bank (Fig. 19)
+mshrEntries	MSHR entries per bank
+smemSize	per-core scratchpad size (bytes)
+smemLatency	scratchpad latency (cycles)
+l2Enabled	attach a per-cluster L2
+l2Size	L2 size (bytes)
+l2Banks	L2 bank count
+l2Ways	L2 associativity
+l3Enabled	attach a device-level L3
+l3Size	L3 size (bytes)
+l3Banks	L3 bank count
+l3Ways	L3 associativity
+mem.latency	board-memory latency (cycles)
+mem.busWidth	bytes per channel per cycle
+mem.numChannels	independent memory channels
+mem.queueDepth	memory input-queue depth
+texEnabled	build the per-core texture units
+parallelTick	tick cores on a host thread pool
+tickThreads	pool size (0 = host CPUs)
+sampleInterval	cycles between counter snapshots (0 = off)
+workload	workload family (rodinia | texture)
+kernel	Rodinia kernel name (implies workload=rodinia)
+scale	Rodinia problem-size multiplier
+texFilter	texture filtering (point | bilinear | trilinear; implies workload=texture)
+texHw	1 = hardware `tex` instruction, 0 = software sampler
+texSize	square texture/render-target size (power of two)
+program	assembly file run through the object pipeline instead of the kernel's built-in source (kernel still selects the argument/verification harness)
+check	harness-free result check for program workloads (selfcheck | memcmp:ADDR:LEN:FNV)
+faults.seed	fault-injection PRNG seed selecting the upsets
+faults.count	single-bit upsets to inject (0 = off)
+faults.window	trigger-cycle window for injections (0 = default)
+faults.watchdog	cycle watchdog override for hang detection (0 = runner default)
+)");
+}
+
+TEST(SweepSpec, SetArgumentsAndFaultsKeysComeFromTheFieldTable)
+{
+    // vortex_sweep, vortex_verify and vortex_fuzz share this parser, so
+    // all three accept and reject the same `--set` spellings.
+    auto message = [](auto&& f) {
+        try {
+            f();
+        } catch (const FatalError& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    using Kv = std::pair<std::string, std::string>;
+    EXPECT_EQ(splitSetArg("numWarps=8"), Kv("numWarps", "8"));
+    EXPECT_EQ(splitSetArg("check=memcmp:1=2"), Kv("check", "memcmp:1=2"));
+    EXPECT_NE(message([] { splitSetArg("numWarps"); })
+                  .find("--set expects KEY=VALUE (got 'numWarps')"),
+              std::string::npos);
+    EXPECT_NE(message([] { splitSetArg("=8"); }).find("(got '=8')"),
+              std::string::npos);
+
+    core::ArchConfig cfg;
+    WorkloadSpec wl;
+    applySetArg(cfg, wl, {"numWarps", "8"});
+    EXPECT_EQ(cfg.numWarps, 8u);
+    EXPECT_NE(message([&] { applySetArg(cfg, wl, {"nosuch", "1"}); })
+                  .find("--set: unknown field 'nosuch'"),
+              std::string::npos);
+    // Hashed-only rows are not settable.
+    EXPECT_FALSE(applyField(cfg, wl, "mem.lineSize", "32"));
+    EXPECT_FALSE(applyField(cfg, wl, "program.fnv", "0"));
+
+    // [faults] and --faults accept exactly the faults.* rows.
+    EXPECT_EQ(faultsKeyList(), "seed, count, window, watchdog");
+    EXPECT_TRUE(isFaultsKey("watchdog"));
+    EXPECT_FALSE(isFaultsKey("bogus"));
+    EXPECT_FALSE(isFaultsKey("faults.seed"));
 }
 
 TEST(Campaign, RunsMatrixAndReportsMetrics)

@@ -101,13 +101,8 @@ run(int argc, char** argv)
             std::printf("%s", k.source.c_str());
             return 0;
         } else if (arg == "--set") {
-            std::string kv = value();
-            size_t eq = kv.find('=');
-            if (eq == std::string::npos)
-                fatal("--set expects FIELD=VALUE (got '", kv, "')");
-            if (!sweep::applyField(config, unusedWl, kv.substr(0, eq),
-                                   kv.substr(eq + 1)))
-                fatal("unknown --set field '", kv.substr(0, eq), "'");
+            sweep::applySetArg(config, unusedWl,
+                               sweep::splitSetArg(value()));
         } else if (arg == "--coverage") {
             coveragePath = value();
         } else if (arg == "--coverage-baseline") {

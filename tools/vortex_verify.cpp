@@ -130,14 +130,8 @@ run(int argc, char** argv)
         } else if (arg == "--all") {
             all = true;
         } else if (arg == "--set") {
-            std::string kv = value();
-            size_t eq = kv.find('=');
-            if (eq == std::string::npos)
-                fatal("--set expects FIELD=VALUE (got '", kv, "')");
-            if (!sweep::applyField(config, unusedWl, kv.substr(0, eq),
-                                   kv.substr(eq + 1)))
-                fatal("unknown field '", kv.substr(0, eq),
-                      "' (see vortex_sweep specs fields)");
+            sweep::applySetArg(config, unusedWl,
+                               sweep::splitSetArg(value()));
         } else if (arg == "--freestanding") {
             freestanding = true;
         } else if (arg == "--json") {
