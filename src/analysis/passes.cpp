@@ -139,23 +139,6 @@ struct FnSummary
     }
 };
 
-/** Load/store byte width, 0 for non-memory kinds. */
-uint32_t
-accessWidth(InstrKind k)
-{
-    switch (k) {
-      case InstrKind::LB: case InstrKind::LBU: case InstrKind::SB:
-        return 1;
-      case InstrKind::LH: case InstrKind::LHU: case InstrKind::SH:
-        return 2;
-      case InstrKind::LW: case InstrKind::SW:
-      case InstrKind::FLW: case InstrKind::FSW:
-        return 4;
-      default:
-        return 0;
-    }
-}
-
 /** Constant-fold one integer ALU op; returns false when not folded. */
 bool
 foldConst(const isa::Instr& in, const State& s, uint32_t& out)
@@ -590,7 +573,7 @@ class Engine
         (void)fn;
         bool changed = false;
         const isa::Instr& in = ci.in;
-        uint32_t width = accessWidth(in.kind);
+        uint32_t width = isa::instrInfo(in.kind).width;
         if (width != 0)
             changed |= visitMemAccess(ci, st, width, diagnose, sum);
 

@@ -910,15 +910,18 @@ class Engine
         return *r;
     }
 
+    /** Immediate operand @p i: evaluated, its relocation (if any) noted
+     *  for field class @p ctx, and checked against [@p lo, @p hi]. */
     int32_t
-    imm(const Stmt& st, size_t i, RelCtx ctx = RelCtx::None)
+    imm(const Stmt& st, size_t i, int64_t lo, int64_t hi, const char* what,
+        RelCtx ctx = RelCtx::None)
     {
         if (i >= st.args.size())
             err(st, "missing immediate");
         ExprInfo info;
         int64_t v = evalExpr(st.args[i], argLoc(st, i), true, &info);
         noteReloc(st.addr, info, ctx, st, i);
-        return static_cast<int32_t>(v);
+        return checkRange(st, i, v, lo, hi, what);
     }
 
     /** @p v must fit [@p lo, @p hi] or the operand is diagnosed. */
@@ -1026,20 +1029,11 @@ class Engine
     size_t imageSize_ = 0;
 };
 
-/** mnemonic -> InstrKind for all regular (non-pseudo) instructions. */
-const std::map<std::string, InstrKind>&
-mnemonicTable()
+/** Number of comma-separated operands in a row's operand string. */
+size_t
+operandCount(const char* ops)
 {
-    static const std::map<std::string, InstrKind> table = [] {
-        std::map<std::string, InstrKind> m;
-        for (uint16_t k = 1; k < static_cast<uint16_t>(InstrKind::kCount);
-             ++k) {
-            auto kind = static_cast<InstrKind>(k);
-            m[instrInfo(kind).mnemonic] = kind;
-        }
-        return m;
-    }();
-    return table;
+    return *ops ? 1 + std::count(ops, ops + std::strlen(ops), ',') : 0;
 }
 
 void
@@ -1047,147 +1041,9 @@ Engine::emitInstruction(const Stmt& st)
 {
     const std::string& m = st.head;
     const Addr pc = st.addr;
-    using K = InstrKind;
 
-    //
-    // Pseudo-instructions first.
-    //
-    if (m == "nop") {
-        Instr in = mk(K::ADDI);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "mv") {
-        expect(st, 2);
-        Instr in = mk(K::ADDI);
-        in.rd = xreg(st, 0);
-        in.rs1 = xreg(st, 1);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "not") {
-        expect(st, 2);
-        Instr in = mk(K::XORI);
-        in.rd = xreg(st, 0);
-        in.rs1 = xreg(st, 1);
-        in.imm = -1;
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "neg") {
-        expect(st, 2);
-        Instr in = mk(K::SUB);
-        in.rd = xreg(st, 0);
-        in.rs1 = 0;
-        in.rs2 = xreg(st, 1);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "seqz" || m == "snez" || m == "sltz" || m == "sgtz") {
-        expect(st, 2);
-        Instr in;
-        if (m == "seqz") {
-            in = mk(K::SLTIU);
-            in.rd = xreg(st, 0);
-            in.rs1 = xreg(st, 1);
-            in.imm = 1;
-        } else if (m == "snez") {
-            in = mk(K::SLTU);
-            in.rd = xreg(st, 0);
-            in.rs1 = 0;
-            in.rs2 = xreg(st, 1);
-        } else if (m == "sltz") {
-            in = mk(K::SLT);
-            in.rd = xreg(st, 0);
-            in.rs1 = xreg(st, 1);
-            in.rs2 = 0;
-        } else {
-            in = mk(K::SLT);
-            in.rd = xreg(st, 0);
-            in.rs1 = 0;
-            in.rs2 = xreg(st, 1);
-        }
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "beqz" || m == "bnez" || m == "blez" || m == "bgez" ||
-        m == "bltz" || m == "bgtz") {
-        expect(st, 2);
-        Instr in;
-        RegId rs = xreg(st, 0);
-        int32_t off = btarget(st, 1, pc);
-        if (m == "beqz") {
-            in = mk(K::BEQ);
-            in.rs1 = rs;
-            in.rs2 = 0;
-        } else if (m == "bnez") {
-            in = mk(K::BNE);
-            in.rs1 = rs;
-            in.rs2 = 0;
-        } else if (m == "blez") {
-            in = mk(K::BGE);
-            in.rs1 = 0;
-            in.rs2 = rs;
-        } else if (m == "bgez") {
-            in = mk(K::BGE);
-            in.rs1 = rs;
-            in.rs2 = 0;
-        } else if (m == "bltz") {
-            in = mk(K::BLT);
-            in.rs1 = rs;
-            in.rs2 = 0;
-        } else {
-            in = mk(K::BLT);
-            in.rs1 = 0;
-            in.rs2 = rs;
-        }
-        in.imm = off;
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "bgt" || m == "ble" || m == "bgtu" || m == "bleu") {
-        expect(st, 3);
-        Instr in = mk(m == "bgt" ? K::BLT
-                      : m == "ble" ? K::BGE
-                      : m == "bgtu" ? K::BLTU
-                                    : K::BGEU);
-        in.rs1 = xreg(st, 1); // swapped
-        in.rs2 = xreg(st, 0);
-        in.imm = btarget(st, 2, pc);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "j" || m == "tail") {
-        expect(st, 1);
-        Instr in = mk(K::JAL);
-        in.rd = 0;
-        in.imm = jtarget(st, 0, pc);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "call") {
-        expect(st, 1);
-        Instr in = mk(K::JAL);
-        in.rd = 1;
-        in.imm = jtarget(st, 0, pc);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "jr") {
-        expect(st, 1);
-        Instr in = mk(K::JALR);
-        in.rd = 0;
-        in.rs1 = xreg(st, 0);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "ret") {
-        Instr in = mk(K::JALR);
-        in.rd = 0;
-        in.rs1 = 1;
-        emitWord(pc, in);
-        return;
-    }
+    // li/la size themselves in pass 1 (one or two words) and carry a
+    // Hi20+Lo12I relocation pair, so they are not table rows.
     if (m == "li" || m == "la") {
         expect(st, 2);
         RegId rd = xreg(st, 0);
@@ -1195,7 +1051,7 @@ Engine::emitInstruction(const Stmt& st)
         int64_t value = evalExpr(st.args[1], argLoc(st, 1), true, &info);
         uint32_t u = static_cast<uint32_t>(value);
         if (st.size == 4) {
-            Instr in = mk(K::ADDI);
+            Instr in = mk(InstrKind::ADDI);
             in.rd = rd;
             in.rs1 = 0;
             in.imm = static_cast<int32_t>(value);
@@ -1204,11 +1060,11 @@ Engine::emitInstruction(const Stmt& st)
             noteReloc(pc, info, RelCtx::LaLi, st, 1);
             uint32_t hi = (u + 0x800u) & 0xFFFFF000u;
             int32_t lo = sext(u & 0xFFFu, 12);
-            Instr lui = mk(K::LUI);
+            Instr lui = mk(InstrKind::LUI);
             lui.rd = rd;
             lui.imm = static_cast<int32_t>(hi);
             emitWord(pc, lui);
-            Instr addi = mk(K::ADDI);
+            Instr addi = mk(InstrKind::ADDI);
             addi.rd = rd;
             addi.rs1 = rd;
             addi.imm = lo;
@@ -1216,242 +1072,69 @@ Engine::emitInstruction(const Stmt& st)
         }
         return;
     }
-    if (m == "csrr") {
-        expect(st, 2);
-        Instr in = mk(K::CSRRS);
-        in.rd = xreg(st, 0);
-        in.rs1 = 0;
-        in.csr = static_cast<uint32_t>(imm(st, 1));
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "csrw" || m == "csrs" || m == "csrc") {
-        expect(st, 2);
-        Instr in = mk(m == "csrw" ? K::CSRRW
-                      : m == "csrs" ? K::CSRRS
-                                    : K::CSRRC);
-        in.rd = 0;
-        in.csr = static_cast<uint32_t>(imm(st, 0));
-        in.rs1 = xreg(st, 1);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "csrwi") {
-        expect(st, 2);
-        Instr in = mk(K::CSRRWI);
-        in.rd = 0;
-        in.csr = static_cast<uint32_t>(imm(st, 0));
-        in.imm = imm(st, 1);
-        emitWord(pc, in);
-        return;
-    }
-    if (m == "fmv.s" || m == "fabs.s" || m == "fneg.s") {
-        expect(st, 2);
-        Instr in = mk(m == "fmv.s" ? K::FSGNJ_S
-                      : m == "fabs.s" ? K::FSGNJX_S
-                                      : K::FSGNJN_S);
-        in.rd = freg(st, 0);
-        in.rs1 = freg(st, 1);
-        in.rs2 = in.rs1;
-        emitWord(pc, in);
-        return;
-    }
 
-    //
-    // Regular instructions.
-    //
-    auto it = mnemonicTable().find(m);
-    if (it == mnemonicTable().end())
-        err(st, "unknown mnemonic '" + m + "'");
-    InstrKind kind = it->second;
-    Instr in = mk(kind);
-
-    switch (kind) {
-      case K::LUI: {
-        expect(st, 2);
-        in.rd = xreg(st, 0);
-        // Accept either a raw 20-bit value or a %hi() result.
-        ExprInfo info;
-        int64_t v = evalExpr(st.args[1], argLoc(st, 1), true, &info);
-        noteReloc(pc, info, RelCtx::Lui, st, 1);
-        in.imm = static_cast<int32_t>(static_cast<uint32_t>(v) << 12);
-        break;
-      }
-      case K::AUIPC: {
-        expect(st, 2);
-        in.rd = xreg(st, 0);
-        ExprInfo info;
-        int64_t v = evalExpr(st.args[1], argLoc(st, 1), true, &info);
-        noteReloc(pc, info, RelCtx::None, st, 1);
-        in.imm = static_cast<int32_t>(static_cast<uint32_t>(v) << 12);
-        break;
-      }
-      case K::JAL:
-        if (st.args.size() == 1) {
-            in.rd = 1;
-            in.imm = jtarget(st, 0, pc);
-        } else {
-            expect(st, 2);
-            in.rd = xreg(st, 0);
-            in.imm = jtarget(st, 1, pc);
+    // Rows sharing a mnemonic (jal, jalr) differ in operand count; a
+    // count no row takes is reported against the longest form.
+    const InstrInfo* row = nullptr;
+    bool known = false;
+    size_t longest = 0;
+    for (const InstrInfo& r : instrTable().subspan(1)) {
+        if (m != r.mnemonic)
+            continue;
+        known = true;
+        size_t n = operandCount(r.operands);
+        if (n == st.args.size()) {
+            row = &r;
+            break;
         }
-        break;
-      case K::JALR:
-        if (st.args.size() == 1) {
-            in.rd = 1;
-            in.rs1 = xreg(st, 0);
-            in.imm = 0;
-        } else if (st.args.size() == 2) {
-            in.rd = xreg(st, 0);
-            auto [o, r] = memOperand(st, 1, RelCtx::ImmI);
+        longest = std::max(longest, n);
+    }
+    if (!known)
+        err(st, "unknown mnemonic '" + m + "'");
+    if (!row)
+        expect(st, longest); // throws: the count matched no row
+
+    Instr in = mk(row->kind);
+    size_t i = 0;
+    for (const char* c = row->operands; *c; ++c) {
+        switch (*c) {
+          case ',': ++i; break;
+          case 'd': in.rd = xreg(st, i); break;
+          case 'D': in.rd = freg(st, i); break;
+          case 's': in.rs1 = xreg(st, i); break;
+          case 'S': in.rs1 = freg(st, i); break;
+          case 't': in.rs2 = xreg(st, i); break;
+          case 'T': in.rs2 = freg(st, i); break;
+          case 'R': in.rs3 = freg(st, i); break;
+          case 'U': in.rs1 = in.rs2 = freg(st, i); break;
+          case 'j':
+            in.imm = imm(st, i, -2048, 2047, "immediate", RelCtx::ImmI);
+            break;
+          case '>': in.imm = imm(st, i, 0, 31, "shift amount"); break;
+          case 'E': in.csr = imm(st, i, 0, 4095, "CSR address"); break;
+          case 'Z': in.imm = imm(st, i, 0, 31, "CSR immediate"); break;
+          case 'u': {
+            // lui takes %hi(label) as Hi20; auipc's is pc-relative.
+            RelCtx ctx =
+                row->kind == InstrKind::LUI ? RelCtx::Lui : RelCtx::None;
+            uint32_t hi = imm(st, i, 0, 0xFFFFF, "upper immediate", ctx);
+            in.imm = static_cast<int32_t>(hi << 12);
+            break;
+          }
+          case 'p': in.imm = btarget(st, i, pc); break;
+          case 'a': in.imm = jtarget(st, i, pc); break;
+          case 'o': case 'q': {
+            auto [o, r] = memOperand(st, i,
+                                     *c == 'o' ? RelCtx::ImmI : RelCtx::ImmS);
             in.imm = o;
             in.rs1 = r;
-        } else {
-            expect(st, 3);
-            in.rd = xreg(st, 0);
-            in.rs1 = xreg(st, 1);
-            in.imm = checkRange(st, 2, imm(st, 2, RelCtx::ImmI), -2048,
-                                2047, "immediate");
+            c += 3; // the "(s)" memOperand parsed
+            break;
+          }
+          default: break;
         }
-        break;
-      case K::BEQ: case K::BNE: case K::BLT: case K::BGE:
-      case K::BLTU: case K::BGEU:
-        expect(st, 3);
-        in.rs1 = xreg(st, 0);
-        in.rs2 = xreg(st, 1);
-        in.imm = btarget(st, 2, pc);
-        break;
-      case K::LB: case K::LH: case K::LW: case K::LBU: case K::LHU: {
-        expect(st, 2);
-        in.rd = xreg(st, 0);
-        auto [o, r] = memOperand(st, 1, RelCtx::ImmI);
-        in.imm = o;
-        in.rs1 = r;
-        break;
-      }
-      case K::FLW: {
-        expect(st, 2);
-        in.rd = freg(st, 0);
-        auto [o, r] = memOperand(st, 1, RelCtx::ImmI);
-        in.imm = o;
-        in.rs1 = r;
-        break;
-      }
-      case K::SB: case K::SH: case K::SW: {
-        expect(st, 2);
-        in.rs2 = xreg(st, 0);
-        auto [o, r] = memOperand(st, 1, RelCtx::ImmS);
-        in.imm = o;
-        in.rs1 = r;
-        break;
-      }
-      case K::FSW: {
-        expect(st, 2);
-        in.rs2 = freg(st, 0);
-        auto [o, r] = memOperand(st, 1, RelCtx::ImmS);
-        in.imm = o;
-        in.rs1 = r;
-        break;
-      }
-      case K::ADDI: case K::SLTI: case K::SLTIU: case K::XORI:
-      case K::ORI: case K::ANDI:
-        expect(st, 3);
-        in.rd = xreg(st, 0);
-        in.rs1 = xreg(st, 1);
-        in.imm = checkRange(st, 2, imm(st, 2, RelCtx::ImmI), -2048, 2047,
-                            "immediate");
-        break;
-      case K::SLLI: case K::SRLI: case K::SRAI:
-        expect(st, 3);
-        in.rd = xreg(st, 0);
-        in.rs1 = xreg(st, 1);
-        in.imm = checkRange(st, 2, imm(st, 2), 0, 31, "shift amount");
-        break;
-      case K::ADD: case K::SUB: case K::SLL: case K::SLT: case K::SLTU:
-      case K::XOR: case K::SRL: case K::SRA: case K::OR: case K::AND:
-      case K::MUL: case K::MULH: case K::MULHSU: case K::MULHU:
-      case K::DIV: case K::DIVU: case K::REM: case K::REMU:
-        expect(st, 3);
-        in.rd = xreg(st, 0);
-        in.rs1 = xreg(st, 1);
-        in.rs2 = xreg(st, 2);
-        break;
-      case K::FENCE: case K::ECALL: case K::EBREAK:
-        break;
-      case K::CSRRW: case K::CSRRS: case K::CSRRC:
-        expect(st, 3);
-        in.rd = xreg(st, 0);
-        in.csr = static_cast<uint32_t>(imm(st, 1));
-        in.rs1 = xreg(st, 2);
-        break;
-      case K::CSRRWI: case K::CSRRSI: case K::CSRRCI:
-        expect(st, 3);
-        in.rd = xreg(st, 0);
-        in.csr = static_cast<uint32_t>(imm(st, 1));
-        in.imm = imm(st, 2);
-        break;
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-        expect(st, 4);
-        in.rd = freg(st, 0);
-        in.rs1 = freg(st, 1);
-        in.rs2 = freg(st, 2);
-        in.rs3 = freg(st, 3);
-        break;
-      case K::FADD_S: case K::FSUB_S: case K::FMUL_S: case K::FDIV_S:
-      case K::FSGNJ_S: case K::FSGNJN_S: case K::FSGNJX_S:
-      case K::FMIN_S: case K::FMAX_S:
-        expect(st, 3);
-        in.rd = freg(st, 0);
-        in.rs1 = freg(st, 1);
-        in.rs2 = freg(st, 2);
-        break;
-      case K::FSQRT_S:
-        expect(st, 2);
-        in.rd = freg(st, 0);
-        in.rs1 = freg(st, 1);
-        break;
-      case K::FCVT_W_S: case K::FCVT_WU_S: case K::FMV_X_W:
-      case K::FCLASS_S:
-        expect(st, 2);
-        in.rd = xreg(st, 0);
-        in.rs1 = freg(st, 1);
-        break;
-      case K::FEQ_S: case K::FLT_S: case K::FLE_S:
-        expect(st, 3);
-        in.rd = xreg(st, 0);
-        in.rs1 = freg(st, 1);
-        in.rs2 = freg(st, 2);
-        break;
-      case K::FCVT_S_W: case K::FCVT_S_WU: case K::FMV_W_X:
-        expect(st, 2);
-        in.rd = freg(st, 0);
-        in.rs1 = xreg(st, 1);
-        break;
-      case K::VX_TMC:
-      case K::VX_SPLIT:
-        expect(st, 1);
-        in.rs1 = xreg(st, 0);
-        break;
-      case K::VX_WSPAWN:
-      case K::VX_BAR:
-        expect(st, 2);
-        in.rs1 = xreg(st, 0);
-        in.rs2 = xreg(st, 1);
-        break;
-      case K::VX_JOIN:
-        expect(st, 0);
-        break;
-      case K::VX_TEX:
-        expect(st, 4);
-        in.rd = xreg(st, 0);
-        in.rs1 = freg(st, 1);
-        in.rs2 = freg(st, 2);
-        in.rs3 = freg(st, 3);
-        break;
-      default:
-        err(st, "unhandled mnemonic '" + m + "'");
     }
-    emitWord(pc, in);
+    poke32(pc, encode(*row, in));
 }
 
 } // namespace

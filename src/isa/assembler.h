@@ -8,10 +8,10 @@
  *
  * Supported syntax:
  *  - labels (`name:`), `#`/`//`/`;` comments
- *  - all RV32IMF + Zicsr + Vortex mnemonics from isa.h
- *  - common pseudo-instructions: nop, mv, not, neg, seqz/snez/sltz/sgtz,
- *    beqz/bnez/blez/bgez/bltz/bgtz, bgt/ble/bgtu/bleu, j, jr, ret, call,
- *    tail, li, la, csrr/csrw/csrs/csrc/csrwi, fmv.s/fabs.s/fneg.s
+ *  - every row of isa::instrTable(): the RV32IMF + Zicsr + Vortex
+ *    instructions and their single-instruction aliases (nop, mv, ret,
+ *    beqz, csrr, fmv.s, ...), each operand parsed and range checked as
+ *    its row's operand letter says; plus li and la
  *  - sections: `.text` / `.rodata` / `.data` (also via `.section`), laid
  *    out in that order into one flat image
  *  - directives: .word, .half, .byte, .float, .space, .zero, .align,

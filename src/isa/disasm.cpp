@@ -44,102 +44,29 @@ fpRegName(RegId r)
 std::string
 disassemble(const Instr& in)
 {
-    using K = InstrKind;
-    const InstrInfo& info = instrInfo(in.kind);
+    const InstrInfo& row = instrInfo(in.kind);
     std::ostringstream os;
-    os << info.mnemonic;
-
-    auto xr = [](RegId r) { return kIntRegNames[r & 31]; };
-    auto fr = [](RegId r) { return kFpRegNames[r & 31]; };
-
-    switch (in.kind) {
-      case K::Invalid:
-        break;
-      case K::LUI:
-      case K::AUIPC:
-        os << " " << xr(in.rd) << ", 0x" << std::hex
-           << (static_cast<uint32_t>(in.imm) >> 12);
-        break;
-      case K::JAL:
-        os << " " << xr(in.rd) << ", " << std::dec << in.imm;
-        break;
-      case K::JALR:
-        os << " " << xr(in.rd) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-        break;
-      case K::BEQ: case K::BNE: case K::BLT: case K::BGE:
-      case K::BLTU: case K::BGEU:
-        os << " " << xr(in.rs1) << ", " << xr(in.rs2) << ", " << in.imm;
-        break;
-      case K::LB: case K::LH: case K::LW: case K::LBU: case K::LHU:
-        os << " " << xr(in.rd) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-        break;
-      case K::FLW:
-        os << " " << fr(in.rd) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-        break;
-      case K::SB: case K::SH: case K::SW:
-        os << " " << xr(in.rs2) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-        break;
-      case K::FSW:
-        os << " " << fr(in.rs2) << ", " << in.imm << "(" << xr(in.rs1) << ")";
-        break;
-      case K::ADDI: case K::SLTI: case K::SLTIU: case K::XORI:
-      case K::ORI: case K::ANDI: case K::SLLI: case K::SRLI: case K::SRAI:
-        os << " " << xr(in.rd) << ", " << xr(in.rs1) << ", " << in.imm;
-        break;
-      case K::ADD: case K::SUB: case K::SLL: case K::SLT: case K::SLTU:
-      case K::XOR: case K::SRL: case K::SRA: case K::OR: case K::AND:
-      case K::MUL: case K::MULH: case K::MULHSU: case K::MULHU:
-      case K::DIV: case K::DIVU: case K::REM: case K::REMU:
-        os << " " << xr(in.rd) << ", " << xr(in.rs1) << ", " << xr(in.rs2);
-        break;
-      case K::FENCE: case K::ECALL: case K::EBREAK:
-        break;
-      case K::CSRRW: case K::CSRRS: case K::CSRRC:
-        os << " " << xr(in.rd) << ", 0x" << std::hex << in.csr << std::dec
-           << ", " << xr(in.rs1);
-        break;
-      case K::CSRRWI: case K::CSRRSI: case K::CSRRCI:
-        os << " " << xr(in.rd) << ", 0x" << std::hex << in.csr << std::dec
-           << ", " << in.imm;
-        break;
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-        os << " " << fr(in.rd) << ", " << fr(in.rs1) << ", " << fr(in.rs2)
-           << ", " << fr(in.rs3);
-        break;
-      case K::FADD_S: case K::FSUB_S: case K::FMUL_S: case K::FDIV_S:
-      case K::FSGNJ_S: case K::FSGNJN_S: case K::FSGNJX_S:
-      case K::FMIN_S: case K::FMAX_S:
-        os << " " << fr(in.rd) << ", " << fr(in.rs1) << ", " << fr(in.rs2);
-        break;
-      case K::FSQRT_S:
-        os << " " << fr(in.rd) << ", " << fr(in.rs1);
-        break;
-      case K::FCVT_W_S: case K::FCVT_WU_S: case K::FMV_X_W:
-      case K::FCLASS_S:
-        os << " " << xr(in.rd) << ", " << fr(in.rs1);
-        break;
-      case K::FEQ_S: case K::FLT_S: case K::FLE_S:
-        os << " " << xr(in.rd) << ", " << fr(in.rs1) << ", " << fr(in.rs2);
-        break;
-      case K::FCVT_S_W: case K::FCVT_S_WU: case K::FMV_W_X:
-        os << " " << fr(in.rd) << ", " << xr(in.rs1);
-        break;
-      case K::VX_TMC:
-      case K::VX_SPLIT:
-        os << " " << xr(in.rs1);
-        break;
-      case K::VX_WSPAWN:
-      case K::VX_BAR:
-        os << " " << xr(in.rs1) << ", " << xr(in.rs2);
-        break;
-      case K::VX_JOIN:
-        break;
-      case K::VX_TEX:
-        os << " " << xr(in.rd) << ", " << fr(in.rs1) << ", " << fr(in.rs2)
-           << ", " << fr(in.rs3);
-        break;
-      default:
-        break;
+    os << row.mnemonic;
+    if (*row.operands)
+        os << " ";
+    for (const char* c = row.operands; *c; ++c) {
+        switch (*c) {
+          case 'd': os << intRegName(in.rd); break;
+          case 'D': os << fpRegName(in.rd); break;
+          case 's': os << intRegName(in.rs1); break;
+          case 'S': os << fpRegName(in.rs1); break;
+          case 't': os << intRegName(in.rs2); break;
+          case 'T': os << fpRegName(in.rs2); break;
+          case 'R': os << fpRegName(in.rs3); break;
+          case 'u':
+            os << "0x" << std::hex << (static_cast<uint32_t>(in.imm) >> 12)
+               << std::dec;
+            break;
+          case 'E': os << "0x" << std::hex << in.csr << std::dec; break;
+          case ',': os << ", "; break;
+          case '(': case ')': os << *c; break;
+          default: os << in.imm; break; // j o q p a > Z
+        }
     }
     return os.str();
 }

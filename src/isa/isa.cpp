@@ -1,6 +1,7 @@
 /**
  * @file
- * Instruction classification tables, decoder, and encoder.
+ * The opcode table, and the decoder, encoder and operand classification
+ * that read it.
  */
 
 #include "isa/isa.h"
@@ -14,323 +15,322 @@ namespace vortex::isa {
 
 namespace {
 
+using K = InstrKind;
+using F = InstrFormat;
+
 constexpr size_t kNumKinds = static_cast<size_t>(InstrKind::kCount);
 
-const std::array<InstrInfo, kNumKinds>&
-infoTable()
+// Field placement.
+constexpr uint32_t RD(uint32_t v) { return v << 7; }
+constexpr uint32_t F3(uint32_t v) { return v << 12; }
+constexpr uint32_t RS1(uint32_t v) { return v << 15; }
+constexpr uint32_t RS2(uint32_t v) { return v << 20; }
+constexpr uint32_t F7(uint32_t v) { return v << 25; }
+constexpr uint32_t IMM12(int32_t v) { return (v & 0xFFFu) << 20; }
+
+// Masks: opcode alone, + funct3, + funct7, + both, + funct7 and rs2.
+constexpr uint32_t kOpc = 0x7F;
+constexpr uint32_t kF3 = kOpc | F3(7);
+constexpr uint32_t kF7 = kOpc | F7(0x7F);
+constexpr uint32_t kF37 = kF3 | kF7;
+constexpr uint32_t kF7Rs2 = kF7 | RS2(31);
+
+/** The instruction-word bits operand letter @p c encodes. */
+constexpr uint32_t
+fieldBits(char c)
 {
-    static const std::array<InstrInfo, kNumKinds> table = [] {
-        std::array<InstrInfo, kNumKinds> t{};
-        auto set = [&](InstrKind k, const char* m, InstrFormat f) {
-            t[static_cast<size_t>(k)] = InstrInfo{m, f};
-        };
-        set(InstrKind::Invalid, "<invalid>", InstrFormat::I);
-
-        set(InstrKind::LUI, "lui", InstrFormat::U);
-        set(InstrKind::AUIPC, "auipc", InstrFormat::U);
-        set(InstrKind::JAL, "jal", InstrFormat::J);
-        set(InstrKind::JALR, "jalr", InstrFormat::I);
-        set(InstrKind::BEQ, "beq", InstrFormat::B);
-        set(InstrKind::BNE, "bne", InstrFormat::B);
-        set(InstrKind::BLT, "blt", InstrFormat::B);
-        set(InstrKind::BGE, "bge", InstrFormat::B);
-        set(InstrKind::BLTU, "bltu", InstrFormat::B);
-        set(InstrKind::BGEU, "bgeu", InstrFormat::B);
-        set(InstrKind::LB, "lb", InstrFormat::I);
-        set(InstrKind::LH, "lh", InstrFormat::I);
-        set(InstrKind::LW, "lw", InstrFormat::I);
-        set(InstrKind::LBU, "lbu", InstrFormat::I);
-        set(InstrKind::LHU, "lhu", InstrFormat::I);
-        set(InstrKind::SB, "sb", InstrFormat::S);
-        set(InstrKind::SH, "sh", InstrFormat::S);
-        set(InstrKind::SW, "sw", InstrFormat::S);
-        set(InstrKind::ADDI, "addi", InstrFormat::I);
-        set(InstrKind::SLTI, "slti", InstrFormat::I);
-        set(InstrKind::SLTIU, "sltiu", InstrFormat::I);
-        set(InstrKind::XORI, "xori", InstrFormat::I);
-        set(InstrKind::ORI, "ori", InstrFormat::I);
-        set(InstrKind::ANDI, "andi", InstrFormat::I);
-        set(InstrKind::SLLI, "slli", InstrFormat::I);
-        set(InstrKind::SRLI, "srli", InstrFormat::I);
-        set(InstrKind::SRAI, "srai", InstrFormat::I);
-        set(InstrKind::ADD, "add", InstrFormat::R);
-        set(InstrKind::SUB, "sub", InstrFormat::R);
-        set(InstrKind::SLL, "sll", InstrFormat::R);
-        set(InstrKind::SLT, "slt", InstrFormat::R);
-        set(InstrKind::SLTU, "sltu", InstrFormat::R);
-        set(InstrKind::XOR, "xor", InstrFormat::R);
-        set(InstrKind::SRL, "srl", InstrFormat::R);
-        set(InstrKind::SRA, "sra", InstrFormat::R);
-        set(InstrKind::OR, "or", InstrFormat::R);
-        set(InstrKind::AND, "and", InstrFormat::R);
-        set(InstrKind::FENCE, "fence", InstrFormat::Sys);
-        set(InstrKind::ECALL, "ecall", InstrFormat::Sys);
-        set(InstrKind::EBREAK, "ebreak", InstrFormat::Sys);
-
-        set(InstrKind::CSRRW, "csrrw", InstrFormat::I);
-        set(InstrKind::CSRRS, "csrrs", InstrFormat::I);
-        set(InstrKind::CSRRC, "csrrc", InstrFormat::I);
-        set(InstrKind::CSRRWI, "csrrwi", InstrFormat::I);
-        set(InstrKind::CSRRSI, "csrrsi", InstrFormat::I);
-        set(InstrKind::CSRRCI, "csrrci", InstrFormat::I);
-
-        set(InstrKind::MUL, "mul", InstrFormat::R);
-        set(InstrKind::MULH, "mulh", InstrFormat::R);
-        set(InstrKind::MULHSU, "mulhsu", InstrFormat::R);
-        set(InstrKind::MULHU, "mulhu", InstrFormat::R);
-        set(InstrKind::DIV, "div", InstrFormat::R);
-        set(InstrKind::DIVU, "divu", InstrFormat::R);
-        set(InstrKind::REM, "rem", InstrFormat::R);
-        set(InstrKind::REMU, "remu", InstrFormat::R);
-
-        set(InstrKind::FLW, "flw", InstrFormat::I);
-        set(InstrKind::FSW, "fsw", InstrFormat::S);
-        set(InstrKind::FMADD_S, "fmadd.s", InstrFormat::R4);
-        set(InstrKind::FMSUB_S, "fmsub.s", InstrFormat::R4);
-        set(InstrKind::FNMSUB_S, "fnmsub.s", InstrFormat::R4);
-        set(InstrKind::FNMADD_S, "fnmadd.s", InstrFormat::R4);
-        set(InstrKind::FADD_S, "fadd.s", InstrFormat::R);
-        set(InstrKind::FSUB_S, "fsub.s", InstrFormat::R);
-        set(InstrKind::FMUL_S, "fmul.s", InstrFormat::R);
-        set(InstrKind::FDIV_S, "fdiv.s", InstrFormat::R);
-        set(InstrKind::FSQRT_S, "fsqrt.s", InstrFormat::R);
-        set(InstrKind::FSGNJ_S, "fsgnj.s", InstrFormat::R);
-        set(InstrKind::FSGNJN_S, "fsgnjn.s", InstrFormat::R);
-        set(InstrKind::FSGNJX_S, "fsgnjx.s", InstrFormat::R);
-        set(InstrKind::FMIN_S, "fmin.s", InstrFormat::R);
-        set(InstrKind::FMAX_S, "fmax.s", InstrFormat::R);
-        set(InstrKind::FCVT_W_S, "fcvt.w.s", InstrFormat::R);
-        set(InstrKind::FCVT_WU_S, "fcvt.wu.s", InstrFormat::R);
-        set(InstrKind::FMV_X_W, "fmv.x.w", InstrFormat::R);
-        set(InstrKind::FEQ_S, "feq.s", InstrFormat::R);
-        set(InstrKind::FLT_S, "flt.s", InstrFormat::R);
-        set(InstrKind::FLE_S, "fle.s", InstrFormat::R);
-        set(InstrKind::FCLASS_S, "fclass.s", InstrFormat::R);
-        set(InstrKind::FCVT_S_W, "fcvt.s.w", InstrFormat::R);
-        set(InstrKind::FCVT_S_WU, "fcvt.s.wu", InstrFormat::R);
-        set(InstrKind::FMV_W_X, "fmv.w.x", InstrFormat::R);
-
-        set(InstrKind::VX_TMC, "vx_tmc", InstrFormat::R);
-        set(InstrKind::VX_WSPAWN, "vx_wspawn", InstrFormat::R);
-        set(InstrKind::VX_SPLIT, "vx_split", InstrFormat::R);
-        set(InstrKind::VX_JOIN, "vx_join", InstrFormat::R);
-        set(InstrKind::VX_BAR, "vx_bar", InstrFormat::R);
-        set(InstrKind::VX_TEX, "vx_tex", InstrFormat::R4);
-        return t;
-    }();
-    return table;
-}
-
-} // namespace
-
-const InstrInfo&
-instrInfo(InstrKind kind)
-{
-    return infoTable()[static_cast<size_t>(kind)];
-}
-
-//
-// Operand classification
-//
-
-RegRef
-Instr::dst() const
-{
-    using K = InstrKind;
-    switch (kind) {
-      case K::BEQ: case K::BNE: case K::BLT: case K::BGE:
-      case K::BLTU: case K::BGEU:
-      case K::SB: case K::SH: case K::SW: case K::FSW:
-      case K::FENCE: case K::ECALL: case K::EBREAK:
-      case K::VX_TMC: case K::VX_WSPAWN: case K::VX_SPLIT:
-      case K::VX_JOIN: case K::VX_BAR:
-      case K::Invalid:
-        return {};
-      case K::FLW:
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-      case K::FADD_S: case K::FSUB_S: case K::FMUL_S: case K::FDIV_S:
-      case K::FSQRT_S:
-      case K::FSGNJ_S: case K::FSGNJN_S: case K::FSGNJX_S:
-      case K::FMIN_S: case K::FMAX_S:
-      case K::FCVT_S_W: case K::FCVT_S_WU: case K::FMV_W_X:
-        return {RegFile::Fp, rd};
-      default:
-        return {RegFile::Int, rd};
+    switch (c) {
+      case 'd': case 'D': return RD(31);
+      case 's': case 'S': case 'Z': return RS1(31);
+      case 't': case 'T': case '>': return RS2(31);
+      case 'R': return 0xF8000000u;
+      case 'U': return RS1(31) | RS2(31);
+      case 'j': case 'o': case 'E': return 0xFFF00000u;
+      case 'q': case 'p': return 0xFE000F80u;
+      case 'u': case 'a': return 0xFFFFF000u;
+      default: return 0; // separators
     }
 }
 
-RegRef
-Instr::src1() const
+constexpr uint32_t
+operandBits(const char* ops)
 {
-    using K = InstrKind;
-    switch (kind) {
-      case K::LUI: case K::AUIPC: case K::JAL:
-      case K::FENCE: case K::ECALL: case K::EBREAK:
-      case K::CSRRWI: case K::CSRRSI: case K::CSRRCI:
-      case K::VX_JOIN:
-      case K::Invalid:
-        return {};
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-      case K::FADD_S: case K::FSUB_S: case K::FMUL_S: case K::FDIV_S:
-      case K::FSQRT_S:
-      case K::FSGNJ_S: case K::FSGNJN_S: case K::FSGNJX_S:
-      case K::FMIN_S: case K::FMAX_S:
-      case K::FCVT_W_S: case K::FCVT_WU_S: case K::FMV_X_W:
-      case K::FEQ_S: case K::FLT_S: case K::FLE_S: case K::FCLASS_S:
-      case K::VX_TEX:
-        return {RegFile::Fp, rs1};
-      default:
-        return {RegFile::Int, rs1};
+    uint32_t b = 0;
+    for (; *ops; ++ops)
+        b |= fieldBits(*ops);
+    return b;
+}
+
+constexpr InstrInfo
+op(const char* mnemonic, InstrKind kind, InstrFormat format,
+   uint32_t match, uint32_t mask, const char* ops, FuType fu = FuType::ALU,
+   uint8_t flags = 0, uint8_t width = 0)
+{
+    InstrInfo r{mnemonic, kind,          format,        match,
+                mask,     ops,           fu,            flags,
+                width,    RegFile::None, RegFile::None, RegFile::None,
+                RegFile::None};
+    for (; *ops; ++ops) {
+        switch (*ops) {
+          case 'd': r.dst = RegFile::Int; break;
+          case 'D': r.dst = RegFile::Fp; break;
+          case 's': r.src1 = RegFile::Int; break;
+          case 'S': r.src1 = RegFile::Fp; break;
+          case 't': r.src2 = RegFile::Int; break;
+          case 'T': r.src2 = RegFile::Fp; break;
+          case 'R': r.src3 = RegFile::Fp; break;
+          default: break;
+        }
     }
+    return r;
 }
 
-RegRef
-Instr::src2() const
+constexpr FuType MD = FuType::MULDIV;
+constexpr FuType FP = FuType::FPU;
+constexpr FuType LS = FuType::LSU;
+constexpr FuType SF = FuType::SFU;
+constexpr uint8_t kBr = kControl | kBranch;
+
+constexpr std::array<InstrInfo, kNumKinds> kInstrRows = {{
+    op("<invalid>", K::Invalid, F::I, 0, 0, ""),
+
+    op("lui", K::LUI, F::U, OPC_LUI, kOpc, "d,u"),
+    op("auipc", K::AUIPC, F::U, OPC_AUIPC, kOpc, "d,u"),
+    op("jal", K::JAL, F::J, OPC_JAL, kOpc, "d,a", FuType::ALU, kControl),
+    op("jalr", K::JALR, F::I, OPC_JALR, kF3, "d,o(s)", FuType::ALU,
+       kControl),
+    op("beq", K::BEQ, F::B, OPC_BRANCH | F3(0), kF3, "s,t,p", FuType::ALU,
+       kBr),
+    op("bne", K::BNE, F::B, OPC_BRANCH | F3(1), kF3, "s,t,p", FuType::ALU,
+       kBr),
+    op("blt", K::BLT, F::B, OPC_BRANCH | F3(4), kF3, "s,t,p", FuType::ALU,
+       kBr),
+    op("bge", K::BGE, F::B, OPC_BRANCH | F3(5), kF3, "s,t,p", FuType::ALU,
+       kBr),
+    op("bltu", K::BLTU, F::B, OPC_BRANCH | F3(6), kF3, "s,t,p",
+       FuType::ALU, kBr),
+    op("bgeu", K::BGEU, F::B, OPC_BRANCH | F3(7), kF3, "s,t,p",
+       FuType::ALU, kBr),
+    op("lb", K::LB, F::I, OPC_LOAD | F3(0), kF3, "d,o(s)", LS, kLoad, 1),
+    op("lh", K::LH, F::I, OPC_LOAD | F3(1), kF3, "d,o(s)", LS, kLoad, 2),
+    op("lw", K::LW, F::I, OPC_LOAD | F3(2), kF3, "d,o(s)", LS, kLoad, 4),
+    op("lbu", K::LBU, F::I, OPC_LOAD | F3(4), kF3, "d,o(s)", LS, kLoad, 1),
+    op("lhu", K::LHU, F::I, OPC_LOAD | F3(5), kF3, "d,o(s)", LS, kLoad, 2),
+    op("sb", K::SB, F::S, OPC_STORE | F3(0), kF3, "t,q(s)", LS, kStore, 1),
+    op("sh", K::SH, F::S, OPC_STORE | F3(1), kF3, "t,q(s)", LS, kStore, 2),
+    op("sw", K::SW, F::S, OPC_STORE | F3(2), kF3, "t,q(s)", LS, kStore, 4),
+    op("addi", K::ADDI, F::I, OPC_OP_IMM | F3(0), kF3, "d,s,j"),
+    op("slti", K::SLTI, F::I, OPC_OP_IMM | F3(2), kF3, "d,s,j"),
+    op("sltiu", K::SLTIU, F::I, OPC_OP_IMM | F3(3), kF3, "d,s,j"),
+    op("xori", K::XORI, F::I, OPC_OP_IMM | F3(4), kF3, "d,s,j"),
+    op("ori", K::ORI, F::I, OPC_OP_IMM | F3(6), kF3, "d,s,j"),
+    op("andi", K::ANDI, F::I, OPC_OP_IMM | F3(7), kF3, "d,s,j"),
+    op("slli", K::SLLI, F::I, OPC_OP_IMM | F3(1), kF37, "d,s,>"),
+    op("srli", K::SRLI, F::I, OPC_OP_IMM | F3(5), kF37, "d,s,>"),
+    op("srai", K::SRAI, F::I, OPC_OP_IMM | F3(5) | F7(0x20), kF37,
+       "d,s,>"),
+    op("add", K::ADD, F::R, OPC_OP | F3(0), kF37, "d,s,t"),
+    op("sub", K::SUB, F::R, OPC_OP | F3(0) | F7(0x20), kF37, "d,s,t"),
+    op("sll", K::SLL, F::R, OPC_OP | F3(1), kF37, "d,s,t"),
+    op("slt", K::SLT, F::R, OPC_OP | F3(2), kF37, "d,s,t"),
+    op("sltu", K::SLTU, F::R, OPC_OP | F3(3), kF37, "d,s,t"),
+    op("xor", K::XOR, F::R, OPC_OP | F3(4), kF37, "d,s,t"),
+    op("srl", K::SRL, F::R, OPC_OP | F3(5), kF37, "d,s,t"),
+    op("sra", K::SRA, F::R, OPC_OP | F3(5) | F7(0x20), kF37, "d,s,t"),
+    op("or", K::OR, F::R, OPC_OP | F3(6), kF37, "d,s,t"),
+    op("and", K::AND, F::R, OPC_OP | F3(7), kF37, "d,s,t"),
+    op("fence", K::FENCE, F::Sys, OPC_MISC_MEM, kF3, "", SF, kControl),
+    op("ecall", K::ECALL, F::Sys, OPC_SYSTEM, ~0u, "", SF, kControl),
+    op("ebreak", K::EBREAK, F::Sys, OPC_SYSTEM | IMM12(1), ~0u, "", SF,
+       kControl),
+
+    op("csrrw", K::CSRRW, F::I, OPC_SYSTEM | F3(1), kF3, "d,E,s", SF),
+    op("csrrs", K::CSRRS, F::I, OPC_SYSTEM | F3(2), kF3, "d,E,s", SF),
+    op("csrrc", K::CSRRC, F::I, OPC_SYSTEM | F3(3), kF3, "d,E,s", SF),
+    op("csrrwi", K::CSRRWI, F::I, OPC_SYSTEM | F3(5), kF3, "d,E,Z", SF),
+    op("csrrsi", K::CSRRSI, F::I, OPC_SYSTEM | F3(6), kF3, "d,E,Z", SF),
+    op("csrrci", K::CSRRCI, F::I, OPC_SYSTEM | F3(7), kF3, "d,E,Z", SF),
+
+    op("mul", K::MUL, F::R, OPC_OP | F3(0) | F7(1), kF37, "d,s,t", MD),
+    op("mulh", K::MULH, F::R, OPC_OP | F3(1) | F7(1), kF37, "d,s,t", MD),
+    op("mulhsu", K::MULHSU, F::R, OPC_OP | F3(2) | F7(1), kF37, "d,s,t",
+       MD),
+    op("mulhu", K::MULHU, F::R, OPC_OP | F3(3) | F7(1), kF37, "d,s,t", MD),
+    op("div", K::DIV, F::R, OPC_OP | F3(4) | F7(1), kF37, "d,s,t", MD),
+    op("divu", K::DIVU, F::R, OPC_OP | F3(5) | F7(1), kF37, "d,s,t", MD),
+    op("rem", K::REM, F::R, OPC_OP | F3(6) | F7(1), kF37, "d,s,t", MD),
+    op("remu", K::REMU, F::R, OPC_OP | F3(7) | F7(1), kF37, "d,s,t", MD),
+
+    // FP arithmetic ignores the rounding-mode funct3 (kF7 masks) and the
+    // fused multiply-adds also ignore fmt (opcode-only masks).
+    op("flw", K::FLW, F::I, OPC_LOAD_FP | F3(2), kF3, "D,o(s)", LS, kLoad,
+       4),
+    op("fsw", K::FSW, F::S, OPC_STORE_FP | F3(2), kF3, "T,q(s)", LS,
+       kStore, 4),
+    op("fmadd.s", K::FMADD_S, F::R4, OPC_MADD, kOpc, "D,S,T,R", FP),
+    op("fmsub.s", K::FMSUB_S, F::R4, OPC_MSUB, kOpc, "D,S,T,R", FP),
+    op("fnmsub.s", K::FNMSUB_S, F::R4, OPC_NMSUB, kOpc, "D,S,T,R", FP),
+    op("fnmadd.s", K::FNMADD_S, F::R4, OPC_NMADD, kOpc, "D,S,T,R", FP),
+    op("fadd.s", K::FADD_S, F::R, OPC_OP_FP | F7(0x00), kF7, "D,S,T", FP),
+    op("fsub.s", K::FSUB_S, F::R, OPC_OP_FP | F7(0x04), kF7, "D,S,T", FP),
+    op("fmul.s", K::FMUL_S, F::R, OPC_OP_FP | F7(0x08), kF7, "D,S,T", FP),
+    op("fdiv.s", K::FDIV_S, F::R, OPC_OP_FP | F7(0x0C), kF7, "D,S,T", FP),
+    op("fsqrt.s", K::FSQRT_S, F::R, OPC_OP_FP | F7(0x2C), kF7Rs2, "D,S",
+       FP),
+    op("fsgnj.s", K::FSGNJ_S, F::R, OPC_OP_FP | F3(0) | F7(0x10), kF37,
+       "D,S,T", FP),
+    op("fsgnjn.s", K::FSGNJN_S, F::R, OPC_OP_FP | F3(1) | F7(0x10), kF37,
+       "D,S,T", FP),
+    op("fsgnjx.s", K::FSGNJX_S, F::R, OPC_OP_FP | F3(2) | F7(0x10), kF37,
+       "D,S,T", FP),
+    op("fmin.s", K::FMIN_S, F::R, OPC_OP_FP | F3(0) | F7(0x14), kF37,
+       "D,S,T", FP),
+    op("fmax.s", K::FMAX_S, F::R, OPC_OP_FP | F3(1) | F7(0x14), kF37,
+       "D,S,T", FP),
+    op("fcvt.w.s", K::FCVT_W_S, F::R, OPC_OP_FP | F7(0x60) | RS2(0),
+       kF7Rs2, "d,S", FP),
+    op("fcvt.wu.s", K::FCVT_WU_S, F::R, OPC_OP_FP | F7(0x60) | RS2(1),
+       kF7Rs2, "d,S", FP),
+    op("fmv.x.w", K::FMV_X_W, F::R, OPC_OP_FP | F3(0) | F7(0x70), kF37,
+       "d,S", FP),
+    op("feq.s", K::FEQ_S, F::R, OPC_OP_FP | F3(2) | F7(0x50), kF37,
+       "d,S,T", FP),
+    op("flt.s", K::FLT_S, F::R, OPC_OP_FP | F3(1) | F7(0x50), kF37,
+       "d,S,T", FP),
+    op("fle.s", K::FLE_S, F::R, OPC_OP_FP | F3(0) | F7(0x50), kF37,
+       "d,S,T", FP),
+    op("fclass.s", K::FCLASS_S, F::R, OPC_OP_FP | F3(1) | F7(0x70), kF37,
+       "d,S", FP),
+    op("fcvt.s.w", K::FCVT_S_W, F::R, OPC_OP_FP | F7(0x68) | RS2(0),
+       kF7Rs2, "D,s", FP),
+    op("fcvt.s.wu", K::FCVT_S_WU, F::R, OPC_OP_FP | F7(0x68) | RS2(1),
+       kF7Rs2, "D,s", FP),
+    op("fmv.w.x", K::FMV_W_X, F::R, OPC_OP_FP | F3(0) | F7(0x78), kF37,
+       "D,s", FP),
+
+    // Vortex ops ignore rd and funct3; tex ignores funct3 and fmt.
+    op("vx_tmc", K::VX_TMC, F::R, OPC_VORTEX | F7(VXF_TMC), kF7, "s", SF,
+       kControl),
+    op("vx_wspawn", K::VX_WSPAWN, F::R, OPC_VORTEX | F7(VXF_WSPAWN), kF7,
+       "s,t", SF, kControl),
+    op("vx_split", K::VX_SPLIT, F::R, OPC_VORTEX | F7(VXF_SPLIT), kF7, "s",
+       SF, kControl),
+    op("vx_join", K::VX_JOIN, F::R, OPC_VORTEX | F7(VXF_JOIN), kF7, "", SF,
+       kControl),
+    op("vx_bar", K::VX_BAR, F::R, OPC_VORTEX | F7(VXF_BAR), kF7, "s,t", SF,
+       kControl),
+    op("vx_tex", K::VX_TEX, F::R4, OPC_TEX, kOpc, "d,S,T,R", FuType::TEX),
+}};
+
+/** An alias of @p base: its row, with @p fixed fields set and operands
+ *  @p ops; every bit outside those operands is fixed. */
+constexpr InstrInfo
+alias(const char* mnemonic, InstrKind base, uint32_t fixed, const char* ops)
 {
-    using K = InstrKind;
-    switch (kind) {
-      case K::BEQ: case K::BNE: case K::BLT: case K::BGE:
-      case K::BLTU: case K::BGEU:
-      case K::SB: case K::SH: case K::SW:
-      case K::ADD: case K::SUB: case K::SLL: case K::SLT: case K::SLTU:
-      case K::XOR: case K::SRL: case K::SRA: case K::OR: case K::AND:
-      case K::MUL: case K::MULH: case K::MULHSU: case K::MULHU:
-      case K::DIV: case K::DIVU: case K::REM: case K::REMU:
-      case K::VX_WSPAWN: case K::VX_BAR:
-        return {RegFile::Int, rs2};
-      case K::FSW:
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-      case K::FADD_S: case K::FSUB_S: case K::FMUL_S: case K::FDIV_S:
-      case K::FSGNJ_S: case K::FSGNJN_S: case K::FSGNJX_S:
-      case K::FMIN_S: case K::FMAX_S:
-      case K::FEQ_S: case K::FLT_S: case K::FLE_S:
-      case K::VX_TEX:
-        return {RegFile::Fp, rs2};
-      default:
-        return {};
+    InstrInfo r = kInstrRows[static_cast<size_t>(base)];
+    r.mnemonic = mnemonic;
+    r.match |= fixed;
+    r.mask = ~operandBits(ops);
+    r.operands = ops;
+    return r;
+}
+
+constexpr InstrInfo kAliasRows[] = {
+    alias("nop", K::ADDI, 0, ""),
+    alias("mv", K::ADDI, 0, "d,s"),
+    alias("not", K::XORI, IMM12(-1), "d,s"),
+    alias("neg", K::SUB, 0, "d,t"),
+    alias("seqz", K::SLTIU, IMM12(1), "d,s"),
+    alias("snez", K::SLTU, 0, "d,t"),
+    alias("sltz", K::SLT, 0, "d,s"),
+    alias("sgtz", K::SLT, 0, "d,t"),
+    alias("beqz", K::BEQ, 0, "s,p"),
+    alias("bnez", K::BNE, 0, "s,p"),
+    alias("blez", K::BGE, 0, "t,p"),
+    alias("bgez", K::BGE, 0, "s,p"),
+    alias("bltz", K::BLT, 0, "s,p"),
+    alias("bgtz", K::BLT, 0, "t,p"),
+    alias("bgt", K::BLT, 0, "t,s,p"),
+    alias("ble", K::BGE, 0, "t,s,p"),
+    alias("bgtu", K::BLTU, 0, "t,s,p"),
+    alias("bleu", K::BGEU, 0, "t,s,p"),
+    alias("j", K::JAL, 0, "a"),
+    alias("jal", K::JAL, RD(1), "a"),
+    alias("call", K::JAL, RD(1), "a"),
+    alias("tail", K::JAL, 0, "a"),
+    alias("jalr", K::JALR, 0, "d,s,j"),
+    alias("jalr", K::JALR, RD(1), "s"),
+    alias("jr", K::JALR, 0, "s"),
+    alias("ret", K::JALR, RS1(1), ""),
+    alias("csrr", K::CSRRS, 0, "d,E"),
+    alias("csrw", K::CSRRW, 0, "E,s"),
+    alias("csrs", K::CSRRS, 0, "E,s"),
+    alias("csrc", K::CSRRC, 0, "E,s"),
+    alias("csrwi", K::CSRRWI, 0, "E,Z"),
+    alias("fmv.s", K::FSGNJ_S, 0, "D,U"),
+    alias("fabs.s", K::FSGNJX_S, 0, "D,U"),
+    alias("fneg.s", K::FSGNJN_S, 0, "D,U"),
+};
+
+constexpr size_t kNumAliases = std::size(kAliasRows);
+
+constexpr std::array<InstrInfo, kNumKinds + kNumAliases> kTable = [] {
+    std::array<InstrInfo, kNumKinds + kNumAliases> t{};
+    for (size_t i = 0; i < kNumKinds; ++i)
+        t[i] = kInstrRows[i];
+    for (size_t i = 0; i < kNumAliases; ++i)
+        t[kNumKinds + i] = kAliasRows[i];
+    return t;
+}();
+
+/** The table is well formed: instruction rows sit at their kind, masks
+ *  cover the major opcode, match bits lie inside the mask and outside the
+ *  operand fields (for aliases: inside their base's mask too), and no
+ *  word matches two instructions. */
+constexpr bool
+wellFormed()
+{
+    for (size_t i = 0; i < kTable.size(); ++i) {
+        const InstrInfo& r = kTable[i];
+        const InstrInfo& base = kTable[static_cast<size_t>(r.kind)];
+        if (i < kNumKinds && static_cast<size_t>(r.kind) != i)
+            return false;
+        if (i > 0 && (r.mask & kOpc) != kOpc)
+            return false;
+        if ((r.match & ~r.mask) || (operandBits(r.operands) & r.mask) ||
+            (r.mask & base.mask) != base.mask ||
+            (r.match & base.mask) != base.match)
+            return false;
     }
+    for (size_t a = 1; a < kNumKinds; ++a)
+        for (size_t b = a + 1; b < kNumKinds; ++b)
+            if (((kTable[a].match ^ kTable[b].match) & kTable[a].mask &
+                 kTable[b].mask) == 0)
+                return false;
+    return true;
 }
+static_assert(wellFormed());
 
-RegRef
-Instr::src3() const
+/** Instruction rows grouped by major opcode, the way binutils hashes its
+ *  table: rows[start[o]] .. rows[start[o + 1] - 1] have opcode o. */
+struct OpcodeIndex
 {
-    using K = InstrKind;
-    switch (kind) {
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-      case K::VX_TEX:
-        return {RegFile::Fp, rs3};
-      default:
-        return {};
+    std::array<uint8_t, 129> start{};
+    std::array<uint8_t, kNumKinds> rows{};
+};
+
+constexpr OpcodeIndex kByOpcode = [] {
+    OpcodeIndex ix;
+    uint8_t n = 0;
+    for (uint32_t opc = 0; opc < 128; ++opc) {
+        ix.start[opc] = n;
+        for (size_t k = 1; k < kNumKinds; ++k)
+            if ((kInstrRows[k].match & kOpc) == opc)
+                ix.rows[n++] = static_cast<uint8_t>(k);
     }
-}
-
-FuType
-Instr::fuType() const
-{
-    using K = InstrKind;
-    switch (kind) {
-      case K::MUL: case K::MULH: case K::MULHSU: case K::MULHU:
-      case K::DIV: case K::DIVU: case K::REM: case K::REMU:
-        return FuType::MULDIV;
-      case K::FMADD_S: case K::FMSUB_S: case K::FNMSUB_S: case K::FNMADD_S:
-      case K::FADD_S: case K::FSUB_S: case K::FMUL_S: case K::FDIV_S:
-      case K::FSQRT_S:
-      case K::FSGNJ_S: case K::FSGNJN_S: case K::FSGNJX_S:
-      case K::FMIN_S: case K::FMAX_S:
-      case K::FCVT_W_S: case K::FCVT_WU_S: case K::FMV_X_W:
-      case K::FEQ_S: case K::FLT_S: case K::FLE_S: case K::FCLASS_S:
-      case K::FCVT_S_W: case K::FCVT_S_WU: case K::FMV_W_X:
-        return FuType::FPU;
-      case K::LB: case K::LH: case K::LW: case K::LBU: case K::LHU:
-      case K::SB: case K::SH: case K::SW:
-      case K::FLW: case K::FSW:
-        return FuType::LSU;
-      case K::FENCE: case K::ECALL: case K::EBREAK:
-      case K::CSRRW: case K::CSRRS: case K::CSRRC:
-      case K::CSRRWI: case K::CSRRSI: case K::CSRRCI:
-      case K::VX_TMC: case K::VX_WSPAWN: case K::VX_SPLIT:
-      case K::VX_JOIN: case K::VX_BAR:
-        return FuType::SFU;
-      case K::VX_TEX:
-        return FuType::TEX;
-      default:
-        return FuType::ALU;
-    }
-}
-
-bool
-Instr::isBranch() const
-{
-    using K = InstrKind;
-    switch (kind) {
-      case K::BEQ: case K::BNE: case K::BLT: case K::BGE:
-      case K::BLTU: case K::BGEU:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instr::isControl() const
-{
-    using K = InstrKind;
-    switch (kind) {
-      case K::JAL: case K::JALR:
-      case K::VX_TMC: case K::VX_WSPAWN: case K::VX_SPLIT:
-      case K::VX_JOIN: case K::VX_BAR:
-      case K::ECALL: case K::EBREAK: case K::FENCE:
-        return true;
-      default:
-        return isBranch();
-    }
-}
-
-bool
-Instr::isLoad() const
-{
-    using K = InstrKind;
-    switch (kind) {
-      case K::LB: case K::LH: case K::LW: case K::LBU: case K::LHU:
-      case K::FLW:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instr::isStore() const
-{
-    using K = InstrKind;
-    switch (kind) {
-      case K::SB: case K::SH: case K::SW: case K::FSW:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instr::isFloatOp() const
-{
-    return fuType() == FuType::FPU;
-}
-
-//
-// Decoder
-//
-
-namespace {
-
-Instr
-makeInvalid(uint32_t raw)
-{
-    Instr in;
-    in.kind = InstrKind::Invalid;
-    in.raw = raw;
-    return in;
-}
+    ix.start[128] = n;
+    return ix;
+}();
 
 int32_t
 immI(uint32_t raw)
@@ -353,12 +353,6 @@ immB(uint32_t raw)
 }
 
 int32_t
-immU(uint32_t raw)
-{
-    return static_cast<int32_t>(raw & 0xFFFFF000u);
-}
-
-int32_t
 immJ(uint32_t raw)
 {
     uint32_t v = (bits(raw, 31, 1) << 20) | (bits(raw, 12, 8) << 12) |
@@ -366,472 +360,199 @@ immJ(uint32_t raw)
     return sext(v, 21);
 }
 
+RegRef
+ref(RegFile file, RegId idx)
+{
+    return {file, file == RegFile::None ? 0 : idx};
+}
+
 } // namespace
+
+const InstrInfo&
+instrInfo(InstrKind kind)
+{
+    return kTable[static_cast<size_t>(kind)];
+}
+
+std::span<const InstrInfo>
+instrTable()
+{
+    return kTable;
+}
+
+//
+// Operand classification
+//
+
+RegRef
+Instr::dst() const
+{
+    return ref(instrInfo(kind).dst, rd);
+}
+
+RegRef
+Instr::src1() const
+{
+    return ref(instrInfo(kind).src1, rs1);
+}
+
+RegRef
+Instr::src2() const
+{
+    return ref(instrInfo(kind).src2, rs2);
+}
+
+RegRef
+Instr::src3() const
+{
+    return ref(instrInfo(kind).src3, rs3);
+}
+
+FuType
+Instr::fuType() const
+{
+    return instrInfo(kind).fu;
+}
+
+bool
+Instr::isBranch() const
+{
+    return instrInfo(kind).flags & kBranch;
+}
+
+bool
+Instr::isControl() const
+{
+    return instrInfo(kind).flags & kControl;
+}
+
+bool
+Instr::isLoad() const
+{
+    return instrInfo(kind).flags & kLoad;
+}
+
+bool
+Instr::isStore() const
+{
+    return instrInfo(kind).flags & kStore;
+}
+
+bool
+Instr::isFloatOp() const
+{
+    return fuType() == FuType::FPU;
+}
+
+//
+// Decoder
+//
 
 Instr
 decode(uint32_t raw)
 {
-    using K = InstrKind;
     Instr in;
     in.raw = raw;
+    const uint32_t opc = raw & kOpc;
+    const InstrInfo* match = nullptr;
+    for (size_t j = kByOpcode.start[opc]; j < kByOpcode.start[opc + 1]; ++j) {
+        const InstrInfo& r = kTable[kByOpcode.rows[j]];
+        if ((raw & r.mask) == r.match) {
+            match = &r;
+            break;
+        }
+    }
+    if (!match)
+        return in;
+    const InstrInfo& row = *match;
+    in.kind = row.kind;
     in.rd = bits(raw, 7, 5);
     in.rs1 = bits(raw, 15, 5);
     in.rs2 = bits(raw, 20, 5);
     in.rs3 = bits(raw, 27, 5);
-    const uint32_t opcode = bits(raw, 0, 7);
-    const uint32_t f3 = bits(raw, 12, 3);
-    const uint32_t f7 = bits(raw, 25, 7);
-
-    switch (opcode) {
-      case OPC_LUI:
-        in.kind = K::LUI;
-        in.imm = immU(raw);
-        return in;
-      case OPC_AUIPC:
-        in.kind = K::AUIPC;
-        in.imm = immU(raw);
-        return in;
-      case OPC_JAL:
-        in.kind = K::JAL;
-        in.imm = immJ(raw);
-        return in;
-      case OPC_JALR:
-        if (f3 != 0)
-            return makeInvalid(raw);
-        in.kind = K::JALR;
-        in.imm = immI(raw);
-        return in;
-      case OPC_BRANCH: {
-        in.imm = immB(raw);
-        switch (f3) {
-          case 0: in.kind = K::BEQ; return in;
-          case 1: in.kind = K::BNE; return in;
-          case 4: in.kind = K::BLT; return in;
-          case 5: in.kind = K::BGE; return in;
-          case 6: in.kind = K::BLTU; return in;
-          case 7: in.kind = K::BGEU; return in;
-          default: return makeInvalid(raw);
+    for (const char* c = row.operands; *c; ++c) {
+        switch (*c) {
+          case 'j': case 'o': in.imm = immI(raw); break;
+          case 'q': in.imm = immS(raw); break;
+          case 'p': in.imm = immB(raw); break;
+          case 'a': in.imm = immJ(raw); break;
+          case 'u': in.imm = static_cast<int32_t>(raw & 0xFFFFF000u); break;
+          case '>': in.imm = static_cast<int32_t>(in.rs2); break;
+          case 'Z': in.imm = static_cast<int32_t>(in.rs1); break;
+          case 'E': in.csr = bits(raw, 20, 12); break;
+          default: break;
         }
-      }
-      case OPC_LOAD: {
-        in.imm = immI(raw);
-        switch (f3) {
-          case 0: in.kind = K::LB; return in;
-          case 1: in.kind = K::LH; return in;
-          case 2: in.kind = K::LW; return in;
-          case 4: in.kind = K::LBU; return in;
-          case 5: in.kind = K::LHU; return in;
-          default: return makeInvalid(raw);
-        }
-      }
-      case OPC_STORE: {
-        in.imm = immS(raw);
-        switch (f3) {
-          case 0: in.kind = K::SB; return in;
-          case 1: in.kind = K::SH; return in;
-          case 2: in.kind = K::SW; return in;
-          default: return makeInvalid(raw);
-        }
-      }
-      case OPC_OP_IMM: {
-        in.imm = immI(raw);
-        switch (f3) {
-          case 0: in.kind = K::ADDI; return in;
-          case 2: in.kind = K::SLTI; return in;
-          case 3: in.kind = K::SLTIU; return in;
-          case 4: in.kind = K::XORI; return in;
-          case 6: in.kind = K::ORI; return in;
-          case 7: in.kind = K::ANDI; return in;
-          case 1:
-            if (f7 != 0)
-                return makeInvalid(raw);
-            in.kind = K::SLLI;
-            in.imm = in.rs2;
-            return in;
-          case 5:
-            if (f7 == 0x00) {
-                in.kind = K::SRLI;
-                in.imm = in.rs2;
-                return in;
-            }
-            if (f7 == 0x20) {
-                in.kind = K::SRAI;
-                in.imm = in.rs2;
-                return in;
-            }
-            return makeInvalid(raw);
-          default: return makeInvalid(raw);
-        }
-      }
-      case OPC_OP: {
-        if (f7 == 0x01) { // RV32M
-            switch (f3) {
-              case 0: in.kind = K::MUL; return in;
-              case 1: in.kind = K::MULH; return in;
-              case 2: in.kind = K::MULHSU; return in;
-              case 3: in.kind = K::MULHU; return in;
-              case 4: in.kind = K::DIV; return in;
-              case 5: in.kind = K::DIVU; return in;
-              case 6: in.kind = K::REM; return in;
-              case 7: in.kind = K::REMU; return in;
-            }
-            return makeInvalid(raw);
-        }
-        if (f7 == 0x00) {
-            switch (f3) {
-              case 0: in.kind = K::ADD; return in;
-              case 1: in.kind = K::SLL; return in;
-              case 2: in.kind = K::SLT; return in;
-              case 3: in.kind = K::SLTU; return in;
-              case 4: in.kind = K::XOR; return in;
-              case 5: in.kind = K::SRL; return in;
-              case 6: in.kind = K::OR; return in;
-              case 7: in.kind = K::AND; return in;
-            }
-            return makeInvalid(raw);
-        }
-        if (f7 == 0x20) {
-            switch (f3) {
-              case 0: in.kind = K::SUB; return in;
-              case 5: in.kind = K::SRA; return in;
-              default: return makeInvalid(raw);
-            }
-        }
-        return makeInvalid(raw);
-      }
-      case OPC_MISC_MEM:
-        if (f3 == 0) {
-            in.kind = K::FENCE;
-            return in;
-        }
-        return makeInvalid(raw);
-      case OPC_SYSTEM: {
-        if (f3 == 0) {
-            uint32_t imm12 = bits(raw, 20, 12);
-            if (imm12 == 0 && in.rs1 == 0 && in.rd == 0) {
-                in.kind = K::ECALL;
-                return in;
-            }
-            if (imm12 == 1 && in.rs1 == 0 && in.rd == 0) {
-                in.kind = K::EBREAK;
-                return in;
-            }
-            return makeInvalid(raw);
-        }
-        in.csr = bits(raw, 20, 12);
-        switch (f3) {
-          case 1: in.kind = K::CSRRW; return in;
-          case 2: in.kind = K::CSRRS; return in;
-          case 3: in.kind = K::CSRRC; return in;
-          case 5: in.kind = K::CSRRWI; in.imm = in.rs1; return in;
-          case 6: in.kind = K::CSRRSI; in.imm = in.rs1; return in;
-          case 7: in.kind = K::CSRRCI; in.imm = in.rs1; return in;
-          default: return makeInvalid(raw);
-        }
-      }
-      case OPC_LOAD_FP:
-        if (f3 != 2)
-            return makeInvalid(raw);
-        in.kind = K::FLW;
-        in.imm = immI(raw);
-        return in;
-      case OPC_STORE_FP:
-        if (f3 != 2)
-            return makeInvalid(raw);
-        in.kind = K::FSW;
-        in.imm = immS(raw);
-        return in;
-      case OPC_MADD: in.kind = K::FMADD_S; return in;
-      case OPC_MSUB: in.kind = K::FMSUB_S; return in;
-      case OPC_NMSUB: in.kind = K::FNMSUB_S; return in;
-      case OPC_NMADD: in.kind = K::FNMADD_S; return in;
-      case OPC_OP_FP: {
-        switch (f7) {
-          case 0x00: in.kind = K::FADD_S; return in;
-          case 0x04: in.kind = K::FSUB_S; return in;
-          case 0x08: in.kind = K::FMUL_S; return in;
-          case 0x0C: in.kind = K::FDIV_S; return in;
-          case 0x2C:
-            if (in.rs2 != 0)
-                return makeInvalid(raw);
-            in.kind = K::FSQRT_S;
-            return in;
-          case 0x10:
-            switch (f3) {
-              case 0: in.kind = K::FSGNJ_S; return in;
-              case 1: in.kind = K::FSGNJN_S; return in;
-              case 2: in.kind = K::FSGNJX_S; return in;
-              default: return makeInvalid(raw);
-            }
-          case 0x14:
-            switch (f3) {
-              case 0: in.kind = K::FMIN_S; return in;
-              case 1: in.kind = K::FMAX_S; return in;
-              default: return makeInvalid(raw);
-            }
-          case 0x60:
-            if (in.rs2 == 0) {
-                in.kind = K::FCVT_W_S;
-                return in;
-            }
-            if (in.rs2 == 1) {
-                in.kind = K::FCVT_WU_S;
-                return in;
-            }
-            return makeInvalid(raw);
-          case 0x70:
-            if (f3 == 0) {
-                in.kind = K::FMV_X_W;
-                return in;
-            }
-            if (f3 == 1) {
-                in.kind = K::FCLASS_S;
-                return in;
-            }
-            return makeInvalid(raw);
-          case 0x50:
-            switch (f3) {
-              case 0: in.kind = K::FLE_S; return in;
-              case 1: in.kind = K::FLT_S; return in;
-              case 2: in.kind = K::FEQ_S; return in;
-              default: return makeInvalid(raw);
-            }
-          case 0x68:
-            if (in.rs2 == 0) {
-                in.kind = K::FCVT_S_W;
-                return in;
-            }
-            if (in.rs2 == 1) {
-                in.kind = K::FCVT_S_WU;
-                return in;
-            }
-            return makeInvalid(raw);
-          case 0x78:
-            if (f3 == 0) {
-                in.kind = K::FMV_W_X;
-                return in;
-            }
-            return makeInvalid(raw);
-          default:
-            return makeInvalid(raw);
-        }
-      }
-      case OPC_VORTEX: {
-        switch (f7) {
-          case VXF_TMC: in.kind = K::VX_TMC; return in;
-          case VXF_WSPAWN: in.kind = K::VX_WSPAWN; return in;
-          case VXF_SPLIT: in.kind = K::VX_SPLIT; return in;
-          case VXF_JOIN: in.kind = K::VX_JOIN; return in;
-          case VXF_BAR: in.kind = K::VX_BAR; return in;
-          default: return makeInvalid(raw);
-        }
-      }
-      case OPC_TEX:
-        in.kind = K::VX_TEX;
-        return in;
-      default:
-        return makeInvalid(raw);
     }
+    return in;
 }
 
 //
 // Encoder
 //
 
-namespace {
-
 uint32_t
-encodeR(uint32_t opcode, uint32_t f3, uint32_t f7, RegId rd, RegId rs1,
-        RegId rs2)
+encode(const InstrInfo& row, const Instr& in)
 {
-    return (f7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) |
-           opcode;
+    uint32_t w = row.match;
+    for (const char* c = row.operands; *c; ++c) {
+        const int32_t imm = in.imm;
+        const auto u = static_cast<uint32_t>(imm);
+        switch (*c) {
+          case 'd': case 'D': w |= RD(in.rd); break;
+          case 's': case 'S': w |= RS1(in.rs1); break;
+          case 't': case 'T': w |= RS2(in.rs2); break;
+          case 'R': w |= in.rs3 << 27; break;
+          case 'U': w |= RS1(in.rs1) | RS2(in.rs1); break;
+          case 'j': case 'o':
+            if (imm < -2048 || imm > 2047)
+                panic("I-immediate out of range: ", imm);
+            w |= IMM12(imm);
+            break;
+          case 'q':
+            if (imm < -2048 || imm > 2047)
+                panic("S-immediate out of range: ", imm);
+            w |= (bits(u, 5, 7) << 25) | (bits(u, 0, 5) << 7);
+            break;
+          case 'p':
+            if (imm < -4096 || imm > 4095 || (imm & 1))
+                panic("B-immediate out of range or misaligned: ", imm);
+            w |= (bits(u, 12, 1) << 31) | (bits(u, 5, 6) << 25) |
+                 (bits(u, 1, 4) << 8) | (bits(u, 11, 1) << 7);
+            break;
+          case 'a':
+            if (imm < -(1 << 20) || imm >= (1 << 20) || (imm & 1))
+                panic("J-immediate out of range or misaligned: ", imm);
+            w |= (bits(u, 20, 1) << 31) | (bits(u, 1, 10) << 21) |
+                 (bits(u, 11, 1) << 20) | (bits(u, 12, 8) << 12);
+            break;
+          case 'u':
+            if (u & 0xFFF)
+                panic("U-immediate has low bits set: ", imm);
+            w |= u;
+            break;
+          case '>':
+            if (imm < 0 || imm > 31)
+                panic("shift amount out of range: ", imm);
+            w |= RS2(u);
+            break;
+          case 'E':
+            if (in.csr > 0xFFF)
+                panic("CSR address out of range: ", in.csr);
+            w |= in.csr << 20;
+            break;
+          case 'Z': w |= RS1(u & 0x1F); break;
+          default: break;
+        }
+    }
+    return w;
 }
-
-uint32_t
-encodeI(uint32_t opcode, uint32_t f3, RegId rd, RegId rs1, int32_t imm)
-{
-    if (imm < -2048 || imm > 2047)
-        panic("I-immediate out of range: ", imm);
-    return (static_cast<uint32_t>(imm & 0xFFF) << 20) | (rs1 << 15) |
-           (f3 << 12) | (rd << 7) | opcode;
-}
-
-uint32_t
-encodeS(uint32_t opcode, uint32_t f3, RegId rs1, RegId rs2, int32_t imm)
-{
-    if (imm < -2048 || imm > 2047)
-        panic("S-immediate out of range: ", imm);
-    uint32_t u = static_cast<uint32_t>(imm & 0xFFF);
-    return (bits(u, 5, 7) << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) |
-           (bits(u, 0, 5) << 7) | opcode;
-}
-
-uint32_t
-encodeB(uint32_t opcode, uint32_t f3, RegId rs1, RegId rs2, int32_t imm)
-{
-    if (imm < -4096 || imm > 4095 || (imm & 1))
-        panic("B-immediate out of range or misaligned: ", imm);
-    uint32_t u = static_cast<uint32_t>(imm);
-    return (bits(u, 12, 1) << 31) | (bits(u, 5, 6) << 25) | (rs2 << 20) |
-           (rs1 << 15) | (f3 << 12) | (bits(u, 1, 4) << 8) |
-           (bits(u, 11, 1) << 7) | opcode;
-}
-
-uint32_t
-encodeU(uint32_t opcode, RegId rd, int32_t imm)
-{
-    if ((imm & 0xFFF) != 0)
-        panic("U-immediate has low bits set: ", imm);
-    return static_cast<uint32_t>(imm) | (rd << 7) | opcode;
-}
-
-uint32_t
-encodeJ(uint32_t opcode, RegId rd, int32_t imm)
-{
-    if (imm < -(1 << 20) || imm >= (1 << 20) || (imm & 1))
-        panic("J-immediate out of range or misaligned: ", imm);
-    uint32_t u = static_cast<uint32_t>(imm);
-    return (bits(u, 20, 1) << 31) | (bits(u, 1, 10) << 21) |
-           (bits(u, 11, 1) << 20) | (bits(u, 12, 8) << 12) | (rd << 7) |
-           opcode;
-}
-
-uint32_t
-encodeR4(uint32_t opcode, uint32_t f3, uint32_t f2, RegId rd, RegId rs1,
-         RegId rs2, RegId rs3)
-{
-    return (rs3 << 27) | (f2 << 25) | (rs2 << 20) | (rs1 << 15) |
-           (f3 << 12) | (rd << 7) | opcode;
-}
-
-uint32_t
-encodeCsr(uint32_t f3, RegId rd, uint32_t rs1OrZimm, uint32_t csr)
-{
-    if (csr > 0xFFF)
-        panic("CSR address out of range: ", csr);
-    return (csr << 20) | (rs1OrZimm << 15) | (f3 << 12) | (rd << 7) |
-           OPC_SYSTEM;
-}
-
-} // namespace
 
 uint32_t
 encode(const Instr& in)
 {
-    using K = InstrKind;
-    switch (in.kind) {
-      case K::LUI: return encodeU(OPC_LUI, in.rd, in.imm);
-      case K::AUIPC: return encodeU(OPC_AUIPC, in.rd, in.imm);
-      case K::JAL: return encodeJ(OPC_JAL, in.rd, in.imm);
-      case K::JALR: return encodeI(OPC_JALR, 0, in.rd, in.rs1, in.imm);
-      case K::BEQ: return encodeB(OPC_BRANCH, 0, in.rs1, in.rs2, in.imm);
-      case K::BNE: return encodeB(OPC_BRANCH, 1, in.rs1, in.rs2, in.imm);
-      case K::BLT: return encodeB(OPC_BRANCH, 4, in.rs1, in.rs2, in.imm);
-      case K::BGE: return encodeB(OPC_BRANCH, 5, in.rs1, in.rs2, in.imm);
-      case K::BLTU: return encodeB(OPC_BRANCH, 6, in.rs1, in.rs2, in.imm);
-      case K::BGEU: return encodeB(OPC_BRANCH, 7, in.rs1, in.rs2, in.imm);
-      case K::LB: return encodeI(OPC_LOAD, 0, in.rd, in.rs1, in.imm);
-      case K::LH: return encodeI(OPC_LOAD, 1, in.rd, in.rs1, in.imm);
-      case K::LW: return encodeI(OPC_LOAD, 2, in.rd, in.rs1, in.imm);
-      case K::LBU: return encodeI(OPC_LOAD, 4, in.rd, in.rs1, in.imm);
-      case K::LHU: return encodeI(OPC_LOAD, 5, in.rd, in.rs1, in.imm);
-      case K::SB: return encodeS(OPC_STORE, 0, in.rs1, in.rs2, in.imm);
-      case K::SH: return encodeS(OPC_STORE, 1, in.rs1, in.rs2, in.imm);
-      case K::SW: return encodeS(OPC_STORE, 2, in.rs1, in.rs2, in.imm);
-      case K::ADDI: return encodeI(OPC_OP_IMM, 0, in.rd, in.rs1, in.imm);
-      case K::SLTI: return encodeI(OPC_OP_IMM, 2, in.rd, in.rs1, in.imm);
-      case K::SLTIU: return encodeI(OPC_OP_IMM, 3, in.rd, in.rs1, in.imm);
-      case K::XORI: return encodeI(OPC_OP_IMM, 4, in.rd, in.rs1, in.imm);
-      case K::ORI: return encodeI(OPC_OP_IMM, 6, in.rd, in.rs1, in.imm);
-      case K::ANDI: return encodeI(OPC_OP_IMM, 7, in.rd, in.rs1, in.imm);
-      case K::SLLI:
-        if (in.imm < 0 || in.imm > 31)
-            panic("shift amount out of range: ", in.imm);
-        return encodeR(OPC_OP_IMM, 1, 0, in.rd, in.rs1, in.imm);
-      case K::SRLI:
-        if (in.imm < 0 || in.imm > 31)
-            panic("shift amount out of range: ", in.imm);
-        return encodeR(OPC_OP_IMM, 5, 0, in.rd, in.rs1, in.imm);
-      case K::SRAI:
-        if (in.imm < 0 || in.imm > 31)
-            panic("shift amount out of range: ", in.imm);
-        return encodeR(OPC_OP_IMM, 5, 0x20, in.rd, in.rs1, in.imm);
-      case K::ADD: return encodeR(OPC_OP, 0, 0, in.rd, in.rs1, in.rs2);
-      case K::SUB: return encodeR(OPC_OP, 0, 0x20, in.rd, in.rs1, in.rs2);
-      case K::SLL: return encodeR(OPC_OP, 1, 0, in.rd, in.rs1, in.rs2);
-      case K::SLT: return encodeR(OPC_OP, 2, 0, in.rd, in.rs1, in.rs2);
-      case K::SLTU: return encodeR(OPC_OP, 3, 0, in.rd, in.rs1, in.rs2);
-      case K::XOR: return encodeR(OPC_OP, 4, 0, in.rd, in.rs1, in.rs2);
-      case K::SRL: return encodeR(OPC_OP, 5, 0, in.rd, in.rs1, in.rs2);
-      case K::SRA: return encodeR(OPC_OP, 5, 0x20, in.rd, in.rs1, in.rs2);
-      case K::OR: return encodeR(OPC_OP, 6, 0, in.rd, in.rs1, in.rs2);
-      case K::AND: return encodeR(OPC_OP, 7, 0, in.rd, in.rs1, in.rs2);
-      case K::FENCE: return 0x0000000F;
-      case K::ECALL: return 0x00000073;
-      case K::EBREAK: return 0x00100073;
-      case K::CSRRW: return encodeCsr(1, in.rd, in.rs1, in.csr);
-      case K::CSRRS: return encodeCsr(2, in.rd, in.rs1, in.csr);
-      case K::CSRRC: return encodeCsr(3, in.rd, in.rs1, in.csr);
-      case K::CSRRWI: return encodeCsr(5, in.rd, in.imm & 0x1F, in.csr);
-      case K::CSRRSI: return encodeCsr(6, in.rd, in.imm & 0x1F, in.csr);
-      case K::CSRRCI: return encodeCsr(7, in.rd, in.imm & 0x1F, in.csr);
-      case K::MUL: return encodeR(OPC_OP, 0, 1, in.rd, in.rs1, in.rs2);
-      case K::MULH: return encodeR(OPC_OP, 1, 1, in.rd, in.rs1, in.rs2);
-      case K::MULHSU: return encodeR(OPC_OP, 2, 1, in.rd, in.rs1, in.rs2);
-      case K::MULHU: return encodeR(OPC_OP, 3, 1, in.rd, in.rs1, in.rs2);
-      case K::DIV: return encodeR(OPC_OP, 4, 1, in.rd, in.rs1, in.rs2);
-      case K::DIVU: return encodeR(OPC_OP, 5, 1, in.rd, in.rs1, in.rs2);
-      case K::REM: return encodeR(OPC_OP, 6, 1, in.rd, in.rs1, in.rs2);
-      case K::REMU: return encodeR(OPC_OP, 7, 1, in.rd, in.rs1, in.rs2);
-      case K::FLW: return encodeI(OPC_LOAD_FP, 2, in.rd, in.rs1, in.imm);
-      case K::FSW: return encodeS(OPC_STORE_FP, 2, in.rs1, in.rs2, in.imm);
-      case K::FMADD_S:
-        return encodeR4(OPC_MADD, 0, 0, in.rd, in.rs1, in.rs2, in.rs3);
-      case K::FMSUB_S:
-        return encodeR4(OPC_MSUB, 0, 0, in.rd, in.rs1, in.rs2, in.rs3);
-      case K::FNMSUB_S:
-        return encodeR4(OPC_NMSUB, 0, 0, in.rd, in.rs1, in.rs2, in.rs3);
-      case K::FNMADD_S:
-        return encodeR4(OPC_NMADD, 0, 0, in.rd, in.rs1, in.rs2, in.rs3);
-      case K::FADD_S: return encodeR(OPC_OP_FP, 0, 0x00, in.rd, in.rs1, in.rs2);
-      case K::FSUB_S: return encodeR(OPC_OP_FP, 0, 0x04, in.rd, in.rs1, in.rs2);
-      case K::FMUL_S: return encodeR(OPC_OP_FP, 0, 0x08, in.rd, in.rs1, in.rs2);
-      case K::FDIV_S: return encodeR(OPC_OP_FP, 0, 0x0C, in.rd, in.rs1, in.rs2);
-      case K::FSQRT_S: return encodeR(OPC_OP_FP, 0, 0x2C, in.rd, in.rs1, 0);
-      case K::FSGNJ_S:
-        return encodeR(OPC_OP_FP, 0, 0x10, in.rd, in.rs1, in.rs2);
-      case K::FSGNJN_S:
-        return encodeR(OPC_OP_FP, 1, 0x10, in.rd, in.rs1, in.rs2);
-      case K::FSGNJX_S:
-        return encodeR(OPC_OP_FP, 2, 0x10, in.rd, in.rs1, in.rs2);
-      case K::FMIN_S: return encodeR(OPC_OP_FP, 0, 0x14, in.rd, in.rs1, in.rs2);
-      case K::FMAX_S: return encodeR(OPC_OP_FP, 1, 0x14, in.rd, in.rs1, in.rs2);
-      case K::FCVT_W_S: return encodeR(OPC_OP_FP, 0, 0x60, in.rd, in.rs1, 0);
-      case K::FCVT_WU_S: return encodeR(OPC_OP_FP, 0, 0x60, in.rd, in.rs1, 1);
-      case K::FMV_X_W: return encodeR(OPC_OP_FP, 0, 0x70, in.rd, in.rs1, 0);
-      case K::FEQ_S: return encodeR(OPC_OP_FP, 2, 0x50, in.rd, in.rs1, in.rs2);
-      case K::FLT_S: return encodeR(OPC_OP_FP, 1, 0x50, in.rd, in.rs1, in.rs2);
-      case K::FLE_S: return encodeR(OPC_OP_FP, 0, 0x50, in.rd, in.rs1, in.rs2);
-      case K::FCLASS_S: return encodeR(OPC_OP_FP, 1, 0x70, in.rd, in.rs1, 0);
-      case K::FCVT_S_W: return encodeR(OPC_OP_FP, 0, 0x68, in.rd, in.rs1, 0);
-      case K::FCVT_S_WU: return encodeR(OPC_OP_FP, 0, 0x68, in.rd, in.rs1, 1);
-      case K::FMV_W_X: return encodeR(OPC_OP_FP, 0, 0x78, in.rd, in.rs1, 0);
-      case K::VX_TMC:
-        return encodeR(OPC_VORTEX, 0, VXF_TMC, 0, in.rs1, 0);
-      case K::VX_WSPAWN:
-        return encodeR(OPC_VORTEX, 0, VXF_WSPAWN, 0, in.rs1, in.rs2);
-      case K::VX_SPLIT:
-        return encodeR(OPC_VORTEX, 0, VXF_SPLIT, 0, in.rs1, 0);
-      case K::VX_JOIN:
-        return encodeR(OPC_VORTEX, 0, VXF_JOIN, 0, 0, 0);
-      case K::VX_BAR:
-        return encodeR(OPC_VORTEX, 0, VXF_BAR, 0, in.rs1, in.rs2);
-      case K::VX_TEX:
-        return encodeR4(OPC_TEX, 0, 0, in.rd, in.rs1, in.rs2, in.rs3);
-      default:
+    if (!in.valid() || in.kind >= InstrKind::kCount)
         panic("encode: invalid instruction kind");
-    }
+    return encode(instrInfo(in.kind), in);
 }
 
 } // namespace vortex::isa

@@ -7,11 +7,18 @@
  * The Vortex instructions are R-type encodings in the custom-0 opcode
  * (0x0B), distinguished by funct7, except `tex` which follows the R4 format
  * (like the FMA group, paper §3.2) in the custom-1 opcode (0x2B).
+ *
+ * Every instruction and single-instruction alias is one row of one
+ * constant table (instrTable()): its MATCH/MASK bits and a binutils-style
+ * operand string drive decode, encode, operand classification, the
+ * disassembler and the assembler. Adding an instruction is one row plus
+ * its semantics in core/emulator.cpp.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/types.h"
@@ -167,15 +174,57 @@ struct Instr
     bool isFloatOp() const; ///< executes on the FPU
 };
 
-/** Static per-kind properties. */
+/** InstrInfo::flags bits. */
+enum InstrFlag : uint8_t
+{
+    kControl = 1, ///< stalls its warp's fetch until resolved (§4.2)
+    kBranch = 2,  ///< conditional branch
+    kLoad = 4,
+    kStore = 8,
+};
+
+/**
+ * One row of the opcode table: a word `w` is this row's instruction when
+ * `(w & mask) == match`. Bits in neither the mask nor an operand field
+ * are don't-cares (e.g. the FP rounding mode).
+ *
+ * Operand letters, in assembly order; `,` separates operands and
+ * `o(s)`/`q(s)` is one memory operand:
+ *  - `d`/`D` rd, `s`/`S` rs1, `t`/`T` rs2, `R` rs3 (lower case: integer
+ *    register, upper case: FP register); `U` one FP register in both rs1
+ *    and rs2
+ *  - `j` 12-bit signed immediate, `o` I-type and `q` S-type offset
+ *  - `p` branch and `a` jump target (pc-relative), `u` 20-bit upper
+ *    immediate, `>` 5-bit shift amount
+ *  - `E` 12-bit CSR address, `Z` 5-bit CSR immediate
+ *
+ * An alias row (`mv`, `ret`, ...) carries its base instruction's kind and
+ * classification; its match also holds the fields the alias fixes, and
+ * its mask covers every bit its operands do not.
+ */
 struct InstrInfo
 {
     const char* mnemonic;
+    InstrKind kind; ///< the instruction this row encodes
     InstrFormat format;
+    uint32_t match;
+    uint32_t mask;
+    const char* operands;
+    FuType fu;
+    uint8_t flags;  ///< InstrFlag bits
+    uint8_t width;  ///< memory access bytes; 0 when not a load or store
+    RegFile dst;    ///< register files, derived from the operand letters
+    RegFile src1;
+    RegFile src2;
+    RegFile src3;
 };
 
-/** Lookup table indexed by InstrKind. */
+/** The row of @p kind. */
 const InstrInfo& instrInfo(InstrKind kind);
+
+/** Every row: the instructions in InstrKind order (row i is kind i,
+ *  row 0 is Invalid), then the aliases. */
+std::span<const InstrInfo> instrTable();
 
 /** Decode a raw 32-bit instruction word. Invalid encodings decode to an
  *  Instr with kind == InstrKind::Invalid. */
@@ -184,6 +233,10 @@ Instr decode(uint32_t raw);
 /** Encode a decoded instruction back into its 32-bit word.
  *  Panics on malformed operands (e.g. immediate out of range). */
 uint32_t encode(const Instr& instr);
+
+/** Encode @p instr's operand fields, as @p row's operand letters name
+ *  them, into @p row's match bits. */
+uint32_t encode(const InstrInfo& row, const Instr& instr);
 
 /** Render a decoded instruction as assembly text (for tracing/tests). */
 std::string disassemble(const Instr& instr);

@@ -315,6 +315,268 @@ TEST(Assembler, ErrorsPinOperandRanges)
                    4, 13,
                    "branch target out of range (offset -8196, limit "
                    "+-4 KiB)");
+    expectAsmError("csrr a0, 0x1000", 1, 10,
+                   "CSR address 4096 out of range [0, 4095]");
+    expectAsmError("csrrw a0, -1, a1", 1, 11,
+                   "CSR address -1 out of range [0, 4095]");
+    expectAsmError("csrrwi x1, 0x7c0, 40", 1, 19,
+                   "CSR immediate 40 out of range [0, 31]");
+    expectAsmError("csrrsi a0, 0x7c0, -1", 1, 19,
+                   "CSR immediate -1 out of range [0, 31]");
+    expectAsmError("csrwi 0x7c0, 32", 1, 14,
+                   "CSR immediate 32 out of range [0, 31]");
+    expectAsmError("lui a0, 0x100000", 1, 9,
+                   "upper immediate 1048576 out of range [0, 1048575]");
+    expectAsmError("lui a0, -1", 1, 9,
+                   "upper immediate -1 out of range [0, 1048575]");
+    expectAsmError("auipc a0, -5", 1, 11,
+                   "upper immediate -5 out of range [0, 1048575]");
+
+    // The limits themselves assemble.
+    Program p = Assembler(0).assemble(
+        "csrrwi x1, 0xfff, 31\ncsrr a0, 0\nlui a0, 0xfffff\nauipc a0, 0");
+    EXPECT_EQ(instrAt(p, 0).csr, 0xFFFu);
+    EXPECT_EQ(instrAt(p, 0).imm, 31);
+    EXPECT_EQ(instrAt(p, 1).csr, 0u);
+    EXPECT_EQ(static_cast<uint32_t>(instrAt(p, 2).imm), 0xFFFFF000u);
+    EXPECT_EQ(instrAt(p, 3).imm, 0);
+}
+
+TEST(Assembler, ErrorsRejectStrayOperands)
+{
+    expectAsmError("nop x1", 1, 1, "nop: expected 0 operands, got 1");
+    expectAsmError("ret x1", 1, 1, "ret: expected 0 operands, got 1");
+    expectAsmError("ecall 1", 1, 1, "ecall: expected 0 operands, got 1");
+    expectAsmError("ebreak 5", 1, 1, "ebreak: expected 0 operands, got 1");
+    expectAsmError("fence rw, rw", 1, 1, "fence: expected 0 operands, got 2");
+}
+
+TEST(Assembler, DiagnosticCorpus)
+{
+    // One malformed line per operand letter, alias and jal/jalr form,
+    // with the exact text reported; `object` lines go through
+    // assembleObject() for the relocation diagnostics.
+    struct Case
+    {
+        const char* src;
+        const char* what;
+        bool object = false;
+    };
+    const Case corpus[] = {
+        {"add a0, a1", "1: add: expected 3 operands, got 2"},
+        {"add ft0, a1, a2", "5: expected integer register, got 'ft0'"},
+        {"add a0, fa1, a2", "9: expected integer register, got 'fa1'"},
+        {"add a0, a1, x32", "13: expected integer register, got 'x32'"},
+        {"fadd.s a0, fa1, fa2", "8: expected FP register, got 'a0'"},
+        {"fadd.s fa0, a1, fa2", "13: expected FP register, got 'a1'"},
+        {"fadd.s fa0, fa1, a2", "18: expected FP register, got 'a2'"},
+        {"fmadd.s fa0, fa1, fa2, a3", "24: expected FP register, got 'a3'"},
+        {"fmadd.s fa0, fa1, fa2", "1: fmadd.s: expected 4 operands, got 3"},
+        {"vx_tex a0, fa1, fa2, x3", "22: expected FP register, got 'x3'"},
+        {"vx_tex fa0, fa1, fa2, fa3",
+         "8: expected integer register, got 'fa0'"},
+        {"addi a0, a1, 2048", "14: immediate 2048 out of range [-2048, 2047]"},
+        {"addi a0, a1, -2049",
+         "14: immediate -2049 out of range [-2048, 2047]"},
+        {"addi a0, a1, nowhere", "14: undefined symbol 'nowhere'"},
+        {"addi a0, a1, 1+", "14: malformed expression: 1+"},
+        {"slli a0, a1, -1", "14: shift amount -1 out of range [0, 31]"},
+        {"srai a0, a1, 32", "14: shift amount 32 out of range [0, 31]"},
+        {"lw a0, 2048(a1)",
+         "8: memory offset 2048 out of range [-2048, 2047]"},
+        {"lw a0, 0(q1)", "8: bad base register 'q1'"},
+        {"lw a0, 0(a1", "8: unbalanced parens in '0(a1'"},
+        {"lw a0, a1", "8: expected imm(reg) operand, got 'a1'"},
+        {"lw fa0, 0(a1)", "4: expected integer register, got 'fa0'"},
+        {"flw a0, 0(a1)", "5: expected FP register, got 'a0'"},
+        {"flw fa0, -2049(a1)",
+         "10: memory offset -2049 out of range [-2048, 2047]"},
+        {"sw a0, 2048(a1)",
+         "8: memory offset 2048 out of range [-2048, 2047]"},
+        {"sw fa0, 0(a1)", "4: expected integer register, got 'fa0'"},
+        {"fsw a0, 0(a1)", "5: expected FP register, got 'a0'"},
+        {"fsw fa0, 0(fa1)", "10: bad base register 'fa1'"},
+        {"beq a0, a1, 4097",
+         "13: branch target out of range (offset 4097, limit +-4 KiB)"},
+        {"beq a0, a1, 3",
+         "13: branch target out of range (offset 3, limit +-4 KiB)"},
+        {"beq a0, fa1, 0", "9: expected integer register, got 'fa1'"},
+        {"bne a0, a1, nowhere", "13: undefined symbol 'nowhere'"},
+        {"jal a0, 0x100000",
+         "9: jump target out of range (offset 1048576, limit +-1 MiB)"},
+        {"jal a0, 1", "9: jump target out of range (offset 1, limit +-1 MiB)"},
+        {"jal fa0, 0", "5: expected integer register, got 'fa0'"},
+        {"jal", "1: jal: expected 2 operands, got 0"},
+        {"jal a0, a1, 0", "1: jal: expected 2 operands, got 3"},
+        {"jal 0x200000",
+         "5: jump target out of range (offset 2097152, limit +-1 MiB)"},
+        {"jalr", "1: jalr: expected 3 operands, got 0"},
+        {"jalr a0, a1, a2, a3", "1: jalr: expected 3 operands, got 4"},
+        {"jalr fa0", "6: expected integer register, got 'fa0'"},
+        {"jalr a0, a1", "10: expected imm(reg) operand, got 'a1'"},
+        {"jalr a0, a1, 4096", "14: immediate 4096 out of range [-2048, 2047]"},
+        {"jalr a0, 0(fa1)", "10: bad base register 'fa1'"},
+        {"jalr fa0, a1, 0", "6: expected integer register, got 'fa0'"},
+        {"lui a0, nowhere", "9: undefined symbol 'nowhere'"},
+        {"lui fa0, 1", "5: expected integer register, got 'fa0'"},
+        {"auipc a0", "1: auipc: expected 2 operands, got 1"},
+        {"csrrw a0, 0x7c0, fa1", "18: expected integer register, got 'fa1'"},
+        {"csrrs a0, nowhere, a1", "11: undefined symbol 'nowhere'"},
+        {"csrrc fa0, 0x7c0, a1", "7: expected integer register, got 'fa0'"},
+        {"csrrwi a0, 0x7c0, a1", "19: undefined symbol 'a1'"},
+        {"fsqrt.s fa0, a1", "14: expected FP register, got 'a1'"},
+        {"fcvt.w.s fa0, fa1", "10: expected integer register, got 'fa0'"},
+        {"fcvt.s.w fa0, fa1", "15: expected integer register, got 'fa1'"},
+        {"fmv.x.w a0", "1: fmv.x.w: expected 2 operands, got 1"},
+        {"feq.s a0, fa1, a2", "16: expected FP register, got 'a2'"},
+        {"fclass.s a0, a1", "14: expected FP register, got 'a1'"},
+        {"fmv.w.x a0, a1", "9: expected FP register, got 'a0'"},
+        {"vx_tmc fa0", "8: expected integer register, got 'fa0'"},
+        {"vx_tmc a0, a1", "1: vx_tmc: expected 1 operands, got 2"},
+        {"vx_wspawn a0", "1: vx_wspawn: expected 2 operands, got 1"},
+        {"vx_bar a0, fa1", "12: expected integer register, got 'fa1'"},
+        {"vx_join a0", "1: vx_join: expected 0 operands, got 1"},
+        {"vx_split", "1: vx_split: expected 1 operands, got 0"},
+        {"mv a0", "1: mv: expected 2 operands, got 1"},
+        {"mv a0, fa0", "8: expected integer register, got 'fa0'"},
+        {"not fa0, a0", "5: expected integer register, got 'fa0'"},
+        {"neg a0, fa1", "9: expected integer register, got 'fa1'"},
+        {"seqz a0", "1: seqz: expected 2 operands, got 1"},
+        {"snez a0, ft1", "10: expected integer register, got 'ft1'"},
+        {"sltz ft0, a0", "6: expected integer register, got 'ft0'"},
+        {"sgtz a0, a0, a0", "1: sgtz: expected 2 operands, got 3"},
+        {"beqz a0", "1: beqz: expected 2 operands, got 1"},
+        {"bnez fa0, 0", "6: expected integer register, got 'fa0'"},
+        {"blez a0, 5",
+         "10: branch target out of range (offset 5, limit +-4 KiB)"},
+        {"bgez a0, nowhere", "10: undefined symbol 'nowhere'"},
+        {"bltz a0, 8192",
+         "10: branch target out of range (offset 8192, limit +-4 KiB)"},
+        {"bgtz a0, a1, 0", "1: bgtz: expected 2 operands, got 3"},
+        {"bgt a0, a1", "1: bgt: expected 3 operands, got 2"},
+        {"ble a0, fa1, 0", "9: expected integer register, got 'fa1'"},
+        {"bgtu fa0, a1, 0", "6: expected integer register, got 'fa0'"},
+        {"bleu a0, a1, 9000",
+         "14: branch target out of range (offset 9000, limit +-4 KiB)"},
+        {"j", "1: j: expected 1 operands, got 0"},
+        {"j 0x100001",
+         "3: jump target out of range (offset 1048577, limit +-1 MiB)"},
+        {"call a0, nowhere", "1: call: expected 1 operands, got 2"},
+        {"call nowhere", "6: undefined symbol 'nowhere'"},
+        {"tail 3", "6: jump target out of range (offset 3, limit +-1 MiB)"},
+        {"jr fa0", "4: expected integer register, got 'fa0'"},
+        {"jr", "1: jr: expected 1 operands, got 0"},
+        {"csrr a0", "1: csrr: expected 2 operands, got 1"},
+        {"csrr fa0, 0x7c0", "6: expected integer register, got 'fa0'"},
+        {"csrw 0x7c0", "1: csrw: expected 2 operands, got 1"},
+        {"csrw 0x7c0, fa0", "13: expected integer register, got 'fa0'"},
+        {"csrs nowhere, a0", "6: undefined symbol 'nowhere'"},
+        {"csrc 0x7c0, 5", "13: expected integer register, got '5'"},
+        {"csrwi 0x7c0, a0", "14: undefined symbol 'a0'"},
+        {"csrwi 0x7c0", "1: csrwi: expected 2 operands, got 1"},
+        {"fmv.s fa0, a0", "12: expected FP register, got 'a0'"},
+        {"fabs.s a0, fa0", "8: expected FP register, got 'a0'"},
+        {"fneg.s fa0", "1: fneg.s: expected 2 operands, got 1"},
+        {"li a0", "1: li needs <rd>, <imm>"},
+        {"li fa0, 1", "4: expected integer register, got 'fa0'"},
+        {"la a0, nowhere", "8: undefined symbol 'nowhere'"},
+        {"bogus a0", "1: unknown mnemonic 'bogus'"},
+        {"NOPE", "1: unknown mnemonic 'nope'"},
+        {"main: auipc a0, main",
+         "17: not relocatable: label in a field that cannot "
+         "be relocated",
+         true},
+        {"main: csrr a0, main",
+         "16: not relocatable: label in a field that cannot "
+         "be relocated",
+         true},
+        {"main: slli a0, a0, main",
+         "20: not relocatable: label in a field that cannot "
+         "be relocated",
+         true},
+        {"main: csrwi 0x7c0, main",
+         "20: not relocatable: label in a field that cannot "
+         "be relocated",
+         true},
+        {"main: lui a0, main",
+         "15: not relocatable: raw label in lui (use "
+         "%hi(...))",
+         true},
+        {"main: jalr a0, main(a1)",
+         "16: not relocatable: raw label in an I-type "
+         "immediate (use %lo(...) or la)",
+         true},
+        {"main: sw a0, main(a1)",
+         "14: not relocatable: raw label in a store offset "
+         "(use %lo(...))",
+         true},
+    };
+    for (const Case& c : corpus) {
+        Assembler as(0);
+        try {
+            if (c.object)
+                as.assembleObject({{"prog.s", c.src}});
+            else
+                as.assemble(c.src, "prog.s");
+            ADD_FAILURE() << "accepted: " << c.src;
+        } catch (const AsmError& e) {
+            EXPECT_EQ(std::string(e.what()), std::string("prog.s:1:") + c.what)
+                << c.src;
+        }
+    }
+}
+
+TEST(Assembler, EveryAliasFormEncodes)
+{
+    Program p = Assembler(0).assemble(R"(
+    L:
+        nop
+        mv a0, a1
+        not a2, a3
+        neg a4, a5
+        seqz t0, t1
+        snez t2, t3
+        sltz s2, s3
+        sgtz s4, s5
+        beqz a0, L
+        bnez a1, L
+        blez a2, L
+        bgez a3, L
+        bltz a4, L
+        bgtz a5, L
+        bgt a0, a1, L
+        ble a2, a3, L
+        bgtu a4, a5, L
+        bleu a6, a7, L
+        j L
+        jal L
+        call L
+        tail L
+        jalr t0
+        jalr t1, 8(t2)
+        jalr t3, t4, -8
+        jr t5
+        ret
+        csrr t0, 0xCC0
+        csrw 0x7C0, t1
+        csrs 0x7C1, t2
+        csrc 0x7C2, t3
+        csrwi 0x7C3, 17
+        fmv.s fa0, fa1
+        fabs.s fa2, fa3
+        fneg.s fa4, fa5
+    )");
+    const uint32_t expected[] = {
+        0x00000013, 0x00058513, 0xfff6c613, 0x40f00733, 0x00133293, 0x01c033b3,
+        0x0009a933, 0x01502a33, 0xfe0500e3, 0xfc059ee3, 0xfcc05ce3, 0xfc06dae3,
+        0xfc0748e3, 0xfcf046e3, 0xfca5c4e3, 0xfcc6d2e3, 0xfce7e0e3, 0xfb08fee3,
+        0xfb9ff06f, 0xfb5ff0ef, 0xfb1ff0ef, 0xfadff06f, 0x000280e7, 0x00838367,
+        0xff8e8e67, 0x000f0067, 0x00008067, 0xcc0022f3, 0x7c031073, 0x7c13a073,
+        0x7c2e3073, 0x7c38d073, 0x20b58553, 0x20d6a653, 0x20f79753,
+    };
+    ASSERT_EQ(p.size(), sizeof expected);
+    for (size_t i = 0; i < std::size(expected); ++i)
+        EXPECT_EQ(word(p, i), expected[i]) << "instruction " << i;
 }
 
 TEST(Assembler, ObjectModeRejectsUnrelocatableExpressions)
