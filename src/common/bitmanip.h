@@ -6,22 +6,9 @@
 
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
-
-// Bit-operation helpers want C++20's <bit>, but the header must also work
-// (or fail loudly, not with a confusing error inside the function bodies)
-// under -std=c++17. Detect std::popcount/std::countr_zero via the
-// __cpp_lib_bitops feature-test macro and fall back to compiler builtins
-// or a portable loop.
-#if defined(__has_include)
-#  if __has_include(<version>)
-#    include <version>
-#  endif
-#endif
-#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
-#  include <bit>
-#endif
 
 #include "common/types.h"
 
@@ -94,16 +81,7 @@ maskLow(uint32_t n)
 constexpr uint32_t
 popcount(uint64_t x)
 {
-#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
     return static_cast<uint32_t>(std::popcount(x));
-#elif defined(__GNUC__) || defined(__clang__)
-    return static_cast<uint32_t>(__builtin_popcountll(x));
-#else
-    uint32_t n = 0;
-    for (; x != 0; x &= x - 1)
-        ++n;
-    return n;
-#endif
 }
 
 /** Index of the least-significant set bit; undefined for x == 0. */
@@ -111,18 +89,7 @@ constexpr uint32_t
 ctz(uint64_t x)
 {
     assert(x != 0);
-#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
     return static_cast<uint32_t>(std::countr_zero(x));
-#elif defined(__GNUC__) || defined(__clang__)
-    return static_cast<uint32_t>(__builtin_ctzll(x));
-#else
-    uint32_t n = 0;
-    while ((x & 1) == 0) {
-        x >>= 1;
-        ++n;
-    }
-    return n;
-#endif
 }
 
 /** Round @p value up to the next multiple of @p align (a power of two). */

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "analysis/analysis.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "isa/assembler.h"
 #include "isa/object.h"
@@ -62,52 +63,49 @@ writeArray(std::ostream& os, const char* key,
     os << "]";
 }
 
-/** Pull the string-array value of @p key out of coverageJson() output. */
-std::set<std::string>
-readArray(const std::string& text, const char* key,
-          const std::string& what)
+/** Member @p key of coverage document @p doc; fatal, naming @p what,
+ *  when it is absent. */
+const json::Node&
+coverageField(const json::Node& doc, const char* key,
+              const std::string& what)
 {
-    std::string needle = std::string("\"") + key + "\": [";
-    size_t at = text.find(needle);
-    if (at == std::string::npos)
+    const json::Node* v = doc.find(key);
+    if (!v)
         fatal(what, ": missing coverage key '", key, "'");
-    size_t end = text.find(']', at);
-    if (end == std::string::npos)
-        fatal(what, ": unterminated array for key '", key, "'");
-    std::set<std::string> out;
-    size_t i = at + needle.size();
-    while (i < end) {
-        size_t open = text.find('"', i);
-        if (open == std::string::npos || open > end)
-            break;
-        size_t close = text.find('"', open + 1);
-        if (close == std::string::npos || close > end)
-            fatal(what, ": unterminated string in array '", key, "'");
-        out.insert(text.substr(open + 1, close - open - 1));
-        i = close + 1;
-    }
-    return out;
+    return *v;
 }
 
-/** Pull a bare unsigned value out of coverageJson() output. */
+/** The unsigned integer member @p key of @p doc, at most @p max. */
 uint64_t
-readU64(const std::string& text, const char* key, const std::string& what)
+unsignedField(const json::Node& doc, const char* key, uint64_t max,
+              const std::string& what)
 {
-    std::string needle = std::string("\"") + key + "\": ";
-    size_t at = text.find(needle);
-    if (at == std::string::npos)
-        fatal(what, ": missing coverage key '", key, "'");
-    size_t i = at + needle.size();
-    uint64_t v = 0;
-    bool any = false;
-    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-        v = v * 10 + static_cast<uint64_t>(text[i] - '0');
-        ++i;
-        any = true;
+    const json::Node& v = coverageField(doc, key, what);
+    if (v.kind != json::Node::Kind::Integer || v.integer < 0)
+        fatal(what, ":", v.line, ":", v.col, ": coverage key '", key,
+              "' is not an unsigned integer");
+    if (static_cast<uint64_t>(v.integer) > max)
+        fatal(what, ":", v.line, ":", v.col, ": coverage key '", key,
+              "' is out of range");
+    return static_cast<uint64_t>(v.integer);
+}
+
+/** The string-array member @p key of @p doc. */
+std::set<std::string>
+stringSet(const json::Node& doc, const char* key, const std::string& what)
+{
+    const json::Node& v = coverageField(doc, key, what);
+    if (v.kind != json::Node::Kind::Array)
+        fatal(what, ":", v.line, ":", v.col, ": coverage key '", key,
+              "' is not an array");
+    std::set<std::string> out;
+    for (const json::Node& e : v.children) {
+        if (e.kind != json::Node::Kind::String)
+            fatal(what, ":", e.line, ":", e.col, ": coverage key '", key,
+                  "' holds a ", e.kindName(), ", not a string");
+        out.insert(e.str);
     }
-    if (!any)
-        fatal(what, ": key '", key, "' is not a number");
-    return v;
+    return out;
 }
 
 /** List the baseline entries of @p kind missing from @p measured. */
@@ -190,14 +188,22 @@ coverageJson(const CoverageReport& report)
 CoverageReport
 parseCoverageJson(const std::string& text, const std::string& what)
 {
-    if (text.find("\"vortex-fuzz-coverage/v1\"") == std::string::npos)
+    json::Node doc;
+    try {
+        doc = json::parse(text, what);
+    } catch (const ParseError& e) {
+        fatal(e.what());
+    }
+    const std::string* spec = doc.findString("spec");
+    if (!spec || *spec != "vortex-fuzz-coverage/v1")
         fatal(what, ": not a vortex-fuzz-coverage/v1 document");
     CoverageReport report;
-    report.startSeed = readU64(text, "startSeed", what);
-    report.seeds = static_cast<uint32_t>(readU64(text, "seeds", what));
-    report.instrKinds = readArray(text, "instrKinds", what);
-    report.decodePaths = readArray(text, "decodePaths", what);
-    report.analyzerChecks = readArray(text, "analyzerChecks", what);
+    report.startSeed = unsignedField(doc, "startSeed", UINT64_MAX, what);
+    report.seeds = static_cast<uint32_t>(
+        unsignedField(doc, "seeds", UINT32_MAX, what));
+    report.instrKinds = stringSet(doc, "instrKinds", what);
+    report.decodePaths = stringSet(doc, "decodePaths", what);
+    report.analyzerChecks = stringSet(doc, "analyzerChecks", what);
     return report;
 }
 

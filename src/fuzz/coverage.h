@@ -52,9 +52,10 @@ CoverageReport measureCoverage(uint64_t startSeed, uint32_t count,
 std::string coverageJson(const CoverageReport& report);
 
 /**
- * Parse a JSON document produced by coverageJson(). Only the shape that
- * serializer emits is accepted; fatal, naming @p what, on anything
- * else.
+ * Parse a document produced by coverageJson() with the JSON reader
+ * (common/json.h): a vortex-fuzz-coverage/v1 object carrying every key
+ * that serializer writes. Fatal, naming @p what, on a syntax error, a
+ * missing key, or a value of the wrong type.
  */
 CoverageReport parseCoverageJson(const std::string& text,
                                  const std::string& what);

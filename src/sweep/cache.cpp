@@ -14,6 +14,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -77,107 +78,52 @@ isoUtc(int64_t epochSeconds)
     return buf;
 }
 
+/** One entry file, parsed once. */
+struct Entry
+{
+    CacheEntryInfo info; ///< provenance (mtime left unset)
+    RunRecord rec;       ///< payload: cycles, instructions, stats, series
+};
+
 /**
- * Validate one on-disk entry file for merging: correct magic, a `hash`
- * provenance line equal to @p expectHash (the file's basename), and a
- * complete `end`-terminated payload. Returns false on any defect.
+ * Parse the entry file at @p path, which must describe @p hash (its file
+ * name). The one validity rule every reader applies: the magic line, a
+ * `hash` line equal to @p hash, the `end` terminator, and a rectangular
+ * series (every delta row as long as the cycle-stamp vector). Any defect
+ * — a missing file, a stale format, a foreign or torn entry, a corrupt
+ * series — yields nullopt.
  */
-bool
-validEntryFile(const std::filesystem::path& path,
-               const std::string& expectHash)
+std::optional<Entry>
+readEntry(const std::string& path, const std::string& hash)
 {
     std::ifstream in(path);
     std::string line;
     if (!in || !std::getline(in, line) || line != kCacheMagic)
-        return false;
+        return std::nullopt;
+    Entry e;
+    e.info.hash = hash;
+    RunRecord& rec = e.rec;
     bool hashOk = false, complete = false;
-    while (std::getline(in, line)) {
+    while (!complete && std::getline(in, line)) {
         std::istringstream ls(line);
         std::string tag;
         ls >> tag;
         if (tag == "hash") {
             std::string h;
             ls >> h;
-            hashOk = (h == expectHash);
-        } else if (tag == "end") {
-            complete = true;
-        }
-    }
-    return hashOk && complete;
-}
-
-} // namespace
-
-std::string
-CacheStore::entryPath(const std::string& hash) const
-{
-    return dir_ + "/" + hash + ".run";
-}
-
-bool
-CacheStore::contains(const std::string& hash) const
-{
-    if (!enabled())
-        return false;
-    std::ifstream in(entryPath(hash));
-    std::string line;
-    return in && std::getline(in, line) && line == kCacheMagic;
-}
-
-double
-CacheStore::recordedHostSeconds(const std::string& hash) const
-{
-    if (!enabled())
-        return -1.0;
-    std::ifstream in(entryPath(hash));
-    std::string line;
-    if (!in || !std::getline(in, line) || line != kCacheMagic)
-        return -1.0;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "host_seconds") {
-            double s = 0.0;
-            ls >> s;
-            return s;
-        }
-        if (tag == "cycles")
-            break; // provenance lines precede the payload
-    }
-    // A valid entry that predates the host_seconds line: still a hit —
-    // report "recorded cost unknown", not "absent", so the scheduler
-    // prices it like any other hit.
-    return 0.0;
-}
-
-bool
-CacheStore::load(const RunSpec& spec, RunRecord& out) const
-{
-    if (!enabled())
-        return false;
-    std::ifstream in(entryPath(spec.contentHash()));
-    if (!in)
-        return false;
-
-    std::string line;
-    if (!std::getline(in, line) || line != kCacheMagic)
-        return false;
-
-    RunRecord rec;
-    rec.spec = spec;
-    rec.fromCache = true;
-    rec.result.ok = true;
-    bool complete = false;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "hash") {
-            std::string h;
-            ls >> h;
-            if (h != spec.contentHash())
-                return false; // foreign entry (renamed file?)
+            if (h != hash)
+                return std::nullopt; // foreign entry (renamed file?)
+            hashOk = true;
+        } else if (tag == "id") {
+            std::getline(ls >> std::ws, e.info.id);
+        } else if (tag == "campaign") {
+            std::getline(ls >> std::ws, e.info.campaign);
+        } else if (tag == "host_seconds") {
+            ls >> e.info.hostSeconds;
+        } else if (tag == "kernel") {
+            ls >> e.info.kernel;
+        } else if (tag == "est_units") {
+            ls >> e.info.estUnits;
         } else if (tag == "cycles") {
             ls >> rec.result.cycles;
         } else if (tag == "thread_instrs") {
@@ -205,15 +151,48 @@ CacheStore::load(const RunSpec& spec, RunRecord& out) const
             complete = true;
         }
     }
-    if (!complete)
-        return false; // truncated write
-    // A well-formed series is rectangular: every delta row as long as the
-    // cycle-stamp vector. Treat anything else as corruption -> miss.
+    if (!hashOk || !complete)
+        return std::nullopt;
     for (const auto& row : rec.series.deltas)
         if (row.size() != rec.series.numSamples())
-            return false;
-    rec.result.ipc = ipcOf(rec.result.threadInstrs, rec.result.cycles);
-    out = std::move(rec);
+            return std::nullopt;
+    return e;
+}
+
+} // namespace
+
+std::string
+CacheStore::entryPath(const std::string& hash) const
+{
+    return dir_ + "/" + hash + ".run";
+}
+
+double
+CacheStore::recordedHostSeconds(const std::string& hash) const
+{
+    if (!enabled())
+        return -1.0;
+    std::optional<Entry> e = readEntry(entryPath(hash), hash);
+    // An entry that predates the host_seconds line is still a hit: report
+    // "recorded cost unknown" (0), not "absent", so the scheduler prices
+    // it like any other hit.
+    return e ? std::max(e->info.hostSeconds, 0.0) : -1.0;
+}
+
+bool
+CacheStore::load(const RunSpec& spec, RunRecord& out) const
+{
+    if (!enabled())
+        return false;
+    const std::string hash = spec.contentHash();
+    std::optional<Entry> e = readEntry(entryPath(hash), hash);
+    if (!e)
+        return false;
+    out = std::move(e->rec);
+    out.spec = spec;
+    out.fromCache = true;
+    out.result.ok = true;
+    out.result.ipc = ipcOf(out.result.threadInstrs, out.result.cycles);
     return true;
 }
 
@@ -282,36 +261,14 @@ CacheStore::entries() const
          std::filesystem::directory_iterator(dir_, ec)) {
         if (!de.is_regular_file() || de.path().extension() != ".run")
             continue;
-        // Same gate as load()/mergeFrom(): magic, hash matching the file
-        // name, and a complete `end`-terminated payload — a torn entry
-        // from a crash mid-write is invisible here too, not just a miss.
-        if (!validEntryFile(de.path().string(), de.path().stem().string()))
+        // Only what load() would restore is an entry: a torn, foreign or
+        // stale-format file is invisible here too, not just a miss.
+        std::optional<Entry> e =
+            readEntry(de.path().string(), de.path().stem().string());
+        if (!e)
             continue;
-        std::ifstream in(de.path());
-        std::string line;
-        if (!in || !std::getline(in, line) || line != kCacheMagic)
-            continue; // stale-format or foreign file; not an entry
-        CacheEntryInfo info;
-        info.hash = de.path().stem().string();
-        info.mtime = mtimeSeconds(de.path());
-        while (std::getline(in, line)) {
-            std::istringstream ls(line);
-            std::string tag;
-            ls >> tag;
-            if (tag == "id")
-                std::getline(ls >> std::ws, info.id);
-            else if (tag == "campaign")
-                std::getline(ls >> std::ws, info.campaign);
-            else if (tag == "host_seconds")
-                ls >> info.hostSeconds;
-            else if (tag == "kernel")
-                ls >> info.kernel;
-            else if (tag == "est_units")
-                ls >> info.estUnits;
-            else if (tag == "cycles")
-                break; // provenance lines precede the payload
-        }
-        out.push_back(std::move(info));
+        e->info.mtime = mtimeSeconds(de.path());
+        out.push_back(std::move(e->info));
     }
     std::sort(out.begin(), out.end(),
               [](const CacheEntryInfo& a, const CacheEntryInfo& b) {
@@ -380,10 +337,10 @@ CacheStore::prune(double olderThanDays) const
         }
         if (de.path().extension() != ".run")
             continue;
-        // Torn entries (bad magic, wrong hash, missing `end`) are swept
-        // regardless of age: load() and mergeFrom() already refuse
-        // them, so they are dead weight a crash left behind.
-        if (!validEntryFile(de.path(), de.path().stem().string())) {
+        // Invalid entries are swept regardless of age: load() and
+        // mergeFrom() already refuse them, so they are dead weight a
+        // crash left behind.
+        if (!readEntry(de.path().string(), de.path().stem().string())) {
             std::filesystem::remove(de.path(), ec);
             if (!ec)
                 ++removed;
@@ -425,14 +382,15 @@ CacheStore::mergeFrom(const std::string& srcDir) const
 
     for (const std::filesystem::path& src : files) {
         const std::string hash = src.stem().string();
-        if (!validEntryFile(src, hash)) {
+        if (!readEntry(src.string(), hash)) {
             warn("cache merge: rejecting invalid entry ", src.string());
             ++stats.rejected;
             continue;
         }
-        if (contains(hash)) {
-            // Content-addressed: an existing entry for this hash
-            // describes the same simulation; keep the local bytes.
+        if (readEntry(entryPath(hash), hash)) {
+            // Content-addressed: a valid local entry for this hash
+            // describes the same simulation; keep the local bytes. An
+            // invalid one is overwritten below.
             ++stats.skipped;
             continue;
         }

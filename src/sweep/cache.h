@@ -26,11 +26,21 @@
  *     sample_interval / sample_cycles / series ...   # when sampled
  *     end
  *
- * Readers skip unknown tags, so adding provenance lines (host_seconds in
- * PR 4, kernel/est_units in PR 8) never bumps the version: old binaries
- * still hit on new entries and vice versa. Entries are content-addressed
- * — the same hash always describes the same simulation — which is what
- * makes cache directories *mergeable artifacts*: shipping shard caches
+ * One reader parses an entry file, once, and applies one validity rule:
+ * the magic line, a `hash` line equal to the file name, the `end`
+ * terminator, and a rectangular series (every `series` row as long as
+ * `sample_cycles`). load(), recordedHostSeconds(), entries(), prune()
+ * and mergeFrom() all use it, so a file is either an entry everywhere
+ * (a hit, listed, merged, kept) or nowhere (a miss, unlisted, rejected,
+ * swept). There is no lighter probe: mergeFrom's "already present" test
+ * is the same rule, so a torn local copy is replaced, not kept.
+ *
+ * The reader skips unknown tags, so adding provenance lines (that is how
+ * host_seconds, kernel and est_units arrived) never bumps the version:
+ * old binaries still hit on new entries and vice versa. Entries are
+ * content-addressed — the same hash always describes the same
+ * simulation — which is what makes cache directories *mergeable
+ * artifacts*: shipping shard caches
  * between hosts and merging them (mergeFrom) reconstructs exactly the
  * records a single host would have produced.
  *
@@ -53,8 +63,8 @@ struct CacheMergeStats
 {
     size_t imported = 0; ///< entries copied into the destination
     size_t skipped = 0;  ///< already present (same content hash)
-    size_t rejected = 0; ///< invalid entries refused (bad magic, foreign
-                         ///< hash line, or truncated payload)
+    size_t rejected = 0; ///< invalid entries refused (see the validity
+                         ///< rule in the file comment)
 };
 
 /**
@@ -84,10 +94,10 @@ class CacheStore
 
     /**
      * Restore the cached record for @p spec into @p out.
-     * @return true on a hit: a complete, well-formed entry whose
-     *         recorded hash matches @p spec's content hash. Any defect
-     *         (missing, truncated, foreign, corrupt series) is a miss,
-     *         never an error — the run is simply re-simulated.
+     * @return true on a hit: a valid entry (file comment) for @p spec's
+     *         content hash. Any defect (missing, truncated, foreign,
+     *         corrupt series) is a miss, never an error — the run is
+     *         simply re-simulated.
      */
     bool load(const RunSpec& spec, RunRecord& out) const;
 
@@ -100,10 +110,6 @@ class CacheStore
      */
     void store(const RunRecord& record,
                const std::string& campaignName) const;
-
-    /** Whether a valid entry for @p hash exists (magic check only — the
-     *  cheap scheduler probe; load() still arbitrates hits). */
-    bool contains(const std::string& hash) const;
 
     /**
      * The simulation wall-clock seconds recorded for @p hash: negative
@@ -129,23 +135,22 @@ class CacheStore
 
     /**
      * Delete cached records: all of them, or with @p olderThanDays >= 0
-     * only those whose mtime is older than that many days. Torn entries
-     * — bad magic, hash not matching the file name, missing `end`
-     * terminator (a crash mid-write) — are swept regardless of age, as
-     * are leftover temp files; the manifest is rewritten at the end.
+     * only those whose mtime is older than that many days. Invalid
+     * entries (file comment; e.g. one torn by a crash mid-write) are
+     * swept regardless of age, as are leftover temp files; the manifest
+     * is rewritten at the end.
      * @return the number of records removed.
      */
     size_t prune(double olderThanDays = -1.0) const;
 
     /**
      * Import every valid entry of @p srcDir into this store — the
-     * fabric's "ship cache dirs, not CSVs" primitive. Each source entry
-     * is validated (magic line, `hash` provenance line matching the
-     * file name, complete `end`-terminated payload) and copied
-     * byte-for-byte via temp file + rename; entries whose hash already
-     * exists here are skipped (content-addressed: same hash, same
-     * simulation). Invalid entries are rejected, counted, and reported
-     * on stderr — never imported. The manifest is rewritten once at
+     * fabric's "ship cache dirs, not CSVs" primitive. Each valid source
+     * entry (file comment) is copied byte-for-byte via temp file +
+     * rename, unless a valid entry for its hash already exists here
+     * (content-addressed: same hash, same simulation); an invalid local
+     * entry is overwritten. Invalid source entries are rejected,
+     * counted, and reported on stderr — never imported. The manifest is rewritten once at
      * the end, so a crash mid-merge leaves a valid store.
      *
      * Merging the caches of shards 0..N-1 of a campaign and re-running

@@ -29,6 +29,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/outcome.h"
 #include "sweep/cache.h"
@@ -124,157 +125,19 @@ readLine(int fd, std::string& carry, std::string& line)
     }
 }
 
-//
-// Request lines are flat JSON objects with string values; this minimal
-// parser is the exact inverse of jsonEscape (sweep/report.h), which
-// both ends use to produce lines.
-//
-
-struct JsonField
-{
-    std::string key;
-    std::string value;
-};
-
+/** Parse one NDJSON line (a request or an event) with the JSON reader;
+ *  false, with the diagnostic in @p err, when it is malformed. */
 bool
-jsonUnescape(const std::string& in, size_t& i, std::string& out,
-             std::string& err)
+parseLine(const std::string& line, const char* what, json::Node& out,
+          std::string& err)
 {
-    // i points at the opening quote.
-    ++i;
-    out.clear();
-    while (i < in.size() && in[i] != '"') {
-        char c = in[i];
-        if (c != '\\') {
-            out += c;
-            ++i;
-            continue;
-        }
-        if (++i >= in.size())
-            break;
-        switch (in[i]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-            if (i + 4 >= in.size()) {
-                err = "truncated \\u escape";
-                return false;
-            }
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-                char h = in[++i];
-                code <<= 4;
-                if (h >= '0' && h <= '9')
-                    code |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    code |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    code |= static_cast<unsigned>(h - 'A' + 10);
-                else {
-                    err = "bad \\u escape";
-                    return false;
-                }
-            }
-            if (code > 0x7f) {
-                err = "non-ASCII \\u escape unsupported";
-                return false;
-            }
-            out += static_cast<char>(code);
-            break;
-        }
-        default:
-            err = std::string("unknown escape \\") + in[i];
-            return false;
-        }
-        ++i;
-    }
-    if (i >= in.size()) {
-        err = "unterminated string";
-        return false;
-    }
-    ++i; // closing quote
-    return true;
-}
-
-/** Parse a flat {"k": "v", ...} object (string or bare-token values)
- *  into ordered fields. */
-bool
-parseJsonLine(const std::string& in, std::vector<JsonField>& out,
-              std::string& err)
-{
-    out.clear();
-    size_t i = 0;
-    auto skipWs = [&] {
-        while (i < in.size() && (in[i] == ' ' || in[i] == '\t'))
-            ++i;
-    };
-    skipWs();
-    if (i >= in.size() || in[i] != '{') {
-        err = "expected '{'";
-        return false;
-    }
-    ++i;
-    skipWs();
-    if (i < in.size() && in[i] == '}')
+    try {
+        out = json::parse(line, what);
         return true;
-    for (;;) {
-        skipWs();
-        if (i >= in.size() || in[i] != '"') {
-            err = "expected key string";
-            return false;
-        }
-        JsonField f;
-        if (!jsonUnescape(in, i, f.key, err))
-            return false;
-        skipWs();
-        if (i >= in.size() || in[i] != ':') {
-            err = "expected ':'";
-            return false;
-        }
-        ++i;
-        skipWs();
-        if (i < in.size() && in[i] == '"') {
-            if (!jsonUnescape(in, i, f.value, err))
-                return false;
-        } else {
-            size_t start = i;
-            while (i < in.size() && in[i] != ',' && in[i] != '}')
-                ++i;
-            f.value = in.substr(start, i - start);
-            while (!f.value.empty() &&
-                   (f.value.back() == ' ' || f.value.back() == '\t'))
-                f.value.pop_back();
-            if (f.value.empty()) {
-                err = "empty value";
-                return false;
-            }
-        }
-        out.push_back(std::move(f));
-        skipWs();
-        if (i < in.size() && in[i] == ',') {
-            ++i;
-            continue;
-        }
-        if (i < in.size() && in[i] == '}')
-            return true;
-        err = "expected ',' or '}'";
+    } catch (const ParseError& e) {
+        err = e.what();
         return false;
     }
-}
-
-const std::string*
-findField(const std::vector<JsonField>& fields, const std::string& key)
-{
-    for (const JsonField& f : fields)
-        if (f.key == key)
-            return &f.value;
-    return nullptr;
 }
 
 /** Bounded counting semaphore (kept local: <semaphore> needs nothing
@@ -472,8 +335,7 @@ struct Service::Impl
 
     /** Serve one `submit` request: expand, schedule LPT, resolve every
      *  run, stream events. @p writeMu serializes lines to @p fd. */
-    void handleSubmit(int fd, std::mutex& writeMu,
-                      const std::vector<JsonField>& fields)
+    void handleSubmit(int fd, std::mutex& writeMu, const json::Node& request)
     {
         auto emit = [&](const std::string& line) {
             std::lock_guard<std::mutex> lk(writeMu);
@@ -488,7 +350,7 @@ struct Service::Impl
                  jsonEscape(msg) + "\"}");
         };
 
-        const std::string* specText = findField(fields, "spec");
+        const std::string* specText = request.findString("spec");
         if (!specText) {
             emitError("submit request is missing the \"spec\" field");
             return;
@@ -503,7 +365,7 @@ struct Service::Impl
             emitError(e.what());
             return;
         }
-        if (const std::string* name = findField(fields, "name"))
+        if (const std::string* name = request.findString("name"))
             if (!name->empty())
                 spec.name = *name;
 
@@ -613,16 +475,16 @@ struct Service::Impl
         while (!stopping.load() && readLine(fd, carry, line)) {
             if (line.empty())
                 continue;
-            std::vector<JsonField> fields;
+            json::Node request;
             std::string err;
-            if (!parseJsonLine(line, fields, err)) {
+            if (!parseLine(line, "request", request, err)) {
                 std::lock_guard<std::mutex> lk(writeMu);
                 sendLine(fd, std::string("{\"event\": \"error\", \"message\": "
                                          "\"bad request: ") +
                                  jsonEscape(err) + "\"}");
                 continue;
             }
-            const std::string* op = findField(fields, "op");
+            const std::string* op = request.findString("op");
             if (!op) {
                 std::lock_guard<std::mutex> lk(writeMu);
                 sendLine(fd, "{\"event\": \"error\", \"message\": "
@@ -652,7 +514,7 @@ struct Service::Impl
                 std::lock_guard<std::mutex> lk(writeMu);
                 sendLine(fd, ev.str());
             } else if (*op == "submit") {
-                handleSubmit(fd, writeMu, fields);
+                handleSubmit(fd, writeMu, request);
             } else if (*op == "shutdown") {
                 // Raise the flag before acknowledging so a client that
                 // received "bye" is guaranteed to observe it.
@@ -852,10 +714,11 @@ submitSpecText(const std::string& socketPath, const std::string& specText,
     }
 
     SubmitResult result;
-    auto numField = [](const std::vector<JsonField>& fields, const char* key,
+    auto numField = [](const json::Node& event, const char* key,
                        uint64_t& out) {
-        if (const std::string* v = findField(fields, key))
-            out = std::strtoull(v->c_str(), nullptr, 10);
+        const json::Node* v = event.find(key);
+        if (v && v->kind == json::Node::Kind::Integer)
+            out = static_cast<uint64_t>(v->integer);
     };
     std::string carry;
     std::string line;
@@ -866,27 +729,27 @@ submitSpecText(const std::string& socketPath, const std::string& specText,
         result.events.push_back(line);
         if (echo)
             *echo << line << "\n";
-        std::vector<JsonField> fields;
+        json::Node event;
         std::string err;
-        if (!parseJsonLine(line, fields, err))
+        if (!parseLine(line, "event", event, err))
             continue; // tolerate unknown/garbled lines; wait for done/error
-        const std::string* ev = findField(fields, "event");
+        const std::string* ev = event.findString("event");
         if (!ev)
             continue;
         if (*ev == "accepted") {
-            if (const std::string* name = findField(fields, "campaign"))
+            if (const std::string* name = event.findString("campaign"))
                 result.campaign = *name;
-            numField(fields, "runs", result.runs);
+            numField(event, "runs", result.runs);
         } else if (*ev == "done") {
             result.ok = true;
-            numField(fields, "runs", result.runs);
-            numField(fields, "simulated", result.simulated);
-            numField(fields, "cache_hits", result.cacheHits);
-            numField(fields, "dedup_joins", result.dedupJoins);
+            numField(event, "runs", result.runs);
+            numField(event, "simulated", result.simulated);
+            numField(event, "cache_hits", result.cacheHits);
+            numField(event, "dedup_joins", result.dedupJoins);
             finished = true;
         } else if (*ev == "error") {
             result.ok = false;
-            if (const std::string* msg = findField(fields, "message"))
+            if (const std::string* msg = event.findString("message"))
                 result.error = *msg;
             else
                 result.error = "service reported an error";
@@ -920,8 +783,13 @@ requestShutdown(const std::string& socketPath)
     }
     std::string carry;
     std::string line;
+    std::string err;
+    json::Node event;
     while (readLine(fd, carry, line)) {
-        if (line.find("\"bye\"") != std::string::npos)
+        if (!parseLine(line, "event", event, err))
+            continue;
+        const std::string* ev = event.findString("event");
+        if (ev && *ev == "bye")
             break;
     }
     ::close(fd);

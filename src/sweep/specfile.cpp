@@ -3,92 +3,34 @@
  * Sweep-spec document parsing (TOML subset + JSON) and canonical TOML
  * serialization.
  *
- * Both syntaxes parse into one ordered document tree (Node); a shared
- * builder walks the tree, validates every key and field value through
- * the same field table the CLI uses (applyField), and assembles the
- * SweepSpec. Every diagnostic carries file:line:col.
+ * Both syntaxes parse into one ordered document tree (Node, from
+ * common/json.h, whose reader parses the JSON syntax); a shared builder
+ * walks the tree, validates every key and field value through the same
+ * field table the CLI uses (applyField), and assembles the SweepSpec.
+ * Every diagnostic carries file:line:col.
  */
 
 #include "sweep/specfile.h"
 
 #include <cctype>
-#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace vortex::sweep {
 
 namespace {
 
+using json::Member;
+using json::Node;
+
 /** Schema identifier accepted in the optional `spec = "..."` header. */
 constexpr const char* kSchemaId = "vortex-sweep/v1";
-
-//
-// Document tree. Tables keep member order (axis points and field
-// assignments are order-sensitive), and every node remembers where it
-// began so the builder can point diagnostics at the source.
-//
-
-struct Node;
-
-/** One `key = value` member of a table, with the key's position. */
-struct Member
-{
-    std::string key;
-    size_t line = 0;
-    size_t col = 0;
-    size_t valueIndex = 0; ///< index of the value node in Node::children
-};
-
-struct Node
-{
-    enum class Kind : uint8_t
-    {
-        String,
-        Integer,
-        Boolean,
-        Table,
-        Array,
-    };
-
-    Kind kind = Kind::Table;
-    size_t line = 0;
-    size_t col = 0;
-
-    std::string str;      // Kind::String
-    int64_t integer = 0;  // Kind::Integer
-    bool boolean = false; // Kind::Boolean
-
-    std::vector<Member> members;  // Kind::Table (ordered)
-    std::vector<Node> children;   // Table member values / Array elements
-
-    const char*
-    kindName() const
-    {
-        switch (kind) {
-        case Kind::String: return "string";
-        case Kind::Integer: return "integer";
-        case Kind::Boolean: return "boolean";
-        case Kind::Table: return "table";
-        case Kind::Array: return "array";
-        }
-        return "?";
-    }
-
-    Node*
-    find(const std::string& key)
-    {
-        for (Member& m : members)
-            if (m.key == key)
-                return &children[m.valueIndex];
-        return nullptr;
-    }
-};
 
 [[noreturn]] void
 fail(const std::string& file, size_t line, size_t col,
@@ -378,6 +320,11 @@ class TomlParser
                 fail(file_, line, start + 1,
                      "expected a key (bare keys use letters, digits, '_' "
                      "and '-')");
+            if (path.size() == json::kMaxNestingDepth)
+                fail(file_, line, start + 1,
+                     "key nests deeper than " +
+                         std::to_string(json::kMaxNestingDepth) +
+                         " levels");
             path.emplace_back(ln.substr(start, i - start), start + 1);
             i = skipWs(ln, i);
             if (i < limit && ln[i] == '.') {
@@ -429,217 +376,6 @@ class TomlParser
     const std::string& text_;
     std::string file_;
     Node* current_ = nullptr; ///< table the next key = value lands in
-};
-
-//
-// JSON parser (standard JSON; floats and null rejected since the schema
-// never uses them).
-//
-
-class JsonParser
-{
-  public:
-    JsonParser(const std::string& text, std::string file)
-        : text_(text), file_(std::move(file))
-    {
-    }
-
-    Node
-    parse()
-    {
-        skipWs();
-        Node root = parseValue();
-        skipWs();
-        if (pos_ < text_.size())
-            fail(file_, line_, col_, "trailing content after document");
-        if (root.kind != Node::Kind::Table)
-            fail(file_, root.line, root.col,
-                 "top-level JSON value must be an object");
-        return root;
-    }
-
-  private:
-    Node
-    parseValue()
-    {
-        if (pos_ >= text_.size())
-            fail(file_, line_, col_, "unexpected end of input");
-        Node n;
-        n.line = line_;
-        n.col = col_;
-        char c = text_[pos_];
-        if (c == '{') {
-            n.kind = Node::Kind::Table;
-            advance();
-            skipWs();
-            if (peek() == '}') {
-                advance();
-                return n;
-            }
-            while (true) {
-                skipWs();
-                size_t kl = line_, kc = col_;
-                if (peek() != '"')
-                    fail(file_, line_, col_,
-                         "expected a \"key\" string");
-                std::string key = parseString();
-                skipWs();
-                expect(':');
-                skipWs();
-                if (n.find(key))
-                    fail(file_, kl, kc, "key '" + key + "' set twice");
-                n.members.push_back(
-                    Member{key, kl, kc, n.children.size()});
-                n.children.push_back(parseValue());
-                skipWs();
-                if (peek() == ',') {
-                    advance();
-                    continue;
-                }
-                expect('}');
-                break;
-            }
-        } else if (c == '[') {
-            n.kind = Node::Kind::Array;
-            advance();
-            skipWs();
-            if (peek() == ']') {
-                advance();
-                return n;
-            }
-            while (true) {
-                skipWs();
-                n.children.push_back(parseValue());
-                skipWs();
-                if (peek() == ',') {
-                    advance();
-                    continue;
-                }
-                expect(']');
-                break;
-            }
-        } else if (c == '"') {
-            n.kind = Node::Kind::String;
-            n.str = parseString();
-        } else if (c == 't' || c == 'f') {
-            n.kind = Node::Kind::Boolean;
-            const char* word = c == 't' ? "true" : "false";
-            size_t len = c == 't' ? 4 : 5;
-            if (text_.compare(pos_, len, word) != 0)
-                fail(file_, line_, col_, "unrecognized literal");
-            n.boolean = c == 't';
-            for (size_t k = 0; k < len; ++k)
-                advance();
-        } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-            n.kind = Node::Kind::Integer;
-            size_t start = pos_, sl = line_, sc = col_;
-            if (c == '-')
-                advance();
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_])))
-                advance();
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '.' || text_[pos_] == 'e' ||
-                 text_[pos_] == 'E'))
-                fail(file_, sl, sc,
-                     "floating-point values are not used by sweep specs");
-            if (pos_ == start || (text_[start] == '-' && pos_ == start + 1))
-                fail(file_, sl, sc, "malformed number");
-            try {
-                n.integer = std::stoll(text_.substr(start, pos_ - start));
-            } catch (const std::exception&) {
-                fail(file_, sl, sc, "integer out of range");
-            }
-        } else if (text_.compare(pos_, 4, "null") == 0) {
-            fail(file_, line_, col_,
-                 "null is not used by sweep specs (omit the key instead)");
-        } else {
-            fail(file_, line_, col_, "unrecognized value");
-        }
-        return n;
-    }
-
-    std::string
-    parseString()
-    {
-        advance(); // opening quote
-        std::string out;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == '"') {
-                advance();
-                return out;
-            }
-            if (c == '\\') {
-                advance();
-                if (pos_ >= text_.size())
-                    break;
-                char e = text_[pos_];
-                switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                default:
-                    fail(file_, line_, col_,
-                         std::string("unsupported escape '\\") + e + "'");
-                }
-                advance();
-                continue;
-            }
-            if (c == '\n')
-                fail(file_, line_, col_, "unterminated string");
-            out += c;
-            advance();
-        }
-        fail(file_, line_, col_, "unterminated string");
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(file_, line_, col_,
-                 std::string("expected '") + c + "'");
-        advance();
-    }
-
-    void
-    advance()
-    {
-        if (pos_ < text_.size() && text_[pos_] == '\n') {
-            ++line_;
-            col_ = 1;
-        } else {
-            ++col_;
-        }
-        ++pos_;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            advance();
-    }
-
-    const std::string& text_;
-    std::string file_;
-    size_t pos_ = 0;
-    size_t line_ = 1;
-    size_t col_ = 1;
 };
 
 //
@@ -860,6 +596,21 @@ buildSpec(const std::string& file, const Node& root)
     return spec;
 }
 
+/** Reject the first float or null in document order: JSON values the
+ *  schema never uses. */
+void
+rejectUnusedValues(const std::string& file, const Node& n)
+{
+    if (n.kind == Node::Kind::Float)
+        fail(file, n.line, n.col,
+             "floating-point values are not used by sweep specs");
+    if (n.kind == Node::Kind::Null)
+        fail(file, n.line, n.col,
+             "null is not used by sweep specs (omit the key instead)");
+    for (const Node& child : n.children)
+        rejectUnusedValues(file, child);
+}
+
 /** The document tree of spec text: JSON when the first non-whitespace
  *  character is `{`, the TOML subset otherwise. */
 Node
@@ -869,9 +620,11 @@ parseDocument(const std::string& text, const std::string& filename)
     while (i < text.size() &&
            std::isspace(static_cast<unsigned char>(text[i])))
         ++i;
-    return (i < text.size() && text[i] == '{')
-               ? JsonParser(text, filename).parse()
-               : TomlParser(text, filename).parse();
+    if (i == text.size() || text[i] != '{')
+        return TomlParser(text, filename).parse();
+    Node root = json::parse(text, filename);
+    rejectUnusedValues(filename, root);
+    return root;
 }
 
 //
@@ -916,16 +669,6 @@ tomlValue(const std::string& v)
 
 } // namespace
 
-SpecParseError::SpecParseError(std::string file, size_t line,
-                               size_t column, const std::string& message)
-    : std::runtime_error(
-          line == 0 ? file + ": " + message
-                    : file + ":" + std::to_string(line) + ":" +
-                          std::to_string(column) + ": " + message),
-      file_(std::move(file)), line_(line), column_(column)
-{
-}
-
 SweepSpec
 parseSpecText(const std::string& text, const std::string& filename)
 {
@@ -935,13 +678,12 @@ parseSpecText(const std::string& text, const std::string& filename)
 std::string
 parseSpecDescription(const std::string& text, const std::string& filename)
 {
-    Node root = parseDocument(text, filename);
-    for (const Member& m : root.members)
-        if (m.key == "description")
-            return expectKind(filename, root.children[m.valueIndex],
-                              Node::Kind::String, "a string description")
-                .str;
-    return {};
+    const Node root = parseDocument(text, filename);
+    const Node* d = root.find("description");
+    return d ? expectKind(filename, *d, Node::Kind::String,
+                          "a string description")
+                   .str
+             : std::string();
 }
 
 SweepSpec

@@ -12,7 +12,7 @@
  *    `[table]` and `[[array-of-tables]]` headers — which covers every
  *    construct the schema needs;
  *  - standard JSON, detected by a leading `{`, for machine-generated
- *    specs.
+ *    specs, read by the shared JSON reader (common/json.h).
  *
  * Both parsers produce the same document tree and report malformed input
  * through SpecParseError with `file:line:col` positions, so a typo in a
@@ -32,36 +32,16 @@
 #pragma once
 
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
+#include "common/json.h"
 #include "sweep/spec.h"
 
 namespace vortex::sweep {
 
-/** Malformed spec-file input. what() carries the full diagnostic;
- *  file/line/column locate the first offending character (column 0 when
- *  the error spans a whole construct, e.g. a missing required key). */
-class SpecParseError : public std::runtime_error
-{
-  public:
-    /** Build the diagnostic "file:line:col: message" (line/col omitted
-     *  when 0). */
-    SpecParseError(std::string file, size_t line, size_t column,
-                   const std::string& message);
-
-    /** The file name (or pseudo-name) the text came from. */
-    const std::string& file() const { return file_; }
-    /** 1-based line of the error; 0 when the position is unknown. */
-    size_t line() const { return line_; }
-    /** 1-based column of the error; 0 when the position is unknown. */
-    size_t column() const { return column_; }
-
-  private:
-    std::string file_; ///< input name used in the diagnostic
-    size_t line_;      ///< 1-based error line (0 = unknown)
-    size_t column_;    ///< 1-based error column (0 = unknown)
-};
+/** Malformed spec-file input: the reader's ParseError (common/json.h),
+ *  thrown by both syntaxes and by the schema builder. */
+using SpecParseError = ParseError;
 
 /**
  * Parse spec text in either supported syntax (JSON when the first

@@ -2,9 +2,10 @@
  * @file
  * Campaign-fabric tests: shard partitioning (disjoint, exhaustive,
  * balanced), cache merge/import, byte-identical sharded reconstruction,
- * the CostModel calibration path, the [fabric] spec key, the submission
- * service's dedup contract, and the CLI grammar (usage errors, `specs
- * dump` against `run --dump-spec`, `--sample` as a `--set`).
+ * one validity rule for every cache-entry reader, the CostModel
+ * calibration path, the [fabric] spec key, the submission service's
+ * dedup contract and NDJSON events, and the CLI grammar (usage errors,
+ * `specs dump` against `run --dump-spec`, `--sample` as a `--set`).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/outcome.h"
 #include "sweep/cache.h"
@@ -313,6 +315,102 @@ TEST(CacheMerge, RejectsInvalidEntriesAndForeignHashes)
     std::filesystem::remove_all(dst);
 }
 
+TEST(CacheMerge, ReplacesATornDestinationEntry)
+{
+    std::string src = freshTempDir("tornsrc");
+    std::string dst = freshTempDir("torndst");
+    SweepSpec spec = tinySpec();
+    CampaignOptions opts;
+    opts.cacheDir = src;
+    Campaign(opts).run(spec);
+
+    // The destination holds a copy of one entry with its `end` line cut
+    // (a crash mid-write): not an entry, so the merge must replace it.
+    const std::string hash = spec.expand()[0].contentHash();
+    std::string bytes = slurp(src + "/" + hash + ".run");
+    ASSERT_EQ(bytes.substr(bytes.size() - 4), "end\n");
+    std::filesystem::create_directories(dst);
+    std::ofstream(dst + "/" + hash + ".run")
+        << bytes.substr(0, bytes.size() - 4);
+
+    CacheStore store(dst);
+    CacheMergeStats s = store.mergeFrom(src);
+    EXPECT_EQ(s.imported, 4u);
+    EXPECT_EQ(s.skipped, 0u);
+    EXPECT_EQ(s.rejected, 0u);
+    EXPECT_EQ(slurp(dst + "/" + hash + ".run"), bytes);
+    EXPECT_EQ(store.entries().size(), 4u);
+
+    CampaignOptions warm;
+    warm.cacheDir = dst;
+    CampaignResult replay = Campaign(warm).run(spec);
+    EXPECT_EQ(replay.cacheHits, 4u);
+    EXPECT_EQ(replay.cacheMisses, 0u);
+
+    std::filesystem::remove_all(src);
+    std::filesystem::remove_all(dst);
+}
+
+TEST(CacheStore, EveryReaderAppliesTheSameValidityRule)
+{
+    std::string dir = freshTempDir("rule");
+    SweepSpec spec = tinySpec();
+    CampaignOptions opts;
+    opts.cacheDir = dir;
+    Campaign(opts).run(spec);
+    std::vector<RunSpec> runs = spec.expand();
+    auto path = [&](size_t i) {
+        return dir + "/" + runs[i].contentHash() + ".run";
+    };
+
+    // Run 0's entry is torn (no `end`); run 1's has a series whose rows
+    // are not as long as its cycle stamps. Runs 2 and 3 stay valid.
+    std::string torn = slurp(path(0));
+    std::ofstream(path(0), std::ios::trunc)
+        << torn.substr(0, torn.size() - 4);
+    std::string ragged = slurp(path(1));
+    ragged.insert(ragged.size() - 4, "sample_interval 100\n"
+                                     "sample_cycles 100 200\n"
+                                     "series core.retired 7\n");
+    std::ofstream(path(1), std::ios::trunc) << ragged;
+
+    CacheStore store(dir);
+    RunRecord rec;
+    std::vector<double> costs;
+    claimOrder(runs, store, &costs);
+    for (size_t i = 0; i < runs.size(); ++i) {
+        bool valid = i >= 2;
+        EXPECT_EQ(store.load(runs[i], rec), valid) << i;
+        // Priced as a hit (cost 0) exactly when load() will restore it.
+        EXPECT_EQ(store.recordedHostSeconds(runs[i].contentHash()) >= 0.0,
+                  valid)
+            << i;
+        EXPECT_EQ(costs[i] == 0.0, valid) << i;
+    }
+
+    // Invisible to listing, the manifest and CostModel calibration...
+    std::vector<CacheEntryInfo> listed = store.entries();
+    ASSERT_EQ(listed.size(), 2u);
+    store.writeManifest();
+    std::string manifest = slurp(dir + "/manifest.json");
+    for (size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(manifest.find(runs[i].contentHash()), std::string::npos);
+    EXPECT_EQ(CostModel::fromCache(store).sampleCount(), 2u);
+
+    // ...refused by a merge, and swept by prune whatever their age.
+    std::string dst = freshTempDir("ruledst");
+    CacheMergeStats s = CacheStore(dst).mergeFrom(dir);
+    EXPECT_EQ(s.imported, 2u);
+    EXPECT_EQ(s.rejected, 2u);
+    EXPECT_EQ(store.prune(/*olderThanDays=*/1000.0), 2u);
+    EXPECT_FALSE(std::filesystem::exists(path(0)));
+    EXPECT_FALSE(std::filesystem::exists(path(1)));
+    EXPECT_EQ(store.entries().size(), 2u);
+
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(dst);
+}
+
 //
 // Cost-model calibration.
 //
@@ -541,6 +639,138 @@ TEST(Service, MalformedRequestLinesLeaveTheConnectionUsable)
     ::close(fd);
 
     EXPECT_TRUE(service.running());
+    service.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Service, DeeplyNestedJsonIsAnErrorEventNotACrash)
+{
+    std::string dir = freshTempDir("svcdeep");
+    std::filesystem::create_directories(dir);
+    ServiceOptions opts;
+    opts.socketPath = dir + "/fabric.sock";
+    Service service(opts);
+    service.start();
+
+    // 100,000 nested arrays (about 200 KB) used to overflow the stack of
+    // the daemon, once as a submitted spec and once as the request line.
+    const size_t n = 100000;
+    std::string deep =
+        "{\"axes\": " + std::string(n, '[') + std::string(n, ']') + "}";
+    SubmitResult r = submitSpecText(opts.socketPath, deep);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("<submission>:1:73: document nests deeper"),
+              std::string::npos)
+        << r.error;
+
+    int fd = rawConnect(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(rawSendLine(fd, deep));
+    std::string line = rawReadLine(fd);
+    EXPECT_NE(line.find("\"bad request: request:1:73: document nests "
+                        "deeper than 64 levels\""),
+              std::string::npos)
+        << line;
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": \"ping\"}"));
+    EXPECT_EQ(rawReadLine(fd), "{\"event\": \"pong\"}");
+    ::close(fd);
+
+    EXPECT_TRUE(service.running());
+    service.stop();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Service, EveryEventKindRoundTripsThroughTheReader)
+{
+    std::string dir = freshTempDir("svcev");
+    std::filesystem::create_directories(dir);
+    ServiceOptions opts;
+    opts.socketPath = dir + "/fabric.sock";
+    Service service(opts);
+    service.start();
+
+    int fd = rawConnect(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    using Kind = json::Node::Kind;
+    // Read one event line, check its kind and the kind of every listed
+    // field, and hand back the parsed tree.
+    auto expectEvent =
+        [&](const std::string& kind,
+            const std::vector<std::pair<std::string, Kind>>& fields) {
+            std::string line = rawReadLine(fd);
+            json::Node ev;
+            try {
+                ev = json::parse(line, "event");
+            } catch (const ParseError& e) {
+                ADD_FAILURE() << e.what();
+                return ev;
+            }
+            const std::string* name = ev.findString("event");
+            EXPECT_TRUE(name && *name == kind) << line;
+            EXPECT_EQ(ev.members.size(), fields.size() + 1) << line;
+            for (const auto& [key, k] : fields) {
+                const json::Node* v = ev.find(key);
+                EXPECT_TRUE(v && v->kind == k) << key << " in " << line;
+            }
+            return ev;
+        };
+
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": \"ping\"}"));
+    expectEvent("pong", {});
+
+    ASSERT_TRUE(rawSendLine(fd, std::string("{\"op\": \"submit\", "
+                                            "\"spec\": \"") +
+                                    jsonEscape(kTinySpecToml) + "\"}"));
+    json::Node accepted = expectEvent(
+        "accepted", {{"campaign", Kind::String}, {"runs", Kind::Integer}});
+    EXPECT_EQ(*accepted.findString("campaign"), "fabric-tiny");
+    EXPECT_EQ(accepted.find("runs")->integer, 4);
+    for (int i = 0; i < 4; ++i) {
+        json::Node run = expectEvent(
+            "run", {{"index", Kind::Integer},
+                    {"id", Kind::String},
+                    {"hash", Kind::String},
+                    {"source", Kind::String},
+                    {"ok", Kind::Boolean},
+                    {"status", Kind::String},
+                    {"cycles", Kind::Integer},
+                    {"thread_instrs", Kind::Integer},
+                    {"ipc", Kind::Float}});
+        EXPECT_TRUE(run.find("ok")->boolean);
+    }
+    json::Node done = expectEvent("done", {{"campaign", Kind::String},
+                                           {"runs", Kind::Integer},
+                                           {"simulated", Kind::Integer},
+                                           {"cache_hits", Kind::Integer},
+                                           {"dedup_joins", Kind::Integer}});
+    EXPECT_EQ(done.find("simulated")->integer, 4);
+
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": \"status\"}"));
+    json::Node status = expectEvent("status", {{"submissions", Kind::Integer},
+                                               {"runs_requested", Kind::Integer},
+                                               {"simulated", Kind::Integer},
+                                               {"cache_hits", Kind::Integer},
+                                               {"memo_hits", Kind::Integer},
+                                               {"dedup_joins", Kind::Integer},
+                                               {"errors", Kind::Integer},
+                                               {"inflight", Kind::Integer}});
+    EXPECT_EQ(status.find("submissions")->integer, 1);
+
+    // A bare-token value is not JSON: a bad request, positioned, and the
+    // connection stays usable.
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": submit}"));
+    json::Node bad = expectEvent("error", {{"message", Kind::String}});
+    EXPECT_EQ(*bad.findString("message"),
+              "bad request: request:1:8: unrecognized value");
+    // Control characters travel as \u escapes and decode back.
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": \"x\\u0001\"}"));
+    json::Node unknown = expectEvent("error", {{"message", Kind::String}});
+    EXPECT_EQ(*unknown.findString("message"), "unknown op \"x\x01\"");
+
+    ASSERT_TRUE(rawSendLine(fd, "{\"op\": \"shutdown\"}"));
+    expectEvent("bye", {});
+    ::close(fd);
+
     service.stop();
     std::filesystem::remove_all(dir);
 }

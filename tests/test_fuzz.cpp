@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 
+#include "common/log.h"
 #include "fuzz/coverage.h"
 #include "fuzz/fuzz.h"
 
@@ -122,6 +123,41 @@ TEST(Fuzz, CoverageJsonRoundTripsAndDetectsRegressions)
     CoverageReport lax = r;
     lax.instrKinds.erase(*lax.instrKinds.begin());
     EXPECT_EQ(coverageRegressions(lax, r), "");
+}
+
+TEST(Fuzz, MalformedCoverageBaselinesAreFatalWithAPosition)
+{
+    // The baseline is read by the JSON reader: a syntax error carries
+    // its position, and a missing or mistyped key is named.
+    auto error = [](const std::string& text) -> std::string {
+        try {
+            parseCoverageJson(text, "b.json");
+        } catch (const FatalError& e) {
+            return e.what();
+        }
+        return "<ok>";
+    };
+    const std::string head = "{\"spec\": \"vortex-fuzz-coverage/v1\", "
+                             "\"startSeed\": 1, \"seeds\": 2, ";
+    const std::string tail =
+        "\"decodePaths\": [], \"analyzerChecks\": []}";
+    EXPECT_EQ(error(head + "\"instrKinds\": [\"add\"], " + tail), "<ok>");
+    EXPECT_EQ(error(head + "\"instrKinds\": [\"add\"]"),
+              "fatal: b.json:1:86: expected '}'");
+    EXPECT_EQ(error(head + "\"instrKinds\": [1], " + tail),
+              "fatal: b.json:1:80: coverage key 'instrKinds' holds a "
+              "integer, not a string");
+    EXPECT_EQ(error(head + "\"instrKinds\": []}"),
+              "fatal: b.json: missing coverage key 'decodePaths'");
+    EXPECT_EQ(error("{\"spec\": \"vortex-fuzz-coverage/v2\"}"),
+              "fatal: b.json: not a vortex-fuzz-coverage/v1 document");
+    EXPECT_EQ(error("{\"spec\": \"vortex-fuzz-coverage/v1\", "
+                    "\"startSeed\": -1}"),
+              "fatal: b.json:1:50: coverage key 'startSeed' is not an "
+              "unsigned integer");
+    EXPECT_EQ(error("{\"spec\": \"vortex-fuzz-coverage/v1\", "
+                    "\"startSeed\": 1, \"seeds\": 4294967296}"),
+              "fatal: b.json:1:62: coverage key 'seeds' is out of range");
 }
 
 TEST(Fuzz, PinnedCoverageBaselineMatchesTheCorpusByteForByte)

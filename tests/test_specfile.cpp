@@ -8,7 +8,8 @@
  *    matrix, and the sweep presets are exactly these files, embedded
  *    unchanged;
  *  - malformed input fails with file:line:col diagnostics;
- *  - JSON specs parse to the same matrix as their TOML equivalent;
+ *  - JSON specs parse to the same matrix as their TOML equivalent, and
+ *    the JSON reader's diagnostics are pinned by a malformed corpus;
  *  - LPT claim ordering never changes emitted CSV bytes, for any job
  *    count and any cache warmth, and the cost estimate / cached
  *    host-seconds probes behave.
@@ -185,9 +186,9 @@ TEST(SpecFile, JsonAndTomlSpecsExpandIdentically)
                        "label = \"2\"\n"
                        "set.cores = 2\n";
     const char* json = R"({
-      "name": "mini",
+      "name": "m\u0069ni",
       "base": {"numWarps": 8},
-      "workload": {"kernel": "saxpy"},
+      "workload": {"kernel": "s\u0061xpy"},
       "axes": [
         {"name": "cores", "points": [
           {"label": "1", "set": {"cores": 1}},
@@ -373,6 +374,232 @@ TEST(SpecFile, MalformedCheckValuesReportLineAndColumn)
                      "cannot parse 'zz' as a hex number");
     expectParseError("[workload]\ncheck = \"memcmp:0:4\"\n", 2, 9,
                      "not of the form memcmp:ADDR:LEN:FNV");
+}
+
+namespace {
+
+/** The diagnostic of parsing @p text as "c.json" ("<ok>" when it
+ *  parses). */
+std::string
+diagnosticOf(const std::string& text)
+{
+    try {
+        parseSpecText(text, "c.json");
+    } catch (const SpecParseError& e) {
+        return e.what();
+    }
+    return "<ok>";
+}
+
+} // namespace
+
+TEST(SpecFile, JsonDiagnosticCorpusIsPinned)
+{
+    // Malformed JSON specs covering every lexer and structure error of
+    // the JSON reader plus the schema builder's checks. Each diagnostic
+    // is byte-identical to the spec parser's own before the reader moved
+    // to common/json.h.
+    struct Case
+    {
+        const char* text;
+        const char* diagnostic;
+    };
+    const Case kCorpus[] = {
+        {"{",
+         "c.json:1:2: expected a \"key\" string"},
+        {"{\"",
+         "c.json:1:3: unterminated string"},
+        {"{\"name\"",
+         "c.json:1:8: expected ':'"},
+        {"{\"name\":",
+         "c.json:1:9: unexpected end of input"},
+        {"{\"name\": ",
+         "c.json:1:10: unexpected end of input"},
+        {"{\"name\": \"x\"",
+         "c.json:1:13: expected '}'"},
+        {"{\"name\": \"x\",",
+         "c.json:1:14: expected a \"key\" string"},
+        {"{\"name\": \"x\", }",
+         "c.json:1:15: expected a \"key\" string"},
+        {"{\"name\": \"x\"}}",
+         "c.json:1:14: trailing content after document"},
+        {"{\"name\" \"x\"}",
+         "c.json:1:9: expected ':'"},
+        {"{name: \"x\"}",
+         "c.json:1:2: expected a \"key\" string"},
+        {"{\"name\": 'x'}",
+         "c.json:1:10: unrecognized value"},
+        {"{\"name\": tru}",
+         "c.json:1:10: unrecognized literal"},
+        {"{\"name\": fals}",
+         "c.json:1:10: unrecognized literal"},
+        {"{\"name\": tx}",
+         "c.json:1:10: unrecognized literal"},
+        {"{\"name\": nul}",
+         "c.json:1:10: unrecognized value"},
+        {"{\"name\": +1}",
+         "c.json:1:10: unrecognized value"},
+        {"{\"name\": .5}",
+         "c.json:1:10: unrecognized value"},
+        {"{\"name\": null}",
+         "c.json:1:10: null is not used by sweep specs (omit the key instead)"},
+        {"{\"base\": {\"numWarps\": 4.5}}",
+         "c.json:1:23: floating-point values are not used by sweep specs"},
+        {"{\"base\": {\"numWarps\": 1e3}}",
+         "c.json:1:23: floating-point values are not used by sweep specs"},
+        {"{\"base\": {\"numWarps\": -5.25E-2}}",
+         "c.json:1:23: floating-point values are not used by sweep specs"},
+        {"{\"base\": {\"numWarps\": -}}",
+         "c.json:1:23: malformed number"},
+        {"{\"base\": {\"numWarps\": -x}}",
+         "c.json:1:23: malformed number"},
+        {"{\"base\": {\"numWarps\": 99999999999999999999}}",
+         "c.json:1:23: integer out of range"},
+        {"{\"name\": \"a\\qb\"}",
+         "c.json:1:13: unsupported escape '\\q'"},
+        {"{\"name\": \"a\nb\"}",
+         "c.json:1:12: unterminated string"},
+        {"{\"name\": \"abc",
+         "c.json:1:14: unterminated string"},
+        {"{\"name\": \"a\\",
+         "c.json:1:13: unterminated string"},
+        {"{\"name\": \"x\", \"name\": \"y\"}",
+         "c.json:1:15: key 'name' set twice"},
+        {"{\"axes\": [1 2]}",
+         "c.json:1:13: expected ']'"},
+        {"{\"axes\": [1,]}",
+         "c.json:1:13: unrecognized value"},
+        {"{\"axes\": [",
+         "c.json:1:11: unexpected end of input"},
+        {"{\"axes\": [{}",
+         "c.json:1:13: expected ']'"},
+        {"{\"axes\": [{\"name\": \"k\", \"points\": [}]}",
+         "c.json:1:36: unrecognized value"},
+        {"{\"axes\": {\"name\": \"k\"}}",
+         "c.json:1:10: expected an array of axes, got a table"},
+        {"{\"axes\": [{\"name\": \"k\"}]}",
+         "c.json:1:11: axis 'k' has no points"},
+        {"{\"axes\": [{\"points\": []}]}",
+         "c.json:1:11: axis needs a name"},
+        {"{\"axes\": [{\"name\": \"k\", \"points\": [{\"set\": {\"kernel\": \"vecadd\"}}]}]}",
+         "c.json:1:36: axis point needs a label"},
+        {"{\"axes\": [{\"name\": \"k\", \"points\": [{\"label\": \"a\", \"bogus\": 1}]}]}",
+         "c.json:1:51: unknown point key 'bogus' (point keys: label, set)"},
+        {"{\"axes\": [{\"name\": \"k\", \"points\": [{\"label\": \"a\", \"set\": {\"nosuch\": 1}}]}]}",
+         "c.json:1:69: unknown sweep field 'nosuch' (vortex_sweep specs fields lists them)"},
+        {"{\"axes\": [{\"name\": \"k\", \"points\": [{\"label\": \"a\", \"set\": {\"numWarps\": null}}]}]}",
+         "c.json:1:71: null is not used by sweep specs (omit the key instead)"},
+        {"{\"axes\": [{\"name\": 7, \"points\": []}]}",
+         "c.json:1:20: expected a string axis name, got a integer"},
+        {"{\"axes\": [{\"name\": \"k\", \"points\": [\"a\"]}]}",
+         "c.json:1:36: expected a point table, got a string"},
+        {"{\"base\": {\"numWarps\": \"banana\"}}",
+         "c.json:1:23: fatal: sweep field 'numWarps': cannot parse 'banana' as an unsigned integer"},
+        {"{\"base\": {\"numWarps\": true}}",
+         "c.json:1:23: fatal: sweep field 'numWarps': cannot parse 'true' as an unsigned integer"},
+        {"{\"base\": []}",
+         "c.json:1:10: expected a table of field assignments, got a array"},
+        {"{\"base\": {\"numWarps\": [1]}}",
+         "c.json:1:23: expected a scalar value, got a array"},
+        {"{\"spec\": \"vortex-sweep/v9\"}",
+         "c.json:1:10: unsupported schema 'vortex-sweep/v9' (this build reads vortex-sweep/v1)"},
+        {"{\"spec\": 1}",
+         "c.json:1:10: expected a schema-id string, got a integer"},
+        {"{\"bogus\": 1}",
+         "c.json:1:2: unknown top-level key 'bogus' (keys: spec, name, description, base, workload, faults, fabric, axes)"},
+        {"{\"fabric\": {\"shard\": \"3/3\"}}",
+         "c.json:1:22: fatal: fabric shard: shard index 3 out of range for 3 shards"},
+        {"{\"fabric\": {\"nope\": 1}}",
+         "c.json:1:13: unknown fabric key 'nope' (fabric keys: shard)"},
+        {"{\"faults\": {\"nope\": 1}}",
+         "c.json:1:13: unknown faults key 'nope' (faults keys: seed, count, window, watchdog)"},
+        {"{\"name\": [\"x\"]}",
+         "c.json:1:10: expected a string name, got a array"},
+        {"{\"name\": \"x\"}\n\n  x",
+         "c.json:3:3: trailing content after document"},
+        {"{\n  \"base\": {\n    \"numWarps\": 4.5\n  }\n}",
+         "c.json:3:17: floating-point values are not used by sweep specs"},
+        {"{\"name\": \"x\" , \"base\" : { \"numWarps\" : 2 , } }",
+         "c.json:1:44: expected a \"key\" string"},
+        {"{\"name\": \"x\"}garbage",
+         "c.json:1:14: trailing content after document"},
+        {"{\"name\": -5.5}",
+         "c.json:1:10: floating-point values are not used by sweep specs"},
+        {"{\"name\": \"x\", \"description\": \"line\\tone\\/two\\b\\f\\r\"",
+         "c.json:1:52: expected '}'"},
+        {"  {\"name\": \"x\" ",
+         "c.json:1:16: expected '}'"},
+        {"{\"description\": 5}",
+         "c.json:1:17: expected a string description, got a integer"},
+        {"{\"axes\": [{\"name\": \"k\", \"name\": \"j\"}]}",
+         "c.json:1:25: key 'name' set twice"},
+        {"{\"workload\": {\"check\": \"bogus\"}}",
+         "c.json:1:24: fatal: sweep field 'check': unknown check 'bogus' (selfcheck | memcmp:ADDR:LEN:FNV)"},
+        {"{\"faults\": []}",
+         "c.json:1:12: expected a faults table, got a array"},
+        {"{\"fabric\": \"x\"}",
+         "c.json:1:12: expected a fabric table, got a string"},
+    };
+    for (const Case& c : kCorpus)
+        EXPECT_EQ(diagnosticOf(c.text), c.diagnostic) << c.text;
+
+    // Truncate a complete spec after every byte: the FNV-1a digest of
+    // the 305 diagnostics, pinned from the same parser.
+    const std::string full =
+        "{\"spec\": \"vortex-sweep/v1\", \"name\": \"t\", \"description\": \"d\\n\",\n"
+        " \"base\": {\"numWarps\": 2, \"lat\": {\"alu\": 1}, \"l2Enabled\": false},\n"
+        " \"workload\": {\"kernel\": \"saxpy\"},\n"
+        " \"axes\": [{\"name\": \"k\", \"points\": [{\"label\": \"a\", "
+        "\"set\": {\"kernel\": \"vecadd\"}},\n"
+        "   {\"label\": \"b\", \"set\": {\"numWarps\": 4, \"lat\": {\"mul\": 3}}}]}]}";
+    ASSERT_EQ(diagnosticOf(full), "<ok>");
+    std::string all;
+    for (size_t n = 1; n < full.size(); ++n)
+        all += diagnosticOf(full.substr(0, n)) + "\n";
+    uint64_t digest = 0xcbf29ce484222325ull;
+    for (unsigned char b : all)
+        digest = (digest ^ b) * 0x100000001b3ull;
+    EXPECT_EQ(digest, 0x9d361b0dc8a10053ull) << all;
+}
+
+TEST(SpecFile, JsonReaderChangesOnlyEscapesDepthAndMalformedNumbers)
+{
+    // \u escapes decode in the range jsonEscape emits; higher code
+    // points and short escapes are positioned errors.
+    EXPECT_EQ(diagnosticOf("{\"name\": \"mini\\u00e9\"}"),
+              "c.json:1:16: unsupported escape '\\u00e9' "
+              "(only \\u0000-\\u007f are decoded)");
+    EXPECT_EQ(diagnosticOf("{\"name\": \"mini\\u00\"}"),
+              "c.json:1:16: malformed escape '\\u' (expected four hex "
+              "digits)");
+    EXPECT_EQ(parseSpecText("{\"name\": \"\\u0009\\u007f\\u0000\"}").name,
+              std::string("\t\x7f\0", 3));
+    // Nesting past the bound stops at the first bracket too deep.
+    EXPECT_EQ(diagnosticOf("{\"axes\": " + std::string(65, '[') +
+                           std::string(65, ']') + "}"),
+              "c.json:1:73: document nests deeper than 64 levels");
+    // A malformed number is a syntax error, whatever its shape.
+    EXPECT_EQ(diagnosticOf("{\"name\": 1.}"), "c.json:1:10: malformed number");
+    EXPECT_EQ(diagnosticOf("{\"name\": -.5}"),
+              "c.json:1:10: malformed number");
+    // Syntax is checked before the schema rejects a float or a null.
+    EXPECT_EQ(diagnosticOf("{\"name\": 1.5, \"x\": }"),
+              "c.json:1:20: unrecognized value");
+}
+
+TEST(SpecFile, DeepNestingIsADiagnosticNotACrash)
+{
+    // 100,000 levels overflowed the stack of the recursive parser (and
+    // of the tree's destructor) before nesting was bounded.
+    const size_t n = 100000;
+    expectParseError("{\"axes\": " + std::string(n, '[') +
+                         std::string(n, ']') + "}",
+                     1, 73, "document nests deeper than 64 levels");
+    std::string toml = "[base]\n";
+    for (size_t i = 0; i < n; ++i)
+        toml += "a.";
+    expectParseError(toml + "a = 1\n", 2, 129,
+                     "key nests deeper than 64 levels");
 }
 
 TEST(Lpt, EstimateRanksObviouslyLongerRunsHigher)
