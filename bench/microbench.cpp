@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark micro suite: throughput of the individual substrates
- * (decoder, assembler, functional sampler, cache model, rasterizer, and
+ * (decoder, assembler, functional sampler, cache model, and
  * whole-processor simulation speed). These are simulator engineering
  * numbers, not paper figures; they guard against performance regressions
  * in the infrastructure itself.
@@ -16,7 +16,6 @@
 #include "common/stats.h"
 #include "core/decode_cache.h"
 #include "core/uop.h"
-#include "graphics/pipeline.h"
 #include "isa/assembler.h"
 #include "isa/isa.h"
 #include "kernels/kernels.h"
@@ -112,24 +111,6 @@ BM_CacheHitStream(benchmark::State& state)
     state.SetItemsProcessed(static_cast<int64_t>(id));
 }
 BENCHMARK(BM_CacheHitStream);
-
-static void
-BM_RasterizerFill(benchmark::State& state)
-{
-    graphics::Framebuffer fb(256, 256);
-    graphics::Pipeline pipe(fb);
-    std::vector<graphics::Vertex> vtx(3);
-    vtx[0].position = {-1.0f, -1.0f, 0.0f, 1.0f};
-    vtx[1].position = {3.0f, -1.0f, 0.0f, 1.0f};
-    vtx[2].position = {-1.0f, 3.0f, 0.0f, 1.0f};
-    std::vector<uint32_t> idx = {0, 1, 2};
-    for (auto _ : state) {
-        fb.clear({0, 0, 0, 255});
-        pipe.drawTriangles(vtx, idx);
-    }
-    state.SetItemsProcessed(state.iterations() * 256 * 256);
-}
-BENCHMARK(BM_RasterizerFill);
 
 static void
 BM_FetchDecode(benchmark::State& state)

@@ -779,18 +779,12 @@ class Engine
         image_.at(addr - base_) = v;
     }
 
+    /** Store the low @p bytes bytes of @p v little-endian at @p addr. */
     void
-    poke16(Addr addr, uint16_t v)
+    poke(Addr addr, uint32_t v, uint32_t bytes = 4)
     {
-        poke8(addr, v & 0xFF);
-        poke8(addr + 1, v >> 8);
-    }
-
-    void
-    poke32(Addr addr, uint32_t v)
-    {
-        poke16(addr, v & 0xFFFF);
-        poke16(addr + 2, v >> 16);
+        for (uint32_t b = 0; b < bytes; ++b)
+            poke8(addr + b, static_cast<uint8_t>(v >> (8 * b)));
     }
 
     void
@@ -798,15 +792,21 @@ class Engine
     {
         const std::string& d = st.head;
         Addr lc = st.addr;
-        if (d == ".word") {
-            lc = static_cast<Addr>(alignUp(lc, 4));
+        if (d == ".word" || d == ".half" || d == ".byte") {
+            // Each value must fit the field as signed or as unsigned.
+            const uint32_t size = d == ".word" ? 4 : d == ".half" ? 2 : 1;
+            const int64_t half = int64_t{1} << (8 * size - 1);
+            const std::string what = d.substr(1) + " value";
+            lc = static_cast<Addr>(alignUp(lc, size));
             for (size_t i = 0; i < st.args.size(); ++i) {
                 ExprInfo info;
-                poke32(lc, static_cast<uint32_t>(
-                               evalExpr(st.args[i], argLoc(st, i), true,
-                                        &info)));
-                noteReloc(lc, info, RelCtx::Word, st, i);
-                lc += 4;
+                int64_t v = evalExpr(st.args[i], argLoc(st, i), true, &info);
+                uint32_t u = static_cast<uint32_t>(
+                    checkRange(st, i, v, -half, 2 * half - 1, what.c_str()));
+                poke(lc, u, size);
+                noteReloc(lc, info, size == 4 ? RelCtx::Word : RelCtx::None,
+                          st, i);
+                lc += size;
             }
         } else if (d == ".float") {
             lc = static_cast<Addr>(alignUp(lc, 4));
@@ -824,27 +824,8 @@ class Engine
                            "bad float literal '" + st.args[i] + "'");
                 uint32_t u;
                 std::memcpy(&u, &f, 4);
-                poke32(lc, u);
+                poke(lc, u);
                 lc += 4;
-            }
-        } else if (d == ".half") {
-            lc = static_cast<Addr>(alignUp(lc, 2));
-            for (size_t i = 0; i < st.args.size(); ++i) {
-                ExprInfo info;
-                poke16(lc, static_cast<uint16_t>(
-                               evalExpr(st.args[i], argLoc(st, i), true,
-                                        &info)));
-                noteReloc(lc, info, RelCtx::None, st, i);
-                lc += 2;
-            }
-        } else if (d == ".byte") {
-            for (size_t i = 0; i < st.args.size(); ++i) {
-                ExprInfo info;
-                poke8(lc, static_cast<uint8_t>(
-                              evalExpr(st.args[i], argLoc(st, i), true,
-                                       &info)));
-                noteReloc(lc, info, RelCtx::None, st, i);
-                lc += 1;
             }
         } else if (d == ".ascii" || d == ".asciz") {
             std::string bytes = decodeString(st.args[0], argLoc(st, 0));
@@ -992,7 +973,7 @@ class Engine
     void
     emitWord(Addr addr, const Instr& in)
     {
-        poke32(addr, encode(in));
+        poke(addr, encode(in));
     }
 
     Instr
@@ -1049,7 +1030,9 @@ Engine::emitInstruction(const Stmt& st)
         RegId rd = xreg(st, 0);
         ExprInfo info;
         int64_t value = evalExpr(st.args[1], argLoc(st, 1), true, &info);
-        uint32_t u = static_cast<uint32_t>(value);
+        uint32_t u = static_cast<uint32_t>(
+            checkRange(st, 1, value, INT32_MIN, UINT32_MAX,
+                       (m + " value").c_str()));
         if (st.size == 4) {
             Instr in = mk(InstrKind::ADDI);
             in.rd = rd;
@@ -1134,7 +1117,7 @@ Engine::emitInstruction(const Stmt& st)
           default: break;
         }
     }
-    poke32(pc, encode(*row, in));
+    poke(pc, encode(*row, in));
 }
 
 } // namespace

@@ -278,26 +278,45 @@ CampaignResult::writeCsv(std::ostream& os) const
     }
 }
 
+namespace {
+
+/** The envelope both JSON writers share: campaign name, axes, and one
+ *  object per run that opens with its id, hash and coordinate labels.
+ *  @p body writes the rest of each run's members. */
+template <typename Body>
 void
-CampaignResult::writeJson(std::ostream& os) const
+writeRunsJson(std::ostream& os, const CampaignResult& c, Body body)
 {
-    os << "{\n  \"campaign\": \"" << jsonEscape(name) << "\",\n";
+    os << "{\n  \"campaign\": \"" << jsonEscape(c.name) << "\",\n";
     os << "  \"axes\": [";
-    for (size_t i = 0; i < axisNames.size(); ++i)
-        os << (i ? ", " : "") << "\"" << jsonEscape(axisNames[i]) << "\"";
+    for (size_t i = 0; i < c.axisNames.size(); ++i)
+        os << (i ? ", " : "") << "\"" << jsonEscape(c.axisNames[i]) << "\"";
     os << "],\n  \"runs\": [\n";
-    for (size_t i = 0; i < records.size(); ++i) {
-        const RunRecord& r = records[i];
+    for (size_t i = 0; i < c.records.size(); ++i) {
+        const RunRecord& r = c.records[i];
         os << "    {\"id\": \"" << jsonEscape(r.spec.id())
            << "\", \"hash\": \"" << r.spec.contentHash()
            << "\", \"coords\": {";
-        for (size_t c = 0; c < r.spec.coords.size(); ++c)
-            os << (c ? ", " : "") << "\""
-               << jsonEscape(r.spec.coords[c].first) << "\": \""
-               << jsonEscape(r.spec.coords[c].second) << "\"";
-        // No execution metadata (fromCache, hostSeconds) here: JSON, like
-        // CSV, is byte-identical across job counts and cache states.
-        os << "}, \"workload\": \"" << jsonEscape(r.spec.workload.describe())
+        for (size_t k = 0; k < r.spec.coords.size(); ++k)
+            os << (k ? ", " : "") << "\""
+               << jsonEscape(r.spec.coords[k].first) << "\": \""
+               << jsonEscape(r.spec.coords[k].second) << "\"";
+        os << "}";
+        body(r);
+        os << "}" << (i + 1 < c.records.size() ? "," : "") << "\n";
+    }
+    os << "  ]\n}\n";
+}
+
+} // namespace
+
+void
+CampaignResult::writeJson(std::ostream& os) const
+{
+    // No execution metadata (fromCache, hostSeconds) here: JSON, like
+    // CSV, is byte-identical across job counts and cache states.
+    writeRunsJson(os, *this, [&](const RunRecord& r) {
+        os << ", \"workload\": \"" << jsonEscape(r.spec.workload.describe())
            << "\", \"ok\": " << (r.result.ok ? "true" : "false")
            << ", \"status\": \"" << statusName(r.result.status) << "\""
            << ", \"cycles\": " << r.result.cycles
@@ -309,29 +328,15 @@ CampaignResult::writeJson(std::ostream& os) const
                << "\": " << v;
             first = false;
         }
-        os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+        os << "}";
+    });
 }
 
 void
 CampaignResult::writeTimeSeriesJson(std::ostream& os) const
 {
-    os << "{\n  \"campaign\": \"" << jsonEscape(name) << "\",\n";
-    os << "  \"axes\": [";
-    for (size_t i = 0; i < axisNames.size(); ++i)
-        os << (i ? ", " : "") << "\"" << jsonEscape(axisNames[i]) << "\"";
-    os << "],\n  \"runs\": [\n";
-    for (size_t i = 0; i < records.size(); ++i) {
-        const RunRecord& r = records[i];
-        os << "    {\"id\": \"" << jsonEscape(r.spec.id())
-           << "\", \"hash\": \"" << r.spec.contentHash()
-           << "\", \"coords\": {";
-        for (size_t c = 0; c < r.spec.coords.size(); ++c)
-            os << (c ? ", " : "") << "\""
-               << jsonEscape(r.spec.coords[c].first) << "\": \""
-               << jsonEscape(r.spec.coords[c].second) << "\"";
-        os << "},\n     \"interval\": " << r.series.interval
+    writeRunsJson(os, *this, [&](const RunRecord& r) {
+        os << ",\n     \"interval\": " << r.series.interval
            << ", \"sample_cycles\": [";
         for (size_t s = 0; s < r.series.sampleCycles.size(); ++s)
             os << (s ? ", " : "") << r.series.sampleCycles[s];
@@ -343,9 +348,8 @@ CampaignResult::writeTimeSeriesJson(std::ostream& os) const
                 os << (s ? ", " : "") << r.series.deltas[k][s];
             os << "]";
         }
-        os << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+        os << "}";
+    });
 }
 
 Campaign::Campaign(CampaignOptions opts) : opts_(std::move(opts))

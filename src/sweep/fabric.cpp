@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -140,35 +141,6 @@ parseLine(const std::string& line, const char* what, json::Node& out,
     }
 }
 
-/** Bounded counting semaphore (kept local: <semaphore> needs nothing
- *  this 20-liner doesn't provide). */
-class SimSlots
-{
-  public:
-    explicit SimSlots(uint32_t n) : count_(n) {}
-
-    void acquire()
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        cv_.wait(lk, [&] { return count_ > 0; });
-        --count_;
-    }
-
-    void release()
-    {
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            ++count_;
-        }
-        cv_.notify_one();
-    }
-
-  private:
-    std::mutex m_;
-    std::condition_variable cv_;
-    uint32_t count_;
-};
-
 } // namespace
 
 //
@@ -205,7 +177,7 @@ struct Service::Impl
     std::unordered_map<std::string, RunRecord> memo; ///< completed ok runs
     ServiceStats stats;
 
-    SimSlots simSlots;
+    std::counting_semaphore<> simSlots; ///< bounds concurrent simulations
 
     explicit Impl(ServiceOptions o)
         : opts(std::move(o)),

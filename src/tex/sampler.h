@@ -1,8 +1,8 @@
 /**
  * @file
  * Functional texture sampler shared by the hardware texture-unit model and
- * the host-side graphics library (code reuse guarantees the cycle model and
- * the software renderer produce bit-identical texels).
+ * the host reference check of the texture workloads (code reuse guarantees
+ * the cycle model and the reference produce bit-identical texels).
  *
  * The filtering math mirrors the hardware datapath: texel coordinates are
  * converted to fixed point with an 8-bit blend fraction and the bilinear

@@ -331,6 +331,16 @@ TEST(Assembler, ErrorsPinOperandRanges)
                    "upper immediate -1 out of range [0, 1048575]");
     expectAsmError("auipc a0, -5", 1, 11,
                    "upper immediate -5 out of range [0, 1048575]");
+    expectAsmError(".byte 300", 1, 7,
+                   "byte value 300 out of range [-128, 255]");
+    expectAsmError(".half 70000", 1, 7,
+                   "half value 70000 out of range [-32768, 65535]");
+    expectAsmError(".word 0x100000001", 1, 7,
+                   "word value 4294967297 out of range [-2147483648, "
+                   "4294967295]");
+    expectAsmError("li a0, 0x123456789", 1, 8,
+                   "li value 4886718345 out of range [-2147483648, "
+                   "4294967295]");
 
     // The limits themselves assemble.
     Program p = Assembler(0).assemble(
@@ -340,6 +350,22 @@ TEST(Assembler, ErrorsPinOperandRanges)
     EXPECT_EQ(instrAt(p, 1).csr, 0u);
     EXPECT_EQ(static_cast<uint32_t>(instrAt(p, 2).imm), 0xFFFFF000u);
     EXPECT_EQ(instrAt(p, 3).imm, 0);
+
+    Program d = Assembler(0).assemble(
+        ".byte -128, 255\n.half -32768, 65535\n"
+        ".word -2147483648, 0xffffffff");
+    EXPECT_EQ(d.image, (std::vector<uint8_t>{0x80, 0xFF,              // .byte
+                                             0x00, 0x80, 0xFF, 0xFF,  // .half
+                                             0x00, 0x00,              // pad
+                                             0x00, 0x00, 0x00, 0x80,  // .word
+                                             0xFF, 0xFF, 0xFF, 0xFF}));
+    Program li = Assembler(0).assemble("li a0, 0xffffffff\n"
+                                       "li a1, -2147483648");
+    // Each expands to lui + addi: 0x00000000 - 1 and 0x80000000 + 0.
+    EXPECT_EQ(instrAt(li, 0).imm, 0);
+    EXPECT_EQ(instrAt(li, 1).imm, -1);
+    EXPECT_EQ(static_cast<uint32_t>(instrAt(li, 2).imm), 0x80000000u);
+    EXPECT_EQ(instrAt(li, 3).imm, 0);
 }
 
 TEST(Assembler, ErrorsRejectStrayOperands)

@@ -194,8 +194,8 @@ TEST(Parallel, RodiniaKernelsBitIdentical)
 
 TEST(Parallel, TextureRenderBitIdentical)
 {
-    // Framebuffer path: the textured render verifies every output pixel
-    // against the host sampler; cycles/instr identity pins the timing.
+    // The hardware `tex` render verifies every output texel against the
+    // host sampler; cycles/instr identity pins the timing.
     Device sdev(machine(2, false));
     runtime::RunResult s =
         runtime::runTexture(sdev, runtime::TexFilterMode::Bilinear,

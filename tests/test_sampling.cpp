@@ -230,6 +230,46 @@ TEST(SamplingSweep, TimeSeriesJsonByteStableAcrossJobsAndCache)
     EXPECT_NE(s.find("\"interval\": 1000"), std::string::npos);
     EXPECT_NE(s.find("\"core.thread_instrs\": ["), std::string::npos);
     std::filesystem::remove_all(dir);
+
+    // Exact bytes of a tiny two-run result: one sampled run and one run
+    // without sampling, with names that need escaping. Only the content
+    // hashes are spliced in from the specs.
+    sweep::CampaignResult tiny;
+    tiny.name = "tiny \"ts\"";
+    tiny.axisNames = {"kernel", "sampleInterval"};
+    tiny.records.resize(2);
+    sweep::RunRecord& sampled = tiny.records[0];
+    sampled.spec.config.sampleInterval = 500;
+    sampled.spec.coords = {{"kernel", "vecadd"}, {"sampleInterval", "500"}};
+    sampled.series.interval = 500;
+    sampled.series.sampleCycles = {500, 1000, 1234};
+    sampled.series.keys = {"core.cycles", "a\\b"};
+    sampled.series.deltas = {{500, 500, 234}, {1, 0, 7}};
+    sweep::RunRecord& unsampled = tiny.records[1];
+    unsampled.spec.coords = {{"kernel", "vecadd"}, {"sampleInterval", "0"}};
+    std::ostringstream pinned;
+    tiny.writeTimeSeriesJson(pinned);
+    EXPECT_EQ(pinned.str(),
+              "{\n"
+              "  \"campaign\": \"tiny \\\"ts\\\"\",\n"
+              "  \"axes\": [\"kernel\", \"sampleInterval\"],\n"
+              "  \"runs\": [\n"
+              "    {\"id\": \"vecadd/500\", \"hash\": \"" +
+                  sampled.spec.contentHash() +
+                  "\", \"coords\": {\"kernel\": \"vecadd\", "
+                  "\"sampleInterval\": \"500\"},\n"
+                  "     \"interval\": 500, \"sample_cycles\": [500, 1000, "
+                  "1234],\n"
+                  "     \"counters\": {\"core.cycles\": [500, 500, 234], "
+                  "\"a\\\\b\": [1, 0, 7]}},\n"
+                  "    {\"id\": \"vecadd/0\", \"hash\": \"" +
+                  unsampled.spec.contentHash() +
+                  "\", \"coords\": {\"kernel\": \"vecadd\", "
+                  "\"sampleInterval\": \"0\"},\n"
+                  "     \"interval\": 0, \"sample_cycles\": [],\n"
+                  "     \"counters\": {}}\n"
+                  "  ]\n"
+                  "}\n");
 }
 
 TEST(SamplingSweep, CacheRoundTripsTheSeriesExactly)

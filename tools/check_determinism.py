@@ -29,12 +29,12 @@ import os
 import re
 import sys
 
-# Directories under the determinism contract. graphics/ and tex/ feed
-# rendered output and are included; tools/ and tests/ host-side code is
+# Directories under the determinism contract. tex/ feeds the texture
+# kernels' output and is included; tools/ and tests/ host-side code is
 # allowed to read clocks (progress lines, wall-clock artifacts).
 LINT_DIRS = ("src/core", "src/mem", "src/sweep", "src/common",
              "src/analysis", "src/isa", "src/runtime", "src/kernels",
-             "src/graphics", "src/tex", "src/area", "src/faults")
+             "src/tex", "src/area", "src/faults")
 
 SUPPRESS = re.compile(r"//\s*det-ok:\s*\S")
 
