@@ -7,7 +7,9 @@
  * (peak = cores x threads x 2 FLOP/FMA x 0.2 GHz).
  */
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "runtime/workloads.h"
@@ -18,8 +20,16 @@ int
 main(int argc, char** argv)
 {
     uint32_t n = 48;
-    if (argc > 1)
-        n = static_cast<uint32_t>(std::atoi(argv[1]));
+    if (argc > 1) {
+        const char* end = argv[1] + std::strlen(argv[1]);
+        auto [ptr, ec] = std::from_chars(argv[1], end, n);
+        if (ec != std::errc() || ptr != end || n == 0) {
+            std::fprintf(stderr, "usage: %s [N]  (N: matrix size, a whole "
+                                 "positive number; default 48)\n",
+                         argv[0]);
+            return 2;
+        }
+    }
 
     std::printf("sgemm %ux%u on simulated Vortex machines "
                 "(200 MHz FPGA clock)\n\n", n, n);

@@ -27,8 +27,8 @@ namespace {
 
 // v2: "campaign" provenance line + the time-series block. v1 entries
 // fail the magic check and simply miss (the run is re-simulated).
-// Provenance lines added since (host_seconds, kernel, est_units) ride
-// the unknown-tag rule and do not bump the version.
+// Provenance lines added since (host_seconds, kernel) ride the
+// unknown-tag rule and do not bump the version.
 constexpr const char* kCacheMagic = "vortex-sweep-cache v2";
 
 /** Mirror of Processor::ipc() so cache-restored records reproduce the
@@ -122,8 +122,6 @@ readEntry(const std::string& path, const std::string& hash)
             ls >> e.info.hostSeconds;
         } else if (tag == "kernel") {
             ls >> e.info.kernel;
-        } else if (tag == "est_units") {
-            ls >> e.info.estUnits;
         } else if (tag == "cycles") {
             ls >> rec.result.cycles;
         } else if (tag == "thread_instrs") {
@@ -217,14 +215,11 @@ CacheStore::store(const RunRecord& record,
         outf << "id " << record.spec.id() << "\n";
         outf << "campaign " << campaignName << "\n";
         // Provenance, not payload: what the simulation cost this host
-        // (host_seconds), which registry kernel it ran, and the static
-        // cost estimate at store time — together the calibration data
-        // of CostModel::fromCache. Readers that predate a tag ignore it
-        // (unknown-tag rule), so the cache format stays v2.
+        // (host_seconds) and which registry kernel it ran (`cache list`
+        // shows it). Readers that predate a tag ignore it (unknown-tag
+        // rule), so the cache format stays v2.
         outf << "host_seconds " << fmtDouble(record.hostSeconds) << "\n";
         outf << "kernel " << workloadKernelName(record.spec.workload)
-             << "\n";
-        outf << "est_units " << fmtDouble(estimateRunCost(record.spec))
              << "\n";
         outf << "cycles " << record.result.cycles << "\n";
         outf << "thread_instrs " << record.result.threadInstrs << "\n";

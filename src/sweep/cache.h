@@ -18,8 +18,7 @@
  *     id <run id>
  *     campaign <campaign name>
  *     host_seconds <double>
- *     kernel <registry kernel name>  # since PR 8; older entries lack it
- *     est_units <double>             # static estimateRunCost at store time
+ *     kernel <registry kernel name>  # older entries lack it
  *     cycles <n>                     # ... payload lines
  *     thread_instrs <n>
  *     stat <key> <value>
@@ -36,13 +35,15 @@
  * is the same rule, so a torn local copy is replaced, not kept.
  *
  * The reader skips unknown tags, so adding provenance lines (that is how
- * host_seconds, kernel and est_units arrived) never bumps the version:
- * old binaries still hit on new entries and vice versa. Entries are
+ * host_seconds and kernel arrived) never bumps the version: old binaries
+ * still hit on new entries and vice versa. Entries from older builds may
+ * also carry a provenance line this build no longer writes (the static
+ * cost estimate at store time); it is skipped the same way. Entries are
  * content-addressed — the same hash always describes the same
  * simulation — which is what makes cache directories *mergeable
- * artifacts*: shipping shard caches
- * between hosts and merging them (mergeFrom) reconstructs exactly the
- * records a single host would have produced.
+ * artifacts*: shipping shard caches between hosts and merging them
+ * (mergeFrom) reconstructs exactly the records a single host would have
+ * produced.
  *
  * All writes are atomic (temp file + rename), so concurrent campaigns —
  * or a campaign and a merge — may share a directory.
@@ -103,10 +104,10 @@ class CacheStore
 
     /**
      * Store @p record under its spec's content hash, tagged with
-     * @p campaignName and the run's provenance (host_seconds, kernel,
-     * est_units — the cost-model calibration inputs). Only verified
-     * (ok) records are stored; writes are atomic and best-effort (a
-     * failed write never fails the campaign). No-op when disabled.
+     * @p campaignName and the run's provenance (host_seconds, kernel).
+     * Only verified (ok) records are stored; writes are atomic and
+     * best-effort (a failed write never fails the campaign). No-op when
+     * disabled.
      */
     void store(const RunRecord& record,
                const std::string& campaignName) const;
@@ -115,8 +116,7 @@ class CacheStore
      * The simulation wall-clock seconds recorded for @p hash: negative
      * when no valid entry exists, 0 for an entry predating the
      * host_seconds provenance line. A non-negative return means load()
-     * will restore the run, so the scheduler prices it at (nearly)
-     * zero.
+     * will restore the run, so the scheduler prices it at zero.
      */
     double recordedHostSeconds(const std::string& hash) const;
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Campaign execution: job pool, shard slicing, the cost model, and
- * CSV/JSON emission. Cache entry I/O lives in sweep/cache.cpp.
+ * Campaign execution: the cost estimate, shard slicing, the shared run
+ * executor, and CSV/JSON emission. Cache entry I/O lives in sweep/cache.cpp.
  */
 
 #include "sweep/campaign.h"
@@ -71,69 +71,14 @@ estimateRunCost(const RunSpec& spec)
     return work * (1.0 + machine / 16.0);
 }
 
-CostModel
-CostModel::fromCache(const CacheStore& store)
-{
-    CostModel model;
-    // Per-kernel (host-seconds, estimate-units) accumulators, ordered
-    // by first appearance in the hash-sorted entry list — deterministic
-    // for a given set of entries.
-    std::vector<std::pair<std::string, std::pair<double, double>>> acc;
-    double totalSec = 0.0, totalUnits = 0.0;
-    for (const CacheEntryInfo& e : store.entries()) {
-        // Only entries with full provenance calibrate: a measured
-        // wall-clock, a kernel name, and a positive static estimate.
-        // (Cache-restored re-stores never happen — hits are not
-        // rewritten — so host_seconds is always a real measurement.)
-        if (e.kernel.empty() || e.estUnits <= 0.0 || e.hostSeconds <= 0.0)
-            continue;
-        auto it = std::find_if(acc.begin(), acc.end(),
-                               [&](const auto& kv) {
-                                   return kv.first == e.kernel;
-                               });
-        if (it == acc.end()) {
-            acc.push_back({e.kernel, {0.0, 0.0}});
-            it = acc.end() - 1;
-        }
-        it->second.first += e.hostSeconds;
-        it->second.second += e.estUnits;
-        totalSec += e.hostSeconds;
-        totalUnits += e.estUnits;
-        ++model.samples_;
-    }
-    for (const auto& [kernel, sums] : acc)
-        if (sums.second > 0.0)
-            model.kernelScale_.push_back(
-                {kernel, sums.first / sums.second});
-    if (totalUnits > 0.0)
-        model.globalScale_ = totalSec / totalUnits;
-    return model;
-}
-
-double
-CostModel::cost(const RunSpec& spec) const
-{
-    double base = estimateRunCost(spec);
-    const std::string kernel = workloadKernelName(spec.workload);
-    for (const auto& [name, scale] : kernelScale_)
-        if (name == kernel)
-            return base * scale;
-    // Unseen kernel: the global factor keeps its cost in the same
-    // (seconds) unit system as the calibrated kernels, so LPT still
-    // ranks mixed matrices sensibly; with no data at all, every run is
-    // priced in raw static units — consistent again.
-    return globalScale_ > 0.0 ? base * globalScale_ : base;
-}
-
 std::vector<uint32_t>
 shardAssignment(const std::vector<RunSpec>& runs, uint32_t shardCount)
 {
     if (shardCount == 0)
         fatal("shardAssignment: shard count must be >= 1");
-    // Greedy LPT bin-packing over the *static* cost heuristic (see the
-    // header for why it must not be cache-calibrated): heaviest run
-    // first onto the least-loaded shard, ties broken toward the lower
-    // index on both sides. Stable and host-independent.
+    // Greedy LPT bin-packing over the static cost heuristic: heaviest
+    // run first onto the least-loaded shard, ties broken toward the
+    // lower index on both sides. Stable and host-independent.
     std::vector<size_t> order(runs.size());
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -181,13 +126,11 @@ std::vector<size_t>
 claimOrder(const std::vector<RunSpec>& runs, const CacheStore& cache,
            std::vector<double>* costs)
 {
-    CostModel model =
-        cache.enabled() ? CostModel::fromCache(cache) : CostModel();
     std::vector<double> cost(runs.size());
     for (size_t i = 0; i < runs.size(); ++i) {
         bool cached =
             cache.recordedHostSeconds(runs[i].contentHash()) >= 0.0;
-        cost[i] = cached ? 0.0 : model.cost(runs[i]);
+        cost[i] = cached ? 0.0 : estimateRunCost(runs[i]);
     }
     std::vector<size_t> order(runs.size());
     for (size_t i = 0; i < order.size(); ++i)
@@ -197,6 +140,83 @@ claimOrder(const std::vector<RunSpec>& runs, const CacheStore& cache,
     if (costs)
         *costs = std::move(cost);
     return order;
+}
+
+uint32_t
+resolveJobs(uint32_t jobs)
+{
+    if (jobs != 0)
+        return jobs;
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
+std::vector<RunRecord>
+executeRuns(const std::vector<RunSpec>& runs, const CacheStore& cache,
+            uint32_t jobs, const RunResolver& resolve, const RunSink& sink)
+{
+    // LPT (longest processing time first) shortens the critical path at
+    // high job counts: the most expensive simulations start immediately
+    // instead of landing on a nearly-drained pool.
+    std::vector<double> costs;
+    std::vector<size_t> order = claimOrder(runs, cache, &costs);
+    RunDone progress;
+    for (double c : costs)
+        progress.totalCost += c;
+
+    std::vector<RunRecord> records(runs.size());
+    std::vector<std::exception_ptr> errors(runs.size());
+    std::atomic<size_t> cursor{0};
+    std::atomic<bool> failed{false};
+    std::mutex sinkMu; // serializes sink calls and guards progress
+
+    auto worker = [&] {
+        while (!failed.load()) {
+            size_t slot = cursor.fetch_add(1);
+            if (slot >= order.size())
+                return;
+            size_t i = order[slot];
+            try {
+                Origin origin = Origin::Simulated;
+                RunRecord rec = resolve(runs[i], origin);
+                {
+                    std::lock_guard<std::mutex> lk(sinkMu);
+                    progress.index = i;
+                    progress.origin = origin;
+                    ++progress.finished;
+                    progress.doneCost += costs[i];
+                    sink(rec, progress);
+                }
+                records[i] = std::move(rec);
+            } catch (...) {
+                errors[i] = std::current_exception();
+                failed.store(true);
+            }
+        }
+    };
+
+    uint32_t nworkers = static_cast<uint32_t>(std::min<size_t>(
+        resolveJobs(jobs), std::max<size_t>(runs.size(), 1)));
+    if (nworkers <= 1) {
+        worker();
+    } else {
+        std::vector<std::thread> pool;
+        for (uint32_t t = 0; t < nworkers; ++t)
+            pool.emplace_back(worker);
+        for (std::thread& t : pool)
+            t.join();
+    }
+
+    // Deterministic error reporting: the lowest-index failure wins, no
+    // matter which worker hit it first.
+    for (std::exception_ptr& e : errors)
+        if (e)
+            std::rethrow_exception(e);
+
+    // Keep the cache's manifest in sync with what is now on disk.
+    if (cache.enabled())
+        cache.writeManifest();
+    return records;
 }
 
 double
@@ -354,10 +374,7 @@ CampaignResult::writeTimeSeriesJson(std::ostream& os) const
 
 Campaign::Campaign(CampaignOptions opts) : opts_(std::move(opts))
 {
-    if (opts_.jobs == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        opts_.jobs = hw == 0 ? 1 : hw;
-    }
+    opts_.jobs = resolveJobs(opts_.jobs);
 }
 
 RunRecord
@@ -440,123 +457,66 @@ Campaign::run(const SweepSpec& spec)
     result.name = spec.name;
     for (const Axis& a : spec.axes)
         result.axisNames.push_back(a.name);
-    result.records.resize(runs.size());
 
-    // LPT (longest processing time first) shortens the critical path at
-    // high job counts: the most expensive simulations start immediately
-    // instead of landing on a nearly-drained pool.
     CacheStore cache(opts_.cacheDir);
-    std::vector<double> costs;
-    std::vector<size_t> order = claimOrder(runs, cache, &costs);
-    double totalCost = 0.0;
-    for (double c : costs)
-        totalCost += c;
-
-    std::atomic<size_t> cursor{0};
-    std::atomic<uint32_t> hits{0}, misses{0};
-    std::vector<std::exception_ptr> errors(runs.size());
-    std::mutex io;
-    size_t doneCount = 0;    // guarded by io
-    double doneCost = 0.0;   // guarded by io
-    const auto wallStart = std::chrono::steady_clock::now();
-
-    auto worker = [&] {
-        while (true) {
-            size_t slot = cursor.fetch_add(1);
-            if (slot >= order.size())
-                return;
-            size_t i = order[slot];
-            try {
-                RunRecord rec;
-                if (cache.load(runs[i], rec)) {
-                    ++hits;
-                } else {
-                    rec = executeRun(runs[i]);
-                    if (!rec.result.ok && opts_.failFast)
-                        fatal("campaign '", spec.name, "' run '",
-                              runs[i].id(), "' failed (",
-                              statusName(rec.result.status),
-                              "): ", rec.result.error);
-                    // Only verified runs enter the cache: a failed run
-                    // is re-executed by the next campaign, so cache
-                    // state can never mask — or resurrect — a failure,
-                    // and warm-vs-cold output bytes stay identical.
-                    if (rec.result.ok)
-                        cache.store(rec, spec.name);
-                    ++misses;
-                }
-                if (opts_.verbose || opts_.progress) {
-                    std::lock_guard<std::mutex> lk(io);
-                    ++doneCount;
-                    doneCost += costs[i];
-                    std::string eta;
-                    if (opts_.progress) {
-                        double elapsed =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                wallStart)
-                                .count();
-                        char buf[64];
-                        // Extrapolate from estimate units actually
-                        // retired so far; until a costed run finishes
-                        // there is nothing to extrapolate from.
-                        if (doneCost > 0.0 && totalCost > doneCost)
-                            std::snprintf(buf, sizeof(buf),
-                                          " elapsed=%.1fs eta=%.1fs",
-                                          elapsed,
-                                          elapsed * (totalCost - doneCost) /
-                                              doneCost);
-                        else
-                            std::snprintf(buf, sizeof(buf),
-                                          " elapsed=%.1fs", elapsed);
-                        eta = buf;
-                    }
-                    std::string failNote;
-                    if (!rec.result.ok)
-                        failNote = std::string(" FAILED (") +
-                                   statusName(rec.result.status) + ")";
-                    std::fprintf(stderr,
-                                 "[%zu/%zu] %-28s %s cycles=%llu "
-                                 "ipc=%.3f%s%s%s\n",
-                                 doneCount, runs.size(),
-                                 rec.spec.id().c_str(),
-                                 rec.spec.workload.describe().c_str(),
-                                 static_cast<unsigned long long>(
-                                     rec.result.cycles),
-                                 rec.result.ipc,
-                                 rec.fromCache ? " (cached)" : "",
-                                 failNote.c_str(), eta.c_str());
-                }
-                result.records[i] = std::move(rec);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
+    auto resolve = [&](const RunSpec& run, Origin& origin) {
+        RunRecord rec;
+        if (cache.load(run, rec)) {
+            origin = Origin::Cache;
+            return rec;
         }
+        rec = executeRun(run);
+        if (!rec.result.ok && opts_.failFast)
+            fatal("campaign '", spec.name, "' run '", run.id(),
+                  "' failed (", statusName(rec.result.status),
+                  "): ", rec.result.error);
+        // Only verified runs enter the cache: a failed run is
+        // re-executed by the next campaign, so cache state can never
+        // mask — or resurrect — a failure, and warm-vs-cold output
+        // bytes stay identical.
+        if (rec.result.ok)
+            cache.store(rec, spec.name);
+        return rec;
     };
 
-    uint32_t nworkers = static_cast<uint32_t>(
-        std::min<size_t>(opts_.jobs, std::max<size_t>(runs.size(), 1)));
-    if (nworkers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        for (uint32_t t = 0; t < nworkers; ++t)
-            pool.emplace_back(worker);
-        for (std::thread& t : pool)
-            t.join();
-    }
+    const auto wallStart = std::chrono::steady_clock::now();
+    auto sink = [&](const RunRecord& rec, const RunDone& done) {
+        ++(done.origin == Origin::Cache ? result.cacheHits
+                                        : result.cacheMisses);
+        if (!opts_.verbose && !opts_.progress)
+            return;
+        std::string eta;
+        if (opts_.progress) {
+            double elapsed = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - wallStart)
+                                 .count();
+            char buf[64];
+            // Extrapolate from estimate units actually retired so far;
+            // until a costed run finishes there is nothing to
+            // extrapolate from.
+            if (done.doneCost > 0.0 && done.totalCost > done.doneCost)
+                std::snprintf(buf, sizeof(buf), " elapsed=%.1fs eta=%.1fs",
+                              elapsed,
+                              elapsed * (done.totalCost - done.doneCost) /
+                                  done.doneCost);
+            else
+                std::snprintf(buf, sizeof(buf), " elapsed=%.1fs", elapsed);
+            eta = buf;
+        }
+        std::string failNote;
+        if (!rec.result.ok)
+            failNote = std::string(" FAILED (") +
+                       statusName(rec.result.status) + ")";
+        std::fprintf(stderr,
+                     "[%zu/%zu] %-28s %s cycles=%llu ipc=%.3f%s%s%s\n",
+                     done.finished, runs.size(), rec.spec.id().c_str(),
+                     rec.spec.workload.describe().c_str(),
+                     static_cast<unsigned long long>(rec.result.cycles),
+                     rec.result.ipc, rec.fromCache ? " (cached)" : "",
+                     failNote.c_str(), eta.c_str());
+    };
 
-    // Deterministic error reporting: the lowest-index failure wins, no
-    // matter which worker hit it first.
-    for (std::exception_ptr& e : errors)
-        if (e)
-            std::rethrow_exception(e);
-
-    result.cacheHits = hits;
-    result.cacheMisses = misses;
-    // Keep the cache's manifest in sync with what is now on disk.
-    if (cache.enabled())
-        cache.writeManifest();
+    result.records = executeRuns(runs, cache, opts_.jobs, resolve, sink);
     return result;
 }
 

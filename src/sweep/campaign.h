@@ -10,11 +10,18 @@
  * records in matrix order. Campaign output is therefore byte-identical
  * for any job count — `--jobs 4` only changes wall-clock time.
  *
+ * One executor (executeRuns) runs every matrix: Campaign::run resolves
+ * each run as cache-then-simulate and prints progress lines; the fabric
+ * service (sweep/fabric.h) resolves through its memo, cache and
+ * in-flight dedup and streams NDJSON events. Both hand the executor a
+ * resolve step and a per-run sink; the claim order, worker pool, error
+ * rule and manifest rewrite are the executor's alone.
+ *
  * Scheduling (claimOrder) reorders only the claim sequence: runs are
  * claimed longest-estimated-first (LPT) so the most expensive
  * simulations cannot strand the pool at the tail. A run the result cache
  * will hit is priced 0 (it restores instead of simulating), every other
- * run by the cost model; the same costs drive the
+ * run by the static estimateRunCost(); the same costs drive the
  * CampaignOptions::progress ETA. Because storage and emission stay in
  * matrix order, LPT is invisible in every output byte.
  *
@@ -144,59 +151,14 @@ double estimateRunCost(const RunSpec& spec);
 class CacheStore; // sweep/cache.h
 
 /**
- * Per-kernel calibration of estimateRunCost() against recorded cache
- * provenance — the fleet scheduler's cost model. Every v2 cache entry
- * records the run's measured wall-clock (host_seconds), its registry
- * kernel name, and the static estimate at store time (est_units);
- * fromCache() fits one seconds-per-estimate-unit scale factor per
- * kernel (plus a global factor over all kernels) from those triples.
- *
- * cost() then prices a run as static-estimate x kernel factor — real
- * recorded seconds shape the LPT schedule and the --progress ETA — and
- * falls back to the global factor for kernels with no recorded data,
- * or to the raw static heuristic when the store holds no data at all.
- * Entries written before the kernel/est_units provenance lines simply
- * contribute nothing. Like the static heuristic, the model only orders
- * work: a stale fit can lengthen the critical path, never change a
- * single output byte.
- */
-class CostModel
-{
-  public:
-    /** The uncalibrated model: cost() is estimateRunCost() exactly. */
-    CostModel() = default;
-
-    /** Fit a model from @p store's entry provenance (see class docs).
-     *  Deterministic for a given set of entries. */
-    static CostModel fromCache(const CacheStore& store);
-
-    /** Estimated host cost of @p spec: seconds when calibrated for its
-     *  kernel (or globally), estimateRunCost() units otherwise. */
-    double cost(const RunSpec& spec) const;
-
-    /** Number of cache entries the fit consumed (0 = uncalibrated). */
-    size_t sampleCount() const { return samples_; }
-
-    /** Whether any recorded provenance shaped this model. */
-    bool calibrated() const { return samples_ > 0; }
-
-  private:
-    /** kernel name -> recorded seconds per static estimate unit. */
-    std::vector<std::pair<std::string, double>> kernelScale_;
-    double globalScale_ = 0.0; ///< all-kernel fallback factor (0 = none)
-    size_t samples_ = 0;       ///< entries consumed by the fit
-};
-
-/**
  * Deterministic shard assignment of @p runs over @p shardCount shards:
  * returns one shard index per run (matrix order). Assignment is greedy
  * LPT bin-packing — runs are taken in descending estimateRunCost()
  * order (stable, index tiebreak) and each lands on the least-loaded
  * shard (lowest index on ties) — so shard workloads are balanced, every
  * run lands on exactly one shard, and the union over shards is the full
- * matrix. On purpose this uses the *static* cost heuristic, never a
- * cache-calibrated model: every host of a fleet must compute the same
- * partition from the spec alone, regardless of local cache state. (All
+ * matrix. It depends on the spec alone, never on local cache state, so
+ * every host of a fleet computes the same partition. (All
  * hosts must also run the same simulator build — the heuristic is code,
  * not spec data.) Fatal when @p shardCount is 0.
  */
@@ -216,10 +178,9 @@ std::vector<RunSpec> shardSlice(const SweepSpec& spec,
 /**
  * LPT claim order of @p runs: indices, costliest first (stable, so
  * ties keep matrix order). A run @p cache will hit costs 0 and is
- * claimed last; every other run is priced by the cost model fitted to
- * @p cache (CostModel::fromCache; the static heuristic when the cache is
- * disabled or empty). Fills @p costs, one per run, when non-null.
- * Scheduling only: callers store results at matrix indices.
+ * claimed last; every other run is priced by estimateRunCost(). Fills
+ * @p costs, one per run, when non-null. Scheduling only: callers store
+ * results at matrix indices.
  */
 std::vector<size_t> claimOrder(const std::vector<RunSpec>& runs,
                                const CacheStore& cache,
@@ -253,8 +214,49 @@ struct CacheEntryInfo
     int64_t mtime = 0;    ///< entry mtime, seconds since the Unix epoch
     double hostSeconds = -1.0; ///< recorded wall-clock (-1 = not recorded)
     std::string kernel;   ///< registry kernel name ("" on old entries)
-    double estUnits = 0.0; ///< static cost estimate at store time (0 = none)
 };
+
+/** Where one run's record came from. Campaign::run resolves Cache or
+ *  Simulated; the fabric service also Memo and Dedup (sweep/fabric.h). */
+enum class Origin
+{
+    Memo,
+    Cache,
+    Dedup,
+    Simulated,
+};
+
+/** What executeRuns() reports to its sink about one finished run. */
+struct RunDone
+{
+    size_t index = 0;                  ///< the run's matrix index
+    Origin origin = Origin::Simulated; ///< where its record came from
+    size_t finished = 0;    ///< runs finished so far, this one included
+    double doneCost = 0.0;  ///< claimOrder() cost of the finished runs
+    double totalCost = 0.0; ///< claimOrder() cost of every run
+};
+
+/** Resolve one run to its record, setting where it came from. */
+using RunResolver = std::function<RunRecord(const RunSpec&, Origin&)>;
+/** Observe one finished run (calls are serialized, in finish order). */
+using RunSink = std::function<void(const RunRecord&, const RunDone&)>;
+
+/** The worker count for @p jobs: the host's hardware threads when 0. */
+uint32_t resolveJobs(uint32_t jobs);
+
+/**
+ * Execute @p runs on min(resolveJobs(@p jobs), runs) workers — inline,
+ * with no thread, when that is 1 — and return their records in matrix
+ * order. Workers claim runs in claimOrder() over @p cache, produce each
+ * record with @p resolve and report it to @p sink. Once @p resolve or
+ * @p sink throws, no further run is claimed; runs in flight finish and
+ * the lowest-index exception is rethrown. Otherwise the cache manifest
+ * is rewritten (when @p cache is enabled) before returning.
+ */
+std::vector<RunRecord> executeRuns(const std::vector<RunSpec>& runs,
+                                   const CacheStore& cache, uint32_t jobs,
+                                   const RunResolver& resolve,
+                                   const RunSink& sink);
 
 /** Executes SweepSpecs; see the file comment for the determinism and
  *  caching contracts. */
@@ -271,7 +273,7 @@ class Campaign
      *  completes the rest of the matrix — failed runs are never cached,
      *  and CampaignResult::failures() reports the count so front ends
      *  can exit nonzero. With CampaignOptions::failFast the first
-     *  failure is fatal instead (the pre-robustness behavior). A
+     *  failure is fatal instead and no further run starts. A
      *  campaign never silently reports numbers from a wrong result
      *  either way: failures are explicit rows, not missing ones. */
     CampaignResult run(const SweepSpec& spec);

@@ -182,21 +182,12 @@ struct Service::Impl
     explicit Impl(ServiceOptions o)
         : opts(std::move(o)),
           cache(opts.cacheDir),
-          simSlots(opts.jobs ? opts.jobs
-                             : std::max(1u, std::thread::hardware_concurrency()))
+          simSlots(resolveJobs(opts.jobs))
     {
     }
 
-    /** Where one run's record came from (the dedup resolution order in
-     *  fabric.h's file comment). */
-    enum class Origin
-    {
-        Memo,
-        Cache,
-        Dedup,
-        Simulated,
-    };
-
+    /** The NDJSON `source` of a run event (the dedup resolution order
+     *  in fabric.h's file comment). */
     static const char* originName(Origin o)
     {
         switch (o) {
@@ -359,72 +350,45 @@ struct Service::Impl
              jsonEscape(spec.name) + "\", \"runs\": " +
              std::to_string(runs.size()) + "}");
 
-        // Scheduling only: events still carry matrix indices.
-        std::vector<size_t> order = claimOrder(runs, cache);
-
         uint64_t nSimulated = 0;
         uint64_t nCacheHits = 0;
         uint64_t nDedup = 0;
         std::string firstError;
         size_t firstErrorIndex = runs.size();
-        std::mutex subMu; // guards the submission-local counters above
-
-        std::atomic<size_t> cursor{0};
-        uint32_t workers = opts.jobs ? opts.jobs
-                                     : std::max(1u, std::thread::hardware_concurrency());
-        workers = static_cast<uint32_t>(
-            std::min<size_t>(workers, std::max<size_t>(runs.size(), 1)));
-        auto work = [&] {
-            for (;;) {
-                size_t slot = cursor.fetch_add(1);
-                if (slot >= order.size())
-                    return;
-                size_t i = order[slot];
-                Origin origin = Origin::Simulated;
-                RunRecord rec = resolveRun(runs[i], spec.name, origin);
-                {
-                    std::lock_guard<std::mutex> lk(subMu);
-                    switch (origin) {
-                    case Origin::Memo:
-                    case Origin::Cache: ++nCacheHits; break;
-                    case Origin::Dedup: ++nDedup; break;
-                    case Origin::Simulated: ++nSimulated; break;
-                    }
-                    if (!rec.result.ok && i < firstErrorIndex) {
-                        firstErrorIndex = i;
-                        firstError = "run " + rec.spec.id() + " failed (" +
-                                     statusName(rec.result.status) +
-                                     "): " + rec.result.error;
-                    }
-                }
-                std::ostringstream ev;
-                ev << "{\"event\": \"run\", \"index\": " << i
-                   << ", \"id\": \"" << jsonEscape(rec.spec.id())
-                   << "\", \"hash\": \"" << rec.spec.contentHash()
-                   << "\", \"source\": \"" << originName(origin)
-                   << "\", \"ok\": " << (rec.result.ok ? "true" : "false")
-                   << ", \"status\": \"" << statusName(rec.result.status)
-                   << "\", \"cycles\": " << rec.result.cycles
-                   << ", \"thread_instrs\": " << rec.result.threadInstrs
-                   << ", \"ipc\": " << fmtDouble(rec.result.ipc) << "}";
-                emit(ev.str());
-                if (opts.verbose)
-                    inform("[fabric]   ", rec.spec.id(), " <- ",
-                           originName(origin));
-            }
+        auto resolve = [&](const RunSpec& run, Origin& origin) {
+            return resolveRun(run, spec.name, origin);
         };
-        if (workers <= 1 || runs.size() <= 1) {
-            work();
-        } else {
-            std::vector<std::thread> pool;
-            for (uint32_t w = 0; w < workers; ++w)
-                pool.emplace_back(work);
-            for (std::thread& t : pool)
-                t.join();
-        }
+        // Events carry matrix indices, whatever the claim order.
+        auto sink = [&](const RunRecord& rec, const RunDone& done) {
+            switch (done.origin) {
+            case Origin::Memo:
+            case Origin::Cache: ++nCacheHits; break;
+            case Origin::Dedup: ++nDedup; break;
+            case Origin::Simulated: ++nSimulated; break;
+            }
+            if (!rec.result.ok && done.index < firstErrorIndex) {
+                firstErrorIndex = done.index;
+                firstError = "run " + rec.spec.id() + " failed (" +
+                             statusName(rec.result.status) +
+                             "): " + rec.result.error;
+            }
+            std::ostringstream ev;
+            ev << "{\"event\": \"run\", \"index\": " << done.index
+               << ", \"id\": \"" << jsonEscape(rec.spec.id())
+               << "\", \"hash\": \"" << rec.spec.contentHash()
+               << "\", \"source\": \"" << originName(done.origin)
+               << "\", \"ok\": " << (rec.result.ok ? "true" : "false")
+               << ", \"status\": \"" << statusName(rec.result.status)
+               << "\", \"cycles\": " << rec.result.cycles
+               << ", \"thread_instrs\": " << rec.result.threadInstrs
+               << ", \"ipc\": " << fmtDouble(rec.result.ipc) << "}";
+            emit(ev.str());
+            if (opts.verbose)
+                inform("[fabric]   ", rec.spec.id(), " <- ",
+                       originName(done.origin));
+        };
+        executeRuns(runs, cache, opts.jobs, resolve, sink);
 
-        if (cache.enabled())
-            cache.writeManifest();
         if (!firstError.empty()) {
             emitError(firstError);
             return;

@@ -3,10 +3,10 @@
  * The campaign fabric's submission service: a long-running daemon that
  * accepts sweep-spec submissions from concurrent clients over a local
  * (AF_UNIX) stream socket, deduplicates identical (config, workload)
- * runs through the content-hash cache, schedules with the LPT cost
- * model, and streams per-run progress and results back as
- * newline-delimited JSON. docs/FABRIC.md is the wire-protocol and
- * workflow reference.
+ * runs through the content-hash cache, runs each submission on the
+ * campaign executor (executeRuns in sweep/campaign.h, LPT claim order),
+ * and streams per-run progress and results back as newline-delimited
+ * JSON. docs/FABRIC.md is the wire-protocol and workflow reference.
  *
  * Dedup semantics (the "N identical submissions -> 1 simulation"
  * contract): a run is identified by RunSpec::contentHash(). A submitted

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "sweep/cache.h"
 #include "sweep/campaign.h"
 #include "sweep/cli.h"
 #include "sweep/presets.h"
@@ -636,12 +637,20 @@ TEST(Campaign, FailedRunIsRecordedAndTheMatrixCompletes)
 
 TEST(Campaign, FailFastRestoresTheFatalBehavior)
 {
+    // The two runs tie in cost, so the failing one is claimed first; at
+    // one job the campaign stops there and vecadd never runs (nor is
+    // cached).
+    std::string dir = freshTempDir("failfast");
     SweepSpec s;
     s.name = "bad";
-    s.axes = {Axis::sweep("kernel", {"vecadd", "no_such_kernel"})};
+    s.axes = {Axis::sweep("kernel", {"no_such_kernel", "vecadd"})};
     CampaignOptions opts;
+    opts.cacheDir = dir;
+    opts.jobs = 1;
     opts.failFast = true;
     EXPECT_THROW(Campaign(opts).run(s), FatalError);
+    EXPECT_TRUE(CacheStore(dir).entries().empty());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Campaign, FailedRunsAreNeverCached)
@@ -664,6 +673,47 @@ TEST(Campaign, FailedRunsAreNeverCached)
     r1.writeCsv(c1);
     r2.writeCsv(c2);
     EXPECT_EQ(c1.str(), c2.str());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, VerboseProgressLinesArePinned)
+{
+    // One passing and one failing run, cold then warm, at one job. The
+    // warm campaign claims the failure first: it is re-simulated, the
+    // hit is priced 0 and goes last.
+    std::string dir = freshTempDir("progress");
+    SweepSpec s;
+    s.name = "lines";
+    s.base = baselineConfig(1);
+    s.axes = {Axis::sweep("kernel", {"vecadd", "no_such_kernel"})};
+    CampaignOptions opts;
+    opts.cacheDir = dir;
+    opts.verbose = true;
+
+    testing::internal::CaptureStderr();
+    Campaign(opts).run(s);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[1/2] vecadd                       vecadd cycles=29368 "
+              "ipc=1.571\n"
+              "[2/2] no_such_kernel               no_such_kernel cycles=0 "
+              "ipc=0.000 FAILED (host_error)\n");
+
+    testing::internal::CaptureStderr();
+    Campaign(opts).run(s);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[1/2] no_such_kernel               no_such_kernel cycles=0 "
+              "ipc=0.000 FAILED (host_error)\n"
+              "[2/2] vecadd                       vecadd cycles=29368 "
+              "ipc=1.571 (cached)\n");
+
+    // The ETA suffix carries wall-clock times, so only its presence is
+    // pinned.
+    opts.verbose = false;
+    opts.progress = true;
+    testing::internal::CaptureStderr();
+    Campaign(opts).run(s);
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(" elapsed="), std::string::npos) << err;
     std::filesystem::remove_all(dir);
 }
 
