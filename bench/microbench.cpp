@@ -9,13 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
-#include <vector>
-
-#include "common/small_vec.h"
 #include "common/stats.h"
 #include "core/decode_cache.h"
-#include "core/uop.h"
 #include "isa/assembler.h"
 #include "isa/isa.h"
 #include "kernels/kernels.h"
@@ -169,70 +164,6 @@ BM_StatCounterLookup(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StatCounterLookup)->Arg(0)->Arg(1);
-
-namespace {
-
-/** BM_UopChurn payload shaped like ExecOut's per-thread lanes. */
-template <typename WordVec, typename AddrVec>
-struct ChurnUop
-{
-    isa::Instr instr;
-    WordVec values;
-    AddrVec addrs;
-};
-
-/** One simulated instruction lifetime: fill 4-lane payloads, travel a
- *  4-deep queue (the ibuffer/FU shape), retire into @p pool. */
-template <typename U>
-void
-churn(benchmark::State& state, std::deque<U>& pipe, std::vector<U>& pool,
-      bool recycle)
-{
-    for (auto _ : state) {
-        U uop;
-        if (recycle && !pool.empty()) {
-            uop = std::move(pool.back());
-            pool.pop_back();
-        }
-        uop.values.assign(4, 0x12345678u);
-        uop.addrs.assign(4, 0x1000u);
-        pipe.push_back(std::move(uop));
-        if (pipe.size() >= 4) {
-            U retired = std::move(pipe.front());
-            pipe.pop_front();
-            benchmark::DoNotOptimize(retired.values[3]);
-            retired.values.clear();
-            retired.addrs.clear();
-            if (recycle && pool.size() < 64)
-                pool.push_back(std::move(retired));
-        }
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-} // namespace
-
-static void
-BM_UopChurn(benchmark::State& state)
-{
-    // Heap churn of the uop payload flow. Arg 0 reproduces the old
-    // std::vector payloads (one heap alloc+free per per-thread array per
-    // instruction); arg 1 is the shipped SmallVec + recycle-pool flow
-    // (allocation-free at <= 8 lanes).
-    if (state.range(0) == 0) {
-        using U = ChurnUop<std::vector<Word>, std::vector<Addr>>;
-        std::deque<U> pipe;
-        std::vector<U> pool;
-        churn(state, pipe, pool, /*recycle=*/false);
-    } else {
-        using U = ChurnUop<SmallVec<Word, core::kUopInlineLanes>,
-                           SmallVec<Addr, core::kUopInlineLanes>>;
-        std::deque<U> pipe;
-        std::vector<U> pool;
-        churn(state, pipe, pool, /*recycle=*/true);
-    }
-}
-BENCHMARK(BM_UopChurn)->Arg(0)->Arg(1);
 
 static void
 BM_SimulatorThroughput(benchmark::State& state)

@@ -22,11 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <utility>
 
 #include "common/log.h"
+#include "common/ring.h"
 #include "common/types.h"
 
 namespace vortex {
@@ -52,7 +51,7 @@ class ElasticQueue
     /** A queue of @p capacity entries (>= 1, panics otherwise); @p name
      *  appears in protocol-violation panics. */
     explicit ElasticQueue(size_t capacity, const char* name = "queue")
-        : capacity_(capacity), name_(name)
+        : q_(capacity), capacity_(capacity), name_(name)
     {
         if (capacity == 0)
             panic("ElasticQueue '", name, "' must have capacity >= 1");
@@ -128,17 +127,18 @@ class ElasticQueue
     uint64_t totalPushes() const { return totalPushes_; }
 
   private:
-    std::deque<T> q_;
+    Ring<T> q_; ///< reserved to capacity_ up front: never grows
     size_t capacity_;
     const char* name_;
     uint64_t totalPushes_ = 0;
 };
 
 /**
- * Fixed-latency fully-pipelined stage. Accepts at most one entry per cycle;
- * after `latency` ticks the entry appears at the output. The output is an
- * unbounded staging area that the owner drains each cycle (the owning
- * component applies its own back-pressure policy before enqueue).
+ * Fixed-latency fully-pipelined stage: after `latency` ticks an entry
+ * appears at the output. The owner drains the output each cycle and
+ * applies its own back-pressure policy before enqueue; a component may
+ * enqueue several entries in one cycle (the scratchpad accepts one per
+ * bank), so the ring grows to the pipe's high-water mark.
  */
 template <typename T>
 class LatencyPipe
@@ -146,37 +146,36 @@ class LatencyPipe
   public:
     /** A pipe whose entries emerge @p latency cycles after enqueue
      *  (>= 1, panics otherwise). */
-    explicit LatencyPipe(uint32_t latency) : latency_(latency)
+    explicit LatencyPipe(uint32_t latency)
+        : inflight_(latency), latency_(latency)
     {
         if (latency == 0)
             panic("LatencyPipe latency must be >= 1");
     }
 
-    /** Enter a new element this cycle. */
-    void
-    enqueue(const T& v, Cycle now)
+    /** Enter a new element this cycle, filled in place: the returned
+     *  slot holds what its last occupant left (payload capacity
+     *  included), so the caller assigns every field it reads back. */
+    T&
+    enqueueSlot(Cycle now)
     {
-        inflight_.push_back({v, now + latency_});
+        Entry& e = inflight_.appendSlot();
+        e.readyAt = now + latency_;
+        return e.value;
     }
 
-    /** Enter a new element this cycle by move (payload-carrying ops). */
-    void
-    enqueue(T&& v, Cycle now)
+    /** The oldest element if its latency has elapsed, else nullptr; it
+     *  stays in the pipe until pop(). */
+    T*
+    readyFront(Cycle now)
     {
-        inflight_.push_back({std::move(v), now + latency_});
+        return !inflight_.empty() && inflight_.front().readyAt <= now
+                   ? &inflight_.front().value
+                   : nullptr;
     }
 
-    /** @return the next element whose latency has elapsed, if any. */
-    std::optional<T>
-    dequeueReady(Cycle now)
-    {
-        if (!inflight_.empty() && inflight_.front().readyAt <= now) {
-            T v = std::move(inflight_.front().value);
-            inflight_.pop_front();
-            return v;
-        }
-        return std::nullopt;
-    }
+    /** Drop the oldest element. */
+    void pop() { inflight_.pop_front(); }
 
     /** Nothing in flight? */
     bool empty() const { return inflight_.empty(); }
@@ -196,11 +195,11 @@ class LatencyPipe
   private:
     struct Entry
     {
-        T value;
-        Cycle readyAt;
+        T value{};
+        Cycle readyAt = 0;
     };
 
-    std::deque<Entry> inflight_;
+    Ring<Entry> inflight_;
     uint32_t latency_;
 };
 

@@ -22,6 +22,11 @@
  * slot is recycled exactly a multiple of 2^24 times between a request
  * and its duplicate/stale completion — probabilistic where the old maps
  * were exact, but astronomically far from any real in-flight window.
+ *
+ * The same pool doubles as an arena (acquire/release by 16-bit handle):
+ * each core keeps every in-flight uop in one, queues carry handles, and
+ * the ids it hands the I-cache and texture unit are redeemed, not taken,
+ * so the uop stays put while its stale or duplicate responses panic.
  */
 
 #pragma once
@@ -54,6 +59,43 @@ class SlotPool
     uint64_t
     alloc(T&& value)
     {
+        const Handle index = acquire();
+        slots_[index].value = std::move(value);
+        return idOf(index);
+    }
+
+    /** The payload of @p id; panics on a stale or foreign id. */
+    T&
+    at(uint64_t id)
+    {
+        return slots_[check(id)].value;
+    }
+
+    /** Remove and return the payload of @p id; the slot is recycled
+     *  under a bumped generation, so a duplicate completion panics. */
+    T
+    take(uint64_t id)
+    {
+        const Handle index = check(id);
+        T value = std::move(slots_[index].value);
+        slots_[index].value = T{};
+        release(index);
+        return value;
+    }
+
+    //
+    // Arena use: a slot is addressed by its 16-bit index (a handle) for
+    // as long as it is live, and its payload stays in place from
+    // acquire() to release(), keeping whatever capacity its previous
+    // occupant grew.
+    //
+    using Handle = uint16_t; ///< slot index of a live entry
+
+    /** Claim a free slot and return its handle. Its payload is what its
+     *  previous occupant left: the caller overwrites what it reads. */
+    Handle
+    acquire()
+    {
         uint32_t index;
         if (!freelist_.empty()) {
             index = freelist_.back();
@@ -64,34 +106,47 @@ class SlotPool
                 panic("SlotPool '", name_, "': slot space exhausted");
             slots_.emplace_back();
         }
-        Slot& slot = slots_[index];
-        slot.live = true;
-        slot.value = std::move(value);
+        slots_[index].live = true;
         ++live_;
-        return base_ | (static_cast<uint64_t>(slot.generation) << 16) |
+        return static_cast<Handle>(index);
+    }
+
+    /** The payload of live slot @p index. */
+    T& operator[](Handle index) { return slots_[index].value; }
+    /** Const view of the payload of live slot @p index. */
+    const T& operator[](Handle index) const { return slots_[index].value; }
+
+    /** The request id naming live slot @p index under its current
+     *  generation. */
+    uint64_t
+    idOf(Handle index) const
+    {
+        return base_ |
+               (static_cast<uint64_t>(slots_[index].generation) << 16) |
                index;
     }
 
-    /** The payload of @p id; panics on a stale or foreign id. */
-    T&
-    at(uint64_t id)
+    /** Redeem request id @p id of a live slot, which stays live: its
+     *  generation is bumped, so @p id (a duplicate response) and every
+     *  earlier id of the slot panic from now on. @return its handle. */
+    Handle
+    redeem(uint64_t id)
     {
-        return slot(id).value;
+        const Handle index = check(id);
+        bump(slots_[index]);
+        return index;
     }
 
-    /** Remove and return the payload of @p id; the slot is recycled
-     *  under a bumped generation, so a duplicate completion panics. */
-    T
-    take(uint64_t id)
+    /** Free live slot @p index, leaving its payload in place; its ids
+     *  turn stale. */
+    void
+    release(Handle index)
     {
-        Slot& s = slot(id);
-        T value = std::move(s.value);
+        Slot& s = slots_[index];
         s.live = false;
-        s.generation = (s.generation + 1) & 0xFFFFFF;
-        s.value = T{};
-        freelist_.push_back(static_cast<uint32_t>(id & 0xFFFF));
+        bump(s);
+        freelist_.push_back(index);
         --live_;
-        return value;
     }
 
     /** Number of live (allocated, not yet taken) entries. */
@@ -108,7 +163,7 @@ class SlotPool
             Slot& s = slots_[i];
             if (s.live) {
                 s.live = false;
-                s.generation = (s.generation + 1) & 0xFFFFFF;
+                bump(s);
                 s.value = T{};
             }
             freelist_.push_back(i);
@@ -124,15 +179,23 @@ class SlotPool
         bool live = false;
     };
 
-    Slot&
-    slot(uint64_t id)
+    /** Retire every id issued so far for @p s. */
+    static void
+    bump(Slot& s)
+    {
+        s.generation = (s.generation + 1) & 0xFFFFFF;
+    }
+
+    /** The index of live slot @p id; panics on a stale or foreign id. */
+    Handle
+    check(uint64_t id) const
     {
         uint32_t index = static_cast<uint32_t>(id & 0xFFFF);
         uint32_t gen = static_cast<uint32_t>((id >> 16) & 0xFFFFFF);
         if ((id & ~0xFFFFFFFFFFull) != base_ || index >= slots_.size() ||
             !slots_[index].live || slots_[index].generation != gen)
             panic("SlotPool '", name_, "': unmatched request id ", id);
-        return slots_[index];
+        return static_cast<Handle>(index);
     }
 
     uint64_t base_;

@@ -9,9 +9,9 @@
  * (numThreads > N sweeps) transparently spill to the heap and keep the
  * exact std::vector semantics the timing model relies on.
  *
- * clear() keeps whatever capacity was acquired, so recycling a spilled
- * container (see Core's uop pool) reuses its heap block instead of
- * reallocating it every instruction.
+ * clear() keeps whatever capacity was acquired, so a container that is
+ * reused in place (a uop's arena slot, a cache pipe slot) keeps its
+ * spilled heap block instead of reallocating it every instruction.
  */
 
 #pragma once
@@ -91,12 +91,14 @@ class SmallVec
         size_ = 0;
     }
 
-    /** Ensure room for @p n elements without further allocation. */
+    /** Ensure room for @p n elements without further allocation. The
+     *  capacity at least doubles, so a port list that keeps merging
+     *  reallocates O(log n) times, not once per merge. */
     void
     reserve(size_t n)
     {
         if (n > cap_)
-            grow(n);
+            grow(n > 2 * cap_ ? n : 2 * cap_);
     }
 
     /** Replace the contents with @p n copies of @p v. */

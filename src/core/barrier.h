@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitmanip.h"
@@ -24,7 +22,9 @@ namespace vortex::core {
 /** Barrier id bit selecting inter-core scope. */
 constexpr uint32_t kBarrierGlobalBit = 0x80000000u;
 
-/** Local (intra-core) barrier table. */
+/** Local (intra-core) barrier table. The few barriers pending at once
+ *  sit in a vector that keeps its capacity, so a barrier allocates
+ *  nothing once the table has warmed up. */
 class BarrierTable
 {
   public:
@@ -36,11 +36,15 @@ class BarrierTable
     uint64_t
     arrive(uint32_t id, uint32_t count, WarpId wid)
     {
-        Entry& e = entries_[id];
-        e.mask |= 1ull << wid;
-        if (popcount(e.mask) >= count) {
-            uint64_t release = e.mask;
-            entries_.erase(id);
+        auto it = entries_.begin();
+        while (it != entries_.end() && it->id != id)
+            ++it;
+        if (it == entries_.end())
+            it = entries_.insert(it, Entry{id, 0});
+        it->mask |= 1ull << wid;
+        if (popcount(it->mask) >= count) {
+            uint64_t release = it->mask;
+            entries_.erase(it);
             return release;
         }
         return 0;
@@ -59,12 +63,15 @@ class BarrierTable
   private:
     struct Entry
     {
+        uint32_t id = 0;
         uint64_t mask = 0;
     };
-    std::unordered_map<uint32_t, Entry> entries_;
+    std::vector<Entry> entries_; ///< pending barriers
 };
 
-/** Global (inter-core) barrier table; counts wavefront arrivals per id. */
+/** Global (inter-core) barrier table; counts wavefront arrivals per id.
+ *  Entries are reused with their waiter lists, so a barrier allocates
+ *  nothing once the table has warmed up. */
 class GlobalBarrierTable
 {
   public:
@@ -77,31 +84,52 @@ class GlobalBarrierTable
 
     /**
      * Wavefront @p wid of core @p core arrives at @p id expecting @p count
-     * total wavefront arrivals (across cores). @return the list of
-     * wavefronts to release when the barrier fires, empty otherwise.
+     * total wavefront arrivals (across cores). @return the wavefronts to
+     * release when the barrier fires, empty otherwise; valid until the
+     * next arrive().
      */
-    std::vector<Release>
+    const std::vector<Release>&
     arrive(uint32_t id, uint32_t count, CoreId core, WarpId wid)
     {
-        Entry& e = entries_[id];
-        e.waiters.push_back({core, wid});
-        if (e.waiters.size() >= count) {
-            std::vector<Release> out = std::move(e.waiters);
-            entries_.erase(id);
-            return out;
+        Entry* e = nullptr;
+        Entry* spare = nullptr;
+        for (Entry& x : entries_) {
+            if (x.live && x.id == id)
+                e = &x;
+            else if (!x.live && !spare)
+                spare = &x;
         }
-        return {};
+        if (!e) {
+            e = spare ? spare : &entries_.emplace_back();
+            e->id = id;
+            e->live = true;
+            e->waiters.clear();
+        }
+        e->waiters.push_back({core, wid});
+        if (e->waiters.size() >= count) {
+            e->live = false;
+            return e->waiters;
+        }
+        return none_;
     }
 
     /** Forget every pending barrier (device reset). */
-    void clear() { entries_.clear(); }
+    void
+    clear()
+    {
+        for (Entry& e : entries_)
+            e.live = false;
+    }
 
   private:
     struct Entry
     {
+        uint32_t id = 0;
+        bool live = false; ///< arrivals pending
         std::vector<Release> waiters;
     };
-    std::unordered_map<uint32_t, Entry> entries_;
+    std::vector<Entry> entries_;
+    const std::vector<Release> none_; ///< arrive() result while waiting
 };
 
 } // namespace vortex::core

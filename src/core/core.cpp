@@ -48,11 +48,11 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
         texUnit_ = std::make_unique<tex::TexUnit>(
             tc, ram_, dcache_.get(), [this] { return allocTexelReqId(); });
         texUnit_->setRspCallback([this](const tex::TexResponse& rsp) {
-            // A stale or foreign id panics in the pool (the old
-            // "unmatched texture response" check).
-            Uop uop = texBatchPool_.take(rsp.reqId);
-            uop.out.values.assign(rsp.colors.begin(), rsp.colors.end());
-            texDone_.push_back(std::move(uop));
+            // A stale, duplicate or foreign id panics in the arena (the
+            // old "unmatched texture response" check).
+            const UopHandle h = uops_.redeem(rsp.reqId);
+            uops_[h].out.values.assign(rsp.colors.begin(), rsp.colors.end());
+            texDone_.push_back(h);
         });
     }
 
@@ -60,14 +60,17 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
     for (uint32_t wid = 0; wid < config.numWarps; ++wid)
         warps_.emplace_back(config.numThreads);
     fetchOutstanding_.assign(config.numWarps, false);
+    decodeQueue_.reserve(config.numWarps); // one fetch per wavefront
     for (uint32_t wid = 0; wid < config.numWarps; ++wid)
         ibuffers_.emplace_back(config.ibufferDepth, "ibuffer");
+    lsuOps_.reserve(config.lsuDepth);
 
     icache_->setRspCallback([this](const mem::CoreRsp& rsp) {
-        // A stale or foreign id panics in the pool (the old "unmatched
-        // fetch response" check).
-        decodeQueue_.push_back(Fetched{fetchPool_.take(rsp.reqId),
-                                       curCycle_ + 1});
+        // A stale, duplicate or foreign id panics in the arena (the old
+        // "unmatched fetch response" check).
+        const UopHandle h = uops_.redeem(rsp.reqId);
+        uops_[h].readyAt = curCycle_ + 1;
+        decodeQueue_.push_back(h);
     });
 
     dcache_->setRspCallback([this](const mem::CoreRsp& rsp) {
@@ -87,12 +90,12 @@ Core::onLsuRsp(uint64_t req_id)
 {
     // A stale or foreign id panics in the pool (the old "unmatched LSU
     // response" check).
-    LsuOp* op = lsuRspPool_.take(req_id);
-    if (op->pendingRsps == 0)
+    Uop& uop = uops_[lsuRspPool_.take(req_id)];
+    if (uop.pendingRsps == 0)
         panic("core ", coreId_, ": LSU response underflow");
-    --op->pendingRsps;
-    if (op->pendingRsps == 0 && op->lanesToIssue == 0)
-        op->done = true;
+    --uop.pendingRsps;
+    if (uop.pendingRsps == 0 && uop.lanesToIssue == 0)
+        uop.memDone = true;
 }
 
 void
@@ -103,7 +106,7 @@ Core::reset()
     scheduler_.reset();
     scoreboard_.reset();
     barriers_.clear();
-    fetchPool_.clear();
+    uops_.clear();
     std::fill(fetchOutstanding_.begin(), fetchOutstanding_.end(), false);
     decodeQueue_.clear();
     for (auto& ib : ibuffers_)
@@ -116,7 +119,6 @@ Core::reset()
     }
     lsuOps_.clear();
     lsuRspPool_.clear();
-    texBatchPool_.clear();
     texDone_.clear();
     softCsrs_.clear();
     issueRR_ = 0;
@@ -240,10 +242,10 @@ Core::nextEventAt() const
     Cycle next = std::min({icache_->nextEventAt(), dcache_->nextEventAt(),
                            smem_->nextEventAt()});
     if (!decodeQueue_.empty())
-        next = std::min(next, decodeQueue_.front().readyAt);
+        next = std::min(next, uops_[decodeQueue_.front()].readyAt);
     for (const FuPipe* fu : {&alu_, &muldiv_, &fpu_, &sfu_}) {
-        for (const FuPipe::Inflight& f : fu->inflight)
-            next = std::min(next, f.readyAt);
+        for (UopHandle h : fu->inflight)
+            next = std::min(next, uops_[h].readyAt);
         // An iterative op waiting for the unit to free up.
         if (!fu->input.empty() && fu->busyUntil > curCycle_)
             next = std::min(next, fu->busyUntil);
@@ -297,7 +299,8 @@ Core::fetchStage(Cycle now)
              ": invalid instruction 0x", std::hex, instr.raw,
              " at PC 0x", w.pc);
 
-    Uop uop = takeUop();
+    const UopHandle h = uops_.acquire();
+    Uop& uop = uops_[h];
     uop.instr = instr;
     uop.pc = w.pc;
     uop.wid = wid;
@@ -317,7 +320,7 @@ Core::fetchStage(Cycle now)
     req.lane = 0;
     req.tag = Tag{uop.pc, wid, uop.uid};
     trace(uop, TraceStage::Fetch);
-    req.reqId = fetchPool_.alloc(std::move(uop));
+    req.reqId = uops_.idOf(h);
     fetchOutstanding_[wid] = true;
     icache_->lanePush(0, req);
     ++ctrFetches_;
@@ -327,14 +330,17 @@ Core::fetchStage(Cycle now)
 void
 Core::decodeStage(Cycle now)
 {
-    while (!decodeQueue_.empty() && decodeQueue_.front().readyAt <= now) {
-        Uop uop = std::move(decodeQueue_.front().uop);
+    while (!decodeQueue_.empty()) {
+        const UopHandle h = decodeQueue_.front();
+        const Uop& uop = uops_[h];
+        if (uop.readyAt > now)
+            break;
         decodeQueue_.pop_front();
-        WarpId wid = uop.wid;
+        const WarpId wid = uop.wid;
         // Space is guaranteed: fetch is gated on ibuffer occupancy and at
         // most one fetch per wavefront is in flight.
         trace(uop, TraceStage::Decode);
-        ibuffers_[wid].push(std::move(uop));
+        ibuffers_[wid].push(h);
         fetchOutstanding_[wid] = false;
         progress_ = true;
     }
@@ -343,11 +349,12 @@ Core::decodeStage(Cycle now)
 void
 Core::issueStage(Cycle now)
 {
+    (void)now;
     for (uint32_t i = 0; i < config_.numWarps; ++i) {
         WarpId wid = (issueRR_ + i) % config_.numWarps;
         if (ibuffers_[wid].empty())
             continue;
-        Uop& head = ibuffers_[wid].front();
+        const Uop& head = uops_[ibuffers_[wid].front()];
         if (!scoreboard_.ready(wid, head.instr)) {
             ++ctrIssueScoreboardStalls_;
             continue;
@@ -370,23 +377,21 @@ Core::issueStage(Cycle now)
             ++ctrIssueStructuralStalls_;
             continue;
         }
-        Uop uop = ibuffers_[wid].pop();
+        dispatch(ibuffers_[wid].pop());
         progress_ = true;
-        if (dispatch(std::move(uop), now)) {
-            issueRR_ = (wid + 1) % config_.numWarps;
-            return; // single-issue core
-        }
-        return;
+        issueRR_ = (wid + 1) % config_.numWarps;
+        return; // single-issue core
     }
 }
 
-bool
-Core::dispatch(Uop&& uop, Cycle now)
+void
+Core::dispatch(UopHandle h)
 {
+    Uop& uop = uops_[h];
     const WarpId wid = uop.wid;
     trace(uop, TraceStage::Issue);
-    // In-place execution reuses the uop's (possibly recycled) payload
-    // capacity instead of building a fresh ExecOut per instruction.
+    // In-place execution reuses the arena slot's payload capacity
+    // instead of building a fresh ExecOut per instruction.
     executeInto(*this, wid, uop.instr, uop.pc, uop.out);
 
     threadInstrs_ += popcount(uop.out.tmask);
@@ -398,26 +403,24 @@ Core::dispatch(Uop&& uop, Cycle now)
 
     switch (uop.instr.fuType()) {
       case isa::FuType::ALU:
-        alu_.input.push(std::move(uop));
+        alu_.input.push(h);
         break;
       case isa::FuType::MULDIV:
-        muldiv_.input.push(std::move(uop));
+        muldiv_.input.push(h);
         break;
       case isa::FuType::FPU:
-        fpu_.input.push(std::move(uop));
+        fpu_.input.push(h);
         break;
       case isa::FuType::SFU:
-        sfu_.input.push(std::move(uop));
+        sfu_.input.push(h);
         break;
-      case isa::FuType::LSU: {
-        LsuOp op;
-        op.lanesToIssue = uop.out.tmask;
-        op.uop = std::move(uop);
-        if (op.lanesToIssue == 0)
-            op.done = true; // all-inactive memory op retires immediately
-        lsuOps_.push_back(std::move(op));
+      case isa::FuType::LSU:
+        uop.lanesToIssue = uop.out.tmask;
+        uop.pendingRsps = 0;
+        // An all-inactive memory op retires immediately.
+        uop.memDone = uop.lanesToIssue == 0;
+        lsuOps_.push_back(h);
         break;
-      }
       case isa::FuType::TEX: {
         tex::TexRequest treq;
         treq.stage = uop.out.texStage;
@@ -425,13 +428,11 @@ Core::dispatch(Uop&& uop, Cycle now)
         // The lane payload moves to the unit: nothing reads it from the
         // parked uop once the request is in flight.
         treq.lanes = std::move(uop.out.texLanes);
-        treq.reqId = texBatchPool_.alloc(std::move(uop));
+        treq.reqId = uops_.idOf(h);
         texUnit_->push(std::move(treq));
         break;
       }
     }
-    (void)now;
-    return true;
 }
 
 void
@@ -508,7 +509,7 @@ Core::fuAdvance(FuPipe& fu, Cycle now)
 {
     // Accept at most one new op per cycle.
     if (!fu.input.empty()) {
-        const Uop& head = fu.input.front();
+        Uop& head = uops_[fu.input.front()];
         bool is_fence = head.out.isFence;
         bool fence_ok = !is_fence ||
                         (lsuOps_.empty() && dcache_->idle() &&
@@ -520,23 +521,24 @@ Core::fuAdvance(FuPipe& fu, Cycle now)
             if (can_start) {
                 if (iterative)
                     fu.busyUntil = now + lat;
-                Uop uop = fu.input.pop();
-                fu.inflight.push_back(FuPipe::Inflight{std::move(uop),
-                                                       now + lat});
+                head.readyAt = now + lat;
+                fu.inflight.push_back(fu.input.pop());
                 progress_ = true;
             }
         }
     }
-    // Retire matured ops into the output queue (latencies vary, so scan).
-    for (auto it = fu.inflight.begin(); it != fu.inflight.end();) {
-        if (it->readyAt <= now) {
-            fu.output.push_back(std::move(it->uop));
-            it = fu.inflight.erase(it);
+    // Retire matured ops into the output queue in issue order (latencies
+    // vary, so scan), keeping the rest in order.
+    size_t kept = 0;
+    for (UopHandle h : fu.inflight) {
+        if (uops_[h].readyAt <= now) {
+            fu.output.push_back(h);
             progress_ = true;
         } else {
-            ++it;
+            fu.inflight[kept++] = h;
         }
     }
+    fu.inflight.resize(kept);
 }
 
 void
@@ -553,24 +555,25 @@ Core::lsuTick(Cycle now)
 {
     (void)now;
     // In-order lane issue: only the oldest op with unsent lanes issues.
-    for (LsuOp& op : lsuOps_) {
+    for (UopHandle h : lsuOps_) {
+        Uop& op = uops_[h];
         if (op.lanesToIssue == 0)
             continue;
         uint64_t mask = op.lanesToIssue;
         for (uint32_t t = 0; mask; ++t, mask >>= 1) {
             if (!(mask & 1))
                 continue;
-            bool shared = op.uop.out.memShared;
+            bool shared = op.out.memShared;
             bool ready = shared ? smem_->laneReady(t)
                                 : dcache_->laneReady(t);
             if (!ready)
                 continue;
             mem::CoreReq req;
-            req.addr = op.uop.out.addrs[t];
-            req.write = op.uop.out.memWrite;
-            req.reqId = lsuRspPool_.alloc(&op);
+            req.addr = op.out.addrs[t];
+            req.write = op.out.memWrite;
+            req.reqId = lsuRspPool_.alloc(UopHandle{h});
             req.lane = t;
-            req.tag = Tag{op.uop.pc, op.uop.wid, op.uop.uid};
+            req.tag = Tag{op.pc, op.wid, op.uid};
             ++op.pendingRsps;
             op.lanesToIssue &= ~(1ull << t);
             progress_ = true;
@@ -591,41 +594,34 @@ Core::commitStage(Cycle now)
     // at most one register-writing uop per cycle (single writeback port).
     bool port_used = false;
 
-    auto tryRetire = [&](Uop& uop) -> bool {
+    // Retiring frees the uop's arena slot in place.
+    auto tryRetire = [&](UopHandle h) -> bool {
+        const Uop& uop = uops_[h];
         if (uop.out.hasDst) {
             if (port_used)
                 return false;
             port_used = true;
         }
         writeback(uop);
+        uops_.release(h);
         progress_ = true;
         return true;
     };
 
     for (FuPipe* fu : {&alu_, &fpu_, &muldiv_, &sfu_}) {
-        while (!fu->output.empty()) {
-            if (!tryRetire(fu->output.front()))
-                break;
-            recycleUop(std::move(fu->output.front()));
+        while (!fu->output.empty() && tryRetire(fu->output.front()))
             fu->output.pop_front();
-        }
     }
     // LSU completions (any order).
-    for (auto it = lsuOps_.begin(); it != lsuOps_.end();) {
-        if (it->done && tryRetire(it->uop)) {
-            recycleUop(std::move(it->uop));
-            it = lsuOps_.erase(it);
-        } else {
-            ++it;
-        }
+    size_t kept = 0;
+    for (UopHandle h : lsuOps_) {
+        if (!uops_[h].memDone || !tryRetire(h))
+            lsuOps_[kept++] = h;
     }
+    lsuOps_.resize(kept);
     // Texture completions.
-    while (!texDone_.empty()) {
-        if (!tryRetire(texDone_.front()))
-            break;
-        recycleUop(std::move(texDone_.front()));
+    while (!texDone_.empty() && tryRetire(texDone_.front()))
         texDone_.pop_front();
-    }
 }
 
 void
@@ -656,17 +652,8 @@ Core::writeback(const Uop& uop)
 bool
 Core::busy() const
 {
-    if (scheduler_.activeMask() != 0)
-        return true;
-    if (!fetchPool_.empty() || !decodeQueue_.empty())
-        return true;
-    for (const auto& ib : ibuffers_) {
-        if (!ib.empty())
-            return true;
-    }
-    if (!alu_.empty() || !muldiv_.empty() || !fpu_.empty() || !sfu_.empty())
-        return true;
-    if (!lsuOps_.empty() || !texBatchPool_.empty() || !texDone_.empty())
+    // Every uop between fetch and retire holds an arena slot.
+    if (scheduler_.activeMask() != 0 || !uops_.empty())
         return true;
     if (!icache_->idle() || !dcache_->idle() || !smem_->idle())
         return true;

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
-#include <list>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -20,6 +18,7 @@
 #include <vector>
 
 #include "common/elastic.h"
+#include "common/ring.h"
 #include "common/slot_pool.h"
 #include "common/stats.h"
 #include "core/barrier.h"
@@ -153,47 +152,27 @@ class Core
      *  recording the stall-counter deltas since @p stalls_before. */
     void sleep(Cycle now, const uint64_t* stalls_before);
 
-    /** Dispatch one uop to its functional unit; false if structural stall. */
-    bool dispatch(Uop&& uop, Cycle now);
+    /** Execute uop @p h and hand it to its functional unit. */
+    void dispatch(UopHandle h);
     void applyScheduleEvents(const Uop& uop);
     void writeback(const Uop& uop);
     void onLsuRsp(uint64_t reqId);
 
     //
     // Request-id spaces. Every in-flight request id carries a kind in
-    // its top bits, so ids from the three slot pools and the texel-fetch
-    // counter can share the D$/I$/scratchpad without colliding, and a
-    // D$ response routes by kind instead of probing the texture unit's
-    // pending set.
+    // its top bits, so ids from the uop arena, the LSU lane pool and the
+    // texel-fetch counter can share the D$/I$/scratchpad without
+    // colliding, and a D$ response routes by kind instead of probing the
+    // texture unit's pending set.
     //
     static constexpr uint64_t kReqKindMask = 3ull << 62;
-    static constexpr uint64_t kFetchReqBase = 1ull << 62; ///< I$ fetches
-    static constexpr uint64_t kLsuReqBase = 2ull << 62;   ///< LSU lanes
+    static constexpr uint64_t kUopReqBase = 1ull << 62; ///< fetch, tex
+    static constexpr uint64_t kLsuReqBase = 2ull << 62; ///< LSU lanes
     static constexpr uint64_t kTexelReqBase = 3ull << 62; ///< texel reads
 
     /** Texel-fetch ids handed to the texture unit (tracked only in the
      *  unit's own pending set, so a plain counter suffices). */
     uint64_t allocTexelReqId() { return kTexelReqBase | nextTexelReqId_++; }
-
-    /** A fresh (or recycled) uop: payload capacity is reused, all other
-     *  state is reset by the caller/executeInto. */
-    Uop
-    takeUop()
-    {
-        if (uopPool_.empty())
-            return Uop{};
-        Uop uop = std::move(uopPool_.back());
-        uopPool_.pop_back();
-        return uop;
-    }
-
-    /** Return a retired uop's payload capacity to the pool. */
-    void
-    recycleUop(Uop&& uop)
-    {
-        if (uopPool_.size() < kUopPoolDepth)
-            uopPool_.push_back(std::move(uop));
-    }
 
     //
     // Functional-unit pipes with per-op latency; iterative ops set busy.
@@ -204,21 +183,10 @@ class Core
             : input(depth, name)
         {
         }
-        struct Inflight
-        {
-            Uop uop;
-            Cycle readyAt;
-        };
-        ElasticQueue<Uop> input;
-        std::deque<Inflight> inflight;
+        ElasticQueue<UopHandle> input;
+        std::vector<UopHandle> inflight; ///< issue order; Uop::readyAt
         Cycle busyUntil = 0;
-        std::deque<Uop> output;
-
-        bool
-        empty() const
-        {
-            return input.empty() && inflight.empty() && output.empty();
-        }
+        Ring<UopHandle> output;
     };
 
     void fuAdvance(FuPipe& fu, Cycle now);
@@ -243,20 +211,18 @@ class Core
     std::vector<Warp> warps_;
     std::unordered_map<uint32_t, Word> softCsrs_;
 
+    /** Every in-flight uop, fetch to retire. A fetch's I$ request id
+     *  and a `tex` batch's id are arena ids of the uop's slot. */
+    SlotPool<Uop> uops_{kUopReqBase, "core.uops"};
+
     //
     // Fetch / decode bookkeeping.
     //
-    struct Fetched
-    {
-        Uop uop;
-        Cycle readyAt;
-    };
     DecodeCache decodeCache_;       ///< PC-indexed decoded-instr memo
-    SlotPool<Uop> fetchPool_{kFetchReqBase, "core.fetches"};
     std::vector<bool> fetchOutstanding_; ///< per wavefront
-    std::deque<Fetched> decodeQueue_;
+    Ring<UopHandle> decodeQueue_;   ///< fetched; ready at Uop::readyAt
 
-    std::vector<ElasticQueue<Uop>> ibuffers_;
+    std::vector<ElasticQueue<UopHandle>> ibuffers_;
     WarpId issueRR_ = 0;
 
     FuPipe alu_;
@@ -264,31 +230,14 @@ class Core
     FuPipe fpu_;
     FuPipe sfu_;
 
-    //
-    // LSU: in-order lane issue, out-of-order completion.
-    //
-    struct LsuOp
-    {
-        Uop uop;
-        uint64_t lanesToIssue = 0; ///< thread bits not yet sent
-        uint32_t pendingRsps = 0;
-        bool done = false;
-    };
-    std::list<LsuOp> lsuOps_;
-    /** In-flight lane requests -> owning op (list nodes are stable). */
-    SlotPool<LsuOp*> lsuRspPool_{kLsuReqBase, "core.lsu_rsps"};
+    /** LSU ops in dispatch order (at most lsuDepth); their progress is
+     *  in the uop. */
+    std::vector<UopHandle> lsuOps_;
+    /** In-flight lane requests -> owning uop. */
+    SlotPool<UopHandle> lsuRspPool_{kLsuReqBase, "core.lsu_rsps"};
 
-    //
-    // Texture in-flight uops (keyed by TexRequest reqId).
-    //
-    SlotPool<Uop> texBatchPool_{0, "core.tex_batches"};
-    std::deque<Uop> texDone_;
-
-    /** Retired-uop recycle pool: bounds how much spilled payload
-     *  capacity is kept for reuse (the in-flight population is itself
-     *  bounded by the ibuffer/LSU/FU queue depths). */
-    static constexpr size_t kUopPoolDepth = 64;
-    std::vector<Uop> uopPool_;
+    /** `tex` uops whose colors have arrived. */
+    Ring<UopHandle> texDone_;
 
     uint64_t nextTexelReqId_ = 1;
     uint64_t nextUid_ = 1;

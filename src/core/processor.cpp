@@ -219,8 +219,8 @@ Processor::commitCrossCore()
     // next cycle for every wavefront, whichever thread simulated it.
     for (CoreId c = 0; c < pendingArrivals_.size(); ++c) {
         for (const PendingArrival& a : pendingArrivals_[c]) {
-            auto releases = globalBarriers_.arrive(a.id, a.count, c, a.wid);
-            for (const auto& r : releases)
+            for (const auto& r :
+                 globalBarriers_.arrive(a.id, a.count, c, a.wid))
                 cores_.at(r.core)->releaseBarrierWarp(r.warp);
         }
         pendingArrivals_[c].clear();

@@ -7,8 +7,8 @@
  *
  * The per-thread payloads are SmallVecs sized for the common machine
  * geometries, so executing and retiring an instruction allocates nothing
- * on the host heap (common/small_vec.h); wider machines spill and the
- * core's uop recycling reuses the spilled capacity.
+ * on the host heap (common/small_vec.h); wider machines spill once per
+ * arena slot, which keeps the capacity for its next uop.
  */
 
 #pragma once
@@ -67,7 +67,8 @@ struct ExecOut
     bool isFence = false; ///< completes only when the LSU/D$ drain
 
     /** Reset to the default-constructed state while keeping any payload
-     *  capacity, so a recycled uop re-executes without reallocating. */
+     *  capacity, so a reused arena slot re-executes without
+     *  reallocating. */
     void
     reset()
     {
@@ -91,14 +92,28 @@ struct ExecOut
     }
 };
 
-/** One in-flight instruction. */
+/** One in-flight instruction. It lives in its core's uop arena from
+ *  fetch to retire; the stage queues carry its UopHandle. */
 struct Uop
 {
     isa::Instr instr; ///< the decoded instruction
     Addr pc = 0;      ///< its PC
     WarpId wid = 0;   ///< issuing wavefront
     uint64_t uid = 0; ///< unique instruction id (trace tag)
-    ExecOut out;      ///< functional results awaiting commit
+    /** Cycle it leaves its timed stage (the decode queue, an FU pipe). */
+    Cycle readyAt = 0;
+
+    //
+    // LSU progress: in-order lane issue, out-of-order completion.
+    //
+    uint64_t lanesToIssue = 0; ///< thread bits not yet sent
+    uint32_t pendingRsps = 0;  ///< lane responses outstanding
+    bool memDone = false;      ///< every lane answered: ready to retire
+
+    ExecOut out; ///< functional results awaiting commit
 };
+
+/** A uop's slot in its core's arena (SlotPool<Uop>::Handle). */
+using UopHandle = uint16_t;
 
 } // namespace vortex::core

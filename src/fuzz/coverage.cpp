@@ -133,8 +133,8 @@ measureCoverage(uint64_t startSeed, uint32_t count, const GenOptions& opts)
         GeneratedKernel k = generateKernel(seed, opts);
         const std::string unit = "<fuzz:" + std::to_string(seed) + ">";
         isa::Assembler assembler(config.startPC);
-        isa::ObjectFile obj = assembler.assembleObject(
-            {{"<runtime>", kernels::runtimeSource()}, {unit, k.source}});
+        isa::ObjectFile obj =
+            kernels::assembleObjectWithRuntime(assembler, unit, k.source);
         isa::Program program = obj.toProgram(config.startPC);
 
         // Decode every word of the executable sections: the mnemonics

@@ -23,10 +23,27 @@
 #include <string>
 #include <vector>
 
+#include "isa/assembler.h"
+#include "isa/object.h"
+
 namespace vortex::kernels {
 
 /** crt0 + per-thread stack setup + spawn_tasks (wspawn/tmc/bar based). */
 const char* runtimeSource();
+
+/**
+ * Assemble the native runtime followed by kernel @p source, named
+ * @p name in diagnostics: how every runtime-hosted program is built.
+ * The runtime calls `main`, so a kernel that does not define it is
+ * reported at @p name:1:1, not at the runtime's call.
+ */
+isa::Program assembleWithRuntime(isa::Assembler& as, const std::string& name,
+                                 const std::string& source);
+
+/** assembleWithRuntime() into a relocatable object (isa/object.h). */
+isa::ObjectFile assembleObjectWithRuntime(isa::Assembler& as,
+                                          const std::string& name,
+                                          const std::string& source);
 
 //
 // Rodinia subset (§6.1), examples/kernels/NAME.s. Argument layouts in

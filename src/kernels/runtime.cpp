@@ -20,6 +20,50 @@
 
 namespace vortex::kernels {
 
+namespace {
+
+constexpr const char* kRuntimeUnit = "<runtime>";
+
+/** Run @p assemble over the runtime + kernel units, blaming a missing
+ *  `main` on the kernel. */
+template <typename Assemble>
+auto
+withRuntime(const std::string& name, const std::string& source,
+            Assemble assemble)
+{
+    try {
+        return assemble(std::vector<isa::SourceUnit>{
+            {kRuntimeUnit, runtimeSource()}, {name, source}});
+    } catch (const isa::AsmError& e) {
+        if (e.file() != kRuntimeUnit ||
+            e.message() != "undefined symbol 'main'")
+            throw;
+        throw isa::AsmError(name, 1, 1,
+                            "undefined symbol 'main': the native runtime "
+                            "calls it, so the kernel must define it");
+    }
+}
+
+} // namespace
+
+isa::Program
+assembleWithRuntime(isa::Assembler& as, const std::string& name,
+                    const std::string& source)
+{
+    return withRuntime(name, source, [&](const auto& units) {
+        return as.assembleUnits(units);
+    });
+}
+
+isa::ObjectFile
+assembleObjectWithRuntime(isa::Assembler& as, const std::string& name,
+                          const std::string& source)
+{
+    return withRuntime(name, source, [&](const auto& units) {
+        return as.assembleObject(units);
+    });
+}
+
 const char*
 runtimeSource()
 {

@@ -35,6 +35,7 @@ Cache::Bank::Bank(const CacheConfig& cfg, uint32_t index)
       pipe(cfg.pipelineLatency)
 {
     (void)index;
+    mshr.resize(cfg.mshrEntries);
     uint32_t num_sets = cfg.size / (cfg.lineSize * cfg.numBanks *
                                     cfg.numWays);
     sets.assign(num_sets, std::vector<Way>(cfg.numWays));
@@ -164,17 +165,27 @@ Cache::install(Bank& bank, Addr addr, Cycle now)
 bool
 Cache::mshrHasSpace(const Bank& bank) const
 {
-    return bank.mshr.size() < config_.mshrEntries;
+    return bank.mshrLive < config_.mshrEntries;
 }
 
 Cache::MshrEntry*
 Cache::mshrFind(Bank& bank, Addr lineAddr)
 {
     for (MshrEntry& e : bank.mshr) {
-        if (e.pendingFill && e.lineAddr == lineAddr)
+        if (e.live && e.lineAddr == lineAddr)
             return &e;
     }
     return nullptr;
+}
+
+Cache::MshrEntry&
+Cache::mshrFree(Bank& bank)
+{
+    for (MshrEntry& e : bank.mshr) {
+        if (!e.live)
+            return e;
+    }
+    panic("cache '", config_.name, "': no free MSHR slot");
 }
 
 bool
@@ -184,7 +195,7 @@ Cache::drainPipes(Cycle now)
         return false;
     const size_t before = pipeWork_;
     for (Bank& bank : banks_) {
-        while (auto op = bank.pipe.dequeueReady(now)) {
+        while (const PipeOp* op = bank.pipe.readyFront(now)) {
             --pipeWork_;
             if (op->memReq) {
                 // Space was reserved with an early-full check at schedule.
@@ -195,6 +206,7 @@ Cache::drainPipes(Cycle now)
                     rspCallback_(CoreRsp{p.reqId, p.lane, op->write, p.tag});
                 ++ctrCoreRsps_;
             }
+            bank.pipe.pop();
         }
     }
     return pipeWork_ != before;
@@ -229,12 +241,12 @@ Cache::schedule(Cycle now)
     for (Bank& bank : banks_) {
         // Priority 1: replay a filled MSHR entry (one per cycle).
         if (!bank.replayQueue.empty()) {
-            MshrEntry entry = std::move(bank.replayQueue.front());
+            PipeOp& op = bank.pipe.enqueueSlot(now);
+            op.ports = bank.replayQueue.front();
+            op.write = false;
+            op.memReq.reset();
             bank.replayQueue.pop_front();
             --bankWork_;
-            PipeOp op;
-            op.ports = std::move(entry.ports);
-            bank.pipe.enqueue(std::move(op), now);
             ++pipeWork_;
             ++ctrMshrReplays_;
             moved = true;
@@ -246,16 +258,13 @@ Cache::schedule(Cycle now)
             bank.fillQueue.pop_front();
             --bankWork_;
             install(bank, line_addr, now);
-            // Move every MSHR entry waiting on this line to the replay
-            // queue (merged entries replay back-to-back).
-            for (auto it = bank.mshr.begin(); it != bank.mshr.end();) {
-                if (it->lineAddr == line_addr) {
-                    bank.replayQueue.push_back(std::move(*it));
-                    ++bankWork_;
-                    it = bank.mshr.erase(it);
-                } else {
-                    ++it;
-                }
+            // Move the MSHR entry waiting on this line (merged misses
+            // included) to the replay queue.
+            if (MshrEntry* entry = mshrFind(bank, line_addr)) {
+                bank.replayQueue.push_back(entry->ports);
+                ++bankWork_;
+                entry->live = false;
+                --bank.mshrLive;
             }
             ++ctrFills_;
             moved = true;
@@ -279,16 +288,15 @@ Cache::schedule(Cycle now)
             } else {
                 ++ctrWriteMisses_;
             }
-            PipeOp op;
-            op.ports = req.ports;
-            op.write = true;
             MemReq mreq;
             mreq.lineAddr = req.lineAddr;
             mreq.write = true;
             mreq.reqId = instanceBase_ | kWriteReqBit | nextWriteReqId_++;
             mreq.tag = req.ports.front().tag;
+            PipeOp& op = bank.pipe.enqueueSlot(now);
+            op.ports = req.ports;
+            op.write = true;
             op.memReq = mreq;
-            bank.pipe.enqueue(std::move(op), now);
             ++pipeWork_;
             bank.input.pop();
             --bankWork_;
@@ -299,9 +307,10 @@ Cache::schedule(Cycle now)
         if (auto way = probe(bank, req.lineAddr)) {
             bank.sets[setOf(req.lineAddr)][*way].lastUsed = now;
             ++ctrReadHits_;
-            PipeOp op;
+            PipeOp& op = bank.pipe.enqueueSlot(now);
             op.ports = req.ports;
-            bank.pipe.enqueue(std::move(op), now);
+            op.write = false;
+            op.memReq.reset();
             ++pipeWork_;
             bank.input.pop();
             --bankWork_;
@@ -330,10 +339,6 @@ Cache::schedule(Cycle now)
         --memq_free;
         ++pipePromisedMemReqs_;
         ++ctrReadMisses_;
-        MshrEntry entry;
-        entry.lineAddr = req.lineAddr;
-        entry.ports = req.ports;
-        bank.mshr.push_back(std::move(entry));
         MemReq mreq;
         mreq.lineAddr = req.lineAddr;
         mreq.write = false;
@@ -341,9 +346,16 @@ Cache::schedule(Cycle now)
             PendingFill{static_cast<uint32_t>(&bank - banks_.data()),
                         req.lineAddr});
         mreq.tag = req.ports.front().tag;
-        PipeOp op; // carries only the memory request; responses come later
+        MshrEntry& entry = mshrFree(bank);
+        entry.live = true;
+        entry.lineAddr = req.lineAddr;
+        entry.ports = req.ports;
+        ++bank.mshrLive;
+        // The op carries only the memory request; responses come later.
+        PipeOp& op = bank.pipe.enqueueSlot(now);
+        op.ports.clear();
+        op.write = false;
         op.memReq = mreq;
-        bank.pipe.enqueue(std::move(op), now);
         ++pipeWork_;
         bank.input.pop();
         --bankWork_;
@@ -473,7 +485,7 @@ Cache::idle() const
     }
     for (const Bank& bank : banks_) {
         if (!bank.input.empty() || !bank.replayQueue.empty() ||
-            !bank.fillQueue.empty() || !bank.mshr.empty() ||
+            !bank.fillQueue.empty() || bank.mshrLive != 0 ||
             !bank.pipe.empty())
             return false;
     }

@@ -29,12 +29,12 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/elastic.h"
+#include "common/ring.h"
 #include "common/small_vec.h"
 #include "common/slot_pool.h"
 #include "common/stats.h"
@@ -167,11 +167,12 @@ class Cache
         PortVec ports;
     };
 
-    /** A miss waiting on a line (one MSHR entry). */
+    /** One MSHR slot: a miss waiting on a line while live. At most one
+     *  live entry per line (later misses merge into it). */
     struct MshrEntry
     {
         Addr lineAddr = 0;
-        bool pendingFill = true;       ///< false once moved to replay
+        bool live = false;
         PortVec ports;
     };
 
@@ -183,7 +184,9 @@ class Cache
         Cycle lastUsed = 0;
     };
 
-    /** Completed bank operation travelling the pipeline. */
+    /** Completed bank operation travelling the pipeline. Ops are built
+     *  in their pipe slot, and the replay queue and MSHR slots are
+     *  reused too, so a port list that spilled keeps its capacity. */
     struct PipeOp
     {
         PortVec ports; ///< responses to emit
@@ -196,9 +199,10 @@ class Cache
         Bank(const CacheConfig& cfg, uint32_t index);
 
         ElasticQueue<BankReq> input;
-        std::deque<MshrEntry> replayQueue; ///< filled entries to replay
-        std::deque<Addr> fillQueue;        ///< arrived fills to install
-        std::vector<MshrEntry> mshr;
+        Ring<PortVec> replayQueue; ///< ports of filled entries to replay
+        Ring<Addr> fillQueue;      ///< arrived fills to install
+        std::vector<MshrEntry> mshr; ///< mshrEntries slots
+        uint32_t mshrLive = 0;       ///< live slots in mshr
         std::vector<std::vector<Way>> sets; ///< [set][way]
         LatencyPipe<PipeOp> pipe;
     };
@@ -215,7 +219,10 @@ class Cache
     bool selectBanks(Cycle now);
 
     bool mshrHasSpace(const Bank& bank) const;
+    /** The live entry waiting on @p lineAddr, or nullptr. */
     MshrEntry* mshrFind(Bank& bank, Addr lineAddr);
+    /** A free slot; mshrHasSpace() must hold. */
+    MshrEntry& mshrFree(Bank& bank);
 
     CacheConfig config_;
     uint32_t numSets_;
@@ -241,7 +248,7 @@ class Cache
     size_t bankWork_ = 0; ///< bank input + replay + fill entries (schedule)
     size_t pipeWork_ = 0; ///< ops inside bank pipelines (drainPipes)
     ElasticQueue<MemReq> memQueue_;
-    std::deque<MemRsp> memRspQueue_; ///< unbounded: responses always absorbed
+    Ring<MemRsp> memRspQueue_; ///< unbounded: responses always absorbed
     MemSink* memSink_ = nullptr;
     std::function<void(const CoreRsp&)> rspCallback_;
 

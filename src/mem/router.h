@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.h"
@@ -39,12 +38,17 @@ class MemRouter
     void
     onRsp(const MemRsp& rsp)
     {
-        auto it = routes_.find(rsp.reqId);
-        if (it == routes_.end())
-            panic("MemRouter: unrouted response ", rsp.reqId);
-        size_t idx = it->second;
-        routes_.erase(it);
-        handlers_[idx](rsp);
+        // Board memory answers in request order, so the match is almost
+        // always the oldest route.
+        for (auto it = routes_.begin(); it != routes_.end(); ++it) {
+            if (it->reqId == rsp.reqId) {
+                const size_t port = it->port;
+                routes_.erase(it);
+                handlers_[port](rsp);
+                return;
+            }
+        }
+        panic("MemRouter: unrouted response ", rsp.reqId);
     }
 
     bool idle() const { return routes_.empty(); }
@@ -64,7 +68,7 @@ class MemRouter
         reqPush(const MemReq& req) override
         {
             if (!req.write)
-                router_.routes_[req.reqId] = index_;
+                router_.routes_.push_back(Route{req.reqId, index_});
             router_.down_->reqPush(req);
         }
 
@@ -76,7 +80,15 @@ class MemRouter
     MemSink* down_;
     std::vector<std::unique_ptr<Port>> ports_;
     std::vector<std::function<void(const MemRsp&)>> handlers_;
-    std::unordered_map<uint64_t, size_t> routes_;
+    /** An in-flight read and the port it returns to. */
+    struct Route
+    {
+        uint64_t reqId;
+        size_t port;
+    };
+    /** In-flight reads, oldest first: a vector that keeps its capacity,
+     *  where a node-based map allocated on every read. */
+    std::vector<Route> routes_;
 };
 
 } // namespace vortex::mem

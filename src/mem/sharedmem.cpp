@@ -35,9 +35,10 @@ SharedMem::tick(Cycle now)
 {
     // Emit matured responses.
     bool moved = false;
-    while (auto rsp = pipe_.dequeueReady(now)) {
+    while (const CoreRsp* rsp = pipe_.readyFront(now)) {
         if (rspCallback_)
             rspCallback_(*rsp);
+        pipe_.pop();
         moved = true;
     }
 
@@ -58,7 +59,8 @@ SharedMem::tick(Cycle now)
             continue;
         }
         bankBusy_[b] = 1;
-        pipe_.enqueue(CoreRsp{req.reqId, req.lane, req.write, req.tag}, now);
+        pipe_.enqueueSlot(now) =
+            CoreRsp{req.reqId, req.lane, req.write, req.tag};
         ++ctrAccesses_;
         lane.pop();
         --pendingLaneReqs_;

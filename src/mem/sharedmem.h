@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 

@@ -22,8 +22,7 @@
 
 #pragma once
 
-#include <deque>
-
+#include "common/ring.h"
 #include "mem/memtypes.h"
 
 namespace vortex::mem {
@@ -40,7 +39,7 @@ class StagedMemPort final : public MemSink
      * @param owner the producer's core, woken when drain() returns credit
      */
     StagedMemPort(MemSink* down, size_t depth, WakeLatch* owner)
-        : down_(down), depth_(depth), owner_(owner)
+        : down_(down), depth_(depth), owner_(owner), staged_(depth)
     {
     }
 
@@ -79,7 +78,7 @@ class StagedMemPort final : public MemSink
     MemSink* down_;
     size_t depth_;
     WakeLatch* owner_; ///< the producer's core
-    std::deque<MemReq> staged_;
+    Ring<MemReq> staged_;
 };
 
 } // namespace vortex::mem

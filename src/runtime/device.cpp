@@ -93,9 +93,8 @@ Device::uploadKernel(const std::string& kernel_asm)
         return;
     }
     isa::Assembler assembler(config_.startPC);
-    uploadProgram(assembler.assembleUnits(
-        {{"<runtime>", kernels::runtimeSource()},
-         {"<kernel>", kernel_asm}}));
+    uploadProgram(
+        kernels::assembleWithRuntime(assembler, "<kernel>", kernel_asm));
 }
 
 void
@@ -111,8 +110,8 @@ Device::uploadKernelObject(const std::string& kernel_asm,
                            const std::string& name)
 {
     isa::Assembler assembler(config_.startPC);
-    isa::ObjectFile obj = assembler.assembleObject(
-        {{"<runtime>", kernels::runtimeSource()}, {name, kernel_asm}});
+    isa::ObjectFile obj =
+        kernels::assembleObjectWithRuntime(assembler, name, kernel_asm);
     // Round-trip through the serialized format so every load from this
     // path also exercises the writer/reader pair.
     std::vector<uint8_t> bytes = isa::writeObject(obj);

@@ -301,24 +301,50 @@ runBfs(Device& dev, uint32_t num_nodes, uint32_t avg_degree)
     return finish(dev, true);
 }
 
+namespace {
+
+/** A Rodinia harness at its default problem size times `scale`. */
+struct RodiniaRunner
+{
+    const char* name;
+    RunResult (*run)(Device& dev, uint32_t scale);
+};
+
+constexpr RodiniaRunner kRodiniaRunners[] = {
+    {"vecadd", [](Device& d, uint32_t s) { return runVecAdd(d, 2048 * s); }},
+    {"saxpy", [](Device& d, uint32_t s) { return runSaxpy(d, 2048 * s); }},
+    {"sgemm", [](Device& d, uint32_t s) { return runSgemm(d, 24 * s); }},
+    {"sfilter",
+     [](Device& d, uint32_t s) { return runSfilter(d, 48 * s, 32 * s); }},
+    {"nearn", [](Device& d, uint32_t s) { return runNearn(d, 1024 * s); }},
+    {"gaussian",
+     [](Device& d, uint32_t s) { return runGaussian(d, 16 * s); }},
+    {"bfs", [](Device& d, uint32_t s) { return runBfs(d, 512 * s, 4); }},
+};
+
+const RodiniaRunner*
+findRodinia(const std::string& name)
+{
+    for (const RodiniaRunner& r : kRodiniaRunners)
+        if (name == r.name)
+            return &r;
+    return nullptr;
+}
+
+} // namespace
+
 RunResult
 runRodinia(Device& dev, const std::string& name, uint32_t scale)
 {
-    if (name == "vecadd")
-        return runVecAdd(dev, 2048 * scale);
-    if (name == "saxpy")
-        return runSaxpy(dev, 2048 * scale);
-    if (name == "sgemm")
-        return runSgemm(dev, 24 * scale);
-    if (name == "sfilter")
-        return runSfilter(dev, 48 * scale, 32 * scale);
-    if (name == "nearn")
-        return runNearn(dev, 1024 * scale);
-    if (name == "gaussian")
-        return runGaussian(dev, 16 * scale);
-    if (name == "bfs")
-        return runBfs(dev, 512 * scale, 4);
+    if (const RodiniaRunner* r = findRodinia(name))
+        return r->run(dev, scale);
     fatal("unknown Rodinia kernel '", name, "'");
+}
+
+bool
+isRodiniaKernel(const std::string& name)
+{
+    return findRodinia(name) != nullptr;
 }
 
 bool

@@ -47,6 +47,9 @@ RunResult runBfs(Device& dev, uint32_t numNodes, uint32_t avgDegree);
 RunResult runRodinia(Device& dev, const std::string& name,
                      uint32_t scale = 1);
 
+/** Does runRodinia() have a harness named @p name? */
+bool isRodiniaKernel(const std::string& name);
+
 /** The paper's benchmark grouping (§6.1). */
 bool isComputeBound(const std::string& name);
 

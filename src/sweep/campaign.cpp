@@ -429,9 +429,8 @@ verifyRuns(const std::string& campaignName,
         if (!seen.insert(key.str()).second)
             continue;
         isa::Assembler assembler(run.config.startPC);
-        isa::Program program = assembler.assembleUnits(
-            {{"<runtime>", kernels::runtimeSource()},
-             {unitName, source}});
+        isa::Program program =
+            kernels::assembleWithRuntime(assembler, unitName, source);
         analysis::Report report = analysis::analyze(
             program, runtime::analyzerOptions(run.config, program));
         if (report.errors() == 0)

@@ -553,6 +553,16 @@ WorkloadSpec::describe() const
     return os.str();
 }
 
+std::string
+WorkloadSpec::whyUnrunnable() const
+{
+    if (kind != Kind::Rodinia || program.empty() || !check.empty() ||
+        runtime::isRodiniaKernel(kernel))
+        return {};
+    return "kernel '" + kernel + "' has no Rodinia harness, so program '" +
+           program + "' needs a check (selfcheck | memcmp:ADDR:LEN:FNV)";
+}
+
 namespace {
 
 /** Failed RunResult of class @p status, with whatever counters the
@@ -692,6 +702,11 @@ SweepSpec::expand() const
                           "' point '", p.label, "': unknown field '",
                           field, "'");
         }
+        const std::string why = r.workload.whyUnrunnable();
+        if (!why.empty())
+            fatal("sweep '", name, "'",
+                  r.coords.empty() ? "" : " run '" + r.id() + "'", ": ",
+                  why);
         runs.push_back(std::move(r));
 
         // Row-major increment: the last axis varies fastest.

@@ -97,6 +97,11 @@ struct WorkloadSpec
      *  "texture bilinear hw 64". */
     std::string describe() const;
 
+    /** Why this workload cannot run, or empty when it can: a program
+     *  workload without a `check` runs its kernel's harness, so the
+     *  kernel must be a Rodinia one. */
+    std::string whyUnrunnable() const;
+
     /**
      * Execute this workload on @p dev (verified against the host
      * reference; see runtime/workloads.h). Installs the fault plan and
@@ -175,8 +180,8 @@ struct SweepSpec
 
     /**
      * Expand the axes row-major (the last axis varies fastest) into the
-     * flat run matrix. Fatal on an unknown field name or unparsable
-     * value.
+     * flat run matrix. Fatal on an unknown field name, an unparsable
+     * value or a run whose workload cannot run (whyUnrunnable()).
      */
     std::vector<RunSpec> expand() const;
 

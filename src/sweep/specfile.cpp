@@ -21,6 +21,7 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "runtime/workloads.h"
 
 namespace vortex::sweep {
 
@@ -445,9 +446,11 @@ applyFieldChecked(const std::string& file, core::ArchConfig& cfg,
     }
 }
 
+/** Build one [[axes]] table; @p kernels gets, per point, the value
+ *  node of its `kernel` assignment (nullptr when it sets none). */
 Axis
 buildAxis(const std::string& file, const Node& axisNode,
-          const SweepSpec& spec)
+          const SweepSpec& spec, std::vector<const Node*>& kernels)
 {
     expectKind(file, axisNode, Node::Kind::Table, "an axis table");
     Axis axis;
@@ -465,6 +468,7 @@ buildAxis(const std::string& file, const Node& axisNode,
             for (const Node& pn : v.children) {
                 expectKind(file, pn, Node::Kind::Table, "a point table");
                 AxisPoint point;
+                const Node* kernel = nullptr;
                 bool sawLabel = false;
                 for (const Member& pm : pn.members) {
                     const Node& pv = pn.children[pm.valueIndex];
@@ -486,6 +490,8 @@ buildAxis(const std::string& file, const Node& axisNode,
                             WorkloadSpec probeWl = spec.baseWorkload;
                             applyFieldChecked(file, probeCfg, probeWl,
                                               fname, *fval);
+                            if (fname == "kernel")
+                                kernel = fval;
                             point.sets.emplace_back(
                                 fname, scalarToString(file, *fval));
                         }
@@ -499,6 +505,7 @@ buildAxis(const std::string& file, const Node& axisNode,
                     fail(file, pn.line, pn.col,
                          "axis point needs a label");
                 axis.points.push_back(std::move(point));
+                kernels.push_back(kernel);
             }
         } else {
             fail(file, m.line, m.col,
@@ -514,10 +521,65 @@ buildAxis(const std::string& file, const Node& axisNode,
     return axis;
 }
 
+/**
+ * Reject the first run whose workload cannot execute
+ * (WorkloadSpec::whyUnrunnable), positioned at the `kernel` assignment
+ * in effect for it (@p baseKernel, else the root). Only the fields that
+ * decide it are replayed per run, so no program file is read again, and
+ * a spec whose kernels all have harnesses skips the walk.
+ */
+void
+checkRunnable(const std::string& file, const SweepSpec& spec,
+              const Node* baseKernel,
+              const std::vector<std::vector<const Node*>>& pointKernels)
+{
+    bool anyCustom = !runtime::isRodiniaKernel(spec.baseWorkload.kernel);
+    for (const Axis& axis : spec.axes)
+        for (const AxisPoint& p : axis.points)
+            for (const auto& [field, value] : p.sets)
+                anyCustom |= field == "kernel" &&
+                             !runtime::isRodiniaKernel(value);
+    if (!anyCustom)
+        return;
+
+    std::vector<size_t> idx(spec.axes.size(), 0);
+    for (size_t run = 0; run < spec.runCount(); ++run) {
+        core::ArchConfig cfg;
+        WorkloadSpec w;
+        w.kind = spec.baseWorkload.kind;
+        w.kernel = spec.baseWorkload.kernel;
+        w.program = spec.baseWorkload.program;
+        w.check = spec.baseWorkload.check;
+        const Node* kernel = baseKernel;
+        for (size_t a = 0; a < spec.axes.size(); ++a) {
+            const AxisPoint& point = spec.axes[a].points[idx[a]];
+            for (const auto& [field, value] : point.sets)
+                if (field == "program")
+                    w.program = value;
+                else if (field == "workload" || field == "kernel" ||
+                         field == "texFilter" || field == "check")
+                    applyField(cfg, w, field, value);
+            if (const Node* k = pointKernels[a][idx[a]])
+                kernel = k;
+        }
+        const std::string why = w.whyUnrunnable();
+        if (!why.empty())
+            fail(file, kernel->line, kernel->col, why);
+        // Row-major, as SweepSpec::expand: the last axis varies fastest.
+        for (size_t a = spec.axes.size(); a-- > 0;) {
+            if (++idx[a] < spec.axes[a].points.size())
+                break;
+            idx[a] = 0;
+        }
+    }
+}
+
 SweepSpec
 buildSpec(const std::string& file, const Node& root)
 {
     SweepSpec spec;
+    const Node* baseKernel = &root;
+    std::vector<std::vector<const Node*>> pointKernels;
     for (const Member& m : root.members) {
         const Node& v = root.children[m.valueIndex];
         if (m.key == "spec") {
@@ -545,9 +607,12 @@ buildSpec(const std::string& file, const Node& root)
                        "a table of field assignments");
             std::vector<std::pair<std::string, const Node*>> fields;
             flattenFields(file, v, "", fields);
-            for (const auto& [fname, fval] : fields)
+            for (const auto& [fname, fval] : fields) {
                 applyFieldChecked(file, spec.base, spec.baseWorkload,
                                   fname, *fval);
+                if (fname == "kernel")
+                    baseKernel = fval;
+            }
         } else if (m.key == "fabric") {
             // Execution metadata: how to run this spec, not what it
             // measures. Never part of a run's canonical()/content hash.
@@ -585,7 +650,8 @@ buildSpec(const std::string& file, const Node& root)
         } else if (m.key == "axes") {
             expectKind(file, v, Node::Kind::Array, "an array of axes");
             for (const Node& axisNode : v.children)
-                spec.axes.push_back(buildAxis(file, axisNode, spec));
+                spec.axes.push_back(buildAxis(
+                    file, axisNode, spec, pointKernels.emplace_back()));
         } else {
             fail(file, m.line, m.col,
                  "unknown top-level key '" + m.key +
@@ -593,6 +659,7 @@ buildSpec(const std::string& file, const Node& root)
                      "faults, fabric, axes)");
         }
     }
+    checkRunnable(file, spec, baseKernel, pointKernels);
     return spec;
 }
 

@@ -151,8 +151,10 @@ TexUnit::startBatch(Cycle now)
     std::sort(addrs.begin(), addrs.end());
     addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
     ctrUniqueTexels_ += addrs.size();
-    batch.toIssue.assign(addrs.begin(), addrs.end());
-    batch.issuedAll = batch.toIssue.empty();
+    toIssue_.clear();
+    for (Addr a : addrs)
+        toIssue_.push_back(a);
+    batch.issuedAll = toIssue_.empty();
 
     // Address generation latency before the first texel issue.
     batchReadyAt_ = now + config_.addrGenLatency;
@@ -163,10 +165,11 @@ void
 TexUnit::tick(Cycle now)
 {
     // Deliver filtered colors out of the sampler pipeline.
-    while (auto rsp = samplerPipe_.dequeueReady(now)) {
+    while (const TexResponse* rsp = samplerPipe_.readyFront(now)) {
         if (rspCallback_)
             rspCallback_(*rsp);
         ++ctrResponses_;
+        samplerPipe_.pop();
     }
 
     if (!batch_) {
@@ -181,26 +184,26 @@ TexUnit::tick(Cycle now)
     // Texel memory scheduler: issue unique addresses to the data cache.
     if (!batch_->issuedAll && dcache_) {
         for (uint32_t l = 0; l < config_.numCacheLanes &&
-                             !batch_->toIssue.empty(); ++l) {
+                             !toIssue_.empty(); ++l) {
             uint32_t lane = config_.cacheLaneBase + l;
             if (!dcache_->laneReady(lane))
                 continue;
             mem::CoreReq creq;
-            creq.addr = batch_->toIssue.front();
+            creq.addr = toIssue_.front();
             creq.write = false;
             creq.reqId = allocReqId_();
             creq.lane = lane;
             creq.tag = batch_->rsp.tag;
             batch_->pending.insert(creq.reqId);
             dcache_->lanePush(lane, creq);
-            batch_->toIssue.pop_front();
+            toIssue_.pop_front();
         }
-        if (batch_->toIssue.empty())
+        if (toIssue_.empty())
             batch_->issuedAll = true;
     }
     if (!dcache_) {
         // No cache attached (unit tests): texels return instantly.
-        batch_->toIssue.clear();
+        toIssue_.clear();
         batch_->issuedAll = true;
         batch_->pending.clear();
     }
@@ -209,7 +212,7 @@ TexUnit::tick(Cycle now)
     // scheduler may begin servicing the next batch).
     if (batch_->issuedAll && batch_->pending.empty()) {
         ctrBatchCycles_ += now - batch_->startedAt;
-        samplerPipe_.enqueue(std::move(batch_->rsp), now);
+        samplerPipe_.enqueueSlot(now) = std::move(batch_->rsp);
         batch_.reset();
     }
 }

@@ -16,12 +16,13 @@
 
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
 #include "common/elastic.h"
+#include "common/ring.h"
 #include "common/small_vec.h"
 #include "common/stats.h"
 #include "isa/csr.h"
@@ -126,12 +127,14 @@ class TexUnit
     struct Batch
     {
         TexResponse rsp;
-        std::deque<Addr> toIssue;              ///< unique texel addresses
         std::unordered_set<uint64_t> pending;  ///< outstanding cache reqIds
         Cycle startedAt = 0;
         bool issuedAll = false;
     };
     std::optional<Batch> batch_;
+    /** The batch's unique texel addresses not yet issued (kept across
+     *  batches, so its ring is reused). */
+    Ring<Addr> toIssue_;
     Cycle batchReadyAt_ = 0; ///< models the address-generation latency
     std::vector<Addr> addrScratch_; ///< texel-dedup scratch (reused)
 

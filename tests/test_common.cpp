@@ -11,6 +11,7 @@
 
 #include "common/bitmanip.h"
 #include "common/elastic.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/small_vec.h"
 #include "common/slot_pool.h"
@@ -108,25 +109,58 @@ TEST(ElasticQueue, ZeroCapacityRejected)
 TEST(LatencyPipe, FixedLatency)
 {
     LatencyPipe<int> pipe(3);
-    pipe.enqueue(7, 10);
-    EXPECT_FALSE(pipe.dequeueReady(11).has_value());
-    EXPECT_FALSE(pipe.dequeueReady(12).has_value());
-    auto v = pipe.dequeueReady(13);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 7);
+    pipe.enqueueSlot(10) = 7;
+    EXPECT_EQ(pipe.readyFront(11), nullptr);
+    EXPECT_EQ(pipe.readyFront(12), nullptr);
+    ASSERT_NE(pipe.readyFront(13), nullptr);
+    EXPECT_EQ(*pipe.readyFront(13), 7);
+    pipe.pop();
     EXPECT_TRUE(pipe.empty());
 }
 
 TEST(LatencyPipe, PipelinedOnePerCycle)
 {
     LatencyPipe<int> pipe(2);
-    pipe.enqueue(1, 0);
-    pipe.enqueue(2, 1);
-    pipe.enqueue(3, 2);
-    EXPECT_EQ(*pipe.dequeueReady(2), 1);
-    EXPECT_FALSE(pipe.dequeueReady(2).has_value());
-    EXPECT_EQ(*pipe.dequeueReady(3), 2);
-    EXPECT_EQ(*pipe.dequeueReady(4), 3);
+    pipe.enqueueSlot(0) = 1;
+    pipe.enqueueSlot(1) = 2;
+    pipe.enqueueSlot(2) = 3;
+    pipe.enqueueSlot(2) = 4; // several entries may enter in one cycle
+    EXPECT_EQ(*pipe.readyFront(2), 1);
+    pipe.pop();
+    EXPECT_EQ(pipe.readyFront(2), nullptr);
+    EXPECT_EQ(*pipe.readyFront(3), 2);
+    pipe.pop();
+    EXPECT_EQ(*pipe.readyFront(4), 3);
+    pipe.pop();
+    EXPECT_EQ(*pipe.readyFront(4), 4);
+    pipe.pop();
+    EXPECT_TRUE(pipe.empty());
+}
+
+TEST(Ring, FifoAcrossWrapAndGrowth)
+{
+    Ring<int> r(2);
+    int next = 0, expect = 0;
+    // Interleave pushes and pops so the head wraps before the ring has
+    // to grow; order survives both.
+    for (int round = 0; round < 5; ++round) {
+        for (int i = 0; i <= round; ++i)
+            r.push_back(next++);
+        EXPECT_EQ(r.front(), expect);
+        r.pop_front();
+        ++expect;
+    }
+    EXPECT_EQ(r.size(), static_cast<size_t>(next - expect));
+    for (size_t i = 0; i < r.size(); ++i)
+        EXPECT_EQ(r[i], expect + static_cast<int>(i));
+    while (!r.empty()) {
+        EXPECT_EQ(r.front(), expect++);
+        r.pop_front();
+    }
+    EXPECT_THROW(r.pop_front(), PanicError);
+    r.push_back(7);
+    r.clear();
+    EXPECT_TRUE(r.empty());
 }
 
 TEST(Stats, CountersAndMerge)
@@ -292,6 +326,35 @@ TEST(SlotPool, StaleDuplicateAndForeignIdsPanic)
     EXPECT_THROW(pool.take(id2 + 1), PanicError); // out-of-range index
     EXPECT_EQ(pool.take(id2), 2);
     EXPECT_THROW(SlotPool<int>(1, "bad"), PanicError); // base too low
+}
+
+TEST(SlotPool, ArenaSlotsStayInPlaceAndTheirIdsAreSingleUse)
+{
+    SlotPool<int> arena(1ull << 62, "t");
+    const SlotPool<int>::Handle h = arena.acquire();
+    arena[h] = 5;
+    const uint64_t fetch = arena.idOf(h);
+    // Redeeming a response id keeps the slot live and its payload put...
+    EXPECT_EQ(arena.redeem(fetch), h);
+    EXPECT_EQ(arena[h], 5);
+    EXPECT_EQ(arena.size(), 1u);
+    // ...but the id is spent: a duplicate response panics, and so does a
+    // foreign one.
+    EXPECT_THROW(arena.redeem(fetch), PanicError);
+    const uint64_t tex = arena.idOf(h);
+    EXPECT_NE(tex, fetch);
+    EXPECT_THROW(arena.redeem(tex & ~(1ull << 62)), PanicError);
+    EXPECT_EQ(arena.redeem(tex), h);
+    // Release frees the slot in place: its ids turn stale, and the next
+    // occupant finds the payload its predecessor left.
+    const uint64_t last = arena.idOf(h);
+    arena.release(h);
+    EXPECT_TRUE(arena.empty());
+    EXPECT_THROW(arena.redeem(last), PanicError);
+    const SlotPool<int>::Handle again = arena.acquire();
+    EXPECT_EQ(again, h);
+    EXPECT_EQ(arena[again], 5);
+    EXPECT_THROW(arena.redeem(last), PanicError);
 }
 
 TEST(SlotPool, ClearInvalidatesLiveIds)

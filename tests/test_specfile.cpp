@@ -240,6 +240,46 @@ TEST(SpecFile, MalformedInputReportsLineAndColumn)
                      "set twice");
     // JSON: null rejected with schema guidance.
     expectParseError("{\"name\": null}", 1, 10, "null is not used");
+    // A program workload whose kernel has no Rodinia harness needs a
+    // check: position of the kernel assignment in effect for the first
+    // such run, in [workload] or in the axis point that selects it.
+    expectParseError("[workload]\nkernel = \"hang\"\n"
+                     "program = \"examples/kernels/hang.s\"\n",
+                     2, 10, "kernel 'hang' has no Rodinia harness");
+    expectParseError("[workload]\nprogram = \"examples/kernels/hang.s\"\n"
+                     "[[axes]]\nname = \"k\"\n"
+                     "[[axes.points]]\nlabel = \"a\"\nset.kernel = \"saxpy\"\n"
+                     "[[axes.points]]\nlabel = \"b\"\nset.kernel = \"hang\"\n",
+                     10, 14, "needs a check (selfcheck");
+}
+
+TEST(SpecFile, CustomKernelIsCheckedPerRun)
+{
+    // The check may come from another axis: every run has one, so the
+    // spec is accepted, and dropping it from one point is rejected at
+    // the kernel assignment that run uses.
+    const std::string head = "[workload]\nkernel = \"hang\"\n"
+                             "program = \"examples/kernels/hang.s\"\n"
+                             "[[axes]]\nname = \"c\"\n"
+                             "[[axes.points]]\nlabel = \"self\"\n"
+                             "set.check = \"selfcheck\"\n"
+                             "[[axes.points]]\nlabel = \"mem\"\n";
+    EXPECT_EQ(parseSpecText(head + "set.check = \"memcmp:0:4:0\"\n",
+                            "t.toml")
+                  .runCount(),
+              2u);
+    expectParseError(head + "set.scale = 2\n", 2, 10, "needs a check");
+
+    // Expansion rejects the same run when no file positions exist
+    // (a spec built from --set/--axis arguments).
+    SweepSpec cli;
+    cli.name = "cli";
+    applyField(cli.base, cli.baseWorkload, "kernel", "hang");
+    applyField(cli.base, cli.baseWorkload, "program",
+               "examples/kernels/hang.s");
+    EXPECT_THROW(cli.expand(), FatalError);
+    applyField(cli.base, cli.baseWorkload, "check", "selfcheck");
+    EXPECT_EQ(cli.expand().size(), 1u);
 }
 
 TEST(SpecFile, CrlfLineEndingsParseLikeLf)
@@ -509,6 +549,8 @@ TEST(SpecFile, JsonDiagnosticCorpusIsPinned)
          "c.json:1:2: unknown top-level key 'bogus' (keys: spec, name, description, base, workload, faults, fabric, axes)"},
         {"{\"fabric\": {\"shard\": \"3/3\"}}",
          "c.json:1:22: fatal: fabric shard: shard index 3 out of range for 3 shards"},
+        {"{\"workload\": {\"kernel\": \"hang\", \"program\": \"examples/kernels/hang.s\"}}",
+         "c.json:1:25: kernel 'hang' has no Rodinia harness, so program 'examples/kernels/hang.s' needs a check (selfcheck | memcmp:ADDR:LEN:FNV)"},
         {"{\"fabric\": {\"nope\": 1}}",
          "c.json:1:13: unknown fabric key 'nope' (fabric keys: shard)"},
         {"{\"faults\": {\"nope\": 1}}",

@@ -222,6 +222,45 @@ TEST(Loader, FileRoundTripAndEntryCheck)
     }
 }
 
+TEST(Loader, MissingMainIsReportedAtTheKernel)
+{
+    // The runtime's `call main` is the reference, but the fault is the
+    // kernel's: every runtime-hosted path (flat, object, device upload,
+    // vortex_verify --asm) reports it at the kernel file, line 1.
+    const std::string noMain = ".data\nx: .word 1\n.text\nfoo:\n    ret\n";
+    const std::string pinned = "nomain.s:1:1: undefined symbol 'main': the "
+                               "native runtime calls it, so the kernel "
+                               "must define it";
+    Assembler as(0x80000000);
+    auto diagnosticOf = [&](auto assemble) {
+        try {
+            assemble();
+        } catch (const AsmError& e) {
+            return std::string(e.what());
+        }
+        return std::string("<ok>");
+    };
+    EXPECT_EQ(diagnosticOf([&] {
+                  kernels::assembleWithRuntime(as, "nomain.s", noMain);
+              }),
+              pinned);
+    EXPECT_EQ(diagnosticOf([&] {
+                  kernels::assembleObjectWithRuntime(as, "nomain.s", noMain);
+              }),
+              pinned);
+    core::ArchConfig cfg;
+    runtime::Device dev(cfg);
+    EXPECT_EQ(
+        diagnosticOf([&] { dev.uploadKernelObject(noMain, "nomain.s"); }),
+        pinned);
+    // Other undefined symbols keep their own position.
+    EXPECT_EQ(diagnosticOf([&] {
+                  kernels::assembleWithRuntime(as, "k.s",
+                                               "main:\n    call nosuch\n");
+              }),
+              "k.s:2:10: undefined symbol 'nosuch'");
+}
+
 TEST(Loader, PreMarksCodePagesForDecodeCacheInvalidation)
 {
     core::ArchConfig cfg;

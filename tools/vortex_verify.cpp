@@ -73,11 +73,10 @@ verifyOne(const Job& job, const core::ArchConfig& config,
           isa::Program& program)
 {
     isa::Assembler assembler(config.startPC);
-    std::vector<isa::SourceUnit> units;
-    if (!job.freestanding)
-        units.push_back({"<runtime>", kernels::runtimeSource()});
-    units.push_back({job.name, job.source});
-    program = assembler.assembleUnits(units);
+    program = job.freestanding
+                  ? assembler.assembleUnits({{job.name, job.source}})
+                  : kernels::assembleWithRuntime(assembler, job.name,
+                                                 job.source);
     return analysis::analyze(program,
                              runtime::analyzerOptions(config, program));
 }
