@@ -20,6 +20,8 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
       coreId_(core_id),
       ram_(ram),
       hub_(hub),
+      icache_(std::make_unique<mem::Cache>(config.icacheConfig())),
+      dcache_(std::make_unique<mem::Cache>(config.dcacheConfig())),
       scheduler_(config.numWarps, config.schedPolicy),
       scoreboard_(config.numWarps),
       alu_(2, "alu.input"),
@@ -28,17 +30,9 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
       sfu_(2, "sfu.input"),
       stats_("core")
 {
-    icache_ = std::make_unique<mem::Cache>(config.icacheConfig());
-    dcache_ = std::make_unique<mem::Cache>(config.dcacheConfig());
     smem_ = std::make_unique<mem::SharedMem>(config.smemConfig());
-    icache_->setWakeLatch(&wake_);
-    dcache_->setWakeLatch(&wake_);
-    stallCounters_ = {&ctrFetchIcacheStalls_, &ctrIssueScoreboardStalls_,
-                      &ctrIssueStructuralStalls_};
-    size_t slot = 3;
-    for (mem::Cache* l1 : {icache_.get(), dcache_.get()})
-        for (CounterRef* ctr : l1->stallCounters())
-            stallCounters_[slot++] = ctr;
+    icache_->setWakeLatch(wakeLatch());
+    dcache_->setWakeLatch(wakeLatch());
 
     if (config.texEnabled) {
         tex::TexUnitConfig tc;
@@ -85,6 +79,19 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
         [this](const mem::CoreRsp& rsp) { onLsuRsp(rsp.reqId); });
 }
 
+std::array<CounterRef*, Core::kStallCounters>
+Core::stallCounters()
+{
+    std::array<CounterRef*, kStallCounters> all{
+        &ctrFetchIcacheStalls_, &ctrIssueScoreboardStalls_,
+        &ctrIssueStructuralStalls_};
+    size_t slot = 3;
+    for (mem::Cache* l1 : {icache_.get(), dcache_.get()})
+        for (CounterRef* ctr : l1->stallCounters())
+            all[slot++] = ctr;
+    return all;
+}
+
 void
 Core::onLsuRsp(uint64_t req_id)
 {
@@ -122,7 +129,7 @@ Core::reset()
     texDone_.clear();
     softCsrs_.clear();
     issueRR_ = 0;
-    wake_.wake();
+    dormancy_.latch.wake();
 }
 
 void
@@ -141,14 +148,14 @@ Core::activateWarp(WarpId wid, Addr pc)
     warps_[wid].reset(pc, 1);
     scheduler_.setActive(wid, true);
     ++stats_.counter("wspawned");
-    wake_.wake();
+    dormancy_.latch.wake();
 }
 
 void
 Core::releaseBarrierWarp(WarpId wid)
 {
     scheduler_.setBarrier(wid, false);
-    wake_.wake();
+    dormancy_.latch.wake();
 }
 
 Word
@@ -156,8 +163,8 @@ Core::csrRead(uint32_t addr, WarpId wid, ThreadId tid) const
 {
     using namespace isa;
     switch (addr) {
-      case CSR_CYCLE: return static_cast<Word>(cycles_);
-      case CSR_CYCLEH: return static_cast<Word>(cycles_ >> 32);
+      case CSR_CYCLE: return static_cast<Word>(cycles());
+      case CSR_CYCLEH: return static_cast<Word>(cycles() >> 32);
       case CSR_INSTRET: return static_cast<Word>(warpInstrs_);
       case CSR_INSTRETH: return static_cast<Word>(warpInstrs_ >> 32);
       case CSR_THREAD_ID: return tid;
@@ -202,21 +209,7 @@ void
 Core::tick(Cycle now)
 {
     curCycle_ = now;
-    ++cycles_;
-
-    if (now < wake_.sleepUntil) {
-        // Dormant: the last real tick changed nothing, no timer has come
-        // due and no input has arrived since, so this tick would repeat
-        // it exactly — only its stall-counter bumps.
-        ++dormantCycles_;
-        for (size_t i = 0; i < numStallCredits_; ++i)
-            *stallCredits_[i].counter += stallCredits_[i].delta;
-        return;
-    }
-
-    uint64_t stalls_before[kStallCounters] = {};
-    for (size_t i = 0; i < kStallCounters; ++i)
-        stalls_before[i] = stallCounters_[i]->get();
+    dormancy_.beginTick(now);
     progress_ = false;
 
     if (texUnit_)
@@ -233,7 +226,7 @@ Core::tick(Cycle now)
     fetchStage(now);
 
     if (!progress_ && (!texUnit_ || texUnit_->idle()))
-        sleep(now, stalls_before);
+        dormancy_.sleep(now, nextEventAt());
 }
 
 Cycle
@@ -251,24 +244,6 @@ Core::nextEventAt() const
             next = std::min(next, fu->busyUntil);
     }
     return next;
-}
-
-void
-Core::sleep(Cycle now, const uint64_t* stalls_before)
-{
-    const Cycle wake_at = nextEventAt();
-    if (wake_at <= now + 1)
-        return;
-    // A counter with a nonzero delta was bumped this tick, so it is
-    // already registered and value() does not change the key order.
-    numStallCredits_ = 0;
-    for (size_t i = 0; i < kStallCounters; ++i) {
-        const uint64_t delta = stallCounters_[i]->get() - stalls_before[i];
-        if (delta != 0)
-            stallCredits_[numStallCredits_++] =
-                StallCredit{&stallCounters_[i]->value(), delta};
-    }
-    wake_.sleepUntil = wake_at;
 }
 
 void

@@ -67,12 +67,21 @@ class Core
 
     /**
      * Advance one cycle (caches and texture unit tick inside). A core
-     * whose last tick changed nothing sleeps until its next timed event
-     * or an explicit wake, re-crediting that tick's stall counters each
-     * cycle (ARCHITECTURE.md "Dormant cores"), so every counter and
-     * cycle count is exactly what ticking it would have produced.
+     * whose tick changed nothing sleeps until its next timed event or an
+     * explicit wake: the tick engines skip it while asleep(), and the
+     * skipped cycles re-credit that tick's stall counters in one step at
+     * the next tick or settle() (ARCHITECTURE.md "Dormant cores and
+     * caches"), so every counter and cycle count is exactly what ticking
+     * it would have produced.
      */
     void tick(Cycle now);
+
+    /** Does the core sleep through cycle @p now (tick engines skip it)? */
+    bool asleep(Cycle now) const { return dormancy_.asleep(now); }
+
+    /** Credit the cycles slept through up to @p now: cycles(),
+     *  dormantCycles() and the stall counters are exact after it. */
+    void settle(Cycle now) { dormancy_.settle(now); }
 
     /** Any wavefront active or any operation still in flight? */
     bool busy() const;
@@ -87,7 +96,7 @@ class Core
     tex::TexUnit* texUnit() { return texUnit_.get(); }
     /** The latch that ends a sleep: hierarchy glue hands it to every
      *  producer that can change one of this core's inputs. */
-    mem::WakeLatch* wakeLatch() { return &wake_; }
+    mem::WakeLatch* wakeLatch() { return &dormancy_.latch; }
 
     //
     // Emulator interface (functional execution).
@@ -127,12 +136,13 @@ class Core
     uint64_t threadInstrs() const { return threadInstrs_; }
     /** Wavefront-instructions retired. */
     uint64_t warpInstrs() const { return warpInstrs_; }
-    /** Cycles this core has ticked. */
-    uint64_t cycles() const { return cycles_; }
+    /** Cycles this core has ticked or slept through (exact after
+     *  settle()). */
+    uint64_t cycles() const { return dormancy_.cycles(); }
     /** Of cycles(), those spent dormant. A host-side diagnostic, not a
      *  simulated counter: it stays out of stats(), CSV, series and
      *  content hashes. */
-    uint64_t dormantCycles() const { return dormantCycles_; }
+    uint64_t dormantCycles() const { return dormancy_.dormantCycles(); }
 
   private:
     //
@@ -148,9 +158,6 @@ class Core
     /** Earliest cycle an internal timer fires (decode queue, FU
      *  latencies, iterative-unit busy, cache and scratchpad pipes). */
     Cycle nextEventAt() const;
-    /** After a tick that changed nothing: sleep until nextEventAt(),
-     *  recording the stall-counter deltas since @p stalls_before. */
-    void sleep(Cycle now, const uint64_t* stalls_before);
 
     /** Execute uop @p h and hand it to its functional unit. */
     void dispatch(UopHandle h);
@@ -251,32 +258,10 @@ class Core
                 TraceEvent{uop.uid, uop.wid, uop.pc, stage, curCycle_});
     }
 
-    Cycle cycles_ = 0;
     Cycle curCycle_ = 0;
     uint64_t threadInstrs_ = 0;
     uint64_t warpInstrs_ = 0;
     StatGroup stats_;
-
-    //
-    // Dormancy (ARCHITECTURE.md "Dormant cores").
-    //
-    mem::WakeLatch wake_;
-    bool progress_ = false;      ///< this tick changed pipeline state
-    uint64_t dormantCycles_ = 0; ///< dormantCycles()
-    /** Every counter a tick that changes nothing can still bump: the
-     *  core's three stall counters, then each L1's stallCounters(). */
-    static constexpr size_t kStallCounters =
-        3 + 2 * std::tuple_size_v<decltype(std::declval<mem::Cache&>()
-                                               .stallCounters())>;
-    std::array<CounterRef*, kStallCounters> stallCounters_{};
-    /** A per-cycle increment re-credited while asleep. */
-    struct StallCredit
-    {
-        uint64_t* counter;
-        uint64_t delta;
-    };
-    std::array<StallCredit, kStallCounters> stallCredits_{};
-    size_t numStallCredits_ = 0;
 
     // Hot-path counter handles (lazy CounterRef: byte-identical output).
     CounterRef ctrFetchIcacheStalls_{stats_, "fetch_icache_stalls"};
@@ -286,6 +271,18 @@ class Core
     CounterRef ctrBarriers_{stats_, "barriers"};
     CounterRef ctrWritebacks_{stats_, "writebacks"};
     CounterRef ctrRetired_{stats_, "retired"};
+
+    //
+    // Dormancy (ARCHITECTURE.md "Dormant cores and caches").
+    //
+    bool progress_ = false; ///< this tick changed pipeline state
+    /** Every counter a tick that changes nothing can still bump: the
+     *  core's three stall counters, then each L1's stallCounters(). */
+    static constexpr size_t kStallCounters =
+        3 + 2 * std::tuple_size_v<decltype(std::declval<mem::Cache&>()
+                                               .stallCounters())>;
+    std::array<CounterRef*, kStallCounters> stallCounters();
+    mem::Dormancy<kStallCounters> dormancy_{stallCounters()};
 };
 
 /** Functionally execute @p instr of wavefront @p wid (defined in

@@ -23,11 +23,14 @@ Processor::Processor(const ArchConfig& config)
     for (uint32_t c = 0; c < config.numCores; ++c)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, this));
     wire();
+    if (stagedPorts_.size() != 2 * cores_.size())
+        panic("every core needs an I$ and a D$ staging port");
     pendingArrivals_.resize(config.numCores);
     std::vector<Core*> core_ptrs;
     core_ptrs.reserve(cores_.size());
     for (auto& core : cores_)
         core_ptrs.push_back(core.get());
+    awake_.reserve(cores_.size());
     tickEngine_ = makeTickEngine(config_, std::move(core_ptrs));
 }
 
@@ -84,6 +87,7 @@ Processor::wire()
         l3_ = std::make_unique<mem::Cache>(c3);
         l3_->connectMem(memRouter_->makePort(
             [this](const mem::MemRsp& rsp) { l3_->memRsp(rsp); }));
+        memSim_->addCreditWake(l3_->sleepLatch());
     }
 
     //
@@ -120,11 +124,14 @@ Processor::wire()
             });
 
             // L2 memory side: into the L3 if present, else board memory.
+            // Either way, the credit the L2 can sleep on wakes it.
             if (l3_) {
                 linkCacheToCache(l2, *l3_, cl, adapters_);
+                l3_->setLaneWake(cl, l2.sleepLatch());
             } else {
                 l2.connectMem(memRouter_->makePort(
                     [&l2](const mem::MemRsp& rsp) { l2.memRsp(rsp); }));
+                memSim_->addCreditWake(l2.sleepLatch());
             }
         }
         if (l3_) {
@@ -184,13 +191,21 @@ Processor::tick()
 {
     ++cycles_;
     memSim_->tick(cycles_);
-    if (l3_)
-        l3_->tick(cycles_);
+    // Shared levels and cores that sleep through this cycle are skipped
+    // (ARCHITECTURE.md "Dormant cores and caches"). Every wake lands in a
+    // serial phase, so the awake set is fixed before the core phase.
+    if (l3_ && !l3_->asleep(cycles_))
+        l3_->tickShared(cycles_);
     for (auto& l2 : l2s_)
-        l2->tick(cycles_);
+        if (!l2->asleep(cycles_))
+            l2->tickShared(cycles_);
+    awake_.clear();
+    for (auto& core : cores_)
+        if (!core->asleep(cycles_))
+            awake_.push_back(core.get());
     // Core phase: cores only touch core-local state plus their staging
     // buffers, so the engine may run them concurrently.
-    tickEngine_->tick(cycles_);
+    tickEngine_->tick(cycles_, awake_);
     commitCrossCore();
     // Fault injection lands here, after the commit phase and before
     // sampling: the one point in a cycle where both tick backends have
@@ -211,13 +226,23 @@ Processor::tick()
 void
 Processor::commitCrossCore()
 {
+    // Only cores that ticked this cycle can have staged anything new. A
+    // leftover a sleeping core staged earlier waits on a credit (a full
+    // shared lane popped, or the full board-memory queue accepting a
+    // transfer) that wakes that core first, so it is drained no later
+    // than a drain of every port would move it.
+    //
     // Staged L1 memory requests enter the shared fabric in core order
-    // (ports were created in core order), mirroring the serial tick order.
-    for (auto& port : stagedPorts_)
-        port->drain();
+    // (each core's I$ then D$ port), mirroring the serial tick order.
+    for (const Core* core : awake_) {
+        const CoreId c = core->coreId();
+        stagedPorts_[2 * c]->drain();
+        stagedPorts_[2 * c + 1]->drain();
+    }
     // Global barrier arrivals, also in core order. Releases take effect
     // next cycle for every wavefront, whichever thread simulated it.
-    for (CoreId c = 0; c < pendingArrivals_.size(); ++c) {
+    for (const Core* core : awake_) {
+        const CoreId c = core->coreId();
         for (const PendingArrival& a : pendingArrivals_[c]) {
             for (const auto& r :
                  globalBarriers_.arrive(a.id, a.count, c, a.wid))
@@ -225,6 +250,17 @@ Processor::commitCrossCore()
         }
         pendingArrivals_[c].clear();
     }
+}
+
+void
+Processor::settle()
+{
+    for (auto& core : cores_)
+        core->settle(cycles_);
+    if (l3_)
+        l3_->settle(cycles_);
+    for (auto& l2 : l2s_)
+        l2->settle(cycles_);
 }
 
 bool
@@ -253,8 +289,10 @@ bool
 Processor::run(uint64_t max_cycles)
 {
     while (busy()) {
-        if (cycles_ >= max_cycles)
+        if (cycles_ >= max_cycles) {
+            settle();
             return false;
+        }
         // Host-deadline poll (fabric per-simulation wall-clock budget).
         // Every 8192 cycles keeps the check off the hot path; the
         // deadline is a robustness bound, not a simulated event, so the
@@ -266,6 +304,7 @@ Processor::run(uint64_t max_cycles)
                  cycles_, " cycles");
         tick();
     }
+    settle();
     // Close the series with the end-of-run remainder window (a no-op when
     // sampling is disabled or the run ended exactly on a boundary), so
     // summing a counter's deltas always reproduces its final value.
@@ -292,6 +331,7 @@ flatten(StatGroup& flat, const std::string& prefix, const StatGroup& group)
 void
 Processor::collectStats(StatGroup& flat)
 {
+    settle();
     flat.counter("core.thread_instrs") += threadInstrs();
     flat.counter("core.warp_instrs") += warpInstrs();
     StatGroup cores, icache, dcache, smem, tex;

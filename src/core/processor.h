@@ -82,7 +82,9 @@ class Processor : public BarrierHub
     const TickEngine& tickEngine() const { return *tickEngine_; }
 
     /**
-     * Flatten every device StatGroup into @p flat under "<group>.<key>"
+     * Settle every sleeping core and shared cache (their counters are
+     * exact only after it), then flatten every device StatGroup into
+     * @p flat under "<group>.<key>"
      * names, summed across cores, in fixed hierarchy order (core-private
      * units first, then the shared levels outward: core, icache, dcache,
      * smem, tex, l2, l3, mem). The synthetic "core.thread_instrs" /
@@ -144,8 +146,13 @@ class Processor : public BarrierHub
     void linkStagedL1(Core& core, mem::Cache& l1, mem::Cache& downstream,
                       uint32_t lane);
 
-    /** Commit phase: staged L1 requests, then global barrier arrivals. */
+    /** Commit phase: staged L1 requests, then global barrier arrivals,
+     *  of the cores that ticked this cycle. */
     void commitCrossCore();
+
+    /** Credit every cycle slept through so far by a core or a shared
+     *  cache (ARCHITECTURE.md "Dormant cores and caches"). */
+    void settle();
 
     ArchConfig config_;
     mem::Ram ram_;
@@ -156,9 +163,12 @@ class Processor : public BarrierHub
     std::unique_ptr<mem::Cache> l3_;
     /** Keep-alive for CacheMemPort adapters used in the wiring. */
     std::vector<std::unique_ptr<mem::MemSink>> adapters_;
-    /** L1 memory-side staging ports, in drain (core) order. */
+    /** L1 memory-side staging ports, in drain (core) order: core c's
+     *  I$ port at 2c, its D$ port at 2c + 1. */
     std::vector<std::unique_ptr<mem::StagedMemPort>> stagedPorts_;
     std::unique_ptr<TickEngine> tickEngine_;
+    /** The cores that tick this cycle, in core order. */
+    std::vector<Core*> awake_;
 
     /** A global-barrier arrival buffered during the tick phase. */
     struct PendingArrival

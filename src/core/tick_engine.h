@@ -1,12 +1,15 @@
 /**
  * @file
  * Core tick backends. The Processor delegates the per-cycle "tick every
- * core" phase to a TickEngine:
+ * awake core" phase to a TickEngine (sleeping cores are skipped,
+ * ARCHITECTURE.md "Dormant cores and caches"):
  *
  *  - SerialTickEngine ticks the cores in index order on the caller's
  *    thread (the default).
  *  - ParallelTickEngine ticks them concurrently on a persistent host
- *    thread pool, barrier-synchronized per simulated cycle.
+ *    thread pool, barrier-synchronized per simulated cycle; when cores
+ *    outnumber threads, a cycle with at most one awake core runs on the
+ *    caller's thread, barrier-free.
  *
  * Cores are independent within the tick phase by construction: every
  * cross-core interaction (L1 -> shared L2/L3/board-memory requests, global
@@ -39,8 +42,9 @@ class TickEngine
   public:
     virtual ~TickEngine() = default;
 
-    /** Tick all cores once for simulated cycle @p now. */
-    virtual void tick(Cycle now) = 0;
+    /** Tick each of @p awake, the cores not asleep(@p now) in core
+     *  order, once for simulated cycle @p now. */
+    virtual void tick(Cycle now, const std::vector<Core*>& awake) = 0;
 
     /** Backend name ("serial" / "parallel") for logs and benches. */
     virtual const char* name() const = 0;

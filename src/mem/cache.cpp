@@ -105,12 +105,14 @@ Cache::lanePush(uint32_t lane, const CoreReq& req)
     lanes_.at(lane).push(req);
     ++pendingLaneReqs_;
     ++(req.write ? ctrCoreWrites_ : ctrCoreReads_);
+    dormancy_.latch.wake();
 }
 
 void
 Cache::memRsp(const MemRsp& rsp)
 {
     memRspQueue_.push_back(rsp);
+    dormancy_.latch.wake();
     if (wakeLatch_)
         wakeLatch_->wake();
 }
@@ -461,6 +463,14 @@ Cache::tick(Cycle now)
     // 5. Front-end bank selector moves lane heads into bank FIFOs.
     moved |= selectBanks(now);
     return moved;
+}
+
+void
+Cache::tickShared(Cycle now)
+{
+    dormancy_.beginTick(now);
+    if (!tick(now))
+        dormancy_.sleep(now, nextEventAt());
 }
 
 Cycle

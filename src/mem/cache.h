@@ -107,7 +107,30 @@ class Cache
     }
 
     //
-    // Dormant-owner wakes (ARCHITECTURE.md "Dormant cores").
+    // Shared-level dormancy (an L2 or L3; an L1 sleeps with its core).
+    // ARCHITECTURE.md "Dormant cores and caches".
+    //
+    /**
+     * tick(), and after a tick that changed nothing, sleep until
+     * nextEventAt() or a wake of sleepLatch(): lanePush(), memRsp(), or
+     * the credit the memory sink returns. The Processor skips a cache
+     * while asleep(); the skipped cycles re-credit the stallCounters()
+     * in one step at the next tick or settle().
+     */
+    void tickShared(Cycle now);
+    /** Does tickShared() sleep through cycle @p now? */
+    bool asleep(Cycle now) const { return dormancy_.asleep(now); }
+    /** Credit the cycles slept through up to @p now (the stall counters
+     *  and dormantCycles() are exact after it). */
+    void settle(Cycle now) { dormancy_.settle(now); }
+    /** The latch that ends this cache's own sleep: hierarchy glue hands
+     *  it to the downstream sink whose credit the cache can wait on. */
+    WakeLatch* sleepLatch() { return &dormancy_.latch; }
+    /** Cycles tickShared() slept through (a host-side diagnostic). */
+    uint64_t dormantCycles() const { return dormancy_.dormantCycles(); }
+
+    //
+    // Dormant-owner wakes (ARCHITECTURE.md "Dormant cores and caches").
     //
     /** Wake @p latch on every memRsp() (the owning core of an L1). */
     void setWakeLatch(WakeLatch* latch) { wakeLatch_ = latch; }
@@ -296,6 +319,8 @@ class Cache
     CounterRef ctrSelInputFull_;
     CounterRef ctrSelAccepted_;
     CounterRef ctrSelConflicts_;
+
+    Dormancy<4> dormancy_{stallCounters()}; ///< tickShared() sleeps
 };
 
 /**

@@ -36,6 +36,8 @@ MemSim::channelOf(Addr lineAddr) const
 void
 MemSim::tick(Cycle now)
 {
+    if (idle())
+        return;
     // Accept new transfers onto free channels. Head-of-line blocking per the
     // single input queue is intentional: the board controller has one
     // request port (CCI-P style).
@@ -61,18 +63,12 @@ MemSim::tick(Cycle now)
 
     // Deliver matured responses (kept sorted by construction: latency is
     // constant, so readyAt values are non-decreasing).
-    size_t delivered = 0;
-    for (const Inflight& f : inflight_) {
-        if (f.readyAt > now)
-            break;
+    while (!inflight_.empty() && inflight_.front().readyAt <= now) {
         if (rspCallback_)
-            rspCallback_(f.rsp);
+            rspCallback_(inflight_.front().rsp);
         ++ctrResponses_;
-        ++delivered;
+        inflight_.pop_front();
     }
-    if (delivered)
-        inflight_.erase(inflight_.begin(),
-                        inflight_.begin() + static_cast<long>(delivered));
 }
 
 } // namespace vortex::mem

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/elastic.h"
+#include "common/ring.h"
 #include "common/stats.h"
 #include "mem/memtypes.h"
 
@@ -48,10 +49,11 @@ class MemSim : public MemSink
     }
 
     /** Wake @p latch whenever the full input queue accepts a transfer
-     *  (the credit an L1 wired straight to memory may sleep on). */
+     *  (the credit a sleeping L1, L2 or L3 in front of the board memory
+     *  may wait on). */
     void addCreditWake(WakeLatch* latch) { creditWakes_.push_back(latch); }
 
-    /** Advance one cycle. */
+    /** Advance one cycle (returns at once when idle()). */
     void tick(Cycle now);
 
     /** No requests buffered or in flight. */
@@ -74,7 +76,7 @@ class MemSim : public MemSink
         MemRsp rsp;
         Cycle readyAt;
     };
-    std::vector<Inflight> inflight_;
+    Ring<Inflight> inflight_; ///< reads in acceptance (= readyAt) order
 
     std::function<void(const MemRsp&)> rspCallback_;
     std::vector<WakeLatch*> creditWakes_; ///< addCreditWake()

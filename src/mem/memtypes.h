@@ -10,9 +10,12 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/elastic.h"
+#include "common/stats.h"
 #include "common/types.h"
 
 namespace vortex::mem {
@@ -54,17 +57,113 @@ struct MemRsp
 };
 
 /**
- * Wake latch of a component that sleeps through quiescent cycles (the
- * dormant-core tick, ARCHITECTURE.md "Dormant cores"). The sleeper stores
- * the first cycle it must tick for real; every producer that can change
- * one of the sleeper's inputs calls wake() so it ticks on its next cycle.
- * Wakes happen only in the serial phases of Processor::tick, so both tick
- * backends see them at the same cycle.
+ * Wake latch of a component that sleeps through quiescent cycles (a
+ * dormant core or shared cache, ARCHITECTURE.md "Dormant cores and
+ * caches"). The sleeper stores the first cycle it must tick for real;
+ * every producer that can change one of the sleeper's inputs calls
+ * wake() so it ticks on its next cycle. A sleeping core or shared cache
+ * is woken only in the serial phases of Processor::tick, so both tick
+ * backends see the wake at the same cycle.
  */
 struct WakeLatch
 {
     Cycle sleepUntil = 0; ///< first cycle the owner must tick for real
     void wake() { sleepUntil = 0; } ///< tick the owner on its next cycle
+};
+
+/**
+ * The sleep bookkeeping of a component that sleeps through quiescent
+ * cycles: its WakeLatch, and the @p N stall counters a tick that changes
+ * nothing can still bump. The tick loop skips the owner while asleep();
+ * the skipped cycles are credited lazily, in one step, when the owner
+ * next ticks or when settle() is called, so `cycles()`, dormantCycles()
+ * and every stall counter are exact only after a settle.
+ */
+template <size_t N>
+class Dormancy
+{
+  public:
+    explicit Dormancy(std::array<CounterRef*, N> counters)
+        : counters_(counters)
+    {
+    }
+
+    /** Ends a sleep; handed to the owner's producers. The simulation
+     *  thread reads it every cycle while a tick worker writes the owner,
+     *  so it gets a cache line of its own. */
+    alignas(64) WakeLatch latch;
+
+    /** Will the tick loop skip the owner at cycle @p now? */
+    bool asleep(Cycle now) const { return now < latch.sleepUntil; }
+
+    /** A real tick at @p now starts: credit the cycles slept before it
+     *  and snapshot the stall counters. */
+    void
+    beginTick(Cycle now)
+    {
+        if (now > settledAt_ + 1)
+            settle(now - 1);
+        settledAt_ = now;
+        ++cycles_;
+        for (size_t i = 0; i < N; ++i)
+            before_[i] = counters_[i]->get();
+    }
+
+    /** The tick at @p now changed nothing: sleep until @p wake_at (a
+     *  no-op unless that is after the next cycle), re-crediting the
+     *  stall-counter increments of this tick for every slept cycle. */
+    void
+    sleep(Cycle now, Cycle wake_at)
+    {
+        if (wake_at <= now + 1)
+            return;
+        // A counter with a nonzero delta was bumped this tick, so it is
+        // already registered and value() does not change the key order
+        // (crediting `+= 0` would register it and reorder CSV columns).
+        numCredits_ = 0;
+        for (size_t i = 0; i < N; ++i) {
+            const uint64_t delta = counters_[i]->get() - before_[i];
+            if (delta != 0)
+                credits_[numCredits_++] =
+                    Credit{&counters_[i]->value(), delta};
+        }
+        latch.sleepUntil = wake_at;
+    }
+
+    /** Credit every cycle up to @p now that the owner slept through. */
+    void
+    settle(Cycle now)
+    {
+        if (now <= settledAt_)
+            return;
+        const uint64_t n = now - settledAt_;
+        settledAt_ = now;
+        cycles_ += n;
+        dormant_ += n;
+        for (size_t i = 0; i < numCredits_; ++i)
+            *credits_[i].counter += credits_[i].delta * n;
+    }
+
+    /** Cycles accounted so far, ticked or slept. */
+    uint64_t cycles() const { return cycles_; }
+    /** Of cycles(), those slept through. */
+    uint64_t dormantCycles() const { return dormant_; }
+
+  private:
+    /** A per-cycle increment re-credited while asleep. */
+    struct Credit
+    {
+        uint64_t* counter;
+        uint64_t delta;
+    };
+
+    std::array<CounterRef*, N> counters_;
+    std::array<uint64_t, N> before_{};
+    std::array<Credit, N> credits_{};
+    size_t numCredits_ = 0;
+    Cycle settledAt_ = 0; ///< last cycle credited (ticked or slept)
+    uint64_t cycles_ = 0;
+    uint64_t dormant_ = 0;
 };
 
 /**

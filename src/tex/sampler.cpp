@@ -179,8 +179,7 @@ sampleTrilinear(const mem::Ram& ram, const SamplerState& st, float u,
     SampleResult out;
     out.color = lerpColor(a.color, b.color, frac8);
     out.texelAddrs = std::move(a.texelAddrs);
-    out.texelAddrs.insert(out.texelAddrs.end(), b.texelAddrs.begin(),
-                          b.texelAddrs.end());
+    out.texelAddrs.append(b.texelAddrs.begin(), b.texelAddrs.end());
     return out;
 }
 

@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "common/small_vec.h"
 #include "common/types.h"
 #include "mem/ram.h"
 #include "tex/format.h"
@@ -54,11 +54,12 @@ struct SamplerState
 };
 
 /** Result of one sample: the color and the texel addresses it touched
- *  (the addresses drive the cycle model's memory traffic). */
+ *  (the addresses drive the cycle model's memory traffic). At most eight,
+ *  the two bilinear quads of a trilinear sample, so they stay inline. */
 struct SampleResult
 {
     Color color;
-    std::vector<Addr> texelAddrs;
+    SmallVec<Addr, 8> texelAddrs;
 };
 
 /** Apply a wrap mode to integer texel coordinate @p x for extent @p size. */

@@ -113,10 +113,11 @@ TexUnit::cacheRsp(const mem::CoreRsp& rsp)
 {
     if (!batch_)
         return false;
-    auto it = batch_->pending.find(rsp.reqId);
-    if (it == batch_->pending.end())
+    auto it = std::find(pending_.begin(), pending_.end(), rsp.reqId);
+    if (it == pending_.end())
         return false;
-    batch_->pending.erase(it);
+    *it = pending_.back();
+    pending_.pop_back();
     return true;
 }
 
@@ -194,7 +195,7 @@ TexUnit::tick(Cycle now)
             creq.reqId = allocReqId_();
             creq.lane = lane;
             creq.tag = batch_->rsp.tag;
-            batch_->pending.insert(creq.reqId);
+            pending_.push_back(creq.reqId);
             dcache_->lanePush(lane, creq);
             toIssue_.pop_front();
         }
@@ -205,12 +206,12 @@ TexUnit::tick(Cycle now)
         // No cache attached (unit tests): texels return instantly.
         toIssue_.clear();
         batch_->issuedAll = true;
-        batch_->pending.clear();
+        pending_.clear();
     }
 
     // Only when all texels returned does the sampler start (and the
     // scheduler may begin servicing the next batch).
-    if (batch_->issuedAll && batch_->pending.empty()) {
+    if (batch_->issuedAll && pending_.empty()) {
         ctrBatchCycles_ += now - batch_->startedAt;
         samplerPipe_.enqueueSlot(now) = std::move(batch_->rsp);
         batch_.reset();

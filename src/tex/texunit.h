@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/elastic.h"
@@ -127,11 +126,13 @@ class TexUnit
     struct Batch
     {
         TexResponse rsp;
-        std::unordered_set<uint64_t> pending;  ///< outstanding cache reqIds
         Cycle startedAt = 0;
         bool issuedAll = false;
     };
     std::optional<Batch> batch_;
+    /** The batch's outstanding texel-fetch reqIds, unordered (kept across
+     *  batches, so its storage is reused). */
+    std::vector<uint64_t> pending_;
     /** The batch's unique texel addresses not yet issued (kept across
      *  batches, so its ring is reused). */
     Ring<Addr> toIssue_;

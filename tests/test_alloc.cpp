@@ -7,7 +7,8 @@
  * warmed up, simulating more cycles allocates nothing. This suite
  * replaces the global allocation functions with counting forwarders to
  * malloc/free (so it also runs under ASan/UBSan) and checks that the
- * allocations made inside the run loop do not grow with run length.
+ * allocations made inside the run loop do not grow with run length
+ * (sgemm, bfs in L2 clusters, and hardware bilinear texturing).
  *
  * The window is opened and closed by a Processor fault hook, which runs
  * once per cycle on the main thread: it covers every tick after the
@@ -120,6 +121,22 @@ TEST(RunLoopAllocs, BfsSixteenCoresInL2ClustersIsFlat)
         config,
         [](runtime::Device& d) { return runtime::runBfs(d, 256, 4); },
         [](runtime::Device& d) { return runtime::runBfs(d, 2048, 4); });
+}
+
+TEST(RunLoopAllocs, TextureBilinearHwIsFlat)
+{
+    const core::ArchConfig config = sweep::baselineConfig(1);
+    ASSERT_TRUE(config.texEnabled);
+    expectFlat(
+        config,
+        [](runtime::Device& d) {
+            return runtime::runTexture(d, runtime::TexFilterMode::Bilinear,
+                                       /*hardware=*/true, 16);
+        },
+        [](runtime::Device& d) {
+            return runtime::runTexture(d, runtime::TexFilterMode::Bilinear,
+                                       /*hardware=*/true, 64);
+        });
 }
 
 } // namespace

@@ -14,12 +14,16 @@
  *
  * A second table pins the *entire* flattened collectStats row (every
  * counter, in key order) of stall-heavy runs that exercise every wake
- * path of the dormant-core tick (ARCHITECTURE.md "Dormant cores"):
- * L2-clustered cores (also with a multi-cycle scratchpad), a
- * global-barrier guest, an L3 without L2s, plus a sampled series whose
- * prime interval lands samples mid-sleep. Stall counters that a dormant
- * core re-credits each sleeping cycle are in those rows, so a missed
- * credit, a missed timer or a missed wake shows up here.
+ * path of dormant cores and shared caches (ARCHITECTURE.md "Dormant
+ * cores and caches"): L2-clustered cores (also with a multi-cycle
+ * scratchpad), L2 clusters in front of an L3, a global-barrier guest, an
+ * L3 without L2s, plus a sampled series whose prime interval lands
+ * samples mid-sleep. Stall counters that a dormant core or shared cache
+ * re-credits for each sleeping cycle are in those rows, so a missed
+ * credit, a missed timer or a missed wake shows up here. The
+ * L2-in-front-of-L3 row runs saxpy, not bfs: bfs cores race on `cost[]`
+ * in the same cycle (a program-level race, mem/ram.h), and on that
+ * wiring the race changes its parallel timing from run to run.
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +119,7 @@ enum class Machine
     Clustered8SlowSmem, ///< the same with an 8-cycle scratchpad
     Flat4,              ///< 4 cores straight to board memory
     L3Only4,            ///< 4 cores sharing an L3, no L2
+    Clustered8L3,       ///< Clustered8 with the two L2s in front of an L3
 };
 
 /** One run pinned by its whole flattened counter row. */
@@ -293,6 +298,47 @@ const GoldenRow kGoldenRows[] = {
         {"mem.reads", 330}, {"mem.bytes", 177024}, {"mem.responses", 330},
         {"mem.writes", 2436},
      }},
+    {"saxpy/8c-l2x4-l3", Machine::Clustered8L3, "saxpy", 13473,
+     {
+        {"core.thread_instrs", 51680}, {"core.warp_instrs", 13296},
+        {"core.fetches", 13296}, {"core.writebacks", 9176},
+        {"core.retired", 13296}, {"core.issue_scoreboard_stalls", 79891},
+        {"core.wspawned", 24}, {"core.issue_structural_stalls", 80679},
+        {"core.barriers", 32}, {"icache.core_reads", 13296},
+        {"icache.sel_candidates", 13296}, {"icache.sel_accepted", 13296},
+        {"icache.sel_conflicts", 0}, {"icache.read_misses", 89},
+        {"icache.mem_reqs", 72}, {"icache.fills", 72},
+        {"icache.mshr_replays", 72}, {"icache.core_rsps", 13296},
+        {"icache.read_hits", 13207}, {"icache.mshr_merges", 17},
+        {"dcache.core_writes", 2824}, {"dcache.sel_candidates", 73509},
+        {"dcache.sel_accepted", 13848}, {"dcache.sel_conflicts", 19570},
+        {"dcache.write_misses", 780}, {"dcache.core_rsps", 13848},
+        {"dcache.mem_reqs", 3323}, {"dcache.core_reads", 11024},
+        {"dcache.read_misses", 2448}, {"dcache.fills", 499},
+        {"dcache.mshr_replays", 499}, {"dcache.memq_stalls", 16259},
+        {"dcache.read_hits", 8576}, {"dcache.mshr_merges", 1949},
+        {"dcache.evictions", 208}, {"dcache.write_hits", 2044},
+        {"dcache.sel_input_full", 40091}, {"smem.writes", 24},
+        {"smem.candidates", 864}, {"smem.accesses", 408}, {"smem.reads", 384},
+        {"smem.bank_conflicts", 456}, {"l2.core_reads", 571},
+        {"l2.sel_candidates", 24479}, {"l2.sel_accepted", 3395},
+        {"l2.sel_conflicts", 1266}, {"l2.read_misses", 450},
+        {"l2.mshr_merges", 46}, {"l2.mem_reqs", 3228}, {"l2.fills", 404},
+        {"l2.mshr_replays", 404}, {"l2.core_rsps", 3395},
+        {"l2.core_writes", 2824}, {"l2.write_misses", 776},
+        {"l2.memq_stalls", 11818}, {"l2.sel_input_full", 19818},
+        {"l2.read_hits", 121}, {"l2.write_hits", 2048},
+        {"l2.mshr_stalls", 395}, {"l2.evictions", 68}, {"l3.core_reads", 404},
+        {"l3.sel_candidates", 13940}, {"l3.sel_accepted", 3228},
+        {"l3.sel_conflicts", 423}, {"l3.read_misses", 401},
+        {"l3.mshr_merges", 7}, {"l3.mem_reqs", 3218}, {"l3.fills", 394},
+        {"l3.mshr_replays", 394}, {"l3.core_rsps", 3228},
+        {"l3.core_writes", 2824}, {"l3.write_misses", 776},
+        {"l3.memq_stalls", 13535}, {"l3.sel_input_full", 10289},
+        {"l3.read_hits", 3}, {"l3.write_hits", 2048}, {"l3.evictions", 68},
+        {"mem.reads", 394}, {"mem.bytes", 205952}, {"mem.responses", 394},
+        {"mem.writes", 2824},
+     }},
 };
 
 core::ArchConfig
@@ -302,11 +348,14 @@ machineConfig(Machine m, bool parallel_tick)
     switch (m) {
       case Machine::Clustered8:
       case Machine::Clustered8SlowSmem:
+      case Machine::Clustered8L3:
         c = sweep::baselineConfig(8);
         c.coresPerCluster = 4;
         c.l2Enabled = true;
         if (m == Machine::Clustered8SlowSmem)
             c.smemLatency = 8; // scratchpad responses mature mid-sleep
+        if (m == Machine::Clustered8L3)
+            c.l3Enabled = true;
         break;
       case Machine::Flat4:
         c = sweep::baselineConfig(4);
@@ -444,6 +493,25 @@ TEST(Golden, StallHeavyClusteredRunIsMostlyDormant)
         EXPECT_GE(2 * dormant, cycles)
             << kernel << ": " << dormant << " of " << cycles
             << " core-cycles dormant";
+    }
+}
+
+TEST(Golden, StallHeavyClusteredRunHasMostlyDormantL2s)
+{
+    // The same floor for the shared caches: most L2-cycles of those runs
+    // change nothing, so a shared cache that stops sleeping shows here.
+    for (const char* kernel : {"bfs", "saxpy"}) {
+        runtime::Device dev(machineConfig(Machine::Clustered8, false));
+        runtime::RunResult r = runtime::runRodinia(dev, kernel, 1);
+        ASSERT_TRUE(r.ok) << r.error;
+        uint64_t dormant = 0, cycles = 0;
+        for (size_t cl = 0; dev.processor().l2(cl); ++cl) {
+            dormant += dev.processor().l2(cl)->dormantCycles();
+            cycles += r.cycles;
+        }
+        EXPECT_GE(2 * dormant, cycles)
+            << kernel << ": " << dormant << " of " << cycles
+            << " L2-cycles dormant";
     }
 }
 

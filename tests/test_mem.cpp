@@ -5,9 +5,10 @@
  * merging, virtual-port coalescing, bank conflicts, write-through traffic,
  * flush), the scratchpad, and a randomized completeness property: every
  * request receives exactly one response, under any mix, with no deadlock.
- * Also the wake sources a dormant core relies on: memory responses and
- * credit returns from staging ports, shared-cache lanes and the board
- * memory.
+ * Also the wake sources a dormant core or shared cache relies on: memory
+ * responses, lane pushes, and credit returns from staging ports,
+ * shared-cache lanes and the board memory, including how the Processor
+ * wires them to its L2s and L3.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "core/processor.h"
 #include "mem/cache.h"
 #include "mem/memsim.h"
 #include "mem/ram.h"
@@ -451,7 +453,7 @@ TEST(MemRouter, RoutesToIssuingPort)
 }
 
 //
-// Dormant-owner wakes (ARCHITECTURE.md "Dormant cores").
+// Dormant-owner wakes (ARCHITECTURE.md "Dormant cores and caches").
 //
 
 namespace {
@@ -552,4 +554,104 @@ TEST(Wake, BoardMemoryAcceptingFromAFullQueueWakesCreditWaiters)
     mem.tick(100);
     EXPECT_EQ(latch.sleepUntil, 0u);
     EXPECT_TRUE(mem.reqReady());
+}
+
+TEST(Wake, LanePushWakesASleepingSharedCache)
+{
+    CacheHarness h;
+    h.cache.tickShared(1); // idle: nothing to do until an input arrives
+    ASSERT_TRUE(h.cache.asleep(2));
+    CoreReq req;
+    req.addr = 0x1000;
+    req.reqId = 1;
+    h.cache.lanePush(0, req);
+    EXPECT_FALSE(h.cache.asleep(2));
+}
+
+TEST(Wake, MemoryResponseWakesASleepingSharedCache)
+{
+    CacheHarness h;
+    h.push(0, 0x1000, false, 1);
+    // The Processor's loop: the board memory, then the cache unless it
+    // sleeps through the cycle.
+    auto step = [&h] {
+        ++h.now;
+        h.mem.tick(h.now);
+        if (!h.cache.asleep(h.now))
+            h.cache.tickShared(h.now);
+    };
+    // Run until the miss has gone to memory and the cache sleeps on it.
+    while (h.mem.idle() || !h.cache.asleep(h.now + 1)) {
+        step();
+        ASSERT_LT(h.now, 100u) << "the miss never reached memory";
+    }
+    ASSERT_EQ(h.cache.nextEventAt(), kNoEvent) << "no timer may wake it";
+    while (!h.cache.idle() || !h.mem.idle()) {
+        step();
+        ASSERT_LT(h.now, 1000u) << "the fill did not wake the cache";
+    }
+    EXPECT_EQ(h.rsps.size(), 1u);
+    EXPECT_GT(h.cache.dormantCycles(), 0u);
+}
+
+namespace {
+
+/** @p cores cores in 4-core L2 clusters, optionally in front of an L3. */
+core::ArchConfig
+clusteredConfig(uint32_t cores, bool l3)
+{
+    core::ArchConfig c;
+    c.numCores = cores;
+    c.coresPerCluster = 4;
+    c.l2Enabled = true;
+    c.l3Enabled = l3;
+    return c;
+}
+
+/** Fill the board memory's input queue with line writes. */
+void
+fillBoardMemory(MemSim& mem)
+{
+    for (uint64_t id = 1; mem.reqReady(); ++id)
+        mem.reqPush(MemReq{static_cast<Addr>(0x40 * id), true, id, {}});
+}
+
+} // namespace
+
+TEST(Wake, BoardMemoryCreditWakesTheSharedCacheInFrontOfIt)
+{
+    // The cache wired to the board memory: the L2 without an L3, else
+    // the L3 (and not the L2 behind it).
+    for (bool l3 : {false, true}) {
+        core::Processor p(clusteredConfig(4, l3));
+        Cache& front = l3 ? *p.l3() : *p.l2(0);
+        front.sleepLatch()->sleepUntil = kNoEvent;
+        p.l2(0)->sleepLatch()->sleepUntil = kNoEvent;
+        fillBoardMemory(p.memSim());
+        p.memSim().tick(1);
+        ASSERT_TRUE(p.memSim().reqReady());
+        EXPECT_FALSE(front.asleep(2)) << "l3=" << l3;
+        if (l3) {
+            EXPECT_TRUE(p.l2(0)->asleep(2));
+        }
+    }
+}
+
+TEST(Wake, L3LanePopWakesTheL2ThatFillsTheLane)
+{
+    core::Processor p(clusteredConfig(8, /*l3=*/true));
+    Cache& l3 = *p.l3();
+    for (size_t cl = 0; cl < 2; ++cl)
+        p.l2(cl)->sleepLatch()->sleepUntil = kNoEvent;
+    CoreReq req;
+    req.lane = 1;
+    for (uint64_t id = 1; l3.laneReady(1); ++id) {
+        req.addr = 0x40 * static_cast<Addr>(id);
+        req.reqId = id;
+        l3.lanePush(1, req);
+    }
+    l3.tick(1);
+    ASSERT_TRUE(l3.laneReady(1));
+    EXPECT_FALSE(p.l2(1)->asleep(2));
+    EXPECT_TRUE(p.l2(0)->asleep(2));
 }
