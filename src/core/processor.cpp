@@ -22,16 +22,15 @@ Processor::Processor(const ArchConfig& config)
     memSim_ = std::make_unique<mem::MemSim>(config.mem);
     for (uint32_t c = 0; c < config.numCores; ++c)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, this));
+    stagedPorts_.resize(config.numCores);
     wire();
-    if (stagedPorts_.size() != 2 * cores_.size())
-        panic("every core needs an I$ and a D$ staging port");
+    for (const auto& ports : stagedPorts_)
+        for (const auto& port : ports)
+            if (!port)
+                panic("every core needs an I$ and a D$ staging port");
     pendingArrivals_.resize(config.numCores);
-    std::vector<Core*> core_ptrs;
-    core_ptrs.reserve(cores_.size());
-    for (auto& core : cores_)
-        core_ptrs.push_back(core.get());
     awake_.reserve(cores_.size());
-    tickEngine_ = makeTickEngine(config_, std::move(core_ptrs));
+    tickEngine_ = makeTickEngine(config_);
 }
 
 Processor::~Processor() = default;
@@ -50,12 +49,16 @@ linkCacheToCache(mem::Cache& upstream, mem::Cache& downstream, uint32_t lane,
 
 } // namespace
 
-mem::MemSink*
-Processor::staged(mem::MemSink* down, size_t depth, mem::WakeLatch* owner)
+void
+Processor::connectStaged(Core& core, mem::Cache& l1, mem::MemSink* down)
 {
-    stagedPorts_.push_back(
-        std::make_unique<mem::StagedMemPort>(down, depth, owner));
-    return stagedPorts_.back().get();
+    auto& port = stagedPorts_.at(core.coreId())[&l1 == &core.icache() ? 0
+                                                                       : 1];
+    if (port)
+        panic("core ", core.coreId(), " L1 staged twice");
+    port = std::make_unique<mem::StagedMemPort>(
+        down, l1.config().memQueueDepth, core.wakeLatch());
+    l1.connectMem(port.get());
 }
 
 void
@@ -63,8 +66,7 @@ Processor::linkStagedL1(Core& core, mem::Cache& l1, mem::Cache& downstream,
                         uint32_t lane)
 {
     adapters_.push_back(std::make_unique<mem::CacheMemPort>(downstream, lane));
-    l1.connectMem(staged(adapters_.back().get(), l1.config().memQueueDepth,
-                         core.wakeLatch()));
+    connectStaged(core, l1, adapters_.back().get());
     downstream.setLaneWake(lane, core.wakeLatch());
 }
 
@@ -84,7 +86,7 @@ Processor::wire()
         mem::CacheConfig c3 = config_.l3Config();
         c3.numLanes = config_.l2Enabled ? num_clusters
                                         : 2 * config_.numCores;
-        l3_ = std::make_unique<mem::Cache>(c3);
+        l3_ = std::make_unique<mem::Cache>(c3, /*shared=*/true);
         l3_->connectMem(memRouter_->makePort(
             [this](const mem::MemRsp& rsp) { l3_->memRsp(rsp); }));
         memSim_->addCreditWake(l3_->sleepLatch());
@@ -100,8 +102,8 @@ Processor::wire()
             uint32_t cores_here =
                 std::min(config_.coresPerCluster,
                          config_.numCores - first_core);
-            l2s_[cl] =
-                std::make_unique<mem::Cache>(config_.l2Config(cores_here));
+            l2s_[cl] = std::make_unique<mem::Cache>(
+                config_.l2Config(cores_here), /*shared=*/true);
             mem::Cache& l2 = *l2s_[cl];
 
             // L2 responses route back to the owning L1 by lane. L1 request
@@ -164,18 +166,10 @@ Processor::wire()
         return;
     }
     for (auto& core : cores_) {
-        mem::Cache* ic = &core->icache();
-        mem::Cache* dc = &core->dcache();
-        mem::WakeLatch* owner = core->wakeLatch();
-        ic->connectMem(staged(
-            memRouter_->makePort(
-                [ic](const mem::MemRsp& rsp) { ic->memRsp(rsp); }),
-            ic->config().memQueueDepth, owner));
-        dc->connectMem(staged(
-            memRouter_->makePort(
-                [dc](const mem::MemRsp& rsp) { dc->memRsp(rsp); }),
-            dc->config().memQueueDepth, owner));
-        memSim_->addCreditWake(owner);
+        for (mem::Cache* l1 : {&core->icache(), &core->dcache()})
+            connectStaged(*core, *l1, memRouter_->makePort(
+                [l1](const mem::MemRsp& rsp) { l1->memRsp(rsp); }));
+        memSim_->addCreditWake(core->wakeLatch());
     }
 }
 
@@ -234,11 +228,9 @@ Processor::commitCrossCore()
     //
     // Staged L1 memory requests enter the shared fabric in core order
     // (each core's I$ then D$ port), mirroring the serial tick order.
-    for (const Core* core : awake_) {
-        const CoreId c = core->coreId();
-        stagedPorts_[2 * c]->drain();
-        stagedPorts_[2 * c + 1]->drain();
-    }
+    for (const Core* core : awake_)
+        for (const auto& port : stagedPorts_[core->coreId()])
+            port->drain();
     // Global barrier arrivals, also in core order. Releases take effect
     // next cycle for every wavefront, whichever thread simulated it.
     for (const Core* core : awake_) {
@@ -278,9 +270,10 @@ Processor::busy() const
     }
     if (l3_ && !l3_->idle())
         return true;
-    for (const auto& port : stagedPorts_) {
-        if (!port->empty())
-            return true;
+    for (const auto& ports : stagedPorts_) {
+        for (const auto& port : ports)
+            if (!port->empty())
+                return true;
     }
     return false;
 }

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -136,10 +137,10 @@ class Processor : public BarrierHub
   private:
     void wire();
 
-    /** Wrap @p down in a staging port drained serially in core order;
-     *  draining a full port wakes @p owner. */
-    mem::MemSink* staged(mem::MemSink* down, size_t depth,
-                         mem::WakeLatch* owner);
+    /** Connect @p core's L1 @p l1 to @p down through its staging port,
+     *  drained serially in core order; draining a full port wakes the
+     *  core. */
+    void connectStaged(Core& core, mem::Cache& l1, mem::MemSink* down);
 
     /** Connect @p core's L1 @p l1 to lane @p lane of a shared downstream
      *  cache through a staging port; credit returns wake the core. */
@@ -163,9 +164,9 @@ class Processor : public BarrierHub
     std::unique_ptr<mem::Cache> l3_;
     /** Keep-alive for CacheMemPort adapters used in the wiring. */
     std::vector<std::unique_ptr<mem::MemSink>> adapters_;
-    /** L1 memory-side staging ports, in drain (core) order: core c's
-     *  I$ port at 2c, its D$ port at 2c + 1. */
-    std::vector<std::unique_ptr<mem::StagedMemPort>> stagedPorts_;
+    /** L1 memory-side staging ports by core, each drained I$ then D$. */
+    std::vector<std::array<std::unique_ptr<mem::StagedMemPort>, 2>>
+        stagedPorts_;
     std::unique_ptr<TickEngine> tickEngine_;
     /** The cores that tick this cycle, in core order. */
     std::vector<Core*> awake_;

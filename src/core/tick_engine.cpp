@@ -40,17 +40,16 @@ class SerialTickEngine final : public TickEngine
  * coordinator (the simulation thread, acting as worker 0) and the pool
  * threads meet at a start barrier, tick the awake cores of disjoint
  * interleaved core slices, and meet again at a done barrier before the
- * Processor's serial commit phase runs. The partition is static, so a
- * core keeps its thread across pool cycles; cores are independent within
- * the tick phase, so which thread ticks a core cannot affect results.
+ * Processor's serial commit phase runs. The partition is static (core c
+ * belongs to worker c % workers), so a core keeps its thread across pool
+ * cycles; cores are independent within the tick phase, so which thread
+ * ticks a core cannot affect results.
  */
 class ParallelTickEngine final : public TickEngine
 {
   public:
-    ParallelTickEngine(std::vector<Core*> cores, uint32_t workers)
-        : cores_(std::move(cores)),
-          workers_(workers),
-          inlineQuietCycles_(cores_.size() > workers),
+    explicit ParallelTickEngine(uint32_t workers)
+        : workers_(workers),
           errors_(workers),
           start_(workers),
           done_(workers)
@@ -82,18 +81,8 @@ class ParallelTickEngine final : public TickEngine
     void
     tick(Cycle now, const std::vector<Core*>& awake) override
     {
-        // A cycle with at most one awake core (the common case of a
-        // memory-bound run) runs on this thread, without the two barrier
-        // crossings, when cores outnumber pool threads. With a thread per
-        // core, crossing every cycle was measured cheaper: skipped
-        // crossings let the pool threads go to sleep, and the next
-        // crossing pays their wake-up.
-        if (inlineQuietCycles_ && awake.size() <= 1) {
-            for (Core* core : awake)
-                core->tick(now);
-            return;
-        }
         now_ = now;
+        awake_ = &awake;
         start_.arrive_and_wait();
         tickSlice(0);
         done_.arrive_and_wait();
@@ -107,12 +96,10 @@ class ParallelTickEngine final : public TickEngine
     void
     tickSlice(uint32_t worker)
     {
-        // A core's latch changes only in its own tick or in a serial
-        // phase, so the slice skips exactly the cores not in `awake`.
         try {
-            for (size_t i = worker; i < cores_.size(); i += workers_)
-                if (!cores_[i]->asleep(now_))
-                    cores_[i]->tick(now_);
+            for (Core* core : *awake_)
+                if (core->coreId() % workers_ == worker)
+                    core->tick(now_);
         } catch (...) {
             errors_[worker] = std::current_exception();
         }
@@ -163,10 +150,9 @@ class ParallelTickEngine final : public TickEngine
         }
     }
 
-    std::vector<Core*> cores_;
     const uint32_t workers_;
-    const bool inlineQuietCycles_; ///< see tick()
     Cycle now_ = 0;
+    const std::vector<Core*>* awake_ = nullptr; ///< this cycle's, see tick()
     std::atomic<bool> stop_{false};
     std::mutex startupMutex_;
     std::condition_variable startupCv_;
@@ -180,20 +166,19 @@ class ParallelTickEngine final : public TickEngine
 } // namespace
 
 std::unique_ptr<TickEngine>
-makeTickEngine(const ArchConfig& config, std::vector<Core*> cores)
+makeTickEngine(const ArchConfig& config)
 {
     uint32_t workers = 1;
     if (config.parallelTick) {
         workers = config.tickThreads != 0
                       ? config.tickThreads
                       : std::max(1u, std::thread::hardware_concurrency());
-        workers = std::min<uint32_t>(workers,
-                                     static_cast<uint32_t>(cores.size()));
+        workers = std::min(workers, config.numCores);
         workers = std::max(workers, 1u);
     }
     if (workers <= 1)
         return std::make_unique<SerialTickEngine>();
-    return std::make_unique<ParallelTickEngine>(std::move(cores), workers);
+    return std::make_unique<ParallelTickEngine>(workers);
 }
 
 } // namespace vortex::core

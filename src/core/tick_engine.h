@@ -7,9 +7,7 @@
  *  - SerialTickEngine ticks the cores in index order on the caller's
  *    thread (the default).
  *  - ParallelTickEngine ticks them concurrently on a persistent host
- *    thread pool, barrier-synchronized per simulated cycle; when cores
- *    outnumber threads, a cycle with at most one awake core runs on the
- *    caller's thread, barrier-free.
+ *    thread pool, barrier-synchronized per simulated cycle.
  *
  * Cores are independent within the tick phase by construction: every
  * cross-core interaction (L1 -> shared L2/L3/board-memory requests, global
@@ -55,10 +53,9 @@ class TickEngine
 
 /**
  * Build the tick engine selected by @p config (ArchConfig::parallelTick /
- * ArchConfig::tickThreads). Falls back to the serial backend when only one
- * worker would be used.
+ * ArchConfig::tickThreads, at most one worker per core). Falls back to the
+ * serial backend when only one worker would be used.
  */
-std::unique_ptr<TickEngine> makeTickEngine(const ArchConfig& config,
-                                           std::vector<Core*> cores);
+std::unique_ptr<TickEngine> makeTickEngine(const ArchConfig& config);
 
 } // namespace vortex::core

@@ -41,7 +41,7 @@ Cache::Bank::Bank(const CacheConfig& cfg, uint32_t index)
     sets.assign(num_sets, std::vector<Way>(cfg.numWays));
 }
 
-Cache::Cache(const CacheConfig& config)
+Cache::Cache(const CacheConfig& config, bool shared)
     : config_(config),
       memQueue_(config.memQueueDepth, "cache.memq"),
       instanceBase_(nextInstanceBase()),
@@ -91,6 +91,8 @@ Cache::Cache(const CacheConfig& config)
         lanes_.emplace_back(config.laneQueueDepth, "cache.lane");
     laneHeadBank_.assign(config.numLanes, kNoBank);
     laneWakes_.assign(config.numLanes, nullptr);
+    if (shared)
+        dormancy_ = std::make_unique<Dormancy<4>>(stallCounters());
 }
 
 bool
@@ -105,14 +107,16 @@ Cache::lanePush(uint32_t lane, const CoreReq& req)
     lanes_.at(lane).push(req);
     ++pendingLaneReqs_;
     ++(req.write ? ctrCoreWrites_ : ctrCoreReads_);
-    dormancy_.latch.wake();
+    if (dormancy_)
+        dormancy_->latch.wake();
 }
 
 void
 Cache::memRsp(const MemRsp& rsp)
 {
     memRspQueue_.push_back(rsp);
-    dormancy_.latch.wake();
+    if (dormancy_)
+        dormancy_->latch.wake();
     if (wakeLatch_)
         wakeLatch_->wake();
 }
@@ -468,9 +472,9 @@ Cache::tick(Cycle now)
 void
 Cache::tickShared(Cycle now)
 {
-    dormancy_.beginTick(now);
+    dormancy_->beginTick(now);
     if (!tick(now))
-        dormancy_.sleep(now, nextEventAt());
+        dormancy_->sleep(now, nextEventAt());
 }
 
 Cycle

@@ -30,6 +30,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -66,7 +67,9 @@ struct CacheConfig
 class Cache
 {
   public:
-    explicit Cache(const CacheConfig& config);
+    /** @p shared: a shared L2 or L3, which can sleep (tickShared()). An
+     *  L1 sleeps with its core and carries no sleep state. */
+    explicit Cache(const CacheConfig& config, bool shared = false);
 
     //
     // Core side (lane-granular).
@@ -107,7 +110,7 @@ class Cache
     }
 
     //
-    // Shared-level dormancy (an L2 or L3; an L1 sleeps with its core).
+    // Shared-level dormancy, only on a cache built `shared`.
     // ARCHITECTURE.md "Dormant cores and caches".
     //
     /**
@@ -119,15 +122,15 @@ class Cache
      */
     void tickShared(Cycle now);
     /** Does tickShared() sleep through cycle @p now? */
-    bool asleep(Cycle now) const { return dormancy_.asleep(now); }
+    bool asleep(Cycle now) const { return dormancy_->asleep(now); }
     /** Credit the cycles slept through up to @p now (the stall counters
      *  and dormantCycles() are exact after it). */
-    void settle(Cycle now) { dormancy_.settle(now); }
+    void settle(Cycle now) { dormancy_->settle(now); }
     /** The latch that ends this cache's own sleep: hierarchy glue hands
      *  it to the downstream sink whose credit the cache can wait on. */
-    WakeLatch* sleepLatch() { return &dormancy_.latch; }
+    WakeLatch* sleepLatch() { return &dormancy_->latch; }
     /** Cycles tickShared() slept through (a host-side diagnostic). */
-    uint64_t dormantCycles() const { return dormancy_.dormantCycles(); }
+    uint64_t dormantCycles() const { return dormancy_->dormantCycles(); }
 
     //
     // Dormant-owner wakes (ARCHITECTURE.md "Dormant cores and caches").
@@ -320,7 +323,7 @@ class Cache
     CounterRef ctrSelAccepted_;
     CounterRef ctrSelConflicts_;
 
-    Dormancy<4> dormancy_{stallCounters()}; ///< tickShared() sleeps
+    std::unique_ptr<Dormancy<4>> dormancy_; ///< null unless shared
 };
 
 /**

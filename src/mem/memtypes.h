@@ -89,8 +89,9 @@ class Dormancy
     }
 
     /** Ends a sleep; handed to the owner's producers. The simulation
-     *  thread reads it every cycle while a tick worker writes the owner,
-     *  so it gets a cache line of its own. */
+     *  thread reads it every cycle and a tick worker may write the
+     *  owner, so it gets a cache line of its own: reading it pulls none
+     *  of the owner's hot state across host cores. */
     alignas(64) WakeLatch latch;
 
     /** Will the tick loop skip the owner at cycle @p now? */

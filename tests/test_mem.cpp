@@ -166,8 +166,9 @@ namespace {
 
 struct CacheHarness
 {
-    explicit CacheHarness(CacheConfig ccfg = {}, MemSimConfig mcfg = {})
-        : cache(ccfg), mem(mcfg)
+    explicit CacheHarness(CacheConfig ccfg = {}, MemSimConfig mcfg = {},
+                          bool shared = false)
+        : cache(ccfg, shared), mem(mcfg)
     {
         cache.connectMem(&mem);
         mem.setRspCallback([this](const MemRsp& r) { cache.memRsp(r); });
@@ -558,7 +559,7 @@ TEST(Wake, BoardMemoryAcceptingFromAFullQueueWakesCreditWaiters)
 
 TEST(Wake, LanePushWakesASleepingSharedCache)
 {
-    CacheHarness h;
+    CacheHarness h({}, {}, /*shared=*/true);
     h.cache.tickShared(1); // idle: nothing to do until an input arrives
     ASSERT_TRUE(h.cache.asleep(2));
     CoreReq req;
@@ -570,7 +571,7 @@ TEST(Wake, LanePushWakesASleepingSharedCache)
 
 TEST(Wake, MemoryResponseWakesASleepingSharedCache)
 {
-    CacheHarness h;
+    CacheHarness h({}, {}, /*shared=*/true);
     h.push(0, 0x1000, false, 1);
     // The Processor's loop: the board memory, then the cache unless it
     // sleeps through the cycle.
