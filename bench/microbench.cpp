@@ -45,7 +45,7 @@ static void
 BM_AssembleVecAdd(benchmark::State& state)
 {
     std::string src = std::string(kernels::runtimeSource()) +
-                      kernels::vecadd();
+                      kernels::kernelSource("vecadd");
     for (auto _ : state) {
         isa::Assembler as;
         benchmark::DoNotOptimize(as.assemble(src));

@@ -51,7 +51,7 @@ main()
     dev.copyToDev(dcol, col_idx.data(), col_idx.size() * 4);
     dev.copyToDev(dlev, levels.data(), levels.size() * 4);
 
-    dev.uploadKernel(kernels::bfs());
+    dev.uploadKernel(kernels::kernel("bfs"));
     dev.setKernelArg(
         runtime::BfsArgs{num_nodes, max_degree, drow, dcol, dlev, dchg, 0});
     dev.runKernel();

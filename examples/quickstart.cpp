@@ -44,7 +44,7 @@ main()
 
     // 2. Upload the kernel: the embedded vecadd RISC-V source is assembled
     //    together with the native runtime (crt0 + spawn_tasks).
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(kernels::kernel("vecadd"));
 
     // 3. Write the kernel arguments and run.
     dev.setKernelArg(runtime::VecAddArgs{n, da, db, dc});

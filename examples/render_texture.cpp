@@ -61,7 +61,7 @@ main()
     Addr ddst = dev.memAlloc(gpu_size * gpu_size * 4);
     makeChecker(dev.ram(), dsrc, tex_log2);
 
-    dev.uploadKernel(kernels::texBilinearHw());
+    dev.uploadKernel(kernels::kernel("tex_bilinear_hw"));
     runtime::TexKernelArgs targs{};
     targs.dstWidth = gpu_size;
     targs.dstHeight = gpu_size;

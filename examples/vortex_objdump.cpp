@@ -1,9 +1,10 @@
 /**
  * @file
- * Developer tool: assemble one of the embedded kernels (runtime included)
- * and dump an objdump-style listing — addresses, raw words, disassembly,
- * and symbol labels. Demonstrates the assembler/disassembler pair and the
- * debugging workflow of §4.4.
+ * Developer tool: build one of the shipped kernels exactly as the device
+ * loads it (kernels::assembleGuest: runtime + the kernel's units, through
+ * the VXOB object) and dump an objdump-style listing of that image —
+ * addresses, raw words, disassembly, and symbol labels. Demonstrates the
+ * assembler/disassembler pair and the debugging workflow of §4.4.
  *
  * Usage: vortex_objdump [kernel]   (default: vecadd; `list` lists names)
  */
@@ -13,58 +14,31 @@
 #include <map>
 #include <string>
 
-#include "isa/assembler.h"
+#include "core/config.h"
 #include "isa/isa.h"
 #include "kernels/kernels.h"
 
 using namespace vortex;
-
-namespace {
-
-const std::map<std::string, const char* (*)()>&
-kernelTable()
-{
-    static const std::map<std::string, const char* (*)()> table = {
-        {"vecadd", kernels::vecadd},
-        {"saxpy", kernels::saxpy},
-        {"sgemm", kernels::sgemm},
-        {"sfilter", kernels::sfilter},
-        {"nearn", kernels::nearn},
-        {"gaussian", kernels::gaussian},
-        {"bfs", kernels::bfs},
-        {"tex_point_hw", kernels::texPointHw},
-        {"tex_bilinear_hw", kernels::texBilinearHw},
-        {"tex_trilinear_hw", kernels::texTrilinearHw},
-        {"tex_point_sw", kernels::texPointSw},
-        {"tex_bilinear_sw", kernels::texBilinearSw},
-        {"tex_trilinear_sw", kernels::texTrilinearSw},
-    };
-    return table;
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
 {
     std::string name = argc > 1 ? argv[1] : "vecadd";
     if (name == "list" || name == "--list") {
-        for (const auto& [k, fn] : kernelTable()) {
-            (void)fn;
-            std::printf("%s\n", k.c_str());
-        }
+        for (const kernels::Guest& k : kernels::allKernels())
+            std::printf("%s\n", k.name.c_str());
         return 0;
     }
-    auto it = kernelTable().find(name);
-    if (it == kernelTable().end()) {
+    const kernels::Guest* kernel = kernels::findKernel(name);
+    if (kernel == nullptr) {
         std::fprintf(stderr, "unknown kernel '%s' (try `list`)\n",
                      name.c_str());
         return 1;
     }
 
-    isa::Assembler as(0x80000000);
+    const Addr base = core::ArchConfig{}.startPC;
     isa::Program prog =
-        as.assembleAll({kernels::runtimeSource(), it->second()});
+        kernels::assembleGuest(base, *kernel).toProgram(base);
 
     // Invert the symbol table for label printing.
     std::map<Addr, std::string> labels;

@@ -1,12 +1,13 @@
 /**
  * @file
- * The checked-in example files compiled into the library. The seven
- * Rodinia kernels (examples/kernels/NAME.s) back kernels::kernelSource,
- * and every campaign spec (examples/specs/NAME.toml) backs a `--preset`
- * (sweep/presets.h). Those files are the only source: src/CMakeLists.txt
- * embeds their text in a generated source in the build tree, so the
- * tools run without the source tree. Nothing is parsed until a caller
- * asks for it.
+ * The checked-in guest and spec files compiled into the library. Every
+ * guest unit (the seven Rodinia kernels examples/kernels/NAME.s, the
+ * runtime and the texture units src/kernels/NAME.s) backs the kernel
+ * registry (kernels/kernels.h), and every campaign spec
+ * (examples/specs/NAME.toml) backs a `--preset` (sweep/presets.h). Those
+ * files are the only source: src/CMakeLists.txt embeds their text in a
+ * generated source in the build tree, so the tools run without the
+ * source tree. Nothing is parsed until a caller asks for it.
  */
 
 #pragma once
@@ -23,8 +24,8 @@ struct File
     const char* text;      ///< NUL-terminated file content
 };
 
-/** examples/kernels/{vecadd,saxpy,sgemm,sfilter,nearn,gaussian,bfs}.s,
- *  in that order. */
+/** examples/kernels/{vecadd,saxpy,sgemm,sfilter,nearn,gaussian,bfs}.s
+ *  in that order, then every src/kernels/NAME.s sorted by NAME. */
 std::span<const File> kernelFiles();
 
 /** Every examples/specs/NAME.toml, sorted by NAME. */

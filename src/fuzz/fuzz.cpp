@@ -543,7 +543,7 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
         cfg.tickThreads = parallel ? 2 : 0;
         try {
             runtime::Device dev(cfg);
-            dev.uploadKernelObject(k.source, unit);
+            dev.uploadKernel(kernels::Guest{unit, {{unit, k.source}}});
             analysis::Report rep = dev.verify();
             if (!rep.clean()) {
                 std::ostringstream os;

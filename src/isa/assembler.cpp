@@ -1131,17 +1131,6 @@ Assembler::assemble(const std::string& source, const std::string& name)
 }
 
 Program
-Assembler::assembleAll(const std::vector<std::string>& sources)
-{
-    std::vector<SourceUnit> units;
-    units.reserve(sources.size());
-    for (size_t i = 0; i < sources.size(); ++i)
-        units.push_back({"<asm#" + std::to_string(i + 1) + ">",
-                         sources[i]});
-    return assembleUnits(units);
-}
-
-Program
 Assembler::assembleUnits(const std::vector<SourceUnit>& units)
 {
     Engine engine(base_);

@@ -108,10 +108,6 @@ class Assembler
     Program assemble(const std::string& source,
                      const std::string& name = "<asm>");
 
-    /** Convenience: assemble several sources concatenated in order
-     *  (e.g. runtime.s followed by a kernel). */
-    Program assembleAll(const std::vector<std::string>& sources);
-
     /** Assemble several named units into one Program; diagnostics carry
      *  each unit's own name and local line numbers. */
     Program assembleUnits(const std::vector<SourceUnit>& units);

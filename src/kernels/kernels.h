@@ -1,21 +1,20 @@
 /**
  * @file
- * Embedded RISC-V assembly sources: the Vortex native runtime (crt0 +
- * spawn_tasks, §5.3) and the benchmark kernels used throughout the paper's
- * evaluation — the Rodinia subset of §6.1 (compute-bound: sgemm, vecadd,
- * sfilter; memory-bound: saxpy, nearn, gaussian, bfs) and the texture
- * benchmarks of §6.4 (point/bilinear/trilinear, each with a hardware `tex`
- * variant and a pure-software variant).
+ * The shipped guest programs and the one way a guest is built: the
+ * Vortex native runtime (crt0 + spawn_tasks, §5.3) and the benchmark
+ * kernels used throughout the paper's evaluation — the Rodinia subset of
+ * §6.1 (compute-bound: sgemm, vecadd, sfilter; memory-bound: saxpy,
+ * nearn, gaussian, bfs) and the texture benchmarks of §6.4
+ * (point/bilinear/trilinear, each with a hardware `tex` variant and a
+ * pure-software variant).
  *
- * Every kernel is assembled together with the runtime by
- * runtime::Device::uploadKernel, producing the flat binary the simulator
- * fetches and decodes — the ISA-level equivalent of the POCL pipeline
- * output (DESIGN.md substitution #3).
- *
- * The Rodinia kernels are the checked-in examples/kernels/NAME.s files,
- * embedded at build time (common/embedded.h); editing a file changes the
- * built-in kernel. The runtime and the texture kernels have no `.s`
- * files and stay C++ string literals (runtime.cpp, texture.cpp).
+ * Every guest is a list of checked-in `.s` units, embedded at build time
+ * (common/embedded.h): the Rodinia kernels are examples/kernels/NAME.s,
+ * and the runtime and the texture units live in src/kernels/NAME.s.
+ * assembleGuest() assembles the runtime followed by a guest's units into
+ * a relocatable object, the ISA-level equivalent of the POCL pipeline
+ * output (DESIGN.md substitution #3); runtime::Device::uploadKernel loads
+ * that object and `--verify` analyzes it.
  */
 
 #pragma once
@@ -28,62 +27,43 @@
 
 namespace vortex::kernels {
 
-/** crt0 + per-thread stack setup + spawn_tasks (wspawn/tmc/bar based). */
+/** A guest program: the units assembled after the native runtime. */
+struct Guest
+{
+    std::string name;                   ///< registry name or program path
+    std::vector<isa::SourceUnit> units; ///< in assembly order
+};
+
+/** crt0 + per-thread stack setup + spawn_tasks (src/kernels/runtime.s). */
 const char* runtimeSource();
 
 /**
- * Assemble the native runtime followed by kernel @p source, named
- * @p name in diagnostics: how every runtime-hosted program is built.
- * The runtime calls `main`, so a kernel that does not define it is
- * reported at @p name:1:1, not at the runtime's call.
+ * Assemble the native runtime followed by @p guest's units into an
+ * object linked at @p base, and return it after a VXOB write and read
+ * (isa/object.h), so every build exercises the serialized format. The
+ * runtime calls `main`, so a guest that does not define it is reported
+ * at its first unit, line 1, not at the runtime's call.
  */
-isa::Program assembleWithRuntime(isa::Assembler& as, const std::string& name,
-                                 const std::string& source);
+isa::ObjectFile assembleGuest(Addr base, const Guest& guest);
 
-/** assembleWithRuntime() into a relocatable object (isa/object.h). */
-isa::ObjectFile assembleObjectWithRuntime(isa::Assembler& as,
-                                          const std::string& name,
-                                          const std::string& source);
+/**
+ * Every shipped kernel in stable (documentation) order. A Rodinia
+ * kernel is its one file (argument layouts in runtime/kargs.h). A
+ * texture kernel renders a source texture to a destination target of
+ * the same size: tex_main.s, then tex_sw_bilinear.s for the software
+ * bilinear variants, then the variant's task; tex_bilinear_hw runs
+ * tex_point_hw's units, because the filter mode is texture state.
+ */
+const std::vector<Guest>& allKernels();
 
-//
-// Rodinia subset (§6.1), examples/kernels/NAME.s. Argument layouts in
-// runtime/kargs.h.
-//
-const char* vecadd();   ///< c[i] = a[i] + b[i] (int)       — compute group
-const char* saxpy();    ///< y[i] = a*x[i] + y[i] (float)   — memory group
-const char* sgemm();    ///< C = A*B (float, task per cell) — compute group
-const char* sfilter();  ///< 3x3 blur stencil (float)       — compute group
-const char* nearn();    ///< euclidean distances (fsqrt)    — memory group
-const char* gaussian(); ///< gaussian elimination           — memory group
-const char* bfs();      ///< frontier BFS                   — memory group
+/** The shipped kernel called @p name, or nullptr when unknown. */
+const Guest* findKernel(const std::string& name);
 
-//
-// Texture benchmarks (§6.4, Fig. 20): render a source texture to a
-// destination target of the same size. HW variants use the `tex`
-// instruction; SW variants implement the sampler in plain RISC-V code
-// (the paper's software-rendering baseline).
-//
-const char* texPointHw();
-const char* texBilinearHw();
-const char* texTrilinearHw();
-const char* texPointSw();
-const char* texBilinearSw();
-const char* texTrilinearSw();
+/** The shipped kernel called @p name; fatal when unknown. */
+const Guest& kernel(const std::string& name);
 
-//
-// Registry: every shipped kernel by name, for tools that enumerate or
-// look up kernels generically (vortex_verify, sweep pre-run checks).
-//
-struct NamedKernel
-{
-    const char* name;        ///< stable lookup name, e.g. "tex_point_hw"
-    const char* (*source)(); ///< the kernel's assembly source
-};
-
-/** All shipped kernels in stable (documentation) order. */
-const std::vector<NamedKernel>& allKernels();
-
-/** Source of the kernel called @p name, or nullptr when unknown. */
+/** Text of the one-unit shipped kernel called @p name (a Rodinia
+ *  kernel), or nullptr when there is none. */
 const char* kernelSource(const std::string& name);
 
 } // namespace vortex::kernels

@@ -1,73 +1,19 @@
-/**
- * @file
- * The Vortex native runtime (paper §5.3) in RISC-V assembly: crt0 with
- * per-thread stack setup, the core-local control block in scratchpad
- * memory, and spawn_tasks — the pocl_spawn equivalent that distributes
- * task ids across every hardware thread of every core using wspawn, tmc,
- * split/join, and a local barrier.
- *
- * Register conventions inside the runtime:
- *  - t6 is the link register for the leaf helpers (__set_sp, __smem_base)
- *    so they can run before a stack exists;
- *  - s10 preserves the caller's ra across spawn_tasks (the stack pointer is
- *    re-derived when the thread mask widens, so ra cannot live on the
- *    stack there);
- *  - task functions receive (a0 = task id, a1 = user argument) and may
- *    clobber t- and a-registers; s-registers they use must be saved.
- */
+# The Vortex native runtime (paper §5.3): crt0 with per-thread stack
+# setup, the core-local control block in scratchpad memory, and
+# spawn_tasks — the pocl_spawn equivalent that distributes task ids
+# across every hardware thread of every core using wspawn, tmc,
+# split/join, and a local barrier. Every guest is assembled after this
+# unit (kernels::assembleGuest); it calls the guest's `main`.
+#
+# Register conventions inside the runtime:
+#  - t6 is the link register for the leaf helpers (__set_sp, __smem_base)
+#    so they can run before a stack exists;
+#  - s10 preserves the caller's ra across spawn_tasks (the stack pointer is
+#    re-derived when the thread mask widens, so ra cannot live on the
+#    stack there);
+#  - task functions receive (a0 = task id, a1 = user argument) and may
+#    clobber t- and a-registers; s-registers they use must be saved.
 
-#include "kernels/kernels.h"
-
-namespace vortex::kernels {
-
-namespace {
-
-constexpr const char* kRuntimeUnit = "<runtime>";
-
-/** Run @p assemble over the runtime + kernel units, blaming a missing
- *  `main` on the kernel. */
-template <typename Assemble>
-auto
-withRuntime(const std::string& name, const std::string& source,
-            Assemble assemble)
-{
-    try {
-        return assemble(std::vector<isa::SourceUnit>{
-            {kRuntimeUnit, runtimeSource()}, {name, source}});
-    } catch (const isa::AsmError& e) {
-        if (e.file() != kRuntimeUnit ||
-            e.message() != "undefined symbol 'main'")
-            throw;
-        throw isa::AsmError(name, 1, 1,
-                            "undefined symbol 'main': the native runtime "
-                            "calls it, so the kernel must define it");
-    }
-}
-
-} // namespace
-
-isa::Program
-assembleWithRuntime(isa::Assembler& as, const std::string& name,
-                    const std::string& source)
-{
-    return withRuntime(name, source, [&](const auto& units) {
-        return as.assembleUnits(units);
-    });
-}
-
-isa::ObjectFile
-assembleObjectWithRuntime(isa::Assembler& as, const std::string& name,
-                          const std::string& source)
-{
-    return withRuntime(name, source, [&](const auto& units) {
-        return as.assembleObject(units);
-    });
-}
-
-const char*
-runtimeSource()
-{
-    return R"(
 # ---------------------------------------------------------------- runtime.s
 .equ CSR_TID,   0xCC0
 .equ CSR_WID,   0xCC1
@@ -239,7 +185,3 @@ global_barrier:
     vx_bar t0, t1
     ret
 # --------------------------------------------------------------------------
-)";
-}
-
-} // namespace vortex::kernels

@@ -8,7 +8,6 @@
 #include "common/bitmanip.h"
 #include "common/log.h"
 #include "common/outcome.h"
-#include "kernels/kernels.h"
 
 namespace vortex::runtime {
 
@@ -86,36 +85,19 @@ Device::copyFromDev(void* dst, Addr src, size_t size) const
 }
 
 void
+Device::uploadKernel(const kernels::Guest& guest)
+{
+    uploadObject(kernels::assembleGuest(config_.startPC, guest));
+    guest_ = guest;
+}
+
+void
 Device::uploadKernel(const std::string& kernel_asm)
 {
-    if (!kernelOverride_.empty()) {
-        uploadKernelObject(kernelOverride_, kernelOverrideName_);
-        return;
-    }
-    isa::Assembler assembler(config_.startPC);
-    uploadProgram(
-        kernels::assembleWithRuntime(assembler, "<kernel>", kernel_asm));
-}
-
-void
-Device::setKernelOverride(const std::string& source,
-                          const std::string& name)
-{
-    kernelOverride_ = source;
-    kernelOverrideName_ = name;
-}
-
-void
-Device::uploadKernelObject(const std::string& kernel_asm,
-                           const std::string& name)
-{
-    isa::Assembler assembler(config_.startPC);
-    isa::ObjectFile obj =
-        kernels::assembleObjectWithRuntime(assembler, name, kernel_asm);
-    // Round-trip through the serialized format so every load from this
-    // path also exercises the writer/reader pair.
-    std::vector<uint8_t> bytes = isa::writeObject(obj);
-    uploadObject(isa::readObject(bytes.data(), bytes.size(), name));
+    if (kernel_asm.empty() && !guest_.units.empty())
+        uploadKernel(kernels::Guest(guest_));
+    else
+        uploadKernel(kernels::Guest{"<kernel>", {{"<kernel>", kernel_asm}}});
 }
 
 void
@@ -137,14 +119,6 @@ Device::uploadObject(const isa::ObjectFile& obj)
             ram.markCodePage(page << mem::Ram::kPageBits);
     }
     program_ = std::move(p);
-}
-
-void
-Device::uploadProgram(const isa::Program& program)
-{
-    program_ = program;
-    processor_->ram().writeBlock(program.base, program.image.data(),
-                                 program.image.size());
 }
 
 void

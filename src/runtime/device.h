@@ -20,6 +20,7 @@
 #include "core/processor.h"
 #include "isa/assembler.h"
 #include "isa/object.h"
+#include "kernels/kernels.h"
 
 namespace vortex::runtime {
 
@@ -74,23 +75,23 @@ class Device
     void copyToDev(Addr dst, const void* src, size_t size);
     void copyFromDev(void* dst, Addr src, size_t size) const;
 
-    //
-    // Kernel upload. `uploadKernel` assembles the native runtime (crt0 +
-    // spawn_tasks) followed by the given kernel source; `uploadProgram`
-    // loads a pre-assembled binary.
-    //
-    void uploadKernel(const std::string& kernelAsm);
-    void uploadProgram(const isa::Program& program);
-    const isa::Program& program() const { return program_; }
+    /**
+     * Load @p guest: kernels::assembleGuest() builds the native runtime
+     * followed by its units into an object (through a VXOB write and
+     * read), and uploadObject() loads that object. Every guest, shipped
+     * or read from a `program =` file, reaches device memory this way.
+     */
+    void uploadKernel(const kernels::Guest& guest);
 
     /**
-     * Full toolchain path: assemble the native runtime + @p kernelAsm
-     * into a relocatable object, serialize and re-read it (so every run
-     * exercises the VXOB writer/reader), then load via uploadObject().
-     * @p name is the unit name used in assembler diagnostics.
+     * uploadKernel() of @p kernelAsm as a one-unit guest "<kernel>". An
+     * empty @p kernelAsm repeats the last uploadKernel() instead, so a
+     * caller that holds only the device (perfbench's traced upload
+     * span) can reload the guest its run executed.
      */
-    void uploadKernelObject(const std::string& kernelAsm,
-                            const std::string& name = "<kernel>");
+    void uploadKernel(const std::string& kernelAsm);
+
+    const isa::Program& program() const { return program_; }
 
     /**
      * Loader: rebase @p obj to this machine's startPC, apply its
@@ -99,16 +100,6 @@ class Device
      * invalidation covers them from the first store on.
      */
     void uploadObject(const isa::ObjectFile& obj);
-
-    /**
-     * Route every subsequent uploadKernel() through the object pipeline
-     * with @p source instead of the built-in kernel string it was given.
-     * This is how `[workload] program = "file.s"` sweep specs reuse the
-     * shipped harnesses (argument setup + host-side verification) with a
-     * guest program loaded from disk. An empty @p source clears it.
-     */
-    void setKernelOverride(const std::string& source,
-                           const std::string& name);
 
     /** Write the kernel-argument mailbox. */
     void setKernelArg(const void* data, size_t size);
@@ -122,7 +113,7 @@ class Device
     /**
      * Statically verify the uploaded program against this device's
      * geometry and memory map (see analysis/analysis.h) without
-     * executing it. Call after uploadKernel()/uploadProgram().
+     * executing it. Call after uploadKernel() or uploadObject().
      */
     analysis::Report verify() const;
 
@@ -182,8 +173,7 @@ class Device
     core::ArchConfig config_;
     std::unique_ptr<core::Processor> processor_;
     isa::Program program_;
-    std::string kernelOverride_;     ///< see setKernelOverride()
-    std::string kernelOverrideName_;
+    kernels::Guest guest_; ///< last uploadKernel(), for its replay
     Addr heapTop_ = kHeapBase;
     uint64_t cycleLimit_ = 0;        ///< see setCycleLimit()
 };

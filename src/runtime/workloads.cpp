@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bitmanip.h"
+#include "common/fnv.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "kernels/kernels.h"
@@ -50,7 +51,7 @@ constexpr uint64_t kMaxCycles = 400000000ull;
 } // namespace
 
 RunResult
-runVecAdd(Device& dev, uint32_t n)
+runVecAdd(Device& dev, uint32_t n, const kernels::Guest& guest)
 {
     Xorshift rng(42);
     std::vector<int32_t> a(n), b(n), c(n);
@@ -62,7 +63,7 @@ runVecAdd(Device& dev, uint32_t n)
          dc = dev.memAlloc(n * 4);
     dev.copyToDev(da, a.data(), n * 4);
     dev.copyToDev(db, b.data(), n * 4);
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(guest);
     dev.setKernelArg(VecAddArgs{n, da, db, dc});
     dev.runKernel(kMaxCycles);
     dev.copyFromDev(c.data(), dc, n * 4);
@@ -78,7 +79,7 @@ runVecAdd(Device& dev, uint32_t n)
 }
 
 RunResult
-runSaxpy(Device& dev, uint32_t n)
+runSaxpy(Device& dev, uint32_t n, const kernels::Guest& guest)
 {
     Xorshift rng(43);
     const float alpha = 2.5f;
@@ -90,7 +91,7 @@ runSaxpy(Device& dev, uint32_t n)
     Addr dx = dev.memAlloc(n * 4), dy = dev.memAlloc(n * 4);
     dev.copyToDev(dx, x.data(), n * 4);
     dev.copyToDev(dy, y.data(), n * 4);
-    dev.uploadKernel(kernels::saxpy());
+    dev.uploadKernel(guest);
     dev.setKernelArg(SaxpyArgs{n, alpha, dx, dy});
     dev.runKernel(kMaxCycles);
     dev.copyFromDev(out.data(), dy, n * 4);
@@ -103,7 +104,7 @@ runSaxpy(Device& dev, uint32_t n)
 }
 
 RunResult
-runSgemm(Device& dev, uint32_t n)
+runSgemm(Device& dev, uint32_t n, const kernels::Guest& guest)
 {
     Xorshift rng(44);
     std::vector<float> a(n * n), b(n * n), c(n * n);
@@ -115,7 +116,7 @@ runSgemm(Device& dev, uint32_t n)
          dc = dev.memAlloc(n * n * 4);
     dev.copyToDev(da, a.data(), n * n * 4);
     dev.copyToDev(db, b.data(), n * n * 4);
-    dev.uploadKernel(kernels::sgemm());
+    dev.uploadKernel(guest);
     dev.setKernelArg(SgemmArgs{n, da, db, dc});
     dev.runKernel(kMaxCycles);
     dev.copyFromDev(c.data(), dc, n * n * 4);
@@ -134,7 +135,8 @@ runSgemm(Device& dev, uint32_t n)
 }
 
 RunResult
-runSfilter(Device& dev, uint32_t width, uint32_t height)
+runSfilter(Device& dev, uint32_t width, uint32_t height,
+           const kernels::Guest& guest)
 {
     Xorshift rng(45);
     std::vector<float> src(width * height), dst(width * height);
@@ -142,7 +144,7 @@ runSfilter(Device& dev, uint32_t width, uint32_t height)
         v = rng.nextFloat() * 255.0f;
     Addr ds = dev.memAlloc(src.size() * 4), dd = dev.memAlloc(dst.size() * 4);
     dev.copyToDev(ds, src.data(), src.size() * 4);
-    dev.uploadKernel(kernels::sfilter());
+    dev.uploadKernel(guest);
     dev.setKernelArg(SfilterArgs{width, height, ds, dd});
     dev.runKernel(kMaxCycles);
     dev.copyFromDev(dst.data(), dd, dst.size() * 4);
@@ -175,7 +177,7 @@ runSfilter(Device& dev, uint32_t width, uint32_t height)
 }
 
 RunResult
-runNearn(Device& dev, uint32_t n)
+runNearn(Device& dev, uint32_t n, const kernels::Guest& guest)
 {
     Xorshift rng(46);
     const float lat = 30.0f, lng = 50.0f;
@@ -184,7 +186,7 @@ runNearn(Device& dev, uint32_t n)
         v = rng.nextFloat() * 100.0f;
     Addr dp = dev.memAlloc(pts.size() * 4), dd = dev.memAlloc(n * 4);
     dev.copyToDev(dp, pts.data(), pts.size() * 4);
-    dev.uploadKernel(kernels::nearn());
+    dev.uploadKernel(guest);
     dev.setKernelArg(NearnArgs{n, lat, lng, dp, dd});
     dev.runKernel(kMaxCycles);
     dev.copyFromDev(dist.data(), dd, n * 4);
@@ -199,7 +201,7 @@ runNearn(Device& dev, uint32_t n)
 }
 
 RunResult
-runGaussian(Device& dev, uint32_t n)
+runGaussian(Device& dev, uint32_t n, const kernels::Guest& guest)
 {
     Xorshift rng(47);
     std::vector<float> a(n * n), m(n, 0.0f);
@@ -212,7 +214,7 @@ runGaussian(Device& dev, uint32_t n)
     Addr da = dev.memAlloc(a.size() * 4), dm = dev.memAlloc(n * 4);
     dev.copyToDev(da, a.data(), a.size() * 4);
     dev.copyToDev(dm, m.data(), n * 4);
-    dev.uploadKernel(kernels::gaussian());
+    dev.uploadKernel(guest);
     GaussianArgs args{n, da, 0, dm, 0};
     dev.setKernelArg(args);
     dev.runKernel(kMaxCycles);
@@ -237,7 +239,8 @@ runGaussian(Device& dev, uint32_t n)
 }
 
 RunResult
-runBfs(Device& dev, uint32_t num_nodes, uint32_t avg_degree)
+runBfs(Device& dev, uint32_t num_nodes, uint32_t avg_degree,
+       const kernels::Guest& guest)
 {
     Xorshift rng(48);
     // Random connected-ish digraph in CSR form: a backbone chain plus
@@ -272,7 +275,7 @@ runBfs(Device& dev, uint32_t num_nodes, uint32_t avg_degree)
         dev.copyToDev(dcol, col_idx.data(), col_idx.size() * 4);
     dev.copyToDev(dlev, levels.data(), levels.size() * 4);
 
-    dev.uploadKernel(kernels::bfs());
+    dev.uploadKernel(guest);
     BfsArgs args{num_nodes, max_degree, drow, dcol, dlev, dchg, 0};
     dev.setKernelArg(args);
     dev.runKernel(kMaxCycles);
@@ -307,19 +310,38 @@ namespace {
 struct RodiniaRunner
 {
     const char* name;
-    RunResult (*run)(Device& dev, uint32_t scale);
+    RunResult (*run)(Device& dev, uint32_t scale, const kernels::Guest& g);
 };
 
 constexpr RodiniaRunner kRodiniaRunners[] = {
-    {"vecadd", [](Device& d, uint32_t s) { return runVecAdd(d, 2048 * s); }},
-    {"saxpy", [](Device& d, uint32_t s) { return runSaxpy(d, 2048 * s); }},
-    {"sgemm", [](Device& d, uint32_t s) { return runSgemm(d, 24 * s); }},
+    {"vecadd",
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runVecAdd(d, 2048 * s, g);
+     }},
+    {"saxpy",
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runSaxpy(d, 2048 * s, g);
+     }},
+    {"sgemm",
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runSgemm(d, 24 * s, g);
+     }},
     {"sfilter",
-     [](Device& d, uint32_t s) { return runSfilter(d, 48 * s, 32 * s); }},
-    {"nearn", [](Device& d, uint32_t s) { return runNearn(d, 1024 * s); }},
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runSfilter(d, 48 * s, 32 * s, g);
+     }},
+    {"nearn",
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runNearn(d, 1024 * s, g);
+     }},
     {"gaussian",
-     [](Device& d, uint32_t s) { return runGaussian(d, 16 * s); }},
-    {"bfs", [](Device& d, uint32_t s) { return runBfs(d, 512 * s, 4); }},
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runGaussian(d, 16 * s, g);
+     }},
+    {"bfs",
+     [](Device& d, uint32_t s, const kernels::Guest& g) {
+         return runBfs(d, 512 * s, 4, g);
+     }},
 };
 
 const RodiniaRunner*
@@ -334,11 +356,18 @@ findRodinia(const std::string& name)
 } // namespace
 
 RunResult
-runRodinia(Device& dev, const std::string& name, uint32_t scale)
+runRodinia(Device& dev, const std::string& name, uint32_t scale,
+           const kernels::Guest& guest)
 {
     if (const RodiniaRunner* r = findRodinia(name))
-        return r->run(dev, scale);
+        return r->run(dev, scale, guest);
     fatal("unknown Rodinia kernel '", name, "'");
+}
+
+RunResult
+runRodinia(Device& dev, const std::string& name, uint32_t scale)
+{
+    return runRodinia(dev, name, scale, kernels::kernel(name));
 }
 
 bool
@@ -353,8 +382,37 @@ isComputeBound(const std::string& name)
     return name == "sgemm" || name == "vecadd" || name == "sfilter";
 }
 
+const char*
+texFilterName(TexFilterMode mode)
+{
+    switch (mode) {
+    case TexFilterMode::Point:
+        return "point";
+    case TexFilterMode::Bilinear:
+        return "bilinear";
+    case TexFilterMode::Trilinear:
+        return "trilinear";
+    }
+    return "?";
+}
+
+std::string
+textureKernelName(TexFilterMode mode, bool hardware)
+{
+    return std::string("tex_") + texFilterName(mode) +
+           (hardware ? "_hw" : "_sw");
+}
+
 RunResult
 runTexture(Device& dev, TexFilterMode mode, bool hardware, uint32_t size)
+{
+    return runTexture(dev, mode, hardware, size,
+                      kernels::kernel(textureKernelName(mode, hardware)));
+}
+
+RunResult
+runTexture(Device& dev, TexFilterMode mode, bool hardware, uint32_t size,
+           const kernels::Guest& guest)
 {
     if (!isPow2(size))
         fatal("texture benchmark size must be a power of two");
@@ -376,21 +434,7 @@ runTexture(Device& dev, TexFilterMode mode, bool hardware, uint32_t size)
     Addr ddst = dev.memAlloc(static_cast<size_t>(size) * size * 4, 64);
     dev.copyToDev(dsrc, chain.data(), chain.size());
 
-    const char* kernel = nullptr;
-    switch (mode) {
-      case TexFilterMode::Point:
-        kernel = hardware ? kernels::texPointHw() : kernels::texPointSw();
-        break;
-      case TexFilterMode::Bilinear:
-        kernel = hardware ? kernels::texBilinearHw()
-                          : kernels::texBilinearSw();
-        break;
-      case TexFilterMode::Trilinear:
-        kernel = hardware ? kernels::texTrilinearHw()
-                          : kernels::texTrilinearSw();
-        break;
-    }
-    dev.uploadKernel(kernel);
+    dev.uploadKernel(guest);
 
     TexKernelArgs args{};
     args.dstWidth = size;
@@ -458,11 +502,9 @@ runTexture(Device& dev, TexFilterMode mode, bool hardware, uint32_t size)
 }
 
 RunResult
-runSelfCheck(Device& dev)
+runSelfCheck(Device& dev, const kernels::Guest& guest)
 {
-    // The empty source routes through the installed kernel override
-    // (Device::uploadKernel); the guest program is the whole workload.
-    dev.uploadKernel("");
+    dev.uploadKernel(guest);
     dev.runKernel(kMaxCycles);
     Device::SelfCheck check = dev.readSelfCheck();
     if (check.passed())
@@ -483,17 +525,26 @@ runSelfCheck(Device& dev)
 }
 
 RunResult
-runMemcmp(Device& dev, Addr addr, uint32_t len, uint64_t expectedFnv)
+runMemcmp(Device& dev, const kernels::Guest& guest, Addr addr, uint32_t len,
+          uint64_t expectedFnv)
 {
-    dev.uploadKernel("");
+    if (static_cast<uint64_t>(addr) + len > (uint64_t{1} << 32))
+        fatal("memcmp window of ", len, " bytes at 0x", std::hex, addr,
+              " runs past the end of the address space");
+    dev.uploadKernel(guest);
     dev.runKernel(kMaxCycles);
-    std::vector<uint8_t> bytes(len);
-    dev.copyFromDev(bytes.data(), addr, len);
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ull;
+    // One RAM page at a time, so the window costs O(page) of host memory
+    // whatever its length.
+    std::vector<uint8_t> chunk(std::min<uint32_t>(len, mem::Ram::kPageSize));
+    Fnv1a64 fnv;
+    for (uint32_t done = 0; done < len;) {
+        const uint32_t n =
+            std::min<uint32_t>(len - done, static_cast<uint32_t>(chunk.size()));
+        dev.copyFromDev(chunk.data(), addr + done, n);
+        fnv.bytes(chunk.data(), n);
+        done += n;
     }
+    const uint64_t h = fnv.value();
     if (h == expectedFnv)
         return finish(dev, true);
     std::ostringstream os;

@@ -1,10 +1,11 @@
 /**
  * @file
  * Workload generators and verified runners for the paper's benchmarks.
- * Each runner builds a deterministic input, uploads the kernel through the
- * driver, executes it, checks the device results against a host C++
- * reference, and returns the performance counters the evaluation figures
- * plot. Shared by the test suite, the bench harnesses, and the examples.
+ * Each runner builds a deterministic input, uploads the guest it is
+ * given through the driver, executes it, checks the device results
+ * against a host C++ reference, and returns the performance counters the
+ * evaluation figures plot. Shared by the test suite, the bench
+ * harnesses, and the examples.
  */
 
 #pragma once
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "common/outcome.h"
+#include "kernels/kernels.h"
 #include "runtime/device.h"
 
 namespace vortex::runtime {
@@ -32,18 +34,33 @@ struct RunResult
 };
 
 //
-// Rodinia subset (§6.1).
+// Rodinia subset (§6.1). Each runner uploads @p guest, the shipped
+// kernel unless the caller passes another (sweep::workloadGuest).
 //
-RunResult runVecAdd(Device& dev, uint32_t n);
-RunResult runSaxpy(Device& dev, uint32_t n);
-RunResult runSgemm(Device& dev, uint32_t n);          ///< n x n matrices
-RunResult runSfilter(Device& dev, uint32_t width, uint32_t height);
-RunResult runNearn(Device& dev, uint32_t n);
-RunResult runGaussian(Device& dev, uint32_t n);       ///< n x n elimination
-RunResult runBfs(Device& dev, uint32_t numNodes, uint32_t avgDegree);
+RunResult runVecAdd(Device& dev, uint32_t n,
+                    const kernels::Guest& guest = kernels::kernel("vecadd"));
+RunResult runSaxpy(Device& dev, uint32_t n,
+                   const kernels::Guest& guest = kernels::kernel("saxpy"));
+/** n x n matrices. */
+RunResult runSgemm(Device& dev, uint32_t n,
+                   const kernels::Guest& guest = kernels::kernel("sgemm"));
+RunResult runSfilter(Device& dev, uint32_t width, uint32_t height,
+                     const kernels::Guest& guest = kernels::kernel("sfilter"));
+RunResult runNearn(Device& dev, uint32_t n,
+                   const kernels::Guest& guest = kernels::kernel("nearn"));
+/** n x n elimination. */
+RunResult runGaussian(Device& dev, uint32_t n,
+                      const kernels::Guest& guest =
+                          kernels::kernel("gaussian"));
+RunResult runBfs(Device& dev, uint32_t numNodes, uint32_t avgDegree,
+                 const kernels::Guest& guest = kernels::kernel("bfs"));
 
-/** Dispatch one of the seven Rodinia kernels by name with a default
- *  problem size scaled by @p scale (1 = test-sized). */
+/** Run the Rodinia harness @p name with a default problem size scaled
+ *  by @p scale (1 = test-sized), uploading @p guest. */
+RunResult runRodinia(Device& dev, const std::string& name, uint32_t scale,
+                     const kernels::Guest& guest);
+
+/** runRodinia() of the shipped kernel @p name. */
 RunResult runRodinia(Device& dev, const std::string& name,
                      uint32_t scale = 1);
 
@@ -58,36 +75,46 @@ bool isComputeBound(const std::string& name);
 //
 enum class TexFilterMode { Point, Bilinear, Trilinear };
 
+/** "point", "bilinear" or "trilinear": the spelling spec files use. */
+const char* texFilterName(TexFilterMode mode);
+
+/** Registry name of the shipped texture kernel: "tex_<filter>_<hw|sw>". */
+std::string textureKernelName(TexFilterMode mode, bool hardware);
+
 /**
  * Render a size x size texture to an equal render target with the given
- * filtering, in hardware (`tex` instruction) or software. Device results
- * are verified against the host functional sampler (bit-exact for HW,
- * +-2/channel for SW float-path differences).
+ * filtering, in hardware (`tex` instruction) or software, uploading
+ * @p guest. Device results are verified against the host functional
+ * sampler (bit-exact for HW, +-2/channel for SW float-path differences).
  */
+RunResult runTexture(Device& dev, TexFilterMode mode, bool hardware,
+                     uint32_t size, const kernels::Guest& guest);
+
+/** runTexture() of the shipped kernel textureKernelName(mode, hardware). */
 RunResult runTexture(Device& dev, TexFilterMode mode, bool hardware,
                      uint32_t size);
 
 //
-// Harness-free runners (`[workload] check = ...` specs). Both expect a
-// kernel override to be installed (Device::setKernelOverride) — the
-// guest program IS the workload; there is no per-workload C++ setup.
+// Harness-free runners (`[workload] check = ...` specs): the guest
+// program IS the workload; there is no per-workload C++ setup.
 //
 
 /**
- * Run the installed kernel override and judge it by the guest's own
- * verdict in the self-check mailbox (docs/TOOLCHAIN.md "Self-check
- * ABI"): ok iff the guest wrote kSelfCheckPass. A FAIL verdict reports
- * the guest's detail word; any other status means the guest never
- * reached its verdict and is reported as such.
+ * Run @p guest and judge it by its own verdict in the self-check
+ * mailbox (docs/TOOLCHAIN.md "Self-check ABI"): ok iff the guest wrote
+ * kSelfCheckPass. A FAIL verdict reports the guest's detail word; any
+ * other status means the guest never reached its verdict and is
+ * reported as such.
  */
-RunResult runSelfCheck(Device& dev);
+RunResult runSelfCheck(Device& dev, const kernels::Guest& guest);
 
 /**
- * Run the installed kernel override, then read @p len bytes of device
- * memory at @p addr and compare their FNV-1a 64 hash against
- * @p expectedFnv (the `check = "memcmp:ADDR:LEN:FNV"` spec form).
+ * Run @p guest, then hash the @p len bytes of device memory at @p addr
+ * one RAM page at a time and compare their FNV-1a 64 with
+ * @p expectedFnv (the `check = "memcmp:ADDR:LEN:FNV"` spec form). The
+ * window must end inside the address space (addr + len <= 2^32).
  */
-RunResult runMemcmp(Device& dev, Addr addr, uint32_t len,
-                    uint64_t expectedFnv);
+RunResult runMemcmp(Device& dev, const kernels::Guest& guest, Addr addr,
+                    uint32_t len, uint64_t expectedFnv);
 
 } // namespace vortex::runtime

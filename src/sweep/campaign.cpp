@@ -407,30 +407,18 @@ verifyRuns(const std::string& campaignName,
 {
     std::set<std::string> seen;
     for (const RunSpec& run : runs) {
-        std::string kernelName = workloadKernelName(run.workload);
-        std::string unitName = kernelName;
-        std::string source;
-        if (!run.workload.program.empty()) {
-            // A `program =` workload runs the file's source, not the
-            // registry kernel — verify what will actually execute.
-            unitName = run.workload.program;
-            source = run.workload.programSource;
-        } else {
-            const char* s = kernels::kernelSource(kernelName);
-            if (s == nullptr)
-                fatal("campaign '", campaignName, "': unknown kernel '",
-                      kernelName, "' cannot be verified");
-            source = s;
-        }
+        // The guest the run executes, built as Device::uploadKernel
+        // builds it: these are the bytes that run.
+        const kernels::Guest guest = workloadGuest(run.workload);
         std::ostringstream key;
-        key << unitName << '/' << run.config.numThreads << 't'
+        key << guest.name << '/' << run.config.numThreads << 't'
             << run.config.numWarps << 'w' << run.config.numCores << 'c'
             << run.config.smemSize << 's' << run.config.startPC;
         if (!seen.insert(key.str()).second)
             continue;
-        isa::Assembler assembler(run.config.startPC);
         isa::Program program =
-            kernels::assembleWithRuntime(assembler, unitName, source);
+            kernels::assembleGuest(run.config.startPC, guest)
+                .toProgram(run.config.startPC);
         analysis::Report report = analysis::analyze(
             program, runtime::analyzerOptions(run.config, program));
         if (report.errors() == 0)
@@ -438,7 +426,7 @@ verifyRuns(const std::string& campaignName,
         std::ostringstream diag;
         report.print(diag, &program);
         std::fputs(diag.str().c_str(), stderr);
-        fatal("campaign '", campaignName, "' kernel '", unitName,
+        fatal("campaign '", campaignName, "' kernel '", guest.name,
               "' failed static verification with ", report.errors(),
               " error(s) (run '", run.id(), "')");
     }

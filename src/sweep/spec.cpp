@@ -13,6 +13,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/fnv.h"
 #include "common/log.h"
 #include "runtime/device.h"
 #include "sweep/presets.h"
@@ -133,40 +134,16 @@ schedPolicyName(core::SchedPolicy p)
                                               : "hierarchical";
 }
 
-/** The spelling parseTexFilter() reads back. */
-const char*
-texFilterName(runtime::TexFilterMode m)
-{
-    switch (m) {
-    case runtime::TexFilterMode::Point:
-        return "point";
-    case runtime::TexFilterMode::Bilinear:
-        return "bilinear";
-    case runtime::TexFilterMode::Trilinear:
-        return "trilinear";
-    }
-    return "?";
-}
-
-/** FNV-1a 64-bit. */
-uint64_t
-fnv1a(const std::string& s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /** FNV-1a 64 of @p s as 16 hex digits. */
 std::string
 fnvHex(const std::string& s)
 {
+    Fnv1a64 h;
+    h.text(s);
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(s)));
+                  static_cast<unsigned long long>(h.value()));
     return buf;
 }
 
@@ -307,8 +284,10 @@ constexpr FieldDef kFields[] = {
     VORTEX_BOOL_FIELD(texEnabled, "build the per-core texture units"),
     VORTEX_HASHED_FIELD(startPC),
     VORTEX_HASHED_FIELD(smemBase),
-    // Not hashed: the backends are bit-identical (core/tick_engine.h), so
-    // a cached serial result is valid for a parallel run and vice versa.
+    // Not hashed: the backends are bit-identical for guests without
+    // same-cycle cross-core races (ARCHITECTURE.md), so a cached serial
+    // result stands for a parallel run and vice versa. A racy guest (bfs
+    // on 8 cores, L2x4 + L3: 68447 or 68433 parallel cycles) can differ.
     VORTEX_FIELD(bool, c, parallelTick, "base", kDump, Always,
                  "tick cores on a host thread pool"),
     VORTEX_FIELD(uint32_t, c, tickThreads, "base", kDump, Always,
@@ -355,7 +334,7 @@ constexpr FieldDef kFields[] = {
          w.texFilter = parseTexFilter(v);
      },
      [](const core::ArchConfig&, const WorkloadSpec& w) {
-         return std::string(texFilterName(w.texFilter));
+         return std::string(runtime::texFilterName(w.texFilter));
      }},
     VORTEX_FIELD(bool, w, texHw, "workload", kHash | kDump, Texture,
                  "1 = hardware `tex` instruction, 0 = software sampler"),
@@ -500,9 +479,12 @@ parseCheckValue(const std::string& what, const std::string& value)
         uint64_t addr = parseHexValue(what, rest.substr(0, c1));
         uint64_t len = parseHexValue(what, rest.substr(c1 + 1,
                                                        c2 - c1 - 1));
-        if (addr > UINT32_MAX || len > UINT32_MAX)
+        // The window must end inside the address space (LEN itself is
+        // a uint32): Ram addresses would wrap past 0xFFFFFFFF.
+        if (addr > UINT32_MAX || len > UINT32_MAX ||
+            addr + len > (uint64_t{1} << 32))
             fatal(what, ": '", value,
-                  "' ADDR/LEN exceed the 32-bit address space");
+                  "' window ADDR+LEN exceeds the 32-bit address space");
         spec.addr = static_cast<Addr>(addr);
         spec.len = static_cast<uint32_t>(len);
         spec.fnv = parseHexValue(what, rest.substr(c2 + 1));
@@ -530,8 +512,15 @@ workloadKernelName(const WorkloadSpec& w)
 {
     if (w.kind == WorkloadSpec::Kind::Rodinia)
         return w.kernel;
-    return std::string("tex_") + texFilterName(w.texFilter) +
-           (w.texHw ? "_hw" : "_sw");
+    return runtime::textureKernelName(w.texFilter, w.texHw);
+}
+
+kernels::Guest
+workloadGuest(const WorkloadSpec& w)
+{
+    if (!w.program.empty())
+        return {w.program, {{w.program, w.programSource}}};
+    return kernels::kernel(workloadKernelName(w));
 }
 
 std::string
@@ -543,7 +532,7 @@ WorkloadSpec::describe() const
         if (scale != 1)
             os << " x" << scale;
     } else {
-        os << "texture " << texFilterName(texFilter)
+        os << "texture " << runtime::texFilterName(texFilter)
            << (texHw ? " hw " : " sw ") << texSize;
     }
     if (!program.empty())
@@ -597,22 +586,20 @@ WorkloadSpec::run(runtime::Device& dev) const
             faults::FaultInjector::install(
                 faults, dev.processor(), dev.processor().config().startPC,
                 kFaultMemWords);
-        if (!program.empty())
-            dev.setKernelOverride(programSource, program);
+        if (!check.empty() && program.empty())
+            fatal("workload check '", check,
+                  "' requires a program file ([workload] program = ...)");
+        const kernels::Guest guest = workloadGuest(*this);
         if (!check.empty()) {
             // Harness-free path: the guest program is the workload.
-            if (program.empty())
-                fatal("workload check '", check,
-                      "' requires a program file ([workload] program = "
-                      "...)");
             CheckSpec c = parseCheckValue("workload check", check);
             if (c.kind == CheckSpec::Kind::Self)
-                return runtime::runSelfCheck(dev);
-            return runtime::runMemcmp(dev, c.addr, c.len, c.fnv);
+                return runtime::runSelfCheck(dev, guest);
+            return runtime::runMemcmp(dev, guest, c.addr, c.len, c.fnv);
         }
         if (kind == Kind::Rodinia)
-            return runtime::runRodinia(dev, kernel, scale);
-        return runtime::runTexture(dev, texFilter, texHw, texSize);
+            return runtime::runRodinia(dev, kernel, scale, guest);
+        return runtime::runTexture(dev, texFilter, texHw, texSize, guest);
     } catch (const SimError& e) {
         // Structured run-path failure (watchdog, guest trap): one failed
         // row, not a campaign abort (docs/ROBUSTNESS.md).

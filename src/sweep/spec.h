@@ -27,6 +27,7 @@
 
 #include "core/config.h"
 #include "faults/fault.h"
+#include "kernels/kernels.h"
 #include "runtime/workloads.h"
 
 namespace vortex::runtime {
@@ -52,10 +53,9 @@ struct WorkloadSpec
 
     /**
      * Optional guest-program file (assembly) to execute instead of the
-     * selected kernel's built-in source. The named kernel still chooses
-     * the argument-setup + host-verification harness; the program is
-     * loaded through the assemble→object→load pipeline (see
-     * docs/TOOLCHAIN.md). Resolved against the CWD and the
+     * selected kernel's built-in source (workloadGuest()). The named
+     * kernel still chooses the argument-setup + host-verification
+     * harness. Resolved against the CWD and the
      * VORTEX_PROGRAM_PATH environment variable (colon-separated
      * prefixes); the file is read eagerly when the field is applied.
      */
@@ -254,9 +254,17 @@ std::pair<std::string, std::string> splitSetArg(const std::string& arg);
 void applySetArg(core::ArchConfig& cfg, WorkloadSpec& wl,
                  const std::pair<std::string, std::string>& kv);
 
-/** Registry name (kernels::kernelSource) of the kernel @p w executes:
- *  the Rodinia kernel name, or "tex_<filter>_<hw|sw>". */
+/** Registry name (kernels::findKernel) of the kernel @p w names: the
+ *  Rodinia kernel name, or "tex_<filter>_<hw|sw>". */
 std::string workloadKernelName(const WorkloadSpec& w);
+
+/**
+ * The guest @p w executes: its `program` file as one unit named by its
+ * path, else the shipped kernel workloadKernelName(@p w); fatal when
+ * that kernel does not exist. The one place a run's guest is chosen:
+ * WorkloadSpec::run executes it and `--verify` analyzes it.
+ */
+kernels::Guest workloadGuest(const WorkloadSpec& w);
 
 /** Strict uint32 parse (whole string must consume); fatal on failure,
  *  naming @p what. Shared by the field table, preset arguments, and
@@ -304,7 +312,8 @@ struct CheckSpec
 /**
  * Parse a `check` field value into its CheckSpec; fatal, naming
  * @p what, on anything other than "", "selfcheck", or a well-formed
- * "memcmp:ADDR:LEN:FNV". Shared by the field table (so spec files
+ * "memcmp:ADDR:LEN:FNV" whose window ends inside the 32-bit address
+ * space (ADDR+LEN <= 2^32). Shared by the field table (so spec files
  * report malformed values with file:line:col) and the run dispatch.
  */
 CheckSpec parseCheckValue(const std::string& what,

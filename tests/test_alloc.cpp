@@ -14,6 +14,9 @@
  * once per cycle on the main thread: it covers every tick after the
  * first, so the counts exclude the driver's upload and argument setup,
  * the host reference and the one-time costs of the first cycle.
+ *
+ * The forwarders also record the largest single request, which bounds
+ * what a `memcmp` check allocates for its window.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "runtime/device.h"
 #include "runtime/workloads.h"
@@ -30,11 +34,17 @@
 namespace {
 
 std::atomic<uint64_t> gAllocs{0};
+std::atomic<uint64_t> gLargest{0};
 
 void*
 countedAlloc(std::size_t size)
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
+    uint64_t largest = gLargest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !gLargest.compare_exchange_weak(largest, size,
+                                           std::memory_order_relaxed))
+        ;
     if (void* p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -44,10 +54,31 @@ countedAlloc(std::size_t size)
 
 void* operator new(std::size_t size) { return countedAlloc(size); }
 void* operator new[](std::size_t size) { return countedAlloc(size); }
+// std::stable_sort's temporary buffer (the assembler's relocation sort)
+// allocates through the nothrow form and frees through sized delete.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    try {
+        return countedAlloc(size);
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
 
 namespace vortex {
 namespace {
@@ -137,6 +168,33 @@ TEST(RunLoopAllocs, TextureBilinearHwIsFlat)
             return runtime::runTexture(d, runtime::TexFilterMode::Bilinear,
                                        /*hardware=*/true, 64);
         });
+}
+
+TEST(CheckAllocs, MemcmpHashesItsWindowOnePageAtATime)
+{
+    // A 16 MiB window, unaligned, over a byte pattern: the check must
+    // get the hash right while no single allocation exceeds a RAM page
+    // (the page the guest's stack touches is one such allocation).
+    const Addr addr = runtime::kHeapBase + 123;
+    const uint32_t len = 16u << 20;
+    runtime::Device dev(sweep::baselineConfig(1));
+    {
+        std::vector<uint8_t> pattern(len);
+        for (uint32_t i = 0; i < len; ++i)
+            pattern[i] = static_cast<uint8_t>(i * 7 + i / 4093);
+        dev.copyToDev(addr, pattern.data(), len);
+    }
+    uint64_t expected = 0xcbf29ce484222325ull; // FNV-1a 64, independently
+    for (uint32_t i = 0; i < len; ++i) {
+        expected ^= static_cast<uint8_t>(i * 7 + i / 4093);
+        expected *= 0x100000001b3ull;
+    }
+    const kernels::Guest guest{"ret.s", {{"ret.s", "main:\n    ret\n"}}};
+    gLargest.store(0, std::memory_order_relaxed);
+    const runtime::RunResult r =
+        runtime::runMemcmp(dev, guest, addr, len, expected);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_LE(gLargest.load(std::memory_order_relaxed), mem::Ram::kPageSize);
 }
 
 } // namespace

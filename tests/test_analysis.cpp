@@ -300,11 +300,11 @@ TEST(Analysis, TmcZeroHaltsTheBlock)
 namespace {
 
 Report
-verifyKernel(const char* source, const core::ArchConfig& config,
+verifyKernel(const kernels::Guest& guest, const core::ArchConfig& config,
              isa::Program& program)
 {
-    isa::Assembler as(config.startPC);
-    program = as.assembleAll({kernels::runtimeSource(), source});
+    program = kernels::assembleGuest(config.startPC, guest)
+                  .toProgram(config.startPC);
     return analysis::analyze(program,
                              runtime::analyzerOptions(config, program));
 }
@@ -313,9 +313,9 @@ verifyKernel(const char* source, const core::ArchConfig& config,
 
 TEST(Analysis, AllShippedKernelsVerifyClean)
 {
-    for (const kernels::NamedKernel& k : kernels::allKernels()) {
+    for (const kernels::Guest& k : kernels::allKernels()) {
         isa::Program p;
-        Report r = verifyKernel(k.source(), core::ArchConfig{}, p);
+        Report r = verifyKernel(k, core::ArchConfig{}, p);
         if (!r.clean()) {
             std::ostringstream os;
             r.print(os, &p);
@@ -331,9 +331,9 @@ TEST(Analysis, KernelsVerifyCleanOnLargeMachines)
     config.numCores = 4;
     config.numWarps = 8;
     config.numThreads = 8;
-    for (const kernels::NamedKernel& k : kernels::allKernels()) {
+    for (const kernels::Guest& k : kernels::allKernels()) {
         isa::Program p;
-        Report r = verifyKernel(k.source(), config, p);
+        Report r = verifyKernel(k, config, p);
         EXPECT_TRUE(r.clean()) << k.name;
     }
 }
@@ -349,8 +349,8 @@ TEST(Analysis, ReportIndependentOfTickEngine)
     parallel.parallelTick = true;
     parallel.tickThreads = 4;
     isa::Program ps, pp;
-    Report rs = verifyKernel(kernels::sgemm(), serial, ps);
-    Report rp = verifyKernel(kernels::sgemm(), parallel, pp);
+    Report rs = verifyKernel(kernels::kernel("sgemm"), serial, ps);
+    Report rp = verifyKernel(kernels::kernel("sgemm"), parallel, pp);
     ASSERT_EQ(rs.diagnostics.size(), rp.diagnostics.size());
     for (size_t i = 0; i < rs.diagnostics.size(); ++i)
         EXPECT_TRUE(rs.diagnostics[i] == rp.diagnostics[i]);
@@ -362,9 +362,8 @@ TEST(Analysis, ReportIndependentOfTickEngine)
 
 TEST(Analysis, AnalysisIsDeterministic)
 {
-    isa::Program p;
-    isa::Assembler as(kBase);
-    p = as.assembleAll({kernels::runtimeSource(), kernels::bfs()});
+    isa::Program p =
+        kernels::assembleGuest(kBase, kernels::kernel("bfs")).toProgram(kBase);
     core::ArchConfig config;
     Report a =
         analysis::analyze(p, runtime::analyzerOptions(config, p));
@@ -384,7 +383,7 @@ TEST(Analysis, DeviceVerifyHook)
     core::ArchConfig config;
     runtime::Device dev(config);
     EXPECT_THROW(dev.verify(), FatalError); // nothing uploaded yet
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(kernels::kernel("vecadd"));
     Report r = dev.verify();
     EXPECT_TRUE(r.clean());
     EXPECT_GT(r.functionCount, 0u);
@@ -398,8 +397,7 @@ TEST(Analysis, WorkloadKernelNamesResolve)
     sweep::WorkloadSpec w;
     w.kind = sweep::WorkloadSpec::Kind::Rodinia;
     w.kernel = "sgemm";
-    EXPECT_NE(kernels::kernelSource(sweep::workloadKernelName(w)),
-              nullptr);
+    EXPECT_NE(kernels::findKernel(sweep::workloadKernelName(w)), nullptr);
     w.kind = sweep::WorkloadSpec::Kind::Texture;
     for (auto mode : {runtime::TexFilterMode::Point,
                       runtime::TexFilterMode::Bilinear,
@@ -407,9 +405,8 @@ TEST(Analysis, WorkloadKernelNamesResolve)
         for (bool hw : {false, true}) {
             w.texFilter = mode;
             w.texHw = hw;
-            EXPECT_NE(
-                kernels::kernelSource(sweep::workloadKernelName(w)),
-                nullptr)
+            EXPECT_NE(kernels::findKernel(sweep::workloadKernelName(w)),
+                      nullptr)
                 << sweep::workloadKernelName(w);
         }
 }

@@ -643,15 +643,11 @@ TEST(Assembler, CommentsAndLabelsOnSameLine)
 
 TEST(Assembler, RuntimePlusKernelsAssemble)
 {
-    // Every embedded kernel must assemble cleanly with the runtime.
-    Assembler as(0x80000000);
-    for (const char* kernel :
-         {kernels::vecadd(), kernels::saxpy(), kernels::sgemm(),
-          kernels::sfilter(), kernels::nearn(), kernels::gaussian(),
-          kernels::bfs(), kernels::texPointHw(), kernels::texBilinearHw(),
-          kernels::texTrilinearHw(), kernels::texPointSw(),
-          kernels::texBilinearSw(), kernels::texTrilinearSw()}) {
-        Program p = as.assembleAll({kernels::runtimeSource(), kernel});
+    // Every shipped kernel must assemble cleanly with the runtime.
+    ASSERT_EQ(kernels::allKernels().size(), 13u);
+    for (const kernels::Guest& kernel : kernels::allKernels()) {
+        Program p =
+            kernels::assembleGuest(0x80000000, kernel).toProgram(0x80000000);
         EXPECT_GT(p.size(), 200u);
         EXPECT_NO_THROW(p.symbol("main"));
         EXPECT_NO_THROW(p.symbol("_start"));

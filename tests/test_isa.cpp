@@ -143,11 +143,11 @@ struct ImagePin
 };
 
 ImagePin
-pinImage(const std::string& name, const std::string& source)
+pinImage(const std::string& name, const std::vector<SourceUnit>& guest)
 {
     const Addr base = 0x80000000;
-    const std::vector<SourceUnit> units = {
-        {"<runtime>", kernels::runtimeSource()}, {name, source}};
+    std::vector<SourceUnit> units = {{"runtime.s", kernels::runtimeSource()}};
+    units.insert(units.end(), guest.begin(), guest.end());
     ImagePin pin{name, 0, 0, 0};
     pin.flat = fnv(Assembler(base).assembleUnits(units).image);
     std::vector<uint8_t> obj =
@@ -163,8 +163,8 @@ std::vector<ImagePin>
 allImagePins()
 {
     std::vector<ImagePin> pins;
-    for (const kernels::NamedKernel& k : kernels::allKernels())
-        pins.push_back(pinImage(k.name, k.source()));
+    for (const kernels::Guest& k : kernels::allKernels())
+        pins.push_back(pinImage(k.name, k.units));
     std::vector<std::string> files;
     for (const auto& e :
          std::filesystem::directory_iterator(VORTEX_KERNELS_DIR))
@@ -175,7 +175,7 @@ allImagePins()
         std::ifstream in(std::string(VORTEX_KERNELS_DIR) + "/" + file);
         std::ostringstream text;
         text << in.rdbuf();
-        pins.push_back(pinImage(file, text.str()));
+        pins.push_back(pinImage(file, {{file, text.str()}}));
     }
     return pins;
 }

@@ -59,7 +59,7 @@ runVecAdd(const core::ArchConfig& cfg, uint32_t n)
          dc = dev.memAlloc(n * 4);
     dev.copyToDev(da, a.data(), n * 4);
     dev.copyToDev(db, b.data(), n * 4);
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(kernels::kernel("vecadd"));
     dev.setKernelArg(runtime::VecAddArgs{n, da, db, dc});
     dev.runKernel(100000000);
     VecAddOutcome out;

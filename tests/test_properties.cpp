@@ -43,7 +43,7 @@ runOnce(const core::ArchConfig& cfg, uint32_t n)
          dc = dev.memAlloc(n * 4);
     dev.copyToDev(da, a.data(), n * 4);
     dev.copyToDev(db, b.data(), n * 4);
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(kernels::kernel("vecadd"));
     dev.setKernelArg(runtime::VecAddArgs{n, da, db, dc});
     dev.runKernel(100000000);
     Outcome out;

@@ -80,7 +80,7 @@ TEST(Device, TimeoutDetected)
 {
     Device dev(cfg());
     isa::Assembler as(dev.processor().config().startPC);
-    dev.uploadProgram(as.assemble("forever: j forever"));
+    dev.uploadObject(as.assembleObject({{"forever.s", "forever: j forever"}}));
     dev.start();
     EXPECT_FALSE(dev.readyWait(2000));
     EXPECT_THROW(dev.runKernel(2000), FatalError);
@@ -134,7 +134,7 @@ TEST(Counters, DeviceCsrCountersVisibleToKernels)
     // be positive and plausible.
     Device dev(cfg());
     isa::Assembler as(dev.processor().config().startPC);
-    dev.uploadProgram(as.assemble(R"(
+    dev.uploadObject(as.assembleObject({{"cycles.s", R"(
         csrr s0, 0xC00        # cycle low
         li t0, 50
     spin:
@@ -146,7 +146,7 @@ TEST(Counters, DeviceCsrCountersVisibleToKernels)
         sw s2, 0(t1)
         li t2, 0
         vx_tmc t2
-    )"));
+    )"}}));
     dev.start();
     ASSERT_TRUE(dev.readyWait(100000));
     uint32_t delta = dev.ram().read32(0x20000);

@@ -91,7 +91,7 @@ TEST(Smoke, VecAddKernel)
     dev.copyToDev(da, a.data(), n * 4);
     dev.copyToDev(db, b.data(), n * 4);
 
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(kernels::kernel("vecadd"));
     runtime::VecAddArgs args{n, da, db, dc};
     dev.setKernelArg(args);
     dev.runKernel(5000000);
@@ -120,7 +120,7 @@ TEST(Smoke, VecAddOddSizeAndMultiCore)
     dev.copyToDev(da, a.data(), n * 4);
     dev.copyToDev(db, b.data(), n * 4);
 
-    dev.uploadKernel(kernels::vecadd());
+    dev.uploadKernel(kernels::kernel("vecadd"));
     runtime::VecAddArgs args{n, da, db, dc};
     dev.setKernelArg(args);
     dev.runKernel(5000000);

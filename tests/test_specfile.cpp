@@ -414,6 +414,14 @@ TEST(SpecFile, MalformedCheckValuesReportLineAndColumn)
                      "cannot parse 'zz' as a hex number");
     expectParseError("[workload]\ncheck = \"memcmp:0:4\"\n", 2, 9,
                      "not of the form memcmp:ADDR:LEN:FNV");
+    // A window that would wrap past 0xFFFFFFFF, or span more than the
+    // address space, is refused before any run reads it.
+    expectParseError("[workload]\ncheck = \"memcmp:FFFFFF00:200:0\"\n", 2,
+                     9, "window ADDR+LEN exceeds the 32-bit address space");
+    expectParseError("[workload]\ncheck = \"memcmp:2:FFFFFFFF:0\"\n", 2, 9,
+                     "window ADDR+LEN exceeds the 32-bit address space");
+    EXPECT_EQ(sweep::parseCheckValue("c", "memcmp:FFFFFF00:100:0").len,
+              0x100u);
 }
 
 namespace {
@@ -577,6 +585,8 @@ TEST(SpecFile, JsonDiagnosticCorpusIsPinned)
          "c.json:1:25: key 'name' set twice"},
         {"{\"workload\": {\"check\": \"bogus\"}}",
          "c.json:1:24: fatal: sweep field 'check': unknown check 'bogus' (selfcheck | memcmp:ADDR:LEN:FNV)"},
+        {"{\"workload\": {\"check\": \"memcmp:FFFFFF00:200:0\"}}",
+         "c.json:1:24: fatal: sweep field 'check': 'memcmp:FFFFFF00:200:0' window ADDR+LEN exceeds the 32-bit address space"},
         {"{\"faults\": []}",
          "c.json:1:12: expected a faults table, got a array"},
         {"{\"fabric\": \"x\"}",

@@ -232,7 +232,7 @@ TEST(TexStages, KernelSwitchesStages)
     }
 
     isa::Assembler as(cfg.startPC);
-    isa::Program p = as.assemble(R"(
+    isa::ObjectFile obj = as.assembleObject({{"two_stages.s", R"(
         # stage 0 <- texture A
         li t0, 0x30000
         csrw 0x7C0, t0
@@ -269,8 +269,8 @@ TEST(TexStages, KernelSwitchesStages)
         vx_tmc t4
     .align 2
     half: .float 0.5
-    )");
-    dev.uploadProgram(p);
+    )"}});
+    dev.uploadObject(obj);
     dev.start();
     ASSERT_TRUE(dev.readyWait(1000000));
     EXPECT_EQ(dev.ram().read32(out), (Color{10, 20, 30, 255}.pack()));

@@ -4,12 +4,11 @@
  * format (write -> read -> write byte fixpoint, hostile-input
  * rejection), relocation/rebase correctness against the flat assembler
  * as ground truth, the Device loader (entry check, decode-cache
- * code-page pre-marking), and the golden equivalence contract — each
- * built-in Rodinia kernel is its checked-in examples/kernels/ `.s`
- * file, and that source run through the assemble -> object -> load
- * pipeline must be bit-identical in cycles, retired thread
- * instructions, and verified output to its direct upload, on both tick
- * backends and more than one machine geometry.
+ * code-page pre-marking), and the golden contract — every unit of every
+ * built-in guest is its checked-in `.s` file, and a `program =` twin of
+ * a Rodinia kernel is bit-identical in cycles, retired thread
+ * instructions, and verified output to the built-in kernel, on both
+ * tick backends and more than one machine geometry.
  */
 
 #include <cstdio>
@@ -17,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <set>
 #include <sstream>
 
 #include "common/log.h"
@@ -75,6 +75,12 @@ std::string
 kernelsDir()
 {
     return VORTEX_KERNELS_DIR;
+}
+
+std::string
+unitsDir()
+{
+    return VORTEX_UNITS_DIR;
 }
 
 std::string
@@ -225,13 +231,14 @@ TEST(Loader, FileRoundTripAndEntryCheck)
 TEST(Loader, MissingMainIsReportedAtTheKernel)
 {
     // The runtime's `call main` is the reference, but the fault is the
-    // kernel's: every runtime-hosted path (flat, object, device upload,
-    // vortex_verify --asm) reports it at the kernel file, line 1.
+    // guest's: every runtime-hosted path (the guest build, the device
+    // upload, vortex_verify --asm) reports it at the guest's first unit,
+    // line 1.
     const std::string noMain = ".data\nx: .word 1\n.text\nfoo:\n    ret\n";
     const std::string pinned = "nomain.s:1:1: undefined symbol 'main': the "
                                "native runtime calls it, so the kernel "
                                "must define it";
-    Assembler as(0x80000000);
+    const kernels::Guest guest{"nomain.s", {{"nomain.s", noMain}}};
     auto diagnosticOf = [&](auto assemble) {
         try {
             assemble();
@@ -240,43 +247,57 @@ TEST(Loader, MissingMainIsReportedAtTheKernel)
         }
         return std::string("<ok>");
     };
-    EXPECT_EQ(diagnosticOf([&] {
-                  kernels::assembleWithRuntime(as, "nomain.s", noMain);
-              }),
-              pinned);
-    EXPECT_EQ(diagnosticOf([&] {
-                  kernels::assembleObjectWithRuntime(as, "nomain.s", noMain);
-              }),
+    EXPECT_EQ(diagnosticOf([&] { kernels::assembleGuest(0x80000000, guest); }),
               pinned);
     core::ArchConfig cfg;
     runtime::Device dev(cfg);
-    EXPECT_EQ(
-        diagnosticOf([&] { dev.uploadKernelObject(noMain, "nomain.s"); }),
-        pinned);
+    EXPECT_EQ(diagnosticOf([&] { dev.uploadKernel(guest); }), pinned);
     // Other undefined symbols keep their own position.
-    EXPECT_EQ(diagnosticOf([&] {
-                  kernels::assembleWithRuntime(as, "k.s",
-                                               "main:\n    call nosuch\n");
-              }),
-              "k.s:2:10: undefined symbol 'nosuch'");
+    const kernels::Guest undefined{"k.s", {{"k.s", "main:\n    call nosuch\n"}}};
+    EXPECT_EQ(
+        diagnosticOf([&] { kernels::assembleGuest(0x80000000, undefined); }),
+        "k.s:2:10: undefined symbol 'nosuch'");
 }
 
 TEST(Loader, PreMarksCodePagesForDecodeCacheInvalidation)
 {
+    // A store to freshly loaded (never yet fetched) code must bump the
+    // code-write epoch: the loader pre-marked the executable pages, it
+    // did not wait for the first fetch to discover them. Every guest,
+    // an ad-hoc source or a shipped kernel, is loaded that way.
     core::ArchConfig cfg;
-    runtime::Device dev(cfg);
-    dev.uploadKernelObject("main:\n    ret\n");
-    // A store to the freshly loaded (never yet fetched) code must bump
-    // the code-write epoch: the loader pre-marked the executable pages,
-    // it did not wait for the first fetch to discover them.
-    mem::Ram& ram = dev.ram();
-    uint64_t before = ram.codeWriteEpoch();
-    ram.write32(cfg.startPC, 0x13); // nop over the entry
-    EXPECT_EQ(ram.codeWriteEpoch(), before + 1);
+    runtime::Device adhoc(cfg);
+    adhoc.uploadKernel("main:\n    ret\n");
+    runtime::Device builtin(cfg);
+    builtin.uploadKernel(kernels::kernel("sgemm"));
+    for (runtime::Device* dev : {&adhoc, &builtin}) {
+        mem::Ram& ram = dev->ram();
+        const uint64_t before = ram.codeWriteEpoch();
+        ram.write32(cfg.startPC, 0x13); // nop over the entry
+        EXPECT_EQ(ram.codeWriteEpoch(), before + 1);
+    }
 }
 
 TEST(Golden, BuiltinRodiniaKernelsAreTheCheckedInFiles)
 {
+    // Every unit of every shipped guest is a checked-in file: the seven
+    // Rodinia kernels in examples/kernels/, the runtime and the texture
+    // units in src/kernels/.
+    EXPECT_EQ(std::string(kernels::runtimeSource()),
+              readFile(unitsDir() + "/runtime.s"))
+        << "runtime.s: the embedded copy is stale";
+    std::set<std::string> units;
+    for (const kernels::Guest& k : kernels::allKernels()) {
+        const bool rodinia = k.units.size() == 1;
+        for (const SourceUnit& u : k.units) {
+            const std::string dir = rodinia ? kernelsDir() : unitsDir();
+            EXPECT_EQ(u.text, readFile(dir + "/" + u.name))
+                << k.name << ": the embedded " << u.name << " is stale";
+            units.insert(u.name);
+        }
+    }
+    // 7 Rodinia kernels; tex_main, tex_sw_bilinear and 5 task units.
+    EXPECT_EQ(units.size(), 7u + 7u);
     for (const char* name : {"vecadd", "saxpy", "sgemm", "sfilter", "nearn",
                              "gaussian", "bfs"}) {
         const char* builtin = kernels::kernelSource(name);
@@ -289,12 +310,11 @@ TEST(Golden, BuiltinRodiniaKernelsAreTheCheckedInFiles)
 
 TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
 {
-    // The built-in kernels are these same files (test above), so this
-    // pins the two load paths against each other: a direct upload of
-    // the source (runtime::Device::uploadKernel) and the full assemble
-    // -> object -> load pipeline must give the same cycles, retired
-    // thread instructions and verified output, on two geometries and
-    // both tick backends.
+    // A `program =` file resolves to a one-unit guest named by its path
+    // (sweep::workloadGuest), and the registry entry of the same kernel
+    // is that same file (test above). This pins that resolution: the
+    // two must give the same cycles, retired thread instructions and
+    // verified output, on two geometries and both tick backends.
     struct Twin
     {
         const char* kernel;

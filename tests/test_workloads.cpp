@@ -109,8 +109,9 @@ TEST(WorkloadZoo, CorruptedWorkloadFailsThroughTheMailbox)
 
     core::ArchConfig cfg = sweep::baselineConfig(1);
     runtime::Device dev(cfg);
-    dev.setKernelOverride(source, "stress_barrier_corrupt.s");
-    runtime::RunResult r = runtime::runSelfCheck(dev);
+    runtime::RunResult r = runtime::runSelfCheck(
+        dev, {"stress_barrier_corrupt.s",
+              {{"stress_barrier_corrupt.s", source}}});
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("self-check FAIL"), std::string::npos)
         << r.error;
@@ -128,8 +129,8 @@ TEST(WorkloadZoo, GuestThatNeverReportsIsAFailureNotAPass)
     // zeroes the mailbox) and runSelfCheck reports the missing verdict.
     core::ArchConfig cfg = sweep::baselineConfig(1);
     runtime::Device dev(cfg);
-    dev.setKernelOverride("main:\n    ret\n", "silent.s");
-    runtime::RunResult r = runtime::runSelfCheck(dev);
+    runtime::RunResult r = runtime::runSelfCheck(
+        dev, {"silent.s", {{"silent.s", "main:\n    ret\n"}}});
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("never wrote a self-check verdict"),
               std::string::npos)

@@ -2,10 +2,11 @@
  * @file
  * `vortex_verify` — static verification of guest kernels.
  *
- * Assembles a kernel (a shipped one by name, or an assembly file) the
- * same way the driver does — native runtime first, kernel second — and
- * runs the static analyzer (src/analysis/) against the configured
- * machine instead of executing it:
+ * Builds a guest (a shipped kernel by name, or an assembly file) into
+ * the object the driver loads (kernels::assembleGuest: native runtime
+ * first, then the guest's units) and runs the static analyzer
+ * (src/analysis/) over its image against the configured machine
+ * instead of executing it:
  *
  *   vortex_verify --all
  *   vortex_verify --kernel sgemm
@@ -62,21 +63,22 @@ usage(int code)
 
 struct Job
 {
-    std::string name;
-    std::string source;      ///< kernel assembly (appended to runtime)
+    kernels::Guest guest;
     bool freestanding = false;
 };
 
-/** Assemble and analyze one job. @return the report. */
+/** Assemble and analyze one job: a guest as the device loads it
+ *  (kernels::assembleGuest), a freestanding file on its own.
+ *  @return the report. */
 analysis::Report
 verifyOne(const Job& job, const core::ArchConfig& config,
           isa::Program& program)
 {
-    isa::Assembler assembler(config.startPC);
     program = job.freestanding
-                  ? assembler.assembleUnits({{job.name, job.source}})
-                  : kernels::assembleWithRuntime(assembler, job.name,
-                                                 job.source);
+                  ? isa::Assembler(config.startPC)
+                        .assembleUnits(job.guest.units)
+                  : kernels::assembleGuest(config.startPC, job.guest)
+                        .toProgram(config.startPC);
     return analysis::analyze(program,
                              runtime::analyzerOptions(config, program));
 }
@@ -114,16 +116,16 @@ run(int argc, char** argv)
         if (arg == "-h" || arg == "--help") {
             return usage(0);
         } else if (arg == "--list") {
-            for (const kernels::NamedKernel& k : kernels::allKernels())
-                std::printf("%s\n", k.name);
+            for (const kernels::Guest& k : kernels::allKernels())
+                std::printf("%s\n", k.name.c_str());
             return 0;
         } else if (arg == "--kernel") {
             std::string name = value();
-            const char* src = kernels::kernelSource(name);
-            if (src == nullptr)
+            const kernels::Guest* k = kernels::findKernel(name);
+            if (k == nullptr)
                 fatal("unknown kernel '", name,
                       "' (see vortex_verify --list)");
-            jobs.push_back({name, src, false});
+            jobs.push_back({*k, false});
         } else if (arg == "--asm") {
             asmPath = value();
         } else if (arg == "--all") {
@@ -144,10 +146,11 @@ run(int argc, char** argv)
     }
 
     if (all)
-        for (const kernels::NamedKernel& k : kernels::allKernels())
-            jobs.push_back({k.name, k.source(), false});
+        for (const kernels::Guest& k : kernels::allKernels())
+            jobs.push_back({k, false});
     if (!asmPath.empty())
-        jobs.push_back({asmPath, readFile(asmPath), freestanding});
+        jobs.push_back(
+            {{asmPath, {{asmPath, readFile(asmPath)}}}, freestanding});
     if (jobs.empty()) {
         std::fprintf(stderr,
                      "one of --kernel/--asm/--all is required\n");
@@ -166,7 +169,7 @@ run(int argc, char** argv)
         if (!quiet) {
             std::ostringstream text;
             report.print(text, &program);
-            std::printf("== %s: %s\n%s", job.name.c_str(),
+            std::printf("== %s: %s\n%s", job.guest.name.c_str(),
                         report.clean() ? "clean" : "FINDINGS",
                         text.str().c_str());
         }
@@ -175,7 +178,7 @@ run(int argc, char** argv)
         std::string body = one.str();
         // Splice the program name into the report object.
         body.insert(body.find('{') + 1,
-                    "\n  \"name\": \"" + job.name + "\",");
+                    "\n  \"name\": \"" + job.guest.name + "\",");
         json << (firstJson ? "\n" : ",\n") << body;
         firstJson = false;
     }
