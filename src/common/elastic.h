@@ -77,7 +77,6 @@ class ElasticQueue
         if (full())
             panic("push to full elastic queue '", name_, "'");
         q_.push_back(v);
-        ++totalPushes_;
     }
 
     /** Move-push; caller must have checked !full(). */
@@ -87,7 +86,6 @@ class ElasticQueue
         if (full())
             panic("push to full elastic queue '", name_, "'");
         q_.push_back(std::move(v));
-        ++totalPushes_;
     }
 
     /** Front element; caller must have checked !empty(). */
@@ -120,17 +118,13 @@ class ElasticQueue
         return v;
     }
 
-    /** Drop every queued entry (reset path; totalPushes() survives). */
+    /** Drop every queued entry (reset path). */
     void clear() { q_.clear(); }
-
-    /** Lifetime statistics (used by bank-utilization accounting). */
-    uint64_t totalPushes() const { return totalPushes_; }
 
   private:
     Ring<T> q_; ///< reserved to capacity_ up front: never grows
     size_t capacity_;
     const char* name_;
-    uint64_t totalPushes_ = 0;
 };
 
 /**

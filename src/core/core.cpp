@@ -205,7 +205,10 @@ Core::csrWrite(uint32_t addr, Word value, WarpId wid)
 // Pipeline.
 //
 
-void
+// Flattened: the six stages and the FU, LSU and L1-lane helpers they
+// call compile into one body per core-cycle
+// (ARCHITECTURE.md "The inline hot path").
+[[gnu::flatten]] void
 Core::tick(Cycle now)
 {
     curCycle_ = now;

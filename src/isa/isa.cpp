@@ -1,7 +1,7 @@
 /**
  * @file
- * The opcode table, and the decoder, encoder and operand classification
- * that read it.
+ * The opcode table, checked at compile time, and the decoder and encoder
+ * that read it. Operand classification reads it inline (isa.h).
  */
 
 #include "isa/isa.h"
@@ -90,6 +90,10 @@ constexpr FuType FP = FuType::FPU;
 constexpr FuType LS = FuType::LSU;
 constexpr FuType SF = FuType::SFU;
 constexpr uint8_t kBr = kControl | kBranch;
+
+} // namespace
+
+namespace detail {
 
 constexpr std::array<InstrInfo, kNumKinds> kInstrRows = {{
     op("<invalid>", K::Invalid, F::I, 0, 0, ""),
@@ -221,6 +225,12 @@ constexpr std::array<InstrInfo, kNumKinds> kInstrRows = {{
        kControl),
     op("vx_tex", K::VX_TEX, F::R4, OPC_TEX, kOpc, "d,S,T,R", FuType::TEX),
 }};
+
+} // namespace detail
+
+namespace {
+
+using detail::kInstrRows;
 
 /** An alias of @p base: its row, with @p fixed fields set and operands
  *  @p ops; every bit outside those operands is fixed. */
@@ -360,88 +370,12 @@ immJ(uint32_t raw)
     return sext(v, 21);
 }
 
-RegRef
-ref(RegFile file, RegId idx)
-{
-    return {file, file == RegFile::None ? 0 : idx};
-}
-
 } // namespace
-
-const InstrInfo&
-instrInfo(InstrKind kind)
-{
-    return kTable[static_cast<size_t>(kind)];
-}
 
 std::span<const InstrInfo>
 instrTable()
 {
     return kTable;
-}
-
-//
-// Operand classification
-//
-
-RegRef
-Instr::dst() const
-{
-    return ref(instrInfo(kind).dst, rd);
-}
-
-RegRef
-Instr::src1() const
-{
-    return ref(instrInfo(kind).src1, rs1);
-}
-
-RegRef
-Instr::src2() const
-{
-    return ref(instrInfo(kind).src2, rs2);
-}
-
-RegRef
-Instr::src3() const
-{
-    return ref(instrInfo(kind).src3, rs3);
-}
-
-FuType
-Instr::fuType() const
-{
-    return instrInfo(kind).fu;
-}
-
-bool
-Instr::isBranch() const
-{
-    return instrInfo(kind).flags & kBranch;
-}
-
-bool
-Instr::isControl() const
-{
-    return instrInfo(kind).flags & kControl;
-}
-
-bool
-Instr::isLoad() const
-{
-    return instrInfo(kind).flags & kLoad;
-}
-
-bool
-Instr::isStore() const
-{
-    return instrInfo(kind).flags & kStore;
-}
-
-bool
-Instr::isFloatOp() const
-{
-    return fuType() == FuType::FPU;
 }
 
 //

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -219,8 +220,89 @@ struct InstrInfo
     RegFile src3;
 };
 
-/** The row of @p kind. */
-const InstrInfo& instrInfo(InstrKind kind);
+namespace detail {
+
+/** The instruction rows of instrTable(), row i of kind i: what
+ *  instrInfo() reads. Defined, and checked, in isa.cpp. */
+extern const std::array<InstrInfo, static_cast<size_t>(InstrKind::kCount)>
+    kInstrRows;
+
+/** Operand @p idx in register file @p file (index 0 when None). */
+inline RegRef
+ref(RegFile file, RegId idx)
+{
+    return {file, file == RegFile::None ? RegId{0} : idx};
+}
+
+} // namespace detail
+
+/** The row of @p kind. Inline with the classifiers below: the core
+ *  pipeline calls them per uop (ARCHITECTURE.md "The inline hot path"). */
+inline const InstrInfo&
+instrInfo(InstrKind kind)
+{
+    return detail::kInstrRows[static_cast<size_t>(kind)];
+}
+
+inline RegRef
+Instr::dst() const
+{
+    return detail::ref(instrInfo(kind).dst, rd);
+}
+
+inline RegRef
+Instr::src1() const
+{
+    return detail::ref(instrInfo(kind).src1, rs1);
+}
+
+inline RegRef
+Instr::src2() const
+{
+    return detail::ref(instrInfo(kind).src2, rs2);
+}
+
+inline RegRef
+Instr::src3() const
+{
+    return detail::ref(instrInfo(kind).src3, rs3);
+}
+
+inline FuType
+Instr::fuType() const
+{
+    return instrInfo(kind).fu;
+}
+
+inline bool
+Instr::isControl() const
+{
+    return instrInfo(kind).flags & kControl;
+}
+
+inline bool
+Instr::isBranch() const
+{
+    return instrInfo(kind).flags & kBranch;
+}
+
+inline bool
+Instr::isLoad() const
+{
+    return instrInfo(kind).flags & kLoad;
+}
+
+inline bool
+Instr::isStore() const
+{
+    return instrInfo(kind).flags & kStore;
+}
+
+inline bool
+Instr::isFloatOp() const
+{
+    return fuType() == FuType::FPU;
+}
 
 /** Every row: the instructions in InstrKind order (row i is kind i,
  *  row 0 is Invalid), then the aliases. */

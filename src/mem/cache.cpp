@@ -95,22 +95,6 @@ Cache::Cache(const CacheConfig& config, bool shared)
         dormancy_ = std::make_unique<Dormancy<4>>(stallCounters());
 }
 
-bool
-Cache::laneReady(uint32_t lane) const
-{
-    return !lanes_.at(lane).full();
-}
-
-void
-Cache::lanePush(uint32_t lane, const CoreReq& req)
-{
-    lanes_.at(lane).push(req);
-    ++pendingLaneReqs_;
-    ++(req.write ? ctrCoreWrites_ : ctrCoreReads_);
-    if (dormancy_)
-        dormancy_->latch.wake();
-}
-
 void
 Cache::memRsp(const MemRsp& rsp)
 {
@@ -437,7 +421,9 @@ Cache::selectBanks(Cycle now)
     return moved;
 }
 
-bool
+// Flattened: the five phases compile into one body per cache-cycle
+// (ARCHITECTURE.md "The inline hot path").
+[[gnu::flatten]] bool
 Cache::tick(Cycle now)
 {
     // 1. Matured pipeline ops emit responses / memory requests.

@@ -74,8 +74,18 @@ class Cache
     //
     // Core side (lane-granular).
     //
-    bool laneReady(uint32_t lane) const;
-    void lanePush(uint32_t lane, const CoreReq& req);
+    // Inline: the core's fetch and LSU stages call these per lane per
+    // cycle (ARCHITECTURE.md "The inline hot path").
+    bool laneReady(uint32_t lane) const { return !lanes_.at(lane).full(); }
+    void
+    lanePush(uint32_t lane, const CoreReq& req)
+    {
+        lanes_.at(lane).push(req);
+        ++pendingLaneReqs_;
+        ++(req.write ? ctrCoreWrites_ : ctrCoreReads_);
+        if (dormancy_)
+            dormancy_->latch.wake();
+    }
     void setRspCallback(std::function<void(const CoreRsp&)> cb)
     {
         rspCallback_ = std::move(cb);

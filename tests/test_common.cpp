@@ -88,7 +88,6 @@ TEST(ElasticQueue, FifoOrderAndCapacity)
     EXPECT_EQ(q.pop(), 2);
     EXPECT_EQ(q.pop(), 3);
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.totalPushes(), 3u);
 }
 
 TEST(ElasticQueue, OverflowUnderflowPanic)

@@ -296,6 +296,32 @@ TEST(Isa, OperandClassification)
     EXPECT_TRUE(bar.isControl());
     EXPECT_EQ(bar.fuType(), FuType::SFU);
 
+    // Every instruction row: the classifiers return the row's unit, flags
+    // and register files, each operand keeping its own field's index.
+    const size_t num_kinds = static_cast<size_t>(InstrKind::kCount);
+    for (const InstrInfo& row : instrTable().first(num_kinds)) {
+        SCOPED_TRACE(row.mnemonic);
+        Instr in;
+        in.kind = row.kind;
+        in.rd = 1;
+        in.rs1 = 2;
+        in.rs2 = 3;
+        in.rs3 = 4;
+        EXPECT_EQ(in.fuType(), row.fu);
+        EXPECT_EQ(in.isControl(), (row.flags & kControl) != 0);
+        EXPECT_EQ(in.isBranch(), (row.flags & kBranch) != 0);
+        EXPECT_EQ(in.isLoad(), (row.flags & kLoad) != 0);
+        EXPECT_EQ(in.isStore(), (row.flags & kStore) != 0);
+        EXPECT_EQ(in.isFloatOp(), row.fu == FuType::FPU);
+        auto expected = [](RegFile file, RegId idx) {
+            return RegRef{file, file == RegFile::None ? RegId{0} : idx};
+        };
+        EXPECT_EQ(in.dst(), expected(row.dst, 1));
+        EXPECT_EQ(in.src1(), expected(row.src1, 2));
+        EXPECT_EQ(in.src2(), expected(row.src2, 3));
+        EXPECT_EQ(in.src3(), expected(row.src3, 4));
+    }
+
     // x0 destination is not a write.
     RegRef x0{RegFile::Int, 0};
     EXPECT_FALSE(x0.isWrite());
