@@ -15,8 +15,10 @@
  *    pipelined functional unit (one new entry per cycle, results emerge
  *    `latency` cycles later into an output queue).
  *
- * Requests flowing through elastic connections carry a Tag (instruction PC +
- * wavefront id) used for tracing, exactly as described in Figure 7.
+ * The paper's elastic tags (Figure 7) route responses back to their
+ * requester; here a request's `reqId` does that, and instruction tracing
+ * goes through core::TraceEvent (core/trace.h). A request record carries
+ * only fields that something reads.
  */
 
 #pragma once
@@ -29,14 +31,6 @@
 #include "common/types.h"
 
 namespace vortex {
-
-/** Trace tag attached to elastic requests: instruction PC + wavefront id. */
-struct Tag
-{
-    Addr pc = 0;      ///< PC of the originating instruction
-    WarpId wid = 0;   ///< wavefront that issued the request
-    uint64_t uid = 0; ///< unique per-uop id, for tracing and unit tests
-};
 
 /**
  * Bounded FIFO with elastic (valid/ready) semantics.
@@ -70,23 +64,21 @@ class ElasticQueue
     /** Diagnostic name used in panics. */
     const char* name() const { return name_; }
 
-    /** Push; caller must have checked !full(). */
-    void
-    push(const T& v)
+    /** In-place push; caller must have checked !full(). The returned
+     *  slot holds what its last occupant left (payload capacity
+     *  included), so the caller assigns every field it reads back. */
+    T&
+    pushSlot()
     {
         if (full())
             panic("push to full elastic queue '", name_, "'");
-        q_.push_back(v);
+        return q_.appendSlot();
     }
 
+    /** Push; caller must have checked !full(). */
+    void push(const T& v) { pushSlot() = v; }
     /** Move-push; caller must have checked !full(). */
-    void
-    push(T&& v)
-    {
-        if (full())
-            panic("push to full elastic queue '", name_, "'");
-        q_.push_back(std::move(v));
-    }
+    void push(T&& v) { pushSlot() = std::move(v); }
 
     /** Front element; caller must have checked !empty(). */
     T&

@@ -53,7 +53,6 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
     warps_.reserve(config.numWarps);
     for (uint32_t wid = 0; wid < config.numWarps; ++wid)
         warps_.emplace_back(config.numThreads);
-    fetchOutstanding_.assign(config.numWarps, false);
     decodeQueue_.reserve(config.numWarps); // one fetch per wavefront
     for (uint32_t wid = 0; wid < config.numWarps; ++wid)
         ibuffers_.emplace_back(config.ibufferDepth, "ibuffer");
@@ -114,7 +113,8 @@ Core::reset()
     scoreboard_.reset();
     barriers_.clear();
     uops_.clear();
-    std::fill(fetchOutstanding_.begin(), fetchOutstanding_.end(), false);
+    fetchOutstanding_ = 0;
+    ibufFull_ = 0;
     decodeQueue_.clear();
     for (auto& ib : ibuffers_)
         ib.clear();
@@ -215,11 +215,17 @@ Core::tick(Cycle now)
     dormancy_.beginTick(now);
     progress_ = false;
 
+    // A quiet L1 or scratchpad tick changes nothing, so it is not called
+    // (ARCHITECTURE.md "The lean awake core-cycle"). The texture unit ticks
+    // first: a texel request it pushes makes the D$ not quiet.
     if (texUnit_)
         texUnit_->tick(now);
-    progress_ |= dcache_->tick(now);
-    progress_ |= icache_->tick(now);
-    progress_ |= smem_->tick(now);
+    if (!dcache_->quiet())
+        progress_ |= dcache_->tick(now);
+    if (!icache_->quiet())
+        progress_ |= icache_->tick(now);
+    if (!smem_->quiet())
+        progress_ |= smem_->tick(now);
 
     commitStage(now);
     executeTick(now);
@@ -257,12 +263,9 @@ Core::fetchStage(Cycle now)
         ++ctrFetchIcacheStalls_;
         return;
     }
-    uint64_t eligible = 0;
-    for (uint32_t wid = 0; wid < config_.numWarps; ++wid) {
-        if (!fetchOutstanding_[wid] && !ibuffers_[wid].full())
-            eligible |= 1ull << wid;
-    }
-    auto sel = scheduler_.select(eligible);
+    // select() keeps only active wavefronts, so the bits above numWarps
+    // that this complement sets never matter.
+    auto sel = scheduler_.select(~(fetchOutstanding_ | ibufFull_));
     if (!sel)
         return;
     WarpId wid = *sel;
@@ -296,10 +299,9 @@ Core::fetchStage(Cycle now)
     req.addr = uop.pc;
     req.write = false;
     req.lane = 0;
-    req.tag = Tag{uop.pc, wid, uop.uid};
     trace(uop, TraceStage::Fetch);
     req.reqId = uops_.idOf(h);
-    fetchOutstanding_[wid] = true;
+    fetchOutstanding_ |= 1ull << wid;
     icache_->lanePush(0, req);
     ++ctrFetches_;
     progress_ = true;
@@ -319,7 +321,9 @@ Core::decodeStage(Cycle now)
         // most one fetch per wavefront is in flight.
         trace(uop, TraceStage::Decode);
         ibuffers_[wid].push(h);
-        fetchOutstanding_[wid] = false;
+        fetchOutstanding_ &= ~(1ull << wid);
+        if (ibuffers_[wid].full())
+            ibufFull_ |= 1ull << wid;
         progress_ = true;
     }
 }
@@ -328,8 +332,12 @@ void
 Core::issueStage(Cycle now)
 {
     (void)now;
-    for (uint32_t i = 0; i < config_.numWarps; ++i) {
-        WarpId wid = (issueRR_ + i) % config_.numWarps;
+    const uint32_t num_warps = config_.numWarps;
+    auto next = [num_warps](WarpId w) -> WarpId {
+        return w + 1 == num_warps ? 0 : w + 1;
+    };
+    WarpId wid = issueRR_;
+    for (uint32_t i = 0; i < num_warps; ++i, wid = next(wid)) {
         if (ibuffers_[wid].empty())
             continue;
         const Uop& head = uops_[ibuffers_[wid].front()];
@@ -356,8 +364,9 @@ Core::issueStage(Cycle now)
             continue;
         }
         dispatch(ibuffers_[wid].pop());
+        ibufFull_ &= ~(1ull << wid);
         progress_ = true;
-        issueRR_ = (wid + 1) % config_.numWarps;
+        issueRR_ = next(wid);
         return; // single-issue core
     }
 }
@@ -402,7 +411,6 @@ Core::dispatch(UopHandle h)
       case isa::FuType::TEX: {
         tex::TexRequest treq;
         treq.stage = uop.out.texStage;
-        treq.tag = Tag{uop.pc, wid, uop.uid};
         // The lane payload moves to the unit: nothing reads it from the
         // parked uop once the request is in flight.
         treq.lanes = std::move(uop.out.texLanes);
@@ -551,7 +559,6 @@ Core::lsuTick(Cycle now)
             req.write = op.out.memWrite;
             req.reqId = lsuRspPool_.alloc(UopHandle{h});
             req.lane = t;
-            req.tag = Tag{op.pc, op.wid, op.uid};
             ++op.pendingRsps;
             op.lanesToIssue &= ~(1ull << t);
             progress_ = true;

@@ -226,11 +226,20 @@ class Core
     // Fetch / decode bookkeeping.
     //
     DecodeCache decodeCache_;       ///< PC-indexed decoded-instr memo
-    std::vector<bool> fetchOutstanding_; ///< per wavefront
     Ring<UopHandle> decodeQueue_;   ///< fetched; ready at Uop::readyAt
 
     std::vector<ElasticQueue<UopHandle>> ibuffers_;
     WarpId issueRR_ = 0;
+
+    //
+    // Fetch eligibility as two wavefront masks, kept in step with the
+    // I$ requests and the ibuffers (set at fetch / decode push, cleared
+    // at decode push / issue pop), so the fetch stage reads
+    // ~(fetchOutstanding_ | ibufFull_) instead of scanning every
+    // wavefront.
+    //
+    uint64_t fetchOutstanding_ = 0; ///< wavefronts with an I$ fetch in flight
+    uint64_t ibufFull_ = 0;         ///< wavefronts whose ibuffer is full
 
     FuPipe alu_;
     FuPipe muldiv_;

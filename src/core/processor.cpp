@@ -121,8 +121,7 @@ Processor::wire()
             l2.setRspCallback([owners](const mem::CoreRsp& rsp) {
                 if (rsp.write)
                     return; // write-through completions need no routing
-                owners.at(rsp.lane)->memRsp(
-                    mem::MemRsp{rsp.reqId, rsp.tag});
+                owners.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId});
             });
 
             // L2 memory side: into the L3 if present, else board memory.
@@ -140,7 +139,7 @@ Processor::wire()
             l3_->setRspCallback([this](const mem::CoreRsp& rsp) {
                 if (rsp.write)
                     return;
-                l2s_.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId, rsp.tag});
+                l2s_.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId});
             });
         }
         return;
@@ -161,7 +160,7 @@ Processor::wire()
         l3_->setRspCallback([owners](const mem::CoreRsp& rsp) {
             if (rsp.write)
                 return;
-            owners.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId, rsp.tag});
+            owners.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId});
         });
         return;
     }

@@ -36,9 +36,7 @@ Cache::Bank::Bank(const CacheConfig& cfg, uint32_t index)
 {
     (void)index;
     mshr.resize(cfg.mshrEntries);
-    uint32_t num_sets = cfg.size / (cfg.lineSize * cfg.numBanks *
-                                    cfg.numWays);
-    sets.assign(num_sets, std::vector<Way>(cfg.numWays));
+    ways.resize(cfg.size / (cfg.lineSize * cfg.numBanks));
 }
 
 Cache::Cache(const CacheConfig& config, bool shared)
@@ -105,50 +103,46 @@ Cache::memRsp(const MemRsp& rsp)
         wakeLatch_->wake();
 }
 
-std::optional<uint32_t>
+Cache::Way*
 Cache::probe(Bank& bank, Addr addr) const
 {
-    uint32_t set = setOf(addr);
-    uint32_t tag = tagOf(addr);
-    auto& ways = bank.sets[set];
-    for (uint32_t w = 0; w < ways.size(); ++w) {
+    const uint32_t tag = tagOf(addr);
+    Way* ways = setWays(bank, addr);
+    for (uint32_t w = 0; w < config_.numWays; ++w) {
         if (ways[w].valid && ways[w].tag == tag)
-            return w;
+            return &ways[w];
     }
-    return std::nullopt;
+    return nullptr;
 }
 
 void
 Cache::install(Bank& bank, Addr addr, Cycle now)
 {
-    uint32_t set = setOf(addr);
-    uint32_t tag = tagOf(addr);
-    auto& ways = bank.sets[set];
     // Already present (a second fill can race with flushAll in tests).
-    for (Way& w : ways) {
-        if (w.valid && w.tag == tag) {
-            w.lastUsed = now;
-            return;
-        }
+    if (Way* hit = probe(bank, addr)) {
+        hit->lastUsed = now;
+        return;
     }
+    Way* const ways = setWays(bank, addr);
+    Way* const end = ways + config_.numWays;
     // Pick an invalid way, else evict LRU.
     Way* victim = nullptr;
-    for (Way& w : ways) {
-        if (!w.valid) {
-            victim = &w;
+    for (Way* w = ways; w != end; ++w) {
+        if (!w->valid) {
+            victim = w;
             break;
         }
     }
     if (!victim) {
-        victim = &ways[0];
-        for (Way& w : ways) {
-            if (w.lastUsed < victim->lastUsed)
-                victim = &w;
+        victim = ways;
+        for (Way* w = ways; w != end; ++w) {
+            if (w->lastUsed < victim->lastUsed)
+                victim = w;
         }
         ++ctrEvictions_;
     }
     victim->valid = true;
-    victim->tag = tag;
+    victim->tag = tagOf(addr);
     victim->lastUsed = now;
 }
 
@@ -193,7 +187,7 @@ Cache::drainPipes(Cycle now)
             }
             for (const PortReq& p : op->ports) {
                 if (rspCallback_)
-                    rspCallback_(CoreRsp{p.reqId, p.lane, op->write, p.tag});
+                    rspCallback_(CoreRsp{p.reqId, p.lane, op->write});
                 ++ctrCoreRsps_;
             }
             bank.pipe.pop();
@@ -272,8 +266,8 @@ Cache::schedule(Cycle now)
             }
             --memq_free;
             ++pipePromisedMemReqs_;
-            if (auto way = probe(bank, req.lineAddr)) {
-                bank.sets[setOf(req.lineAddr)][*way].lastUsed = now;
+            if (Way* way = probe(bank, req.lineAddr)) {
+                way->lastUsed = now;
                 ++ctrWriteHits_;
             } else {
                 ++ctrWriteMisses_;
@@ -282,7 +276,6 @@ Cache::schedule(Cycle now)
             mreq.lineAddr = req.lineAddr;
             mreq.write = true;
             mreq.reqId = instanceBase_ | kWriteReqBit | nextWriteReqId_++;
-            mreq.tag = req.ports.front().tag;
             PipeOp& op = bank.pipe.enqueueSlot(now);
             op.ports = req.ports;
             op.write = true;
@@ -294,8 +287,8 @@ Cache::schedule(Cycle now)
             continue;
         }
         // Read.
-        if (auto way = probe(bank, req.lineAddr)) {
-            bank.sets[setOf(req.lineAddr)][*way].lastUsed = now;
+        if (Way* way = probe(bank, req.lineAddr)) {
+            way->lastUsed = now;
             ++ctrReadHits_;
             PipeOp& op = bank.pipe.enqueueSlot(now);
             op.ports = req.ports;
@@ -335,7 +328,6 @@ Cache::schedule(Cycle now)
         mreq.reqId = fillPool_.alloc(
             PendingFill{static_cast<uint32_t>(&bank - banks_.data()),
                         req.lineAddr});
-        mreq.tag = req.ports.front().tag;
         MshrEntry& entry = mshrFree(bank);
         entry.live = true;
         entry.lineAddr = req.lineAddr;
@@ -382,8 +374,10 @@ Cache::selectBanks(Cycle now)
             continue;
         }
         // Take the first candidate's line; coalesce same-line, same-type
-        // requests into the virtual ports.
-        BankReq breq;
+        // requests into the virtual ports. The first candidate is always
+        // taken, so the request is built in its bank-input slot.
+        BankReq& breq = bank.input.pushSlot();
+        breq.ports.clear();
         uint32_t taken = 0;
         for (uint32_t l = 0; l < num_lanes; ++l) {
             if (laneHeadBank_[l] != b)
@@ -399,7 +393,7 @@ Cache::selectBanks(Cycle now)
                        taken >= config_.numPorts) {
                 continue; // bank conflict: stays for a later cycle
             }
-            breq.ports.push_back(PortReq{creq.reqId, creq.lane, creq.tag});
+            breq.ports.push_back(PortReq{creq.reqId, creq.lane});
             // A full lane regaining a slot is the credit its (possibly
             // dormant) producer waits on.
             if (laneWakes_[l] && lane.full())
@@ -412,7 +406,6 @@ Cache::selectBanks(Cycle now)
             laneHeadBank_[l] =
                 lane.empty() ? kNoBank : bankOf(lane.front().addr);
         }
-        bank.input.push(std::move(breq));
         ++bankWork_;
         ctrSelAccepted_ += taken;
         ctrSelConflicts_ += candidates - taken;
@@ -496,10 +489,8 @@ void
 Cache::flushAll()
 {
     for (Bank& bank : banks_) {
-        for (auto& set : bank.sets) {
-            for (Way& w : set)
-                w.valid = false;
-        }
+        for (Way& w : bank.ways)
+            w.valid = false;
     }
     ++stats_.counter("flushes");
 }

@@ -110,6 +110,17 @@ class Cache
     /** Earliest cycle a bank pipeline emits (kNoEvent when none). */
     Cycle nextEventAt() const;
 
+    /** Nothing queued in a lane, a bank or a pipe, and no memory request
+     *  or response waiting: tick() would change nothing and bump no
+     *  counter, so the owning core does not call it (ARCHITECTURE.md
+     *  "The lean awake core-cycle"). */
+    bool
+    quiet() const
+    {
+        return pendingLaneReqs_ == 0 && bankWork_ == 0 && pipeWork_ == 0 &&
+               memQueue_.empty() && memRspQueue_.empty();
+    }
+
     /** The per-cycle stall counters (sel_candidates, sel_input_full,
      *  memq_stalls, mshr_stalls): all a tick returning false bumps. */
     std::array<CounterRef*, 4>
@@ -188,7 +199,6 @@ class Cache
     {
         uint64_t reqId = 0;
         uint32_t lane = 0;
-        Tag tag;
     };
 
     /** Port list sized for the swept virtual-port counts (1/2/4); MSHR
@@ -239,12 +249,18 @@ class Cache
         Ring<Addr> fillQueue;      ///< arrived fills to install
         std::vector<MshrEntry> mshr; ///< mshrEntries slots
         uint32_t mshrLive = 0;       ///< live slots in mshr
-        std::vector<std::vector<Way>> sets; ///< [set][way]
+        std::vector<Way> ways; ///< [set * numWays + way]
         LatencyPipe<PipeOp> pipe;
     };
 
-    /** Probe the tag store; returns way index on hit. */
-    std::optional<uint32_t> probe(Bank& bank, Addr addr) const;
+    /** Probe the tag store; the hit way, or nullptr on a miss. */
+    Way* probe(Bank& bank, Addr addr) const;
+    /** The numWays ways of @p addr's set, as a pointer to the first. */
+    Way*
+    setWays(Bank& bank, Addr addr) const
+    {
+        return &bank.ways[setOf(addr) * config_.numWays];
+    }
     /** Install a line, evicting LRU; updates stats. */
     void install(Bank& bank, Addr addr, Cycle now);
 
@@ -355,7 +371,6 @@ class CacheMemPort : public MemSink
         creq.write = req.write;
         creq.reqId = req.reqId;
         creq.lane = lane_;
-        creq.tag = req.tag;
         cache_.lanePush(lane_, creq);
     }
 

@@ -51,7 +51,7 @@ MemSim::tick(Cycle now)
         ++(req.write ? ctrWrites_ : ctrReads_);
         ctrBytes_ += config_.lineSize;
         if (!req.write) {
-            inflight_.push_back({MemRsp{req.reqId, req.tag},
+            inflight_.push_back({MemRsp{req.reqId},
                                  now + config_.latency + lineCycles_});
         }
         input_.pop();

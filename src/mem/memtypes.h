@@ -4,7 +4,7 @@
  *
  * The simulator keeps a functional/timing split (DESIGN.md §4.2): data values
  * are computed functionally at execute time, so cache traffic carries only
- * addresses, access types, and elastic trace tags. A response completes the
+ * addresses, access types and request ids. A response completes the
  * instruction that issued the request (matched by reqId).
  */
 
@@ -27,7 +27,6 @@ struct CoreReq
     bool write = false;
     uint64_t reqId = 0; ///< unique id used to match the response
     uint32_t lane = 0;  ///< issuing lane; echoed in the response
-    Tag tag;            ///< elastic trace tag (PC + wavefront id)
 };
 
 /** Core-side response. */
@@ -37,7 +36,6 @@ struct CoreRsp
     uint32_t lane = 0;
     bool write = false; ///< completion of a store (no data); cache-to-cache
                         ///< links drop these, the LSU consumes them
-    Tag tag;
 };
 
 /** A memory-side (line granular) request. */
@@ -46,14 +44,12 @@ struct MemReq
     Addr lineAddr = 0; ///< aligned to the line size
     bool write = false;
     uint64_t reqId = 0;
-    Tag tag;
 };
 
 /** Memory-side response (only reads produce responses). */
 struct MemRsp
 {
     uint64_t reqId = 0;
-    Tag tag;
 };
 
 /**

@@ -59,8 +59,7 @@ SharedMem::tick(Cycle now)
             continue;
         }
         bankBusy_[b] = 1;
-        pipe_.enqueueSlot(now) =
-            CoreRsp{req.reqId, req.lane, req.write, req.tag};
+        pipe_.enqueueSlot(now) = CoreRsp{req.reqId, req.lane, req.write};
         ++ctrAccesses_;
         lane.pop();
         --pendingLaneReqs_;

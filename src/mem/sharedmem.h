@@ -45,6 +45,9 @@ class SharedMem
     bool tick(Cycle now);
     /** Earliest cycle a response emerges (kNoEvent when none). */
     Cycle nextEventAt() const { return pipe_.nextReadyAt(); }
+    /** No lane request pending and nothing in the pipe: tick() would
+     *  change nothing, so the owning core does not call it. */
+    bool quiet() const { return pendingLaneReqs_ == 0 && pipe_.empty(); }
     bool idle() const;
 
     StatGroup& stats() { return stats_; }

@@ -127,7 +127,6 @@ TexUnit::startBatch(Cycle now)
     const TexRequest req = input_.pop();
     Batch batch;
     batch.rsp.reqId = req.reqId;
-    batch.rsp.tag = req.tag;
     batch.rsp.colors.assign(req.lanes.size(), 0);
     batch.startedAt = now;
 
@@ -194,7 +193,6 @@ TexUnit::tick(Cycle now)
             creq.write = false;
             creq.reqId = allocReqId_();
             creq.lane = lane;
-            creq.tag = batch_->rsp.tag;
             pending_.push_back(creq.reqId);
             dcache_->lanePush(lane, creq);
             toIssue_.pop_front();

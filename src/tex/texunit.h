@@ -64,7 +64,6 @@ struct TexRequest
 {
     uint64_t reqId = 0;
     uint32_t stage = 0; ///< texture stage (CSR window index)
-    Tag tag;
     TexLaneVec lanes;   ///< per-thread sample coordinates
 };
 
@@ -72,7 +71,6 @@ struct TexRequest
 struct TexResponse
 {
     uint64_t reqId = 0;
-    Tag tag;
     TexColorVec colors; ///< one color per lane of the request
 };
 

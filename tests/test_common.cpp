@@ -100,6 +100,27 @@ TEST(ElasticQueue, OverflowUnderflowPanic)
     EXPECT_THROW(q.front(), PanicError);
 }
 
+TEST(ElasticQueue, PushSlotFillsInPlace)
+{
+    ElasticQueue<int> q(2, "t");
+    q.pushSlot() = 5;
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_FALSE(q.full());
+    q.push(6); // in-place and copy pushes share one FIFO
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_TRUE(q.full());
+    EXPECT_THROW(q.pushSlot(), PanicError);
+    EXPECT_EQ(q.pop(), 5);
+    EXPECT_EQ(q.pop(), 6);
+    // Two slots, both popped: the ring wraps to the slot 5 left, and
+    // hands it back untouched.
+    int& slot = q.pushSlot();
+    EXPECT_EQ(slot, 5);
+    slot = 7;
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.front(), 7);
+}
+
 TEST(ElasticQueue, ZeroCapacityRejected)
 {
     EXPECT_THROW(ElasticQueue<int>(0, "t"), PanicError);

@@ -17,7 +17,8 @@
  * path of dormant cores and shared caches (ARCHITECTURE.md "Dormant
  * cores and caches"): L2-clustered cores (also with a multi-cycle
  * scratchpad), L2 clusters in front of an L3, a global-barrier guest, an
- * L3 without L2s, plus a sampled series whose prime interval lands
+ * L3 without L2s, one core of 64 wavefronts (the top bit of every
+ * per-wavefront mask), plus a sampled series whose prime interval lands
  * samples mid-sleep. Stall counters that a dormant core or shared cache
  * re-credits for each sleeping cycle are in those rows, so a missed
  * credit, a missed timer or a missed wake shows up here. The
@@ -120,6 +121,7 @@ enum class Machine
     Flat4,              ///< 4 cores straight to board memory
     L3Only4,            ///< 4 cores sharing an L3, no L2
     Clustered8L3,       ///< Clustered8 with the two L2s in front of an L3
+    Wide64,             ///< 1 core of 64 wavefronts (bit 63 of every mask)
 };
 
 /** One run pinned by its whole flattened counter row. */
@@ -339,6 +341,33 @@ const GoldenRow kGoldenRows[] = {
         {"mem.reads", 394}, {"mem.bytes", 205952}, {"mem.responses", 394},
         {"mem.writes", 2824},
      }},
+    {"saxpy/1c-64w", Machine::Wide64, "saxpy", 59291,
+     {
+        {"core.thread_instrs", 59572}, {"core.warp_instrs", 15030},
+        {"core.fetches", 15030}, {"core.writebacks", 10599},
+        {"core.retired", 15030}, {"core.issue_scoreboard_stalls", 11370},
+        {"core.wspawned", 63}, {"core.issue_structural_stalls", 1274406},
+        {"core.barriers", 64}, {"icache.core_reads", 15030},
+        {"icache.sel_candidates", 15032}, {"icache.sel_accepted", 15030},
+        {"icache.sel_conflicts", 0}, {"icache.read_misses", 147},
+        {"icache.mem_reqs", 9}, {"icache.fills", 9},
+        {"icache.mshr_replays", 9}, {"icache.core_rsps", 15030},
+        {"icache.read_hits", 14883}, {"icache.mshr_merges", 138},
+        {"icache.sel_input_full", 2}, {"dcache.core_writes", 3585},
+        {"dcache.sel_candidates", 77533}, {"dcache.sel_accepted", 15363},
+        {"dcache.sel_conflicts", 22361}, {"dcache.write_misses", 1553},
+        {"dcache.core_rsps", 15363}, {"dcache.mem_reqs", 5287},
+        {"dcache.core_reads", 11778}, {"dcache.read_misses", 4643},
+        {"dcache.fills", 1702}, {"dcache.mshr_replays", 1702},
+        {"dcache.memq_stalls", 6557}, {"dcache.sel_input_full", 39809},
+        {"dcache.read_hits", 7135}, {"dcache.mshr_merges", 2941},
+        {"dcache.evictions", 1446}, {"dcache.write_hits", 2032},
+        {"dcache.mshr_stalls", 9727}, {"smem.writes", 3},
+        {"smem.candidates", 1861}, {"smem.accesses", 771},
+        {"smem.reads", 768}, {"smem.bank_conflicts", 1090},
+        {"mem.reads", 1711}, {"mem.bytes", 338944}, {"mem.responses", 1711},
+        {"mem.writes", 3585},
+     }},
 };
 
 core::ArchConfig
@@ -365,6 +394,10 @@ machineConfig(Machine m, bool parallel_tick)
         c = sweep::baselineConfig(4);
         c.l2Enabled = false;
         c.l3Enabled = true;
+        break;
+      case Machine::Wide64:
+        c = sweep::baselineConfig(1);
+        c.numWarps = 64;
         break;
     }
     c.parallelTick = parallel_tick;

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Byte-identity gate for the shipped campaigns.
 
-Runs every ``examples/specs/*.toml`` cold (no result cache) through
+Runs every ``examples/specs/*.toml`` and every benchmark workload in
+``perfbench/specs/*.toml`` cold (no result cache) through
 ``vortex_sweep run --jobs 4`` and compares the SHA-256 of the emitted CSV
 and JSON, plus the exit status, against the pinned digests in
-``ci/golden_outputs.json``. Any simulator change that is meant to be
+``ci/golden_outputs.json``. A benchmark spec is pinned under the key
+``perfbench/NAME``; the spec files are only read. Any simulator change that is meant to be
 behaviour-preserving (host-performance work above all) must leave every
 digest unchanged; a deliberate timing-model change regenerates the file
 with ``--update`` and says so.
@@ -28,7 +30,9 @@ import subprocess
 import sys
 import tempfile
 
-SPECS_DIR = os.path.join("examples", "specs")
+# (directory, key prefix): example campaigns keep their bare names.
+SPEC_DIRS = ((os.path.join("examples", "specs"), ""),
+             (os.path.join("perfbench", "specs"), "perfbench/"))
 GOLDEN = os.path.join("ci", "golden_outputs.json")
 JOBS = 4
 
@@ -41,11 +45,11 @@ def sha256(path):
     return h.hexdigest()
 
 
-def run_spec(sweep, spec, workdir):
+def run_spec(sweep, spec, name, workdir):
     """Run one spec cold; return its exit status and output digests."""
-    name = os.path.splitext(os.path.basename(spec))[0]
-    csv = os.path.join(workdir, name + ".csv")
-    js = os.path.join(workdir, name + ".json")
+    stem = name.replace("/", "_")
+    csv = os.path.join(workdir, stem + ".csv")
+    js = os.path.join(workdir, stem + ".json")
     proc = subprocess.run(
         [sweep, "run", "--spec", spec, "--jobs", str(JOBS), "--csv", csv,
          "--json", js, "--quiet"],
@@ -53,7 +57,7 @@ def run_spec(sweep, spec, workdir):
     result = {"exit": proc.returncode}
     for key, path in (("csv_sha256", csv), ("json_sha256", js)):
         result[key] = sha256(path) if os.path.exists(path) else None
-    return name, result, proc.stderr
+    return result, proc.stderr
 
 
 def main():
@@ -69,8 +73,9 @@ def main():
     if not os.access(args.sweep, os.X_OK):
         print("error: not an executable: " + args.sweep, file=sys.stderr)
         return 2
-    specs = sorted(os.path.join(SPECS_DIR, f)
-                   for f in os.listdir(SPECS_DIR) if f.endswith(".toml"))
+    specs = sorted((prefix + os.path.splitext(f)[0], os.path.join(d, f))
+                   for d, prefix in SPEC_DIRS
+                   for f in os.listdir(d) if f.endswith(".toml"))
 
     pinned = {}
     if not args.update:
@@ -85,18 +90,18 @@ def main():
     got = {}
     failures = 0
     with tempfile.TemporaryDirectory(prefix="golden_outputs_") as workdir:
-        for spec in specs:
-            name, result, stderr = run_spec(args.sweep, spec, workdir)
+        for name, spec in specs:
+            result, stderr = run_spec(args.sweep, spec, name, workdir)
             got[name] = result
             if args.update:
-                print("%-18s exit=%d" % (name, result["exit"]))
+                print("%-22s exit=%d" % (name, result["exit"]))
                 continue
             want = pinned.get(name)
             if want == result:
-                print("%-18s ok" % name)
+                print("%-22s ok" % name)
                 continue
             failures += 1
-            print("%-18s MISMATCH" % name)
+            print("%-22s MISMATCH" % name)
             for key in ("exit", "csv_sha256", "json_sha256"):
                 w = None if want is None else want.get(key)
                 if w != result[key]:
@@ -112,7 +117,7 @@ def main():
         return 0
     for name in sorted(set(pinned) - set(got)):
         failures += 1
-        print("%-18s MISSING (pinned but no spec file)" % name)
+        print("%-22s MISSING (pinned but no spec file)" % name)
     if failures:
         print("%d spec(s) differ from %s" % (failures, args.golden))
         return 1
