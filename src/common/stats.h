@@ -4,12 +4,25 @@
  * benches, the sweep campaign engine, and EXPERIMENTS tooling read them
  * by name.
  *
+ * Every counter exists from construction. A component declares each one
+ * as a `uint64_t&` member bound right after its StatGroup member:
+ *
+ *     StatGroup stats_;
+ *     uint64_t& ctrReads_ = stats_.counter("reads");
+ *
+ * so the key is registered zero-valued, in declaration order, when the
+ * component is built, and a hot-path bump is one increment through a
+ * stable reference. A group's keys therefore depend only on which
+ * components exist (the machine shape), never on which events a run
+ * happened to raise: CSV columns, JSON stats and time-series rows of two
+ * runs on the same machine line up key for key.
+ *
  * Counter naming conventions:
  *  - keys are lower_snake_case event counts ("core_reads", "mshr_replays",
  *    "fetch_icache_stalls"), monotonically non-decreasing over a run;
  *  - group names are the component instance ("dcache", "memsim"); when
  *    groups are aggregated across a device the flattened key is
- *    "<group>.<key>" (see sweep::Campaign);
+ *    "<group>.<key>" (see core::Processor::collectStats);
  *  - derived metrics (ratios, utilizations) are NOT counters — compute
  *    them from counters at the point of reporting (e.g.
  *    mem::Cache::bankUtilization()).
@@ -25,16 +38,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.h"
+
 namespace vortex {
 
 /**
  * A named collection of 64-bit counters, printed and iterated in
- * insertion order (the order a component first touched each counter —
- * typically its natural event order, not alphabetical).
+ * registration order.
  *
  * Storage is a deque so counter references stay valid as later keys are
- * inserted; CounterRef exploits that to turn hot-path counter bumps into
- * a single pointer increment (see below).
+ * inserted: a component binds each of its counters once, at construction,
+ * and bumps it through that reference (see the file comment).
  */
 class StatGroup
 {
@@ -55,10 +69,6 @@ class StatGroup
         return items_[it->second].second;
     }
 
-    /** A cached hot-path handle to counter @p key (see CounterRef below;
-     *  defined out of line because CounterRef needs the full group). */
-    inline class CounterRef counterRef(std::string key);
-
     /** Read @p key without creating it (0 when absent). */
     uint64_t
     get(const std::string& key) const
@@ -76,7 +86,7 @@ class StatGroup
             counter(k) += v;
     }
 
-    /** All (key, value) pairs in insertion order. */
+    /** All (key, value) pairs in registration order. */
     const std::deque<std::pair<std::string, uint64_t>>&
     all() const
     {
@@ -86,7 +96,7 @@ class StatGroup
     /** The group (component-instance) name. */
     const std::string& name() const { return name_; }
 
-    /** Print "name.key = value" lines in insertion order. */
+    /** Print "name.key = value" lines in registration order. */
     void
     print(std::ostream& os) const
     {
@@ -102,63 +112,6 @@ class StatGroup
 };
 
 /**
- * A cached handle to one StatGroup counter, for hot paths that bump the
- * same counter every simulated event. A plain `g.counter("key")` pays a
- * string hash + map probe per bump; a CounterRef pays it once and then
- * increments through a stable `uint64_t*` (StatGroup's deque storage
- * never relocates entries).
- *
- * Resolution is deliberately *lazy* — the counter is registered on the
- * first bump, not at handle construction — so a group's key set and
- * insertion order remain exactly the first-touch order they had before
- * handles existed. That keeps flattened stats, CSV columns, and
- * time-series keys byte-identical: a counter a run never bumps still
- * never appears. Convention for new hot-path code: resolve a CounterRef
- * member at component construction and bump it with `++ref` / `ref += n`
- * (see ARCHITECTURE.md "Host-performance playbook").
- */
-class CounterRef
-{
-  public:
-    /** An unbound handle (never resolvable; for late initialization). */
-    CounterRef() = default;
-
-    /** A handle to @p group's counter @p key (not yet registered). */
-    CounterRef(StatGroup& group, std::string key)
-        : group_(&group), key_(std::move(key))
-    {
-    }
-
-    /** The counter itself, registering it on first access. */
-    uint64_t&
-    value()
-    {
-        if (!ptr_)
-            ptr_ = &group_->counter(key_);
-        return *ptr_;
-    }
-
-    /** Bump by one (`++ref`). */
-    uint64_t& operator++() { return ++value(); }
-    /** Bump by @p n (`ref += n`). */
-    uint64_t& operator+=(uint64_t n) { return value() += n; }
-
-    /** Read without registering (0 while unregistered). */
-    uint64_t get() const { return ptr_ ? *ptr_ : 0; }
-
-  private:
-    uint64_t* ptr_ = nullptr; ///< resolved on first bump; stable after
-    StatGroup* group_ = nullptr;
-    std::string key_;
-};
-
-inline CounterRef
-StatGroup::counterRef(std::string key)
-{
-    return CounterRef(*this, std::move(key));
-}
-
-/**
  * A delta-encoded counter time series: one row per counter key, one
  * column per sample window. Column s covers the cycles
  * (sampleCycles[s-1], sampleCycles[s]] (from cycle 0 for s == 0), and
@@ -168,15 +121,15 @@ StatGroup::counterRef(std::string key)
  *
  * Samples land on multiples of `interval`; the last window may be a
  * shorter end-of-run remainder (sampleCycles.back() is then the final
- * cycle count). Keys appear in first-seen order; a counter first touched
- * mid-run is backfilled with zero deltas for the windows before it
- * existed, so the rows always form a rectangular matrix.
+ * cycle count). Keys are those of the first snapshot, in its order; every
+ * later snapshot has the same keys, so the rows form a rectangular
+ * matrix.
  */
 struct TimeSeries
 {
     uint64_t interval = 0; ///< sampling period in cycles (0 = disabled)
     std::vector<uint64_t> sampleCycles; ///< cycle stamp of each sample
-    std::vector<std::string> keys;      ///< counter names, first-seen order
+    std::vector<std::string> keys;      ///< counter names, snapshot order
     std::vector<std::vector<uint64_t>> deltas; ///< [key][sample] increments
 
     /** Number of sample windows taken. */
@@ -232,28 +185,33 @@ class StatSampler
 
     /** Record the increments since the previous sample as a new window
      *  stamped @p now. @p snapshot must be monotonically non-decreasing
-     *  between calls and @p now strictly increasing. */
+     *  between calls, @p now strictly increasing, and every snapshot must
+     *  hold the first one's keys in the first one's order (a panic
+     *  otherwise: rows are read by position). */
     void
     sample(uint64_t now, const StatGroup& snapshot)
     {
-        // Register keys new to this snapshot, backfilling zero deltas for
-        // the windows recorded before the counter first existed.
-        for (const auto& [k, v] : snapshot.all()) {
-            (void)v;
-            auto [it, inserted] = index_.try_emplace(k, series_.keys.size());
-            (void)it;
-            if (inserted) {
+        const auto& items = snapshot.all();
+        if (series_.empty()) {
+            for (const auto& [k, v] : items)
                 series_.keys.push_back(k);
-                series_.deltas.emplace_back(series_.numSamples(), 0);
-            }
+            series_.deltas.resize(items.size());
+            prev_.assign(items.size(), 0);
         }
-        for (size_t k = 0; k < series_.keys.size(); ++k) {
-            const std::string& key = series_.keys[k];
-            uint64_t v = snapshot.get(key);
-            series_.deltas[k].push_back(v - prev_.get(key));
+        if (items.size() != series_.keys.size())
+            panic("stat sampler: snapshot at cycle ", now, " has ",
+                  items.size(), " counters, the first had ",
+                  series_.keys.size());
+        for (size_t k = 0; k < items.size(); ++k) {
+            const auto& [key, v] = items[k];
+            if (key != series_.keys[k])
+                panic("stat sampler: counter #", k, " at cycle ", now,
+                      " is '", key, "', the first snapshot had '",
+                      series_.keys[k], "'");
+            series_.deltas[k].push_back(v - prev_[k]);
+            prev_[k] = v;
         }
         series_.sampleCycles.push_back(now);
-        prev_ = snapshot;
     }
 
     /** End-of-run partial window: like sample(), but a no-op when
@@ -274,8 +232,7 @@ class StatSampler
 
   private:
     TimeSeries series_;
-    StatGroup prev_; ///< counter values at the previous sample
-    std::map<std::string, size_t> index_; ///< key -> row in series_.keys
+    std::vector<uint64_t> prev_; ///< counter values at the previous sample
 };
 
 } // namespace vortex

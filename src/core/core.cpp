@@ -78,15 +78,15 @@ Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
         [this](const mem::CoreRsp& rsp) { onLsuRsp(rsp.reqId); });
 }
 
-std::array<CounterRef*, Core::kStallCounters>
+std::array<uint64_t*, Core::kStallCounters>
 Core::stallCounters()
 {
-    std::array<CounterRef*, kStallCounters> all{
+    std::array<uint64_t*, kStallCounters> all{
         &ctrFetchIcacheStalls_, &ctrIssueScoreboardStalls_,
         &ctrIssueStructuralStalls_};
     size_t slot = 3;
     for (mem::Cache* l1 : {icache_.get(), dcache_.get()})
-        for (CounterRef* ctr : l1->stallCounters())
+        for (uint64_t* ctr : l1->stallCounters())
             all[slot++] = ctr;
     return all;
 }
@@ -147,7 +147,7 @@ Core::activateWarp(WarpId wid, Addr pc)
         return;
     warps_[wid].reset(pc, 1);
     scheduler_.setActive(wid, true);
-    ++stats_.counter("wspawned");
+    ++ctrWspawned_;
     dormancy_.latch.wake();
 }
 

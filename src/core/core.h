@@ -270,16 +270,18 @@ class Core
     Cycle curCycle_ = 0;
     uint64_t threadInstrs_ = 0;
     uint64_t warpInstrs_ = 0;
+    // Counters, registered in this order at construction (common/stats.h).
     StatGroup stats_;
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrFetchIcacheStalls_{stats_, "fetch_icache_stalls"};
-    CounterRef ctrFetches_{stats_, "fetches"};
-    CounterRef ctrIssueScoreboardStalls_{stats_, "issue_scoreboard_stalls"};
-    CounterRef ctrIssueStructuralStalls_{stats_, "issue_structural_stalls"};
-    CounterRef ctrBarriers_{stats_, "barriers"};
-    CounterRef ctrWritebacks_{stats_, "writebacks"};
-    CounterRef ctrRetired_{stats_, "retired"};
+    uint64_t& ctrFetchIcacheStalls_ = stats_.counter("fetch_icache_stalls");
+    uint64_t& ctrFetches_ = stats_.counter("fetches");
+    uint64_t& ctrIssueScoreboardStalls_ =
+        stats_.counter("issue_scoreboard_stalls");
+    uint64_t& ctrIssueStructuralStalls_ =
+        stats_.counter("issue_structural_stalls");
+    uint64_t& ctrBarriers_ = stats_.counter("barriers");
+    uint64_t& ctrWspawned_ = stats_.counter("wspawned");
+    uint64_t& ctrWritebacks_ = stats_.counter("writebacks");
+    uint64_t& ctrRetired_ = stats_.counter("retired");
 
     //
     // Dormancy (ARCHITECTURE.md "Dormant cores and caches").
@@ -290,7 +292,7 @@ class Core
     static constexpr size_t kStallCounters =
         3 + 2 * std::tuple_size_v<decltype(std::declval<mem::Cache&>()
                                                .stallCounters())>;
-    std::array<CounterRef*, kStallCounters> stallCounters();
+    std::array<uint64_t*, kStallCounters> stallCounters();
     mem::Dormancy<kStallCounters> dormancy_{stallCounters()};
 };
 

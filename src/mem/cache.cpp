@@ -44,25 +44,7 @@ Cache::Cache(const CacheConfig& config, bool shared)
       memQueue_(config.memQueueDepth, "cache.memq"),
       instanceBase_(nextInstanceBase()),
       fillPool_(instanceBase_, "cache.fills"),
-      stats_(config.name),
-      ctrCoreReads_(stats_, "core_reads"),
-      ctrCoreWrites_(stats_, "core_writes"),
-      ctrCoreRsps_(stats_, "core_rsps"),
-      ctrMemReqs_(stats_, "mem_reqs"),
-      ctrMshrReplays_(stats_, "mshr_replays"),
-      ctrFills_(stats_, "fills"),
-      ctrMemqStalls_(stats_, "memq_stalls"),
-      ctrWriteHits_(stats_, "write_hits"),
-      ctrWriteMisses_(stats_, "write_misses"),
-      ctrReadHits_(stats_, "read_hits"),
-      ctrReadMisses_(stats_, "read_misses"),
-      ctrMshrMerges_(stats_, "mshr_merges"),
-      ctrMshrStalls_(stats_, "mshr_stalls"),
-      ctrEvictions_(stats_, "evictions"),
-      ctrSelCandidates_(stats_, "sel_candidates"),
-      ctrSelInputFull_(stats_, "sel_input_full"),
-      ctrSelAccepted_(stats_, "sel_accepted"),
-      ctrSelConflicts_(stats_, "sel_conflicts")
+      stats_(config.name)
 {
     if (!isPow2(config.lineSize))
         fatal("cache '", config.name, "': lineSize must be a power of two");
@@ -492,16 +474,14 @@ Cache::flushAll()
         for (Way& w : bank.ways)
             w.valid = false;
     }
-    ++stats_.counter("flushes");
+    ++ctrFlushes_;
 }
 
 double
 Cache::bankUtilization() const
 {
-    uint64_t accepted = stats_.get("sel_accepted");
-    uint64_t conflicts = stats_.get("sel_conflicts");
-    uint64_t total = accepted + conflicts;
-    return total == 0 ? 1.0 : static_cast<double>(accepted) / total;
+    uint64_t total = ctrSelAccepted_ + ctrSelConflicts_;
+    return total == 0 ? 1.0 : static_cast<double>(ctrSelAccepted_) / total;
 }
 
 } // namespace vortex::mem

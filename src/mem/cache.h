@@ -123,7 +123,7 @@ class Cache
 
     /** The per-cycle stall counters (sel_candidates, sel_input_full,
      *  memq_stalls, mshr_stalls): all a tick returning false bumps. */
-    std::array<CounterRef*, 4>
+    std::array<uint64_t*, 4>
     stallCounters()
     {
         return {&ctrSelCandidates_, &ctrSelInputFull_, &ctrMemqStalls_,
@@ -323,31 +323,28 @@ class Cache
     uint64_t nextWriteReqId_ = 1;    ///< write (untracked) id counter
     SlotPool<PendingFill> fillPool_; ///< in-flight read fills by reqId
 
+    // Counters, registered in this order at construction (the group's
+    // key order; see common/stats.h).
     StatGroup stats_;
-
-    //
-    // Hot-path counter handles (see CounterRef in common/stats.h):
-    // resolved lazily on first bump so the flattened key order stays
-    // byte-identical to the string-keyed paths they replace.
-    //
-    CounterRef ctrCoreReads_;
-    CounterRef ctrCoreWrites_;
-    CounterRef ctrCoreRsps_;
-    CounterRef ctrMemReqs_;
-    CounterRef ctrMshrReplays_;
-    CounterRef ctrFills_;
-    CounterRef ctrMemqStalls_;
-    CounterRef ctrWriteHits_;
-    CounterRef ctrWriteMisses_;
-    CounterRef ctrReadHits_;
-    CounterRef ctrReadMisses_;
-    CounterRef ctrMshrMerges_;
-    CounterRef ctrMshrStalls_;
-    CounterRef ctrEvictions_;
-    CounterRef ctrSelCandidates_;
-    CounterRef ctrSelInputFull_;
-    CounterRef ctrSelAccepted_;
-    CounterRef ctrSelConflicts_;
+    uint64_t& ctrCoreReads_ = stats_.counter("core_reads");
+    uint64_t& ctrCoreWrites_ = stats_.counter("core_writes");
+    uint64_t& ctrCoreRsps_ = stats_.counter("core_rsps");
+    uint64_t& ctrMemReqs_ = stats_.counter("mem_reqs");
+    uint64_t& ctrMshrReplays_ = stats_.counter("mshr_replays");
+    uint64_t& ctrFills_ = stats_.counter("fills");
+    uint64_t& ctrMemqStalls_ = stats_.counter("memq_stalls");
+    uint64_t& ctrWriteHits_ = stats_.counter("write_hits");
+    uint64_t& ctrWriteMisses_ = stats_.counter("write_misses");
+    uint64_t& ctrReadHits_ = stats_.counter("read_hits");
+    uint64_t& ctrReadMisses_ = stats_.counter("read_misses");
+    uint64_t& ctrMshrMerges_ = stats_.counter("mshr_merges");
+    uint64_t& ctrMshrStalls_ = stats_.counter("mshr_stalls");
+    uint64_t& ctrEvictions_ = stats_.counter("evictions");
+    uint64_t& ctrSelCandidates_ = stats_.counter("sel_candidates");
+    uint64_t& ctrSelInputFull_ = stats_.counter("sel_input_full");
+    uint64_t& ctrSelAccepted_ = stats_.counter("sel_accepted");
+    uint64_t& ctrSelConflicts_ = stats_.counter("sel_conflicts");
+    uint64_t& ctrFlushes_ = stats_.counter("flushes");
 
     std::unique_ptr<Dormancy<4>> dormancy_; ///< null unless shared
 };

@@ -80,13 +80,12 @@ class MemSim : public MemSink
 
     std::function<void(const MemRsp&)> rspCallback_;
     std::vector<WakeLatch*> creditWakes_; ///< addCreditWake()
+    // Counters, registered in this order at construction (common/stats.h).
     StatGroup stats_{"memsim"};
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrReads_{stats_, "reads"};
-    CounterRef ctrWrites_{stats_, "writes"};
-    CounterRef ctrBytes_{stats_, "bytes"};
-    CounterRef ctrResponses_{stats_, "responses"};
+    uint64_t& ctrReads_ = stats_.counter("reads");
+    uint64_t& ctrWrites_ = stats_.counter("writes");
+    uint64_t& ctrBytes_ = stats_.counter("bytes");
+    uint64_t& ctrResponses_ = stats_.counter("responses");
 };
 
 } // namespace vortex::mem

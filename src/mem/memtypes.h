@@ -79,7 +79,7 @@ template <size_t N>
 class Dormancy
 {
   public:
-    explicit Dormancy(std::array<CounterRef*, N> counters)
+    explicit Dormancy(std::array<uint64_t*, N> counters)
         : counters_(counters)
     {
     }
@@ -103,7 +103,7 @@ class Dormancy
         settledAt_ = now;
         ++cycles_;
         for (size_t i = 0; i < N; ++i)
-            before_[i] = counters_[i]->get();
+            before_[i] = *counters_[i];
     }
 
     /** The tick at @p now changed nothing: sleep until @p wake_at (a
@@ -114,16 +114,8 @@ class Dormancy
     {
         if (wake_at <= now + 1)
             return;
-        // A counter with a nonzero delta was bumped this tick, so it is
-        // already registered and value() does not change the key order
-        // (crediting `+= 0` would register it and reorder CSV columns).
-        numCredits_ = 0;
-        for (size_t i = 0; i < N; ++i) {
-            const uint64_t delta = counters_[i]->get() - before_[i];
-            if (delta != 0)
-                credits_[numCredits_++] =
-                    Credit{&counters_[i]->value(), delta};
-        }
+        for (size_t i = 0; i < N; ++i)
+            perCycle_[i] = *counters_[i] - before_[i];
         latch.sleepUntil = wake_at;
     }
 
@@ -137,8 +129,8 @@ class Dormancy
         settledAt_ = now;
         cycles_ += n;
         dormant_ += n;
-        for (size_t i = 0; i < numCredits_; ++i)
-            *credits_[i].counter += credits_[i].delta * n;
+        for (size_t i = 0; i < N; ++i)
+            *counters_[i] += perCycle_[i] * n;
     }
 
     /** Cycles accounted so far, ticked or slept. */
@@ -147,17 +139,11 @@ class Dormancy
     uint64_t dormantCycles() const { return dormant_; }
 
   private:
-    /** A per-cycle increment re-credited while asleep. */
-    struct Credit
-    {
-        uint64_t* counter;
-        uint64_t delta;
-    };
-
-    std::array<CounterRef*, N> counters_;
+    std::array<uint64_t*, N> counters_;
     std::array<uint64_t, N> before_{};
-    std::array<Credit, N> credits_{};
-    size_t numCredits_ = 0;
+    /** Each counter's increment in the tick before the sleep, credited
+     *  again for every slept cycle. */
+    std::array<uint64_t, N> perCycle_{};
     Cycle settledAt_ = 0; ///< last cycle credited (ticked or slept)
     uint64_t cycles_ = 0;
     uint64_t dormant_ = 0;

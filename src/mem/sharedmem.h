@@ -65,14 +65,13 @@ class SharedMem
     std::function<void(const CoreRsp&)> rspCallback_;
     std::vector<uint8_t> bankBusy_; ///< per-tick arbiter scratch (no alloc)
     size_t pendingLaneReqs_ = 0; ///< queued lane requests (tick early-out)
+    // Counters, registered in this order at construction (common/stats.h).
     StatGroup stats_{"sharedmem"};
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrReads_{stats_, "reads"};
-    CounterRef ctrWrites_{stats_, "writes"};
-    CounterRef ctrCandidates_{stats_, "candidates"};
-    CounterRef ctrBankConflicts_{stats_, "bank_conflicts"};
-    CounterRef ctrAccesses_{stats_, "accesses"};
+    uint64_t& ctrReads_ = stats_.counter("reads");
+    uint64_t& ctrWrites_ = stats_.counter("writes");
+    uint64_t& ctrCandidates_ = stats_.counter("candidates");
+    uint64_t& ctrBankConflicts_ = stats_.counter("bank_conflicts");
+    uint64_t& ctrAccesses_ = stats_.counter("accesses");
 };
 
 } // namespace vortex::mem

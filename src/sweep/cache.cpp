@@ -1,6 +1,6 @@
 /**
  * @file
- * CacheStore implementation: v2 entry I/O, the manifest, pruning, and
+ * CacheStore implementation: v3 entry I/O, the manifest, pruning, and
  * cross-directory merge. See cache.h for the on-disk format.
  */
 
@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -25,11 +26,13 @@ namespace vortex::sweep {
 
 namespace {
 
-// v2: "campaign" provenance line + the time-series block. v1 entries
-// fail the magic check and simply miss (the run is re-simulated).
-// Provenance lines added since (host_seconds, kernel) ride the
-// unknown-tag rule and do not bump the version.
-constexpr const char* kCacheMagic = "vortex-sweep-cache v2";
+// v3: every counter of the machine, zero or not (counters exist from
+// construction). A v2 entry holds only the counters its run happened to
+// bump, so restoring it beside fresh records would change a campaign's
+// columns; like v1 entries it fails the magic check and simply misses
+// (the run is re-simulated). Provenance lines (host_seconds, kernel)
+// ride the unknown-tag rule and do not bump the version.
+constexpr const char* kCacheMagic = "vortex-sweep-cache v3";
 
 /** Mirror of Processor::ipc() so cache-restored records reproduce the
  *  exact double a fresh run reports. */
@@ -78,6 +81,35 @@ isoUtc(int64_t epochSeconds)
     return buf;
 }
 
+/** Append every remaining token of @p ls to @p out as an unsigned
+ *  decimal number; false when one is not (a sign, a fraction, trailing
+ *  text, overflow). */
+bool
+readNumbers(std::istream& ls, std::vector<uint64_t>& out)
+{
+    std::string tok;
+    while (ls >> tok) {
+        uint64_t v = 0;
+        const char* end = tok.data() + tok.size();
+        auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+        if (ec != std::errc() || ptr != end)
+            return false;
+        out.push_back(v);
+    }
+    return true;
+}
+
+/** The rest of @p ls as exactly one unsigned number, into @p out. */
+bool
+readNumber(std::istream& ls, uint64_t& out)
+{
+    std::vector<uint64_t> v;
+    if (!readNumbers(ls, v) || v.size() != 1)
+        return false;
+    out = v[0];
+    return true;
+}
+
 /** One entry file, parsed once. */
 struct Entry
 {
@@ -88,10 +120,12 @@ struct Entry
 /**
  * Parse the entry file at @p path, which must describe @p hash (its file
  * name). The one validity rule every reader applies: the magic line, a
- * `hash` line equal to @p hash, the `end` terminator, and a rectangular
- * series (every delta row as long as the cycle-stamp vector). Any defect
- * — a missing file, a stale format, a foreign or torn entry, a corrupt
- * series — yields nullopt.
+ * `hash` line equal to @p hash, the `end` terminator, payload numbers
+ * that parse whole, and a rectangular series (every delta row as long as
+ * the cycle-stamp vector). Any defect — a missing file, a stale format,
+ * a foreign or torn entry, a corrupt number or series — yields nullopt:
+ * entries may come from other hosts (mergeFrom), so their contents are
+ * untrusted.
  */
 std::optional<Entry>
 readEntry(const std::string& path, const std::string& hash)
@@ -103,7 +137,7 @@ readEntry(const std::string& path, const std::string& hash)
     Entry e;
     e.info.hash = hash;
     RunRecord& rec = e.rec;
-    bool hashOk = false, complete = false;
+    bool hashOk = false, complete = false, numbersOk = true;
     while (!complete && std::getline(in, line)) {
         std::istringstream ls(line);
         std::string tag;
@@ -123,31 +157,27 @@ readEntry(const std::string& path, const std::string& hash)
         } else if (tag == "kernel") {
             ls >> e.info.kernel;
         } else if (tag == "cycles") {
-            ls >> rec.result.cycles;
+            numbersOk = readNumber(ls, rec.result.cycles);
         } else if (tag == "thread_instrs") {
-            ls >> rec.result.threadInstrs;
+            numbersOk = readNumber(ls, rec.result.threadInstrs);
         } else if (tag == "stat") {
             std::string key;
-            uint64_t value = 0;
-            ls >> key >> value;
-            rec.stats.counter(key) = value;
+            ls >> key;
+            numbersOk = readNumber(ls, rec.stats.counter(key));
         } else if (tag == "sample_interval") {
-            ls >> rec.series.interval;
+            numbersOk = readNumber(ls, rec.series.interval);
         } else if (tag == "sample_cycles") {
-            uint64_t c = 0;
-            while (ls >> c)
-                rec.series.sampleCycles.push_back(c);
+            numbersOk = readNumbers(ls, rec.series.sampleCycles);
         } else if (tag == "series") {
             std::string key;
             ls >> key;
             rec.series.keys.push_back(key);
-            rec.series.deltas.emplace_back();
-            uint64_t d = 0;
-            while (ls >> d)
-                rec.series.deltas.back().push_back(d);
+            numbersOk = readNumbers(ls, rec.series.deltas.emplace_back());
         } else if (tag == "end") {
             complete = true;
         }
+        if (!numbersOk)
+            return std::nullopt;
     }
     if (!hashOk || !complete)
         return std::nullopt;
@@ -217,7 +247,7 @@ CacheStore::store(const RunRecord& record,
         // Provenance, not payload: what the simulation cost this host
         // (host_seconds) and which registry kernel it ran (`cache list`
         // shows it). Readers that predate a tag ignore it (unknown-tag
-        // rule), so the cache format stays v2.
+        // rule), so these lines never bump the format version.
         outf << "host_seconds " << fmtDouble(record.hostSeconds) << "\n";
         outf << "kernel " << workloadKernelName(record.spec.workload)
              << "\n";

@@ -10,10 +10,10 @@
  * shims) and the ad-hoc read/write paths that used to live inside
  * Campaign.
  *
- * On-disk format (unchanged from the free-function era — v2, one
- * `<hash>.run` text file per entry plus `manifest.json`):
+ * On-disk format (v3, one `<hash>.run` text file per entry plus
+ * `manifest.json`):
  *
- *     vortex-sweep-cache v2
+ *     vortex-sweep-cache v3
  *     hash <contentHash>            # provenance lines ...
  *     id <run id>
  *     campaign <campaign name>
@@ -21,18 +21,21 @@
  *     kernel <registry kernel name>  # older entries lack it
  *     cycles <n>                     # ... payload lines
  *     thread_instrs <n>
- *     stat <key> <value>
+ *     stat <key> <value>             # every counter of the machine
  *     sample_interval / sample_cycles / series ...   # when sampled
  *     end
  *
  * One reader parses an entry file, once, and applies one validity rule:
  * the magic line, a `hash` line equal to the file name, the `end`
- * terminator, and a rectangular series (every `series` row as long as
- * `sample_cycles`). load(), recordedHostSeconds(), entries(), prune()
+ * terminator, payload numbers that parse whole (no sign, fraction or
+ * trailing text), and a rectangular series (every `series` row as long
+ * as `sample_cycles`). load(), recordedHostSeconds(), entries(), prune()
  * and mergeFrom() all use it, so a file is either an entry everywhere
  * (a hit, listed, merged, kept) or nowhere (a miss, unlisted, rejected,
  * swept). There is no lighter probe: mergeFrom's "already present" test
  * is the same rule, so a torn local copy is replaced, not kept.
+ * Entries of an older format (v1, v2) fail the magic line, so they
+ * miss, are re-simulated, and prune() sweeps them.
  *
  * The reader skips unknown tags, so adding provenance lines (that is how
  * host_seconds and kernel arrived) never bumps the version: old binaries

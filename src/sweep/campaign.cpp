@@ -263,8 +263,10 @@ void
 CampaignResult::writeCsv(std::ostream& os) const
 {
     // Stat columns: the union of counter keys over all records, in
-    // first-seen (insertion) order — stable because records are in
-    // matrix order regardless of job count or cache hits.
+    // matrix order. Runs on one machine shape share one key list, so
+    // only a sweep over shapes (L2 on/off, texture units) adds columns;
+    // stable because records are in matrix order regardless of job count
+    // or cache hits.
     StatGroup keyOrder;
     for (const RunRecord& r : records)
         for (const auto& [k, v] : r.stats.all()) {

@@ -116,8 +116,10 @@ struct CampaignResult
      * Write one CSV row per run: axis coordinates, run id, content hash,
      * ok, status (the RunStatus name — see docs/ROBUSTNESS.md), cycles,
      * thread_instrs, ipc, host metadata-free counters (the union of
-     * stat keys across records, first-seen order). Byte-stable across
-     * job counts and cache states.
+     * stat keys across records, in matrix order: every counter of each
+     * machine shape, so the columns follow the machines swept, not the
+     * events a run raised). Byte-stable across job counts and cache
+     * states.
      */
     void writeCsv(std::ostream& os) const;
 

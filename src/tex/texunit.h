@@ -139,14 +139,13 @@ class TexUnit
 
     LatencyPipe<TexResponse> samplerPipe_;
     std::function<void(const TexResponse&)> rspCallback_;
+    // Counters, registered in this order at construction (common/stats.h).
     StatGroup stats_{"texunit"};
-
-    // Hot-path counter handles (lazy CounterRef: byte-identical output).
-    CounterRef ctrRequests_{stats_, "requests"};
-    CounterRef ctrTexelFetches_{stats_, "texel_fetches"};
-    CounterRef ctrUniqueTexels_{stats_, "unique_texels"};
-    CounterRef ctrResponses_{stats_, "responses"};
-    CounterRef ctrBatchCycles_{stats_, "batch_cycles"};
+    uint64_t& ctrRequests_ = stats_.counter("requests");
+    uint64_t& ctrTexelFetches_ = stats_.counter("texel_fetches");
+    uint64_t& ctrUniqueTexels_ = stats_.counter("unique_texels");
+    uint64_t& ctrResponses_ = stats_.counter("responses");
+    uint64_t& ctrBatchCycles_ = stats_.counter("batch_cycles");
 };
 
 } // namespace vortex::tex

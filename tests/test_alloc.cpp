@@ -121,7 +121,7 @@ measure(const core::ArchConfig& config, Runner run)
  * per-event allocation (per instruction, memory op, cache miss or
  * barrier) costs far more than that; the slack covers first touches
  * that only a longer run reaches (a deeper ring, a longer merged MSHR
- * port list, a new RAM page, a counter's first bump).
+ * port list, a new RAM page).
  */
 void
 expectFlat(const core::ArchConfig& config, Runner small, Runner large)

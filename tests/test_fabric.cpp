@@ -295,10 +295,10 @@ TEST(CacheMerge, RejectsInvalidEntriesAndForeignHashes)
     // A truncated entry, a wrong-magic entry, and an entry whose
     // recorded hash does not match its file name.
     std::ofstream(src + "/0123456789abcdef.run")
-        << "vortex-sweep-cache v2\nhash 0123456789abcdef\ncycles 5\n";
+        << "vortex-sweep-cache v3\nhash 0123456789abcdef\ncycles 5\n";
     std::ofstream(src + "/fedcba9876543210.run") << "not a cache entry\n";
     std::ofstream(src + "/00000000000000aa.run")
-        << "vortex-sweep-cache v2\nhash 00000000000000bb\ncycles 1\nend\n";
+        << "vortex-sweep-cache v3\nhash 00000000000000bb\ncycles 1\nend\n";
 
     CacheStore store(dst);
     CacheMergeStats s = store.mergeFrom(src);
@@ -409,6 +409,77 @@ TEST(CacheStore, EveryReaderAppliesTheSameValidityRule)
 
     std::filesystem::remove_all(dir);
     std::filesystem::remove_all(dst);
+}
+
+TEST(CacheStore, CorruptNumbersAndOlderFormatsMiss)
+{
+    std::string dir = freshTempDir("numbers");
+    SweepSpec spec = tinySpec();
+    CampaignOptions opts;
+    opts.cacheDir = dir;
+    const std::string cold = csvOf(Campaign(opts).run(spec));
+    const RunSpec run = spec.expand()[0];
+    const std::string path = dir + "/" + run.contentHash() + ".run";
+    const std::string good = slurp(path);
+
+    // @p good with its first line starting @p prefix replaced by @p line
+    // (@p prefix "end" inserts @p line before the terminator instead).
+    auto edit = [&](const std::string& prefix, const std::string& line) {
+        if (prefix == "end")
+            return good.substr(0, good.size() - 4) + line + "\nend\n";
+        size_t at = good.find("\n" + prefix) + 1;
+        size_t eol = good.find('\n', at);
+        return good.substr(0, at) + line + good.substr(eol);
+    };
+    auto loads = [&](const std::string& bytes) {
+        std::ofstream(path, std::ios::trunc) << bytes;
+        RunRecord rec;
+        return CacheStore(dir).load(run, rec);
+    };
+
+    // A well-formed series block restores; each corrupt number below
+    // then invalidates the entry instead of being read as 0 or a prefix.
+    const std::string series = "sample_interval 100\n"
+                               "sample_cycles 100 200\n"
+                               "series core.retired 7 9";
+    ASSERT_TRUE(loads(good));
+    ASSERT_TRUE(loads(edit("end", series)));
+    const std::pair<std::string, std::string> corrupt[] = {
+        {"cycles ", "cycles 12x"},
+        {"cycles ", "cycles"},
+        {"cycles ", "cycles -12"},
+        {"thread_instrs ", "thread_instrs 5 6"},
+        {"stat dcache.read_hits ", "stat dcache.read_hits abc"},
+        {"stat dcache.read_hits ", "stat dcache.read_hits 1.5"},
+        {"stat dcache.read_hits ", "stat dcache.read_hits"},
+        {"stat dcache.read_hits ",
+         "stat dcache.read_hits 99999999999999999999"},
+        {"end", "sample_interval 10O\nsample_cycles"},
+        {"end", "sample_interval 100\nsample_cycles 100 2OO\n"
+                "series core.retired 7 9"},
+        {"end", "sample_interval 100\nsample_cycles 100 200\n"
+                "series core.retired 7 9z"},
+    };
+    for (const auto& [prefix, line] : corrupt)
+        EXPECT_FALSE(loads(edit(prefix, line))) << line;
+
+    // A valid-looking entry of the previous format (v2: only the
+    // counters its run bumped) is a miss: the warm campaign re-simulates
+    // it and emits the cold columns, and prune sweeps such a file.
+    std::string v2 = good;
+    v2.replace(0, v2.find('\n'), "vortex-sweep-cache v2");
+    EXPECT_FALSE(loads(v2));
+    CampaignResult warm = Campaign(opts).run(spec);
+    EXPECT_EQ(warm.cacheHits, 3u);
+    EXPECT_EQ(warm.cacheMisses, 1u);
+    EXPECT_EQ(csvOf(warm), cold);
+    RunRecord rec;
+    EXPECT_TRUE(CacheStore(dir).load(run, rec)); // rewritten as v3
+    std::ofstream(path, std::ios::trunc) << v2;
+    EXPECT_EQ(CacheStore(dir).prune(/*olderThanDays=*/1000.0), 1u);
+    EXPECT_FALSE(std::filesystem::exists(path));
+
+    std::filesystem::remove_all(dir);
 }
 
 //
@@ -887,7 +958,7 @@ TEST(CachePrune, SweepsTornEntriesRegardlessOfAge)
     // miss; prune must sweep it even when an --older-than window keeps
     // every healthy entry.
     std::ofstream(dir + "/00000000deadbeef.run")
-        << "vortex-sweep-cache v2\nhash 00000000deadbeef\ncycles 7\n";
+        << "vortex-sweep-cache v3\nhash 00000000deadbeef\ncycles 7\n";
     std::ofstream(dir + "/1111111111111111.run.tmp.999.1") << "partial";
     EXPECT_EQ(store.entries().size(), 4u); // torn entry never listed
 

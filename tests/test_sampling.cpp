@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for per-interval counter sampling: the StatSampler delta
- * encoding, the Processor-level determinism contract (serial vs parallel
- * tick backends produce bit-identical time series), the campaign plumbing
- * (job-count and cache-state byte-stability of the time-series JSON,
- * cache round-trip of a RunRecord with a series), disabled-by-default
- * behavior, and the result-cache hygiene tools (manifest + prune).
+ * encoding and its fixed-key-list check, counter keys fixed by the
+ * machine shape, the Processor-level determinism contract (serial vs
+ * parallel tick backends produce bit-identical time series), the
+ * campaign plumbing (job-count and cache-state byte-stability of the
+ * time-series JSON, cache round-trip of a RunRecord with a series),
+ * disabled-by-default behavior, and the result-cache hygiene tools
+ * (manifest + prune).
  */
 
 #include <gtest/gtest.h>
@@ -86,26 +88,26 @@ TEST(StatSampler, DisabledSamplerRecordsNothing)
     EXPECT_EQ(sampler.series().interval, 0u);
 }
 
-TEST(StatSampler, DeltaEncodingAndLateKeyBackfill)
+TEST(StatSampler, DeltaEncodingOverAFixedKeySet)
 {
     StatSampler sampler(100);
     EXPECT_TRUE(sampler.due(100));
     EXPECT_TRUE(sampler.due(200));
     EXPECT_FALSE(sampler.due(150));
 
+    // Both counters exist from the start, as a component's do; "b" is
+    // first bumped in window 3.
     StatGroup g;
-    g.counter("a") = 10;
+    uint64_t& a = g.counter("a");
+    uint64_t& b = g.counter("b");
+    a = 10;
     sampler.sample(100, g);
-    g.counter("a") = 25;
+    a = 25;
     sampler.sample(200, g);
-    // "b" first appears in window 3: its row must be backfilled with
-    // zeros for windows 1-2 so the matrix stays rectangular.
-    g.counter("a") = 25;
-    g.counter("b") = 7;
+    b = 7;
     sampler.sample(300, g);
     // End-of-run remainder window at cycle 342.
-    g.counter("a") = 30;
-    g.counter("b") = 7;
+    a = 30;
     sampler.finalize(342, g);
     // finalize on an already-sampled cycle is a no-op.
     sampler.finalize(342, g);
@@ -120,6 +122,64 @@ TEST(StatSampler, DeltaEncodingAndLateKeyBackfill)
     EXPECT_EQ(ts.total("a"), 30u);
     EXPECT_EQ(ts.total("b"), 7u);
     EXPECT_EQ(ts.total("nope"), 0u);
+}
+
+TEST(StatSampler, PanicsWhenASnapshotChangesTheKeyList)
+{
+    // Rows are read by position, so a snapshot whose keys differ from the
+    // first one's must be refused, not silently misaligned.
+    StatGroup first;
+    first.counter("a") = 1;
+    first.counter("b") = 2;
+
+    StatGroup extra = first; // one key more
+    extra.counter("c") = 3;
+    StatGroup fewer;         // one key less
+    fewer.counter("a") = 1;
+    StatGroup swapped;       // same keys, other order
+    swapped.counter("b") = 2;
+    swapped.counter("a") = 1;
+
+    for (const StatGroup* bad : {&extra, &fewer, &swapped}) {
+        StatSampler sampler(10);
+        sampler.sample(10, first);
+        EXPECT_THROW(sampler.sample(20, *bad), PanicError);
+        EXPECT_THROW(sampler.finalize(25, *bad), PanicError);
+    }
+}
+
+TEST(Stats, KeysDependOnlyOnMachineShape)
+{
+    auto statKeys = [](const core::ArchConfig& cfg, const char* kernel) {
+        const StatGroup flat = runSampled(cfg, kernel).second;
+        std::vector<std::string> keys;
+        for (const auto& [k, v] : flat.all())
+            keys.push_back(k);
+        return keys;
+    };
+    // Every counter is registered when its component is built, so two
+    // different kernels on one machine report the same keys in the same
+    // order, whatever events each one raised.
+    core::ArchConfig flat;
+    const std::vector<std::string> keys = statKeys(flat, "vecadd");
+    EXPECT_EQ(statKeys(flat, "bfs"), keys);
+    EXPECT_NE(std::find(keys.begin(), keys.end(), "dcache.mshr_stalls"),
+              keys.end());
+
+    // An L2-clustered machine adds exactly the l2.* keys: one per cache
+    // counter, the same names as the D$'s.
+    core::ArchConfig clustered;
+    clustered.numCores = 2;
+    clustered.coresPerCluster = 2;
+    clustered.l2Enabled = true;
+    std::vector<std::string> rest, l2, dcache;
+    for (const std::string& k : statKeys(clustered, "bfs"))
+        (k.rfind("l2.", 0) == 0 ? l2 : rest).push_back(k);
+    EXPECT_EQ(rest, keys);
+    for (const std::string& k : keys)
+        if (k.rfind("dcache.", 0) == 0)
+            dcache.push_back("l2." + k.substr(7));
+    EXPECT_EQ(l2, dcache);
 }
 
 TEST(Sampling, DisabledByDefaultOnTheDevice)
