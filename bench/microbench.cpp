@@ -10,7 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/stats.h"
-#include "core/decode_cache.h"
+#include "core/text.h"
 #include "isa/assembler.h"
 #include "isa/isa.h"
 #include "kernels/kernels.h"
@@ -112,19 +112,20 @@ BM_FetchDecode(benchmark::State& state)
 {
     // The per-fetch host cost of producing a decoded instruction from a
     // PC, over a loop-shaped 256-instruction code region. Arg 0 is the
-    // pre-decode-cache path (RAM read + full decode every fetch); arg 1
-    // is the steady-state DecodeCache::lookup path the core now runs.
+    // RAM read + full decode that a fetch outside the text pays; arg 1
+    // is the steady-state DecodedText::find lookup the core runs.
     mem::Ram ram;
     const Addr base = 0x80000000;
     const uint32_t n = 256;
     for (uint32_t i = 0; i < n; ++i)
         ram.write32(base + i * 4, 0x00A50533); // add a0, a0, a0
-    core::DecodeCache dcache;
+    core::DecodedText text(ram);
+    text.load(base, n * 4);
     const bool cached = state.range(0) != 0;
     Addr pc = base;
     for (auto _ : state) {
         if (cached) {
-            benchmark::DoNotOptimize(dcache.lookup(ram, pc));
+            benchmark::DoNotOptimize(text.find(pc));
         } else {
             benchmark::DoNotOptimize(isa::decode(ram.read32(pc)));
         }

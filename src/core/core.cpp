@@ -15,10 +15,11 @@
 namespace vortex::core {
 
 Core::Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
-           BarrierHub* hub)
+           const DecodedText& text, BarrierHub* hub)
     : config_(config),
       coreId_(core_id),
       ram_(ram),
+      text_(text),
       hub_(hub),
       icache_(std::make_unique<mem::Cache>(config.icacheConfig())),
       dcache_(std::make_unique<mem::Cache>(config.dcacheConfig())),
@@ -215,10 +216,11 @@ Core::tick(Cycle now)
     dormancy_.beginTick(now);
     progress_ = false;
 
-    // A quiet L1 or scratchpad tick changes nothing, so it is not called
-    // (ARCHITECTURE.md "The lean awake core-cycle"). The texture unit ticks
-    // first: a texel request it pushes makes the D$ not quiet.
-    if (texUnit_)
+    // A quiet L1 or scratchpad tick, or an idle texture unit's, changes
+    // nothing, so it is not called (ARCHITECTURE.md "The lean awake
+    // core-cycle"). The texture unit ticks first: a texel request it
+    // pushes makes the D$ not quiet.
+    if (texUnit_ && !texUnit_->idle())
         texUnit_->tick(now);
     if (!dcache_->quiet())
         progress_ |= dcache_->tick(now);
@@ -271,10 +273,14 @@ Core::fetchStage(Cycle now)
     WarpId wid = *sel;
     Warp& w = warps_[wid];
 
-    // Steady-state fetch of a static instruction skips read32 + decode
-    // through the decoded-instruction cache (invalidation contract in
-    // core/decode_cache.h).
-    const isa::Instr& instr = decodeCache_.lookup(ram_, w.pc);
+    // A fetch inside the processor's decoded text skips read32 + decode
+    // while no store has hit code since it was decoded; any other fetch
+    // decodes from RAM (invalidation contract in core/text.h).
+    isa::Instr decoded;
+    const isa::Instr* hit = text_.find(w.pc);
+    if (!hit)
+        decoded = text_.decodeAt(w.pc);
+    const isa::Instr& instr = hit ? *hit : decoded;
     if (!instr.valid())
         trap(RunStatus::GuestTrap, "core ", coreId_, " warp ", wid,
              ": invalid instruction 0x", std::hex, instr.raw,

@@ -23,10 +23,10 @@
 #include "common/stats.h"
 #include "core/barrier.h"
 #include "core/config.h"
-#include "core/decode_cache.h"
 #include "core/scheduler.h"
 #include "core/trace.h"
 #include "core/scoreboard.h"
+#include "core/text.h"
 #include "core/uop.h"
 #include "core/warp.h"
 #include "mem/cache.h"
@@ -53,11 +53,11 @@ class Core
 {
   public:
     /** Build core @p core_id of a device configured by @p config, on
-     *  shared backing RAM @p ram; @p hub receives global barrier
-     *  arrivals (may be nullptr for single-core test rigs that never
-     *  execute a global barrier). */
+     *  shared backing RAM @p ram, fetching through the device's decoded
+     *  @p text; @p hub receives global barrier arrivals (may be nullptr
+     *  for single-core test rigs that never execute a global barrier). */
     Core(const ArchConfig& config, CoreId core_id, mem::Ram& ram,
-         BarrierHub* hub);
+         const DecodedText& text, BarrierHub* hub);
 
     /** Deactivate every wavefront and clear all pipeline state. */
     void reset();
@@ -205,6 +205,7 @@ class Core
     ArchConfig config_;
     CoreId coreId_;
     mem::Ram& ram_;
+    const DecodedText& text_; ///< the processor's, shared by its cores
     BarrierHub* hub_;
 
     std::unique_ptr<mem::Cache> icache_;
@@ -225,8 +226,7 @@ class Core
     //
     // Fetch / decode bookkeeping.
     //
-    DecodeCache decodeCache_;       ///< PC-indexed decoded-instr memo
-    Ring<UopHandle> decodeQueue_;   ///< fetched; ready at Uop::readyAt
+    Ring<UopHandle> decodeQueue_; ///< fetched; ready at Uop::readyAt
 
     std::vector<ElasticQueue<UopHandle>> ibuffers_;
     WarpId issueRR_ = 0;

@@ -21,7 +21,7 @@ Processor::Processor(const ArchConfig& config)
         fatal("numCores must be >= 1");
     memSim_ = std::make_unique<mem::MemSim>(config.mem);
     for (uint32_t c = 0; c < config.numCores; ++c)
-        cores_.push_back(std::make_unique<Core>(config, c, ram_, this));
+        cores_.push_back(std::make_unique<Core>(config, c, ram_, text_, this));
     stagedPorts_.resize(config.numCores);
     wire();
     for (const auto& ports : stagedPorts_)
@@ -192,6 +192,10 @@ Processor::tick()
     for (auto& l2 : l2s_)
         if (!l2->asleep(cycles_))
             l2->tickShared(cycles_);
+    // A store to code since the last tick (a fault, a self-patching
+    // guest, a reload) left the text stale: decode it again while no
+    // core runs, so tick workers only ever read it.
+    text_.refresh();
     awake_.clear();
     for (auto& core : cores_)
         if (!core->asleep(cycles_))

@@ -39,6 +39,14 @@ class Processor : public BarrierHub
     mem::Ram& ram() { return ram_; }                     ///< backing RAM
     const ArchConfig& config() const { return config_; } ///< the machine
 
+    /** Decode the program text at [@p base, @p base + @p bytes) once for
+     *  every core (Device::uploadObject passes the span of the object's
+     *  executable sections). A processor without a text, or a fetch
+     *  outside it, decodes from RAM instead (core/text.h). */
+    void loadText(Addr base, uint32_t bytes) { text_.load(base, bytes); }
+    /** The decoded program text the cores fetch through. */
+    const DecodedText& text() const { return text_; }
+
     /** Reset every core and start wavefront 0 of each at startPC. */
     void start();
 
@@ -157,6 +165,7 @@ class Processor : public BarrierHub
 
     ArchConfig config_;
     mem::Ram ram_;
+    DecodedText text_{ram_};
     std::unique_ptr<mem::MemSim> memSim_;
     std::unique_ptr<mem::MemRouter> memRouter_;
     std::vector<std::unique_ptr<Core>> cores_;

@@ -5,12 +5,21 @@
  * host-side driver copies go through this object; the timing models only
  * carry addresses.
  *
- * Thread safety: the page table is a flat array of atomic page pointers so
- * the parallel tick engine's workers can access memory concurrently, and
- * the scalar load/store paths use relaxed atomic byte/word accesses (plain
- * moves on mainstream hardware). Accesses to distinct addresses are fully
- * race-free; same-address conflicts from different cores in the same cycle
- * are *program-level* races with unspecified ordering — exactly the real
+ * The page table has two levels, so a RAM costs the host in proportion to
+ * the memory a run touches: an in-object top level of 256 leaf pointers,
+ * each leaf covering 16 MiB as 256 pointers to 64 KiB pages plus one
+ * code-page flag per page. A leaf is allocated on the first write (or
+ * markCodePage) inside its 16 MiB and a page on the first write inside
+ * it, both zeroed; reads of untouched memory return 0 without
+ * allocating. Constructing a RAM allocates nothing.
+ *
+ * Thread safety: leaf and page pointers are atomics so the parallel tick
+ * engine's workers can access memory concurrently (allocation takes one
+ * mutex, publication is release/acquire), and the scalar load/store paths
+ * use relaxed atomic byte/word accesses (plain moves on mainstream
+ * hardware). Accesses to distinct addresses are fully race-free;
+ * same-address conflicts from different cores in the same cycle are
+ * *program-level* races with unspecified ordering — exactly the real
  * device's weakly-coherent memory model — but remain defined behavior
  * here. The bulk block helpers are host-driver paths (device idle) and use
  * plain memcpy.
@@ -19,11 +28,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
-#include <vector>
 
 #include "common/types.h"
 
@@ -36,9 +45,13 @@ class Ram
     static constexpr uint32_t kPageBits = 16;
     static constexpr uint32_t kPageSize = 1u << kPageBits;
     static constexpr uint32_t kNumPages = 1u << (32 - kPageBits);
+    /** A leaf of the page table maps 2^kLeafBits pages (16 MiB). */
+    static constexpr uint32_t kLeafBits = 8;
+    static constexpr uint32_t kLeafPages = 1u << kLeafBits;
+    static constexpr uint32_t kNumLeaves = kNumPages >> kLeafBits;
 
-    Ram() : pages_(kNumPages), codePages_(kNumPages) {}
-    ~Ram() { clear(); }
+    Ram() = default;
+    ~Ram() { dropLeaves(); }
 
     Ram(const Ram&) = delete;
     Ram& operator=(const Ram&) = delete;
@@ -58,22 +71,23 @@ class Ram
     void readBlock(Addr addr, void* dst, size_t size) const;
 
     //
-    // Code-page write tracking (decode-cache invalidation hook).
+    // Code-page write tracking (decoded-text invalidation hook).
     //
-    // A core's decoded-instruction cache assumes code is not
-    // self-modifying. That assumption is *checked*, not silent: the core
-    // marks every page it decodes from, any store that lands on a marked
-    // page bumps the global code-write epoch, and the decode cache
-    // flushes itself whenever the epoch moved (see core/decode_cache.h).
-    // Unmarked pages — the overwhelming store traffic — cost one relaxed
-    // flag load per store.
+    // A processor's decoded text assumes code is not self-modifying.
+    // That assumption is *checked*, not silent: the processor marks the
+    // pages of its text (and a core each page it decodes from outside
+    // it), any store that lands on a marked page bumps the global
+    // code-write epoch, and the text serves a fetch only while the epoch
+    // is the one it was decoded at (see core/text.h). Unmarked pages —
+    // the overwhelming store traffic — cost one relaxed flag load per
+    // store.
     //
 
     /** Mark the page containing @p addr as holding decoded code. */
     void
     markCodePage(Addr addr)
     {
-        codePages_[addr >> kPageBits].store(1, std::memory_order_relaxed);
+        leaf(addr).code[pageIndex(addr)].store(1, std::memory_order_relaxed);
     }
 
     /** Monotonic count of stores that hit a marked code page. */
@@ -83,16 +97,12 @@ class Ram
         return codeWriteEpoch_.load(std::memory_order_relaxed);
     }
 
-    /** Zero everything (drop all pages). Not safe during simulation. */
+    /** Zero everything (drop all pages and code marks). Not safe during
+     *  simulation. */
     void
     clear()
     {
-        for (auto& slot : pages_) {
-            delete[] slot.load(std::memory_order_relaxed);
-            slot.store(nullptr, std::memory_order_relaxed);
-        }
-        for (auto& flag : codePages_)
-            flag.store(0, std::memory_order_relaxed);
+        dropLeaves();
         codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
         numPages_.store(0, std::memory_order_relaxed);
     }
@@ -104,18 +114,65 @@ class Ram
     }
 
   private:
-    /** Get the page backing @p addr, allocating (zeroed) on first touch. */
-    uint8_t*
-    page(Addr addr)
+    /** 16 MiB of the address space: its page pointers and code flags. */
+    struct Leaf
     {
-        auto& slot = pages_[addr >> kPageBits];
-        if (uint8_t* p = slot.load(std::memory_order_acquire))
+        std::array<std::atomic<uint8_t*>, kLeafPages> pages{};
+        std::array<std::atomic<uint8_t>, kLeafPages> code{}; ///< marked
+    };
+
+    static uint32_t
+    leafIndex(Addr addr)
+    {
+        return addr >> (kPageBits + kLeafBits);
+    }
+    static uint32_t
+    pageIndex(Addr addr)
+    {
+        return (addr >> kPageBits) & (kLeafPages - 1);
+    }
+
+    /** The leaf covering @p addr, or nullptr while nothing in it was
+     *  written or marked. */
+    const Leaf*
+    leafIfPresent(Addr addr) const
+    {
+        return leaves_[leafIndex(addr)].load(std::memory_order_acquire);
+    }
+
+    /** The leaf covering @p addr, allocating (zeroed) on first touch. */
+    Leaf&
+    leaf(Addr addr)
+    {
+        auto& slot = leaves_[leafIndex(addr)];
+        if (Leaf* l = slot.load(std::memory_order_acquire))
+            return *l;
+        std::lock_guard<std::mutex> lock(allocMutex_);
+        Leaf* l = slot.load(std::memory_order_relaxed);
+        if (!l) {
+            l = new Leaf();
+            slot.store(l, std::memory_order_release);
+        }
+        return *l;
+    }
+
+    /** The page backing @p addr, allocating (zeroed) on first touch, for
+     *  a store: bumps the code-write epoch first when the page is
+     *  marked. */
+    uint8_t*
+    pageForWrite(Addr addr)
+    {
+        Leaf& l = leaf(addr);
+        const uint32_t i = pageIndex(addr);
+        if (l.code[i].load(std::memory_order_relaxed))
+            codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
+        if (uint8_t* p = l.pages[i].load(std::memory_order_acquire))
             return p;
         std::lock_guard<std::mutex> lock(allocMutex_);
-        uint8_t* p = slot.load(std::memory_order_relaxed);
+        uint8_t* p = l.pages[i].load(std::memory_order_relaxed);
         if (!p) {
             p = new uint8_t[kPageSize]();
-            slot.store(p, std::memory_order_release);
+            l.pages[i].store(p, std::memory_order_release);
             numPages_.fetch_add(1, std::memory_order_relaxed);
         }
         return p;
@@ -124,7 +181,24 @@ class Ram
     const uint8_t*
     pageIfPresent(Addr addr) const
     {
-        return pages_[addr >> kPageBits].load(std::memory_order_acquire);
+        const Leaf* l = leafIfPresent(addr);
+        return l ? l->pages[pageIndex(addr)].load(std::memory_order_acquire)
+                 : nullptr;
+    }
+
+    /** Free every page and leaf that exists. */
+    void
+    dropLeaves()
+    {
+        for (auto& slot : leaves_) {
+            Leaf* l = slot.load(std::memory_order_relaxed);
+            if (!l)
+                continue;
+            for (auto& p : l->pages)
+                delete[] p.load(std::memory_order_relaxed);
+            delete l;
+            slot.store(nullptr, std::memory_order_relaxed);
+        }
     }
 
     //
@@ -179,16 +253,7 @@ class Ram
 #endif
     }
 
-    /** Bump the code-write epoch when @p addr lies on a marked page. */
-    void
-    noteWrite(Addr addr)
-    {
-        if (codePages_[addr >> kPageBits].load(std::memory_order_relaxed))
-            codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::vector<std::atomic<uint8_t*>> pages_;
-    std::vector<std::atomic<uint8_t>> codePages_; ///< decoded-from flags
+    std::array<std::atomic<Leaf*>, kNumLeaves> leaves_{};
     std::atomic<uint64_t> codeWriteEpoch_{0};
     std::mutex allocMutex_;
     std::atomic<size_t> numPages_{0};
@@ -204,8 +269,7 @@ Ram::read8(Addr addr) const
 inline void
 Ram::write8(Addr addr, uint8_t value)
 {
-    noteWrite(addr);
-    storeByte(page(addr) + (addr & (kPageSize - 1)), value);
+    storeByte(pageForWrite(addr) + (addr & (kPageSize - 1)), value);
 }
 
 inline uint16_t
@@ -239,8 +303,7 @@ inline void
 Ram::write32(Addr addr, uint32_t value)
 {
     if ((addr & 3) == 0) {
-        noteWrite(addr);
-        storeWord(page(addr) + (addr & (kPageSize - 1)), value);
+        storeWord(pageForWrite(addr) + (addr & (kPageSize - 1)), value);
         return;
     }
     write16(addr, value & 0xFFFF);
@@ -272,8 +335,8 @@ Ram::writeBlock(Addr addr, const void* src, size_t size)
     while (i < size) {
         uint32_t off = (addr + i) & (kPageSize - 1);
         size_t chunk = std::min<size_t>(size - i, kPageSize - off);
-        noteWrite(addr + static_cast<Addr>(i));
-        std::memcpy(page(addr + static_cast<Addr>(i)) + off, s + i, chunk);
+        std::memcpy(pageForWrite(addr + static_cast<Addr>(i)) + off, s + i,
+                    chunk);
         i += chunk;
     }
 }

@@ -107,17 +107,10 @@ Device::uploadObject(const isa::ObjectFile& obj)
     if (p.entry != config_.startPC)
         fatal("object entry 0x", std::hex, p.entry,
               " does not match the machine start PC 0x", config_.startPC);
-    mem::Ram& ram = processor_->ram();
-    ram.writeBlock(p.base, p.image.data(), p.image.size());
-    for (const isa::ObjSection& s : obj.sections) {
-        if (!s.exec || s.size == 0)
-            continue;
-        Addr first = p.base + s.offset;
-        Addr last = first + s.size - 1;
-        for (Addr page = first >> mem::Ram::kPageBits;
-             page <= (last >> mem::Ram::kPageBits); ++page)
-            ram.markCodePage(page << mem::Ram::kPageBits);
-    }
+    processor_->ram().writeBlock(p.base, p.image.data(), p.image.size());
+    // The processor decodes the executable span once, the same
+    // [base, execEnd) the analyzer walks, and marks its pages as code.
+    processor_->loadText(p.base, p.execEnd > p.base ? p.execEnd - p.base : 0);
     program_ = std::move(p);
 }
 

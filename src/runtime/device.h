@@ -95,9 +95,10 @@ class Device
 
     /**
      * Loader: rebase @p obj to this machine's startPC, apply its
-     * relocations, map the image into device RAM, and pre-mark the pages
-     * of executable sections as code so the decode cache's write-epoch
-     * invalidation covers them from the first store on.
+     * relocations, map the image into device RAM, and hand the span of
+     * its executable sections to the processor, which decodes it once
+     * for every core and marks its pages as code, so the text's
+     * write-epoch invalidation covers them from the first store on.
      */
     void uploadObject(const isa::ObjectFile& obj);
 

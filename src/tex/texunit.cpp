@@ -216,10 +216,4 @@ TexUnit::tick(Cycle now)
     }
 }
 
-bool
-TexUnit::idle() const
-{
-    return !batch_ && input_.empty() && samplerPipe_.empty();
-}
-
 } // namespace vortex::tex

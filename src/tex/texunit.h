@@ -102,8 +102,14 @@ class TexUnit
     /** Route a cache response; @return true if this unit owned the reqId. */
     bool cacheRsp(const mem::CoreRsp& rsp);
 
+    /** Advance one cycle; a no-op while idle(), so callers skip it then. */
     void tick(Cycle now);
-    bool idle() const;
+    /** No batch, queued request or response in the sampler pipeline. */
+    bool
+    idle() const
+    {
+        return !batch_ && input_.empty() && samplerPipe_.empty();
+    }
 
     StatGroup& stats() { return stats_; }
     const StatGroup& stats() const { return stats_; }

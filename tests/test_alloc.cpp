@@ -16,7 +16,10 @@
  * the host reference and the one-time costs of the first cycle.
  *
  * The forwarders also record the largest single request, which bounds
- * what a `memcmp` check allocates for its window.
+ * what a `memcmp` check allocates for its window, and the bytes requested,
+ * which pin what a machine costs the host: a RAM that allocates only for
+ * the memory a run touches, cores that do not each hold a copy of the
+ * program, and one decoded text per device.
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +27,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "kernels/kernels.h"
 #include "runtime/device.h"
 #include "runtime/workloads.h"
 #include "sweep/presets.h"
@@ -35,11 +40,13 @@ namespace {
 
 std::atomic<uint64_t> gAllocs{0};
 std::atomic<uint64_t> gLargest{0};
+std::atomic<uint64_t> gBytes{0};
 
 void*
 countedAlloc(std::size_t size)
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
+    gBytes.fetch_add(size, std::memory_order_relaxed);
     uint64_t largest = gLargest.load(std::memory_order_relaxed);
     while (size > largest &&
            !gLargest.compare_exchange_weak(largest, size,
@@ -195,6 +202,58 @@ TEST(CheckAllocs, MemcmpHashesItsWindowOnePageAtATime)
         runtime::runMemcmp(dev, guest, addr, len, expected);
     EXPECT_TRUE(r.ok) << r.error;
     EXPECT_LE(gLargest.load(std::memory_order_relaxed), mem::Ram::kPageSize);
+}
+
+/** Bytes requested from the heap while @p fn runs. */
+template <typename Fn>
+uint64_t
+bytesDuring(Fn&& fn)
+{
+    const uint64_t before = gBytes.load(std::memory_order_relaxed);
+    fn();
+    return gBytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(Footprint, ConstructingARamAllocatesAlmostNothing)
+{
+    // The page table's top level lives in the object; leaves and pages
+    // come with the first touch.
+    const uint64_t bytes =
+        bytesDuring([] { std::make_unique<mem::Ram>().reset(); });
+    EXPECT_LT(bytes, 4096u);
+}
+
+TEST(Footprint, ACoreCostsUnder64KiB)
+{
+    // What each core past the first adds to a device of the paper's
+    // machine (16 cores: four L2 clusters).
+    const auto deviceBytes = [](uint32_t cores) {
+        return bytesDuring(
+            [&] { runtime::Device dev(sweep::baselineConfig(cores)); });
+    };
+    const uint64_t one = deviceBytes(1);
+    const uint64_t sixteen = deviceBytes(16);
+    ASSERT_GT(sixteen, one);
+    EXPECT_LT((sixteen - one) / 15, 64u * 1024)
+        << "1 core: " << one << " B, 16 cores: " << sixteen << " B";
+}
+
+TEST(Footprint, OneDecodedTextPerDevice)
+{
+    // Uploading a kernel costs the same on any number of cores: the
+    // program is decoded once per device, not once per core.
+    const kernels::Guest& sgemm = kernels::kernel("sgemm");
+    runtime::Device(sweep::baselineConfig(1)).uploadKernel(sgemm); // warm
+    runtime::Device one(sweep::baselineConfig(1));
+    runtime::Device sixteen(sweep::baselineConfig(16));
+    const uint64_t oneBytes = bytesDuring([&] { one.uploadKernel(sgemm); });
+    const uint64_t sixteenBytes =
+        bytesDuring([&] { sixteen.uploadKernel(sgemm); });
+    EXPECT_EQ(oneBytes, sixteenBytes);
+    ASSERT_GT(one.processor().text().size(), 0u);
+    EXPECT_EQ(one.processor().text().size(),
+              sixteen.processor().text().size());
+    EXPECT_GE(oneBytes, one.processor().text().size() * sizeof(isa::Instr));
 }
 
 } // namespace

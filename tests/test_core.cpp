@@ -2,11 +2,14 @@
  * @file
  * Core microarchitecture tests: the four-mask hierarchical wavefront
  * scheduler, the scoreboard, barrier tables (local and global), the IPDOM
- * stack capacity, and pipeline-level behaviours exercised through small
- * programs (fence draining, wspawn scheduling, barrier stalls).
+ * stack capacity, pipeline-level behaviours exercised through small
+ * programs (fence draining, wspawn scheduling, barrier stalls), and the
+ * processor's decoded program text with its checked invalidation.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "core/barrier.h"
 #include "core/processor.h"
@@ -441,41 +444,162 @@ TEST(Pipeline, RoundRobinPolicyRunsKernels)
 }
 
 //
-// Decoded-instruction cache: hit behavior + checked invalidation.
+// Decoded program text: served while no store hits code, checked
+// invalidation, and the RAM path for every other fetch.
 //
 
-TEST(DecodeCache, CachesAndChecksInvalidation)
+TEST(DecodedText, ServesOnlyAnUnwrittenTextAndChecksInvalidation)
 {
     mem::Ram ram;
-    DecodeCache dc(16);
     const Addr pc = 0x80000000;
-    const uint32_t add = 0x00A50533;  // add a0, a0, a0
-    const uint32_t sub = 0x40A50533;  // sub a0, a0, a0
+    const uint32_t add = 0x00A50533; // add a0, a0, a0
+    const uint32_t sub = 0x40A50533; // sub a0, a0, a0
     ram.write32(pc, add);
+    ram.write32(pc + 4, add);
+    DecodedText text(ram);
+    text.load(pc, 8);
+    ASSERT_EQ(text.size(), 2u);
+    ASSERT_NE(text.find(pc), nullptr);
+    EXPECT_EQ(text.find(pc)->raw, add);
 
-    EXPECT_EQ(dc.lookup(ram, pc).raw, add);
-    // A store to an unrelated (non-code) page must not disturb the
-    // cached entry or bump the epoch.
-    uint64_t epoch = ram.codeWriteEpoch();
+    // A store to an unrelated (non-code) page neither bumps the epoch nor
+    // stales the text.
+    const uint64_t epoch = ram.codeWriteEpoch();
     ram.write32(0x10000000, 0xDEADBEEF);
     EXPECT_EQ(ram.codeWriteEpoch(), epoch);
-    EXPECT_EQ(dc.lookup(ram, pc).raw, add);
+    EXPECT_NE(text.find(pc), nullptr);
 
-    // Overwriting the fetched instruction (a code page) bumps the epoch
-    // and the next lookup re-decodes — the self-modifying-code check.
+    // A PC outside the text, or unaligned, is not served: the core decodes
+    // it from RAM, marking its page, so a later store there is seen too.
+    EXPECT_EQ(text.find(pc - 4), nullptr);
+    EXPECT_EQ(text.find(pc + 8), nullptr);
+    EXPECT_EQ(text.find(pc + 2), nullptr);
+    const Addr far = 0x90000000;
+    ram.write32(far, sub);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch);
+    EXPECT_EQ(text.decodeAt(far).kind, isa::InstrKind::SUB);
+    ram.write32(far, add);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 1);
+    EXPECT_EQ(text.find(pc), nullptr); // any code store stales the text
+    text.refresh();
+    ASSERT_NE(text.find(pc), nullptr);
+
+    // Overwriting a decoded instruction stales the text at once: the next
+    // fetch, still in the same cycle, decodes the new word from RAM, and
+    // the refresh between cycles decodes it into the text.
     ram.write32(pc, sub);
-    EXPECT_GT(ram.codeWriteEpoch(), epoch);
-    EXPECT_EQ(dc.lookup(ram, pc).raw, sub);
-    EXPECT_EQ(dc.lookup(ram, pc).kind, isa::InstrKind::SUB);
+    EXPECT_EQ(text.find(pc), nullptr);
+    EXPECT_EQ(text.decodeAt(pc).raw, sub);
+    text.refresh();
+    ASSERT_NE(text.find(pc), nullptr);
+    EXPECT_EQ(text.find(pc)->kind, isa::InstrKind::SUB);
 
     // Bulk program reloads (the driver path) are caught too.
-    uint32_t word = add;
-    ram.writeBlock(pc, &word, 4);
-    EXPECT_EQ(dc.lookup(ram, pc).raw, add);
+    ram.writeBlock(pc, &add, 4);
+    EXPECT_EQ(text.find(pc), nullptr);
+    text.refresh();
+    ASSERT_NE(text.find(pc), nullptr);
+    EXPECT_EQ(text.find(pc)->raw, add);
 
-    // Direct-mapped conflicts just re-decode (16 entries => pc and
-    // pc + 16*4 collide).
-    ram.write32(pc + 64, sub);
-    EXPECT_EQ(dc.lookup(ram, pc + 64).raw, sub);
-    EXPECT_EQ(dc.lookup(ram, pc).raw, add);
+    // Ram::clear drops the code marks; the refresh marks the pages again.
+    ram.clear();
+    EXPECT_EQ(text.find(pc), nullptr);
+    text.refresh();
+    ASSERT_NE(text.find(pc), nullptr);
+    EXPECT_FALSE(text.find(pc)->valid());
+    ram.write32(pc, add);
+    EXPECT_EQ(text.find(pc), nullptr);
+}
+
+namespace {
+
+/** Load @p src and decode its [base, execEnd) as the processor's text,
+ *  as Device::uploadObject does. */
+isa::Program
+upload(Processor& proc, const std::string& src)
+{
+    isa::Assembler as(proc.config().startPC);
+    isa::Program p = as.assemble(src);
+    proc.ram().writeBlock(p.base, p.image.data(), p.image.size());
+    proc.loadText(p.base, p.execEnd - p.base);
+    return p;
+}
+
+} // namespace
+
+TEST(DecodedText, StoreOverUploadedCodeIsFetchedAndRebuiltNextCycle)
+{
+    // The guest patches the instruction after a jump (a control
+    // instruction: fetch waits until it executes, after the store) and
+    // then runs the patched word.
+    Processor proc(ArchConfig{});
+    const isa::Program p = upload(proc, R"(
+        la t0, patch
+        li t1, 0x00700513
+        sw t1, 0(t0)
+        j patch
+    patch:
+        li a0, 1
+        li t2, 0x20000
+        sw a0, 0(t2)
+        li t3, 0
+        vx_tmc t3
+    )");
+    const Addr patch = p.symbols.at("patch");
+    ASSERT_NE(proc.text().find(patch), nullptr);
+    // The hook runs after every cycle: the text is stale after exactly
+    // the cycle of the store, and fresh again after the next one.
+    std::vector<Cycle> stale;
+    proc.setFaultHook([&](Processor& pr, Cycle now) {
+        if (!pr.text().find(patch))
+            stale.push_back(now);
+    });
+    proc.start();
+    ASSERT_TRUE(proc.run(100000));
+    EXPECT_EQ(proc.ram().read32(0x20000), 7u); // li a0, 7 ran
+    ASSERT_EQ(stale.size(), 1u);
+    ASSERT_NE(proc.text().find(patch), nullptr);
+    EXPECT_EQ(proc.text().find(patch)->raw, 0x00700513u);
+}
+
+TEST(DecodedText, FetchesOutsideTheTextDecodeFromRam)
+{
+    // Only the first two words are the processor's text; the rest of the
+    // program, and every word of a program that was never uploaded
+    // (written word by word, as the exec and smoke suites do), decodes
+    // from RAM on each fetch.
+    const char* src = R"(
+        li t0, 0
+        li t1, 10
+    loop:
+        add t0, t0, t1
+        addi t1, t1, -1
+        bnez t1, loop
+        li t2, 0x20000
+        sw t0, 0(t2)
+        li t3, 0
+        vx_tmc t3
+    )";
+    Processor partial(ArchConfig{});
+    const isa::Program p = upload(partial, src);
+    partial.loadText(p.base, 8);
+    EXPECT_EQ(partial.text().size(), 2u);
+
+    Processor raw(ArchConfig{});
+    for (size_t i = 0; i < p.image.size(); i += 4) {
+        uint32_t word;
+        std::memcpy(&word, &p.image[i], 4);
+        raw.ram().write32(p.base + static_cast<Addr>(i), word);
+    }
+    EXPECT_EQ(raw.text().size(), 0u);
+
+    Processor whole(ArchConfig{});
+    upload(whole, src);
+    for (Processor* proc : {&partial, &raw, &whole}) {
+        proc->start();
+        ASSERT_TRUE(proc->run(100000));
+        EXPECT_EQ(proc->ram().read32(0x20000), 55u);
+    }
+    EXPECT_EQ(partial.cycles(), whole.cycles());
+    EXPECT_EQ(raw.cycles(), whole.cycles());
 }

@@ -15,6 +15,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/processor.h"
@@ -69,6 +70,77 @@ TEST(Ram, UntouchedReadsZero)
     Ram ram;
     EXPECT_EQ(ram.read32(0xDEAD0000), 0u);
     EXPECT_EQ(ram.numPages(), 0u);
+}
+
+TEST(Ram, EdgesOfTheAddressSpaceAndOfALeaf)
+{
+    // 0x00FFFFFC and 0x01000000 sit in two leaves of the page table
+    // (16 MiB each); 0x0 and 0xFFFFFFFC in the first and the last.
+    Ram ram;
+    const Addr addrs[] = {0x0, 0x00FFFFFC, 0x01000000, 0xFFFFFFFC};
+    for (Addr a : addrs)
+        ram.write32(a, a ^ 0x5A5A5A5A);
+    EXPECT_EQ(ram.numPages(), 4u);
+    for (Addr a : addrs)
+        EXPECT_EQ(ram.read32(a), a ^ 0x5A5A5A5A) << std::hex << a;
+    // A word and a block straddling the leaf boundary.
+    ram.write32(0x00FFFFFE, 0xCAFEBABE);
+    EXPECT_EQ(ram.read32(0x00FFFFFE), 0xCAFEBABEu);
+    EXPECT_EQ(ram.read16(0x00FFFFFE), 0xBABEu);
+    EXPECT_EQ(ram.read16(0x01000000), 0xCAFEu);
+    std::vector<uint8_t> blob(64, 0xA5), back(64);
+    ram.writeBlock(0x00FFFFE0, blob.data(), blob.size());
+    ram.readBlock(0x00FFFFE0, back.data(), back.size());
+    EXPECT_EQ(blob, back);
+    EXPECT_EQ(ram.numPages(), 4u);
+    // A block read over untouched leaves reads zeros.
+    std::vector<uint8_t> zeros(16, 0xFF);
+    ram.readBlock(0x7FFFFFF8, zeros.data(), zeros.size());
+    EXPECT_EQ(zeros, std::vector<uint8_t>(16, 0));
+    EXPECT_EQ(ram.numPages(), 4u);
+}
+
+TEST(Ram, ClearDropsEveryPageAndBumpsTheEpoch)
+{
+    Ram ram;
+    ram.write32(0x100, 1);
+    ram.write32(0x80000000, 2);
+    ram.markCodePage(0x80000000);
+    EXPECT_EQ(ram.numPages(), 2u);
+    const uint64_t epoch = ram.codeWriteEpoch();
+    ram.clear();
+    EXPECT_EQ(ram.numPages(), 0u);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 1);
+    EXPECT_EQ(ram.read32(0x100), 0u);
+    EXPECT_EQ(ram.read32(0x80000000), 0u);
+    // The code mark went with the page.
+    ram.write32(0x80000000, 3);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 1);
+    EXPECT_EQ(ram.numPages(), 1u);
+}
+
+TEST(Ram, CodeMarksAcrossLeaves)
+{
+    Ram ram;
+    // Marking a page in a leaf nothing has touched yet allocates no page.
+    ram.markCodePage(0x80000000);
+    EXPECT_EQ(ram.numPages(), 0u);
+    EXPECT_EQ(ram.read32(0x80000000), 0u);
+    const uint64_t epoch = ram.codeWriteEpoch();
+    // A store to an unmarked page, in this leaf or another, leaves the
+    // epoch; a store to the marked page, from any width, bumps it.
+    ram.write32(0x80010000, 1);
+    ram.write32(0x10000000, 1);
+    ram.write8(0x7FFFFFFF, 1);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch);
+    ram.write32(0x8000FFFC, 1);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 1);
+    ram.write8(0x80000001, 1);
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 2);
+    const uint32_t word = 0;
+    ram.writeBlock(0x80000000, &word, sizeof(word));
+    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 3);
+    EXPECT_EQ(ram.numPages(), 4u);
 }
 
 //

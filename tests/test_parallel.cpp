@@ -209,3 +209,62 @@ TEST(Parallel, TextureRenderBitIdentical)
     EXPECT_EQ(s.cycles, p.cycles);
     EXPECT_EQ(s.threadInstrs, p.threadInstrs);
 }
+
+TEST(Parallel, SelfPatchingGuestBitIdentical)
+{
+    // Core 0 stores over an instruction of the uploaded text on every
+    // loop trip and runs the patched word, while the other cores keep
+    // fetching the rest of the text: the processor re-decodes its text
+    // in the serial phase after each such cycle, and the tick workers
+    // only read it.
+    const char* src = R"(
+    main:
+        lw s0, 0(a0)          # per-core result words
+        csrr s1, 0xCC2        # core id
+        li s2, 0
+        li s3, 8
+    loop:
+        bnez s1, skip
+        la t0, patch
+        li t1, 0x00790913     # addi s2, s2, 7
+        sw t1, 0(t0)
+        j patch               # fetch waits for the store
+    patch:
+        addi s2, s2, 1
+    skip:
+        addi s2, s2, 2
+        addi s3, s3, -1
+        bnez s3, loop
+        slli t0, s1, 2
+        add t0, t0, s0
+        sw s2, 0(t0)
+        ret
+    )";
+    const uint32_t cores = 4;
+    struct Outcome
+    {
+        std::vector<uint32_t> sums;
+        uint64_t cycles = 0;
+        uint64_t epoch = 0;
+    };
+    auto run = [&](bool parallel) {
+        Device dev(machine(cores, parallel));
+        const Addr sums = dev.memAlloc(4 * cores);
+        dev.uploadKernel(src);
+        dev.setKernelArg(sums);
+        dev.runKernel(1000000);
+        Outcome out;
+        out.sums.resize(cores);
+        dev.copyFromDev(out.sums.data(), sums, 4 * cores);
+        out.cycles = dev.cycles();
+        out.epoch = dev.ram().codeWriteEpoch();
+        return out;
+    };
+    const Outcome s = run(false);
+    const Outcome p = run(true);
+    EXPECT_EQ(s.sums, (std::vector<uint32_t>{72, 16, 16, 16}));
+    EXPECT_EQ(s.sums, p.sums);
+    EXPECT_EQ(s.cycles, p.cycles);
+    EXPECT_GE(s.epoch, 8u);
+    EXPECT_EQ(s.epoch, p.epoch);
+}

@@ -3,7 +3,7 @@
  * Tests for the guest-program toolchain: the relocatable VXOB object
  * format (write -> read -> write byte fixpoint, hostile-input
  * rejection), relocation/rebase correctness against the flat assembler
- * as ground truth, the Device loader (entry check, decode-cache
+ * as ground truth, the Device loader (entry check, decoded text and
  * code-page pre-marking), and the golden contract — every unit of every
  * built-in guest is its checked-in `.s` file, and a `program =` twin of
  * a Rodinia kernel is bit-identical in cycles, retired thread
@@ -259,7 +259,7 @@ TEST(Loader, MissingMainIsReportedAtTheKernel)
         "k.s:2:10: undefined symbol 'nosuch'");
 }
 
-TEST(Loader, PreMarksCodePagesForDecodeCacheInvalidation)
+TEST(Loader, PreMarksCodePagesForDecodedTextInvalidation)
 {
     // A store to freshly loaded (never yet fetched) code must bump the
     // code-write epoch: the loader pre-marked the executable pages, it
