@@ -162,8 +162,8 @@ struct TimeSeries
  *
  * The sampler is deliberately passive: the owner decides *when* a cycle
  * boundary is safe to observe (for the simulator that is after the
- * Processor's cross-core commit phase, so the serial and parallel tick
- * backends see bit-identical counters — see core/processor.h) and hands
+ * Processor's cross-core commit phase, where the counters do not depend
+ * on the order the cores ticked in — see core/processor.h) and hands
  * in the flattened snapshot. due() is one load-and-test when disabled, so
  * an idle sampler costs nothing on the hot tick path.
  */

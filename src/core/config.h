@@ -96,18 +96,17 @@ struct ArchConfig
     bool texEnabled = true; ///< build the per-core texture units
 
     //
-    // Host simulation backend. The serial and parallel backends are
-    // bit-identical to *each other* — same cycles(), threadInstrs(), and
-    // functional results (see core/tick_engine.h); both share the
-    // end-of-cycle cross-core commit phase of Processor::tick.
+    // Retired: the parallel tick backend was removed, and a simulation
+    // runs on one host thread. The simulator reads neither field; spec
+    // files and --set accept only the defaults.
     //
-    bool parallelTick = false; ///< tick cores on a persistent thread pool
-    uint32_t tickThreads = 0;  ///< pool size; 0 = min(numCores, host CPUs)
+    bool parallelTick = false; ///< retired (ignored)
+    uint32_t tickThreads = 0;  ///< retired (ignored)
 
     //
     // Observability. When nonzero, the Processor snapshots every device
     // StatGroup each `sampleInterval` cycles (at the cycle-boundary
-    // commit point, so the series is bit-identical across tick backends)
+    // commit point, so the series is the same in either core order)
     // and delta-encodes the increments into a TimeSeries (common/stats.h).
     // 0 disables sampling; the disabled path costs one branch per cycle.
     //

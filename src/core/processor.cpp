@@ -19,6 +19,10 @@ Processor::Processor(const ArchConfig& config)
         fatal("numWarps must be in [1, 64]");
     if (config.numCores == 0)
         fatal("numCores must be >= 1");
+    if (config.coresPerCluster == 0)
+        fatal("coresPerCluster must be >= 1");
+    if (config.lsuDepth == 0)
+        fatal("lsuDepth must be >= 1");
     memSim_ = std::make_unique<mem::MemSim>(config.mem);
     for (uint32_t c = 0; c < config.numCores; ++c)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, text_, this));
@@ -30,10 +34,7 @@ Processor::Processor(const ArchConfig& config)
                 panic("every core needs an I$ and a D$ staging port");
     pendingArrivals_.resize(config.numCores);
     awake_.reserve(cores_.size());
-    tickEngine_ = makeTickEngine(config_);
 }
-
-Processor::~Processor() = default;
 
 namespace {
 
@@ -107,9 +108,8 @@ Processor::wire()
             mem::Cache& l2 = *l2s_[cl];
 
             // L2 responses route back to the owning L1 by lane. L1 request
-            // sides go through staging ports (drained in core order) so
-            // the parallel tick engine never touches the shared L2 from a
-            // worker thread.
+            // sides go through staging ports, drained in core order in the
+            // commit phase, so no core's tick touches the shared L2.
             std::vector<mem::Cache*> owners(2 * cores_here, nullptr);
             for (uint32_t i = 0; i < cores_here; ++i) {
                 Core& core = *cores_[first_core + i];
@@ -185,34 +185,37 @@ Processor::tick()
     ++cycles_;
     memSim_->tick(cycles_);
     // Shared levels and cores that sleep through this cycle are skipped
-    // (ARCHITECTURE.md "Dormant cores and caches"). Every wake lands in a
-    // serial phase, so the awake set is fixed before the core phase.
+    // (ARCHITECTURE.md "Dormant cores and caches"). Every wake lands
+    // outside the core phase, so the awake set is fixed before it.
     if (l3_ && !l3_->asleep(cycles_))
         l3_->tickShared(cycles_);
     for (auto& l2 : l2s_)
         if (!l2->asleep(cycles_))
             l2->tickShared(cycles_);
     // A store to code since the last tick (a fault, a self-patching
-    // guest, a reload) left the text stale: decode it again while no
-    // core runs, so tick workers only ever read it.
+    // guest, a reload) left the text stale: decode it again.
     text_.refresh();
     awake_.clear();
     for (auto& core : cores_)
         if (!core->asleep(cycles_))
             awake_.push_back(core.get());
-    // Core phase: cores only touch core-local state plus their staging
-    // buffers, so the engine may run them concurrently.
-    tickEngine_->tick(cycles_, awake_);
+    // Core phase: a core touches only its own state and its staging
+    // buffers, so the order it runs in is free (setReverseCoreOrder).
+    if (reverseCoreOrder_) {
+        for (auto it = awake_.rbegin(); it != awake_.rend(); ++it)
+            (*it)->tick(cycles_);
+    } else {
+        for (Core* core : awake_)
+            core->tick(cycles_);
+    }
     commitCrossCore();
     // Fault injection lands here, after the commit phase and before
-    // sampling: the one point in a cycle where both tick backends have
-    // identical state, so an injected bit flip is bit-identical under
-    // serial and parallel tick (src/faults/fault.h).
+    // sampling, where no core is mid-tick (src/faults/fault.h).
     if (faultHook_)
         faultHook_(*this, cycles_);
     // Sampling happens after the commit phase: every cross-core effect of
-    // this cycle has landed, so both tick backends observe identical
-    // counters here (the sampling half of the determinism contract).
+    // this cycle has landed (the sampling half of the determinism
+    // contract).
     if (sampler_.due(cycles_)) {
         StatGroup snapshot;
         collectStats(snapshot);
@@ -230,12 +233,12 @@ Processor::commitCrossCore()
     // than a drain of every port would move it.
     //
     // Staged L1 memory requests enter the shared fabric in core order
-    // (each core's I$ then D$ port), mirroring the serial tick order.
+    // (each core's I$ then D$ port), whatever order the cores ticked in.
     for (const Core* core : awake_)
         for (const auto& port : stagedPorts_[core->coreId()])
             port->drain();
     // Global barrier arrivals, also in core order. Releases take effect
-    // next cycle for every wavefront, whichever thread simulated it.
+    // next cycle for every wavefront.
     for (const Core* core : awake_) {
         const CoreId c = core->coreId();
         for (const PendingArrival& a : pendingArrivals_[c]) {
@@ -382,9 +385,8 @@ Processor::ipc() const
 void
 Processor::globalArrive(uint32_t id, uint32_t count, CoreId core, WarpId wid)
 {
-    // Called during the tick phase, possibly from a pool worker. Each core
-    // appends only to its own buffer, so no synchronization is needed; the
-    // arrivals are applied in core order in commitCrossCore().
+    // Called during the core phase. Each core appends only to its own
+    // buffer; the arrivals are applied in core order in commitCrossCore().
     pendingArrivals_.at(core).push_back(PendingArrival{id, count, wid});
 }
 

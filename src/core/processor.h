@@ -5,6 +5,19 @@
  * memory (paper §4.1: "a scalable architecture that allows clustering of
  * multiple cores with optional L2 and L3 caches"). Also hosts the global
  * (inter-core) barrier table.
+ *
+ * A cycle has a core phase and a commit phase. In the core phase each
+ * awake core ticks and touches only its own state: everything it sends
+ * to a shared component (an L1 request into an L2/L3 lane or the
+ * board-memory router, a global barrier arrival) is staged in a buffer
+ * the core owns (mem::StagedMemPort, the per-core arrival lists). The
+ * commit phase then applies those buffers in core order. So the order
+ * the core phase visits the cores in cannot change the simulated cycles
+ * of a guest without same-cycle cross-core races, and
+ * setReverseCoreOrder() is the test oracle that checks it. (The commit
+ * phase is a uniform timing-model choice: a cross-core effect, a queue
+ * push seen by a sibling or a global barrier release, takes effect at
+ * the cycle boundary, not mid-cycle in core order.)
  */
 
 #pragma once
@@ -18,7 +31,6 @@
 #include "core/barrier.h"
 #include "core/config.h"
 #include "core/core.h"
-#include "core/tick_engine.h"
 #include "mem/memsim.h"
 #include "mem/ram.h"
 #include "mem/router.h"
@@ -31,10 +43,8 @@ class Processor : public BarrierHub
 {
   public:
     /** Build and wire the whole device described by @p config: cores,
-     *  optional L2/L3 clusters, board memory, and the tick backend. */
+     *  optional L2/L3 clusters and board memory. */
     explicit Processor(const ArchConfig& config);
-    /** Tears down the tick engine before the cores it references. */
-    ~Processor() override;
 
     mem::Ram& ram() { return ram_; }                     ///< backing RAM
     const ArchConfig& config() const { return config_; } ///< the machine
@@ -87,8 +97,16 @@ class Processor : public BarrierHub
     /** The device L3 (nullptr when disabled). */
     mem::Cache* l3() { return l3_.get(); }
 
-    /** The active core tick backend (serial or parallel). */
-    const TickEngine& tickEngine() const { return *tickEngine_; }
+    /**
+     * Test hook: tick the awake cores in descending core order in the
+     * core phase (ascending is the default). The commit phase keeps core
+     * order either way, because it defines the simulated cycles. A run
+     * whose cycles, counters or memory differ between the two orders
+     * leaks a same-cycle effect from one core into another: a model bug,
+     * or a guest that races across cores. Not part of the machine: no
+     * spec field sets it and no content hash sees it.
+     */
+    void setReverseCoreOrder(bool reversed) { reverseCoreOrder_ = reversed; }
 
     /**
      * Settle every sleeping core and shared cache (their counters are
@@ -106,24 +124,24 @@ class Processor : public BarrierHub
     /**
      * The per-interval counter time series recorded by this run (empty
      * unless ArchConfig::sampleInterval is nonzero). Samples are taken
-     * after the cross-core commit phase of tick(), i.e. at the same
-     * deterministic cycle boundary the serial and parallel backends
-     * agree on, plus one final partial window when run() goes idle.
+     * after the cross-core commit phase of tick(), the cycle boundary
+     * where every cross-core effect of the cycle has landed, plus one
+     * final partial window when run() goes idle.
      */
     const TimeSeries& timeSeries() const { return sampler_.series(); }
 
-    // BarrierHub. Safe to call from any tick worker: the arrival is
-    // buffered per core and applied in core order after the tick phase.
+    // BarrierHub: the arrival is buffered per core and applied in core
+    // order in the commit phase.
     void globalArrive(uint32_t id, uint32_t count, CoreId core,
                       WarpId wid) override;
 
     /**
-     * Install @p hook to be called once per tick() on the main thread,
-     * after the cross-core commit phase — the deterministic cycle
-     * boundary both tick backends agree on, so anything the hook mutates
-     * (registers, memory) lands bit-identically under serial and
-     * parallel tick. This is the fault-injection attachment point
-     * (src/faults/fault.h). An empty function uninstalls.
+     * Install @p hook to be called once per tick(), after the
+     * cross-core commit phase: the cycle boundary where no core is
+     * mid-tick, so anything the hook mutates (registers, memory) lands
+     * at the same point whatever order the cores ticked in. This is the
+     * fault-injection attachment point (src/faults/fault.h). An empty
+     * function uninstalls.
      */
     void setFaultHook(std::function<void(Processor&, Cycle)> hook)
     {
@@ -176,9 +194,9 @@ class Processor : public BarrierHub
     /** L1 memory-side staging ports by core, each drained I$ then D$. */
     std::vector<std::array<std::unique_ptr<mem::StagedMemPort>, 2>>
         stagedPorts_;
-    std::unique_ptr<TickEngine> tickEngine_;
     /** The cores that tick this cycle, in core order. */
     std::vector<Core*> awake_;
+    bool reverseCoreOrder_ = false; ///< setReverseCoreOrder()
 
     /** A global-barrier arrival buffered during the tick phase. */
     struct PendingArrival

@@ -15,11 +15,10 @@
  * Ram::clear move it too). A fetch find() does not serve decodes that one
  * word from RAM through decodeAt(), which marks its page as well, so a
  * store that lands on code within a cycle is seen by the next fetch of
- * that cycle. Processor::tick calls refresh() in its serial phase, before
- * the cores tick, so tick workers only ever read the text. A same-cycle
- * store from another core is the simulated program's own race on
- * weakly-coherent device memory — unspecified order there, unchanged
- * here.
+ * that cycle. Processor::tick calls refresh() once per cycle, before the
+ * cores tick. A same-cycle store from another core is the simulated
+ * program's own race on weakly-coherent device memory — unspecified
+ * order there, unchanged here.
  */
 
 #pragma once
@@ -50,7 +49,7 @@ class DecodedText
     }
 
     /** Re-decode the text when a store to code moved the RAM's
-     *  code-write epoch since it was decoded. Not safe during a tick. */
+     *  code-write epoch since it was decoded. */
     void
     refresh()
     {

@@ -8,9 +8,9 @@
  * Determinism contract: the plan is a pure function of (FaultSpec,
  * machine geometry, memory window), generated from the fixed-seed
  * Xorshift PRNG, and each event fires at an exact trigger cycle inside
- * Processor::tick() — after the cross-core commit phase, on the main
- * thread — so an injected campaign is bit-identical across tick
- * backends, --jobs counts, and cache states.
+ * Processor::tick() — after the cross-core commit phase, where no core
+ * is mid-tick — so an injected campaign is bit-identical across core
+ * orders, --jobs counts, and cache states.
  */
 
 #pragma once

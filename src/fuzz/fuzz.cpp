@@ -1,7 +1,7 @@
 /**
  * @file
- * Seeded guest-program generator and serial-vs-parallel differential
- * oracle (see fuzz.h). The generator builds structurally well-formed
+ * Seeded guest-program generator and forward-vs-reversed core-order
+ * differential oracle (see fuzz.h). The generator builds structurally well-formed
  * programs by construction: every split has a matching join on all
  * paths, loops have uniform bounded trip counts, wspawn/bar stay inside
  * the runtime's spawn_tasks, and every memory access is masked into the
@@ -9,7 +9,7 @@
  * spawn_tasks calls them under divergence (inside split/join), where a
  * barrier would deadlock.
  *
- * Data-race freedom (the precondition of the backends' bit-identity
+ * Data-race freedom (the precondition of the core orders' bit-identity
  * contract, see fuzz.h): loads are masked into the read-only lower half
  * of the scratch buffer, and every store goes through a5, which the
  * task prologue points at this task's own slot — upper half, one word
@@ -536,13 +536,11 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
     res.source = k.source;
     const std::string unit = "<fuzz:" + std::to_string(seed) + ">";
 
-    auto runOne = [&](bool parallel, RunOutcome* out) -> bool {
-        const char* backend = parallel ? "parallel" : "serial";
-        core::ArchConfig cfg = base;
-        cfg.parallelTick = parallel;
-        cfg.tickThreads = parallel ? 2 : 0;
+    auto runOne = [&](bool reversed, RunOutcome* out) -> bool {
+        const char* order = reversed ? "reversed" : "forward";
         try {
-            runtime::Device dev(cfg);
+            runtime::Device dev(base);
+            dev.processor().setReverseCoreOrder(reversed);
             dev.uploadKernel(kernels::Guest{unit, {{unit, k.source}}});
             analysis::Report rep = dev.verify();
             if (!rep.clean()) {
@@ -565,8 +563,8 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
             dev.setKernelArg(args, sizeof(args));
             dev.start();
             if (!dev.readyWait(50000000ull)) {
-                res.detail = std::string("timeout on the ") + backend +
-                             " backend (50M cycles)";
+                res.detail = std::string("timeout in ") + order +
+                             " core order (50M cycles)";
                 return false;
             }
             out->cycles = dev.cycles();
@@ -576,29 +574,29 @@ runDifferential(uint64_t seed, const core::ArchConfig& base,
                             k.scratchWords * 4);
             return true;
         } catch (const FatalError& e) {
-            res.detail = std::string("fatal error on the ") + backend +
-                         " backend: " + e.what();
+            res.detail = std::string("fatal error in ") + order +
+                         " core order: " + e.what();
             return false;
         }
     };
 
-    RunOutcome serial, par;
-    if (!runOne(false, &serial) || !runOne(true, &par))
+    RunOutcome fwd, rev;
+    if (!runOne(false, &fwd) || !runOne(true, &rev))
         return res;
 
-    res.cycles = serial.cycles;
-    res.threadInstrs = serial.threadInstrs;
+    res.cycles = fwd.cycles;
+    res.threadInstrs = fwd.threadInstrs;
     std::ostringstream os;
-    if (serial.cycles != par.cycles)
-        os << "cycles diverge: serial " << serial.cycles << " vs parallel "
-           << par.cycles << "\n";
-    if (serial.threadInstrs != par.threadInstrs)
-        os << "thread instrs diverge: serial " << serial.threadInstrs
-           << " vs parallel " << par.threadInstrs << "\n";
+    if (fwd.cycles != rev.cycles)
+        os << "cycles diverge: forward " << fwd.cycles << " vs reversed "
+           << rev.cycles << "\n";
+    if (fwd.threadInstrs != rev.threadInstrs)
+        os << "thread instrs diverge: forward " << fwd.threadInstrs
+           << " vs reversed " << rev.threadInstrs << "\n";
     for (uint32_t i = 0; i < k.scratchWords; ++i) {
-        if (serial.scratch[i] != par.scratch[i]) {
-            os << "scratch[" << i << "] diverges: serial 0x" << std::hex
-               << serial.scratch[i] << " vs parallel 0x" << par.scratch[i]
+        if (fwd.scratch[i] != rev.scratch[i]) {
+            os << "scratch[" << i << "] diverges: forward 0x" << std::hex
+               << fwd.scratch[i] << " vs reversed 0x" << rev.scratch[i]
                << std::dec << "\n";
             break; // first mismatch is enough to pin the failure
         }

@@ -5,10 +5,11 @@
  * bounded loops, in-bounds memory traffic) plus a differential oracle
  * that assembles each program through the full object pipeline
  * (assemble -> VXOB write/read -> load/relocate), verifies it with the
- * static analyzer, and runs it on both host tick backends. Any
- * divergence in cycles, retired thread instructions, or scratch-memory
- * contents between the serial and parallel backends fails the seed —
- * the backends are documented bit-identical (core/tick_engine.h).
+ * static analyzer, and runs it with the cores ticking in forward and in
+ * reversed order (core::Processor::setReverseCoreOrder). Any divergence
+ * in cycles, retired thread instructions, or scratch-memory contents
+ * between the two orders fails the seed — the order the cores tick in
+ * within a cycle must not matter (core/processor.h).
  *
  * Everything here is deterministic: the generator draws from Xorshift
  * only, and the guest programs index scratch memory through a
@@ -18,12 +19,12 @@
  * Generated programs are data-race-free across tasks by construction —
  * the lower half of the scratch buffer is read-only to the guest and
  * every store targets the storing task's own private slot in the upper
- * half. That is the scope of the backends' bit-identity contract:
+ * half. That is the scope of the orders' bit-identity contract:
  * cross-core *timing* interactions are staged and committed in core
- * order (core/tick_engine.h), but functional stores land in RAM
- * immediately during the tick phase, so a guest in which two cores race
- * on the same word has no deterministic winner on the parallel backend
- * (exactly like real hardware).
+ * order (core/processor.h), but functional stores land in RAM
+ * immediately during the core phase, so in a guest in which two cores
+ * race on the same word the winner depends on the tick order (exactly
+ * like real hardware, where it is unspecified).
  */
 
 #pragma once
@@ -74,8 +75,8 @@ struct FuzzResult
     bool ok = false;
     std::string detail; ///< failure description; empty when ok
     std::string source; ///< the generated program, for reproduction
-    uint64_t cycles = 0;       ///< serial-backend cycle count
-    uint64_t threadInstrs = 0; ///< serial-backend retired thread instrs
+    uint64_t cycles = 0;       ///< forward-order cycle count
+    uint64_t threadInstrs = 0; ///< forward-order retired thread instrs
 };
 
 /** The small wide machine fuzzing runs on: 2 cores x 2 wavefronts x
@@ -86,9 +87,9 @@ core::ArchConfig fuzzConfig();
 /**
  * Generate the program for @p seed, push it through the object pipeline
  * onto a Device built from @p base, require a clean static-analysis
- * report, then run it to completion on the serial backend and again on
- * the parallel backend (2 tick threads) and compare cycles, retired
- * thread instructions, and the full scratch buffer byte-for-byte.
+ * report, then run it to completion with the cores ticking in forward
+ * order and again in reversed order, and compare cycles, retired thread
+ * instructions, and the full scratch buffer byte-for-byte.
  */
 FuzzResult runDifferential(uint64_t seed, const core::ArchConfig& base,
                            const GenOptions& opts = {});

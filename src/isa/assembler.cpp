@@ -92,7 +92,7 @@ parseIntReg(const std::string& name)
     static const std::map<std::string, RegId> abi = [] {
         std::map<std::string, RegId> m;
         for (RegId i = 0; i < 32; ++i) {
-            m["x" + std::to_string(i)] = i;
+            m[std::string(1, 'x').append(std::to_string(i))] = i;
             m[intRegName(i)] = i;
         }
         m["fp"] = 8; // frame-pointer alias for s0
@@ -110,7 +110,7 @@ parseFpReg(const std::string& name)
     static const std::map<std::string, RegId> abi = [] {
         std::map<std::string, RegId> m;
         for (RegId i = 0; i < 32; ++i) {
-            m["f" + std::to_string(i)] = i;
+            m[std::string(1, 'f').append(std::to_string(i))] = i;
             m[fpRegName(i)] = i;
         }
         return m;

@@ -50,7 +50,8 @@ Cache::Cache(const CacheConfig& config, bool shared)
         fatal("cache '", config.name, "': lineSize must be a power of two");
     if (!isPow2(config.numBanks))
         fatal("cache '", config.name, "': numBanks must be a power of two");
-    if (config.numWays == 0 || config.numPorts == 0 || config.numLanes == 0)
+    if (config.numWays == 0 || config.numPorts == 0 || config.numLanes == 0 ||
+        config.mshrEntries == 0)
         fatal("cache '", config.name, "': zero-sized parameter");
     numSets_ = config.size /
                (config.lineSize * config.numBanks * config.numWays);

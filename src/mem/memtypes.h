@@ -58,8 +58,8 @@ struct MemRsp
  * caches"). The sleeper stores the first cycle it must tick for real;
  * every producer that can change one of the sleeper's inputs calls
  * wake() so it ticks on its next cycle. A sleeping core or shared cache
- * is woken only in the serial phases of Processor::tick, so both tick
- * backends see the wake at the same cycle.
+ * is woken only outside the core phase of Processor::tick, so the order
+ * the cores tick in cannot move a wake to another cycle.
  */
 struct WakeLatch
 {
@@ -84,11 +84,8 @@ class Dormancy
     {
     }
 
-    /** Ends a sleep; handed to the owner's producers. The simulation
-     *  thread reads it every cycle and a tick worker may write the
-     *  owner, so it gets a cache line of its own: reading it pulls none
-     *  of the owner's hot state across host cores. */
-    alignas(64) WakeLatch latch;
+    /** Ends a sleep; handed to the owner's producers. */
+    WakeLatch latch;
 
     /** Will the tick loop skip the owner at cycle @p now? */
     bool asleep(Cycle now) const { return now < latch.sleepUntil; }

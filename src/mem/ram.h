@@ -13,26 +13,21 @@
  * it, both zeroed; reads of untouched memory return 0 without
  * allocating. Constructing a RAM allocates nothing.
  *
- * Thread safety: leaf and page pointers are atomics so the parallel tick
- * engine's workers can access memory concurrently (allocation takes one
- * mutex, publication is release/acquire), and the scalar load/store paths
- * use relaxed atomic byte/word accesses (plain moves on mainstream
- * hardware). Accesses to distinct addresses are fully race-free;
- * same-address conflicts from different cores in the same cycle are
- * *program-level* races with unspecified ordering — exactly the real
- * device's weakly-coherent memory model — but remain defined behavior
- * here. The bulk block helpers are host-driver paths (device idle) and use
- * plain memcpy.
+ * A RAM belongs to one simulation, which runs on one host thread.
+ * Same-cycle stores to one address from different cores are
+ * *program-level* races, exactly the real device's weakly-coherent
+ * memory model: the cores tick in core order, so the higher-indexed
+ * core's store lands last, but a guest must not rely on that (the
+ * reversed core order of core::Processor::setReverseCoreOrder flips it).
  */
 
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
+#include <memory>
 
 #include "common/types.h"
 
@@ -51,7 +46,6 @@ class Ram
     static constexpr uint32_t kNumLeaves = kNumPages >> kLeafBits;
 
     Ram() = default;
-    ~Ram() { dropLeaves(); }
 
     Ram(const Ram&) = delete;
     Ram& operator=(const Ram&) = delete;
@@ -79,46 +73,34 @@ class Ram
     // it), any store that lands on a marked page bumps the global
     // code-write epoch, and the text serves a fetch only while the epoch
     // is the one it was decoded at (see core/text.h). Unmarked pages —
-    // the overwhelming store traffic — cost one relaxed flag load per
-    // store.
+    // the overwhelming store traffic — cost one flag load per store.
     //
 
     /** Mark the page containing @p addr as holding decoded code. */
-    void
-    markCodePage(Addr addr)
-    {
-        leaf(addr).code[pageIndex(addr)].store(1, std::memory_order_relaxed);
-    }
+    void markCodePage(Addr addr) { leaf(addr).code[pageIndex(addr)] = true; }
 
     /** Monotonic count of stores that hit a marked code page. */
-    uint64_t
-    codeWriteEpoch() const
-    {
-        return codeWriteEpoch_.load(std::memory_order_relaxed);
-    }
+    uint64_t codeWriteEpoch() const { return codeWriteEpoch_; }
 
-    /** Zero everything (drop all pages and code marks). Not safe during
-     *  simulation. */
+    /** Zero everything (drop all pages and code marks). */
     void
     clear()
     {
-        dropLeaves();
-        codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
-        numPages_.store(0, std::memory_order_relaxed);
+        for (auto& l : leaves_)
+            l.reset();
+        ++codeWriteEpoch_;
+        numPages_ = 0;
     }
 
     /** Number of touched pages (for tests). */
-    size_t numPages() const
-    {
-        return numPages_.load(std::memory_order_relaxed);
-    }
+    size_t numPages() const { return numPages_; }
 
   private:
-    /** 16 MiB of the address space: its page pointers and code flags. */
+    /** 16 MiB of the address space: its pages and code flags. */
     struct Leaf
     {
-        std::array<std::atomic<uint8_t*>, kLeafPages> pages{};
-        std::array<std::atomic<uint8_t>, kLeafPages> code{}; ///< marked
+        std::array<std::unique_ptr<uint8_t[]>, kLeafPages> pages;
+        std::array<bool, kLeafPages> code{}; ///< marked as code
     };
 
     static uint32_t
@@ -132,27 +114,13 @@ class Ram
         return (addr >> kPageBits) & (kLeafPages - 1);
     }
 
-    /** The leaf covering @p addr, or nullptr while nothing in it was
-     *  written or marked. */
-    const Leaf*
-    leafIfPresent(Addr addr) const
-    {
-        return leaves_[leafIndex(addr)].load(std::memory_order_acquire);
-    }
-
     /** The leaf covering @p addr, allocating (zeroed) on first touch. */
     Leaf&
     leaf(Addr addr)
     {
-        auto& slot = leaves_[leafIndex(addr)];
-        if (Leaf* l = slot.load(std::memory_order_acquire))
-            return *l;
-        std::lock_guard<std::mutex> lock(allocMutex_);
-        Leaf* l = slot.load(std::memory_order_relaxed);
-        if (!l) {
-            l = new Leaf();
-            slot.store(l, std::memory_order_release);
-        }
+        auto& l = leaves_[leafIndex(addr)];
+        if (!l)
+            l = std::make_unique<Leaf>();
         return *l;
     }
 
@@ -164,112 +132,41 @@ class Ram
     {
         Leaf& l = leaf(addr);
         const uint32_t i = pageIndex(addr);
-        if (l.code[i].load(std::memory_order_relaxed))
-            codeWriteEpoch_.fetch_add(1, std::memory_order_relaxed);
-        if (uint8_t* p = l.pages[i].load(std::memory_order_acquire))
-            return p;
-        std::lock_guard<std::mutex> lock(allocMutex_);
-        uint8_t* p = l.pages[i].load(std::memory_order_relaxed);
+        if (l.code[i])
+            ++codeWriteEpoch_;
+        auto& p = l.pages[i];
         if (!p) {
-            p = new uint8_t[kPageSize]();
-            l.pages[i].store(p, std::memory_order_release);
-            numPages_.fetch_add(1, std::memory_order_relaxed);
+            p = std::make_unique<uint8_t[]>(kPageSize);
+            ++numPages_;
         }
-        return p;
+        return p.get();
     }
 
+    /** The page backing @p addr, or nullptr while nothing in it was
+     *  written. */
     const uint8_t*
     pageIfPresent(Addr addr) const
     {
-        const Leaf* l = leafIfPresent(addr);
-        return l ? l->pages[pageIndex(addr)].load(std::memory_order_acquire)
-                 : nullptr;
+        const Leaf* l = leaves_[leafIndex(addr)].get();
+        return l ? l->pages[pageIndex(addr)].get() : nullptr;
     }
 
-    /** Free every page and leaf that exists. */
-    void
-    dropLeaves()
-    {
-        for (auto& slot : leaves_) {
-            Leaf* l = slot.load(std::memory_order_relaxed);
-            if (!l)
-                continue;
-            for (auto& p : l->pages)
-                delete[] p.load(std::memory_order_relaxed);
-            delete l;
-            slot.store(nullptr, std::memory_order_relaxed);
-        }
-    }
-
-    //
-    // Relaxed atomic scalar accesses (compile to plain loads/stores on
-    // x86/ARM) keeping simulated-program races defined at the host level.
-    //
-    static uint8_t
-    loadByte(const uint8_t* p)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        return __atomic_load_n(p, __ATOMIC_RELAXED);
-#else
-        return std::atomic_ref<uint8_t>(*const_cast<uint8_t*>(p))
-            .load(std::memory_order_relaxed);
-#endif
-    }
-
-    static void
-    storeByte(uint8_t* p, uint8_t v)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __atomic_store_n(p, v, __ATOMIC_RELAXED);
-#else
-        std::atomic_ref<uint8_t>(*p).store(v, std::memory_order_relaxed);
-#endif
-    }
-
-    /** @p p must be 4-byte aligned. */
-    static uint32_t
-    loadWord(const uint8_t* p)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        return __atomic_load_n(reinterpret_cast<const uint32_t*>(p),
-                               __ATOMIC_RELAXED);
-#else
-        return std::atomic_ref<uint32_t>(
-                   *reinterpret_cast<uint32_t*>(const_cast<uint8_t*>(p)))
-            .load(std::memory_order_relaxed);
-#endif
-    }
-
-    /** @p p must be 4-byte aligned. */
-    static void
-    storeWord(uint8_t* p, uint32_t v)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        __atomic_store_n(reinterpret_cast<uint32_t*>(p), v,
-                         __ATOMIC_RELAXED);
-#else
-        std::atomic_ref<uint32_t>(*reinterpret_cast<uint32_t*>(p))
-            .store(v, std::memory_order_relaxed);
-#endif
-    }
-
-    std::array<std::atomic<Leaf*>, kNumLeaves> leaves_{};
-    std::atomic<uint64_t> codeWriteEpoch_{0};
-    std::mutex allocMutex_;
-    std::atomic<size_t> numPages_{0};
+    std::array<std::unique_ptr<Leaf>, kNumLeaves> leaves_;
+    uint64_t codeWriteEpoch_ = 0;
+    size_t numPages_ = 0;
 };
 
 inline uint8_t
 Ram::read8(Addr addr) const
 {
     const uint8_t* p = pageIfPresent(addr);
-    return p ? loadByte(p + (addr & (kPageSize - 1))) : 0;
+    return p ? p[addr & (kPageSize - 1)] : 0;
 }
 
 inline void
 Ram::write8(Addr addr, uint8_t value)
 {
-    storeByte(pageForWrite(addr) + (addr & (kPageSize - 1)), value);
+    pageForWrite(addr)[addr & (kPageSize - 1)] = value;
 }
 
 inline uint16_t
@@ -282,11 +179,12 @@ Ram::read16(Addr addr) const
 inline uint32_t
 Ram::read32(Addr addr) const
 {
-    // Fast path: aligned, so a single atomic word access suffices.
+    // Fast path: aligned, so the word lies in one page.
     if ((addr & 3) == 0) {
+        uint32_t v = 0;
         if (const uint8_t* p = pageIfPresent(addr))
-            return loadWord(p + (addr & (kPageSize - 1)));
-        return 0;
+            std::memcpy(&v, p + (addr & (kPageSize - 1)), 4);
+        return v;
     }
     return static_cast<uint32_t>(read16(addr)) |
            (static_cast<uint32_t>(read16(addr + 2)) << 16);
@@ -303,7 +201,8 @@ inline void
 Ram::write32(Addr addr, uint32_t value)
 {
     if ((addr & 3) == 0) {
-        storeWord(pageForWrite(addr) + (addr & (kPageSize - 1)), value);
+        std::memcpy(pageForWrite(addr) + (addr & (kPageSize - 1)), &value,
+                    4);
         return;
     }
     write16(addr, value & 0xFFFF);

@@ -2,22 +2,20 @@
  * @file
  * Producer-local staging for requests into shared memory fabric.
  *
- * Under the parallel tick engine, cores tick concurrently; anything a core
- * pushes into a *shared* component (an L2/L3 lane, the board-memory router)
- * during its tick would race with its siblings and make timing depend on
- * thread scheduling. A StagedMemPort sits between each L1's memory side and
- * the shared downstream sink: pushes land in a buffer owned by the producer
- * (thread-safe without locks), and the Processor drains every buffer in
- * core order in a serial commit phase at the end of the cycle. The serial
- * backend uses the exact same path, so both backends see bit-identical
- * request streams.
+ * Anything a core pushed into a *shared* component (an L2/L3 lane, the
+ * board-memory router) during its tick would be seen by the siblings that
+ * tick after it in the same cycle, so timing would depend on the order the
+ * cores tick in. A StagedMemPort sits between each L1's memory side and
+ * the shared downstream sink: pushes land in a buffer owned by the
+ * producer, and the Processor drains every buffer in core order in a
+ * commit phase at the end of the cycle. So every core order sees the same
+ * request stream (core::Processor::setReverseCoreOrder checks it).
  *
  * Timing-model note: relative to the pre-staging simulator, producers
  * observe shared-sink occupancy as of the start of the core phase rather
  * than mid-phase, so under contention a core may stage a request one cycle
  * earlier than it would previously have left the L1. This is a uniform,
- * deterministic refinement shared by both backends (no test pins absolute
- * cycle counts).
+ * deterministic refinement of the timing model.
  */
 
 #pragma once
@@ -43,10 +41,10 @@ class StagedMemPort final : public MemSink
     {
     }
 
-    // MemSink (called from the producer, possibly on a worker thread).
-    // Consulting down_->reqReady() here is safe and deterministic: shared
-    // sinks are only *mutated* in the serial phases, so during the tick
-    // phase every producer reads the same start-of-cycle snapshot. It also
+    // MemSink (called from the producer during its tick).
+    // Consulting down_->reqReady() here is deterministic: shared sinks
+    // are only *mutated* outside the core phase, so during it every
+    // producer reads the same start-of-cycle snapshot. It also
     // keeps downstream back-pressure visible to the producer in the same
     // cycle instead of adding a full staging buffer of slack.
     bool

@@ -3,8 +3,10 @@
  * The campaign engine: executes a SweepSpec's run matrix on a host job
  * pool and emits structured results.
  *
- * Determinism contract (the sweep-level analogue of core/tick_engine.h):
- * every run constructs its own Device, so runs share no simulation state;
+ * Determinism contract (the sweep-level analogue of the core-order
+ * independence in core/processor.h): each simulation runs on one host
+ * thread and host parallelism comes from running many at once; every run
+ * constructs its own Device, so runs share no simulation state;
  * workers claim runs from an atomic cursor but store each RunRecord at
  * the run's matrix index; and all emission (CSV/JSON/reports) walks the
  * records in matrix order. Campaign output is therefore byte-identical
@@ -134,7 +136,7 @@ struct CampaignResult
      * array per counter ("counters": {"core.thread_instrs": [..], ...})
      * — directly plottable as IPC / hit-rate / bandwidth curves (divide
      * a row by the window widths). Byte-stable across job counts, cache
-     * states, and tick backends. Runs without sampling emit empty
+     * states, and core orders. Runs without sampling emit empty
      * arrays.
      */
     void writeTimeSeriesJson(std::ostream& os) const;

@@ -199,6 +199,20 @@ struct FieldDef
     VORTEX_FIELD(uint32_t, c, field, "base", kHash | kDump, Always, help)
 #define VORTEX_BOOL_FIELD(field, help)                                      \
     VORTEX_FIELD(bool, c, field, "base", kHash | kDump, Always, help)
+/** A retired config field: dumps write @p def, the only value it
+ *  accepts. */
+#define VORTEX_RETIRED_FIELD(T, field, def)                                 \
+    {#field, "retired: the parallel tick backend was removed (only " #def  \
+             ")",                                                           \
+     "base", kDump, Only::Always, std::is_same_v<T, bool>,                  \
+     [](core::ArchConfig&, WorkloadSpec&, const std::string& v) {           \
+         if (parseAs<T>(#field, v) != (def))                                \
+             fatal("sweep field '" #field "': the parallel tick backend "   \
+                   "was removed; only " #def " is accepted");               \
+     },                                                                     \
+     [](const core::ArchConfig&, const WorkloadSpec&) {                     \
+         return textOf<T>(def);                                             \
+     }}
 /** A hashed u32 config field with no sweep knob. */
 #define VORTEX_HASHED_FIELD(field)                                          \
     {#field, nullptr, "base", kHash, Only::Always, false, nullptr,          \
@@ -284,14 +298,11 @@ constexpr FieldDef kFields[] = {
     VORTEX_BOOL_FIELD(texEnabled, "build the per-core texture units"),
     VORTEX_HASHED_FIELD(startPC),
     VORTEX_HASHED_FIELD(smemBase),
-    // Not hashed: the backends are bit-identical for guests without
-    // same-cycle cross-core races (ARCHITECTURE.md), so a cached serial
-    // result stands for a parallel run and vice versa. A racy guest (bfs
-    // on 8 cores, L2x4 + L3: 68447 or 68433 parallel cycles) can differ.
-    VORTEX_FIELD(bool, c, parallelTick, "base", kDump, Always,
-                 "tick cores on a host thread pool"),
-    VORTEX_FIELD(uint32_t, c, tickThreads, "base", kDump, Always,
-                 "pool size (0 = host CPUs)"),
+    // Retired with the parallel tick backend: accepted only at their
+    // defaults, so the shipped specs that write them still parse and
+    // dump unchanged. Never hashed.
+    VORTEX_RETIRED_FIELD(bool, parallelTick, false),
+    VORTEX_RETIRED_FIELD(uint32_t, tickThreads, 0),
 
     // Observability. Hashed even though it cannot change simulation
     // results: a cached record must carry the time series the request
@@ -390,6 +401,7 @@ constexpr FieldDef kFields[] = {
 #undef VORTEX_FIELD
 #undef VORTEX_U32_FIELD
 #undef VORTEX_BOOL_FIELD
+#undef VORTEX_RETIRED_FIELD
 #undef VORTEX_HASHED_FIELD
 
 } // namespace

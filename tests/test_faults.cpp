@@ -2,10 +2,10 @@
  * @file
  * Fault-injection engine tests (docs/ROBUSTNESS.md): plan generation
  * determinism, the injection hook's architectural effect, watchdog
- * timeout classification under both tick backends, campaigns that
- * record failures as structured rows and still complete the matrix,
- * and the byte-identity of a faulted campaign's CSV across job counts,
- * tick backends, and cache states.
+ * timeout classification in both core orders, campaigns that record
+ * failures as structured rows and still complete the matrix, and the
+ * byte-identity of a faulted campaign's CSV across job counts, core
+ * orders, and cache states.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "common/outcome.h"
 #include "core/processor.h"
 #include "faults/fault.h"
+#include "runtime/device.h"
 #include "sweep/campaign.h"
 #include "sweep/cli.h"
 #include "sweep/presets.h"
@@ -49,19 +50,32 @@ freshTempDir(const char* tag)
  *  applied. The program path resolves through VORTEX_PROGRAM_PATH
  *  (tests/CMakeLists.txt points it at the source tree). */
 RunSpec
-guestRun(const std::string& name, const faults::FaultSpec& faults,
-         bool parallelTick = false)
+guestRun(const std::string& name, const faults::FaultSpec& faults)
 {
     SweepSpec s;
     s.name = "faults-one";
     s.base = baselineConfig(1);
-    s.base.parallelTick = parallelTick;
     applyField(s.base, s.baseWorkload, "kernel", name);
     applyField(s.base, s.baseWorkload, "program",
                "examples/kernels/" + name + ".s");
     applyField(s.base, s.baseWorkload, "check", "selfcheck");
     s.baseWorkload.faults = faults;
     return s.expand().at(0);
+}
+
+/** What executeRun(@p run) records, with the cores ticking in reversed
+ *  order when @p reversed (core::Processor::setReverseCoreOrder). */
+RunRecord
+runInOrder(const RunSpec& run, bool reversed)
+{
+    runtime::Device dev(run.config);
+    dev.processor().setReverseCoreOrder(reversed);
+    RunRecord rec;
+    rec.spec = run;
+    rec.result = run.workload.run(dev);
+    dev.processor().collectStats(rec.stats);
+    rec.series = dev.processor().timeSeries();
+    return rec;
 }
 
 std::string
@@ -243,22 +257,22 @@ TEST(Faults, InjectedRunFailsDeterministicallyWithAStructuredStatus)
     EXPECT_EQ(again.result.error, hit.result.error);
 }
 
-TEST(Faults, HangingGuestTimesOutUnderBothTickBackends)
+TEST(Faults, HangingGuestTimesOutInBothCoreOrders)
 {
     faults::FaultSpec f;
     f.watchdog = 50000; // no injection — just the cycle watchdog
 
-    RunRecord serial = executeRun(guestRun("hang", f, false));
-    EXPECT_FALSE(serial.result.ok);
-    EXPECT_EQ(serial.result.status, RunStatus::Timeout);
-    EXPECT_EQ(serial.result.cycles, f.watchdog);
-    EXPECT_NE(serial.result.error.find("did not complete"),
+    RunRecord forward = runInOrder(guestRun("hang", f), false);
+    EXPECT_FALSE(forward.result.ok);
+    EXPECT_EQ(forward.result.status, RunStatus::Timeout);
+    EXPECT_EQ(forward.result.cycles, f.watchdog);
+    EXPECT_NE(forward.result.error.find("did not complete"),
               std::string::npos);
 
-    RunRecord parallel = executeRun(guestRun("hang", f, true));
-    EXPECT_EQ(parallel.result.status, RunStatus::Timeout);
-    EXPECT_EQ(parallel.result.cycles, serial.result.cycles);
-    EXPECT_EQ(parallel.result.threadInstrs, serial.result.threadInstrs);
+    RunRecord reversed = runInOrder(guestRun("hang", f), true);
+    EXPECT_EQ(reversed.result.status, RunStatus::Timeout);
+    EXPECT_EQ(reversed.result.cycles, forward.result.cycles);
+    EXPECT_EQ(reversed.result.threadInstrs, forward.result.threadInstrs);
 }
 
 TEST(Faults, CampaignWithAHangingGuestCompletesTheMatrix)
@@ -289,7 +303,7 @@ TEST(Faults, CampaignWithAHangingGuestCompletesTheMatrix)
 // Campaign-level determinism of the shipped smoke preset.
 //
 
-TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsBackendsAndCache)
+TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsAndCache)
 {
     SweepSpec spec = findPreset("fault_smoke")->spec();
 
@@ -303,12 +317,6 @@ TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsBackendsAndCache)
     CampaignOptions par4;
     par4.jobs = 4;
     EXPECT_EQ(csvOf(Campaign(par4).run(spec)), bytes);
-
-    // The parallel tick backend produces the same rows (parallelTick is
-    // execution metadata: same content hashes, same results).
-    SweepSpec parSpec = spec;
-    parSpec.base.parallelTick = true;
-    EXPECT_EQ(csvOf(Campaign(par4).run(parSpec)), bytes);
 
     // Cold then warm cache: failed runs are never cached (they re-run),
     // ok runs all hit, and the bytes still match.
@@ -326,6 +334,33 @@ TEST(Faults, SmokeCampaignIsByteIdenticalAcrossJobsBackendsAndCache)
     EXPECT_EQ(warm.cacheMisses, warm.failures());
     EXPECT_EQ(csvOf(warm), bytes);
     std::filesystem::remove_all(dir);
+}
+
+TEST(Faults, SmokeCampaignRowsMatchInReversedCoreOrder)
+{
+    // Every run of the faulted matrix, simulated with the cores ticking
+    // in forward and in reversed order, gives the campaign's rows byte
+    // for byte: injected flips, watchdog timeouts and traps included.
+    // The shipped matrix is one core, where the two orders coincide, so
+    // it runs on two cores as well.
+    for (uint32_t cores : {1u, 2u}) {
+        SweepSpec spec = findPreset("fault_smoke")->spec();
+        spec.base.numCores = cores;
+        CampaignOptions serial1;
+        serial1.jobs = 1;
+        const std::string bytes = csvOf(Campaign(serial1).run(spec));
+
+        for (bool reversed : {false, true}) {
+            CampaignResult r;
+            r.name = spec.name;
+            for (const Axis& a : spec.axes)
+                r.axisNames.push_back(a.name);
+            for (const RunSpec& run : spec.expand())
+                r.records.push_back(runInOrder(run, reversed));
+            EXPECT_EQ(csvOf(r), bytes)
+                << cores << " cores, reversed=" << reversed;
+        }
+    }
 }
 
 //

@@ -2,11 +2,11 @@
  * @file
  * Pinned differential-fuzzing corpus: 100 seeded random guest programs
  * must assemble through the object pipeline, pass the static analyzer
- * with zero diagnostics, and run bit-identically on the serial and
- * parallel tick backends. Deterministic by construction (Xorshift only),
- * so a failure here is a real regression in the toolchain, the
- * analyzer, or a tick backend — rerun `vortex_fuzz --dump <seed>` to see
- * the offending program.
+ * with zero diagnostics, and run bit-identically with the cores ticking
+ * in forward and in reversed order. Deterministic by construction
+ * (Xorshift only), so a failure here is a real regression in the
+ * toolchain, the analyzer, or the simulator's core-order independence —
+ * rerun `vortex_fuzz --dump <seed>` to see the offending program.
  */
 
 #include <fstream>

@@ -2,7 +2,8 @@
  * @file
  * Golden simulated-timing gate for host-performance work: the exact
  * cycle counts, thread-instruction counts, and headline device counters
- * of all six `perf_smoke` runs, for BOTH tick backends. This table is
+ * of all six `perf_smoke` runs, in BOTH core orders (forward, and
+ * reversed through core::Processor::setReverseCoreOrder). This table is
  * the single pin of those rows; ci/golden_outputs.json additionally
  * hashes the campaign's whole CSV/JSON output.
  *
@@ -24,7 +25,8 @@
  * credit, a missed timer or a missed wake shows up here. The
  * L2-in-front-of-L3 row runs saxpy, not bfs: bfs cores race on `cost[]`
  * in the same cycle (a program-level race, mem/ram.h), and on that
- * wiring the race changes its parallel timing from run to run.
+ * wiring the race gives reversed core order other cycles (68447, not
+ * 68433).
  */
 
 #include <gtest/gtest.h>
@@ -70,10 +72,10 @@ const Golden kGolden[] = {
     {"sgemm/2", 29821, 115066, 28862, 28862, 30148, 29200, 948, 62144},
 };
 
-/** Execute every perf_smoke run on the given tick backend and compare
+/** Execute every perf_smoke run in the given core order and compare
  *  cycles / instructions / headline counters against the pinned table. */
 void
-checkBackend(bool parallel_tick)
+checkOrder(bool reversed)
 {
     sweep::SweepSpec spec = sweep::findPreset("perf_smoke")->spec();
     std::vector<sweep::RunSpec> runs = spec.expand();
@@ -84,32 +86,31 @@ checkBackend(bool parallel_tick)
         const Golden& want = kGolden[i];
         ASSERT_EQ(run.id(), want.id) << "matrix order drifted";
 
-        run.config.parallelTick = parallel_tick;
-        run.config.tickThreads = parallel_tick ? 2 : 0;
         runtime::Device dev(run.config);
+        dev.processor().setReverseCoreOrder(reversed);
         runtime::RunResult r = run.workload.run(dev);
         ASSERT_TRUE(r.ok) << run.id() << ": " << r.error;
 
         StatGroup flat;
         dev.processor().collectStats(flat);
 
-        const char* backend = parallel_tick ? " [parallel]" : " [serial]";
-        EXPECT_EQ(r.cycles, want.cycles) << want.id << backend;
-        EXPECT_EQ(r.threadInstrs, want.threadInstrs) << want.id << backend;
+        const char* order = reversed ? " [reversed]" : " [forward]";
+        EXPECT_EQ(r.cycles, want.cycles) << want.id << order;
+        EXPECT_EQ(r.threadInstrs, want.threadInstrs) << want.id << order;
         EXPECT_EQ(flat.get("core.thread_instrs"), want.threadInstrs)
-            << want.id << backend;
+            << want.id << order;
         EXPECT_EQ(flat.get("core.retired"), want.coreRetired)
-            << want.id << backend;
+            << want.id << order;
         EXPECT_EQ(flat.get("icache.core_reads"), want.icacheReads)
-            << want.id << backend;
+            << want.id << order;
         EXPECT_EQ(flat.get("dcache.core_reads"), want.dcacheReads)
-            << want.id << backend;
+            << want.id << order;
         EXPECT_EQ(flat.get("dcache.read_hits"), want.dcacheReadHits)
-            << want.id << backend;
+            << want.id << order;
         EXPECT_EQ(flat.get("dcache.read_misses"), want.dcacheReadMisses)
-            << want.id << backend;
+            << want.id << order;
         EXPECT_EQ(flat.get("mem.bytes"), want.memBytes)
-            << want.id << backend;
+            << want.id << order;
     }
 }
 
@@ -419,7 +420,7 @@ const GoldenRow kGoldenRows[] = {
 };
 
 core::ArchConfig
-machineConfig(Machine m, bool parallel_tick)
+machineConfig(Machine m)
 {
     core::ArchConfig c;
     switch (m) {
@@ -448,8 +449,6 @@ machineConfig(Machine m, bool parallel_tick)
         c.numWarps = 64;
         break;
     }
-    c.parallelTick = parallel_tick;
-    c.tickThreads = parallel_tick ? 2 : 0;
     return c;
 }
 
@@ -479,23 +478,24 @@ runKernel(runtime::Device& dev, const std::string& kernel)
 }
 
 void
-checkRows(bool parallel_tick)
+checkRows(bool reversed)
 {
-    const char* backend = parallel_tick ? " [parallel]" : " [serial]";
+    const char* order = reversed ? " [reversed]" : " [forward]";
     for (const GoldenRow& want : kGoldenRows) {
-        runtime::Device dev(machineConfig(want.machine, parallel_tick));
+        runtime::Device dev(machineConfig(want.machine));
+        dev.processor().setReverseCoreOrder(reversed);
         runtime::RunResult r = runKernel(dev, want.kernel);
-        ASSERT_TRUE(r.ok) << want.id << backend << ": " << r.error;
-        EXPECT_EQ(r.cycles, want.cycles) << want.id << backend;
+        ASSERT_TRUE(r.ok) << want.id << order << ": " << r.error;
+        EXPECT_EQ(r.cycles, want.cycles) << want.id << order;
 
         StatGroup flat;
         dev.processor().collectStats(flat);
         std::vector<std::pair<std::string, uint64_t>> got(flat.all().begin(),
                                                           flat.all().end());
-        ASSERT_EQ(got.size(), want.row.size()) << want.id << backend;
+        ASSERT_EQ(got.size(), want.row.size()) << want.id << order;
         for (size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i], want.row[i])
-                << want.id << backend << " counter #" << i;
+                << want.id << order << " counter #" << i;
         }
     }
 }
@@ -529,32 +529,33 @@ seriesDigest(const TimeSeries& ts)
 
 } // namespace
 
-TEST(Golden, FullCounterRowsSerialTick)
+TEST(Golden, FullCounterRowsForwardCoreOrder)
 {
-    checkRows(/*parallel_tick=*/false);
+    checkRows(/*reversed=*/false);
 }
 
-TEST(Golden, FullCounterRowsParallelTick)
+TEST(Golden, FullCounterRowsReversedCoreOrder)
 {
-    checkRows(/*parallel_tick=*/true);
+    checkRows(/*reversed=*/true);
 }
 
-TEST(Golden, PrimeIntervalSeriesBothBackends)
+TEST(Golden, PrimeIntervalSeriesBothCoreOrders)
 {
     // 997 is prime and shares no factor with any pipeline latency, so
     // sample boundaries fall inside dormant stretches of every core.
-    for (bool parallel : {false, true}) {
-        core::ArchConfig cfg = machineConfig(Machine::Clustered8, parallel);
+    for (bool reversed : {false, true}) {
+        core::ArchConfig cfg = machineConfig(Machine::Clustered8);
         cfg.sampleInterval = 997;
         runtime::Device dev(cfg);
+        dev.processor().setReverseCoreOrder(reversed);
         runtime::RunResult r = runtime::runRodinia(dev, "bfs", 1);
         ASSERT_TRUE(r.ok) << r.error;
         const TimeSeries& ts = dev.processor().timeSeries();
-        EXPECT_EQ(ts.numSamples(), 71u) << "parallel=" << parallel;
-        EXPECT_EQ(ts.keys.size(), 81u) << "parallel=" << parallel;
-        EXPECT_EQ(ts.sampleCycles.back(), 70622u) << "parallel=" << parallel;
+        EXPECT_EQ(ts.numSamples(), 71u) << "reversed=" << reversed;
+        EXPECT_EQ(ts.keys.size(), 81u) << "reversed=" << reversed;
+        EXPECT_EQ(ts.sampleCycles.back(), 70622u) << "reversed=" << reversed;
         EXPECT_EQ(seriesDigest(ts), 0x2bd1e975f4c9ba8cull)
-            << "parallel=" << parallel;
+            << "reversed=" << reversed;
     }
 }
 
@@ -563,7 +564,7 @@ TEST(Golden, StallHeavyClusteredRunIsMostlyDormant)
     // Keeps the dormant-core tick from silently switching itself off:
     // on the L2-clustered runs above most core-cycles are spent asleep.
     for (const char* kernel : {"bfs", "saxpy"}) {
-        runtime::Device dev(machineConfig(Machine::Clustered8, false));
+        runtime::Device dev(machineConfig(Machine::Clustered8));
         runtime::RunResult r = runtime::runRodinia(dev, kernel, 1);
         ASSERT_TRUE(r.ok) << r.error;
         uint64_t dormant = 0, cycles = 0;
@@ -582,7 +583,7 @@ TEST(Golden, StallHeavyClusteredRunHasMostlyDormantL2s)
     // The same floor for the shared caches: most L2-cycles of those runs
     // change nothing, so a shared cache that stops sleeping shows here.
     for (const char* kernel : {"bfs", "saxpy"}) {
-        runtime::Device dev(machineConfig(Machine::Clustered8, false));
+        runtime::Device dev(machineConfig(Machine::Clustered8));
         runtime::RunResult r = runtime::runRodinia(dev, kernel, 1);
         ASSERT_TRUE(r.ok) << r.error;
         uint64_t dormant = 0, cycles = 0;
@@ -596,12 +597,12 @@ TEST(Golden, StallHeavyClusteredRunHasMostlyDormantL2s)
     }
 }
 
-TEST(Golden, PerfSmokeSerialTickMatchesBenchBaseline)
+TEST(Golden, PerfSmokeForwardCoreOrderMatchesBenchBaseline)
 {
-    checkBackend(/*parallel_tick=*/false);
+    checkOrder(/*reversed=*/false);
 }
 
-TEST(Golden, PerfSmokeParallelTickMatchesBenchBaseline)
+TEST(Golden, PerfSmokeReversedCoreOrderMatchesBenchBaseline)
 {
-    checkBackend(/*parallel_tick=*/true);
+    checkOrder(/*reversed=*/true);
 }

@@ -2,8 +2,8 @@
  * @file
  * Tests for per-interval counter sampling: the StatSampler delta
  * encoding and its fixed-key-list check, counter keys fixed by the
- * machine shape, the Processor-level determinism contract (serial vs
- * parallel tick backends produce bit-identical time series), the
+ * machine shape, the Processor-level determinism contract (forward and
+ * reversed core order produce bit-identical time series), the
  * campaign plumbing (job-count and cache-state byte-stability of the
  * time-series JSON, cache round-trip of a RunRecord with a series),
  * disabled-by-default behavior, and the result-cache hygiene tools
@@ -48,12 +48,15 @@ freshTempDir(const char* tag)
     return dir;
 }
 
-/** Run @p kernel on a machine with @p cfg and return the recorded
- *  series plus the end-of-run flattened counters. */
+/** Run @p kernel on a machine with @p cfg, the cores ticking in
+ *  @p reversed order, and return the recorded series plus the
+ *  end-of-run flattened counters. */
 std::pair<TimeSeries, StatGroup>
-runSampled(const core::ArchConfig& cfg, const std::string& kernel)
+runSampled(const core::ArchConfig& cfg, const std::string& kernel,
+           bool reversed = false)
 {
     runtime::Device dev(cfg);
+    dev.processor().setReverseCoreOrder(reversed);
     runtime::RunResult r = runtime::runRodinia(dev, kernel, 1);
     EXPECT_TRUE(r.ok) << kernel << ": " << r.error;
     StatGroup flat;
@@ -216,19 +219,15 @@ TEST(Sampling, SeriesSumsToEndOfRunCounters)
         EXPECT_EQ(row.size(), ts.numSamples());
 }
 
-TEST(Sampling, BitIdenticalAcrossSerialAndParallelTickBackends)
+TEST(Sampling, BitIdenticalAcrossCoreOrders)
 {
-    // A 2-core machine so the parallel backend has real work to split,
-    // with a forced 2-thread pool (this container has 1 host CPU).
-    core::ArchConfig serial = sweep::baselineConfig(2);
-    serial.sampleInterval = 512;
-    core::ArchConfig parallel = serial;
-    parallel.parallelTick = true;
-    parallel.tickThreads = 2;
+    // A 2-core machine, so the reversed core order differs from forward.
+    core::ArchConfig cfg = sweep::baselineConfig(2);
+    cfg.sampleInterval = 512;
 
     for (const char* kernel : {"vecadd", "sgemm"}) {
-        auto [ts1, flat1] = runSampled(serial, kernel);
-        auto [ts2, flat2] = runSampled(parallel, kernel);
+        auto [ts1, flat1] = runSampled(cfg, kernel);
+        auto [ts2, flat2] = runSampled(cfg, kernel, /*reversed=*/true);
         ASSERT_FALSE(ts1.empty());
         EXPECT_TRUE(ts1 == ts2) << kernel;
         EXPECT_EQ(flat1.all(), flat2.all()) << kernel;
@@ -243,14 +242,10 @@ TEST(SamplingSweep, SampleIntervalIsARegisteredFieldAndHashed)
     EXPECT_EQ(cfg.sampleInterval, 10000u);
 
     // Sampling changes the cache key (a cached record must carry the
-    // series the request asks for) ...
+    // series the request asks for).
     sweep::RunSpec off, on;
     on.config.sampleInterval = 10000;
     EXPECT_NE(off.contentHash(), on.contentHash());
-    // ... but the tick backend still does not.
-    sweep::RunSpec onParallel = on;
-    onParallel.config.parallelTick = true;
-    EXPECT_EQ(on.contentHash(), onParallel.contentHash());
 }
 
 TEST(SamplingSweep, TimeSeriesJsonByteStableAcrossJobsAndCache)

@@ -207,6 +207,40 @@ TEST(SpecFile, JsonAndTomlSpecsExpandIdentically)
     EXPECT_EQ(t.expand()[0].workload.kernel, "saxpy");
 }
 
+TEST(SpecFile, RetiredTickFieldsAcceptOnlyTheirDefaults)
+{
+    // The parallel tick backend is gone: its two fields still parse at
+    // their defaults (every shipped spec writes them) ...
+    SweepSpec ok = parseSpecText(
+        "[base]\nparallelTick = false\ntickThreads = 0\n", "t.toml");
+    EXPECT_FALSE(ok.base.parallelTick);
+    EXPECT_EQ(ok.base.tickThreads, 0u);
+    // ... and any other value fails, in [base] and in an axis point,
+    // at the position of the value.
+    expectParseError("[base]\nparallelTick = true\n", 2, 16,
+                     "sweep field 'parallelTick': the parallel tick "
+                     "backend was removed; only false is accepted");
+    expectParseError("[base]\ntickThreads = 4\n", 2, 15,
+                     "sweep field 'tickThreads': the parallel tick "
+                     "backend was removed; only 0 is accepted");
+    expectParseError("[[axes]]\nname = \"t\"\n[[axes.points]]\n"
+                     "label = \"a\"\nset.tickThreads = 2\n",
+                     5, 19, "the parallel tick backend was removed");
+    // --set goes through the same field table.
+    core::ArchConfig cfg;
+    WorkloadSpec wl;
+    applySetArg(cfg, wl, {"parallelTick", "off"});
+    try {
+        applySetArg(cfg, wl, {"parallelTick", "on"});
+        ADD_FAILURE() << "--set parallelTick=on was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "the parallel tick backend was removed"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(SpecFile, MalformedInputReportsLineAndColumn)
 {
     // Bad value for a known field: position of the value.

@@ -137,6 +137,12 @@ TEST(SweepSpec, FieldRegistryRejectsUnknownNamesAndBadValues)
             name == "kernel" || name == "texFilter" ||
             name == "program" || name == "check")
             continue;
+        if (name == "parallelTick" || name == "tickThreads") {
+            // Retired: only the default, 0, is accepted.
+            EXPECT_THROW(applyField(cfg, wl, name, "1"), FatalError) << name;
+            EXPECT_TRUE(applyField(cfg, wl, name, "0")) << name;
+            continue;
+        }
         EXPECT_TRUE(applyField(cfg, wl, name, "1")) << name;
     }
 
@@ -216,14 +222,6 @@ TEST(SweepSpec, ContentHashDifferentiatesConfigAndWorkload)
     RunSpec tweaked = runs[0];
     tweaked.config.mshrEntries *= 2;
     EXPECT_NE(tweaked.contentHash(), runs[0].contentHash());
-
-    // The tick backend does NOT change the hash: serial and parallel
-    // simulations are bit-identical (core/tick_engine.h), so cached
-    // results are shared across backends.
-    RunSpec parallel = runs[0];
-    parallel.config.parallelTick = true;
-    parallel.config.tickThreads = 4;
-    EXPECT_EQ(parallel.contentHash(), runs[0].contentHash());
 }
 
 TEST(SweepSpec, PreimageBytesAndFieldListArePinned)
@@ -261,8 +259,8 @@ TEST(SweepSpec, PreimageBytesAndFieldListArePinned)
     c.l3Ways = 23;
     c.mem = {24, 256, 25, 26, 27};
     c.texEnabled = false;
-    c.parallelTick = true; // not hashed
-    c.tickThreads = 28;    // not hashed
+    c.parallelTick = true; // retired, not hashed
+    c.tickThreads = 28;    // retired, not hashed
     c.sampleInterval = 5000000000ull;
     c.startPC = 0x10000;
     c.smemBase = 0x20000;
@@ -444,8 +442,8 @@ mem.busWidth	bytes per channel per cycle
 mem.numChannels	independent memory channels
 mem.queueDepth	memory input-queue depth
 texEnabled	build the per-core texture units
-parallelTick	tick cores on a host thread pool
-tickThreads	pool size (0 = host CPUs)
+parallelTick	retired: the parallel tick backend was removed (only false)
+tickThreads	retired: the parallel tick backend was removed (only 0)
 sampleInterval	cycles between counter snapshots (0 = off)
 workload	workload family (rodinia | texture)
 kernel	Rodinia kernel name (implies workload=rodinia)

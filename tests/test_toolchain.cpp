@@ -7,8 +7,8 @@
  * code-page pre-marking), and the golden contract — every unit of every
  * built-in guest is its checked-in `.s` file, and a `program =` twin of
  * a Rodinia kernel is bit-identical in cycles, retired thread
- * instructions, and verified output to the built-in kernel, on both
- * tick backends and more than one machine geometry.
+ * instructions, and verified output to the built-in kernel, in both
+ * core orders and on more than one machine geometry.
  */
 
 #include <cstdio>
@@ -314,7 +314,7 @@ TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
     // (sweep::workloadGuest), and the registry entry of the same kernel
     // is that same file (test above). This pins that resolution: the
     // two must give the same cycles, retired thread instructions and
-    // verified output, on two geometries and both tick backends.
+    // verified output, on two geometries and in both core orders.
     struct Twin
     {
         const char* kernel;
@@ -329,15 +329,14 @@ TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
                           {"bfs", "bfs.s"}};
     for (const Twin& t : twins) {
         for (uint32_t cores : {1u, 4u}) {
-            for (bool parallel : {false, true}) {
+            for (bool reversed : {false, true}) {
                 core::ArchConfig cfg = sweep::baselineConfig(1);
                 cfg.numCores = cores;
-                cfg.parallelTick = parallel;
-                cfg.tickThreads = parallel ? 2 : 0;
 
                 sweep::WorkloadSpec builtin;
                 builtin.kernel = t.kernel;
                 runtime::Device dev1(cfg);
+                dev1.processor().setReverseCoreOrder(reversed);
                 runtime::RunResult r1 = builtin.run(dev1);
                 ASSERT_TRUE(r1.ok) << t.kernel << ": " << r1.error;
 
@@ -345,15 +344,16 @@ TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
                 twin.program = kernelsDir() + "/" + t.file;
                 twin.programSource = readFile(twin.program);
                 runtime::Device dev2(cfg);
+                dev2.processor().setReverseCoreOrder(reversed);
                 runtime::RunResult r2 = twin.run(dev2);
                 ASSERT_TRUE(r2.ok) << twin.program << ": " << r2.error;
 
                 EXPECT_EQ(r1.cycles, r2.cycles)
                     << t.kernel << " cores=" << cores
-                    << " parallel=" << parallel;
+                    << " reversed=" << reversed;
                 EXPECT_EQ(r1.threadInstrs, r2.threadInstrs)
                     << t.kernel << " cores=" << cores
-                    << " parallel=" << parallel;
+                    << " reversed=" << reversed;
             }
         }
     }

@@ -3,8 +3,8 @@
  * Tests for the harness-free workload zoo (the .s files under
  * examples/kernels/ run with `check = "selfcheck"`): every checked-in self-checking guest program
  * runs green through the self-check mailbox on two machine geometries
- * and both tick backends, with bit-identical cycles and retired thread
- * instructions between the backends (the simulator's determinism
+ * and in both core orders, with bit-identical cycles and retired thread
+ * instructions between the orders (the simulator's determinism
  * contract for data-race-free guests); a deliberately corrupted
  * workload must FAIL through the mailbox, not silently pass; and the
  * shipped workload_zoo spec drives the same programs end to end.
@@ -63,7 +63,7 @@ zooWorkload(const std::string& name)
 
 } // namespace
 
-TEST(WorkloadZoo, EveryWorkloadSelfChecksBitIdenticalAcrossBackends)
+TEST(WorkloadZoo, EveryWorkloadSelfChecksBitIdenticalAcrossCoreOrders)
 {
     for (const char* name : kZoo) {
         sweep::WorkloadSpec w = zooWorkload(name);
@@ -71,23 +71,22 @@ TEST(WorkloadZoo, EveryWorkloadSelfChecksBitIdenticalAcrossBackends)
             core::ArchConfig cfg = sweep::baselineConfig(1);
             cfg.numCores = cores;
 
-            uint64_t serialCycles = 0, serialInstrs = 0;
-            for (bool parallel : {false, true}) {
-                cfg.parallelTick = parallel;
-                cfg.tickThreads = parallel ? 2 : 0;
+            uint64_t forwardCycles = 0, forwardInstrs = 0;
+            for (bool reversed : {false, true}) {
                 runtime::Device dev(cfg);
+                dev.processor().setReverseCoreOrder(reversed);
                 runtime::RunResult r = w.run(dev);
                 ASSERT_TRUE(r.ok)
                     << name << " cores=" << cores
-                    << " parallel=" << parallel << ": " << r.error;
+                    << " reversed=" << reversed << ": " << r.error;
                 EXPECT_TRUE(dev.readSelfCheck().passed()) << name;
-                if (!parallel) {
-                    serialCycles = r.cycles;
-                    serialInstrs = r.threadInstrs;
+                if (!reversed) {
+                    forwardCycles = r.cycles;
+                    forwardInstrs = r.threadInstrs;
                 } else {
-                    EXPECT_EQ(r.cycles, serialCycles)
+                    EXPECT_EQ(r.cycles, forwardCycles)
                         << name << " cores=" << cores;
-                    EXPECT_EQ(r.threadInstrs, serialInstrs)
+                    EXPECT_EQ(r.threadInstrs, forwardInstrs)
                         << name << " cores=" << cores;
                 }
             }

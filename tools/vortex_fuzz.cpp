@@ -1,14 +1,14 @@
 /**
  * @file
  * `vortex_fuzz` — differential fuzzing of the guest toolchain and the
- * simulator's tick backends.
+ * simulator's core order.
  *
  * Each seed deterministically generates a well-formed guest program
  * (src/fuzz/), pushes it through the full object pipeline
  * (assemble -> VXOB write/read -> load/relocate), requires a clean
- * static-analysis report, then runs it on the serial and the parallel
- * backend and compares cycles, retired thread instructions, and the
- * guest-visible scratch memory byte-for-byte:
+ * static-analysis report, then runs it with the cores ticking in forward
+ * and in reversed order and compares cycles, retired thread instructions,
+ * and the guest-visible scratch memory byte-for-byte:
  *
  *   vortex_fuzz --seeds 100
  *   vortex_fuzz --seeds 50 --start 1000 --set numCores=4
