@@ -84,9 +84,10 @@ BM_CacheHitStream(benchmark::State& state)
     mem::Cache cache(cfg);
     mem::MemSimConfig mcfg;
     mem::MemSim memsim(mcfg);
-    cache.connectMem(&memsim);
-    memsim.setRspCallback(
-        [&](const mem::MemRsp& rsp) { cache.memRsp(rsp); });
+    cache.connectMem(memsim.link(0, nullptr));
+    memsim.setRspCallback([&](const mem::CoreRsp& rsp) {
+        cache.memRsp(mem::MemRsp{rsp.reqId});
+    });
     uint64_t id = 1;
     Cycle now = 0;
     for (auto _ : state) {

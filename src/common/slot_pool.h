@@ -13,10 +13,11 @@
  * response" paths, instead of silently aliasing a recycled slot.
  *
  * Id layout (64-bit): `base | generation << 16 | index`. The caller's
- * @p base occupies bits >= 40 and keeps ids from different pools (or
- * different component instances) globally disjoint — e.g. the Core tags
- * each pool with a request-kind nibble, and caches embed their instance
- * id, which response routers rely on for uniqueness. 16 index bits are
+ * @p base occupies bits >= 40 and keeps ids from different pools of one
+ * component disjoint — e.g. the Core tags each pool with a request-kind
+ * nibble. Ids of different components may coincide: a cache's fill ids
+ * use base 0, because every response returns on the lane of the cache
+ * that issued it (mem/memtypes.h "link rule"). 16 index bits are
  * ample (in-flight populations are queue-depth bounded), buying a
  * 24-bit generation: the stale-id check only false-negatives if one
  * slot is recycled exactly a multiple of 2^24 times between a request

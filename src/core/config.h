@@ -180,7 +180,8 @@ struct ArchConfig
         return c;
     }
 
-    /** Device-level L3 geometry (one lane per cluster port). */
+    /** Device-level L3 geometry: one lane per L2, or per L1 when the
+     *  L2s are off. */
     mem::CacheConfig
     l3Config() const
     {
@@ -191,7 +192,7 @@ struct ArchConfig
         c.numBanks = l3Banks;
         c.numWays = l3Ways;
         c.numPorts = 1;
-        c.numLanes = 2 * numClusters();
+        c.numLanes = l2Enabled ? numClusters() : 2 * numCores;
         c.mshrEntries = 4 * mshrEntries;
         c.memQueueDepth = 32;
         return c;

@@ -23,6 +23,14 @@ Processor::Processor(const ArchConfig& config)
         fatal("coresPerCluster must be >= 1");
     if (config.lsuDepth == 0)
         fatal("lsuDepth must be >= 1");
+    if (config.ibufferDepth == 0)
+        fatal("ibufferDepth must be >= 1");
+    if (config.smemLatency == 0)
+        fatal("smemLatency must be >= 1");
+    if (config.mem.queueDepth == 0)
+        fatal("mem.queueDepth must be >= 1");
+    if (config.mem.busWidth == 0)
+        fatal("mem.busWidth must be >= 1");
     memSim_ = std::make_unique<mem::MemSim>(config.mem);
     for (uint32_t c = 0; c < config.numCores; ++c)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, text_, this));
@@ -36,140 +44,68 @@ Processor::Processor(const ArchConfig& config)
     awake_.reserve(cores_.size());
 }
 
-namespace {
-
-/** Connect @p upstream's memory side to lane @p lane of @p downstream. */
-void
-linkCacheToCache(mem::Cache& upstream, mem::Cache& downstream, uint32_t lane,
-                 std::vector<std::unique_ptr<mem::MemSink>>& adapters)
-{
-    adapters.push_back(
-        std::make_unique<mem::CacheMemPort>(downstream, lane));
-    upstream.connectMem(adapters.back().get());
-}
-
-} // namespace
-
-void
-Processor::connectStaged(Core& core, mem::Cache& l1, mem::MemSink* down)
-{
-    auto& port = stagedPorts_.at(core.coreId())[&l1 == &core.icache() ? 0
-                                                                       : 1];
-    if (port)
-        panic("core ", core.coreId(), " L1 staged twice");
-    port = std::make_unique<mem::StagedMemPort>(
-        down, l1.config().memQueueDepth, core.wakeLatch());
-    l1.connectMem(port.get());
-}
-
-void
-Processor::linkStagedL1(Core& core, mem::Cache& l1, mem::Cache& downstream,
-                        uint32_t lane)
-{
-    adapters_.push_back(std::make_unique<mem::CacheMemPort>(downstream, lane));
-    connectStaged(core, l1, adapters_.back().get());
-    downstream.setLaneWake(lane, core.wakeLatch());
-}
-
 void
 Processor::wire()
 {
-    const uint32_t num_clusters = config_.numClusters();
-
-    memRouter_ = std::make_unique<mem::MemRouter>(memSim_.get());
-    memSim_->setRspCallback(
-        [this](const mem::MemRsp& rsp) { memRouter_->onRsp(rsp); });
-
-    //
-    // Optional L3 in front of the board memory.
-    //
-    if (config_.l3Enabled) {
-        mem::CacheConfig c3 = config_.l3Config();
-        c3.numLanes = config_.l2Enabled ? num_clusters
-                                        : 2 * config_.numCores;
-        l3_ = std::make_unique<mem::Cache>(c3, /*shared=*/true);
-        l3_->connectMem(memRouter_->makePort(
-            [this](const mem::MemRsp& rsp) { l3_->memRsp(rsp); }));
-        memSim_->addCreditWake(l3_->sleepLatch());
-    }
-
-    //
-    // Per-cluster L2s (or direct connection).
-    //
-    if (config_.l2Enabled) {
-        l2s_.resize(num_clusters);
-        for (uint32_t cl = 0; cl < num_clusters; ++cl) {
-            uint32_t first_core = cl * config_.coresPerCluster;
-            uint32_t cores_here =
-                std::min(config_.coresPerCluster,
-                         config_.numCores - first_core);
-            l2s_[cl] = std::make_unique<mem::Cache>(
-                config_.l2Config(cores_here), /*shared=*/true);
-            mem::Cache& l2 = *l2s_[cl];
-
-            // L2 responses route back to the owning L1 by lane. L1 request
-            // sides go through staging ports, drained in core order in the
-            // commit phase, so no core's tick touches the shared L2.
-            std::vector<mem::Cache*> owners(2 * cores_here, nullptr);
-            for (uint32_t i = 0; i < cores_here; ++i) {
-                Core& core = *cores_[first_core + i];
-                owners[2 * i] = &core.icache();
-                owners[2 * i + 1] = &core.dcache();
-                linkStagedL1(core, core.icache(), l2, 2 * i);
-                linkStagedL1(core, core.dcache(), l2, 2 * i + 1);
+    // Each downstream and the caches above it, in lane order. An L1 (a
+    // core's I$ then D$) enters its cluster's L2, else the L3, else the
+    // board memory; an L2 enters the L3, else the board memory.
+    struct Upstream
+    {
+        mem::Cache* cache;
+        Core* core; ///< the owning core of an L1; null for an L2
+    };
+    // One link call per edge: the upstream enters the lane of its
+    // position and its read responses return on that lane. An L1 goes
+    // through its core's staging port, drained in core order in the
+    // commit phase, and the lane's credit wakes its core; an L2 links
+    // directly and the credit wakes the L2.
+    auto link = [this](auto& down, const std::vector<Upstream>& ups) {
+        std::vector<mem::Cache*> caches;
+        for (const auto& [cache, core] : ups) {
+            const uint32_t lane = caches.size();
+            caches.push_back(cache);
+            if (!core) {
+                cache->connectMem(down.link(lane, cache->sleepLatch()));
+                continue;
             }
-            l2.setRspCallback([owners](const mem::CoreRsp& rsp) {
-                if (rsp.write)
-                    return; // write-through completions need no routing
-                owners.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId});
-            });
-
-            // L2 memory side: into the L3 if present, else board memory.
-            // Either way, the credit the L2 can sleep on wakes it.
-            if (l3_) {
-                linkCacheToCache(l2, *l3_, cl, adapters_);
-                l3_->setLaneWake(cl, l2.sleepLatch());
-            } else {
-                l2.connectMem(memRouter_->makePort(
-                    [&l2](const mem::MemRsp& rsp) { l2.memRsp(rsp); }));
-                memSim_->addCreditWake(l2.sleepLatch());
-            }
+            auto& port = stagedPorts_.at(core->coreId())
+                                     [cache == &core->icache() ? 0 : 1];
+            port = std::make_unique<mem::StagedMemPort>(
+                down.link(lane, core->wakeLatch()),
+                cache->config().memQueueDepth, core->wakeLatch());
+            cache->connectMem(port.get());
         }
-        if (l3_) {
-            l3_->setRspCallback([this](const mem::CoreRsp& rsp) {
-                if (rsp.write)
-                    return;
-                l2s_.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId});
-            });
-        }
-        return;
-    }
-
-    //
-    // No L2: L1s go straight to the L3 or the board memory.
-    //
-    if (l3_) {
-        std::vector<mem::Cache*> owners(2 * config_.numCores, nullptr);
-        for (uint32_t i = 0; i < config_.numCores; ++i) {
-            Core& core = *cores_[i];
-            owners[2 * i] = &core.icache();
-            owners[2 * i + 1] = &core.dcache();
-            linkStagedL1(core, core.icache(), *l3_, 2 * i);
-            linkStagedL1(core, core.dcache(), *l3_, 2 * i + 1);
-        }
-        l3_->setRspCallback([owners](const mem::CoreRsp& rsp) {
-            if (rsp.write)
-                return;
-            owners.at(rsp.lane)->memRsp(mem::MemRsp{rsp.reqId});
+        down.setRspCallback([caches](const mem::CoreRsp& rsp) {
+            if (!rsp.write) // write-through completions go no further
+                caches[rsp.lane]->memRsp(mem::MemRsp{rsp.reqId});
         });
-        return;
-    }
-    for (auto& core : cores_) {
+    };
+
+    std::vector<Upstream> top; // the caches above the next level down
+    for (auto& core : cores_)
         for (mem::Cache* l1 : {&core->icache(), &core->dcache()})
-            connectStaged(*core, *l1, memRouter_->makePort(
-                [l1](const mem::MemRsp& rsp) { l1->memRsp(rsp); }));
-        memSim_->addCreditWake(core->wakeLatch());
+            top.push_back({l1, core.get()});
+    if (config_.l2Enabled) {
+        std::vector<Upstream> l2s;
+        const size_t per_cluster = 2 * config_.coresPerCluster;
+        for (size_t first = 0; first < top.size(); first += per_cluster) {
+            const auto begin = top.begin() + first;
+            const size_t n = std::min(per_cluster, top.size() - first);
+            l2s_.push_back(std::make_unique<mem::Cache>(
+                config_.l2Config(n / 2), /*shared=*/true));
+            link(*l2s_.back(), {begin, begin + n});
+            l2s.push_back({l2s_.back().get(), nullptr});
+        }
+        top = std::move(l2s);
     }
+    if (config_.l3Enabled) {
+        l3_ = std::make_unique<mem::Cache>(config_.l3Config(),
+                                           /*shared=*/true);
+        link(*l3_, top);
+        top = {{l3_.get(), nullptr}};
+    }
+    link(*memSim_, top);
 }
 
 void

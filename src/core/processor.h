@@ -4,12 +4,14 @@
  * cluster and an optional L3 shared by the clusters, in front of the board
  * memory (paper §4.1: "a scalable architecture that allows clustering of
  * multiple cores with optional L2 and L3 caches"). Also hosts the global
- * (inter-core) barrier table.
+ * (inter-core) barrier table. Each cache enters a lane of the level
+ * below it, and each response returns on that lane (mem/memtypes.h
+ * "link rule").
  *
  * A cycle has a core phase and a commit phase. In the core phase each
  * awake core ticks and touches only its own state: everything it sends
- * to a shared component (an L1 request into an L2/L3 lane or the
- * board-memory router, a global barrier arrival) is staged in a buffer
+ * to a shared component (an L1 request into a lane of an L2, the L3 or
+ * the board memory, a global barrier arrival) is staged in a buffer
  * the core owns (mem::StagedMemPort, the per-core arrival lists). The
  * commit phase then applies those buffers in core order. So the order
  * the core phase visits the cores in cannot change the simulated cycles
@@ -33,7 +35,6 @@
 #include "core/core.h"
 #include "mem/memsim.h"
 #include "mem/ram.h"
-#include "mem/router.h"
 #include "mem/staging.h"
 
 namespace vortex::core {
@@ -161,17 +162,9 @@ class Processor : public BarrierHub
     }
 
   private:
+    /** Build the L2s and the L3 and link every cache to the level
+     *  below it (mem/memtypes.h "link rule"). */
     void wire();
-
-    /** Connect @p core's L1 @p l1 to @p down through its staging port,
-     *  drained serially in core order; draining a full port wakes the
-     *  core. */
-    void connectStaged(Core& core, mem::Cache& l1, mem::MemSink* down);
-
-    /** Connect @p core's L1 @p l1 to lane @p lane of a shared downstream
-     *  cache through a staging port; credit returns wake the core. */
-    void linkStagedL1(Core& core, mem::Cache& l1, mem::Cache& downstream,
-                      uint32_t lane);
 
     /** Commit phase: staged L1 requests, then global barrier arrivals,
      *  of the cores that ticked this cycle. */
@@ -185,12 +178,9 @@ class Processor : public BarrierHub
     mem::Ram ram_;
     DecodedText text_{ram_};
     std::unique_ptr<mem::MemSim> memSim_;
-    std::unique_ptr<mem::MemRouter> memRouter_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<std::unique_ptr<mem::Cache>> l2s_;
     std::unique_ptr<mem::Cache> l3_;
-    /** Keep-alive for CacheMemPort adapters used in the wiring. */
-    std::vector<std::unique_ptr<mem::MemSink>> adapters_;
     /** L1 memory-side staging ports by core, each drained I$ then D$. */
     std::vector<std::array<std::unique_ptr<mem::StagedMemPort>, 2>>
         stagedPorts_;

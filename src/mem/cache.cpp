@@ -6,29 +6,11 @@
 #include "mem/cache.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/bitmanip.h"
 #include "common/log.h"
 
 namespace vortex::mem {
-
-namespace {
-
-/** Memory-side reqIds must be globally unique so fan-in routers can route
- *  responses; embed a per-instance id in the top bits (above both the
- *  fill pool's index/generation fields and the write marker bit 40). */
-uint64_t
-nextInstanceBase()
-{
-    static std::atomic<uint64_t> counter{1};
-    return counter.fetch_add(1) << 41;
-}
-
-/** Marks an untracked (write) memory request id. */
-constexpr uint64_t kWriteReqBit = 1ull << 40;
-
-} // namespace
 
 Cache::Bank::Bank(const CacheConfig& cfg, uint32_t index)
     : input(cfg.inputQueueDepth, "bank.input"),
@@ -42,8 +24,6 @@ Cache::Bank::Bank(const CacheConfig& cfg, uint32_t index)
 Cache::Cache(const CacheConfig& config, bool shared)
     : config_(config),
       memQueue_(config.memQueueDepth, "cache.memq"),
-      instanceBase_(nextInstanceBase()),
-      fillPool_(instanceBase_, "cache.fills"),
       stats_(config.name)
 {
     if (!isPow2(config.lineSize))
@@ -74,6 +54,14 @@ Cache::Cache(const CacheConfig& config, bool shared)
     laneWakes_.assign(config.numLanes, nullptr);
     if (shared)
         dormancy_ = std::make_unique<Dormancy<4>>(stallCounters());
+}
+
+MemSink*
+Cache::link(uint32_t lane, WakeLatch* owner)
+{
+    laneWakes_.at(lane) = owner;
+    lanePorts_.push_back(std::make_unique<CacheMemPort<Cache>>(*this, lane));
+    return lanePorts_.back().get();
 }
 
 void
@@ -258,7 +246,6 @@ Cache::schedule(Cycle now)
             MemReq mreq;
             mreq.lineAddr = req.lineAddr;
             mreq.write = true;
-            mreq.reqId = instanceBase_ | kWriteReqBit | nextWriteReqId_++;
             PipeOp& op = bank.pipe.enqueueSlot(now);
             op.ports = req.ports;
             op.write = true;

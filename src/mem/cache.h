@@ -19,7 +19,8 @@
  * memory request queue has space (paper's two deadlock mitigations).
  *
  * Back-end: responses from banks are delivered through a single response
- * callback (the "bank merger" coalesces by request tag — here the reqId).
+ * callback (the "bank merger" coalesces by request tag — here the reqId),
+ * each on the lane its request came in on.
  *
  * Policy: write-through, no write-allocate (stores complete when accepted by
  * a bank and forward a line write to memory), which matches the FPGA design
@@ -62,7 +63,7 @@ struct CacheConfig
 
 /**
  * The non-blocking banked cache. One instance per L1D/L1I/L2/L3; levels are
- * composed via CacheMemPort adapters.
+ * composed by link() (memtypes.h "link rule").
  */
 class Cache
 {
@@ -147,8 +148,8 @@ class Cache
     /** Credit the cycles slept through up to @p now (the stall counters
      *  and dormantCycles() are exact after it). */
     void settle(Cycle now) { dormancy_->settle(now); }
-    /** The latch that ends this cache's own sleep: hierarchy glue hands
-     *  it to the downstream sink whose credit the cache can wait on. */
+    /** The latch that ends this cache's own sleep: the link to its
+     *  downstream registers it as the owner of the lane it feeds. */
     WakeLatch* sleepLatch() { return &dormancy_->latch; }
     /** Cycles tickShared() slept through (a host-side diagnostic). */
     uint64_t dormantCycles() const { return dormancy_->dormantCycles(); }
@@ -158,12 +159,11 @@ class Cache
     //
     /** Wake @p latch on every memRsp() (the owning core of an L1). */
     void setWakeLatch(WakeLatch* latch) { wakeLatch_ = latch; }
-    /** Wake @p latch when lane @p lane goes from full to not full (the
-     *  credit return an upstream L1 may be sleeping on). */
-    void setLaneWake(uint32_t lane, WakeLatch* latch)
-    {
-        laneWakes_.at(lane) = latch;
-    }
+    /** Link an upstream cache's memory side to lane @p lane: @return
+     *  the port it pushes into. @p owner (if any) is woken when the full
+     *  lane has room again: the credit the upstream's sleeping core, or
+     *  the sleeping upstream L2, waits on. */
+    MemSink* link(uint32_t lane, WakeLatch* owner);
 
     /** True when no request is buffered, pending, or in flight. */
     bool idle() const;
@@ -290,7 +290,8 @@ class Cache
     std::vector<uint32_t> laneHeadBank_;
     static constexpr uint32_t kNoBank = ~0u;
     WakeLatch* wakeLatch_ = nullptr;     ///< setWakeLatch()
-    std::vector<WakeLatch*> laneWakes_;  ///< setLaneWake(), per lane
+    std::vector<WakeLatch*> laneWakes_;  ///< link(), per lane
+    std::vector<std::unique_ptr<MemSink>> lanePorts_; ///< link(), by link
     //
     // Tick-phase early-out bookkeeping: counts of work queued for the
     // three per-cycle bank scans, so an idle (or stalled-elsewhere)
@@ -307,21 +308,18 @@ class Cache
     size_t pipePromisedMemReqs_ = 0; ///< memq slots reserved by in-pipe ops
 
     //
-    // Memory-side request ids. Read ids come from the fill slot pool
-    // (so the response handler is an array index, not a map probe);
-    // write ids — never tracked, writes produce no routed response —
-    // come from a plain counter with a marker bit. Both embed this
-    // instance's id above bit 40, keeping ids globally unique for the
-    // response-routing fan-in (mem/router.h).
+    // Memory-side request ids. A read's id comes from the fill slot pool
+    // (so the response handler is an array index, not a map probe); it
+    // need only be unique within this cache, because the response comes
+    // back on this cache's own lane. A write is never answered, so its
+    // id is never read.
     //
     struct PendingFill
     {
         uint32_t bank = 0;
         Addr lineAddr = 0;
     };
-    uint64_t instanceBase_;          ///< unique per-cache high bits
-    uint64_t nextWriteReqId_ = 1;    ///< write (untracked) id counter
-    SlotPool<PendingFill> fillPool_; ///< in-flight read fills by reqId
+    SlotPool<PendingFill> fillPool_{0, "cache.fills"}; ///< by reqId
 
     // Counters, registered in this order at construction (the group's
     // key order; see common/stats.h).
@@ -347,33 +345,6 @@ class Cache
     uint64_t& ctrFlushes_ = stats_.counter("flushes");
 
     std::unique_ptr<Dormancy<4>> dormancy_; ///< null unless shared
-};
-
-/**
- * Adapter presenting one lane of a (larger) cache as a MemSink, so an L1's
- * memory side can plug into an L2, and an L2 into an L3 or MemSim.
- */
-class CacheMemPort : public MemSink
-{
-  public:
-    CacheMemPort(Cache& cache, uint32_t lane) : cache_(cache), lane_(lane) {}
-
-    bool reqReady() const override { return cache_.laneReady(lane_); }
-
-    void
-    reqPush(const MemReq& req) override
-    {
-        CoreReq creq;
-        creq.addr = req.lineAddr;
-        creq.write = req.write;
-        creq.reqId = req.reqId;
-        creq.lane = lane_;
-        cache_.lanePush(lane_, creq);
-    }
-
-  private:
-    Cache& cache_;
-    uint32_t lane_;
 };
 
 } // namespace vortex::mem

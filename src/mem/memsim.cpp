@@ -27,6 +27,15 @@ MemSim::MemSim(const MemSimConfig& config)
         fatal("MemSim: lineSize must be a power of two");
 }
 
+MemSink*
+MemSim::link(uint32_t lane, WakeLatch* owner)
+{
+    if (owner)
+        laneOwners_.push_back(owner);
+    lanePorts_.push_back(std::make_unique<CacheMemPort<MemSim>>(*this, lane));
+    return lanePorts_.back().get();
+}
+
 uint32_t
 MemSim::channelOf(Addr lineAddr) const
 {
@@ -43,22 +52,22 @@ MemSim::tick(Cycle now)
     // request port (CCI-P style).
     const bool was_full = input_.full();
     while (!input_.empty()) {
-        const MemReq& req = input_.front();
-        uint32_t ch = channelOf(req.lineAddr);
+        const CoreReq& req = input_.front();
+        uint32_t ch = channelOf(req.addr);
         if (channelFree_[ch] > now)
             break;
         channelFree_[ch] = now + lineCycles_;
         ++(req.write ? ctrWrites_ : ctrReads_);
         ctrBytes_ += config_.lineSize;
         if (!req.write) {
-            inflight_.push_back({MemRsp{req.reqId},
+            inflight_.push_back({CoreRsp{req.reqId, req.lane},
                                  now + config_.latency + lineCycles_});
         }
         input_.pop();
     }
     if (was_full && !input_.full()) {
-        for (WakeLatch* latch : creditWakes_)
-            latch->wake();
+        for (WakeLatch* owner : laneOwners_)
+            owner->wake();
     }
 
     // Deliver matured responses (kept sorted by construction: latency is

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/elastic.h"
@@ -33,25 +34,30 @@ struct MemSimConfig
  * in lineSize/busWidth cycles of occupancy; a read responds latency cycles
  * after its transfer begins. Writes consume bandwidth but produce no
  * response (write-through traffic).
+ *
+ * Upstream caches enter it by lane, as they enter a shared Cache
+ * (memtypes.h "link rule"); every lane feeds the one input queue.
  */
-class MemSim : public MemSink
+class MemSim
 {
   public:
     explicit MemSim(const MemSimConfig& config);
 
-    // MemSink
-    bool reqReady() const override { return !input_.full(); }
-    void reqPush(const MemReq& req) override { input_.push(req); }
-
-    void setRspCallback(std::function<void(const MemRsp&)> cb)
+    //
+    // Lanes: the interface a Cache's core side has.
+    //
+    bool laneReady(uint32_t) const { return !input_.full(); }
+    void lanePush(uint32_t, const CoreReq& req) { input_.push(req); }
+    /** Receives each read's response on the lane the read came in on. */
+    void setRspCallback(std::function<void(const CoreRsp&)> cb)
     {
         rspCallback_ = std::move(cb);
     }
-
-    /** Wake @p latch whenever the full input queue accepts a transfer
-     *  (the credit a sleeping L1, L2 or L3 in front of the board memory
-     *  may wait on). */
-    void addCreditWake(WakeLatch* latch) { creditWakes_.push_back(latch); }
+    /** Link an upstream to lane @p lane: @return the port it pushes
+     *  into. The lanes share one queue, so whenever the full queue
+     *  accepts a transfer, @p owner (if any) is woken with every other
+     *  lane's owner. */
+    MemSink* link(uint32_t lane, WakeLatch* owner);
 
     /** Advance one cycle (returns at once when idle()). */
     void tick(Cycle now);
@@ -68,18 +74,19 @@ class MemSim : public MemSink
 
     MemSimConfig config_;
     uint32_t lineCycles_;
-    ElasticQueue<MemReq> input_;
+    ElasticQueue<CoreReq> input_;
     std::vector<Cycle> channelFree_; ///< next cycle each channel is free
 
     struct Inflight
     {
-        MemRsp rsp;
+        CoreRsp rsp;
         Cycle readyAt;
     };
     Ring<Inflight> inflight_; ///< reads in acceptance (= readyAt) order
 
-    std::function<void(const MemRsp&)> rspCallback_;
-    std::vector<WakeLatch*> creditWakes_; ///< addCreditWake()
+    std::function<void(const CoreRsp&)> rspCallback_;
+    std::vector<std::unique_ptr<MemSink>> lanePorts_; ///< link(), by link
+    std::vector<WakeLatch*> laneOwners_;              ///< link(), by link
     // Counters, registered in this order at construction (common/stats.h).
     StatGroup stats_{"memsim"};
     uint64_t& ctrReads_ = stats_.counter("reads");

@@ -6,6 +6,15 @@
  * are computed functionally at execute time, so cache traffic carries only
  * addresses, access types and request ids. A response completes the
  * instruction that issued the request (matched by reqId).
+ *
+ * Levels compose by one link rule. An upstream cache's memory side enters
+ * lane l of its downstream, a shared Cache or the board memory (MemSim),
+ * through the CacheMemPort that the downstream's link() returns. The
+ * downstream answers each read on lane l. When it has room on lane l
+ * again, it wakes lane l's owner; the board memory has one queue for all
+ * its lanes, so it wakes every lane's owner. The lane tells the upstreams
+ * apart, so a request id need only be unique within the pool that issued
+ * it.
  */
 
 #pragma once
@@ -147,9 +156,9 @@ class Dormancy
 };
 
 /**
- * Downstream interface exposed by anything that accepts line requests
- * (MemSim, or the mem-side of a larger cache). Responses are delivered via a
- * callback registered by the single upstream client.
+ * Where a cache's memory side pushes its line requests: a CacheMemPort
+ * into a lane of the level below, or the StagedMemPort an L1 stages
+ * through. Responses come back outside this interface (Cache::memRsp).
  */
 class MemSink
 {
@@ -161,6 +170,32 @@ class MemSink
 
     /** Push a request; caller must have checked reqReady(). */
     virtual void reqPush(const MemReq& req) = 0;
+};
+
+/**
+ * Lane @p lane of a downstream @p Down (a shared Cache or the board
+ * memory, MemSim) as a MemSink: the memory side of the upstream cache
+ * linked to that lane pushes its line requests through it. Made and
+ * owned by Down::link().
+ */
+template <class Down>
+class CacheMemPort final : public MemSink
+{
+  public:
+    CacheMemPort(Down& down, uint32_t lane) : down_(down), lane_(lane) {}
+
+    bool reqReady() const override { return down_.laneReady(lane_); }
+
+    void
+    reqPush(const MemReq& req) override
+    {
+        down_.lanePush(lane_, CoreReq{req.lineAddr, req.write, req.reqId,
+                                      lane_});
+    }
+
+  private:
+    Down& down_;
+    uint32_t lane_;
 };
 
 } // namespace vortex::mem

@@ -2,8 +2,8 @@
  * @file
  * Producer-local staging for requests into shared memory fabric.
  *
- * Anything a core pushed into a *shared* component (an L2/L3 lane, the
- * board-memory router) during its tick would be seen by the siblings that
+ * Anything a core pushed into a *shared* component (a lane of an L2, the
+ * L3 or the board memory) during its tick would be seen by the siblings that
  * tick after it in the same cycle, so timing would depend on the order the
  * cores tick in. A StagedMemPort sits between each L1's memory side and
  * the shared downstream sink: pushes land in a buffer owned by the

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "core/barrier.h"
 #include "core/processor.h"
@@ -607,8 +608,8 @@ TEST(DecodedText, FetchesOutsideTheTextDecodeFromRam)
 }
 
 //
-// Geometry the processor rejects (a division by zero or a deadlock
-// otherwise).
+// Geometry the processor rejects by name (otherwise a division by zero,
+// a deadlock, a panic deep in a queue, or a silently widened bus).
 //
 
 TEST(Processor, RejectsZeroCoresPerCluster)
@@ -630,4 +631,64 @@ TEST(Processor, RejectsZeroMshrEntries)
     ArchConfig cfg;
     cfg.mshrEntries = 0;
     EXPECT_THROW(Processor{cfg}, FatalError);
+}
+
+namespace {
+
+/** Building @p cfg fails with a FatalError that names @p field. */
+void
+expectRejected(const ArchConfig& cfg, const std::string& field)
+{
+    try {
+        Processor proc(cfg);
+        ADD_FAILURE() << field << " = 0 was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
+TEST(Processor, RejectsZeroIbufferDepth)
+{
+    ArchConfig cfg;
+    cfg.ibufferDepth = 0;
+    expectRejected(cfg, "ibufferDepth");
+}
+
+TEST(Processor, RejectsZeroSmemLatency)
+{
+    ArchConfig cfg;
+    cfg.smemLatency = 0;
+    expectRejected(cfg, "smemLatency");
+}
+
+TEST(Processor, RejectsZeroMemQueueDepth)
+{
+    ArchConfig cfg;
+    cfg.mem.queueDepth = 0;
+    expectRejected(cfg, "mem.queueDepth");
+}
+
+TEST(Processor, RejectsZeroMemBusWidth)
+{
+    ArchConfig cfg;
+    cfg.mem.busWidth = 0;
+    expectRejected(cfg, "mem.busWidth");
+}
+
+TEST(Processor, L3LaneCountIsL3Config)
+{
+    // One lane per L2 in front of the L3, else one per L1.
+    for (bool l2 : {true, false}) {
+        ArchConfig cfg;
+        cfg.numCores = 8;
+        cfg.coresPerCluster = 4;
+        cfg.l2Enabled = l2;
+        cfg.l3Enabled = true;
+        Processor proc(cfg);
+        EXPECT_EQ(cfg.l3Config().numLanes, proc.l3()->config().numLanes)
+            << "l2Enabled=" << l2;
+    }
 }

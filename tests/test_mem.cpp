@@ -1,7 +1,7 @@
 /**
  * @file
- * Memory-subsystem tests: RAM paging, the memory simulator's latency and
- * bandwidth behaviour, the non-blocking banked cache (hits, misses, MSHR
+ * Memory-subsystem tests: RAM paging, the memory simulator's latency,
+ * bandwidth and lanes, the non-blocking banked cache (hits, misses, MSHR
  * merging, virtual-port coalescing, bank conflicts, write-through traffic,
  * flush), the scratchpad, and a randomized completeness property: every
  * request receives exactly one response, under any mix, with no deadlock.
@@ -22,7 +22,6 @@
 #include "mem/cache.h"
 #include "mem/memsim.h"
 #include "mem/ram.h"
-#include "mem/router.h"
 #include "mem/sharedmem.h"
 #include "mem/staging.h"
 
@@ -147,16 +146,6 @@ TEST(Ram, CodeMarksAcrossLeaves)
 // MemSim.
 //
 
-namespace {
-
-struct RspCollector
-{
-    std::vector<MemRsp> rsps;
-    void operator()(const MemRsp& r) { rsps.push_back(r); }
-};
-
-} // namespace
-
 TEST(MemSim, ReadLatency)
 {
     MemSimConfig cfg;
@@ -165,9 +154,10 @@ TEST(MemSim, ReadLatency)
     cfg.busWidth = 16; // 4-cycle transfer
     MemSim mem(cfg);
     std::vector<std::pair<uint64_t, Cycle>> done;
-    mem.setRspCallback([&](const MemRsp& r) { done.push_back({r.reqId, 0}); });
+    mem.setRspCallback(
+        [&](const CoreRsp& r) { done.push_back({r.reqId, 0}); });
 
-    mem.reqPush(MemReq{0x1000, false, 1});
+    mem.lanePush(0, CoreReq{0x1000, false, 1});
     Cycle now = 0;
     Cycle rsp_cycle = 0;
     while (done.empty() && now < 100) {
@@ -187,9 +177,9 @@ TEST(MemSim, WritesConsumeBandwidthNoResponse)
     MemSimConfig cfg;
     MemSim mem(cfg);
     int rsps = 0;
-    mem.setRspCallback([&](const MemRsp&) { ++rsps; });
-    mem.reqPush(MemReq{0x0, true, 1});
-    mem.reqPush(MemReq{0x40, true, 2});
+    mem.setRspCallback([&](const CoreRsp&) { ++rsps; });
+    mem.lanePush(0, CoreReq{0x0, true, 1});
+    mem.lanePush(0, CoreReq{0x40, true, 2});
     for (Cycle now = 1; now < 50; ++now)
         mem.tick(now);
     EXPECT_EQ(rsps, 0);
@@ -209,10 +199,10 @@ TEST(MemSim, ChannelParallelism)
     MemSim mem(cfg);
     std::vector<Cycle> times;
     Cycle now = 0;
-    mem.setRspCallback([&](const MemRsp&) { times.push_back(now); });
+    mem.setRspCallback([&](const CoreRsp&) { times.push_back(now); });
     // Same channel: lines 0 and 2 (interleaved by line index).
-    mem.reqPush(MemReq{0 * 64, false, 1});
-    mem.reqPush(MemReq{2 * 64, false, 2});
+    mem.lanePush(0, CoreReq{0 * 64, false, 1});
+    mem.lanePush(0, CoreReq{2 * 64, false, 2});
     for (now = 1; now < 50; ++now)
         mem.tick(now);
     ASSERT_EQ(times.size(), 2u);
@@ -221,9 +211,9 @@ TEST(MemSim, ChannelParallelism)
 
     times.clear();
     MemSim mem2(cfg);
-    mem2.setRspCallback([&](const MemRsp&) { times.push_back(now); });
-    mem2.reqPush(MemReq{0 * 64, false, 1});
-    mem2.reqPush(MemReq{1 * 64, false, 2}); // different channel
+    mem2.setRspCallback([&](const CoreRsp&) { times.push_back(now); });
+    mem2.lanePush(0, CoreReq{0 * 64, false, 1});
+    mem2.lanePush(0, CoreReq{1 * 64, false, 2}); // different channel
     for (now = 1; now < 50; ++now)
         mem2.tick(now);
     ASSERT_EQ(times.size(), 2u);
@@ -242,8 +232,9 @@ struct CacheHarness
                           bool shared = false)
         : cache(ccfg, shared), mem(mcfg)
     {
-        cache.connectMem(&mem);
-        mem.setRspCallback([this](const MemRsp& r) { cache.memRsp(r); });
+        cache.connectMem(mem.link(0, nullptr));
+        mem.setRspCallback(
+            [this](const CoreRsp& r) { cache.memRsp(MemRsp{r.reqId}); });
         cache.setRspCallback(
             [this](const CoreRsp& r) { rsps.push_back(r); });
     }
@@ -595,30 +586,35 @@ TEST(SharedMem, BankConflictSerializes)
 }
 
 //
-// MemRouter.
+// Board-memory lanes (mem/memtypes.h "link rule").
 //
 
-TEST(MemRouter, RoutesToIssuingPort)
+TEST(MemSim, AnswersEachReadOnItsLane)
 {
-    MemSimConfig mcfg;
-    MemSim mem(mcfg);
-    MemRouter router(&mem);
-    mem.setRspCallback([&](const MemRsp& r) { router.onRsp(r); });
-    std::vector<uint64_t> got_a, got_b;
-    MemSink* pa = router.makePort(
-        [&](const MemRsp& r) { got_a.push_back(r.reqId); });
-    MemSink* pb = router.makePort(
-        [&](const MemRsp& r) { got_b.push_back(r.reqId); });
-    pa->reqPush(MemReq{0x1000, false, 101});
-    pb->reqPush(MemReq{0x2000, false, 202});
-    pb->reqPush(MemReq{0x3000, true, 303}); // write: no response
-    for (Cycle now = 1; now < 200; ++now)
+    MemSim mem(MemSimConfig{});
+    std::vector<CoreRsp> got;
+    mem.setRspCallback([&](const CoreRsp& r) { got.push_back(r); });
+    MemSink* a = mem.link(0, nullptr);
+    MemSink* b = mem.link(1, nullptr);
+    // Each lane numbers its reads from its own pool, so ids repeat
+    // across lanes.
+    a->reqPush(MemReq{0x1000, false, 7});
+    b->reqPush(MemReq{0x2000, false, 7});
+    b->reqPush(MemReq{0x3000, true, 0}); // write: no response
+    a->reqPush(MemReq{0x4000, false, 8});
+    b->reqPush(MemReq{0x5000, false, 8});
+    for (Cycle now = 1; !mem.idle(); ++now) {
+        ASSERT_LT(now, 1000u) << "memory did not drain";
         mem.tick(now);
-    ASSERT_EQ(got_a.size(), 1u);
-    ASSERT_EQ(got_b.size(), 1u);
-    EXPECT_EQ(got_a[0], 101u);
-    EXPECT_EQ(got_b[0], 202u);
-    EXPECT_TRUE(router.idle());
+    }
+    ASSERT_EQ(got.size(), 4u);
+    const std::pair<uint64_t, uint32_t> want[] = {
+        {7, 0}, {7, 1}, {8, 0}, {8, 1}};
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].reqId, want[i].first) << i;
+        EXPECT_EQ(got[i].lane, want[i].second) << i;
+        EXPECT_FALSE(got[i].write) << i;
+    }
 }
 
 //
@@ -676,8 +672,8 @@ TEST(Wake, PoppingAFullCacheLaneWakesTheLaneOwner)
 {
     CacheHarness h;
     WakeLatch owner = asleep(), other = asleep();
-    h.cache.setLaneWake(0, &owner);
-    h.cache.setLaneWake(1, &other);
+    h.cache.link(0, &owner);
+    h.cache.link(1, &other);
     CoreReq req;
     req.lane = 0;
     for (uint64_t id = 1; h.cache.laneReady(0); ++id) {
@@ -703,26 +699,30 @@ TEST(Wake, MemoryResponseWakesTheCacheOwner)
     EXPECT_EQ(h.rsps.size(), 1u);
 }
 
-TEST(Wake, BoardMemoryAcceptingFromAFullQueueWakesCreditWaiters)
+TEST(Wake, BoardMemoryAcceptingFromAFullQueueWakesEveryLaneOwner)
 {
     MemSimConfig cfg;
     cfg.queueDepth = 2;
     MemSim mem(cfg);
-    WakeLatch latch = asleep();
-    mem.addCreditWake(&latch);
+    // The lanes share one queue, so room in it is credit for both.
+    WakeLatch a = asleep(), b = asleep();
+    MemSink* port = mem.link(0, &a);
+    mem.link(1, &b);
 
-    mem.reqPush(MemReq{0x0, true, 1});
+    port->reqPush(MemReq{0x0, true});
     mem.tick(1); // accepted from a non-full queue: nobody was blocked
-    EXPECT_EQ(latch.sleepUntil, kNoEvent);
+    EXPECT_EQ(a.sleepUntil, kNoEvent);
+    EXPECT_EQ(b.sleepUntil, kNoEvent);
 
     for (Cycle now = 2; !mem.idle(); ++now)
         mem.tick(now);
-    mem.reqPush(MemReq{0x0, true, 2});
-    mem.reqPush(MemReq{0x40, true, 3});
-    EXPECT_FALSE(mem.reqReady());
+    port->reqPush(MemReq{0x0, true});
+    port->reqPush(MemReq{0x40, true});
+    EXPECT_FALSE(port->reqReady());
     mem.tick(100);
-    EXPECT_EQ(latch.sleepUntil, 0u);
-    EXPECT_TRUE(mem.reqReady());
+    EXPECT_EQ(a.sleepUntil, 0u);
+    EXPECT_EQ(b.sleepUntil, 0u);
+    EXPECT_TRUE(port->reqReady());
 }
 
 TEST(Wake, LanePushWakesASleepingSharedCache)
@@ -781,8 +781,8 @@ clusteredConfig(uint32_t cores, bool l3)
 void
 fillBoardMemory(MemSim& mem)
 {
-    for (uint64_t id = 1; mem.reqReady(); ++id)
-        mem.reqPush(MemReq{static_cast<Addr>(0x40 * id), true, id});
+    for (Addr line = 0; mem.laneReady(0); line += 0x40)
+        mem.lanePush(0, CoreReq{line, true});
 }
 
 } // namespace
@@ -798,7 +798,7 @@ TEST(Wake, BoardMemoryCreditWakesTheSharedCacheInFrontOfIt)
         p.l2(0)->sleepLatch()->sleepUntil = kNoEvent;
         fillBoardMemory(p.memSim());
         p.memSim().tick(1);
-        ASSERT_TRUE(p.memSim().reqReady());
+        ASSERT_TRUE(p.memSim().laneReady(0));
         EXPECT_FALSE(front.asleep(2)) << "l3=" << l3;
         if (l3) {
             EXPECT_TRUE(p.l2(0)->asleep(2));

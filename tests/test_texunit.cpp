@@ -26,9 +26,10 @@ class TexUnitTest : public ::testing::Test
           mem_(mem::MemSimConfig{}),
           unit_(unitCfg(), ram_, &cache_, [this] { return nextId_++; })
     {
-        cache_.connectMem(&mem_);
-        mem_.setRspCallback(
-            [this](const mem::MemRsp& r) { cache_.memRsp(r); });
+        cache_.connectMem(mem_.link(0, nullptr));
+        mem_.setRspCallback([this](const mem::CoreRsp& r) {
+            cache_.memRsp(mem::MemRsp{r.reqId});
+        });
         cache_.setRspCallback([this](const mem::CoreRsp& r) {
             ASSERT_TRUE(unit_.cacheRsp(r)) << "unexpected cache response";
         });

@@ -16,7 +16,11 @@ flags the source patterns that historically break that promise:
     host wall-clock is an explicitly non-deterministic field and carries
     a suppression);
   * ``std::map`` / ``std::set`` keyed by pointers — iteration order
-    tracks the allocator, not the program.
+    tracks the allocator, not the program;
+  * mutable ``static`` and ``thread_local`` variables — process-global
+    state makes a run depend on what else the process ran before it
+    (``const`` and ``constexpr`` ones are fine; a declaration split
+    across lines before its initializer is not seen).
 
 A finding on a line ending with ``// det-ok: <reason>`` is suppressed;
 the reason is required so every exception is documented in place.
@@ -34,7 +38,7 @@ import sys
 # allowed to read clocks (progress lines, wall-clock artifacts).
 LINT_DIRS = ("src/core", "src/mem", "src/sweep", "src/common",
              "src/analysis", "src/isa", "src/runtime", "src/kernels",
-             "src/tex", "src/area", "src/faults")
+             "src/tex", "src/area", "src/faults", "src/fuzz")
 
 SUPPRESS = re.compile(r"//\s*det-ok:\s*\S")
 
@@ -57,6 +61,31 @@ BANNED = [
      "pointer-keyed ordered container: iteration order tracks the "
      "allocator"),
 ]
+
+STORAGE = re.compile(r"\b(?:static|thread_local)\b")
+CONST = re.compile(r"\bconst(?:expr)?\b")
+TEMPLATE_ARGS = re.compile(r"<[^<>]*>")
+GLOBAL_STATE = ("mutable static/thread_local variable: process-global "
+                "state makes a run depend on what ran before it")
+
+
+def is_mutable_global(code):
+    """A static or thread_local declaration of a non-const variable: the
+    first of ( = { ; after the keyword (template arguments dropped) is
+    an initializer or the end of the declaration, not a parameter list.
+    A line that names no declarator yet (``static void`` above a
+    function name) is not one."""
+    m = STORAGE.search(code)
+    if not m or CONST.search(code):
+        return False
+    rest = code[m.end():]
+    while True:
+        shorter = TEMPLATE_ARGS.sub("", rest)
+        if shorter == rest:
+            break
+        rest = shorter
+    first = re.search(r"[(={;]", rest)
+    return bool(first) and first.group() != "("
 
 
 def strip_comments_and_strings(line):
@@ -112,6 +141,8 @@ def lint_file(path):
         for pattern, why in BANNED:
             if pattern.search(code):
                 findings.append((path, lineno, why))
+        if is_mutable_global(code):
+            findings.append((path, lineno, GLOBAL_STATE))
         m = RANGE_FOR.search(code)
         if m and m.group(1) in unordered_names:
             findings.append(
