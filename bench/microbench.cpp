@@ -97,7 +97,6 @@ BM_CacheHitStream(benchmark::State& state)
                 mem::CoreReq req;
                 req.addr = (lane * 64) & 0xFFF;
                 req.reqId = id++;
-                req.lane = lane;
                 cache.lanePush(lane, req);
             }
         }

@@ -304,7 +304,6 @@ Core::fetchStage(Cycle now)
     mem::CoreReq req;
     req.addr = uop.pc;
     req.write = false;
-    req.lane = 0;
     trace(uop, TraceStage::Fetch);
     req.reqId = uops_.idOf(h);
     fetchOutstanding_ |= 1ull << wid;
@@ -564,7 +563,6 @@ Core::lsuTick(Cycle now)
             req.addr = op.out.addrs[t];
             req.write = op.out.memWrite;
             req.reqId = lsuRspPool_.alloc(UopHandle{h});
-            req.lane = t;
             ++op.pendingRsps;
             op.lanesToIssue &= ~(1ull << t);
             progress_ = true;

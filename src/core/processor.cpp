@@ -5,6 +5,8 @@
 
 #include "core/processor.h"
 
+#include <utility>
+
 #include "common/log.h"
 #include "common/outcome.h"
 
@@ -31,6 +33,14 @@ Processor::Processor(const ArchConfig& config)
         fatal("mem.queueDepth must be >= 1");
     if (config.mem.busWidth == 0)
         fatal("mem.busWidth must be >= 1");
+    const std::pair<const char*, uint32_t> fuLatencies[] = {
+        {"lat.alu", config.lat.alu},     {"lat.mul", config.lat.mul},
+        {"lat.div", config.lat.div},     {"lat.fpu", config.lat.fpu},
+        {"lat.fcvt", config.lat.fcvt},   {"lat.fdiv", config.lat.fdiv},
+        {"lat.fsqrt", config.lat.fsqrt}, {"lat.sfu", config.lat.sfu}};
+    for (const auto& [field, cycles] : fuLatencies)
+        if (cycles == 0)
+            fatal(field, " must be >= 1");
     memSim_ = std::make_unique<mem::MemSim>(config.mem);
     for (uint32_t c = 0; c < config.numCores; ++c)
         cores_.push_back(std::make_unique<Core>(config, c, ram_, text_, this));

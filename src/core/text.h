@@ -11,8 +11,8 @@
  * assumption is checked rather than silent: load() marks the pages it
  * decodes (mem::Ram::markCodePage), every store to a marked page bumps the
  * RAM's code-write epoch, and find() serves a PC only while the epoch is
- * the one the text was decoded at (program reloads through writeBlock and
- * Ram::clear move it too). A fetch find() does not serve decodes that one
+ * the one the text was decoded at (program reloads through writeBlock
+ * move it too). A fetch find() does not serve decodes that one
  * word from RAM through decodeAt(), which marks its page as well, so a
  * store that lands on code within a cycle is seen by the next fetch of
  * that cycle. Processor::tick calls refresh() once per cycle, before the

@@ -363,7 +363,7 @@ Cache::selectBanks(Cycle now)
                        taken >= config_.numPorts) {
                 continue; // bank conflict: stays for a later cycle
             }
-            breq.ports.push_back(PortReq{creq.reqId, creq.lane});
+            breq.ports.push_back(PortReq{creq.reqId, l});
             // A full lane regaining a slot is the credit its (possibly
             // dormant) producer waits on.
             if (laneWakes_[l] && lane.full())

@@ -52,7 +52,7 @@ MemSim::tick(Cycle now)
     // request port (CCI-P style).
     const bool was_full = input_.full();
     while (!input_.empty()) {
-        const CoreReq& req = input_.front();
+        const auto& [req, lane] = input_.front();
         uint32_t ch = channelOf(req.addr);
         if (channelFree_[ch] > now)
             break;
@@ -60,7 +60,7 @@ MemSim::tick(Cycle now)
         ++(req.write ? ctrWrites_ : ctrReads_);
         ctrBytes_ += config_.lineSize;
         if (!req.write) {
-            inflight_.push_back({CoreRsp{req.reqId, req.lane},
+            inflight_.push_back({CoreRsp{req.reqId, lane},
                                  now + config_.latency + lineCycles_});
         }
         input_.pop();

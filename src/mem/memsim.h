@@ -47,7 +47,11 @@ class MemSim
     // Lanes: the interface a Cache's core side has.
     //
     bool laneReady(uint32_t) const { return !input_.full(); }
-    void lanePush(uint32_t, const CoreReq& req) { input_.push(req); }
+    void
+    lanePush(uint32_t lane, const CoreReq& req)
+    {
+        input_.push({req, lane});
+    }
     /** Receives each read's response on the lane the read came in on. */
     void setRspCallback(std::function<void(const CoreRsp&)> cb)
     {
@@ -74,7 +78,14 @@ class MemSim
 
     MemSimConfig config_;
     uint32_t lineCycles_;
-    ElasticQueue<CoreReq> input_;
+    /** A request with the lane it came in on, kept with the read while
+     *  it is in flight. */
+    struct LaneReq
+    {
+        CoreReq req;
+        uint32_t lane;
+    };
+    ElasticQueue<LaneReq> input_;
     std::vector<Cycle> channelFree_; ///< next cycle each channel is free
 
     struct Inflight

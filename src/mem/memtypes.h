@@ -35,10 +35,9 @@ struct CoreReq
     Addr addr = 0;
     bool write = false;
     uint64_t reqId = 0; ///< unique id used to match the response
-    uint32_t lane = 0;  ///< issuing lane; echoed in the response
 };
 
-/** Core-side response. */
+/** Core-side response, on the lane its request was pushed to. */
 struct CoreRsp
 {
     uint64_t reqId = 0;
@@ -189,8 +188,7 @@ class CacheMemPort final : public MemSink
     void
     reqPush(const MemReq& req) override
     {
-        down_.lanePush(lane_, CoreReq{req.lineAddr, req.write, req.reqId,
-                                      lane_});
+        down_.lanePush(lane_, CoreReq{req.lineAddr, req.write, req.reqId});
     }
 
   private:

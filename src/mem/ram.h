@@ -1,17 +1,22 @@
 /**
  * @file
- * Functional backing store: a sparse paged model of the device-local memory
- * (the FPGA board DRAM of the paper). All functional loads/stores and the
- * host-side driver copies go through this object; the timing models only
- * carry addresses.
+ * Functional backing store: the device-local memory (the FPGA board DRAM
+ * of the paper) as one private anonymous mapping of the full 32-bit
+ * space. All functional loads/stores and the host-side driver copies go
+ * through this object; the timing models only carry addresses.
  *
- * The page table has two levels, so a RAM costs the host in proportion to
- * the memory a run touches: an in-object top level of 256 leaf pointers,
- * each leaf covering 16 MiB as 256 pointers to 64 KiB pages plus one
- * code-page flag per page. A leaf is allocated on the first write (or
- * markCodePage) inside its 16 MiB and a page on the first write inside
- * it, both zeroed; reads of untouched memory return 0 without
- * allocating. Constructing a RAM allocates nothing.
+ * The kernel's page tables do the sparse work, so a RAM costs the host
+ * in proportion to the memory a run writes. The span is reserved
+ * read-only and uncharged (MAP_NORESERVE, and MADV_NOHUGEPAGE so a
+ * transparent huge page cannot commit 2 MiB at once): a never-written
+ * page reads as the kernel's shared zero page. The first store to a
+ * 64 KiB page makes that page writable, which charges its 64 KiB to the
+ * commit limit; the kernel zero-fills each 4 KiB of it only when first
+ * written, so RSS follows the written 4 KiB pages. One state byte per
+ * 64 KiB page (written, code), in its own small mapping, routes a store
+ * to the slow path only when its page is not plain "written".
+ * Constructing a RAM allocates nothing on the heap, but needs 4 GiB of
+ * host address space (ARCHITECTURE.md "Device memory").
  *
  * A RAM belongs to one simulation, which runs on one host thread.
  * Same-cycle stores to one address from different cores are
@@ -23,34 +28,33 @@
 
 #pragma once
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <array>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 
+#include "common/log.h"
 #include "common/types.h"
 
 namespace vortex::mem {
 
-/** Sparse RAM covering the full 32-bit physical space (64 KiB pages). */
+/** RAM covering the full 32-bit physical space (64 KiB pages). */
 class Ram
 {
   public:
     static constexpr uint32_t kPageBits = 16;
     static constexpr uint32_t kPageSize = 1u << kPageBits;
     static constexpr uint32_t kNumPages = 1u << (32 - kPageBits);
-    /** A leaf of the page table maps 2^kLeafBits pages (16 MiB). */
-    static constexpr uint32_t kLeafBits = 8;
-    static constexpr uint32_t kLeafPages = 1u << kLeafBits;
-    static constexpr uint32_t kNumLeaves = kNumPages >> kLeafBits;
+    static constexpr uint64_t kSpan = uint64_t{1} << 32;
 
     Ram() = default;
 
     Ram(const Ram&) = delete;
     Ram& operator=(const Ram&) = delete;
 
-    uint8_t read8(Addr addr) const;
+    uint8_t read8(Addr addr) const { return span_.base[addr]; }
     uint16_t read16(Addr addr) const;
     uint32_t read32(Addr addr) const;
     float readFloat(Addr addr) const;
@@ -73,100 +77,90 @@ class Ram
     // it), any store that lands on a marked page bumps the global
     // code-write epoch, and the text serves a fetch only while the epoch
     // is the one it was decoded at (see core/text.h). Unmarked pages —
-    // the overwhelming store traffic — cost one flag load per store.
+    // the overwhelming store traffic — cost one state-byte load per store.
     //
 
     /** Mark the page containing @p addr as holding decoded code. */
-    void markCodePage(Addr addr) { leaf(addr).code[pageIndex(addr)] = true; }
+    void markCodePage(Addr addr) { state_.base[addr >> kPageBits] |= kCode; }
 
     /** Monotonic count of stores that hit a marked code page. */
     uint64_t codeWriteEpoch() const { return codeWriteEpoch_; }
 
-    /** Zero everything (drop all pages and code marks). */
-    void
-    clear()
-    {
-        for (auto& l : leaves_)
-            l.reset();
-        ++codeWriteEpoch_;
-        numPages_ = 0;
-    }
-
-    /** Number of touched pages (for tests). */
+    /** Number of written 64 KiB pages (for tests). */
     size_t numPages() const { return numPages_; }
 
   private:
-    /** 16 MiB of the address space: its pages and code flags. */
-    struct Leaf
+    /** A private anonymous mapping, unmapped with its owner. */
+    struct Mapping
     {
-        std::array<std::unique_ptr<uint8_t[]>, kLeafPages> pages;
-        std::array<bool, kLeafPages> code{}; ///< marked as code
+        Mapping(size_t size, int prot);
+        ~Mapping() { munmap(base, bytes); }
+        Mapping(const Mapping&) = delete;
+        Mapping& operator=(const Mapping&) = delete;
+
+        uint8_t* base;
+        size_t bytes;
     };
 
-    static uint32_t
-    leafIndex(Addr addr)
-    {
-        return addr >> (kPageBits + kLeafBits);
-    }
-    static uint32_t
-    pageIndex(Addr addr)
-    {
-        return (addr >> kPageBits) & (kLeafPages - 1);
-    }
+    /** Page state bits; a page whose state is exactly kWritten stores
+     *  with no further check. */
+    static constexpr uint8_t kWritten = 1;
+    static constexpr uint8_t kCode = 2;
 
-    /** The leaf covering @p addr, allocating (zeroed) on first touch. */
-    Leaf&
-    leaf(Addr addr)
+    /** Before a store to @p addr. */
+    void
+    store(Addr addr)
     {
-        auto& l = leaves_[leafIndex(addr)];
-        if (!l)
-            l = std::make_unique<Leaf>();
-        return *l;
+        if (state_.base[addr >> kPageBits] != kWritten) [[unlikely]]
+            slowStore(addr);
     }
-
-    /** The page backing @p addr, allocating (zeroed) on first touch, for
-     *  a store: bumps the code-write epoch first when the page is
-     *  marked. */
-    uint8_t*
-    pageForWrite(Addr addr)
+    /** Commit the page on its first store; bump the code-write epoch on
+     *  a store to a code page. */
+    [[gnu::noinline]] void
+    slowStore(Addr addr)
     {
-        Leaf& l = leaf(addr);
-        const uint32_t i = pageIndex(addr);
-        if (l.code[i])
-            ++codeWriteEpoch_;
-        auto& p = l.pages[i];
-        if (!p) {
-            p = std::make_unique<uint8_t[]>(kPageSize);
+        uint8_t& state = state_.base[addr >> kPageBits];
+        if (!(state & kWritten)) {
+            const Addr page = addr & ~(kPageSize - 1);
+            if (mprotect(span_.base + page, kPageSize,
+                         PROT_READ | PROT_WRITE) != 0)
+                fatal("mem::Ram: committing the 64 KiB device-memory page "
+                      "at 0x", std::hex, page, std::dec, " failed: errno ",
+                      errno, " (", std::strerror(errno), ")");
+            state |= kWritten;
             ++numPages_;
         }
-        return p.get();
+        if (state & kCode)
+            ++codeWriteEpoch_;
     }
 
-    /** The page backing @p addr, or nullptr while nothing in it was
-     *  written. */
-    const uint8_t*
-    pageIfPresent(Addr addr) const
-    {
-        const Leaf* l = leaves_[leafIndex(addr)].get();
-        return l ? l->pages[pageIndex(addr)].get() : nullptr;
-    }
-
-    std::array<std::unique_ptr<Leaf>, kNumLeaves> leaves_;
+    Mapping state_{kNumPages, PROT_READ | PROT_WRITE}; ///< a byte per page
+    Mapping span_{kSpan, PROT_READ}; ///< the guest space; pages made
+                                     ///< writable on their first store
     uint64_t codeWriteEpoch_ = 0;
     size_t numPages_ = 0;
 };
 
-inline uint8_t
-Ram::read8(Addr addr) const
+inline Ram::Mapping::Mapping(size_t size, int prot) : bytes(size)
 {
-    const uint8_t* p = pageIfPresent(addr);
-    return p ? p[addr & (kPageSize - 1)] : 0;
+    void* p = mmap(nullptr, size, prot,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        fatal("mem::Ram: device memory needs 4 GiB of host address space "
+              "per simulation (check `ulimit -v`); mapping ", size,
+              " bytes failed: errno ", errno, " (", std::strerror(errno),
+              ")");
+    base = static_cast<uint8_t*>(p);
+    // Advisory: a kernel without transparent huge pages refuses it, and
+    // then there is nothing to opt out of.
+    madvise(p, size, MADV_NOHUGEPAGE);
 }
 
 inline void
 Ram::write8(Addr addr, uint8_t value)
 {
-    pageForWrite(addr)[addr & (kPageSize - 1)] = value;
+    store(addr);
+    span_.base[addr] = value;
 }
 
 inline uint16_t
@@ -181,9 +175,8 @@ Ram::read32(Addr addr) const
 {
     // Fast path: aligned, so the word lies in one page.
     if ((addr & 3) == 0) {
-        uint32_t v = 0;
-        if (const uint8_t* p = pageIfPresent(addr))
-            std::memcpy(&v, p + (addr & (kPageSize - 1)), 4);
+        uint32_t v;
+        std::memcpy(&v, span_.base + addr, 4);
         return v;
     }
     return static_cast<uint32_t>(read16(addr)) |
@@ -201,8 +194,8 @@ inline void
 Ram::write32(Addr addr, uint32_t value)
 {
     if ((addr & 3) == 0) {
-        std::memcpy(pageForWrite(addr) + (addr & (kPageSize - 1)), &value,
-                    4);
+        store(addr);
+        std::memcpy(span_.base + addr, &value, 4);
         return;
     }
     write16(addr, value & 0xFFFF);
@@ -226,16 +219,20 @@ Ram::writeFloat(Addr addr, float value)
     write32(addr, u);
 }
 
+// Block copies go a page at a time: a copy that runs past 0xFFFFFFFF
+// wraps to 0x0, never past the span.
+
 inline void
 Ram::writeBlock(Addr addr, const void* src, size_t size)
 {
     const uint8_t* s = static_cast<const uint8_t*>(src);
     size_t i = 0;
     while (i < size) {
-        uint32_t off = (addr + i) & (kPageSize - 1);
-        size_t chunk = std::min<size_t>(size - i, kPageSize - off);
-        std::memcpy(pageForWrite(addr + static_cast<Addr>(i)) + off, s + i,
-                    chunk);
+        const Addr a = addr + static_cast<Addr>(i);
+        const size_t chunk =
+            std::min<size_t>(size - i, kPageSize - (a & (kPageSize - 1)));
+        store(a);
+        std::memcpy(span_.base + a, s + i, chunk);
         i += chunk;
     }
 }
@@ -246,12 +243,10 @@ Ram::readBlock(Addr addr, void* dst, size_t size) const
     uint8_t* d = static_cast<uint8_t*>(dst);
     size_t i = 0;
     while (i < size) {
-        uint32_t off = (addr + i) & (kPageSize - 1);
-        size_t chunk = std::min<size_t>(size - i, kPageSize - off);
-        if (const uint8_t* p = pageIfPresent(addr + static_cast<Addr>(i)))
-            std::memcpy(d + i, p + off, chunk);
-        else
-            std::memset(d + i, 0, chunk);
+        const Addr a = addr + static_cast<Addr>(i);
+        const size_t chunk =
+            std::min<size_t>(size - i, kPageSize - (a & (kPageSize - 1)));
+        std::memcpy(d + i, span_.base + a, chunk);
         i += chunk;
     }
 }

@@ -48,7 +48,8 @@ SharedMem::tick(Cycle now)
     if (pendingLaneReqs_ == 0)
         return moved;
     std::fill(bankBusy_.begin(), bankBusy_.end(), 0);
-    for (auto& lane : lanes_) {
+    for (uint32_t l = 0; l < lanes_.size(); ++l) {
+        auto& lane = lanes_[l];
         if (lane.empty())
             continue;
         const CoreReq& req = lane.front();
@@ -59,7 +60,7 @@ SharedMem::tick(Cycle now)
             continue;
         }
         bankBusy_[b] = 1;
-        pipe_.enqueueSlot(now) = CoreRsp{req.reqId, req.lane, req.write};
+        pipe_.enqueueSlot(now) = CoreRsp{req.reqId, l, req.write};
         ++ctrAccesses_;
         lane.pop();
         --pendingLaneReqs_;

@@ -192,7 +192,6 @@ TexUnit::tick(Cycle now)
             creq.addr = toIssue_.front();
             creq.write = false;
             creq.reqId = allocReqId_();
-            creq.lane = lane;
             pending_.push_back(creq.reqId);
             dcache_->lanePush(lane, creq);
             toIssue_.pop_front();

@@ -17,9 +17,10 @@
  *
  * The forwarders also record the largest single request, which bounds
  * what a `memcmp` check allocates for its window, and the bytes requested,
- * which pin what a machine costs the host: a RAM that allocates only for
- * the memory a run touches, cores that do not each hold a copy of the
- * program, and one decoded text per device.
+ * which pin what a machine costs the host: a RAM that allocates nothing
+ * (and, read from /proc/self/status, keeps resident only the 4 KiB pages
+ * a run writes), cores that do not each hold a copy of the program, and
+ * one decoded text per device.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +28,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -216,11 +219,37 @@ bytesDuring(Fn&& fn)
 
 TEST(Footprint, ConstructingARamAllocatesAlmostNothing)
 {
-    // The page table's top level lives in the object; leaves and pages
-    // come with the first touch.
+    // The guest space and its page states are kernel mappings, not heap
+    // blocks: the heap holds only the object.
     const uint64_t bytes =
         bytesDuring([] { std::make_unique<mem::Ram>().reset(); });
     EXPECT_LT(bytes, 4096u);
+}
+
+/** This process's resident anonymous memory, in KiB. */
+uint64_t
+rssAnonKiB()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("RssAnon:", 0) == 0)
+            return std::stoull(line.substr(8));
+    ADD_FAILURE() << "no RssAnon line in /proc/self/status";
+    return 0;
+}
+
+TEST(Footprint, RamResidentFollowsWrittenPages)
+{
+    // One byte in each of 256 distinct 64 KiB pages makes 256 host pages
+    // of 4 KiB resident (1 MiB), not 256 whole 64 KiB pages (16 MiB).
+    mem::Ram ram;
+    const uint64_t before = rssAnonKiB();
+    for (uint32_t i = 0; i < 256; ++i)
+        ram.write8(static_cast<Addr>(i) << 24, 1);
+    const uint64_t after = rssAnonKiB();
+    EXPECT_EQ(ram.numPages(), 256u);
+    EXPECT_LT(after, before + 4 * 1024) << before << " -> " << after
+                                        << " KiB";
 }
 
 TEST(Footprint, ACoreCostsUnder64KiB)

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "core/barrier.h"
 #include "core/processor.h"
@@ -503,15 +504,6 @@ TEST(DecodedText, ServesOnlyAnUnwrittenTextAndChecksInvalidation)
     text.refresh();
     ASSERT_NE(text.find(pc), nullptr);
     EXPECT_EQ(text.find(pc)->raw, add);
-
-    // Ram::clear drops the code marks; the refresh marks the pages again.
-    ram.clear();
-    EXPECT_EQ(text.find(pc), nullptr);
-    text.refresh();
-    ASSERT_NE(text.find(pc), nullptr);
-    EXPECT_FALSE(text.find(pc)->valid());
-    ram.write32(pc, add);
-    EXPECT_EQ(text.find(pc), nullptr);
 }
 
 namespace {
@@ -676,6 +668,20 @@ TEST(Processor, RejectsZeroMemBusWidth)
     ArchConfig cfg;
     cfg.mem.busWidth = 0;
     expectRejected(cfg, "mem.busWidth");
+}
+
+TEST(Processor, RejectsZeroFuLatencies)
+{
+    const std::pair<const char*, uint32_t FuLatencies::*> fields[] = {
+        {"lat.alu", &FuLatencies::alu},     {"lat.mul", &FuLatencies::mul},
+        {"lat.div", &FuLatencies::div},     {"lat.fpu", &FuLatencies::fpu},
+        {"lat.fcvt", &FuLatencies::fcvt},   {"lat.fdiv", &FuLatencies::fdiv},
+        {"lat.fsqrt", &FuLatencies::fsqrt}, {"lat.sfu", &FuLatencies::sfu}};
+    for (const auto& [field, member] : fields) {
+        ArchConfig cfg;
+        cfg.lat.*member = 0;
+        expectRejected(cfg, field);
+    }
 }
 
 TEST(Processor, L3LaneCountIsL3Config)

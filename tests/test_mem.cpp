@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -73,8 +72,8 @@ TEST(Ram, UntouchedReadsZero)
 
 TEST(Ram, EdgesOfTheAddressSpaceAndOfALeaf)
 {
-    // 0x00FFFFFC and 0x01000000 sit in two leaves of the page table
-    // (16 MiB each); 0x0 and 0xFFFFFFFC in the first and the last.
+    // 0x00FFFFFC and 0x01000000 sit on either side of a 16 MiB
+    // boundary; 0x0 and 0xFFFFFFFC in the first and the last page.
     Ram ram;
     const Addr addrs[] = {0x0, 0x00FFFFFC, 0x01000000, 0xFFFFFFFC};
     for (Addr a : addrs)
@@ -82,7 +81,7 @@ TEST(Ram, EdgesOfTheAddressSpaceAndOfALeaf)
     EXPECT_EQ(ram.numPages(), 4u);
     for (Addr a : addrs)
         EXPECT_EQ(ram.read32(a), a ^ 0x5A5A5A5A) << std::hex << a;
-    // A word and a block straddling the leaf boundary.
+    // A word and a block straddling the 16 MiB boundary.
     ram.write32(0x00FFFFFE, 0xCAFEBABE);
     EXPECT_EQ(ram.read32(0x00FFFFFE), 0xCAFEBABEu);
     EXPECT_EQ(ram.read16(0x00FFFFFE), 0xBABEu);
@@ -92,42 +91,42 @@ TEST(Ram, EdgesOfTheAddressSpaceAndOfALeaf)
     ram.readBlock(0x00FFFFE0, back.data(), back.size());
     EXPECT_EQ(blob, back);
     EXPECT_EQ(ram.numPages(), 4u);
-    // A block read over untouched leaves reads zeros.
+    // A block read over unwritten pages reads zeros.
     std::vector<uint8_t> zeros(16, 0xFF);
     ram.readBlock(0x7FFFFFF8, zeros.data(), zeros.size());
     EXPECT_EQ(zeros, std::vector<uint8_t>(16, 0));
     EXPECT_EQ(ram.numPages(), 4u);
 }
 
-TEST(Ram, ClearDropsEveryPageAndBumpsTheEpoch)
+TEST(Ram, AccessesWrapAtTheTopOfTheSpace)
 {
+    // An unaligned word and a block past 0xFFFFFFFF wrap to 0x0: nothing
+    // touches host memory past the 4 GiB span.
     Ram ram;
-    ram.write32(0x100, 1);
-    ram.write32(0x80000000, 2);
-    ram.markCodePage(0x80000000);
+    ram.write32(0xFFFFFFFE, 0xCAFEBABE);
+    EXPECT_EQ(ram.read32(0xFFFFFFFE), 0xCAFEBABEu);
+    EXPECT_EQ(ram.read16(0x0), 0xCAFEu);
+    std::vector<uint8_t> blob(32), back(32);
+    for (size_t i = 0; i < blob.size(); ++i)
+        blob[i] = static_cast<uint8_t>(i + 1);
+    ram.writeBlock(0xFFFFFFF0, blob.data(), blob.size());
+    ram.readBlock(0xFFFFFFF0, back.data(), back.size());
+    EXPECT_EQ(blob, back);
+    EXPECT_EQ(ram.read8(0x0), 17u);
     EXPECT_EQ(ram.numPages(), 2u);
-    const uint64_t epoch = ram.codeWriteEpoch();
-    ram.clear();
-    EXPECT_EQ(ram.numPages(), 0u);
-    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 1);
-    EXPECT_EQ(ram.read32(0x100), 0u);
-    EXPECT_EQ(ram.read32(0x80000000), 0u);
-    // The code mark went with the page.
-    ram.write32(0x80000000, 3);
-    EXPECT_EQ(ram.codeWriteEpoch(), epoch + 1);
-    EXPECT_EQ(ram.numPages(), 1u);
 }
 
 TEST(Ram, CodeMarksAcrossLeaves)
 {
     Ram ram;
-    // Marking a page in a leaf nothing has touched yet allocates no page.
+    // Marking a page nothing has written commits no page.
     ram.markCodePage(0x80000000);
     EXPECT_EQ(ram.numPages(), 0u);
     EXPECT_EQ(ram.read32(0x80000000), 0u);
     const uint64_t epoch = ram.codeWriteEpoch();
-    // A store to an unmarked page, in this leaf or another, leaves the
-    // epoch; a store to the marked page, from any width, bumps it.
+    // A store to an unmarked page, near the marked one or far from it,
+    // leaves the epoch; a store to the marked page, from any width,
+    // bumps it.
     ram.write32(0x80010000, 1);
     ram.write32(0x10000000, 1);
     ram.write8(0x7FFFFFFF, 1);
@@ -267,7 +266,6 @@ struct CacheHarness
         req.addr = addr;
         req.write = write;
         req.reqId = id;
-        req.lane = lane;
         cache.lanePush(lane, req);
     }
 
@@ -312,6 +310,9 @@ TEST(Cache, MshrMergesSameLine)
     EXPECT_EQ(h.rsps.size(), 4u);
     EXPECT_EQ(h.mem.stats().get("reads"), 1u);
     EXPECT_GE(h.cache.stats().get("mshr_merges"), 1u);
+    // A merged miss answers each request on the lane it was pushed to.
+    for (const CoreRsp& r : h.rsps)
+        EXPECT_EQ(r.lane, r.reqId - 1) << r.reqId;
 }
 
 TEST(Cache, VirtualPortCoalescing)
@@ -327,6 +328,8 @@ TEST(Cache, VirtualPortCoalescing)
             h.push(lane, 0x3000 + 4 * lane, false, lane + 1);
         h.drain();
         EXPECT_EQ(h.rsps.size(), 4u);
+        for (const CoreRsp& r : h.rsps)
+            EXPECT_EQ(r.lane, r.reqId - 1) << ports << " ports";
         if (ports == 4) {
             EXPECT_EQ(h.cache.stats().get("sel_conflicts"), 0u);
             EXPECT_EQ(h.cache.bankUtilization(), 1.0);
@@ -399,9 +402,10 @@ TEST(Cache, FlushInvalidates)
 
 TEST(Cache, RandomStressCompleteness)
 {
-    // Property: every request gets exactly one response, regardless of the
-    // mix of reads/writes/banks/lines, with a small MSHR and memory queue
-    // (exercises the early-full deadlock avoidance).
+    // Property: every request gets exactly one response, on the lane it
+    // was pushed to, regardless of the mix of reads/writes/banks/lines,
+    // with a small MSHR and memory queue (exercises the early-full
+    // deadlock avoidance).
     CacheConfig ccfg;
     ccfg.mshrEntries = 2;
     ccfg.memQueueDepth = 2;
@@ -412,7 +416,7 @@ TEST(Cache, RandomStressCompleteness)
     CacheHarness h(ccfg, mcfg);
 
     Xorshift rng(99);
-    std::set<uint64_t> outstanding;
+    std::map<uint64_t, uint32_t> outstanding; // reqId -> lane pushed
     uint64_t next_id = 1;
     const int kReqs = 2000;
     int sent = 0;
@@ -424,9 +428,8 @@ TEST(Cache, RandomStressCompleteness)
                 req.addr = rng.nextBounded(0x4000) & ~3u;
                 req.write = rng.nextBounded(4) == 0;
                 req.reqId = next_id++;
-                req.lane = lane;
                 h.cache.lanePush(lane, req);
-                outstanding.insert(req.reqId);
+                outstanding.emplace(req.reqId, lane);
                 ++sent;
             }
         }
@@ -434,6 +437,7 @@ TEST(Cache, RandomStressCompleteness)
         for (const CoreRsp& r : h.rsps) {
             auto it = outstanding.find(r.reqId);
             ASSERT_NE(it, outstanding.end()) << "duplicate response";
+            EXPECT_EQ(r.lane, it->second) << r.reqId;
             outstanding.erase(it);
         }
         h.rsps.clear();
@@ -461,7 +465,6 @@ pushBurst(Unit& unit, uint32_t lanes, Xorshift& rng, uint32_t gap,
         req.addr = base + (rng.nextBounded(0x10000) & ~3u);
         req.write = rng.nextBounded(4) == 0;
         req.reqId = next_id++;
-        req.lane = l;
         unit.lanePush(l, req);
     }
 }
@@ -554,7 +557,6 @@ TEST(SharedMem, ConflictFreeParallelAccess)
         CoreReq req;
         req.addr = 0xFF000000 + 4 * lane;
         req.reqId = lane + 1;
-        req.lane = lane;
         smem.lanePush(lane, req);
     }
     Cycle now = 0;
@@ -562,6 +564,8 @@ TEST(SharedMem, ConflictFreeParallelAccess)
         smem.tick(++now);
     EXPECT_EQ(rsps.size(), 4u);
     EXPECT_EQ(smem.stats().get("bank_conflicts"), 0u);
+    for (const CoreRsp& r : rsps)
+        EXPECT_EQ(r.lane, r.reqId - 1) << r.reqId;
 }
 
 TEST(SharedMem, BankConflictSerializes)
@@ -575,7 +579,6 @@ TEST(SharedMem, BankConflictSerializes)
         CoreReq req;
         req.addr = 0xFF000000; // same bank
         req.reqId = lane + 1;
-        req.lane = lane;
         smem.lanePush(lane, req);
     }
     Cycle now = 0;
@@ -583,6 +586,8 @@ TEST(SharedMem, BankConflictSerializes)
         smem.tick(++now);
     EXPECT_EQ(rsps.size(), 2u);
     EXPECT_GE(smem.stats().get("bank_conflicts"), 1u);
+    for (const CoreRsp& r : rsps)
+        EXPECT_EQ(r.lane, r.reqId - 1) << r.reqId;
 }
 
 //
@@ -603,13 +608,15 @@ TEST(MemSim, AnswersEachReadOnItsLane)
     b->reqPush(MemReq{0x3000, true, 0}); // write: no response
     a->reqPush(MemReq{0x4000, false, 8});
     b->reqPush(MemReq{0x5000, false, 8});
+    // A push straight into a lane nothing linked is answered there too.
+    mem.lanePush(5, CoreReq{0x6000, false, 8});
     for (Cycle now = 1; !mem.idle(); ++now) {
         ASSERT_LT(now, 1000u) << "memory did not drain";
         mem.tick(now);
     }
-    ASSERT_EQ(got.size(), 4u);
+    ASSERT_EQ(got.size(), 5u);
     const std::pair<uint64_t, uint32_t> want[] = {
-        {7, 0}, {7, 1}, {8, 0}, {8, 1}};
+        {7, 0}, {7, 1}, {8, 0}, {8, 1}, {8, 5}};
     for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].reqId, want[i].first) << i;
         EXPECT_EQ(got[i].lane, want[i].second) << i;
@@ -675,7 +682,6 @@ TEST(Wake, PoppingAFullCacheLaneWakesTheLaneOwner)
     h.cache.link(0, &owner);
     h.cache.link(1, &other);
     CoreReq req;
-    req.lane = 0;
     for (uint64_t id = 1; h.cache.laneReady(0); ++id) {
         req.addr = 0x1000 + 4 * static_cast<Addr>(id);
         req.reqId = id;
@@ -813,7 +819,6 @@ TEST(Wake, L3LanePopWakesTheL2ThatFillsTheLane)
     for (size_t cl = 0; cl < 2; ++cl)
         p.l2(cl)->sleepLatch()->sleepUntil = kNoEvent;
     CoreReq req;
-    req.lane = 1;
     for (uint64_t id = 1; l3.laneReady(1); ++id) {
         req.addr = 0x40 * static_cast<Addr>(id);
         req.reqId = id;

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/processor.h"
 #include "isa/assembler.h"
 #include "kernels/kernels.h"
@@ -172,6 +174,32 @@ TEST(CoreOrder, RodiniaKernelsBitIdentical)
                 << kernel << " " << cores;
         }
     }
+}
+
+TEST(CoreOrder, FlatCoresCounterRowBitIdentical)
+{
+    // Four cores with no L2 and no L3: all eight L1s are lanes of the one
+    // board-memory queue, so a request that skipped its staging port
+    // would take queue space the other cores see in the same cycle.
+    // saxpy is memory-bound and race-free, so its whole counter row must
+    // not depend on the order the cores tick in.
+    const auto row = [](bool reversed) {
+        ArchConfig c = machine(4);
+        c.l2Enabled = false;
+        runtime::Device dev(c);
+        dev.processor().setReverseCoreOrder(reversed);
+        runtime::RunResult r = runtime::runRodinia(dev, "saxpy");
+        EXPECT_TRUE(r.ok) << r.error;
+        StatGroup flat;
+        dev.processor().collectStats(flat);
+        return std::vector<std::pair<std::string, uint64_t>>(
+            flat.all().begin(), flat.all().end());
+    };
+    const auto forward = row(false);
+    const auto reversed = row(true);
+    ASSERT_EQ(forward.size(), reversed.size());
+    for (size_t i = 0; i < forward.size(); ++i)
+        EXPECT_EQ(forward[i], reversed[i]) << "counter #" << i;
 }
 
 TEST(CoreOrder, TextureRenderBitIdentical)

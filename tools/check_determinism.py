@@ -20,7 +20,11 @@ flags the source patterns that historically break that promise:
   * mutable ``static`` and ``thread_local`` variables — process-global
     state makes a run depend on what else the process ran before it
     (``const`` and ``constexpr`` ones are fine; a declaration split
-    across lines before its initializer is not seen).
+    across lines before its initializer is not seen);
+  * ``mmap`` / ``munmap`` / ``mprotect`` / ``madvise`` outside
+    ``src/mem/ram.h`` — host addresses and the host's memory limits stay
+    in the one file that maps device memory, which exposes only guest
+    addresses.
 
 A finding on a line ending with ``// det-ok: <reason>`` is suppressed;
 the reason is required so every exception is documented in place.
@@ -61,6 +65,9 @@ BANNED = [
      "pointer-keyed ordered container: iteration order tracks the "
      "allocator"),
 ]
+
+OS_MEMORY = re.compile(r"(?<![\w.])(?:mmap|munmap|mprotect|madvise)\s*\(")
+OS_MEMORY_FILE = "src/mem/ram.h"
 
 STORAGE = re.compile(r"\b(?:static|thread_local)\b")
 CONST = re.compile(r"\bconst(?:expr)?\b")
@@ -116,7 +123,7 @@ def strip_comments_and_strings(line):
     return "".join(out)
 
 
-def lint_file(path):
+def lint_file(path, os_memory_ok=False):
     findings = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -141,6 +148,11 @@ def lint_file(path):
         for pattern, why in BANNED:
             if pattern.search(code):
                 findings.append((path, lineno, why))
+        if not os_memory_ok and OS_MEMORY.search(code):
+            findings.append(
+                (path, lineno,
+                 "OS memory call outside %s: device memory is mapped in "
+                 "one place" % OS_MEMORY_FILE))
         if is_mutable_global(code):
             findings.append((path, lineno, GLOBAL_STATE))
         m = RANGE_FOR.search(code)
@@ -168,7 +180,9 @@ def main(argv):
             if not name.endswith((".h", ".cpp")):
                 continue
             checked += 1
-            findings.extend(lint_file(os.path.join(full, name)))
+            findings.extend(
+                lint_file(os.path.join(full, name),
+                          "%s/%s" % (lint_dir, name) == OS_MEMORY_FILE))
 
     for path, lineno, why in findings:
         print("%s:%d: %s" % (os.path.relpath(path, root), lineno, why))
