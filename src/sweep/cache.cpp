@@ -1,6 +1,6 @@
 /**
  * @file
- * CacheStore implementation: v3 entry I/O, the manifest, pruning, and
+ * CacheStore implementation: v3 entry I/O, listing, pruning, and
  * cross-directory merge. See cache.h for the on-disk format.
  */
 
@@ -12,7 +12,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -67,18 +66,6 @@ mtimeSeconds(const std::filesystem::path& path)
         ftime - std::filesystem::file_time_type::clock::now() +
         std::chrono::system_clock::now());
     return sys.time_since_epoch().count();
-}
-
-/** @p epochSeconds as "YYYY-MM-DDThh:mm:ssZ". */
-std::string
-isoUtc(int64_t epochSeconds)
-{
-    std::time_t t = static_cast<std::time_t>(epochSeconds);
-    std::tm tm{};
-    gmtime_r(&t, &tm);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-    return buf;
 }
 
 /** Append every remaining token of @p ls to @p out as an unsigned
@@ -195,18 +182,6 @@ CacheStore::entryPath(const std::string& hash) const
     return dir_ + "/" + hash + ".run";
 }
 
-double
-CacheStore::recordedHostSeconds(const std::string& hash) const
-{
-    if (!enabled())
-        return -1.0;
-    std::optional<Entry> e = readEntry(entryPath(hash), hash);
-    // An entry that predates the host_seconds line is still a hit: report
-    // "recorded cost unknown" (0), not "absent", so the scheduler prices
-    // it like any other hit.
-    return e ? std::max(e->info.hostSeconds, 0.0) : -1.0;
-}
-
 bool
 CacheStore::load(const RunSpec& spec, RunRecord& out) const
 {
@@ -302,50 +277,17 @@ CacheStore::entries() const
     return out;
 }
 
-void
-CacheStore::writeManifest() const
-{
-    if (!enabled())
-        return;
-    std::vector<CacheEntryInfo> list = entries();
-    // Unlike cache entries (same hash -> same bytes), two processes'
-    // manifests can genuinely differ mid-churn, so the temp name must be
-    // unique across processes, not just threads.
-    const std::string path = dir_ + "/manifest.json";
-    const std::string tmp = path + tmpSuffix();
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return; // the manifest is best-effort metadata
-        os << "{\n  \"entries\": [\n";
-        for (size_t i = 0; i < list.size(); ++i) {
-            const CacheEntryInfo& e = list[i];
-            os << "    {\"hash\": \"" << jsonEscape(e.hash)
-               << "\", \"id\": \"" << jsonEscape(e.id)
-               << "\", \"campaign\": \"" << jsonEscape(e.campaign)
-               << "\", \"written\": \"" << isoUtc(e.mtime) << "\"}"
-               << (i + 1 < list.size() ? "," : "") << "\n";
-        }
-        os << "  ]\n}\n";
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        std::filesystem::remove(tmp, ec);
-}
-
 size_t
 CacheStore::prune(double olderThanDays) const
 {
     if (!enabled())
         return 0;
-    const int64_t cutoff =
-        olderThanDays < 0.0
-            ? INT64_MAX // prune everything
-            : std::chrono::duration_cast<std::chrono::seconds>(
-                  std::chrono::system_clock::now().time_since_epoch())
-                      .count() -
-                  static_cast<int64_t>(olderThanDays * 86400.0);
+    // Ages compare as doubles, so a huge day count keeps every entry
+    // instead of overflowing an integer cutoff.
+    const int64_t now = std::chrono::duration_cast<std::chrono::seconds>(
+                            std::chrono::system_clock::now().time_since_epoch())
+                            .count();
+    const double minAge = olderThanDays * 86400.0;
     size_t removed = 0;
     std::error_code ec;
     for (const auto& de :
@@ -355,8 +297,7 @@ CacheStore::prune(double olderThanDays) const
         const std::string fname = de.path().filename().string();
         // Sweep leftover temp files from interrupted writes regardless
         // of age; they are never valid entries.
-        if (fname.find(".run.tmp.") != std::string::npos ||
-            fname.find("manifest.json.tmp.") != std::string::npos) {
+        if (fname.find(".run.tmp.") != std::string::npos) {
             std::filesystem::remove(de.path(), ec);
             continue;
         }
@@ -371,13 +312,13 @@ CacheStore::prune(double olderThanDays) const
                 ++removed;
             continue;
         }
-        if (mtimeSeconds(de.path()) <= cutoff) {
+        if (olderThanDays < 0.0 ||
+            static_cast<double>(now - mtimeSeconds(de.path())) >= minAge) {
             std::filesystem::remove(de.path(), ec);
             if (!ec)
                 ++removed;
         }
     }
-    writeManifest();
     return removed;
 }
 
@@ -439,7 +380,6 @@ CacheStore::mergeFrom(const std::string& srcDir) const
         }
         ++stats.imported;
     }
-    writeManifest();
     return stats;
 }
 

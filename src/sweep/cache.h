@@ -3,15 +3,13 @@
  * CacheStore — the campaign result cache as an object.
  *
  * One CacheStore owns one cache directory: entry I/O (load/store of
- * RunRecords keyed by RunSpec::contentHash), the manifest, pruning, and
- * — the fabric primitive — merge/import of entries from other cache
- * directories. It absorbs the free-function cache API that used to live
- * in campaign.h (removed after one release of deprecated forwarding
- * shims) and the ad-hoc read/write paths that used to live inside
- * Campaign.
+ * RunRecords keyed by RunSpec::contentHash), listing, pruning, and — the
+ * fabric primitive — merge/import of entries from other cache
+ * directories.
  *
- * On-disk format (v3, one `<hash>.run` text file per entry plus
- * `manifest.json`):
+ * The directory is the only index: one `<hash>.run` text file per entry
+ * and nothing beside it (any other file is ignored, and prune leaves it
+ * alone). On-disk format (v3):
  *
  *     vortex-sweep-cache v3
  *     hash <contentHash>            # provenance lines ...
@@ -29,11 +27,11 @@
  * the magic line, a `hash` line equal to the file name, the `end`
  * terminator, payload numbers that parse whole (no sign, fraction or
  * trailing text), and a rectangular series (every `series` row as long
- * as `sample_cycles`). load(), recordedHostSeconds(), entries(), prune()
- * and mergeFrom() all use it, so a file is either an entry everywhere
- * (a hit, listed, merged, kept) or nowhere (a miss, unlisted, rejected,
- * swept). There is no lighter probe: mergeFrom's "already present" test
- * is the same rule, so a torn local copy is replaced, not kept.
+ * as `sample_cycles`). load(), entries(), prune() and mergeFrom() all use
+ * it, so a file is either an entry everywhere (a hit, listed, merged,
+ * kept) or nowhere (a miss, unlisted, rejected, swept). A campaign reads
+ * each hit once, in load(). mergeFrom's "already present" test is the
+ * same rule, so a torn local copy is replaced, not kept.
  * Entries of an older format (v1, v2) fail the magic line, so they
  * miss, are re-simulated, and prune() sweeps them.
  *
@@ -55,12 +53,24 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sweep/campaign.h"
 
 namespace vortex::sweep {
+
+/** One result-cache entry as listed by CacheStore::entries(). */
+struct CacheEntryInfo
+{
+    std::string hash;     ///< content hash (the file basename)
+    std::string id;       ///< run id recorded at store time
+    std::string campaign; ///< campaign name recorded at store time
+    int64_t mtime = 0;    ///< entry mtime, seconds since the Unix epoch
+    double hostSeconds = -1.0; ///< recorded wall-clock (-1 = not recorded)
+    std::string kernel;   ///< registry kernel name ("" on old entries)
+};
 
 /** Outcome of one CacheStore::mergeFrom call. */
 struct CacheMergeStats
@@ -115,33 +125,15 @@ class CacheStore
     void store(const RunRecord& record,
                const std::string& campaignName) const;
 
-    /**
-     * The simulation wall-clock seconds recorded for @p hash: negative
-     * when no valid entry exists, 0 for an entry predating the
-     * host_seconds provenance line. A non-negative return means load()
-     * will restore the run, so the scheduler prices it at zero.
-     */
-    double recordedHostSeconds(const std::string& hash) const;
-
     /** All valid entries, sorted by hash (empty when the directory is
      *  missing or the store is disabled). */
     std::vector<CacheEntryInfo> entries() const;
 
     /**
-     * Rewrite `manifest.json` from the entries on disk: one object per
-     * cached record (hash, run id, campaign, ISO-8601 UTC timestamp).
-     * Atomic and self-healing — it reflects whatever entries exist,
-     * including ones written by other campaigns or merged from other
-     * hosts. Campaign::run refreshes it after every cached campaign.
-     */
-    void writeManifest() const;
-
-    /**
      * Delete cached records: all of them, or with @p olderThanDays >= 0
      * only those whose mtime is older than that many days. Invalid
      * entries (file comment; e.g. one torn by a crash mid-write) are
-     * swept regardless of age, as are leftover temp files; the manifest
-     * is rewritten at the end.
+     * swept regardless of age, as are leftover temp files.
      * @return the number of records removed.
      */
     size_t prune(double olderThanDays = -1.0) const;
@@ -153,8 +145,8 @@ class CacheStore
      * rename, unless a valid entry for its hash already exists here
      * (content-addressed: same hash, same simulation); an invalid local
      * entry is overwritten. Invalid source entries are rejected,
-     * counted, and reported on stderr — never imported. The manifest is rewritten once at
-     * the end, so a crash mid-merge leaves a valid store.
+     * counted, and reported on stderr — never imported. Every import
+     * commits on its own, so a crash mid-merge leaves a valid store.
      *
      * Merging the caches of shards 0..N-1 of a campaign and re-running
      * the full spec against the merged store is a 100%-hit, byte-

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -71,27 +72,37 @@ estimateRunCost(const RunSpec& spec)
     return work * (1.0 + machine / 16.0);
 }
 
+namespace {
+
+/** LPT order of @p runs: indices by descending estimateRunCost(), stable
+ *  so ties keep matrix order. Fills @p costs with each run's estimate. */
+std::vector<size_t>
+lptOrder(const std::vector<RunSpec>& runs, std::vector<double>& costs)
+{
+    costs.resize(runs.size());
+    for (size_t i = 0; i < runs.size(); ++i)
+        costs[i] = estimateRunCost(runs[i]);
+    std::vector<size_t> order(runs.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return costs[a] > costs[b]; });
+    return order;
+}
+
+} // namespace
+
 std::vector<uint32_t>
 shardAssignment(const std::vector<RunSpec>& runs, uint32_t shardCount)
 {
     if (shardCount == 0)
         fatal("shardAssignment: shard count must be >= 1");
-    // Greedy LPT bin-packing over the static cost heuristic: heaviest
-    // run first onto the least-loaded shard, ties broken toward the
-    // lower index on both sides. Stable and host-independent.
-    std::vector<size_t> order(runs.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::vector<double> costs(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i)
-        costs[i] = estimateRunCost(runs[i]);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         return costs[a] > costs[b];
-                     });
+    // Greedy LPT bin-packing: heaviest run first onto the least-loaded
+    // shard, ties broken toward the lower index on both sides. Stable
+    // and host-independent.
+    std::vector<double> costs;
     std::vector<uint32_t> shardOf(runs.size(), 0);
     std::vector<double> load(shardCount, 0.0);
-    for (size_t i : order) {
+    for (size_t i : lptOrder(runs, costs)) {
         uint32_t best = 0;
         for (uint32_t s = 1; s < shardCount; ++s)
             if (load[s] < load[best])
@@ -122,26 +133,6 @@ shardSlice(const SweepSpec& spec, std::vector<RunSpec> runs)
     return mine;
 }
 
-std::vector<size_t>
-claimOrder(const std::vector<RunSpec>& runs, const CacheStore& cache,
-           std::vector<double>* costs)
-{
-    std::vector<double> cost(runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-        bool cached =
-            cache.recordedHostSeconds(runs[i].contentHash()) >= 0.0;
-        cost[i] = cached ? 0.0 : estimateRunCost(runs[i]);
-    }
-    std::vector<size_t> order(runs.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) { return cost[a] > cost[b]; });
-    if (costs)
-        *costs = std::move(cost);
-    return order;
-}
-
 uint32_t
 resolveJobs(uint32_t jobs)
 {
@@ -152,14 +143,16 @@ resolveJobs(uint32_t jobs)
 }
 
 std::vector<RunRecord>
-executeRuns(const std::vector<RunSpec>& runs, const CacheStore& cache,
-            uint32_t jobs, const RunResolver& resolve, const RunSink& sink)
+executeRuns(const std::vector<RunSpec>& runs, uint32_t jobs,
+            const RunResolver& resolve, const RunSink& sink)
 {
     // LPT (longest processing time first) shortens the critical path at
     // high job counts: the most expensive simulations start immediately
-    // instead of landing on a nearly-drained pool.
+    // instead of landing on a nearly-drained pool. A run resolved
+    // without simulating takes next to no time wherever it lands, so
+    // the order ignores the cache.
     std::vector<double> costs;
-    std::vector<size_t> order = claimOrder(runs, cache, &costs);
+    std::vector<size_t> order = lptOrder(runs, costs);
     RunDone progress;
     for (double c : costs)
         progress.totalCost += c;
@@ -184,7 +177,12 @@ executeRuns(const std::vector<RunSpec>& runs, const CacheStore& cache,
                     progress.index = i;
                     progress.origin = origin;
                     ++progress.finished;
-                    progress.doneCost += costs[i];
+                    // Progress counts simulated work only: a memo, cache
+                    // or dedup resolution leaves the total instead.
+                    if (origin == Origin::Simulated)
+                        progress.doneCost += costs[i];
+                    else
+                        progress.totalCost -= costs[i];
                     sink(rec, progress);
                 }
                 records[i] = std::move(rec);
@@ -212,10 +210,6 @@ executeRuns(const std::vector<RunSpec>& runs, const CacheStore& cache,
     for (std::exception_ptr& e : errors)
         if (e)
             std::rethrow_exception(e);
-
-    // Keep the cache's manifest in sync with what is now on disk.
-    if (cache.enabled())
-        cache.writeManifest();
     return records;
 }
 
@@ -505,7 +499,7 @@ Campaign::run(const SweepSpec& spec)
                      failNote.c_str(), eta.c_str());
     };
 
-    result.records = executeRuns(runs, cache, opts_.jobs, resolve, sink);
+    result.records = executeRuns(runs, opts_.jobs, resolve, sink);
     return result;
 }
 

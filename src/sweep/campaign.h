@@ -16,14 +16,15 @@
  * each run as cache-then-simulate and prints progress lines; the fabric
  * service (sweep/fabric.h) resolves through its memo, cache and
  * in-flight dedup and streams NDJSON events. Both hand the executor a
- * resolve step and a per-run sink; the claim order, worker pool, error
- * rule and manifest rewrite are the executor's alone.
+ * resolve step and a per-run sink; the claim order, worker pool and
+ * error rule are the executor's alone.
  *
- * Scheduling (claimOrder) reorders only the claim sequence: runs are
- * claimed longest-estimated-first (LPT) so the most expensive
- * simulations cannot strand the pool at the tail. A run the result cache
- * will hit is priced 0 (it restores instead of simulating), every other
- * run by the static estimateRunCost(); the same costs drive the
+ * Scheduling reorders only the claim sequence: runs are claimed
+ * longest-estimated-first (LPT) by the static estimateRunCost(), so the
+ * most expensive simulations cannot strand the pool at the tail. The
+ * order depends on the spec alone, never on cache state: a hit restores
+ * in next to no time wherever it is claimed. shardAssignment packs
+ * shards in the same order, and the same estimates drive the
  * CampaignOptions::progress ETA. Because storage and emission stay in
  * matrix order, LPT is invisible in every output byte.
  *
@@ -31,10 +32,8 @@
  * (config, workload) serialization (RunSpec::contentHash). Cached records
  * store the counters and metrics of the finished run; a hit skips the
  * simulation entirely. Only verified (ok) runs are cached. Entry I/O,
- * the manifest, pruning, and cross-host merge all live in the CacheStore
- * class (sweep/cache.h); the Campaign constructs one over
- * CampaignOptions::cacheDir. Writes are atomic (temp file + rename) so
- * concurrent campaigns may share a cache directory.
+ * listing, pruning and cross-host merge live in sweep/cache.h;
+ * Campaign::run opens the cache at CampaignOptions::cacheDir.
  *
  * Sharding (SweepSpec::shardIndex/shardCount, applied by shardSlice) and
  * the service mode built on top of this engine are the campaign fabric —
@@ -152,19 +151,17 @@ struct CampaignResult
  */
 double estimateRunCost(const RunSpec& spec);
 
-class CacheStore; // sweep/cache.h
-
 /**
  * Deterministic shard assignment of @p runs over @p shardCount shards:
  * returns one shard index per run (matrix order). Assignment is greedy
- * LPT bin-packing — runs are taken in descending estimateRunCost()
- * order (stable, index tiebreak) and each lands on the least-loaded
- * shard (lowest index on ties) — so shard workloads are balanced, every
- * run lands on exactly one shard, and the union over shards is the full
- * matrix. It depends on the spec alone, never on local cache state, so
- * every host of a fleet computes the same partition. (All
- * hosts must also run the same simulator build — the heuristic is code,
- * not spec data.) Fatal when @p shardCount is 0.
+ * LPT bin-packing — runs are taken in executeRuns()' claim order
+ * (descending estimateRunCost(), ties in matrix order) and each lands on
+ * the least-loaded shard (lowest index on ties) — so shard workloads are
+ * balanced, every run lands on exactly one shard, and the union over
+ * shards is the full matrix. It depends on the spec alone, never on
+ * local cache state, so every host of a fleet computes the same
+ * partition. (All hosts must also run the same simulator build — the
+ * heuristic is code, not spec data.) Fatal when @p shardCount is 0.
  */
 std::vector<uint32_t> shardAssignment(const std::vector<RunSpec>& runs,
                                       uint32_t shardCount);
@@ -178,17 +175,6 @@ std::vector<uint32_t> shardAssignment(const std::vector<RunSpec>& runs,
  */
 std::vector<RunSpec> shardSlice(const SweepSpec& spec,
                                 std::vector<RunSpec> runs);
-
-/**
- * LPT claim order of @p runs: indices, costliest first (stable, so
- * ties keep matrix order). A run @p cache will hit costs 0 and is
- * claimed last; every other run is priced by estimateRunCost(). Fills
- * @p costs, one per run, when non-null. Scheduling only: callers store
- * results at matrix indices.
- */
-std::vector<size_t> claimOrder(const std::vector<RunSpec>& runs,
-                               const CacheStore& cache,
-                               std::vector<double>* costs = nullptr);
 
 /**
  * Simulate @p spec on a fresh Device and return the finished record
@@ -207,19 +193,6 @@ std::vector<size_t> claimOrder(const std::vector<RunSpec>& runs,
 RunRecord executeRun(const RunSpec& spec,
                      std::function<bool()> abortCheck = {});
 
-/** One result-cache entry as listed by CacheStore::entries(). (Defined
- *  here rather than in cache.h because campaign code is its main
- *  consumer; cache.h forward-includes campaign.h for it.) */
-struct CacheEntryInfo
-{
-    std::string hash;     ///< content hash (the file basename)
-    std::string id;       ///< run id recorded at store time
-    std::string campaign; ///< campaign name recorded at store time
-    int64_t mtime = 0;    ///< entry mtime, seconds since the Unix epoch
-    double hostSeconds = -1.0; ///< recorded wall-clock (-1 = not recorded)
-    std::string kernel;   ///< registry kernel name ("" on old entries)
-};
-
 /** Where one run's record came from. Campaign::run resolves Cache or
  *  Simulated; the fabric service also Memo and Dedup (sweep/fabric.h). */
 enum class Origin
@@ -236,8 +209,11 @@ struct RunDone
     size_t index = 0;                  ///< the run's matrix index
     Origin origin = Origin::Simulated; ///< where its record came from
     size_t finished = 0;    ///< runs finished so far, this one included
-    double doneCost = 0.0;  ///< claimOrder() cost of the finished runs
-    double totalCost = 0.0; ///< claimOrder() cost of every run
+    /** estimateRunCost() of the simulated runs finished so far. */
+    double doneCost = 0.0;
+    /** estimateRunCost() of every run, less each one resolved without
+     *  simulating (memo, cache, dedup) so far. */
+    double totalCost = 0.0;
 };
 
 /** Resolve one run to its record, setting where it came from. */
@@ -251,15 +227,14 @@ uint32_t resolveJobs(uint32_t jobs);
 /**
  * Execute @p runs on min(resolveJobs(@p jobs), runs) workers — inline,
  * with no thread, when that is 1 — and return their records in matrix
- * order. Workers claim runs in claimOrder() over @p cache, produce each
- * record with @p resolve and report it to @p sink. Once @p resolve or
- * @p sink throws, no further run is claimed; runs in flight finish and
- * the lowest-index exception is rethrown. Otherwise the cache manifest
- * is rewritten (when @p cache is enabled) before returning.
+ * order. Workers claim runs in LPT order (descending estimateRunCost(),
+ * ties in matrix order), produce each record with @p resolve and report
+ * it to @p sink. Once @p resolve or @p sink throws, no further run is
+ * claimed; runs in flight finish and the lowest-index exception is
+ * rethrown.
  */
 std::vector<RunRecord> executeRuns(const std::vector<RunSpec>& runs,
-                                   const CacheStore& cache, uint32_t jobs,
-                                   const RunResolver& resolve,
+                                   uint32_t jobs, const RunResolver& resolve,
                                    const RunSink& sink);
 
 /** Executes SweepSpecs; see the file comment for the determinism and

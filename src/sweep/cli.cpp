@@ -8,7 +8,9 @@
 
 #include "sweep/cli.h"
 
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -158,7 +160,7 @@ parseDaysArg(const std::string& olderThan)
     try {
         size_t pos = 0;
         double days = std::stod(olderThan, &pos);
-        if (pos != olderThan.size() || days < 0.0)
+        if (pos != olderThan.size() || !std::isfinite(days) || days < 0.0)
             throw std::invalid_argument(olderThan);
         return days;
     } catch (const std::exception&) {
@@ -290,28 +292,39 @@ listFields()
     return 0;
 }
 
-int
-cachePruneCmd(const std::string& dir, const std::string& olderThan)
+/** The existing directory `cache list` or `cache prune` acts on:
+ *  --cache DIR or the one positional argument. */
+CacheStore
+existingStore(const std::string& verb, std::string dir,
+              const std::vector<std::string>& positional)
 {
+    if (dir.empty() && positional.size() == 1)
+        dir = positional[0];
+    else if (!positional.empty())
+        fatal("cache ", verb, " takes one directory");
     if (dir.empty())
-        fatal("cache prune needs a cache directory (--cache DIR)");
+        fatal("cache ", verb, " needs a cache directory (--cache DIR)");
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec))
+        fatal("cache ", verb, ": '", dir, "' is not a directory");
+    return CacheStore(dir);
+}
+
+int
+cachePruneCmd(const CacheStore& store, const std::string& olderThan)
+{
     double days = olderThan.empty() ? -1.0 : parseDaysArg(olderThan);
-    CacheStore store(dir);
     size_t removed = store.prune(days);
     size_t left = store.entries().size();
-    std::fprintf(stderr,
-                 "cache %s: pruned %zu entr%s, %zu left "
-                 "(manifest.json rewritten)\n",
-                 dir.c_str(), removed, removed == 1 ? "y" : "ies", left);
+    std::fprintf(stderr, "cache %s: pruned %zu entr%s, %zu left\n",
+                 store.dir().c_str(), removed, removed == 1 ? "y" : "ies",
+                 left);
     return 0;
 }
 
 int
-cacheListCmd(const std::string& dir)
+cacheListCmd(const CacheStore& store)
 {
-    if (dir.empty())
-        fatal("cache list needs a cache directory (--cache DIR)");
-    CacheStore store(dir);
     std::vector<CacheEntryInfo> entries = store.entries();
     std::printf("%-16s %-14s %-12s %-24s %s\n", "hash", "campaign",
                 "host_seconds", "kernel", "id");
@@ -326,7 +339,7 @@ cacheListCmd(const std::string& dir)
                     e.id.c_str());
     }
     std::fprintf(stderr, "%zu entr%s in %s\n", entries.size(),
-                 entries.size() == 1 ? "y" : "ies", dir.c_str());
+                 entries.size() == 1 ? "y" : "ies", store.dir().c_str());
     return 0;
 }
 
@@ -379,23 +392,13 @@ cacheCmd(const std::vector<std::string>& args)
         else
             positional.push_back(a);
     }
-    if (verb == "list") {
-        if (dir.empty() && positional.size() == 1)
-            dir = positional[0];
-        else if (!positional.empty())
-            fatal("cache list takes one directory");
-        return cacheListCmd(dir);
-    }
-    if (verb == "prune") {
-        if (dir.empty() && positional.size() == 1)
-            dir = positional[0];
-        else if (!positional.empty())
-            fatal("cache prune takes one directory");
-        return cachePruneCmd(dir, olderThan);
-    }
+    if (!olderThan.empty() && verb != "prune")
+        fatal("--older-than only applies to cache prune");
+    if (verb == "list")
+        return cacheListCmd(existingStore(verb, dir, positional));
+    if (verb == "prune")
+        return cachePruneCmd(existingStore(verb, dir, positional), olderThan);
     if (verb == "merge") {
-        if (!olderThan.empty())
-            fatal("--older-than only applies to cache prune");
         if (!dir.empty())
             positional.insert(positional.begin(), dir);
         if (positional.size() < 2)

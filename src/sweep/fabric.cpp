@@ -387,7 +387,7 @@ struct Service::Impl
                 inform("[fabric]   ", rec.spec.id(), " <- ",
                        originName(done.origin));
         };
-        executeRuns(runs, cache, opts.jobs, resolve, sink);
+        executeRuns(runs, opts.jobs, resolve, sink);
 
         if (!firstError.empty()) {
             emitError(firstError);

@@ -375,27 +375,14 @@ TEST(CacheStore, EveryReaderAppliesTheSameValidityRule)
 
     CacheStore store(dir);
     RunRecord rec;
-    std::vector<double> costs;
-    claimOrder(runs, store, &costs);
-    for (size_t i = 0; i < runs.size(); ++i) {
-        bool valid = i >= 2;
-        EXPECT_EQ(store.load(runs[i], rec), valid) << i;
-        // Priced as a hit (cost 0) exactly when load() will restore it.
-        EXPECT_EQ(store.recordedHostSeconds(runs[i].contentHash()) >= 0.0,
-                  valid)
-            << i;
-        EXPECT_EQ(costs[i] == 0.0, valid) << i;
-    }
+    for (size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(store.load(runs[i], rec), i >= 2) << i;
 
-    // Invisible to listing and the manifest...
+    // Invisible to listing...
     std::vector<CacheEntryInfo> listed = store.entries();
     ASSERT_EQ(listed.size(), 2u);
     for (const CacheEntryInfo& e : listed)
         EXPECT_EQ(e.kernel, "saxpy"); // the provenance `cache list` shows
-    store.writeManifest();
-    std::string manifest = slurp(dir + "/manifest.json");
-    for (size_t i = 0; i < 2; ++i)
-        EXPECT_EQ(manifest.find(runs[i].contentHash()), std::string::npos);
 
     // ...refused by a merge, and swept by prune whatever their age.
     std::string dst = freshTempDir("ruledst");
@@ -1103,6 +1090,30 @@ TEST(Cli, CacheSubcommandsListMergePrune)
 
     EXPECT_EQ(cliMain({"cache", "frobnicate", merged}), 1);
     EXPECT_EQ(cliMain({"cache", "merge", merged}), 1);
+
+    // A day count must be finite; a huge finite one keeps every entry.
+    // --older-than belongs to prune alone.
+    ASSERT_EQ(cliMain({"cache", "merge", merged, s0, s1}), 0);
+    EXPECT_EQ(cliMain({"cache", "prune", merged, "--older-than", "nan"}), 1);
+    EXPECT_EQ(cliMain({"cache", "prune", merged, "--older-than", "inf"}), 1);
+    EXPECT_EQ(cliMain({"cache", "prune", merged, "--older-than", "1e300"}),
+              0);
+    EXPECT_EQ(CacheStore(merged).entries().size(), 2u);
+    EXPECT_EQ(cliMain({"cache", "list", merged, "--older-than", "3"}), 1);
+
+    // list and prune name a directory that does not exist, as merge
+    // does for a missing source.
+    const std::string missing = merged + "/nope";
+    for (const char* verb : {"list", "prune"}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(cliMain({"cache", verb, missing}), 1) << verb;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "'" + missing + "' is not a directory"),
+                  std::string::npos)
+            << verb;
+    }
+    EXPECT_EQ(cliMain({"cache", "prune", "--cache", missing}), 1);
+    EXPECT_FALSE(std::filesystem::exists(missing));
 
     std::filesystem::remove_all(s0);
     std::filesystem::remove_all(s1);

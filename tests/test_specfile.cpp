@@ -27,6 +27,7 @@
 #include "common/log.h"
 #include "sweep/cache.h"
 #include "sweep/campaign.h"
+#include "sweep/cli.h"
 #include "sweep/presets.h"
 #include "sweep/specfile.h"
 
@@ -755,19 +756,22 @@ TEST(Lpt, CachedHostSecondsRoundTripsThroughTheCache)
     SweepSpec spec = tinySpec();
     CampaignResult cold = Campaign(opts).run(spec);
 
-    for (const RunRecord& rec : cold.records) {
-        double s = CacheStore(dir).recordedHostSeconds(rec.spec.contentHash());
-        EXPECT_GE(s, 0.0);
-        // What the cache replays is what the run cost this host.
-        EXPECT_DOUBLE_EQ(s, rec.hostSeconds);
-    }
-    EXPECT_LT(CacheStore(dir).recordedHostSeconds("0123456789abcdef"), 0.0);
-    EXPECT_LT(CacheStore(dir + "/nope").recordedHostSeconds("0123456789abcdef"),
-              0.0);
+    // `cache list` shows what each run cost this host.
+    auto listed = [&](const std::string& hash) {
+        for (const CacheEntryInfo& e : CacheStore(dir).entries())
+            if (e.hash == hash)
+                return e;
+        ADD_FAILURE() << "no entry " << hash;
+        return CacheEntryInfo{};
+    };
+    ASSERT_EQ(CacheStore(dir).entries().size(), cold.records.size());
+    for (const RunRecord& rec : cold.records)
+        EXPECT_DOUBLE_EQ(listed(rec.spec.contentHash()).hostSeconds,
+                         rec.hostSeconds);
 
     // An entry written before the host_seconds provenance line existed
-    // is still a hit: the probe reports 0 (unknown cost), not absent —
-    // otherwise LPT would price warm pre-upgrade caches as full work.
+    // is still an entry: listed with no recorded cost, shown as "-", and
+    // restored by load().
     const std::string hash = cold.records[0].spec.contentHash();
     const std::string path = dir + "/" + hash + ".run";
     std::ifstream in(path);
@@ -778,6 +782,20 @@ TEST(Lpt, CachedHostSecondsRoundTripsThroughTheCache)
             stripped << line << "\n";
     in.close();
     std::ofstream(path, std::ios::trunc) << stripped.str();
-    EXPECT_DOUBLE_EQ(CacheStore(dir).recordedHostSeconds(hash), 0.0);
+    EXPECT_LT(listed(hash).hostSeconds, 0.0);
+    RunRecord rec;
+    EXPECT_TRUE(CacheStore(dir).load(cold.records[0].spec, rec));
+
+    testing::internal::CaptureStdout();
+    ASSERT_EQ(cliMain({"cache", "list", dir}), 0);
+    std::istringstream table(testing::internal::GetCapturedStdout());
+    std::string shown;
+    while (std::getline(table, line))
+        if (line.rfind(hash, 0) == 0) {
+            std::istringstream cols(line);
+            std::string h, campaign;
+            cols >> h >> campaign >> shown;
+        }
+    EXPECT_EQ(shown, "-");
     std::filesystem::remove_all(dir);
 }

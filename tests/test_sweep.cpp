@@ -676,9 +676,10 @@ TEST(Campaign, FailedRunsAreNeverCached)
 
 TEST(Campaign, VerboseProgressLinesArePinned)
 {
-    // One passing and one failing run, cold then warm, at one job. The
-    // warm campaign claims the failure first: it is re-simulated, the
-    // hit is priced 0 and goes last.
+    // One passing and one failing run, cold then warm, at one job. Both
+    // campaigns claim in the same LPT order, whatever the cache holds:
+    // the warm one restores the passing run and re-simulates the
+    // failure.
     std::string dir = freshTempDir("progress");
     SweepSpec s;
     s.name = "lines";
@@ -699,10 +700,10 @@ TEST(Campaign, VerboseProgressLinesArePinned)
     testing::internal::CaptureStderr();
     Campaign(opts).run(s);
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
-              "[1/2] no_such_kernel               no_such_kernel cycles=0 "
-              "ipc=0.000 FAILED (host_error)\n"
-              "[2/2] vecadd                       vecadd cycles=29368 "
-              "ipc=1.571 (cached)\n");
+              "[1/2] vecadd                       vecadd cycles=29368 "
+              "ipc=1.571 (cached)\n"
+              "[2/2] no_such_kernel               no_such_kernel cycles=0 "
+              "ipc=0.000 FAILED (host_error)\n");
 
     // The ETA suffix carries wall-clock times, so only its presence is
     // pinned.
@@ -713,6 +714,53 @@ TEST(Campaign, VerboseProgressLinesArePinned)
     std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find(" elapsed="), std::string::npos) << err;
     std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, ExecutorTakesResolvedRunsOutOfTheProgressTotal)
+{
+    // A stub resolver that never simulates: run 1 (sgemm) comes from the
+    // cache, the other two count as simulated.
+    SweepSpec s;
+    s.name = "stub";
+    s.base = baselineConfig(1);
+    s.axes = {Axis::sweep("kernel", {"vecadd", "sgemm", "bfs"})};
+    const std::vector<RunSpec> runs = s.expand();
+    std::vector<double> cost;
+    double total = 0.0;
+    for (const RunSpec& r : runs)
+        total += cost.emplace_back(estimateRunCost(r));
+    ASSERT_GT(cost[1], cost[2]);
+    ASSERT_GT(cost[2], cost[0]);
+
+    auto resolve = [&](const RunSpec& run, Origin& origin) {
+        if (run.id() == runs[1].id())
+            origin = Origin::Cache;
+        RunRecord rec;
+        rec.spec = run;
+        return rec;
+    };
+    std::vector<RunDone> seen;
+    auto sink = [&](const RunRecord&, const RunDone& d) {
+        seen.push_back(d);
+    };
+    std::vector<RunRecord> records = executeRuns(runs, 1, resolve, sink);
+
+    // Claimed in LPT order, the hit first; stored in matrix order.
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0].index, 1u);
+    EXPECT_EQ(seen[1].index, 2u);
+    EXPECT_EQ(seen[2].index, 0u);
+    for (size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(records[i].spec.id(), runs[i].id());
+    // The hit lowers the total by its estimate and adds nothing done.
+    EXPECT_EQ(seen[0].origin, Origin::Cache);
+    EXPECT_EQ(seen[0].doneCost, 0.0);
+    EXPECT_DOUBLE_EQ(seen[0].totalCost, total - cost[1]);
+    // Simulated runs add their estimates to what is done.
+    EXPECT_EQ(seen[1].origin, Origin::Simulated);
+    EXPECT_DOUBLE_EQ(seen[1].doneCost, cost[2]);
+    EXPECT_DOUBLE_EQ(seen[1].totalCost, total - cost[1]);
+    EXPECT_DOUBLE_EQ(seen[2].doneCost, seen[2].totalCost);
 }
 
 TEST(Presets, RegistryCoversEveryPaperExperiment)
