@@ -17,6 +17,26 @@
  * happened to raise: CSV columns, JSON stats and time-series rows of two
  * runs on the same machine line up key for key.
  *
+ * Storage. A group holds, per counter, one pointer to its key and the
+ * 64-bit value, in a deque (16 B a counter, plus the deque's 512 B
+ * blocks), so a campaign's records cost what their values cost. Key
+ * strings live once per process, in an intern pool: counter() interns
+ * its key and then matches it by pointer, so the key lists of two runs
+ * on one machine shape are the same pointers and readers compare them by
+ * position (sameKeys()). A group has no index: counter() and get() scan
+ * its counters, which is cheap at the few dozen keys a component or a
+ * flattened device registers, and get() compares strings without
+ * interning, so a lookup never grows the pool.
+ *
+ * The pool grows only with distinct key strings — the ones components
+ * register and flattening derives from them, and the `stat` lines of
+ * the result-cache entries a process reads — and never shrinks: keys are
+ * never freed, so every interned pointer stays valid for the process.
+ *
+ * Thread safety. Any thread may register a counter: the pool is behind a
+ * mutex. A group itself is not synchronized; it belongs to the
+ * component, run or report that built it.
+ *
  * Counter naming conventions:
  *  - keys are lower_snake_case event counts ("core_reads", "mshr_replays",
  *    "fetch_icache_stalls"), monotonically non-decreasing over a run;
@@ -32,9 +52,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <mutex>
 #include <ostream>
+#include <ranges>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -52,7 +74,17 @@ namespace vortex {
  */
 class StatGroup
 {
+    /** One counter: its interned key and its value. */
+    struct Slot
+    {
+        const std::string* key;
+        uint64_t value;
+    };
+
   public:
+    /** One element of all(): the interned key string and the value. */
+    using Entry = std::pair<const std::string&, uint64_t>;
+
     /** A group named @p name (the "<group>" half of flattened
      *  "<group>.<key>" counter names; empty for anonymous groups). */
     explicit StatGroup(std::string name = "") : name_(std::move(name)) {}
@@ -63,18 +95,19 @@ class StatGroup
     uint64_t&
     counter(const std::string& key)
     {
-        auto [it, inserted] = index_.try_emplace(key, items_.size());
-        if (inserted)
-            items_.emplace_back(key, 0);
-        return items_[it->second].second;
+        return slot(intern(key)).value;
     }
 
-    /** Read @p key without creating it (0 when absent). */
+    /** Read @p key without creating it (0 when absent). A key taken from
+     *  any group's all() is the interned string itself, so it matches by
+     *  address; any other string is compared by value, never interned. */
     uint64_t
     get(const std::string& key) const
     {
-        auto it = index_.find(key);
-        return it == index_.end() ? 0 : items_[it->second].second;
+        for (const Slot& s : slots_)
+            if (s.key == &key || *s.key == key)
+                return s.value;
+        return 0;
     }
 
     /** Accumulate every counter of @p other into this group (counters new
@@ -82,15 +115,37 @@ class StatGroup
     void
     add(const StatGroup& other)
     {
-        for (const auto& [k, v] : other.items_)
-            counter(k) += v;
+        for (size_t i = 0; i < other.slots_.size(); ++i) {
+            const Slot& o = other.slots_[i];
+            // Groups of one component kind register one key list: match
+            // by position first.
+            if (i < slots_.size() && slots_[i].key == o.key)
+                slots_[i].value += o.value;
+            else
+                slot(o.key).value += o.value;
+        }
     }
 
-    /** All (key, value) pairs in registration order. */
-    const std::deque<std::pair<std::string, uint64_t>>&
+    /** All (key, value) pairs in registration order: a view of the live
+     *  group, so copy it to keep a snapshot. */
+    auto
     all() const
     {
-        return items_;
+        return std::views::transform(
+            slots_, [](const Slot& s) { return Entry{*s.key, s.value}; });
+    }
+
+    /** Does @p other hold the same keys in the same order? (Then its
+     *  counters line up with this group's by position.) */
+    bool
+    sameKeys(const StatGroup& other) const
+    {
+        if (slots_.size() != other.slots_.size())
+            return false;
+        for (size_t i = 0; i < slots_.size(); ++i)
+            if (slots_[i].key != other.slots_[i].key)
+                return false;
+        return true;
     }
 
     /** The group (component-instance) name. */
@@ -100,15 +155,40 @@ class StatGroup
     void
     print(std::ostream& os) const
     {
-        for (const auto& [k, v] : items_)
-            os << name_ << (name_.empty() ? "" : ".") << k << " = " << v
-               << "\n";
+        for (const Slot& s : slots_)
+            os << name_ << (name_.empty() ? "" : ".") << *s.key << " = "
+               << s.value << "\n";
     }
 
   private:
+    /** The process-wide copy of @p key; its address is the key's
+     *  identity in every group. */
+    static const std::string*
+    intern(const std::string& key)
+    {
+        struct Pool
+        {
+            std::mutex mutex;
+            std::unordered_set<std::string> keys; ///< nodes never move
+        };
+        // Never destroyed, so a key outlives every group that names it.
+        static Pool* const pool = new Pool;
+        std::lock_guard<std::mutex> lock(pool->mutex);
+        return &*pool->keys.insert(key).first;
+    }
+
+    /** The counter for interned @p key, appended zero when absent. */
+    Slot&
+    slot(const std::string* key)
+    {
+        for (Slot& s : slots_)
+            if (s.key == key)
+                return s;
+        return slots_.emplace_back(Slot{key, 0});
+    }
+
     std::string name_;
-    std::deque<std::pair<std::string, uint64_t>> items_;
-    std::map<std::string, size_t> index_; ///< key -> position in items_
+    std::deque<Slot> slots_;
 };
 
 /**

@@ -35,6 +35,6 @@ constexpr Cycle kNoEvent = ~Cycle{0};
 using WarpId = uint32_t;   ///< wavefront index within a core
 using ThreadId = uint32_t; ///< thread lane index within a wavefront
 using CoreId = uint32_t;   ///< core index within the device
-using RegId = uint32_t;    ///< architectural register index
+using RegId = uint8_t;     ///< architectural register index (0-31)
 
 } // namespace vortex

@@ -435,7 +435,7 @@ encode(const InstrInfo& row, const Instr& in)
           case 'd': case 'D': w |= RD(in.rd); break;
           case 's': case 'S': w |= RS1(in.rs1); break;
           case 't': case 'T': w |= RS2(in.rs2); break;
-          case 'R': w |= in.rs3 << 27; break;
+          case 'R': w |= uint32_t{in.rs3} << 27; break;
           case 'U': w |= RS1(in.rs1) | RS2(in.rs1); break;
           case 'j': case 'o':
             if (imm < -2048 || imm > 2047)
@@ -472,7 +472,7 @@ encode(const InstrInfo& row, const Instr& in)
           case 'E':
             if (in.csr > 0xFFF)
                 panic("CSR address out of range: ", in.csr);
-            w |= in.csr << 20;
+            w |= uint32_t{in.csr} << 20;
             break;
           case 'Z': w |= RS1(u & 0x1F); break;
           default: break;

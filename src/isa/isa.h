@@ -150,8 +150,8 @@ struct Instr
     RegId rs1 = 0;
     RegId rs2 = 0;
     RegId rs3 = 0;
+    uint16_t csr = 0; ///< CSR address for Zicsr instructions
     int32_t imm = 0;  ///< sign-extended immediate (U-type: already shifted)
-    uint32_t csr = 0; ///< CSR address for Zicsr instructions
     uint32_t raw = 0; ///< original encoding
 
     bool valid() const { return kind != InstrKind::Invalid; }
@@ -174,6 +174,9 @@ struct Instr
     bool isStore() const;
     bool isFloatOp() const; ///< executes on the FPU
 };
+
+// Decoded text and every in-flight uop hold one: keep it four words.
+static_assert(sizeof(Instr) == 16);
 
 /** InstrInfo::flags bits. */
 enum InstrFlag : uint8_t

@@ -8,13 +8,18 @@
  * The kernel's page tables do the sparse work, so a RAM costs the host
  * in proportion to the memory a run writes. The span is reserved
  * read-only and uncharged (MAP_NORESERVE, and MADV_NOHUGEPAGE so a
- * transparent huge page cannot commit 2 MiB at once): a never-written
- * page reads as the kernel's shared zero page. The first store to a
- * 64 KiB page makes that page writable, which charges its 64 KiB to the
- * commit limit; the kernel zero-fills each 4 KiB of it only when first
- * written, so RSS follows the written 4 KiB pages. One state byte per
- * 64 KiB page (written, code), in its own small mapping, routes a store
- * to the slow path only when its page is not plain "written".
+ * transparent huge page cannot make 2 MiB resident at once): a
+ * never-written page reads as the kernel's shared zero page. The first
+ * store into a 2 MiB-aligned region makes the whole region writable with
+ * one mprotect, which charges its 2 MiB to the commit limit where the
+ * kernel accounts commit; the kernel zero-fills each 4 KiB only when
+ * first written, so RSS follows the written 4 KiB pages. Committing by
+ * region bounds how far stores split the mapping: the span is at most
+ * 2,048 kernel mappings (one per region, when written and unwritten
+ * regions alternate) whatever a guest writes, far below the kernel's
+ * `vm.max_map_count`. One state byte per 64 KiB page (written, code), in
+ * its own small mapping, routes a store to the slow path only when its
+ * page is not plain "written".
  * Constructing a RAM allocates nothing on the heap, but needs 4 GiB of
  * host address space (ARCHITECTURE.md "Device memory").
  *
@@ -31,6 +36,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bitset>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -48,6 +54,9 @@ class Ram
     static constexpr uint32_t kPageSize = 1u << kPageBits;
     static constexpr uint32_t kNumPages = 1u << (32 - kPageBits);
     static constexpr uint64_t kSpan = uint64_t{1} << 32;
+    /** Stores commit the span a 2 MiB-aligned region at a time. */
+    static constexpr uint32_t kRegionBits = 21;
+    static constexpr uint32_t kNumRegions = 1u << (32 - kRegionBits);
 
     Ram() = default;
 
@@ -114,19 +123,25 @@ class Ram
         if (state_.base[addr >> kPageBits] != kWritten) [[unlikely]]
             slowStore(addr);
     }
-    /** Commit the page on its first store; bump the code-write epoch on
-     *  a store to a code page. */
+    /** Count the page on its first store, committing its region if no
+     *  store reached that yet; bump the code-write epoch on a store to a
+     *  code page. */
     [[gnu::noinline]] void
     slowStore(Addr addr)
     {
         uint8_t& state = state_.base[addr >> kPageBits];
         if (!(state & kWritten)) {
-            const Addr page = addr & ~(kPageSize - 1);
-            if (mprotect(span_.base + page, kPageSize,
-                         PROT_READ | PROT_WRITE) != 0)
-                fatal("mem::Ram: committing the 64 KiB device-memory page "
-                      "at 0x", std::hex, page, std::dec, " failed: errno ",
-                      errno, " (", std::strerror(errno), ")");
+            const uint32_t region = addr >> kRegionBits;
+            if (!committed_[region]) {
+                const Addr base = region << kRegionBits;
+                if (mprotect(span_.base + base, size_t{1} << kRegionBits,
+                             PROT_READ | PROT_WRITE) != 0)
+                    fatal("mem::Ram: committing the 2 MiB device-memory "
+                          "region at 0x", std::hex, base, std::dec,
+                          " failed: errno ", errno, " (",
+                          std::strerror(errno), ")");
+                committed_[region] = true;
+            }
             state |= kWritten;
             ++numPages_;
         }
@@ -137,6 +152,7 @@ class Ram
     Mapping state_{kNumPages, PROT_READ | PROT_WRITE}; ///< a byte per page
     Mapping span_{kSpan, PROT_READ}; ///< the guest space; pages made
                                      ///< writable on their first store
+    std::bitset<kNumRegions> committed_; ///< regions made writable
     uint64_t codeWriteEpoch_ = 0;
     size_t numPages_ = 0;
 };

@@ -261,12 +261,9 @@ CampaignResult::writeCsv(std::ostream& os) const
     // only a sweep over shapes (L2 on/off, texture units) adds columns;
     // stable because records are in matrix order regardless of job count
     // or cache hits.
-    StatGroup keyOrder;
+    StatGroup keyOrder; // its values (column sums) are not read
     for (const RunRecord& r : records)
-        for (const auto& [k, v] : r.stats.all()) {
-            (void)v;
-            keyOrder.counter(k);
-        }
+        keyOrder.add(r.stats);
 
     for (const std::string& a : axisNames)
         os << csvCell(a) << ",";
@@ -286,9 +283,14 @@ CampaignResult::writeCsv(std::ostream& os) const
            << (r.result.ok ? 1 : 0) << ","
            << statusName(r.result.status) << "," << r.result.cycles << ","
            << r.result.threadInstrs << "," << fmtF(r.result.ipc, 6);
-        for (const auto& [k, v] : keyOrder.all()) {
-            (void)v;
-            os << "," << r.stats.get(k);
+        if (r.stats.sameKeys(keyOrder)) {
+            for (const auto& counter : r.stats.all())
+                os << "," << counter.second;
+        } else {
+            for (const auto& [k, v] : keyOrder.all()) {
+                (void)v;
+                os << "," << r.stats.get(k);
+            }
         }
         os << "\n";
     }

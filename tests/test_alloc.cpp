@@ -16,14 +16,18 @@
  * the host reference and the one-time costs of the first cycle.
  *
  * The forwarders also record the largest single request, which bounds
- * what a `memcmp` check allocates for its window, and the bytes requested,
+ * what a `memcmp` check allocates for its window, the bytes requested,
  * which pin what a machine costs the host: a RAM that allocates nothing
  * (and, read from /proc/self/status, keeps resident only the 4 KiB pages
  * a run writes), cores that do not each hold a copy of the program, and
- * one decoded text per device.
+ * one decoded text per device; and the live bytes (malloc_usable_size of
+ * every block, less the blocks freed), which pin what a campaign record's
+ * counters keep.
  */
 
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -31,9 +35,11 @@
 #include <fstream>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "kernels/kernels.h"
 #include "runtime/device.h"
 #include "runtime/workloads.h"
@@ -44,6 +50,7 @@ namespace {
 std::atomic<uint64_t> gAllocs{0};
 std::atomic<uint64_t> gLargest{0};
 std::atomic<uint64_t> gBytes{0};
+std::atomic<int64_t> gLive{0};
 
 void*
 countedAlloc(std::size_t size)
@@ -55,9 +62,21 @@ countedAlloc(std::size_t size)
            !gLargest.compare_exchange_weak(largest, size,
                                            std::memory_order_relaxed))
         ;
-    if (void* p = std::malloc(size ? size : 1))
+    if (void* p = std::malloc(size ? size : 1)) {
+        gLive.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                        std::memory_order_relaxed);
         return p;
+    }
     throw std::bad_alloc();
+}
+
+void
+countedFree(void* p)
+{
+    if (p)
+        gLive.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                        std::memory_order_relaxed);
+    std::free(p);
 }
 
 } // namespace
@@ -80,14 +99,19 @@ operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
 {
     return operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept
+void operator delete(void* p) noexcept { countedFree(p); }
+void operator delete[](void* p) noexcept { countedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
 {
-    std::free(p);
+    countedFree(p);
+}
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    countedFree(p);
 }
 
 namespace vortex {
@@ -283,6 +307,45 @@ TEST(Footprint, OneDecodedTextPerDevice)
     EXPECT_EQ(one.processor().text().size(),
               sixteen.processor().text().size());
     EXPECT_GE(oneBytes, one.processor().text().size() * sizeof(isa::Instr));
+}
+
+TEST(Footprint, RecordCountersKeepAtMost24BytesEach)
+{
+    // A campaign keeps every run's flattened counters
+    // (sweep::RunRecord::stats). A counter there costs its key pointer
+    // and value: the key string is interned once per process, and a
+    // group has no per-key index.
+    const auto check = [](const core::ArchConfig& config, Runner run,
+                          const char* what) {
+        runtime::Device dev(config);
+        const runtime::RunResult r = run(dev);
+        ASSERT_TRUE(r.ok) << what << ": " << r.error;
+        // The first flatten interns the "<group>.<key>" names: a cost of
+        // the process, paid once per distinct key, not of each record.
+        StatGroup warm;
+        dev.processor().collectStats(warm);
+
+        std::optional<StatGroup> flat;
+        const int64_t before = gLive.load(std::memory_order_relaxed);
+        flat.emplace();
+        dev.processor().collectStats(*flat);
+        const int64_t kept = gLive.load(std::memory_order_relaxed) - before;
+        const size_t counters = flat->all().size();
+        ASSERT_EQ(counters, warm.all().size()) << what;
+        EXPECT_LE(kept, static_cast<int64_t>(24 * counters + 1024))
+            << what << ": " << counters << " counters keep " << kept
+            << " B";
+    };
+    check(
+        sweep::baselineConfig(1),
+        [](runtime::Device& d) { return runtime::runRodinia(d, "vecadd"); },
+        "vecadd, 1 core");
+    const core::ArchConfig clustered = sweep::baselineConfig(16);
+    ASSERT_TRUE(clustered.l2Enabled);
+    check(
+        clustered,
+        [](runtime::Device& d) { return runtime::runRodinia(d, "saxpy"); },
+        "saxpy, 16 cores in L2 clusters");
 }
 
 } // namespace

@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the common utilities: bit manipulation, elastic queues,
- * latency pipes, stats, and the deterministic RNG.
+ * latency pipes, stats (counters registered from several threads, by
+ * devices built on them, included), and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/bitmanip.h"
 #include "common/elastic.h"
@@ -16,6 +20,8 @@
 #include "common/small_vec.h"
 #include "common/slot_pool.h"
 #include "common/stats.h"
+#include "runtime/device.h"
+#include "stat_rows.h"
 
 using namespace vortex;
 
@@ -220,6 +226,86 @@ TEST(Stats, IterationAndPrintingFollowInsertionOrder)
     ASSERT_EQ(h.all().size(), 4u);
     EXPECT_EQ(h.all()[0].first, "beta");
     EXPECT_EQ(h.all()[1].first, "zeta");
+}
+
+TEST(Stats, TenThousandCountersKeepTheFirstReference)
+{
+    // A component binds its counters once and bumps them through the
+    // references for the rest of the run, however many keys follow.
+    StatGroup g;
+    uint64_t& first = g.counter("c0");
+    first = 42;
+    for (int i = 1; i < 10000; ++i) {
+        std::string key = "c";
+        key += std::to_string(i);
+        g.counter(key) = static_cast<uint64_t>(i);
+    }
+    EXPECT_EQ(&g.counter("c0"), &first);
+    ++first;
+    EXPECT_EQ(g.get("c0"), 43u);
+    EXPECT_EQ(g.get("c9999"), 9999u);
+    ASSERT_EQ(g.all().size(), 10000u);
+    EXPECT_EQ(g.all()[0].first, "c0");
+    EXPECT_EQ(g.all()[0].second, 43u);
+    EXPECT_EQ(g.all()[9999].first, "c9999");
+}
+
+TEST(Stats, KeysAreSharedAcrossGroups)
+{
+    // One key string per name: groups that register the same keys in the
+    // same order line up by position, whatever their values.
+    StatGroup a, b, c;
+    for (StatGroup* g : {&a, &b})
+        for (const char* k : {"reads", "writes", "misses"})
+            g->counter(k) = 1;
+    c.counter("writes") = 2;
+    c.counter("reads") = 3;
+    EXPECT_EQ(&a.all()[0].first, &b.all()[0].first);
+    EXPECT_TRUE(a.sameKeys(b));
+    EXPECT_FALSE(a.sameKeys(c));
+    EXPECT_FALSE(a.sameKeys(StatGroup()));
+
+    // add() across differing key orders matches keys, not positions.
+    c.add(a);
+    EXPECT_EQ(c.get("reads"), 4u);
+    EXPECT_EQ(c.get("writes"), 3u);
+    EXPECT_EQ(c.get("misses"), 1u);
+    ASSERT_EQ(c.all().size(), 3u);
+    EXPECT_EQ(c.all()[2].first, "misses");
+}
+
+TEST(StatGroup, ConcurrentRegistrationIsSafe)
+{
+    // Campaign workers build devices, and so register counters, on
+    // their own threads: every key lands in the one process-wide pool.
+    constexpr int kThreads = 4;
+    std::vector<StatRows> rows(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+        workers.emplace_back([t, &rows] {
+            core::ArchConfig cfg;
+            cfg.numCores = 4;
+            runtime::Device dev(cfg);
+            StatGroup flat;
+            dev.processor().collectStats(flat);
+            // Keys no other thread registers, so inserts race too.
+            for (int i = 0; i < 200; ++i) {
+                std::string key = "t";
+                key += std::to_string(t) + "." + std::to_string(i);
+                flat.counter(key) = static_cast<uint64_t>(i);
+            }
+            rows[t] = statRows(flat);
+        });
+    for (std::thread& w : workers)
+        w.join();
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(rows[t].size(), rows[0].size()) << "thread " << t;
+        const size_t device = rows[t].size() - 200;
+        for (size_t i = 0; i < device; ++i)
+            EXPECT_EQ(rows[t][i], rows[0][i]) << "thread " << t;
+        EXPECT_EQ(rows[t][device].first, "t" + std::to_string(t) + ".0")
+            << "thread " << t;
+    }
 }
 
 TEST(Rng, DeterministicAndBounded)

@@ -43,6 +43,7 @@
 #include "runtime/workloads.h"
 #include "sweep/presets.h"
 #include "sweep/spec.h"
+#include "stat_rows.h"
 
 using namespace vortex;
 
@@ -490,8 +491,7 @@ checkRows(bool reversed)
 
         StatGroup flat;
         dev.processor().collectStats(flat);
-        std::vector<std::pair<std::string, uint64_t>> got(flat.all().begin(),
-                                                          flat.all().end());
+        const StatRows got = statRows(flat);
         ASSERT_EQ(got.size(), want.row.size()) << want.id << order;
         for (size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i], want.row[i])

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +25,7 @@
 #include "mem/ram.h"
 #include "mem/sharedmem.h"
 #include "mem/staging.h"
+#include "stat_rows.h"
 
 using namespace vortex;
 using namespace vortex::mem;
@@ -139,6 +142,35 @@ TEST(Ram, CodeMarksAcrossLeaves)
     ram.writeBlock(0x80000000, &word, sizeof(word));
     EXPECT_EQ(ram.codeWriteEpoch(), epoch + 3);
     EXPECT_EQ(ram.numPages(), 4u);
+}
+
+/** Lines of /proc/self/maps: this process's kernel mappings. */
+size_t
+mapCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++n;
+    return n;
+}
+
+TEST(Ram, ScatteredStoresDoNotSplitTheMapping)
+{
+    // One byte every 128 KiB across 256 MiB: 2,048 written 64 KiB pages
+    // (8 MiB resident), none adjacent. Committing page by page would split
+    // the span into ~4,096 mappings, and a guest writing 16x as many would
+    // reach the kernel's vm.max_map_count; committing 2 MiB regions keeps
+    // these contiguous regions one mapping.
+    Ram ram;
+    const size_t before = mapCount();
+    for (Addr a = 0x10000000; a < 0x20000000; a += 128 * 1024)
+        ram.write8(a, 1);
+    const size_t after = mapCount();
+    EXPECT_EQ(ram.numPages(), 2048u);
+    EXPECT_LT(after, before + 64) << before << " -> " << after << " maps";
+    EXPECT_EQ(ram.read8(0x10000000), 1u);
+    EXPECT_EQ(ram.read8(0x10010000), 0u);
 }
 
 //
@@ -488,9 +520,9 @@ checkQuietCacheTicks(CacheHarness& h, uint64_t seed, uint64_t& quiet,
             h.rsps.clear();
             continue;
         }
-        const auto before = h.cache.stats().all();
+        const StatRows before = statRows(h.cache.stats());
         ASSERT_FALSE(h.cache.tick(h.now)) << "cycle " << h.now;
-        ASSERT_EQ(h.cache.stats().all(), before) << "cycle " << h.now;
+        ASSERT_EQ(statRows(h.cache.stats()), before) << "cycle " << h.now;
         ++quiet;
         quiet_busy += !h.cache.idle();
     }
@@ -534,9 +566,9 @@ TEST(SharedMem, QuietTickIsANoOp)
             smem.tick(now);
             continue;
         }
-        const auto before = smem.stats().all();
+        const StatRows before = statRows(smem.stats());
         ASSERT_FALSE(smem.tick(now)) << "cycle " << now;
-        ASSERT_EQ(smem.stats().all(), before) << "cycle " << now;
+        ASSERT_EQ(statRows(smem.stats()), before) << "cycle " << now;
         ++quiet;
     }
     EXPECT_GT(quiet, 1000u);

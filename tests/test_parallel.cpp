@@ -22,6 +22,7 @@
 #include "runtime/device.h"
 #include "runtime/kargs.h"
 #include "runtime/workloads.h"
+#include "stat_rows.h"
 
 using namespace vortex;
 using namespace vortex::core;
@@ -192,8 +193,7 @@ TEST(CoreOrder, FlatCoresCounterRowBitIdentical)
         EXPECT_TRUE(r.ok) << r.error;
         StatGroup flat;
         dev.processor().collectStats(flat);
-        return std::vector<std::pair<std::string, uint64_t>>(
-            flat.all().begin(), flat.all().end());
+        return statRows(flat);
     };
     const auto forward = row(false);
     const auto reversed = row(true);
