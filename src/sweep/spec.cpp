@@ -6,9 +6,13 @@
 
 #include "sweep/spec.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -177,8 +181,10 @@ struct FieldDef
     uint8_t outputs;     ///< kHash / kDump / kDumpNonZero bits
     Only only;
     bool boolean; ///< the hash writes 0/1, the dump true/false
-    /** Parse a value into the field; nullptr = cannot be set. */
-    void (*set)(core::ArchConfig&, WorkloadSpec&, const std::string&);
+    /** Parse a value into the field (a `program` value takes its text
+     *  from the texts); nullptr = cannot be set. */
+    void (*set)(core::ArchConfig&, WorkloadSpec&, const std::string&,
+                ProgramTexts&);
     /** The field's value text; nullptr = never written out. */
     std::string (*get)(const core::ArchConfig&, const WorkloadSpec&);
 };
@@ -188,7 +194,8 @@ struct FieldDef
 #define VORTEX_FIELD(T, obj, path, section, outputs, only, help)            \
     {#path, help, section, outputs, Only::only, std::is_same_v<T, bool>,    \
      []([[maybe_unused]] core::ArchConfig& c,                               \
-        [[maybe_unused]] WorkloadSpec& w, const std::string& v) {           \
+        [[maybe_unused]] WorkloadSpec& w, const std::string& v,             \
+        ProgramTexts&) {                                                    \
          obj.path = parseAs<T>(#path, v);                                   \
      },                                                                     \
      []([[maybe_unused]] const core::ArchConfig& c,                         \
@@ -205,7 +212,8 @@ struct FieldDef
     {#field, "retired: the parallel tick backend was removed (only " #def  \
              ")",                                                           \
      "base", kDump, Only::Always, std::is_same_v<T, bool>,                  \
-     [](core::ArchConfig&, WorkloadSpec&, const std::string& v) {           \
+     [](core::ArchConfig&, WorkloadSpec&, const std::string& v,             \
+        ProgramTexts&) {                                                    \
          if (parseAs<T>(#field, v) != (def))                                \
              fatal("sweep field '" #field "': the parallel tick backend "   \
                    "was removed; only " #def " is accepted");               \
@@ -230,7 +238,8 @@ constexpr FieldDef kFields[] = {
     {"cores", "core count with the paper's scaling rules (L2 from 4 "
               "cores, 8-channel board above 16)",
      "base", 0, Only::Always, false,
-     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
+     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v,
+        ProgramTexts&) {
          c = baselineConfig(parseAs<uint32_t>("cores", v), c);
      },
      nullptr},
@@ -240,7 +249,8 @@ constexpr FieldDef kFields[] = {
     VORTEX_U32_FIELD(lsuDepth, "in-flight warp memory ops per core"),
     {"schedPolicy", "wavefront scheduling (hierarchical | roundrobin)",
      "base", kHash | kDump, Only::Always, false,
-     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
+     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v,
+        ProgramTexts&) {
          c.schedPolicy = parseSchedPolicy(v);
      },
      [](const core::ArchConfig& c, const WorkloadSpec&) {
@@ -258,7 +268,8 @@ constexpr FieldDef kFields[] = {
     // L1 caches.
     {"lineSize", "cache AND board-memory line size (bytes)",
      "base", kHash | kDump, Only::Always, false,
-     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v) {
+     [](core::ArchConfig& c, WorkloadSpec&, const std::string& v,
+        ProgramTexts&) {
          c.lineSize = parseAs<uint32_t>("lineSize", v);
          c.mem.lineSize = c.lineSize;
      },
@@ -314,7 +325,8 @@ constexpr FieldDef kFields[] = {
     // imply one, so a dump must set the family before them.
     {"workload", "workload family (rodinia | texture)",
      "workload", kHash | kDump, Only::Always, false,
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
+     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v,
+        ProgramTexts&) {
          if (v == "rodinia")
              w.kind = WorkloadSpec::Kind::Rodinia;
          else if (v == "texture")
@@ -330,7 +342,8 @@ constexpr FieldDef kFields[] = {
      }},
     {"kernel", "Rodinia kernel name (implies workload=rodinia)",
      "workload", kHash | kDump, Only::Rodinia, false,
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
+     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v,
+        ProgramTexts&) {
          w.kind = WorkloadSpec::Kind::Rodinia;
          w.kernel = v;
      },
@@ -340,7 +353,8 @@ constexpr FieldDef kFields[] = {
     {"texFilter", "texture filtering (point | bilinear | trilinear; "
                   "implies workload=texture)",
      "workload", kHash | kDump, Only::Texture, false,
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
+     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v,
+        ProgramTexts&) {
          w.kind = WorkloadSpec::Kind::Texture;
          w.texFilter = parseTexFilter(v);
      },
@@ -355,9 +369,13 @@ constexpr FieldDef kFields[] = {
                 "of the kernel's built-in source (kernel still selects "
                 "the argument/verification harness)",
      "workload", kHash | kDump, Only::NonEmpty, false,
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
+     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v,
+        ProgramTexts& texts) {
+         auto it = texts.find(v);
+         if (it == texts.end())
+             it = texts.emplace(v, loadProgramSource(v)).first;
          w.program = v;
-         w.programSource = loadProgramSource(v);
+         w.programSource = it->second;
      },
      [](const core::ArchConfig&, const WorkloadSpec& w) {
          return w.program;
@@ -372,7 +390,8 @@ constexpr FieldDef kFields[] = {
     {"check", "harness-free result check for program workloads "
               "(selfcheck | memcmp:ADDR:LEN:FNV)",
      "workload", kHash | kDump, Only::NonEmpty, false,
-     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v) {
+     [](core::ArchConfig&, WorkloadSpec& w, const std::string& v,
+        ProgramTexts&) {
          // Validate eagerly so spec files report malformed values with
          // file:line:col; the raw text is what gets hashed/serialized.
          parseCheckValue("sweep field 'check'", v);
@@ -406,37 +425,98 @@ constexpr FieldDef kFields[] = {
 
 } // namespace
 
-std::string
-resolveProgramPath(const std::string& path)
+ProgramText::ProgramText(std::string text)
+    : text_(std::make_shared<const std::string>(std::move(text)))
 {
-    auto exists = [](const std::string& p) {
-        return static_cast<bool>(std::ifstream(p));
-    };
-    if (exists(path))
-        return path;
-    if (const char* env = std::getenv("VORTEX_PROGRAM_PATH")) {
-        std::string prefixes = env;
-        size_t start = 0;
-        while (start <= prefixes.size()) {
-            size_t colon = prefixes.find(':', start);
-            std::string prefix =
-                prefixes.substr(start, colon == std::string::npos
-                                           ? std::string::npos
-                                           : colon - start);
-            if (!prefix.empty()) {
-                std::string candidate = prefix + "/" + path;
-                if (exists(candidate))
-                    return candidate;
-            }
-            if (colon == std::string::npos)
-                break;
-            start = colon + 1;
-        }
-    }
-    return path;
+}
+
+const std::string&
+ProgramText::str() const
+{
+    static const std::string kNone;
+    return text_ ? *text_ : kNone;
 }
 
 namespace {
+
+/** A program file opened for reading, closed when this goes away. */
+class ProgramFile
+{
+  public:
+    ProgramFile() = default;
+    ProgramFile(const ProgramFile&) = delete;
+    ProgramFile& operator=(const ProgramFile&) = delete;
+    ~ProgramFile() { close(); }
+
+    /** Open @p path when it names a regular file; false otherwise.
+     *  O_NONBLOCK keeps a FIFO from stalling the open: it is then
+     *  rejected as not a regular file. */
+    bool open(const std::string& path)
+    {
+        close();
+        fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+        struct stat st;
+        if (fd_ >= 0 && ::fstat(fd_, &st) == 0 && S_ISREG(st.st_mode)) {
+            size_ = static_cast<size_t>(st.st_size);
+            return true;
+        }
+        close();
+        return false;
+    }
+
+    /** The whole file, sized from it (no spare capacity); false on a
+     *  read error or a short read. */
+    bool read(std::string& text) const
+    {
+        text.assign(size_, '\0');
+        size_t got = 0;
+        while (got < size_) {
+            ssize_t n = ::read(fd_, text.data() + got, size_ - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                return false;
+            got += static_cast<size_t>(n);
+        }
+        return true;
+    }
+
+  private:
+    void close()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        fd_ = -1;
+    }
+
+    int fd_ = -1;
+    size_t size_ = 0;
+};
+
+/**
+ * Open a `[workload] program` path into @p file: the path itself if it
+ * names a regular file, else, for a relative path, each colon-separated
+ * prefix of $VORTEX_PROGRAM_PATH joined with it (first hit wins).
+ */
+bool
+openProgramFile(const std::string& path, ProgramFile& file)
+{
+    if (file.open(path))
+        return true;
+    if (path.empty() || path.front() == '/')
+        return false;
+    const char* env = std::getenv("VORTEX_PROGRAM_PATH");
+    for (std::string_view rest = env ? env : ""; !rest.empty();) {
+        const size_t colon = rest.find(':');
+        const std::string_view prefix = rest.substr(0, colon);
+        if (!prefix.empty() &&
+            file.open(std::string(prefix) + "/" + path))
+            return true;
+        rest = colon == std::string_view::npos ? std::string_view()
+                                               : rest.substr(colon + 1);
+    }
+    return false;
+}
 
 /** Strict hex parse (optional 0x prefix, whole string must consume);
  *  fatal on failure, naming @p what. */
@@ -506,17 +586,17 @@ parseCheckValue(const std::string& what, const std::string& value)
           "' (selfcheck | memcmp:ADDR:LEN:FNV)");
 }
 
-std::string
+ProgramText
 loadProgramSource(const std::string& path)
 {
-    std::string resolved = resolveProgramPath(path);
-    std::ifstream in(resolved, std::ios::binary);
-    if (!in)
+    ProgramFile file;
+    if (!openProgramFile(path, file))
         fatal("cannot open program file '", path,
               "' (also searched $VORTEX_PROGRAM_PATH prefixes)");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    std::string text;
+    if (!file.read(text))
+        fatal("cannot read program file '", path, "'");
+    return ProgramText(std::move(text));
 }
 
 std::string
@@ -685,6 +765,8 @@ SweepSpec::expand() const
         if (a.points.empty())
             fatal("sweep '", name, "': axis '", a.name, "' has no points");
 
+    // The parsed spec's texts; a value it never read is read once here.
+    ProgramTexts texts = programs;
     std::vector<RunSpec> runs;
     runs.reserve(runCount());
     std::vector<size_t> idx(axes.size(), 0);
@@ -696,7 +778,7 @@ SweepSpec::expand() const
             const AxisPoint& p = axes[a].points[idx[a]];
             r.coords.emplace_back(axes[a].name, p.label);
             for (const auto& [field, value] : p.sets)
-                if (!applyField(r.config, r.workload, field, value))
+                if (!applyField(r.config, r.workload, field, value, &texts))
                     fatal("sweep '", name, "': axis '", axes[a].name,
                           "' point '", p.label, "': unknown field '",
                           field, "'");
@@ -725,11 +807,12 @@ SweepSpec::expand() const
 
 bool
 applyField(core::ArchConfig& cfg, WorkloadSpec& wl, const std::string& name,
-           const std::string& value)
+           const std::string& value, ProgramTexts* texts)
 {
     for (const FieldDef& f : kFields) {
         if (f.set && name == f.name) {
-            f.set(cfg, wl, value);
+            ProgramTexts fresh;
+            f.set(cfg, wl, value, texts ? *texts : fresh);
             return true;
         }
     }

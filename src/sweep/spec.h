@@ -21,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +37,28 @@ class Device;
 }
 
 namespace vortex::sweep {
+
+/**
+ * The text of one program file: immutable, and shared by every copy, so
+ * the runs and records of a spec that name one file hold one buffer.
+ * Reads as the `const std::string&` it holds (empty when none was read).
+ */
+class ProgramText
+{
+  public:
+    ProgramText() = default;
+    explicit ProgramText(std::string text);
+
+    const std::string& str() const;
+    operator const std::string&() const { return str(); }
+
+  private:
+    std::shared_ptr<const std::string> text_;
+};
+
+/** The program texts a spec has read, by `program` value: each file is
+ *  read the first time a value names it, and shared after that. */
+using ProgramTexts = std::map<std::string, ProgramText>;
 
 /** What one run executes: a Rodinia kernel or a texture rendering pass. */
 struct WorkloadSpec
@@ -57,10 +81,13 @@ struct WorkloadSpec
      * kernel still chooses the argument-setup + host-verification
      * harness. Resolved against the CWD and the
      * VORTEX_PROGRAM_PATH environment variable (colon-separated
-     * prefixes); the file is read eagerly when the field is applied.
+     * prefixes); an absolute path resolves only to itself.
      */
     std::string program;
-    std::string programSource; ///< contents of `program` (loaded eagerly)
+    /** Contents of `program`, read once when the spec is parsed or the
+     *  field applied; every run of that spec shares it, so an edit of
+     *  the file takes effect at the next parse. */
+    ProgramText programSource;
 
     /**
      * Optional harness-free result check for `program` workloads. Empty
@@ -179,9 +206,18 @@ struct SweepSpec
     uint32_t shardCount = 0; ///< total shards (0 or 1 = unsharded)
 
     /**
+     * The program files the spec names, each read once by parseSpecText,
+     * which applies every `program` value through it. expand() shares
+     * these texts and opens no file for them.
+     */
+    ProgramTexts programs;
+
+    /**
      * Expand the axes row-major (the last axis varies fastest) into the
      * flat run matrix. Fatal on an unknown field name, an unparsable
-     * value or a run whose workload cannot run (whyUnrunnable()).
+     * value or a run whose workload cannot run (whyUnrunnable()). A
+     * `program` value missing from `programs` (an axis built in code)
+     * is read once per call.
      */
     std::vector<RunSpec> expand() const;
 
@@ -198,11 +234,15 @@ struct SweepSpec
  * paper's machine-scaling rules (L2 clusters from 4 cores, the 8-channel
  * Stratix 10 board above 16; see presets.h baselineConfig).
  *
+ * A `program` value takes its text from @p texts, reading the file into
+ * it the first time; with no @p texts the file is read afresh.
+ *
  * @return false when @p name is not a known field (cfg/wl untouched);
  *         fatal on a value that does not parse for a known field.
  */
 bool applyField(core::ArchConfig& cfg, WorkloadSpec& wl,
-                const std::string& name, const std::string& value);
+                const std::string& name, const std::string& value,
+                ProgramTexts* texts = nullptr);
 
 /** One entry of sweepableFields(). */
 struct FieldInfo
@@ -284,15 +324,12 @@ void parseShardValue(const std::string& what, const std::string& value,
                      uint32_t& index, uint32_t& count);
 
 /**
- * Resolve a `[workload] program` path: the path itself if it exists,
- * else each colon-separated prefix of $VORTEX_PROGRAM_PATH joined with
- * it (first hit wins). Returns the path unchanged when nothing exists —
- * the subsequent open reports the error.
+ * Read a `[workload] program` file with one open: the path itself if it
+ * names a readable regular file, else, for a relative path, the first
+ * colon-separated prefix of $VORTEX_PROGRAM_PATH joined with it that
+ * does. Fatal, naming the path, when none does (a directory included).
  */
-std::string resolveProgramPath(const std::string& path);
-
-/** resolveProgramPath + read; fatal with a clear message on failure. */
-std::string loadProgramSource(const std::string& path);
+ProgramText loadProgramSource(const std::string& path);
 
 /** Parsed form of a `[workload] check` value (see WorkloadSpec::check). */
 struct CheckSpec

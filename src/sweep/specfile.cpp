@@ -429,15 +429,16 @@ flattenFields(const std::string& file, const Node& table,
 }
 
 /** Apply one field assignment, converting field-table fatals into
- *  positioned diagnostics. */
+ *  positioned diagnostics. A `program` file is read into @p texts, the
+ *  spec's, the first time a value names it. */
 void
 applyFieldChecked(const std::string& file, core::ArchConfig& cfg,
                   WorkloadSpec& wl, const std::string& name,
-                  const Node& value)
+                  const Node& value, ProgramTexts& texts)
 {
     std::string v = scalarToString(file, value);
     try {
-        if (!applyField(cfg, wl, name, v))
+        if (!applyField(cfg, wl, name, v, &texts))
             fail(file, value.line, value.col,
                  "unknown sweep field '" + name +
                      "' (vortex_sweep specs fields lists them)");
@@ -449,8 +450,8 @@ applyFieldChecked(const std::string& file, core::ArchConfig& cfg,
 /** Build one [[axes]] table; @p kernels gets, per point, the value
  *  node of its `kernel` assignment (nullptr when it sets none). */
 Axis
-buildAxis(const std::string& file, const Node& axisNode,
-          const SweepSpec& spec, std::vector<const Node*>& kernels)
+buildAxis(const std::string& file, const Node& axisNode, SweepSpec& spec,
+          std::vector<const Node*>& kernels)
 {
     expectKind(file, axisNode, Node::Kind::Table, "an axis table");
     Axis axis;
@@ -489,7 +490,7 @@ buildAxis(const std::string& file, const Node& axisNode,
                             core::ArchConfig probeCfg = spec.base;
                             WorkloadSpec probeWl = spec.baseWorkload;
                             applyFieldChecked(file, probeCfg, probeWl,
-                                              fname, *fval);
+                                              fname, *fval, spec.programs);
                             if (fname == "kernel")
                                 kernel = fval;
                             point.sets.emplace_back(
@@ -609,7 +610,7 @@ buildSpec(const std::string& file, const Node& root)
             flattenFields(file, v, "", fields);
             for (const auto& [fname, fval] : fields) {
                 applyFieldChecked(file, spec.base, spec.baseWorkload,
-                                  fname, *fval);
+                                  fname, *fval, spec.programs);
                 if (fname == "kernel")
                     baseKernel = fval;
             }
@@ -645,7 +646,7 @@ buildSpec(const std::string& file, const Node& root)
                              "' (faults keys: " + faultsKeyList() + ")");
                 applyFieldChecked(file, spec.base, spec.baseWorkload,
                                   "faults." + fm.key,
-                                  v.children[fm.valueIndex]);
+                                  v.children[fm.valueIndex], spec.programs);
             }
         } else if (m.key == "axes") {
             expectKind(file, v, Node::Kind::Array, "an array of axes");

@@ -32,8 +32,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -453,16 +451,6 @@ machineConfig(Machine m)
     return c;
 }
 
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.is_open()) << "cannot open " << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
 /** Run @p kernel at scale 1 on @p dev: a Rodinia kernel through its
  *  host harness, or a zoo guest through the self-check mailbox. */
 runtime::RunResult
@@ -470,10 +458,12 @@ runKernel(runtime::Device& dev, const std::string& kernel)
 {
     if (kernel != "stress_barrier")
         return runtime::runRodinia(dev, kernel, 1);
+    core::ArchConfig unused;
     sweep::WorkloadSpec w;
     w.kernel = kernel;
-    w.program = std::string(VORTEX_KERNELS_DIR) + "/" + kernel + ".s";
-    w.programSource = readFile(w.program);
+    EXPECT_TRUE(sweep::applyField(
+        unused, w, "program",
+        std::string(VORTEX_KERNELS_DIR) + "/" + kernel + ".s"));
     w.check = "selfcheck";
     return w.run(dev);
 }

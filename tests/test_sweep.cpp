@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "kernels/kernels.h"
 #include "sweep/cache.h"
 #include "sweep/campaign.h"
 #include "sweep/cli.h"
@@ -162,14 +163,45 @@ TEST(SweepSpec, ProgramFieldReadsTheFileEagerlyAndHashesItsText)
 {
     core::ArchConfig cfg;
     WorkloadSpec wl;
+    auto cannotOpen = [&](const std::string& program) {
+        try {
+            applyField(cfg, wl, "program", program);
+        } catch (const FatalError& e) {
+            return std::string(e.what()).find(
+                       "cannot open program file '" + program + "'") !=
+                   std::string::npos;
+        }
+        return false;
+    };
 
     // Missing files are a fatal, actionable error at apply time, not at
     // run time deep inside a campaign.
-    EXPECT_THROW(applyField(cfg, wl, "program", "no/such/file.s"),
-                 FatalError);
+    EXPECT_TRUE(cannotOpen("no/such/file.s"));
 
     std::string dir = freshTempDir("program");
     std::filesystem::create_directories(dir);
+    // A directory is not a program: the same error, not an empty text.
+    EXPECT_TRUE(cannotOpen(dir));
+
+    // An absolute path resolves only to itself, never under a
+    // $VORTEX_PROGRAM_PATH prefix; a relative one is still searched.
+    {
+        const std::string absent = dir + "/absent/prog.s";
+        const std::string prefix = dir + "/prefix";
+        std::filesystem::create_directories(
+            std::filesystem::path(prefix + absent).parent_path());
+        std::ofstream(prefix + absent) << "main:\n    ret\n";
+        const char* old = std::getenv("VORTEX_PROGRAM_PATH");
+        const std::string saved = old ? old : "";
+        ::setenv("VORTEX_PROGRAM_PATH", prefix.c_str(), 1);
+        EXPECT_TRUE(cannotOpen(absent));
+        EXPECT_TRUE(applyField(cfg, wl, "program", absent.substr(1)));
+        if (old)
+            ::setenv("VORTEX_PROGRAM_PATH", saved.c_str(), 1);
+        else
+            ::unsetenv("VORTEX_PROGRAM_PATH");
+    }
+
     std::string path = dir + "/prog.s";
     {
         std::ofstream out(path);
@@ -177,7 +209,7 @@ TEST(SweepSpec, ProgramFieldReadsTheFileEagerlyAndHashesItsText)
     }
     EXPECT_TRUE(applyField(cfg, wl, "program", path));
     EXPECT_EQ(wl.program, path);
-    EXPECT_EQ(wl.programSource, "main:\n    ret\n");
+    EXPECT_EQ(wl.programSource.str(), "main:\n    ret\n");
 
     // The cache key covers the program *text*, so editing the .s file
     // invalidates cached results even though the path is unchanged.
@@ -201,6 +233,53 @@ TEST(SweepSpec, ProgramFieldReadsTheFileEagerlyAndHashesItsText)
     RunSpec plain;
     EXPECT_EQ(plain.canonical().find("program"), std::string::npos);
     std::filesystem::remove_all(dir);
+}
+
+TEST(SweepSpec, ParsedSpecReadsEachProgramOnceAndItsRunsShareTheText)
+{
+    // The parse reads the file; expand() (also the one inside every
+    // Campaign::run) takes the text from the spec, so it still runs
+    // after the file is gone, and both runs hold one buffer.
+    const std::string dir = freshTempDir("shared");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/vecadd.s";
+    const std::string text = kernels::kernelSource("vecadd");
+    std::ofstream(path) << text;
+    const SweepSpec spec = parseSpecText(
+        "spec = \"vortex-sweep/v1\"\nname = \"shared\"\n"
+        "[[axes]]\nname = \"program\"\n"
+        "[[axes.points]]\nlabel = \"vecadd\"\nset.program = \"" +
+            path +
+            "\"\n"
+            "[[axes]]\nname = \"cores\"\n"
+            "[[axes.points]]\nlabel = \"1\"\nset.cores = 1\n"
+            "[[axes.points]]\nlabel = \"2\"\nset.cores = 2\n",
+        "shared.toml");
+    std::filesystem::remove_all(dir);
+
+    const std::vector<RunSpec> runs = spec.expand();
+    ASSERT_EQ(runs.size(), 2u);
+    for (const RunSpec& r : runs)
+        EXPECT_EQ(r.workload.programSource.str(), text) << r.id();
+    EXPECT_EQ(runs[0].workload.programSource.str().data(),
+              runs[1].workload.programSource.str().data());
+
+    // Concurrent workers read the one text (the TSan job runs this).
+    CampaignOptions serial, parallel;
+    serial.jobs = 1;
+    parallel.jobs = 2;
+    CampaignResult one = Campaign(serial).run(spec);
+    CampaignResult two = Campaign(parallel).run(spec);
+    ASSERT_EQ(two.records.size(), 2u);
+    for (const RunRecord& r : two.records) {
+        EXPECT_TRUE(r.result.ok) << r.spec.id() << ": " << r.result.error;
+        EXPECT_EQ(r.spec.workload.programSource.str().data(),
+                  runs[0].workload.programSource.str().data());
+    }
+    std::ostringstream csv1, csv2;
+    one.writeCsv(csv1);
+    two.writeCsv(csv2);
+    EXPECT_EQ(csv1.str(), csv2.str());
 }
 
 TEST(SweepSpec, ContentHashDifferentiatesConfigAndWorkload)
@@ -373,7 +452,7 @@ texSize = 128
 
     RunSpec prog; // set directly: applyField would read the file
     prog.workload.program = "examples/kernels/vecadd.s";
-    prog.workload.programSource = "li a0, 1\n";
+    prog.workload.programSource = ProgramText("li a0, 1\n");
     prog.workload.check = "selfcheck";
     EXPECT_EQ(prog.canonical(), head + R"(workload = rodinia
 kernel = vecadd

@@ -341,8 +341,8 @@ TEST(Golden, CheckedInTwinsAreBitIdenticalToBuiltinKernels)
                 ASSERT_TRUE(r1.ok) << t.kernel << ": " << r1.error;
 
                 sweep::WorkloadSpec twin = builtin;
-                twin.program = kernelsDir() + "/" + t.file;
-                twin.programSource = readFile(twin.program);
+                ASSERT_TRUE(sweep::applyField(cfg, twin, "program",
+                                              kernelsDir() + "/" + t.file));
                 runtime::Device dev2(cfg);
                 dev2.processor().setReverseCoreOrder(reversed);
                 runtime::RunResult r2 = twin.run(dev2);
@@ -372,7 +372,7 @@ TEST(Golden, AsmSmokeSpecRunsTheTwinsEndToEnd)
     ASSERT_EQ(runs.size(), 14u); // 7 kernels x 2 core counts
     for (const sweep::RunSpec& r : runs) {
         EXPECT_FALSE(r.workload.program.empty()) << r.id();
-        EXPECT_FALSE(r.workload.programSource.empty()) << r.id();
+        EXPECT_FALSE(r.workload.programSource.str().empty()) << r.id();
         // The program text is part of the cache key.
         EXPECT_NE(r.canonical().find("program.fnv = "), std::string::npos);
     }

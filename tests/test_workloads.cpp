@@ -53,10 +53,11 @@ readFile(const std::string& path)
 sweep::WorkloadSpec
 zooWorkload(const std::string& name)
 {
+    core::ArchConfig unused;
     sweep::WorkloadSpec w;
     w.kernel = name;
-    w.program = kernelsDir() + "/" + name + ".s";
-    w.programSource = readFile(w.program);
+    EXPECT_TRUE(sweep::applyField(unused, w, "program",
+                                  kernelsDir() + "/" + name + ".s"));
     w.check = "selfcheck";
     return w;
 }
@@ -161,7 +162,7 @@ TEST(WorkloadZoo, ShippedZooSpecCoversEveryWorkloadWithSelfCheck)
             EXPECT_EQ(r.workload.program,
                       std::string("examples/kernels/") + name + ".s")
                 << r.id();
-            EXPECT_FALSE(r.workload.programSource.empty()) << r.id();
+            EXPECT_FALSE(r.workload.programSource.str().empty()) << r.id();
             EXPECT_NE(r.canonical().find("check = selfcheck"),
                       std::string::npos)
                 << r.id();
